@@ -16,8 +16,8 @@ import (
 )
 
 // leakCheck snapshots the goroutine count; the returned func fails the
-// test if the count has not settled back to the baseline — a worker,
-// orchestrator or canceller watcher stranded by an error path.
+// test if the count has not settled back to the baseline — a pool
+// worker or orchestrator stranded by an error path.
 func leakCheck(t *testing.T) func() {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -88,7 +88,10 @@ func TestRunCancelImmediate(t *testing.T) {
 // TestRunCancelPartialIsPrefix: the classic engine's cancelled partial
 // must be bit-identical to an uninterrupted run configured with exactly
 // CompletedReps repetitions — partial results are a prefix of the
-// deterministic model, not a best-effort snapshot.
+// deterministic model, not a best-effort snapshot. One worker runs the
+// repetitions in order, and each makes three PlaceBatch calls (two
+// checkpoint segments and the rest), so a cancel from call 3 lands in
+// repetition 0's last segment: exactly one repetition completes.
 func TestRunCancelPartialIsPrefix(t *testing.T) {
 	defer leakCheck(t)()
 	a := largeArray(t, 300)
@@ -97,13 +100,10 @@ func TestRunCancelPartialIsPrefix(t *testing.T) {
 	factory := hookedFactory(func(call int64) {
 		if call == 3 {
 			cancel()
-			// Give the canceller's watcher time to latch the flag so
-			// later repetition boundaries observe it.
-			time.Sleep(20 * time.Millisecond)
 		}
 	})
 	res, err := Run(Config{
-		Array: a, Seed: 5, Reps: 64, Workers: 3, Placer: factory,
+		Array: a, Seed: 5, Reps: 64, Workers: 1, Placer: factory,
 		ObsOptions: ObsOptions{Checkpoints: []int64{500, 1000}},
 		Context:    ctx,
 	})
@@ -112,14 +112,11 @@ func TestRunCancelPartialIsPrefix(t *testing.T) {
 		t.Fatalf("err = %v, want *CancelledError", err)
 	}
 	k := cerr.CompletedReps
-	if k < 0 || k >= 64 {
-		t.Fatalf("completed reps %d out of range [0, 64)", k)
+	if k != 1 {
+		t.Fatalf("completed reps %d, want 1", k)
 	}
 	if res.MaxLoad.N() != int64(k) {
 		t.Fatalf("partial aggregates %d observations, CompletedReps %d", res.MaxLoad.N(), k)
-	}
-	if k == 0 {
-		t.Skip("cancelled before the first repetition; nothing to compare")
 	}
 	want, err := Run(Config{
 		Array: a, Seed: 5, Reps: k, Workers: 3, Placer: hookedFactory(func(int64) {}),
@@ -163,54 +160,65 @@ func TestRunLargeCancelImmediate(t *testing.T) {
 
 // TestRunLargeCancelCheckpointPrefix: when cancellation lands during
 // placement, the partial's checkpoint rows are a prefix of — and
-// bit-identical to — the uninterrupted run's rows.
+// bit-identical to — the uninterrupted run's rows. One worker places
+// the shards in index order, so where a cancel lands fixes the prefix
+// length: a cancel in shard 0 keeps no cut (a nil row slice, which
+// must still match the empty prefix), a cancel late in the last shard
+// keeps some.
 func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	defer leakCheck(t)()
 	a := largeArray(t, 1500)
 	cuts := []int64{2000, 20000, 100000, 300000}
-	base := LargeConfig{Array: a, Seed: 11, Shards: 4, BallsFactor: 50, ObsOptions: ObsOptions{Checkpoints: cuts}}
+	base := LargeConfig{Array: a, Seed: 11, Shards: 4, Workers: 1, BallsFactor: 50, ObsOptions: ObsOptions{Checkpoints: cuts}}
 	want, err := RunLarge(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cancelled := base
-	cancelled.Context = ctx
-	cancelled.Placer = hookedFactory(func(call int64) {
-		if call == 2 {
-			cancel()
-			// Give the canceller's watcher goroutine time to latch the
-			// flag so the remaining placement segments observe it.
-			time.Sleep(20 * time.Millisecond)
-		}
-	})
-	// The baseline must use the same wrapped factory type so the rows
-	// compare against an identical draw sequence.
-	wrapped := base
-	wrapped.Placer = hookedFactory(func(int64) {})
-	want2, err := RunLarge(wrapped)
+	// An armed but never-cancelled context strides placement exactly
+	// like the cancelled runs below; counting its PlaceBatch calls
+	// locates the last shard's tail. The rows must not move: wrapping
+	// the placer and striding never change the draw sequence.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	var calls int64
+	counted := base
+	counted.Context = live
+	counted.Placer = hookedFactory(func(call int64) { calls = call })
+	got, err := RunLarge(counted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Checkpoints, want2.Checkpoints) {
-		t.Fatal("wrapping the placer changed the draw sequence")
+	if !reflect.DeepEqual(got.Checkpoints, want.Checkpoints) {
+		t.Fatal("wrapping the placer or striding placement changed the draw sequence")
 	}
-	res, err := RunLarge(cancelled)
-	var cerr *CancelledError
-	if !errors.As(err, &cerr) {
-		t.Skipf("run completed before the cancellation latched (err = %v)", err)
-	}
-	done := cerr.CompletedCuts
-	if done < 0 || done > len(cuts) {
-		t.Fatalf("completed cuts %d out of range", done)
-	}
-	if len(res.Checkpoints) != done {
-		t.Fatalf("partial has %d rows, CompletedCuts %d", len(res.Checkpoints), done)
-	}
-	if !reflect.DeepEqual(res.Checkpoints, want.Checkpoints[:done]) {
-		t.Fatalf("cancelled rows differ from the uninterrupted prefix:\n got  %+v\n want %+v",
-			res.Checkpoints, want.Checkpoints[:done])
+	for _, at := range []int64{2, calls - 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := base
+		cancelled.Context = ctx
+		cancelled.Placer = hookedFactory(func(call int64) {
+			if call == at {
+				cancel()
+			}
+		})
+		res, err := RunLarge(cancelled)
+		cancel()
+		var cerr *CancelledError
+		if !errors.As(err, &cerr) {
+			t.Fatalf("cancel at call %d: err = %v, want *CancelledError", at, err)
+		}
+		done := cerr.CompletedCuts
+		if done < 0 || done > len(cuts) || len(res.Checkpoints) != done {
+			t.Fatalf("cancel at call %d: %d completed cuts, %d partial rows", at, done, len(res.Checkpoints))
+		}
+		if at > 2 && done == 0 {
+			t.Fatalf("cancel at call %d, in the last shard, kept no cut", at)
+		}
+		for k := 0; k < done; k++ {
+			if !reflect.DeepEqual(res.Checkpoints[k], want.Checkpoints[k]) {
+				t.Fatalf("cancel at call %d: row %d differs from the uninterrupted run:\n got  %+v\n want %+v",
+					at, k, res.Checkpoints[k], want.Checkpoints[k])
+			}
+		}
 	}
 }
 
@@ -275,7 +283,7 @@ func TestRunLargeMonteContextCancel(t *testing.T) {
 	})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
-		t.Skipf("run completed before the cancellation latched (err = %v)", err)
+		t.Fatalf("err = %v, want *CancelledError", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cause chain %v does not include context.Canceled", err)
@@ -412,6 +420,18 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 			_, err := RunLargeMonte(LargeMonteConfig{
 				LargeConfig: LargeConfig{Array: a}, Reps: 1, CancelAfterReps: -1,
 			})
+			return err
+		}},
+		{"large shards out of range", "Shards", func() error {
+			_, err := RunLarge(LargeConfig{Array: a, Shards: 101})
+			return err
+		}},
+		{"stream shards out of range", "Shards", func() error {
+			_, err := runStream(StreamConfig{Array: a, Rounds: 1, Shards: 101})
+			return err
+		}},
+		{"cluster shards out of range", "Shards", func() error {
+			_, err := runCluster(ClusterConfig{Array: a, Ticks: 1, Shards: -1})
 			return err
 		}},
 	}

@@ -32,11 +32,8 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bins"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
@@ -58,128 +55,18 @@ func RunClosed(cfg Config) (*Result, error) {
 	if err := closedUnsupported(&cfg); err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
-	if workers > nChunks {
-		workers = nChunks
-	}
-
-	checkpoints, err := obs.NormalizeCuts(cfg.Checkpoints)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-
-	partials := make([]chunkPartial, nChunks)
-	chunkCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			closedWorker(&cfg, cc, checkpoints, chunkCh, partials)
-		}()
-	}
-	for ci := 0; ci < nChunks; ci++ {
-		chunkCh <- ci
-	}
-	close(chunkCh)
-	wg.Wait()
-
-	res, completed, err := reduce(&cfg, checkpoints, partials)
-	if err != nil {
-		return nil, err
-	}
-	if completed < cfg.Reps {
-		return res, &CancelledError{Engine: engRunClosed, CompletedReps: completed, CompletedCuts: -1, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
-	}
-	return res, nil
+	return runChunks(engRunClosed, &cfg)
 }
 
-// closedScratch is a worker's reusable state: the classic scratch
-// buffers plus the multinomial increment vector.
-type closedScratch struct {
-	ws     workerScratch
-	counts []int64
-}
-
-// closedWorker mirrors worker: fixed array and router built once per
-// worker, chunks drained unconditionally so the sender never blocks.
-func closedWorker(cfg *Config, cc *canceller, checkpoints []int64, chunkCh <-chan int, partials []chunkPartial) {
-	fixedArr, fixedRouter, setupErr := closedSetup(cfg)
-	var scratch closedScratch
-	for ci := range chunkCh {
-		p := &partials[ci]
-		if setupErr != nil {
-			p.err = setupErr
-			continue
-		}
-		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > cfg.Reps {
-			hi = cfg.Reps
-		}
-		for rep := lo; rep < hi; rep++ {
-			if cc.cancelled() {
-				break
-			}
-			if err := closedRepGuarded(cfg, checkpoints, uint64(rep), ci, fixedArr, fixedRouter, &scratch, p); err != nil {
-				p.err = err
-				break
-			}
-			p.reps++
-		}
-	}
-}
-
-// closedSetup builds a worker's fixed array and multinomial router,
-// containing constructor panics like workerSetup does.
-func closedSetup(cfg *Config) (fixedArr *bins.Array, fixedRouter *sampling.Multinomial, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fixedArr, fixedRouter = nil, nil
-			err = newPanicError(engRunClosed, "setup", -1, -1, r)
-		}
-	}()
-	if cfg.ArrayFn != nil {
-		return nil, nil, nil
-	}
-	fixedArr = cfg.Array.Clone()
-	fixedArr.Reset()
-	weights, err := cfg.distribution().Weights(fixedArr)
-	if err == nil {
-		fixedRouter, err = sampling.NewMultinomial(weights)
-	}
-	return fixedArr, fixedRouter, err
-}
-
-// closedRepGuarded wraps one repetition in the fault hook and panic
-// containment (the closed engine shares the classic chunk topology, so
-// its fault site reuses OpChunk with its own engine name).
-func closedRepGuarded(cfg *Config, checkpoints []int64, rep uint64, chunk int, fixedArr *bins.Array, fixedRouter *sampling.Multinomial, scratch *closedScratch, p *chunkPartial) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(engRunClosed, "chunk", int(rep), chunk, r)
-		}
-	}()
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunClosed, Op: fault.OpChunk, Rep: int(rep), Shard: -1, Block: -1})
-	}
-	return closedRep(cfg, checkpoints, rep, fixedArr, fixedRouter, scratch, p)
-}
-
-// closedRep materialises one repetition: one multinomial increment per
-// checkpoint segment, accumulated into the array, then the classic
-// engine's shared final fold.
-func closedRep(cfg *Config, checkpoints []int64, rep uint64, fixedArr *bins.Array, fixedRouter *sampling.Multinomial, scratch *closedScratch, p *chunkPartial) error {
+// closedRep is the closed-form engine's repetition kernel (see
+// chunkRun): one multinomial increment per checkpoint segment,
+// accumulated into the array, then the classic engine's shared final
+// fold.
+func closedRep(cfg *Config, checkpoints []int64, rep uint64, w *repWorker, p *chunkPartial) error {
 	r := xrand.NewStream(cfg.Seed, rep)
 
-	arr := fixedArr
-	router := fixedRouter
+	arr := w.arr
+	router := w.router
 	if cfg.ArrayFn != nil {
 		var err error
 		arr, err = cfg.ArrayFn(r)
@@ -206,10 +93,10 @@ func closedRep(cfg *Config, checkpoints []int64, rep uint64, fixedArr *bins.Arra
 	if cfg.HeightLevels > 0 && p.hl == nil {
 		p.hl = obs.NewHeights(cfg.HeightLevels)
 	}
-	if cap(scratch.counts) < arr.N() {
-		scratch.counts = make([]int64, arr.N())
+	if cap(w.counts) < arr.N() {
+		w.counts = make([]int64, arr.N())
 	}
-	counts := scratch.counts[:arr.N()]
+	counts := w.counts[:arr.N()]
 
 	// Conditional splitting: each segment between consecutive reached
 	// cuts (and the final segment up to m) is an independent
@@ -222,7 +109,7 @@ func closedRep(cfg *Config, checkpoints []int64, rep uint64, fixedArr *bins.Arra
 		router.Draw(r, cut-placed, counts)
 		addCounts(arr, counts)
 		placed = cut
-		if err := snapshotCheckpoint(cfg, p, &scratch.ws, arr, nextCp, cut); err != nil {
+		if err := snapshotCheckpoint(cfg, p, &w.scratch, arr, nextCp, cut); err != nil {
 			return err
 		}
 		nextCp++
@@ -232,7 +119,7 @@ func closedRep(cfg *Config, checkpoints []int64, rep uint64, fixedArr *bins.Arra
 	// Checkpoints beyond m stay unrecorded, exactly like the classic
 	// engine: their rows show Reps() < cfg.Reps.
 
-	return foldFinal(cfg, arr, m, rep, &scratch.ws, p)
+	return foldFinal(cfg, arr, m, rep, &w.scratch, p)
 }
 
 // addCounts applies one multinomial increment vector to the array.

@@ -73,8 +73,9 @@
 // Cancellation is tick-granular: a cancelled run returns a
 // *CancelledError with CompletedTicks = k plus a partial whose
 // counters, availability trace, latency histogram and trajectory are
-// bit-identical to a run configured with Ticks = k. Every pool task
-// runs behind panic containment with {engine, task, tick, peer/shard}
+// bit-identical to a run configured with Ticks = k. Every phase of a
+// tick is one barrier on the phase runner (runner.go), each task behind
+// its panic containment with {engine, task, tick, peer/shard}
 // provenance. Fault sites: OpCrash (each applied churn event, peer in
 // Site.Shard), OpReshard (ring/router rebuild with Shard = −1, each
 // shard's redistribution task), OpShed (the admission step), OpRetry
@@ -86,9 +87,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/bins"
 	"repro/internal/chash"
@@ -246,35 +244,26 @@ func (c *ClusterConfig) validate() (shards int, err error) {
 	if err := c.ObsOptions.rejectHeightBins("the cluster engine"); err != nil {
 		return 0, err
 	}
-	shards = c.Shards
-	if shards == 0 {
-		shards = DefaultShards
-		if shards > n {
-			shards = n
-		}
-	} else if shards < 1 || shards > n {
-		return 0, fmt.Errorf("sim: Shards = %d outside [1,%d]", c.Shards, n)
-	}
-	return shards, nil
+	return resolveShards(c.Shards, n)
 }
 
-// Cluster task kinds; the kind also names the PanicError task.
+// Cluster task kinds: one per phase of a tick, plus the placer
+// (re)build setup phase.
 const (
-	clusterTaskSetup = iota
-	clusterTaskRoute
-	clusterTaskPlace
-	clusterTaskRedist
-	clusterTaskRetry
-	clusterTaskServe
-	clusterTaskExpire
-	clusterTaskObserve
+	clusterSetup = iota
+	clusterRoute
+	clusterPlace
+	clusterRedist
+	clusterRetry
+	clusterServe
+	clusterExpire
+	clusterObserve
 )
 
-var clusterTaskNames = [...]string{"setup", "route", "place", "redistribute", "retry", "serve", "expire", "observe"}
-
-type clusterTask struct {
-	kind int32
-	idx  int32
+var clusterKinds = []taskName{
+	{"setup", "setup shard"}, {"route", "routing group"}, {"place", "shard"},
+	{"redistribute", "redistribution shard"}, {"retry", "retry shard"},
+	{"serve", "service shard"}, {"expire", "timeout shard"}, {"observe", "observe shard"},
 }
 
 // cohort is a batch of requests sharing (dispatch tick, origin tick,
@@ -298,16 +287,15 @@ type retryEntry struct {
 
 // clusterState is the engine's whole working set, allocated once.
 type clusterState struct {
-	cfg    *ClusterConfig
-	cc     *canceller
-	arr    *bins.Array
-	n      int
-	shards int
-	seed   uint64
-	kk     uint64 // RNG streams consumed per tick: shards + 2
+	// sharded is the shard plan over the live per-peer arc weights
+	// (0 = dead); weights, shardW and router follow every re-shard.
+	sharded
+	cfg  *ClusterConfig
+	cc   *canceller
+	seed uint64
+	kk   uint64 // RNG streams consumed per tick: shards + 2
 
 	ring      *chash.Ring
-	weights   []float64 // live per-peer arc weights (0 = dead)
 	prevW     []float64 // last weights the placers were built over
 	caps      []int64
 	totalCap  int64
@@ -316,11 +304,7 @@ type clusterState struct {
 	nLive     int
 	peerShard []int32
 
-	factory protocol.Factory
-	bounds  []int
-	shardW  []float64
 	sumW    float64
-	router  *sampling.Multinomial
 	views   []*bins.Array
 	placers []protocol.Placer
 	dirty   []bool
@@ -349,9 +333,8 @@ type clusterState struct {
 	trackMat [][]float64
 	maxOut   []float64
 
-	taskCh chan clusterTask
-	wg     sync.WaitGroup
-	errs   []error
+	pl pool
+	ph phase
 
 	// Tick-scoped fields, written by the orchestrator strictly between
 	// phase barriers.
@@ -391,40 +374,34 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
-	arr := cfg.Array
-	if !cfg.AdoptArray {
-		arr = cfg.Array.Clone()
-	}
-	arr.Reset()
-	n := arr.N()
-
-	st := &clusterState{
-		cfg:    &cfg,
-		cc:     cc,
-		arr:    arr,
-		n:      n,
-		shards: shards,
-		seed:   cfg.Seed,
-		kk:     uint64(shards + 2),
-	}
-	st.caps = arr.Capacities()
-	st.totalCap = arr.TotalCapacity()
-	st.liveCap = st.totalCap
-
 	// Global stream 0: ring construction. The vnode positions are the
 	// only randomness membership ever consumes — churn splices cached
 	// points, so a crash/recover cycle is RNG-free.
+	caps := cfg.Array.Capacities()
 	vpu := cfg.VnodesPerUnit
 	if vpu == 0 {
 		vpu = 2
 	}
-	st.ring, err = chash.NewWeightedRing(st.caps, vpu, xrand.NewStream(cfg.Seed, 0))
+	ring, err := chash.NewWeightedRing(caps, vpu, xrand.NewStream(cfg.Seed, 0))
 	if err != nil {
 		return nil, fmt.Errorf("sim: RunCluster ring: %w", err)
 	}
-	st.weights = st.ring.ArcLengths()
+	sh, err := newSharded(engRunCluster, &LargeConfig{Array: cfg.Array, Placer: cfg.Placer, Workers: cfg.Workers, AdoptArray: cfg.AdoptArray}, shards, ring.ArcLengths())
+	if err != nil {
+		return nil, err
+	}
+	n := sh.n
+	st := &clusterState{
+		sharded: sh,
+		cfg:     &cfg,
+		cc:      newCanceller(cfg.Context),
+		seed:    cfg.Seed,
+		kk:      uint64(shards + 2),
+		ring:    ring,
+		caps:    caps,
+	}
+	st.totalCap = sh.arr.TotalCapacity()
+	st.liveCap = st.totalCap
 	st.prevW = make([]float64, n)
 	copy(st.prevW, st.weights)
 	st.live = make([]bool, n)
@@ -433,14 +410,6 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	st.nLive = n
 
-	st.factory = cfg.Placer
-	if st.factory == nil {
-		st.factory = protocol.GreedyFactory(2)
-	}
-	st.bounds, st.shardW, st.router, err = shardPlan(st.weights, n, shards)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunCluster router: %w", err)
-	}
 	for _, w := range st.shardW {
 		st.sumW += w
 	}
@@ -451,29 +420,8 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rg := workers
-	if nb := numRouteBlocks(cfg.Arrivals); rg > nb {
-		rg = nb
-	}
-	if rg < 1 {
-		rg = 1
-	}
+	rg := sh.routeWidth(cfg.Arrivals)
 	st.groups = newRouteGroups(rg, shards, 0)
-
-	lim := shards
-	if lim < rg {
-		lim = rg
-	}
-	pool := workers
-	if pool > lim {
-		pool = lim
-	}
-	st.errs = make([]error, lim)
-	st.taskCh = make(chan clusterTask)
 
 	st.counts = make([]int64, shards)
 	st.aport = make([]int64, shards)
@@ -501,7 +449,7 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, fmt.Errorf("sim: RunCluster: %w", err)
 	}
 	for s := 0; s < shards; s++ {
-		st.views[s], err = arr.Shard(st.bounds[s], st.bounds[s+1])
+		st.views[s], err = sh.arr.Shard(st.bounds[s], st.bounds[s+1])
 		if err != nil {
 			return nil, fmt.Errorf("sim: RunCluster shard %d: %w", s, err)
 		}
@@ -520,78 +468,61 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	st.trackMat = [][]float64{st.trackRow}
 	st.maxOut = make([]float64, 1)
 
-	for w := 0; w < pool; w++ {
-		go st.serve()
-	}
+	st.ph = phase{pool: &st.pl, x: st, engine: engRunCluster, names: clusterKinds}
+	st.pl.start(sh.poolWidth(rg))
 	res, err := st.orchestrate(cfg.Ticks)
-	close(st.taskCh)
+	st.pl.close()
 	return res, err
 }
 
-func (st *clusterState) serve() {
-	for t := range st.taskCh {
-		st.do(t)
-	}
-}
-
-// do executes one task. Task state is indexed by (kind, idx) and every
-// task touches only its own shard's (or routing group's) peers,
+// exec executes one task. Task state is indexed by (kind, idx) and
+// every task touches only its own shard's (or routing group's) peers,
 // queues and scratch, so any scheduling onto workers is bit-identical.
-func (st *clusterState) do(t clusterTask) {
-	defer st.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			st.errs[t.idx] = newPanicError(engRunCluster, clusterTaskNames[t.kind], st.tick, int(t.idx), r)
-		}
-	}()
-	s := int(t.idx)
-	switch t.kind {
-	case clusterTaskSetup:
-		st.setupShard(s)
-	case clusterTaskRoute:
+func (st *clusterState) exec(kind, s int) error {
+	switch kind {
+	case clusterSetup:
+		return st.setupShard(s)
+	case clusterRoute:
 		st.groups[s].reset()
 		st.groups[s].route(st.cc, engRunCluster, st.tick, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
-	case clusterTaskPlace:
+	case clusterPlace:
 		if st.counts[s] > 0 {
 			tick := int32(st.tick)
 			st.placeCohort(s, tick, tick, 0, st.counts[s])
 		}
-	case clusterTaskRedist:
+	case clusterRedist, clusterRetry:
+		// Both re-place the shard's apportioned work list; only the
+		// fault site differs.
 		if len(st.work[s]) > 0 {
 			if fault.Enabled {
-				fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: st.tick, Shard: s, Block: -1})
+				op := fault.OpReshard
+				if kind == clusterRetry {
+					op = fault.OpRetry
+				}
+				fault.Hit(fault.Site{Engine: engRunCluster, Op: op, Rep: st.tick, Shard: s, Block: -1})
 			}
 			for _, it := range st.work[s] {
 				st.placeCohort(s, it.disp, it.orig, it.att, it.count)
 			}
 			st.work[s] = st.work[s][:0]
 		}
-	case clusterTaskRetry:
-		if len(st.work[s]) > 0 {
-			if fault.Enabled {
-				fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpRetry, Rep: st.tick, Shard: s, Block: -1})
-			}
-			for _, it := range st.work[s] {
-				st.placeCohort(s, it.disp, it.orig, it.att, it.count)
-			}
-			st.work[s] = st.work[s][:0]
-		}
-	case clusterTaskServe:
+	case clusterServe:
 		st.serveShard(s)
-	case clusterTaskExpire:
+	case clusterExpire:
 		st.expireShard(s)
-	case clusterTaskObserve:
+	case clusterObserve:
 		st.trackRow[s] = st.views[s].MaxLoad()
 	}
+	return nil
 }
 
 // setupShard (re)builds shard s's placer over the current live-peer
 // weight slice. Only shards whose weights changed since the last build
 // are dirty; a shard whose live weight vanished entirely (every peer
 // down) gets a nil placer — the router can never route a ball there.
-func (st *clusterState) setupShard(s int) {
+func (st *clusterState) setupShard(s int) (err error) {
 	if !st.dirty[s] {
-		return
+		return nil
 	}
 	st.dirty[s] = false
 	w := st.weights[st.bounds[s]:st.bounds[s+1]]
@@ -601,9 +532,10 @@ func (st *clusterState) setupShard(s int) {
 	}
 	if sum <= 0 {
 		st.placers[s] = nil
-		return
+		return nil
 	}
-	st.placers[s], st.errs[s] = st.factory(st.views[s], w)
+	st.placers[s], err = st.factory(st.views[s], w)
+	return err
 }
 
 // placeCohort places one batch on shard s and records the receiving
@@ -692,21 +624,6 @@ func (st *clusterState) expireShard(s int) {
 		}
 	}
 	st.expired[s] = exp
-}
-
-func (st *clusterState) runPhase(kind int32, count int, label string) error {
-	for i := 0; i < count; i++ {
-		st.wg.Add(1)
-		st.taskCh <- clusterTask{kind: kind, idx: int32(i)}
-	}
-	st.wg.Wait()
-	for i := 0; i < count; i++ {
-		if err := st.errs[i]; err != nil {
-			clear(st.errs[:count])
-			return fmt.Errorf("sim: RunCluster %s %d: %w", label, i, err)
-		}
-	}
-	return nil
 }
 
 // crash takes peer p off the ring. Returns false when the event does
@@ -853,54 +770,12 @@ func (st *clusterState) admission(t int, arrived int64, th float64) (admit, shed
 	return admit, shed, nil
 }
 
-// apportionLive splits m balls over the live shard weights by largest
-// remainder — floor quotas, then one extra per candidate in
-// descending-residue order (ties by shard index) — the PR 8 rebalance
-// rule: deterministic, integer-exact, no RNG.
-func (st *clusterState) apportionLive(m int64, out []int64) {
-	clear(out)
-	if m == 0 || st.sumW <= 0 {
-		return
-	}
-	st.ap.idx = st.ap.idx[:0]
-	var assigned int64
-	for s := 0; s < st.shards; s++ {
-		if st.shardW[s] <= 0 {
-			continue
-		}
-		ideal := float64(m) * st.shardW[s] / st.sumW
-		q := math.Floor(ideal)
-		out[s] = int64(q)
-		st.ap.rem[s] = ideal - q
-		assigned += int64(q)
-		st.ap.idx = append(st.ap.idx, s)
-	}
-	if len(st.ap.idx) == 0 {
-		return
-	}
-	sort.Sort(&st.ap)
-	k := len(st.ap.idx)
-	for r := m - assigned; r > 0; {
-		for j := 0; j < k && r > 0; j++ {
-			out[st.ap.idx[j]]++
-			r--
-		}
-	}
-	for r := assigned - m; r > 0; {
-		for j := k - 1; j >= 0 && r > 0; j-- {
-			if out[st.ap.idx[j]] > 0 {
-				out[st.ap.idx[j]]--
-				r--
-			}
-		}
-	}
-}
-
 // redistribute drains the queues of this tick's crashed peers: each
 // resident cohort leaves its dead queue, is split over the live shard
-// weights, and re-placed by the destination shards — keeping its
-// original dispatch AND origin ticks, so neither the timeout nor the
-// latency clock resets. Returns the number of requests moved.
+// weights by largest remainder (deterministic, integer-exact, no RNG),
+// and re-placed by the destination shards — keeping its original
+// dispatch AND origin ticks, so neither the timeout nor the latency
+// clock resets. Returns the number of requests moved.
 func (st *clusterState) redistribute(crashed []int) (int64, error) {
 	var moved int64
 	for _, p := range crashed {
@@ -909,7 +784,7 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 		s := int(st.peerShard[p])
 		for _, c := range q {
 			st.views[s].RemoveBalls(p-st.bounds[s], c.count)
-			st.apportionLive(c.count, st.aport)
+			st.ap.split(c.count, st.shardW, st.sumW, st.aport)
 			for s2, cnt := range st.aport {
 				if cnt > 0 {
 					st.work[s2] = append(st.work[s2], cohort{disp: c.disp, orig: c.orig, att: c.att, count: cnt})
@@ -921,7 +796,7 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 	if moved == 0 {
 		return 0, nil
 	}
-	if err := st.runPhase(clusterTaskRedist, st.shards, "redistribution shard"); err != nil {
+	if err := st.ph.run(clusterRedist, st.shards); err != nil {
 		return 0, err
 	}
 	return moved, nil
@@ -930,11 +805,11 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 // orchestrate runs the setup phase and then the ticks, committing the
 // completed-tick prefix as it goes.
 func (st *clusterState) orchestrate(ticks int) (*ClusterResult, error) {
-	if err := st.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
+	if err := st.ph.run(clusterSetup, st.shards); err != nil {
 		return nil, err
 	}
 	if st.cc.cancelled() {
-		return st.partial()
+		return st.partial(st.cc.err())
 	}
 	for t := 0; t < ticks; t++ {
 		ok, err := st.runTick(t)
@@ -942,10 +817,10 @@ func (st *clusterState) orchestrate(ticks int) (*ClusterResult, error) {
 			return nil, err
 		}
 		if !ok {
-			return st.partial()
+			return st.partial(st.cc.err())
 		}
 		if ca := st.cfg.CancelAfterTicks; ca > 0 && st.ticksDone == ca && st.ticksDone < ticks {
-			return st.partialSelfCancel()
+			return st.partial(nil)
 		}
 	}
 	return st.final()
@@ -957,7 +832,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	if st.cc.cancelled() {
 		return false, nil
 	}
-	st.tick = t
+	st.tick, st.ph.rep = t, t
 	st.tbase = 1 + uint64(t)*st.kk
 	// Placement streams are re-seeded for EVERY shard at the start of
 	// every tick, so a shard's draws depend only on (seed, tick,
@@ -980,7 +855,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 		if st.cc.cancelled() {
 			return false, nil
 		}
-		if err := st.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
+		if err := st.ph.run(clusterSetup, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1017,14 +892,14 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 			rgr = nb
 		}
 		st.rgr = rgr
-		if err := st.runPhase(clusterTaskRoute, rgr, "routing group"); err != nil {
+		if err := st.ph.run(clusterRoute, rgr); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
 			return false, nil
 		}
 		mergeRouteGroups(st.groups[:rgr], st.counts, nil)
-		if err := st.runPhase(clusterTaskPlace, st.shards, "shard"); err != nil {
+		if err := st.ph.run(clusterPlace, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1042,7 +917,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	if due := st.retryQ[t]; len(due) > 0 {
 		delete(st.retryQ, t)
 		for _, e := range due {
-			st.apportionLive(e.count, st.aport)
+			st.ap.split(e.count, st.shardW, st.sumW, st.aport)
 			for s, cnt := range st.aport {
 				if cnt > 0 {
 					st.work[s] = append(st.work[s], cohort{disp: int32(t), orig: e.orig, att: e.att, count: cnt})
@@ -1051,7 +926,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 			retriedT += e.count
 		}
 		st.pendingRetry -= retriedT
-		if err := st.runPhase(clusterTaskRetry, st.shards, "retry shard"); err != nil {
+		if err := st.ph.run(clusterRetry, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1061,7 +936,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	}
 
 	// Phase 5 — service.
-	if err := st.runPhase(clusterTaskServe, st.shards, "service shard"); err != nil {
+	if err := st.ph.run(clusterServe, st.shards); err != nil {
 		return false, err
 	}
 	if st.cc.cancelled() {
@@ -1078,7 +953,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	// — retries exhausted — counts failed.
 	var timedOutT, failedT int64
 	if st.cfg.Retry.TimeoutTicks > 0 {
-		if err := st.runPhase(clusterTaskExpire, st.shards, "timeout shard"); err != nil {
+		if err := st.ph.run(clusterExpire, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1103,7 +978,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	// Phase 7 — observation: a cut at tick t+1 snapshots queue
 	// occupancy and max queue-relative load before the commit.
 	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(t)+1 {
-		if err := st.runPhase(clusterTaskObserve, st.shards, "observe shard"); err != nil {
+		if err := st.ph.run(clusterObserve, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1174,56 +1049,30 @@ func (st *clusterState) partialResult() *ClusterResult {
 	return res
 }
 
-// partial is the context-cancelled exit: the committed-tick prefix
-// plus a *CancelledError carrying the context's cause.
-func (st *clusterState) partial() (*ClusterResult, error) {
+// partial is the cancelled exit: the committed-tick prefix plus a
+// *CancelledError whose cause is the context's error, or nil for the
+// deterministic CancelAfterTicks stop.
+func (st *clusterState) partial(cause error) (*ClusterResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunCluster,
 		CompletedReps:   -1,
 		CompletedCuts:   st.nextCut,
 		CompletedRounds: -1,
 		CompletedTicks:  st.ticksDone,
-		Cause:           st.cc.err(),
-	}
-}
-
-// partialSelfCancel is the CancelAfterTicks exit: same deterministic
-// prefix, nil Cause.
-func (st *clusterState) partialSelfCancel() (*ClusterResult, error) {
-	return st.partialResult(), &CancelledError{
-		Engine:          engRunCluster,
-		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
-		CompletedRounds: -1,
-		CompletedTicks:  st.ticksDone,
+		Cause:           cause,
 	}
 }
 
 // final builds the completed-run result: the committed counters plus
-// the final queue-state statistics.
+// the final queue-state statistics (the queue-depth distribution, when
+// HeightLevels is set, through the histogram kernel).
 func (st *clusterState) final() (*ClusterResult, error) {
 	res := st.partialResult()
-	st.arr.Recount()
-	var max float64
-	if st.cfg.HeightLevels > 0 {
-		// Queue-depth distribution through the PR 9 histogram kernel:
-		// one pass yields the exact max queue load and the
-		// queues-at-load>=k counts together.
-		h := st.arr.NewLoadHistogram()
-		if err := st.arr.HistogramInto(h); err != nil {
-			return nil, fmt.Errorf("sim: RunCluster histogram: %w", err)
-		}
-		max = h.MaxLoad()
-		hl := obs.NewHeights(st.cfg.HeightLevels)
-		if err := hl.SnapshotHist(obs.Final, h, st.cQueued); err != nil {
-			return nil, fmt.Errorf("sim: RunCluster heights: %w", err)
-		}
-		res.HeightCounts = hl.Rows()
-	} else {
-		max = st.arr.MaxLoad()
+	var err error
+	res.MaxQueueLoad, res.AvgQueueLoad, res.HeightCounts, err = finalState(engRunCluster, st.arr, st.cfg.HeightLevels, st.cQueued)
+	if err != nil {
+		return nil, err
 	}
-	res.MaxQueueLoad = max
-	res.AvgQueueLoad = st.arr.AverageLoad()
 	res.Array = st.arr
 	return res, nil
 }

@@ -1,30 +1,34 @@
-// Fault-tolerant execution layer, part 1: the failure and cancellation
-// vocabulary shared by all three engines.
+// Fault-tolerant execution layer: the failure and cancellation
+// vocabulary every engine shares.
 //
 // # Cooperative cancellation
 //
 // Every engine config carries an optional context.Context. Cancellation
 // is checked at task boundaries — one classic repetition, one routing
-// block, one RoutingBlock-sized placement stride — so cancellation
-// latency is bounded by one block of work, while the no-context hot
-// path keeps its exact pre-existing instruction stream (the checks sit
-// behind a nil canceller). A cancelled run returns a typed
-// *CancelledError AND a deterministic partial result: the partial is a
-// prefix of the engine's deterministic model (completed repetitions,
-// completed checkpoint cuts), so its content is bit-identical to the
+// block, one RoutingBlock-sized placement or deletion stride — and at
+// every phase barrier, so cancellation latency is bounded by one block
+// of work, while the no-context hot path keeps its exact pre-existing
+// instruction stream (the checks sit behind a nil canceller). A check
+// is a non-blocking receive on the context's Done channel: there is no
+// watcher goroutine, and a cancel() that has returned is seen by every
+// later check. A cancelled run returns a typed *CancelledError AND a
+// deterministic partial result: the partial is a prefix of the
+// engine's deterministic model (completed repetitions, checkpoint cuts,
+// rounds or ticks), so its content is bit-identical to the
 // corresponding prefix of an uninterrupted run — only WHICH prefix you
-// get depends on timing.
+// get depends on when the context fires.
 //
 // # Panic containment
 //
-// Every pool task (classic chunk repetitions, routing groups, shard
-// placements, Monte resets/summaries/orchestrators) runs behind a
-// recover that converts a panic into a *PanicError carrying provenance
-// (engine, task kind, repetition, shard/group index). The first error
-// wins, every waiter is released (see monteAgg.abort), and no worker
+// Every pool task runs behind the phase runner's recover (runner.go),
+// which converts a panic into a *PanicError carrying provenance
+// (engine, task name, repetition, shard/group index); classic
+// repetitions and setups, Monte orchestrators and the orchestrator-side
+// steps of the streaming and cluster engines carry their own recovers
+// with the same provenance. The lowest-index failure of a phase wins,
+// every waiter is released (see monteAgg.abort), and no worker
 // goroutine is stranded — a panic anywhere surfaces as an ordinary
-// error from Run/RunLarge/RunLargeMonte, never as a process crash or a
-// hang.
+// error from the engine call, never as a process crash or a hang.
 package sim
 
 import (
@@ -32,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 )
 
 // Engine names used in provenance (PanicError.Engine, fault.Site.Engine).
@@ -121,7 +124,9 @@ type PanicError struct {
 	// Engine is the engine the panic happened in.
 	Engine string
 	// Task names the task kind: "route", "place", "reset", "summary",
-	// "rep" (classic chunk repetition), "orchestrator".
+	// "chunk" (classic chunk repetition), "setup", "orchestrator", and
+	// the streaming and cluster phase names ("delete", "move-out",
+	// "redistribute", "retry", "churn", ...).
 	Task string
 	// Rep is the repetition the task belonged to (-1 when unknown; 0
 	// for the single-run engine).
@@ -157,46 +162,37 @@ func newPanicError(engine, task string, rep, index int, v any) *PanicError {
 	return &PanicError{Engine: engine, Task: task, Rep: rep, Index: index, Value: v, Stack: debug.Stack()}
 }
 
-// canceller adapts a context to the single atomic flag the hot loops
-// poll. A nil *canceller means "cancellation not armed": the methods
-// are nil-receiver safe and collapse to a register test, so engines
-// pass the canceller unconditionally and pay nothing when no context
-// is configured.
+// canceller is the check the hot loops poll. A nil *canceller means
+// "cancellation not armed": the methods are nil-receiver safe and
+// collapse to a register test, so engines pass the canceller
+// unconditionally and pay nothing when no context is configured.
 type canceller struct {
-	flag  atomic.Bool
-	cause func() error // ctx.Err, read only after flag is set
-	done  chan struct{}
+	ctx  context.Context
+	done <-chan struct{} // ctx.Done(), captured once
 }
 
-// newCanceller arms cancellation for ctx; it returns nil (no watcher
-// goroutine, no checks) when ctx is nil or can never be cancelled.
-// The caller must stop() the returned canceller before returning so
-// the watcher goroutine never outlives the run.
+// newCanceller arms cancellation for ctx; it returns nil (no checks)
+// when ctx is nil or can never be cancelled.
 func newCanceller(ctx context.Context) *canceller {
 	if ctx == nil || ctx.Done() == nil {
 		return nil
 	}
-	c := &canceller{cause: ctx.Err, done: make(chan struct{})}
-	if ctx.Err() != nil {
-		// Already cancelled: latch synchronously (no watcher needed) so
-		// a run with a dead context deterministically stops at its first
-		// check. done stays open for the caller's deferred stop.
-		c.flag.Store(true)
-		return c
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.flag.Store(true)
-		case <-c.done:
-		}
-	}()
-	return c
+	return &canceller{ctx: ctx, done: ctx.Done()}
 }
 
-// cancelled reports whether the context fired. Safe on a nil receiver.
+// cancelled reports whether the context has fired: a non-blocking
+// receive, so every check that starts after cancel() returned sees
+// it. Safe on a nil receiver.
 func (c *canceller) cancelled() bool {
-	return c != nil && c.flag.Load()
+	if c == nil {
+		return false
+	}
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // err returns the context's error once cancelled (nil otherwise).
@@ -204,13 +200,5 @@ func (c *canceller) err() error {
 	if !c.cancelled() {
 		return nil
 	}
-	return c.cause()
-}
-
-// stop releases the watcher goroutine. Safe on a nil receiver and
-// idempotent-enough for a single deferred call.
-func (c *canceller) stop() {
-	if c != nil {
-		close(c.done)
-	}
+	return c.ctx.Err()
 }

@@ -41,7 +41,8 @@
 // draws from substream (Seed, stream 0, b), so blocks merge by exact
 // integer addition no matter which worker generates which block, and
 // shard s's placement depends only on its own stream and its routed
-// count. Workers only schedules which core runs which block or shard.
+// count. Workers only schedules which core runs which block or shard:
+// both phases are task lists on the shared phase runner (runner.go).
 // Changing Shards (or RoutingBlock) changes the game, like changing
 // Seed. The model orders balls block by block and, within a routing
 // block, by shard index — the ordering behind the checkpoint cut rule
@@ -51,8 +52,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bins"
 	"repro/internal/dist"
@@ -177,26 +176,55 @@ func (c *LargeConfig) validate() (shards int, err error) {
 	if err := c.ObsOptions.rejectHeightBins("the sharded engine"); err != nil {
 		return 0, err
 	}
-	n := c.Array.N()
-	shards = c.Shards
-	if shards == 0 {
-		shards = DefaultShards
-		if shards > n {
-			shards = n
-		}
-	} else if shards < 1 || shards > n {
-		return 0, fmt.Errorf("sim: Shards = %d outside [1,%d]", c.Shards, n)
-	}
-	return shards, nil
+	return resolveShards(c.Shards, c.Array.N())
 }
 
-// newCutsDone returns the per-shard completed-cut counters, or nil
-// when cancellation is unarmed or no cut can be reached.
-func newCutsDone(cc *canceller, nCuts, shards int) []int {
-	if cc == nil || nCuts == 0 {
+// RunLarge's task kinds: routing groups (phase 1), then shards
+// (phase 2).
+const (
+	largeRoute = iota
+	largePlace
+)
+
+var largeKinds = []taskName{{"route", "routing group"}, {"place", "shard"}}
+
+// largeRun is RunLarge's working set: the shard plan plus the state its
+// routing and placement phases touch. The main goroutine writes the
+// placement inputs (views, aligned prefix, track rows) strictly between
+// the phases; the task sends order those writes before the reads.
+type largeRun struct {
+	sharded
+	cc        *canceller
+	seed      uint64
+	m         int64
+	rbase     uint64 // Mix64(seed, 0): the routing substream base
+	groups    []routeGroup
+	cutBlocks []int64
+	cutRems   []int64
+	counts    []int64
+	views     []*bins.Array
+	// prefix[k][s] is shard s's routing prefix at cut k (aligned to its
+	// block-aligned cut between the phases) and track[k][s] its local
+	// running max at cut k. Each shard writes only its own column, so
+	// any worker schedule produces the same matrices.
+	prefix [][]int64
+	track  [][]float64
+	// cutsDone[s] is how many cuts shard s fully placed and tracked —
+	// the bookkeeping behind a cancelled partial's cut prefix (nil
+	// unless cancellation is armed and a cut is reachable).
+	cutsDone []int
+	pl       pool
+	ph       phase
+}
+
+func (r *largeRun) exec(kind, i int) error {
+	if kind == largeRoute {
+		r.groups[i].route(r.cc, engRunLarge, 0, r.rbase, r.router, r.m, i, len(r.groups), r.cutBlocks, r.cutRems)
 		return nil
 	}
-	return make([]int, shards)
+	// Placer construction (alias table builds, O(shard size)) runs in the
+	// task too: it reads only the shard's own weights slice and view.
+	return placeShard(r.cc, r.views[i], r.weights[r.bounds[i]:r.bounds[i+1]], r.factory, r.seed, r.counts[i], i, r.prefix, r.track, r.cutsDone)
 }
 
 // RunLarge executes one sharded single run. See the package comment of
@@ -213,166 +241,64 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	sh, err := newSharded(engRunLarge, &cfg, shards, nil)
+	if err != nil {
+		return nil, err
+	}
 	cc := newCanceller(cfg.Context)
-	defer cc.stop()
-	n := cfg.Array.N()
-	arr := cfg.Array
-	if !cfg.AdoptArray {
-		arr = cfg.Array.Clone()
-	}
-	arr.Reset()
-
-	d := cfg.Dist
-	if d == nil {
-		d = dist.Proportional{}
-	}
-	weights, err := d.Weights(arr)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunLarge weights: %w", err)
-	}
-	factory := cfg.Placer
-	if factory == nil {
-		factory = protocol.GreedyFactory(2)
-	}
-
-	bounds, _, router, err := shardPlan(weights, n, shards)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunLarge router: %w", err)
-	}
-
+	arr, n := sh.arr, sh.n
 	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(arr.TotalCapacity())
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
 	nCuts := obs.CountReached(cuts, m)
-	var prefix [][]int64
+	r := &largeRun{
+		sharded: sh, cc: cc, seed: cfg.Seed, m: m, rbase: xrand.Mix64(cfg.Seed, 0),
+		counts: make([]int64, shards), views: make([]*bins.Array, shards),
+	}
 	var realized []int64
 	if nCuts > 0 {
-		prefix = make([][]int64, nCuts)
+		r.prefix = make([][]int64, nCuts)
 		flat := make([]int64, nCuts*shards)
-		for k := range prefix {
-			prefix[k] = flat[k*shards : (k+1)*shards]
+		for k := range r.prefix {
+			r.prefix[k] = flat[k*shards : (k+1)*shards]
 		}
+		r.track = make([][]float64, nCuts)
 		realized = make([]int64, nCuts)
+		if cc != nil {
+			r.cutsDone = make([]int, shards)
+		}
 	}
-
-	// Routing fan-out: blocks spread across min(workers, blocks)
-	// groups and merge bit-identically regardless of the grouping.
-	counts := make([]int64, shards)
-	rg := workers
-	if nb := numRouteBlocks(m); rg > nb {
-		rg = nb
-	}
-	if rg < 1 {
-		rg = 1
-	}
-	cutBlocks, cutRems := cutPlan(cuts[:nCuts])
-	groups := newRouteGroups(rg, shards, nCuts)
-
-	// ONE worker pool serves both phases — routing-group tasks first,
-	// then per-shard placement tasks — so the pass adds no goroutines
-	// beyond the pool the placement phase always needed. Negative task
-	// ids are routing groups (-(g+1)), non-negative ids shards. All
-	// state the workers touch after phase 1 (views, track, prefix) is
-	// written by the main goroutine strictly between the phases; the
-	// channel sends order those writes before the reads.
-	pool := workers
-	lim := shards
-	if lim < rg {
-		lim = rg
-	}
-	if pool > lim {
-		pool = lim
-	}
-	// track[k][s] is shard s's local running max at cut k; each shard
-	// writes only its own column, so any worker schedule produces the
-	// same matrix. The header slice is built before the pool spawns
-	// (so the closure captures a never-reassigned variable); the rows
-	// are filled between the phases.
-	var track [][]float64
-	if nCuts > 0 {
-		track = make([][]float64, nCuts)
-	}
-	views := make([]*bins.Array, shards)
-	// One error slot per task: routing groups use [0, rg) during phase
-	// 1, shards use [0, shards) during phase 2. One slice sized for the
-	// wider phase serves both (cleared between them), so the second
-	// phase adds no allocation.
-	errs := make([]error, lim)
-	// cutsDone[s] is how many checkpoint cuts shard s fully placed and
-	// tracked — the bookkeeping behind the cancelled partial's cut
-	// prefix. Allocated only when cancellation is armed, so the normal
-	// path stays allocation-identical; the single assignment lets the
-	// pool closure capture the slice header by value instead of boxing
-	// the variable on the heap.
-	cutsDone := newCutsDone(cc, nCuts, shards)
-	rbase := xrand.Mix64(cfg.Seed, 0)
-	taskCh := make(chan int)
-	var phaseWG sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		go func() {
-			for t := range taskCh {
-				// Each task runs behind its own recover so a panic in
-				// protocol or distribution code surfaces as a
-				// provenance-carrying error from RunLarge — the worker
-				// keeps draining, the phase barrier is always reached.
-				func() {
-					defer phaseWG.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							if t < 0 {
-								g := -t - 1
-								errs[g] = newPanicError(engRunLarge, "route", 0, g, r)
-							} else {
-								errs[t] = newPanicError(engRunLarge, "place", 0, t, r)
-							}
-						}
-					}()
-					if t < 0 {
-						g := -t - 1
-						groups[g].route(cc, engRunLarge, 0, rbase, router, m, g, rg, cutBlocks, cutRems)
-					} else {
-						errs[t] = placeShard(cc, views[t], weights[bounds[t]:bounds[t+1]], factory, cfg.Seed, counts[t], t, prefix, track, cutsDone)
-					}
-				}()
-			}
-		}()
-	}
+	// Routing fan-out: blocks spread across routeWidth groups and merge
+	// bit-identically regardless of the grouping.
+	rg := sh.routeWidth(m)
+	r.cutBlocks, r.cutRems = cutPlan(cuts[:nCuts])
+	r.groups = newRouteGroups(rg, shards, nCuts)
+	// ONE pool serves both phases, so the routing pass adds no
+	// goroutines beyond the pool the placement phase always needed.
+	r.ph = phase{pool: &r.pl, x: r, engine: engRunLarge, names: largeKinds}
+	r.pl.start(sh.poolWidth(rg))
+	defer r.pl.close()
 
 	// Phase 1 — block-wise multinomial routing on stream 0 (see
 	// route.go): only the per-shard counts exist (plus, when
 	// checkpoints are requested, the per-cut routing prefixes),
 	// because within a shard the placement order is the shard's own
 	// affair.
-	for g := 0; g < rg; g++ {
-		phaseWG.Add(1)
-		taskCh <- -(g + 1)
-	}
-	phaseWG.Wait()
-	for g := 0; g < rg; g++ {
-		if errs[g] != nil {
-			close(taskCh)
-			return nil, fmt.Errorf("sim: RunLarge routing group %d: %w", g, errs[g])
-		}
+	if err := r.ph.run(largeRoute, rg); err != nil {
+		return nil, err
 	}
 	if cc.cancelled() {
 		// Routing did not complete: no counts, no cuts — the partial
 		// carries only the run's identity.
-		close(taskCh)
 		return &LargeResult{N: n, Shards: shards, Balls: m},
 			&CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: 0, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
 	}
-	clear(errs[:rg]) // slots are reused for the shard phase
-	mergeRouteGroups(groups, counts, prefix)
+	mergeRouteGroups(r.groups, r.counts, r.prefix)
 	if nCuts > 0 {
-		obs.AlignShardCuts(prefix, protocol.BlockSize, realized)
+		obs.AlignShardCuts(r.prefix, protocol.BlockSize, realized)
 		tflat := make([]float64, nCuts*shards)
-		for k := range track {
-			track[k] = tflat[k*shards : (k+1)*shards]
+		for k := range r.track {
+			r.track[k] = tflat[k*shards : (k+1)*shards]
 		}
 	}
 
@@ -384,33 +310,19 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	// zero-weight shards (e.g. under a top-only distribution) from
 	// failing the placer build.
 	for s := 0; s < shards; s++ {
-		if counts[s] == 0 {
+		if r.counts[s] == 0 {
 			continue
 		}
-		views[s], err = arr.Shard(bounds[s], bounds[s+1])
-		if err != nil {
-			// Idle workers exit on the close without touching any
-			// state — nothing to wait for.
-			close(taskCh)
+		if r.views[s], err = arr.Shard(sh.bounds[s], sh.bounds[s+1]); err != nil {
 			return nil, fmt.Errorf("sim: RunLarge shard %d: %w", s, err)
 		}
 	}
 
 	// Phase 2 — parallel per-shard placement. Shard s touches only its
 	// own view, placer and stream, so any scheduling of shards onto
-	// workers produces identical bits. Placer construction (alias
-	// table builds, O(shard size)) runs inside the workers too: it
-	// reads only the shard's own weights slice and view.
-	for s := 0; s < shards; s++ {
-		phaseWG.Add(1)
-		taskCh <- s
-	}
-	close(taskCh)
-	phaseWG.Wait()
-	for s := 0; s < shards; s++ {
-		if errs[s] != nil {
-			return nil, fmt.Errorf("sim: RunLarge shard %d: %w", s, errs[s])
-		}
+	// workers produces identical bits.
+	if err := r.ph.run(largePlace, shards); err != nil {
+		return nil, err
 	}
 	if cc.cancelled() {
 		// The array holds partially placed shards — inconsistent as a
@@ -418,27 +330,15 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 		// are exactly the rows an uninterrupted run would report: the
 		// partial is the longest complete cut prefix.
 		done := 0
-		if cutsDone != nil {
+		if r.cutsDone != nil {
 			done = nCuts
 			for s := 0; s < shards; s++ {
-				if cutsDone[s] < done {
-					done = cutsDone[s]
-				}
+				done = min(done, r.cutsDone[s])
 			}
 		}
-		res := &LargeResult{N: n, Shards: shards, Balls: m, ShardBalls: counts}
+		res := &LargeResult{N: n, Shards: shards, Balls: m, ShardBalls: r.counts}
 		if done > 0 {
-			cp := obs.NewCheckpoints(cuts[:done])
-			c := arr.TotalCapacity()
-			maxs := make([]float64, done)
-			combineShardMaxima(track[:done], maxs)
-			for k := 0; k < done; k++ {
-				if realized[k] == 0 {
-					continue
-				}
-				cp.Observe(k, realized[k], c, maxs[k])
-			}
-			res.Checkpoints = cp.Rows()
+			res.Checkpoints = cutRows(cuts[:done], realized, r.track[:done], arr.TotalCapacity())
 		}
 		return res, &CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: done, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
 	}
@@ -447,50 +347,37 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 		N:          n,
 		Shards:     shards,
 		Balls:      m,
-		ShardBalls: counts,
+		ShardBalls: r.counts,
 		Array:      arr,
 	}
 	if len(cuts) > 0 {
-		cp := obs.NewCheckpoints(cuts)
-		c := arr.TotalCapacity()
-		maxs := make([]float64, nCuts)
-		combineShardMaxima(track, maxs)
-		for k := 0; k < nCuts; k++ {
-			// A cut so small that every shard's block-aligned prefix is
-			// empty realises no state at all; skip it like a cut beyond
-			// m (visible through Reps) instead of recording a fictitious
-			// max load of 0.
-			if realized[k] == 0 {
-				continue
-			}
-			cp.Observe(k, realized[k], c, maxs[k])
-		}
-		res.Checkpoints = cp.Rows()
+		res.Checkpoints = cutRows(cuts, realized, r.track, arr.TotalCapacity())
 	}
-
-	arr.Recount()
-	var max float64
-	if cfg.HeightLevels > 0 {
-		// One histogram pass yields the exact max load and the height
-		// counts together, instead of a scan per observable.
-		h := arr.NewLoadHistogram()
-		if err := arr.HistogramInto(h); err != nil {
-			return nil, fmt.Errorf("sim: RunLarge histogram: %w", err)
-		}
-		max = h.MaxLoad()
-		hl := obs.NewHeights(cfg.HeightLevels)
-		if err := hl.SnapshotHist(obs.Final, h, m); err != nil {
-			return nil, fmt.Errorf("sim: RunLarge heights: %w", err)
-		}
-		res.HeightCounts = hl.Rows()
-	} else {
-		max = arr.MaxLoad()
+	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = finalState(engRunLarge, arr, cfg.HeightLevels, m)
+	if err != nil {
+		return nil, err
 	}
-	avg := arr.AverageLoad()
-	res.MaxLoad = max
-	res.AvgLoad = avg
-	res.Deviation = max - avg
+	res.Deviation = res.MaxLoad - res.AvgLoad
 	return res, nil
+}
+
+// cutRows observes the leading cuts whose per-shard maxima track holds
+// (one row per entry of cuts; track has a row per reached cut) through
+// the combined whole-array max. A cut so small that every shard's
+// block-aligned prefix is empty realises no state at all; it is
+// skipped like a cut beyond m (visible through Reps) instead of
+// recording a fictitious max load of 0.
+func cutRows(cuts, realized []int64, track [][]float64, totalCap int64) []obs.CheckpointRow {
+	cp := obs.NewCheckpoints(cuts)
+	maxs := make([]float64, len(track))
+	combineShardMaxima(track, maxs)
+	for k := range track {
+		if realized[k] == 0 {
+			continue
+		}
+		cp.Observe(k, realized[k], totalCap, maxs[k])
+	}
+	return cp.Rows()
 }
 
 // shardPlan computes the contiguous shard boundaries, each shard's

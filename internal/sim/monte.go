@@ -7,12 +7,12 @@
 // # Scheduling model
 //
 // All CPU work (routing blocks, per-shard placement, per-repetition
-// summaries) executes on ONE shared bounded worker pool of cfg.Workers
-// goroutines. On top of it, min(Workers, Reps) repetition orchestrators
-// each own a single reusable bin-array clone (plus its shard views,
-// per-shard placers and routing groups, built once and reset between
-// repetitions) and pump their repetitions through the pool phase by
-// phase:
+// summaries) executes on ONE shared bounded pool of at most cfg.Workers
+// goroutines (the phase runner, runner.go). On top of it,
+// min(Workers, Reps) repetition orchestrators each own a single
+// reusable bin-array clone (plus its shard views, per-shard placers and
+// routing groups, built once and reset between repetitions) and pump
+// their repetitions through the pool, one phase barrier at a time:
 //
 //	route blocks(rep) ∥ reset shards → place shards in parallel → summarise
 //
@@ -41,11 +41,9 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/bins"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -247,7 +245,6 @@ type monteRepState struct {
 	// Per-repetition task parameters, set by runRep before submitting
 	// any task of the repetition (tasks of at most one repetition
 	// touch the state at a time, so plain fields suffice).
-	wg     sync.WaitGroup
 	seed   uint64
 	base   uint64 // stream base rep·(shards+1)
 	rbase  uint64 // Mix64(seed, base): the routing substream base
@@ -255,13 +252,10 @@ type monteRepState struct {
 	rep    int
 	router *sampling.Multinomial
 
-	// cc is the run's shared canceller (nil when no Context). taskErr
-	// collects the first contained panic of the current repetition's
-	// pool tasks (tasks of one repetition run concurrently, hence the
-	// mutex; orchestrator reads happen after wg.Wait).
-	cc      *canceller
-	errMu   sync.Mutex
-	taskErr error
+	// cc is the run's shared canceller (nil when no Context); ph is the
+	// orchestrator's phase on the run's shared pool.
+	cc *canceller
+	ph phase
 
 	// Routing state: the orchestrator's routing groups (route.go),
 	// reused across its repetitions, plus the cut plan (shared,
@@ -281,16 +275,17 @@ type monteRepState struct {
 	shardMax []float64   // final shard-local max (ShardStats)
 }
 
-// newMonteRepState clones the (already reset) master array and builds
-// the orchestrator's shard views, placers and routing groups.
-// Zero-weight shards get neither view nor placer — the router can
-// never send a ball there, and building a placer over an all-zero
-// weight slice would fail. routeWidth is the number of routing groups
-// (min(workers, blocks)), and cutBlocks/cutRems the shared cut plan.
-func newMonteRepState(master *bins.Array, weights []float64, bounds []int, shardW []float64, factory protocol.Factory, cfg *LargeMonteConfig, cuts []int64, routeWidth int, cutBlocks, cutRems []int64, protoHist *bins.LoadHistogram) (*monteRepState, error) {
-	shards := len(shardW)
+// newMonteRepState clones the (already reset) master array of the
+// shard plan and builds the orchestrator's shard views, placers,
+// routing groups and phase on the shared pool. Zero-weight shards get
+// neither view nor placer — the router can never send a ball there,
+// and building a placer over an all-zero weight slice would fail.
+// routeWidth is the number of routing groups, and cutBlocks/cutRems
+// the shared cut plan.
+func newMonteRepState(sh *sharded, cfg *LargeMonteConfig, cuts []int64, routeWidth int, cutBlocks, cutRems []int64, protoHist *bins.LoadHistogram, pl *pool) (*monteRepState, error) {
+	shards, bounds := sh.shards, sh.bounds
 	st := &monteRepState{
-		arr:         master.Clone(),
+		arr:         sh.arr.Clone(),
 		views:       make([]*bins.Array, shards),
 		placers:     make([]protocol.Placer, shards),
 		rands:       make([]xrand.Rand, shards),
@@ -300,6 +295,7 @@ func newMonteRepState(master *bins.Array, weights []float64, bounds []int, shard
 		cutRems:     cutRems,
 		cuts:        cuts,
 	}
+	st.ph = phase{pool: pl, x: st, engine: engRunLargeMC, names: monteKinds}
 	if len(cuts) > 0 {
 		st.prefix = make([][]int64, len(cuts))
 		st.track = make([][]float64, len(cuts))
@@ -319,14 +315,14 @@ func newMonteRepState(master *bins.Array, weights []float64, bounds []int, shard
 		st.shardMax = make([]float64, shards)
 	}
 	for s := 0; s < shards; s++ {
-		if shardW[s] <= 0 {
+		if sh.shardW[s] <= 0 {
 			continue
 		}
 		v, err := st.arr.Shard(bounds[s], bounds[s+1])
 		if err != nil {
 			return nil, fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
 		}
-		p, err := factory(v, weights[bounds[s]:bounds[s+1]])
+		p, err := sh.factory(v, sh.weights[bounds[s]:bounds[s+1]])
 		if err != nil {
 			return nil, fmt.Errorf("sim: RunLargeMonte shard %d placer: %w", s, err)
 		}
@@ -356,85 +352,34 @@ func newMonteRepState(master *bins.Array, weights []float64, bounds []int, shard
 	return st, nil
 }
 
-// poolTask is one unit of pool work, passed by VALUE through the task
-// channel: the repetition state pointer plus a kind and an index. The
-// old chan-of-closures pool allocated one closure (plus captured loop
-// variables) per task — ~130 heap objects per repetition at 64
-// shards; a value task allocates nothing per submission.
-type poolTask struct {
-	st   *monteRepState
-	kind taskKind
-	idx  int
-}
-
-type taskKind int8
-
+// Monte's task kinds: Phase A overlaps routing groups with shard
+// resets, Phase B places shards, Phase C summarises the whole array.
 const (
-	taskRoute   taskKind = iota // route block group idx (Phase A)
-	taskReset                   // reset shard idx's view (Phase A)
-	taskPlace                   // place shard idx (Phase B)
-	taskSummary                 // whole-array summary (Phase C)
+	monteRoute = iota
+	monteReset
+	montePlace
+	monteSummary
 )
 
-// String names the task kind for panic provenance.
-func (k taskKind) String() string {
-	switch k {
-	case taskRoute:
-		return "route"
-	case taskReset:
-		return "reset"
-	case taskPlace:
-		return "place"
-	case taskSummary:
-		return "summary"
-	}
-	return "task"
-}
+var monteKinds = []taskName{{task: "route"}, {task: "reset"}, {task: "place"}, {task: "summary"}}
 
-// fail records the first contained panic of the current repetition.
-func (st *monteRepState) fail(err error) {
-	st.errMu.Lock()
-	if st.taskErr == nil {
-		st.taskErr = err
-	}
-	st.errMu.Unlock()
-}
-
-// takeErr reads the repetition's first task error (called by the
-// orchestrator after wg.Wait, so no task is writing concurrently —
-// the lock only orders the read against the failing task's write).
-func (st *monteRepState) takeErr() error {
-	st.errMu.Lock()
-	defer st.errMu.Unlock()
-	return st.taskErr
-}
-
-// run executes the task. Per-repetition parameters (seed, stream
-// base, ball count, router) live on the repetition state, set by
-// runRep before any task of that repetition is submitted. A panic
-// anywhere in the task body is contained into a provenance error on
-// the repetition state — the pool worker survives, the phase barrier
-// (st.wg) is always reached.
-func (t poolTask) run() {
-	st := t.st
-	defer st.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			st.fail(newPanicError(engRunLargeMC, t.kind.String(), st.rep, t.idx, r))
-		}
-	}()
-	switch t.kind {
-	case taskRoute:
-		rg := &st.routeGroups[t.idx]
+// exec runs one pool task of the current repetition. Per-repetition
+// parameters (seed, stream base, ball count, router) live on the
+// repetition state, set by runRep before any task of that repetition
+// is submitted.
+func (st *monteRepState) exec(kind, idx int) error {
+	switch kind {
+	case monteRoute:
+		rg := &st.routeGroups[idx]
 		rg.reset()
-		rg.route(st.cc, engRunLargeMC, st.rep, st.rbase, st.router, st.m, t.idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
-	case taskReset:
+		rg.route(st.cc, engRunLargeMC, st.rep, st.rbase, st.router, st.m, idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
+	case monteReset:
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.rep, Shard: t.idx, Block: -1})
+			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.rep, Shard: idx, Block: -1})
 		}
-		st.views[t.idx].Reset()
-	case taskPlace:
-		s := t.idx
+		st.views[idx].Reset()
+	case montePlace:
+		s := idx
 		p := st.placers[s]
 		// Stateful placers (e.g. the batched protocol's round
 		// snapshot) must forget the previous repetition.
@@ -457,8 +402,7 @@ func (t poolTask) run() {
 			// consumes no draws) so its freshly reset view overwrites
 			// last repetition's rows.
 			if err := st.views[s].HistogramInto(st.hists[s]); err != nil {
-				st.fail(fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err))
-				return
+				return fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
 			}
 		}
 		if st.shardMax != nil {
@@ -468,7 +412,7 @@ func (t poolTask) run() {
 				st.shardMax[s] = st.views[s].MaxLoad()
 			}
 		}
-	case taskSummary:
+	case monteSummary:
 		if fault.Enabled {
 			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.rep, Shard: -1, Block: -1})
 		}
@@ -481,8 +425,7 @@ func (t poolTask) run() {
 			ha.Reset()
 			for s := range st.hists {
 				if err := ha.Merge(st.hists[s]); err != nil {
-					st.fail(fmt.Errorf("sim: RunLargeMonte merge shard %d: %w", s, err))
-					return
+					return fmt.Errorf("sim: RunLargeMonte merge shard %d: %w", s, err)
 				}
 			}
 			st.max = ha.MaxLoad()
@@ -497,6 +440,7 @@ func (t poolTask) run() {
 		}
 		combineShardMaxima(st.track, st.cpMax)
 	}
+	return nil
 }
 
 // runRep executes one repetition through the shared pool in three
@@ -514,27 +458,23 @@ func (t poolTask) run() {
 // run's context fired (the state is then never read again — every
 // later repetition of this orchestrator is skipped too), and a non-nil
 // err when a pool task of this repetition panicked.
-func (st *monteRepState) runRep(tasks chan<- poolTask, seed, rep uint64, shards int, m int64, router *sampling.Multinomial) (ok bool, err error) {
+func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *sampling.Multinomial) (ok bool, err error) {
 	st.seed = seed
 	st.rep = int(rep)
-	st.taskErr = nil
+	st.ph.rep = st.rep
 	st.base = rep * uint64(shards+1)
 	st.rbase = xrand.Mix64(seed, st.base)
 	st.m = m
 	st.router = router
 	for g := range st.routeGroups {
-		st.wg.Add(1)
-		tasks <- poolTask{st, taskRoute, g}
+		st.ph.submit(monteRoute, g)
 	}
 	for s := range st.views {
-		if st.views[s] == nil {
-			continue
+		if st.views[s] != nil {
+			st.ph.submit(monteReset, s)
 		}
-		st.wg.Add(1)
-		tasks <- poolTask{st, taskReset, s}
 	}
-	st.wg.Wait()
-	if err := st.takeErr(); err != nil {
+	if err := st.ph.wait(); err != nil {
 		return false, err
 	}
 	if st.cc.cancelled() {
@@ -558,21 +498,16 @@ func (st *monteRepState) runRep(tasks chan<- poolTask, seed, rep uint64, shards 
 		if st.views[s] == nil || (st.counts[s] == 0 && st.hists == nil) {
 			continue
 		}
-		st.wg.Add(1)
-		tasks <- poolTask{st, taskPlace, s}
+		st.ph.submit(montePlace, s)
 	}
-	st.wg.Wait()
-	if err := st.takeErr(); err != nil {
+	if err := st.ph.wait(); err != nil {
 		return false, err
 	}
 	if st.cc.cancelled() {
 		return false, nil
 	}
 
-	st.wg.Add(1)
-	tasks <- poolTask{st, taskSummary, 0}
-	st.wg.Wait()
-	if err := st.takeErr(); err != nil {
+	if err := st.ph.run(monteSummary, 1); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -599,57 +534,24 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	if cfg.CancelAfterReps < 0 {
 		return nil, fmt.Errorf("sim: RunLargeMonte CancelAfterReps = %d, need >= 0", cfg.CancelAfterReps)
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
-
-	n := cfg.Array.N()
-	master := cfg.Array
-	if !cfg.AdoptArray {
-		master = cfg.Array.Clone()
-	}
-	master.Reset()
-	d := cfg.Dist
-	if d == nil {
-		d = dist.Proportional{}
-	}
-	weights, err := d.Weights(master)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunLargeMonte weights: %w", err)
-	}
-	factory := cfg.Placer
-	if factory == nil {
-		factory = protocol.GreedyFactory(2)
-	}
-
 	// The shard plan (boundaries, per-shard weights, routing table) is
 	// shared read-only across repetitions: AliasTable.Sample only reads
 	// the packed columns, so concurrent routing passes of different
 	// repetitions can use one router.
-	bounds, shardW, router, err := shardPlan(weights, n, shards)
+	sh, err := newSharded(engRunLargeMC, &cfg.LargeConfig, shards, nil)
 	if err != nil {
-		return nil, fmt.Errorf("sim: RunLargeMonte router: %w", err)
+		return nil, err
 	}
-
+	cc := newCanceller(cfg.Context)
+	n, master := sh.n, sh.arr
 	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(master.TotalCapacity())
 
 	allCuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
 	cuts := allCuts[:obs.CountReached(allCuts, m)]
 	totalCap := master.TotalCapacity()
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Routing fan-out per repetition: one group per worker, capped at
-	// the number of routing blocks (the grouping never affects the
-	// merged counts — integer sums are exact).
-	routeWidth := workers
-	if nb := numRouteBlocks(m); routeWidth > nb {
-		routeWidth = nb
-	}
-	if routeWidth < 1 {
-		routeWidth = 1
-	}
+	// Routing fan-out per repetition.
+	routeWidth := sh.routeWidth(m)
 	cutBlocks, cutRems := cutPlan(cuts)
 
 	// One class skeleton for the whole run: every orchestrator's shard
@@ -718,25 +620,12 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	start, stop := resumed, planned
 	protoHist := proto
 
-	inflight := workers
-	if remaining := cfg.Reps - start; inflight > remaining {
-		inflight = remaining
-	}
+	inflight := min(sh.workers, cfg.Reps-start)
 
 	// The shared bounded pool: every CPU-heavy task of every phase of
-	// every repetition runs here, so concurrency is exactly workers.
-	// Tasks travel by value — no per-task heap traffic.
-	tasks := make(chan poolTask)
-	var poolWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		poolWG.Add(1)
-		go func() {
-			defer poolWG.Done()
-			for t := range tasks {
-				t.run()
-			}
-		}()
-	}
+	// every repetition runs here, so concurrency never exceeds Workers.
+	var pl pool
+	pl.start(sh.poolWidth(routeWidth))
 
 	var orchWG sync.WaitGroup
 	for w := 0; w < inflight; w++ {
@@ -752,7 +641,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.abort(newPanicError(engRunLargeMC, "orchestrator", -1, w, r))
 				}
 			}()
-			st, serr := newMonteRepState(master, weights, bounds, shardW, factory, &cfg, cuts, routeWidth, cutBlocks, cutRems, protoHist)
+			st, serr := newMonteRepState(&sh, &cfg, cuts, routeWidth, cutBlocks, cutRems, protoHist, &pl)
 			if serr == nil {
 				st.cc = cc
 			}
@@ -813,7 +702,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.fold(rep, skip)
 					continue
 				}
-				ok, rerr := st.runRep(tasks, cfg.Seed, uint64(rep), shards, m, router)
+				ok, rerr := st.runRep(cfg.Seed, uint64(rep), shards, m, sh.router)
 				switch {
 				case rerr != nil:
 					agg.fold(rep, func(ag *monteAgg) { ag.err = rerr })
@@ -826,8 +715,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 		}(w)
 	}
 	orchWG.Wait()
-	close(tasks)
-	poolWG.Wait()
+	pl.close()
 
 	if agg.err != nil {
 		return nil, agg.err

@@ -14,12 +14,9 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bins"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/stats"
@@ -239,49 +236,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
-	if workers > nChunks {
-		workers = nChunks
-	}
-
-	checkpoints, err := obs.NormalizeCuts(cfg.Checkpoints)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-
-	partials := make([]chunkPartial, nChunks)
-	chunkCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(&cfg, cc, checkpoints, chunkCh, partials)
-		}()
-	}
-	// Workers never exit before the close — a cancelled or panicked
-	// worker keeps draining chunk indices (skipping the work) — so
-	// these sends can never block forever.
-	for ci := 0; ci < nChunks; ci++ {
-		chunkCh <- ci
-	}
-	close(chunkCh)
-	wg.Wait()
-
-	res, completed, err := reduce(&cfg, checkpoints, partials)
-	if err != nil {
-		return nil, err
-	}
-	if completed < cfg.Reps {
-		return res, &CancelledError{Engine: engRun, CompletedReps: completed, CompletedCuts: -1, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
-	}
-	return res, nil
+	return runChunks(engRun, &cfg)
 }
 
 // workerScratch holds per-worker reusable buffers so the repetition
@@ -337,86 +292,15 @@ func snapshotCheckpoint(cfg *Config, p *chunkPartial, scratch *workerScratch, ar
 	return p.cp.SnapshotHist(cut, h, balls)
 }
 
-// worker processes chunks of repetitions. Each worker keeps its own clone
-// of a fixed array, a placer (and its alias tables) built once and reused
-// across repetitions via Reset, and scratch buffers — workers never share
-// mutable state. A worker NEVER stops draining chunkCh — setup errors,
-// repetition errors, contained panics and cancellation all just skip the
-// remaining work — because the sender in Run blocks until every chunk
-// index is consumed.
-func worker(cfg *Config, cc *canceller, checkpoints []int64, chunkCh <-chan int, partials []chunkPartial) {
-	fixedArr, fixedPlacer, setupErr := workerSetup(cfg)
-	var scratch workerScratch
-	for ci := range chunkCh {
-		p := &partials[ci]
-		if setupErr != nil {
-			p.err = setupErr
-			continue
-		}
-		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > cfg.Reps {
-			hi = cfg.Reps
-		}
-		for rep := lo; rep < hi; rep++ {
-			// Repetition granularity is the classic engine's
-			// cancellation check: one repetition bounds the latency.
-			if cc.cancelled() {
-				break
-			}
-			if err := runRepGuarded(cfg, checkpoints, uint64(rep), ci, fixedArr, fixedPlacer, &scratch, p); err != nil {
-				p.err = err
-				break
-			}
-			p.reps++
-		}
-	}
-}
-
-// workerSetup builds a worker's fixed array and placer, containing
-// panics in distribution or protocol constructors into provenance
-// errors so a failing build can never crash the process or strand the
-// chunk sender.
-func workerSetup(cfg *Config) (fixedArr *bins.Array, fixedPlacer protocol.Placer, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fixedArr, fixedPlacer = nil, nil
-			err = newPanicError(engRun, "setup", -1, -1, r)
-		}
-	}()
-	if cfg.ArrayFn != nil {
-		return nil, nil, nil
-	}
-	fixedArr = cfg.Array.Clone()
-	fixedArr.Reset()
-	weights, err := cfg.distribution().Weights(fixedArr)
-	if err == nil {
-		fixedPlacer, err = cfg.factory()(fixedArr, weights)
-	}
-	return fixedArr, fixedPlacer, err
-}
-
-// runRepGuarded wraps one repetition in the fault-injection hook and a
-// recover that converts panics (in ArrayFn, distribution, protocol or
-// collector code) into provenance errors.
-func runRepGuarded(cfg *Config, checkpoints []int64, rep uint64, chunk int, fixedArr *bins.Array, fixedPlacer protocol.Placer, scratch *workerScratch, p *chunkPartial) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(engRun, "chunk", int(rep), chunk, r)
-		}
-	}()
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRun, Op: fault.OpChunk, Rep: int(rep), Shard: -1, Block: -1})
-	}
-	return runRep(cfg, checkpoints, rep, fixedArr, fixedPlacer, scratch, p)
-}
-
-// runRep executes one repetition and folds its metrics into the partial.
-func runRep(cfg *Config, checkpoints []int64, rep uint64, fixedArr *bins.Array, fixedPlacer protocol.Placer, scratch *workerScratch, p *chunkPartial) error {
+// runRep is the classic engine's repetition kernel (see chunkRun): it
+// executes one repetition on the worker's state and folds its metrics
+// into the partial.
+func runRep(cfg *Config, checkpoints []int64, rep uint64, w *repWorker, p *chunkPartial) error {
 	r := xrand.NewStream(cfg.Seed, rep)
 
-	arr := fixedArr
-	placer := fixedPlacer
+	arr := w.arr
+	placer := w.placer
+	scratch := &w.scratch
 	if cfg.ArrayFn != nil {
 		var err error
 		arr, err = cfg.ArrayFn(r)

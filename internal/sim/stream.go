@@ -59,25 +59,24 @@
 //
 // # Cancellation and faults
 //
-// Cancellation is polled at task boundaries (routing blocks,
-// placement strides, deletion strides) and at every phase barrier. A
-// cancelled run returns a *CancelledError plus a deterministic
-// partial: counters, shard occupancies and trajectory rows of the
-// COMPLETED-ROUND prefix, bit-identical to a run configured with
-// Rounds = CompletedRounds. Every pool task runs behind the usual
-// panic containment; fault-injection sites cover routing blocks
-// (OpRoute), placement strides (OpPlace), the deletion router and
-// per-shard deletion tasks (OpDelete) and move-out tasks
-// (OpRebalance), all with Rep = the round index.
+// Every phase of a round is one barrier on the phase runner
+// (runner.go): a task per shard or routing group, each behind the
+// runner's panic containment. Cancellation is polled at task
+// boundaries (routing blocks, placement strides, deletion strides) and
+// at every phase barrier. A cancelled run returns a *CancelledError
+// plus a deterministic partial: counters, shard occupancies and
+// trajectory rows of the COMPLETED-ROUND prefix, bit-identical to a
+// run configured with Rounds = CompletedRounds. Fault-injection sites
+// cover routing blocks (OpRoute), placement strides (OpPlace), the
+// deletion router and per-shard deletion tasks (OpDelete) and move-out
+// tasks (OpRebalance), all with Rep = the round index.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/bins"
 	"repro/internal/dist"
@@ -234,47 +233,35 @@ func (c *StreamConfig) validate() (shards, rounds int, err error) {
 	if err := c.ObsOptions.rejectHeightBins("the streaming engine"); err != nil {
 		return 0, 0, err
 	}
-	n := c.Array.N()
-	shards = c.Shards
-	if shards == 0 {
-		shards = DefaultShards
-		if shards > n {
-			shards = n
-		}
-	} else if shards < 1 || shards > n {
-		return 0, 0, fmt.Errorf("sim: Shards = %d outside [1,%d]", c.Shards, n)
-	}
-	return shards, rounds, nil
+	shards, err = resolveShards(c.Shards, c.Array.N())
+	return shards, rounds, err
 }
 
 // Stream task kinds: one per phase of a round (plus the one-time
 // placer-build setup phase). Every task is identified by (kind, shard
-// or routing-group index); the kind also names the PanicError task.
+// or routing-group index).
 const (
-	streamTaskRoute = iota
-	streamTaskSetup
-	streamTaskPlace
-	streamTaskDelete
-	streamTaskMoveOut
-	streamTaskMoveIn
-	streamTaskObserve
+	streamRoute = iota
+	streamSetup
+	streamPlace
+	streamDelete
+	streamMoveOut
+	streamMoveIn
+	streamObserve
 )
 
-// streamTaskNames[kind] is the provenance name of a task kind.
-var streamTaskNames = [...]string{"route", "setup", "place", "delete", "move-out", "move-in", "observe"}
-
-// streamTask is one unit of pool work: a task kind plus the shard (or
-// routing-group) index it applies to. Plain values flow through the
-// task channel, so dispatching a phase allocates nothing.
-type streamTask struct {
-	kind int32
-	idx  int32
+var streamKinds = []taskName{
+	{"route", "routing group"}, {"setup", "setup shard"}, {"place", "shard"},
+	{"delete", "deletion shard"}, {"move-out", "move-out shard"},
+	{"move-in", "move-in shard"}, {"observe", "observe shard"},
 }
 
-// apportion sorts deficit-shard indices by descending largest-remainder
-// residue (ties by ascending shard index — a total order, so the result
-// is unique whatever sort algorithm runs). It lives in streamState so
-// the per-round sort allocates nothing.
+// apportion is the largest-remainder apportionment shared by the
+// streaming rebalance and the cluster engine's redistribution and
+// retry dispatch. As a sort.Interface it orders candidate indices by
+// descending residue (ties by ascending index — a total order, so the
+// result is unique whatever sort algorithm runs). Engines keep one in
+// their state so the per-round sort allocates nothing.
 type apportion struct {
 	rem []float64 // residue per shard (indexed by shard)
 	idx []int     // candidate shard indices being sorted
@@ -290,25 +277,65 @@ func (a *apportion) Less(i, j int) bool {
 	return a.idx[i] < a.idx[j]
 }
 
+// split apportions m balls over the entries of w with positive weight
+// (sum = Σ w): floor quotas of m·w[s]/sum first, then one extra ball
+// per candidate in descending-residue order, wrapping around in the
+// float-residue corner case of more leftover than candidates, and
+// taking back from the smallest residues should the floors
+// over-assign. out is overwritten (0 for weightless entries). The rule
+// draws no randomness, and all arithmetic is exact integer or
+// correctly-rounded IEEE binary (+, ·, /, Floor — no fused operations),
+// so the split is bit-identical across platforms and worker counts.
+func (a *apportion) split(m int64, w []float64, sum float64, out []int64) {
+	clear(out)
+	if m == 0 || sum <= 0 {
+		return
+	}
+	a.idx = a.idx[:0]
+	var assigned int64
+	for s, ws := range w {
+		if ws <= 0 {
+			continue
+		}
+		ideal := float64(m) * ws / sum
+		q := math.Floor(ideal)
+		out[s] = int64(q)
+		a.rem[s] = ideal - q
+		assigned += int64(q)
+		a.idx = append(a.idx, s)
+	}
+	if len(a.idx) == 0 {
+		return
+	}
+	sort.Sort(a)
+	k := len(a.idx)
+	for r := m - assigned; r > 0; {
+		for j := 0; j < k && r > 0; j++ {
+			out[a.idx[j]]++
+			r--
+		}
+	}
+	for r := assigned - m; r > 0; {
+		for j := k - 1; j >= 0 && r > 0; j-- {
+			if out[a.idx[j]] > 0 {
+				out[a.idx[j]]--
+				r--
+			}
+		}
+	}
+}
+
 // streamState is the engine's whole working set, allocated once before
 // round 0: after a two-round warm-up a steady-state round performs no
 // allocation at all (pinned by TestStreamSteadyStateAllocFree and the
 // rounds/sec benchmark).
 type streamState struct {
-	cfg    *StreamConfig
-	cc     *canceller
-	arr    *bins.Array
-	n      int
-	shards int
-	seed   uint64
-	kk     uint64 // RNG streams consumed per round: 3·shards + 2
-
-	weights []float64
-	factory protocol.Factory
-	bounds  []int
-	shardW  []float64
-	sumW    float64
-	router  *sampling.Multinomial
+	sharded
+	cfg  *StreamConfig
+	cc   *canceller
+	seed uint64
+	kk   uint64 // RNG streams consumed per round: 3·shards + 2
+	sumW float64
 
 	views   []*bins.Array
 	placers []protocol.Placer
@@ -342,9 +369,8 @@ type streamState struct {
 	trackMat [][]float64 // {trackRow}, the shape combineShardMaxima folds
 	maxOut   []float64   // combineShardMaxima output scratch (len 1)
 
-	taskCh chan streamTask
-	wg     sync.WaitGroup
-	errs   []error
+	pl pool
+	ph phase
 
 	// Round-scoped fields, written by the orchestrator strictly
 	// between phase barriers (the task-channel sends order the writes
@@ -373,85 +399,33 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
-	arr := cfg.Array
-	if !cfg.AdoptArray {
-		arr = cfg.Array.Clone()
-	}
-	arr.Reset()
-	n := arr.N()
-
-	d := cfg.Dist
-	if d == nil {
-		d = dist.Proportional{}
-	}
-	weights, err := d.Weights(arr)
+	sh, err := newSharded(engRunStream, &LargeConfig{Array: cfg.Array, Dist: cfg.Dist, Placer: cfg.Placer, Workers: cfg.Workers, AdoptArray: cfg.AdoptArray}, shards, nil)
 	if err != nil {
-		return nil, fmt.Errorf("sim: RunStream weights: %w", err)
+		return nil, err
 	}
-	factory := cfg.Placer
-	if factory == nil {
-		factory = protocol.GreedyFactory(2)
-	}
-	bounds, shardW, router, err := shardPlan(weights, n, shards)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunStream router: %w", err)
-	}
-
 	st := &streamState{
+		sharded: sh,
 		cfg:     &cfg,
-		cc:      cc,
-		arr:     arr,
-		n:       n,
-		shards:  shards,
+		cc:      newCanceller(cfg.Context),
 		seed:    cfg.Seed,
 		kk:      uint64(3*shards + 2),
-		weights: weights,
-		factory: factory,
-		bounds:  bounds,
-		shardW:  shardW,
-		router:  router,
 	}
-	for _, w := range shardW {
+	for _, w := range sh.shardW {
 		st.sumW += w
 	}
-	st.totalCap = arr.TotalCapacity()
+	st.totalCap = sh.arr.TotalCapacity()
 	if len(cfg.Schedule) > 0 {
 		st.sched = cfg.Schedule
 	} else {
 		st.fixedM = (&Config{Balls: cfg.Arrivals, BallsFactor: cfg.ArrivalsFactor}).ballCount(st.totalCap)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	maxM := st.fixedM
 	for _, a := range st.sched {
-		if a > maxM {
-			maxM = a
-		}
+		maxM = max(maxM, a)
 	}
-	rg := workers
-	if nb := numRouteBlocks(maxM); rg > nb {
-		rg = nb
-	}
-	if rg < 1 {
-		rg = 1
-	}
+	rg := sh.routeWidth(maxM)
 	st.groups = newRouteGroups(rg, shards, 0)
-
-	lim := shards
-	if lim < rg {
-		lim = rg
-	}
-	pool := workers
-	if pool > lim {
-		pool = lim
-	}
-	st.errs = make([]error, lim)
-	st.taskCh = make(chan streamTask)
 
 	st.counts = make([]int64, shards)
 	st.sballs = make([]int64, shards)
@@ -489,10 +463,10 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	// never touch an empty shard, and skipping them keeps degenerate
 	// weight slices from failing the placer build.
 	for s := 0; s < shards; s++ {
-		if shardW[s] <= 0 {
+		if sh.shardW[s] <= 0 {
 			continue
 		}
-		st.views[s], err = arr.Shard(bounds[s], bounds[s+1])
+		st.views[s], err = sh.arr.Shard(sh.bounds[s], sh.bounds[s+1])
 		if err != nil {
 			return nil, fmt.Errorf("sim: RunStream shard %d: %w", s, err)
 		}
@@ -502,79 +476,45 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 		}
 	}
 
-	for w := 0; w < pool; w++ {
-		go st.serve()
-	}
+	st.ph = phase{pool: &st.pl, x: st, engine: engRunStream, names: streamKinds}
+	st.pl.start(sh.poolWidth(rg))
 	res, err := st.orchestrate(rounds)
-	close(st.taskCh)
+	st.pl.close()
 	return res, err
 }
 
-// serve is one pool worker: drain tasks until the channel closes. Each
-// task runs behind its own recover (in do) so a panic anywhere
-// surfaces as a *PanicError from runStream, never as a crash or hang.
-func (st *streamState) serve() {
-	for t := range st.taskCh {
-		st.do(t)
-	}
-}
-
-// do executes one task. Task state is indexed by (kind, idx) and every
+// exec executes one task. Task state is indexed by (kind, idx) and every
 // task touches only its own shard's (or routing group's) state, so any
 // scheduling of tasks onto workers produces identical bits.
-func (st *streamState) do(t streamTask) {
-	defer st.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			st.errs[t.idx] = newPanicError(engRunStream, streamTaskNames[t.kind], st.round, int(t.idx), r)
-		}
-	}()
-	s := int(t.idx)
-	switch t.kind {
-	case streamTaskRoute:
+func (st *streamState) exec(kind, s int) (err error) {
+	switch kind {
+	case streamRoute:
 		st.groups[s].reset()
 		st.groups[s].route(st.cc, engRunStream, st.round, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
-	case streamTaskSetup:
+	case streamSetup:
 		if st.views[s] != nil {
-			st.placers[s], st.errs[s] = st.factory(st.views[s], st.weights[st.bounds[s]:st.bounds[s+1]])
+			st.placers[s], err = st.factory(st.views[s], st.weights[st.bounds[s]:st.bounds[s+1]])
 		}
-	case streamTaskPlace:
+	case streamPlace:
 		if st.counts[s] > 0 {
 			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.counts[s])
 		}
-	case streamTaskDelete:
+	case streamDelete:
 		st.deleteShard(s)
-	case streamTaskMoveOut:
+	case streamMoveOut:
 		st.moveOutShard(s)
-	case streamTaskMoveIn:
+	case streamMoveIn:
 		if st.moveIn[s] > 0 {
 			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.moveIn[s])
 		}
-	case streamTaskObserve:
+	case streamObserve:
 		if v := st.views[s]; v != nil {
 			st.trackRow[s] = v.MaxLoad()
 		} else {
 			st.trackRow[s] = 0
 		}
 	}
-}
-
-// runPhase dispatches count tasks of one kind, waits for the barrier
-// and surfaces the first task error (wrapped with the phase label and
-// index). The error slots are cleared for the next phase.
-func (st *streamState) runPhase(kind int32, count int, label string) error {
-	for i := 0; i < count; i++ {
-		st.wg.Add(1)
-		st.taskCh <- streamTask{kind: kind, idx: int32(i)}
-	}
-	st.wg.Wait()
-	for i := 0; i < count; i++ {
-		if err := st.errs[i]; err != nil {
-			clear(st.errs[:count])
-			return fmt.Errorf("sim: RunStream %s %d: %w", label, i, err)
-		}
-	}
-	return nil
+	return err
 }
 
 // deleteShard removes the round's delQuota[s] deletion draws from
@@ -688,9 +628,7 @@ func (st *streamState) planRebalance(tol float64) int64 {
 		return 0
 	}
 	var wd float64
-	st.ap.idx = st.ap.idx[:0]
 	for s := 0; s < st.shards; s++ {
-		st.moveIn[s] = 0
 		st.defW[s] = 0
 		if st.views[s] == nil {
 			continue
@@ -698,43 +636,15 @@ func (st *streamState) planRebalance(tol float64) int64 {
 		if def := st.targets[s] - float64(st.sballs[s]); def > 0 {
 			st.defW[s] = def
 			wd += def
-			st.ap.idx = append(st.ap.idx, s)
 		}
 	}
-	if wd <= 0 || len(st.ap.idx) == 0 {
+	if wd <= 0 {
 		// No shard is below target (possible only through float
 		// corner cases): nothing can absorb the surplus, skip the pass.
 		clear(st.moveOut)
 		return 0
 	}
-	var assigned int64
-	for _, s := range st.ap.idx {
-		ideal := float64(m) * st.defW[s] / wd
-		q := math.Floor(ideal)
-		st.moveIn[s] = int64(q)
-		st.ap.rem[s] = ideal - q
-		assigned += int64(q)
-	}
-	sort.Sort(&st.ap)
-	k := len(st.ap.idx)
-	for r := m - assigned; r > 0; {
-		// One extra ball per candidate in residue order; wrap in the
-		// (float-residue) corner case of more leftover than candidates.
-		for j := 0; j < k && r > 0; j++ {
-			st.moveIn[st.ap.idx[j]]++
-			r--
-		}
-	}
-	for r := assigned - m; r > 0; {
-		// Float residue over-assigned (Σfloor > m): take back from the
-		// smallest residues.
-		for j := k - 1; j >= 0 && r > 0; j-- {
-			if st.moveIn[st.ap.idx[j]] > 0 {
-				st.moveIn[st.ap.idx[j]]--
-				r--
-			}
-		}
-	}
+	st.ap.split(m, st.defW, wd, st.moveIn)
 	return m
 }
 
@@ -752,11 +662,11 @@ func (st *streamState) orchestrate(rounds int) (*StreamResult, error) {
 	// One-time setup: per-shard placer builds (alias tables,
 	// O(shard size) each) fan out across the pool. Built once, not per
 	// round — a steady-state round allocates nothing.
-	if err := st.runPhase(streamTaskSetup, st.shards, "setup shard"); err != nil {
+	if err := st.ph.run(streamSetup, st.shards); err != nil {
 		return nil, err
 	}
 	if st.cc.cancelled() {
-		return st.partial()
+		return st.partial(st.cc.err())
 	}
 	for r := 0; r < rounds; r++ {
 		ok, err := st.runRound(r)
@@ -764,10 +674,10 @@ func (st *streamState) orchestrate(rounds int) (*StreamResult, error) {
 			return nil, err
 		}
 		if !ok {
-			return st.partial()
+			return st.partial(st.cc.err())
 		}
 		if ca := st.cfg.CancelAfterRounds; ca > 0 && st.rounds == ca && st.rounds < rounds {
-			return st.partialSelfCancel()
+			return st.partial(nil)
 		}
 	}
 	return st.final()
@@ -780,7 +690,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	if st.cc.cancelled() {
 		return false, nil
 	}
-	st.round = r
+	st.round, st.ph.rep = r, r
 	st.rbase = uint64(r) * st.kk
 	// Placement streams are re-seeded for EVERY shard at the start of
 	// every round — whether or not the shard receives arrivals — so a
@@ -801,14 +711,14 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 			rgr = nb
 		}
 		st.rgr = rgr
-		if err := st.runPhase(streamTaskRoute, rgr, "routing group"); err != nil {
+		if err := st.ph.run(streamRoute, rgr); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
 			return false, nil
 		}
 		mergeRouteGroups(st.groups[:rgr], st.counts, nil)
-		if err := st.runPhase(streamTaskPlace, st.shards, "shard"); err != nil {
+		if err := st.ph.run(streamPlace, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -833,7 +743,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 		if st.cc.cancelled() {
 			return false, nil
 		}
-		if err := st.runPhase(streamTaskDelete, st.shards, "deletion shard"); err != nil {
+		if err := st.ph.run(streamDelete, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -852,13 +762,13 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	if tol := st.cfg.RebalanceTol; tol > 0 {
 		moved = st.planRebalance(tol)
 		if moved > 0 {
-			if err := st.runPhase(streamTaskMoveOut, st.shards, "move-out shard"); err != nil {
+			if err := st.ph.run(streamMoveOut, st.shards); err != nil {
 				return false, err
 			}
 			if st.cc.cancelled() {
 				return false, nil
 			}
-			if err := st.runPhase(streamTaskMoveIn, st.shards, "move-in shard"); err != nil {
+			if err := st.ph.run(streamMoveIn, st.shards); err != nil {
 				return false, err
 			}
 			if st.cc.cancelled() {
@@ -875,7 +785,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	// abandons the whole round and the trajectory stays exactly the
 	// committed prefix's.
 	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(r)+1 {
-		if err := st.runPhase(streamTaskObserve, st.shards, "observe shard"); err != nil {
+		if err := st.ph.run(streamObserve, st.shards); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -915,60 +825,32 @@ func (st *streamState) partialResult() *StreamResult {
 	return res
 }
 
-// partial is the context-cancelled exit: the committed-round prefix
-// plus a *CancelledError carrying the context's cause.
-func (st *streamState) partial() (*StreamResult, error) {
+// partial is the cancelled exit: the committed-round prefix plus a
+// *CancelledError whose cause is the context's error, or nil for the
+// deterministic CancelAfterRounds stop.
+func (st *streamState) partial(cause error) (*StreamResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunStream,
 		CompletedReps:   -1,
 		CompletedCuts:   st.nextCut,
 		CompletedRounds: st.rounds,
 		CompletedTicks:  -1,
-		Cause:           st.cc.err(),
-	}
-}
-
-// partialSelfCancel is the CancelAfterRounds exit: same deterministic
-// prefix, nil Cause.
-func (st *streamState) partialSelfCancel() (*StreamResult, error) {
-	return st.partialResult(), &CancelledError{
-		Engine:          engRunStream,
-		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
-		CompletedRounds: st.rounds,
-		CompletedTicks:  -1,
+		Cause:           cause,
 	}
 }
 
 // final builds the completed-run result: the committed counters plus
-// the final whole-array statistics and (optionally) height counts.
+// the final whole-array statistics and (optionally) height counts. The
+// per-round observe phase keeps its direct per-shard MaxLoad scan —
+// max-only snapshots need no histogram and the scan is alloc-free.
 func (st *streamState) final() (*StreamResult, error) {
 	res := st.partialResult()
-	st.arr.Recount()
-	var max float64
-	if st.cfg.HeightLevels > 0 {
-		// Distribution-shaped final report: one histogram pass yields
-		// the exact max load and the height counts together. The
-		// per-round observe phase keeps its direct per-shard MaxLoad
-		// scan — max-only snapshots need no histogram and the scan is
-		// alloc-free.
-		h := st.arr.NewLoadHistogram()
-		if err := st.arr.HistogramInto(h); err != nil {
-			return nil, fmt.Errorf("sim: RunStream histogram: %w", err)
-		}
-		max = h.MaxLoad()
-		hl := obs.NewHeights(st.cfg.HeightLevels)
-		if err := hl.SnapshotHist(obs.Final, h, st.arrived); err != nil {
-			return nil, fmt.Errorf("sim: RunStream heights: %w", err)
-		}
-		res.HeightCounts = hl.Rows()
-	} else {
-		max = st.arr.MaxLoad()
+	var err error
+	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = finalState(engRunStream, st.arr, st.cfg.HeightLevels, st.arrived)
+	if err != nil {
+		return nil, err
 	}
-	avg := st.arr.AverageLoad()
-	res.MaxLoad = max
-	res.AvgLoad = avg
-	res.Deviation = max - avg
+	res.Deviation = res.MaxLoad - res.AvgLoad
 	res.Array = st.arr
 	return res, nil
 }
