@@ -23,9 +23,10 @@ package balls
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/bins"
 	"repro/internal/dist"
 	"repro/internal/protocol"
+	"repro/internal/xrand"
 )
 
 // Distribution selects the probability rule balls use to pick candidate
@@ -146,12 +147,15 @@ func WithDistribution(d Distribution) Option { return func(o *options) { o.dist 
 // WithProtocol sets the allocation protocol.
 func WithProtocol(p Protocol) Option { return func(o *options) { o.proto = p } }
 
-// System is a live balls-into-bins game: a heterogeneous bin array plus a
-// protocol and an RNG (a thin wrapper over internal/core.Game). It is not
-// safe for concurrent use; run parallel repetitions through Simulate
-// instead.
+// System is a live balls-into-bins game: a heterogeneous bin array plus
+// a protocol and an RNG. It is not safe for concurrent use; run
+// parallel repetitions through Simulate instead.
 type System struct {
-	game *core.Game
+	arr    *bins.Array
+	placer protocol.Placer
+	rng    *xrand.Rand
+	seed   uint64
+	dist   dist.Distribution
 }
 
 // NewSystem builds a system over the given bin capacities (every capacity
@@ -161,60 +165,74 @@ func NewSystem(capacities []int64, opts ...Option) (*System, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	game, err := core.NewGame(capacities, core.Options{
-		Dist:   o.dist.resolve(),
-		Placer: o.proto.resolve(),
-		Seed:   o.seed,
-	})
+	arr, err := bins.New(capacities)
 	if err != nil {
 		return nil, err
 	}
-	return &System{game: game}, nil
+	d := o.dist.resolve()
+	weights, err := d.Weights(arr)
+	if err != nil {
+		return nil, err
+	}
+	placer, err := o.proto.resolve()(arr, weights)
+	if err != nil {
+		return nil, err
+	}
+	return &System{arr: arr, placer: placer, rng: xrand.New(o.seed), seed: o.seed, dist: d}, nil
 }
 
 // Place allocates one ball and returns the receiving bin's index.
-func (s *System) Place() int { return s.game.Place() }
+func (s *System) Place() int { return s.placer.Place(s.arr, s.rng) }
 
-// PlaceN allocates m balls.
-func (s *System) PlaceN(m int64) { s.game.PlaceN(m) }
+// PlaceN allocates m balls through the protocol's batch kernel: one
+// interface dispatch for the whole batch, a monomorphic loop inside.
+func (s *System) PlaceN(m int64) { s.placer.PlaceBatch(s.arr, s.rng, m) }
 
 // N returns the number of bins.
-func (s *System) N() int { return s.game.Array().N() }
+func (s *System) N() int { return s.arr.N() }
 
 // TotalCapacity returns C, the sum of capacities.
-func (s *System) TotalCapacity() int64 { return s.game.Array().TotalCapacity() }
+func (s *System) TotalCapacity() int64 { return s.arr.TotalCapacity() }
 
 // TotalBalls returns the number of balls placed so far.
-func (s *System) TotalBalls() int64 { return s.game.Array().TotalBalls() }
+func (s *System) TotalBalls() int64 { return s.arr.TotalBalls() }
 
 // Capacity returns bin i's capacity.
-func (s *System) Capacity(i int) int64 { return s.game.Array().Capacity(i) }
+func (s *System) Capacity(i int) int64 { return s.arr.Capacity(i) }
 
 // BallCount returns the number of balls in bin i.
-func (s *System) BallCount(i int) int64 { return s.game.Array().Balls(i) }
+func (s *System) BallCount(i int) int64 { return s.arr.Balls(i) }
 
 // Load returns bin i's load (balls / capacity).
-func (s *System) Load(i int) float64 { return s.game.Array().Load(i) }
+func (s *System) Load(i int) float64 { return s.arr.Load(i) }
 
 // Loads returns all bin loads in bin order.
-func (s *System) Loads() []float64 { return s.game.Array().LoadVector() }
+func (s *System) Loads() []float64 { return s.arr.LoadVector() }
 
 // MaxLoad returns the maximum load over all bins.
-func (s *System) MaxLoad() float64 { return s.game.Array().MaxLoad() }
+func (s *System) MaxLoad() float64 { return s.arr.MaxLoad() }
 
 // AverageLoad returns m/C, the perfectly balanced load.
-func (s *System) AverageLoad() float64 { return s.game.Array().AverageLoad() }
+func (s *System) AverageLoad() float64 { return s.arr.AverageLoad() }
 
 // MaxLoadedBins returns the indices of every bin attaining the maximum
 // load (exact tie handling).
-func (s *System) MaxLoadedBins() []int { return s.game.Array().ArgMaxLoad() }
+func (s *System) MaxLoadedBins() []int { return s.arr.ArgMaxLoad() }
 
-// Reset removes all balls and reseeds the RNG so the next run reproduces
-// the first one exactly.
-func (s *System) Reset() { s.game.Reset() }
+// Reset removes all balls, reseeds the RNG and resets any protocol
+// state, so the next run reproduces the first one exactly.
+func (s *System) Reset() {
+	s.arr.Reset()
+	s.rng.Seed(s.seed)
+	// Stateful placers (e.g. the batched protocol's round snapshot)
+	// must forget the previous run.
+	if rp, ok := s.placer.(interface{ Reset() }); ok {
+		rp.Reset()
+	}
+}
 
 // ProtocolName reports the active protocol.
-func (s *System) ProtocolName() string { return s.game.ProtocolName() }
+func (s *System) ProtocolName() string { return s.placer.Name() }
 
 // DistributionName reports the active selection distribution.
-func (s *System) DistributionName() string { return s.game.DistributionName() }
+func (s *System) DistributionName() string { return s.dist.Name() }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/protocol"
 )
 
 func TestNewSystemValidation(t *testing.T) {
@@ -93,6 +95,33 @@ func TestSystemResetReproduces(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatal("Reset run did not reproduce the first run")
+		}
+	}
+}
+
+// TestSystemResetClearsBatchedState: Reset must also forget a stateful
+// placer's state (the batched protocol's round snapshot), or a system
+// reset mid-round would not replay a fresh one.
+func TestSystemResetClearsBatchedState(t *testing.T) {
+	batched := WithProtocol(Protocol{factory: protocol.BatchedFactory(2, 5), name: "batched"})
+	for seed := uint64(1); seed <= 5; seed++ {
+		fresh, err := NewSystem(CapacitiesUniform(16, 1), WithSeed(seed), batched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(CapacitiesUniform(16, 1), WithSeed(seed), batched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.PlaceN(7) // mid-round: the snapshot holds the first 5 balls
+		sys.Reset()
+		sys.PlaceN(40)
+		fresh.PlaceN(40)
+		for i := 0; i < 16; i++ {
+			if sys.BallCount(i) != fresh.BallCount(i) {
+				t.Fatalf("seed %d: batched state leaked across Reset (bin %d: %d balls, fresh %d)",
+					seed, i, sys.BallCount(i), fresh.BallCount(i))
+			}
 		}
 	}
 }

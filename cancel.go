@@ -18,7 +18,11 @@
 // repetition, shard index) from the engine call.
 package balls
 
-import "repro/internal/sim"
+import (
+	"errors"
+
+	"repro/internal/sim"
+)
 
 // ErrCancelled is the sentinel every cancellation error matches:
 // errors.Is(err, ErrCancelled) is true exactly when a run stopped
@@ -48,4 +52,17 @@ type ResumeState = sim.MonteCheckpoint
 // (*ResumeState).WriteFile.
 func ReadResumeState(path string) (*ResumeState, error) {
 	return sim.ReadMonteCheckpoint(path)
+}
+
+// cancelledPartial reports whether err, an engine error, is a
+// cancellation that came with a partial result (hasPartial), returning
+// its *CancelledError; nil means err is a plain failure and the
+// wrapper returns no result. Call it on the error path only: errors.As
+// takes the target's address, which heap-allocates it.
+func cancelledPartial(err error, hasPartial bool) *CancelledError {
+	var cancelled *CancelledError
+	if !errors.As(err, &cancelled) || !hasPartial {
+		return nil
+	}
+	return cancelled
 }

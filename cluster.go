@@ -2,10 +2,7 @@ package balls
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
-	"repro/internal/bins"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
@@ -152,52 +149,32 @@ type ClusterResult struct {
 // fields (MaxQueueLoad, Heights, Loads) are unset on a cancelled
 // partial.
 func SimulateCluster(cfg ClusterConfig) (*ClusterResult, error) {
-	if len(cfg.Capacities) == 0 {
-		return nil, fmt.Errorf("balls: SimulateCluster needs capacities")
-	}
-	arr, err := bins.New(cfg.Capacities)
+	spec, err := buildSpec("SimulateCluster", &LargeConfig{
+		Capacities:  cfg.Capacities,
+		Seed:        cfg.Seed,
+		Shards:      cfg.Shards,
+		Workers:     cfg.Workers,
+		Checkpoints: cfg.Checkpoints,
+		Heights:     cfg.Heights,
+		Context:     cfg.Context,
+	})
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	spec.Engine = sim.EngineCluster
+	spec.CancelAfter = cfg.CancelAfterTicks
+	spec.Cluster = &sim.ClusterParams{
+		Ticks:           cfg.Ticks,
+		ArrivalsPerTick: cfg.Arrivals,
+		VnodesPerUnit:   cfg.VnodesPerUnit,
+		Churn:           cfg.Churn,
+		Retry:           cfg.Retry,
+		ShedThreshold:   cfg.ShedThreshold,
+		LatencyMax:      cfg.LatencyMax,
 	}
-	res, err := sim.Dispatch(sim.RunSpec{
-		Config: sim.Config{
-			Array:   arr,
-			Seed:    seed,
-			Workers: cfg.Workers,
-			ObsOptions: sim.ObsOptions{
-				Checkpoints:  cfg.Checkpoints,
-				HeightLevels: cfg.Heights,
-			},
-			Context: cfg.Context,
-		},
-		Engine: sim.EngineCluster,
-		Shards: cfg.Shards,
-		Cluster: &sim.ClusterParams{
-			Ticks:            cfg.Ticks,
-			ArrivalsPerTick:  cfg.Arrivals,
-			VnodesPerUnit:    cfg.VnodesPerUnit,
-			Churn:            cfg.Churn,
-			Retry:            cfg.Retry,
-			ShedThreshold:    cfg.ShedThreshold,
-			LatencyMax:       cfg.LatencyMax,
-			CancelAfterTicks: cfg.CancelAfterTicks,
-		},
-		// arr is private to this call, so the engine may own it —
-		// skipping the clone avoids a second transient O(n) array.
-		AdoptArray: true,
-	})
-	if err != nil {
-		// Declared inside the branch: errors.As takes the address, and
-		// a function-scope declaration would heap-allocate on the
-		// happy path too.
-		var cancelled *CancelledError
-		if !errors.As(err, &cancelled) || res == nil {
-			return nil, err
-		}
+	res, err := sim.Dispatch(spec)
+	if err != nil && cancelledPartial(err, res != nil) == nil {
+		return nil, err
 	}
 	cres := res.Cluster
 	out := &ClusterResult{

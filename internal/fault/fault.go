@@ -113,8 +113,9 @@ func (o Op) String() string {
 // Site identifies one fault-injection point. Engines fill every field
 // they know; fields that do not apply to an operation are -1.
 type Site struct {
-	// Engine is the engine name: "Run", "RunLarge" or "RunLargeMonte".
-	// Empty in a Plan's Match means any engine.
+	// Engine is the engine name: "Run", "RunClosed", "RunLarge",
+	// "RunLargeMonte", "RunStream" or "RunCluster". Empty in a Plan's
+	// Match means any engine.
 	Engine string
 	// Op is the operation kind (OpAny in a Plan's Match means any).
 	Op Op

@@ -1,8 +1,8 @@
 // Package obs is the unified observation subsystem: composable,
-// merge-able collectors that all three simulation engines — the classic
-// chunked Monte-Carlo engine (sim.Run), the sharded single-run engine
-// (sim.RunLarge) and the sharded Monte-Carlo engine (sim.RunLargeMonte)
-// — drive through one contract.
+// merge-able collectors that every simulation engine — the classic and
+// closed-form chunked engines (sim.Run, sim.RunClosed), the sharded
+// engines (sim.RunLarge, sim.RunLargeMonte), and the streaming and
+// cluster engines behind sim.Dispatch — drives through one contract.
 //
 // # Contract
 //

@@ -138,10 +138,14 @@ func TestRunLargeCancelImmediate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := largeArray(t, 400)
-	res, err := RunLarge(LargeConfig{
-		Array: a, Seed: 3, Shards: 4,
-		ObsOptions: ObsOptions{Checkpoints: []int64{500, 1000}},
-		Context:    ctx,
+	res, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       3,
+			ObsOptions: ObsOptions{Checkpoints: []int64{500, 1000}},
+			Context:    ctx,
+		},
+		Shards: 4,
 	})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -169,7 +173,7 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	defer leakCheck(t)()
 	a := largeArray(t, 1500)
 	cuts := []int64{2000, 20000, 100000, 300000}
-	base := LargeConfig{Array: a, Seed: 11, Shards: 4, Workers: 1, BallsFactor: 50, ObsOptions: ObsOptions{Checkpoints: cuts}}
+	base := RunSpec{Config: Config{Array: a, Seed: 11, Workers: 1, BallsFactor: 50, ObsOptions: ObsOptions{Checkpoints: cuts}}, Shards: 4}
 	want, err := RunLarge(base)
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +235,17 @@ func TestRunLargeMonteCancelAfterRepsIsPrefix(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, workers := range []int{1, 3} {
 			defer leakCheck(t)()
-			cfg := LargeMonteConfig{
-				LargeConfig: LargeConfig{
-					Array: a, Seed: 77, Shards: shards, Workers: workers,
-					ObsOptions: ObsOptions{Checkpoints: []int64{500, 1500}, HeightLevels: 3},
+			cfg := RunSpec{
+				Config: Config{
+					Array:             a,
+					Seed:              77,
+					Workers:           workers,
+					ObsOptions:        ObsOptions{Checkpoints: []int64{500, 1500}, HeightLevels: 3},
+					Reps:              7,
+					CollectLoadVector: true,
 				},
-				Reps:              7,
-				CollectLoadVector: true,
-				ShardStats:        true,
+				Shards:     shards,
+				ShardStats: true,
 			}
 			prefix := cfg
 			prefix.Reps = 3
@@ -247,7 +254,7 @@ func TestRunLargeMonteCancelAfterRepsIsPrefix(t *testing.T) {
 				t.Fatalf("shards=%d workers=%d prefix run: %v", shards, workers, err)
 			}
 			cancelledCfg := cfg
-			cancelledCfg.CancelAfterReps = 3
+			cancelledCfg.CancelAfter = 3
 			res, err := RunLargeMonte(cancelledCfg)
 			var cerr *CancelledError
 			if !errors.As(err, &cerr) {
@@ -277,9 +284,16 @@ func TestRunLargeMonteContextCancel(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{Array: a, Seed: 9, Shards: 4, Workers: 3, Placer: factory, Context: ctx},
-		Reps:        50,
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array:   a,
+			Seed:    9,
+			Workers: 3,
+			Placer:  factory,
+			Context: ctx,
+			Reps:    50,
+		},
+		Shards: 4,
 	})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -310,9 +324,15 @@ func TestRunLargeMontePlacePanicReleasesFold(t *testing.T) {
 				panic("injected placement panic")
 			}
 		})
-		_, err := RunLargeMonte(LargeMonteConfig{
-			LargeConfig: LargeConfig{Array: a, Seed: 2, Shards: 4, Workers: workers, Placer: factory},
-			Reps:        12,
+		_, err := RunLargeMonte(RunSpec{
+			Config: Config{
+				Array:   a,
+				Seed:    2,
+				Workers: workers,
+				Placer:  factory,
+				Reps:    12,
+			},
+			Shards: 4,
 		})
 		var perr *PanicError
 		if !errors.As(err, &perr) {
@@ -358,7 +378,7 @@ func TestRunLargePlacePanicContained(t *testing.T) {
 			panic("injected shard panic")
 		}
 	})
-	_, err := RunLarge(LargeConfig{Array: a, Seed: 4, Shards: 4, Placer: factory})
+	_, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 4, Placer: factory}, Shards: 4})
 	var perr *PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -373,6 +393,11 @@ func TestRunLargePlacePanicContained(t *testing.T) {
 // errors naming the offending field, before any goroutine starts.
 func TestValidateFieldNamedErrors(t *testing.T) {
 	a := largeArray(t, 100)
+	dispatch := func(spec RunSpec) func() error {
+		return func() error { _, err := Dispatch(spec); return err }
+	}
+	heightBins := ObsOptions{HeightBins: 4}
+	rounds, ticks := &StreamParams{Rounds: 1}, &ClusterParams{Ticks: 1}
 	cases := []struct {
 		name string
 		frag string
@@ -399,41 +424,57 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 			return err
 		}},
 		{"large zero checkpoint", "Checkpoints[", func() error {
-			_, err := RunLarge(LargeConfig{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0, 5}}})
+			_, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0, 5}}}})
 			return err
 		}},
 		{"large unsorted checkpoints", "Checkpoints[", func() error {
-			_, err := RunLarge(LargeConfig{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{100, 20}}})
+			_, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{100, 20}}}})
 			return err
 		}},
 		{"large negative workers", "Workers", func() error {
-			_, err := RunLarge(LargeConfig{Array: a, Workers: -1})
+			_, err := RunLarge(RunSpec{Config: Config{Array: a, Workers: -1}})
 			return err
 		}},
 		{"monte unsorted checkpoints", "Checkpoints[", func() error {
-			_, err := RunLargeMonte(LargeMonteConfig{
-				LargeConfig: LargeConfig{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{9, 3}}}, Reps: 1,
+			_, err := RunLargeMonte(RunSpec{
+				Config: Config{
+					Array:      a,
+					ObsOptions: ObsOptions{Checkpoints: []int64{9, 3}},
+					Reps:       1,
+				},
 			})
 			return err
 		}},
-		{"monte negative cancel-after", "CancelAfterReps", func() error {
-			_, err := RunLargeMonte(LargeMonteConfig{
-				LargeConfig: LargeConfig{Array: a}, Reps: 1, CancelAfterReps: -1,
+		{"monte negative cancel-after", "CancelAfter", func() error {
+			_, err := RunLargeMonte(RunSpec{
+				Config:      Config{Array: a, Reps: 1},
+				CancelAfter: -1,
 			})
 			return err
 		}},
 		{"large shards out of range", "Shards", func() error {
-			_, err := RunLarge(LargeConfig{Array: a, Shards: 101})
+			_, err := RunLarge(RunSpec{Config: Config{Array: a}, Shards: 101})
 			return err
 		}},
 		{"stream shards out of range", "Shards", func() error {
-			_, err := runStream(StreamConfig{Array: a, Rounds: 1, Shards: 101})
+			_, err := runStream(&RunSpec{Config: Config{Array: a}, Shards: 101, Stream: &StreamParams{Rounds: 1}})
 			return err
 		}},
 		{"cluster shards out of range", "Shards", func() error {
-			_, err := runCluster(ClusterConfig{Array: a, Ticks: 1, Shards: -1})
+			_, err := runCluster(&RunSpec{Config: Config{Array: a}, Shards: -1, Cluster: &ClusterParams{Ticks: 1}})
 			return err
 		}},
+		// The capability table: an engine names the field it cannot
+		// honour, whichever engine the spec was sent to.
+		{"sharded height bins", "HeightBins", dispatch(RunSpec{Config: Config{Array: a, Reps: 1, ObsOptions: heightBins}, Engine: EngineSharded})},
+		{"stream height bins", "HeightBins", dispatch(RunSpec{Config: Config{Array: a, ObsOptions: heightBins}, Stream: rounds})},
+		{"cluster height bins", "HeightBins", dispatch(RunSpec{Config: Config{Array: a, ObsOptions: heightBins}, Cluster: ticks})},
+		{"sharded track classes", "TrackClasses", dispatch(RunSpec{Config: Config{Array: a, Reps: 1, TrackClasses: []int64{1}}, Engine: EngineSharded})},
+		{"stream track classes", "TrackClasses", dispatch(RunSpec{Config: Config{Array: a, TrackClasses: []int64{1}}, Stream: rounds})},
+		{"cluster track classes", "TrackClasses", dispatch(RunSpec{Config: Config{Array: a, TrackClasses: []int64{1}}, Cluster: ticks})},
+		{"classic cancel-after", "CancelAfter", dispatch(RunSpec{Config: Config{Array: a, Reps: 1}, Engine: EngineClassic, CancelAfter: 2})},
+		{"closed-form cancel-after", "CancelAfter", dispatch(RunSpec{Config: Config{Array: a, Reps: 1, Placer: protocol.SingleFactory()}, Engine: EngineClosedForm, CancelAfter: 2})},
+		{"stream shard stats", "ShardStats", dispatch(RunSpec{Config: Config{Array: a}, ShardStats: true, Stream: rounds})},
 	}
 	for _, tc := range cases {
 		err := tc.run()

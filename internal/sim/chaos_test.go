@@ -59,7 +59,7 @@ func TestChaosRunLargePanicSites(t *testing.T) {
 				func() {
 					defer leakCheck(t)()
 					defer fault.Arm(fault.Plan{Match: site, Do: fault.Panic, Msg: "chaos"})()
-					_, err := RunLarge(LargeConfig{Array: a, Seed: 1, Shards: shards, Workers: workers})
+					_, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1, Workers: workers}, Shards: shards})
 					wantInjectedPanic(t, err, engRunLarge, site.Op)
 				}()
 			}
@@ -86,9 +86,14 @@ func TestChaosRunLargeMontePanicSites(t *testing.T) {
 				func() {
 					defer leakCheck(t)()
 					defer fault.Arm(fault.Plan{Match: site, Do: fault.Panic, Msg: "chaos"})()
-					_, err := RunLargeMonte(LargeMonteConfig{
-						LargeConfig: LargeConfig{Array: a, Seed: 1, Shards: shards, Workers: workers},
-						Reps:        6,
+					_, err := RunLargeMonte(RunSpec{
+						Config: Config{
+							Array:   a,
+							Seed:    1,
+							Workers: workers,
+							Reps:    6,
+						},
+						Shards: shards,
 					})
 					wantInjectedPanic(t, err, engRunLargeMC, site.Op)
 				}()
@@ -133,9 +138,16 @@ func TestChaosCancelMidRouting(t *testing.T) {
 	})()
 	// Four routing blocks (m = 30·C at C = 8250 is 247500 balls), one
 	// worker so blocks are visited in order.
-	res, err := RunLarge(LargeConfig{
-		Array: a, Seed: 6, Shards: 4, Workers: 1, BallsFactor: 30,
-		Context: ctx, ObsOptions: ObsOptions{Checkpoints: []int64{100000}},
+	res, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:       a,
+			Seed:        6,
+			Workers:     1,
+			BallsFactor: 30,
+			Context:     ctx,
+			ObsOptions:  ObsOptions{Checkpoints: []int64{100000}},
+		},
+		Shards: 4,
 	})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -156,12 +168,17 @@ func TestChaosCancelMidRouting(t *testing.T) {
 func TestChaosCancelThenResume(t *testing.T) {
 	defer leakCheck(t)()
 	a := largeArray(t, 600)
-	cfg := LargeMonteConfig{
-		LargeConfig: LargeConfig{Array: a, Seed: 77, Shards: 4, Workers: 3,
-			ObsOptions: ObsOptions{Checkpoints: []int64{500, 1500}, HeightLevels: 3}},
-		Reps:              8,
-		CollectLoadVector: true,
-		ShardStats:        true,
+	cfg := RunSpec{
+		Config: Config{
+			Array:             a,
+			Seed:              77,
+			Workers:           3,
+			ObsOptions:        ObsOptions{Checkpoints: []int64{500, 1500}, HeightLevels: 3},
+			Reps:              8,
+			CollectLoadVector: true,
+		},
+		Shards:     4,
+		ShardStats: true,
 	}
 	full, err := RunLargeMonte(cfg)
 	if err != nil {
@@ -200,7 +217,7 @@ func TestChaosCancelThenResume(t *testing.T) {
 // points, not draws.
 func TestChaosDelayHarmless(t *testing.T) {
 	a := largeArray(t, 400)
-	want, err := RunLarge(LargeConfig{Array: a, Seed: 9, Shards: 4})
+	want, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 9}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +225,7 @@ func TestChaosDelayHarmless(t *testing.T) {
 		Match: fault.Site{Op: fault.OpPlace, Rep: -1, Shard: 1, Block: -1},
 		Do:    fault.Delay, Sleep: 30 * time.Millisecond,
 	})()
-	got, err := RunLarge(LargeConfig{Array: a, Seed: 9, Shards: 4})
+	got, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 9}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +238,23 @@ func TestChaosDelayHarmless(t *testing.T) {
 // chaosStreamConfig is the streaming spec the stream chaos cases
 // share: every phase (routing, placement, deletions, rebalance)
 // active, every round doing real work.
-func chaosStreamConfig(t *testing.T, ctx context.Context) StreamConfig {
+func chaosStreamConfig(t *testing.T, ctx context.Context) *RunSpec {
 	t.Helper()
-	return StreamConfig{
-		Array: largeArray(t, 400), Seed: 20260808, Shards: 4, Workers: 2,
-		Rounds: 5, Arrivals: 2000, Deletions: 600, RebalanceTol: 0.001,
-		Context:    ctx,
-		ObsOptions: ObsOptions{Checkpoints: []int64{2, 4}},
+	return &RunSpec{
+		Config: Config{
+			Array:      largeArray(t, 400),
+			Seed:       20260808,
+			Workers:    2,
+			Balls:      2000,
+			Context:    ctx,
+			ObsOptions: ObsOptions{Checkpoints: []int64{2, 4}},
+		},
+		Shards: 4,
+		Stream: &StreamParams{
+			Rounds:       5,
+			Deletions:    600,
+			RebalanceTol: 0.001,
+		},
 	}
 }
 
@@ -304,7 +331,7 @@ func TestChaosRunStreamRoundKill(t *testing.T) {
 		t.Fatalf("cancel fired in round 2 but %d rounds committed", res.Rounds)
 	}
 	short := chaosStreamConfig(t, nil)
-	short.Rounds = res.Rounds
+	short.Stream.Rounds = res.Rounds
 	want, err := runStream(short)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +379,7 @@ func TestChaosRunStreamDelayHarmless(t *testing.T) {
 // chaosClusterConfig is the cluster chaos spec: scheduled + stochastic
 // churn, timeouts with retries, and shedding, so every new fault site
 // is on the executed path.
-func chaosClusterConfig(t *testing.T, ctx context.Context) ClusterConfig {
+func chaosClusterConfig(t *testing.T, ctx context.Context) *RunSpec {
 	t.Helper()
 	// Uniform peers, sustained overload: every queue is backlogged from
 	// tick 1 on, so the crashed peer always has residents to
@@ -361,19 +388,28 @@ func chaosClusterConfig(t *testing.T, ctx context.Context) ClusterConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ClusterConfig{
-		Array: a, Ticks: 20, Arrivals: 80, Seed: 5, Shards: 4, Workers: 4,
-		// Purely scheduled churn: every site's tick is exact, so a plan
-		// pinned to {op, tick, peer} always fires.
-		Churn: cluster.ChurnPlan{
-			Schedule: []cluster.ChurnEvent{
-				{Tick: 2, Peer: 7, Down: true},
-				{Tick: 6, Peer: 7, Down: false},
-			},
+	return &RunSpec{
+		Config: Config{
+			Array:   a,
+			Seed:    5,
+			Workers: 4,
+			Context: ctx,
 		},
-		Retry:         cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
-		ShedThreshold: 1.5,
-		Context:       ctx,
+		Shards: 4,
+		Cluster: &ClusterParams{
+			Ticks:           20,
+			ArrivalsPerTick: 80,
+			// Purely scheduled churn: every site's tick is exact, so a plan
+			// pinned to {op, tick, peer} always fires.
+			Churn: cluster.ChurnPlan{
+				Schedule: []cluster.ChurnEvent{
+					{Tick: 2, Peer: 7, Down: true},
+					{Tick: 6, Peer: 7, Down: false},
+				},
+			},
+			Retry:         cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+			ShedThreshold: 1.5,
+		},
 	}
 }
 
@@ -437,12 +473,12 @@ func TestChaosRunClusterPanicSites(t *testing.T) {
 
 // TestChaosRunClusterCancelMidTick: a context fired from inside tick
 // k's retry phase abandons that tick and returns a committed prefix
-// bit-identical to a CancelAfterTicks = k run.
+// bit-identical to a CancelAfter = k run.
 func TestChaosRunClusterCancelMidTick(t *testing.T) {
 	defer leakCheck(t)()
 	const k = 7
 	short := chaosClusterConfig(t, nil)
-	short.CancelAfterTicks = k
+	short.CancelAfter = k
 	want, werr := runCluster(short)
 	var wcerr *CancelledError
 	if !errors.As(werr, &wcerr) || wcerr.CompletedTicks != k {
@@ -464,7 +500,7 @@ func TestChaosRunClusterCancelMidTick(t *testing.T) {
 		t.Fatalf("completed ticks = %d, want %d", cerr.CompletedTicks, k)
 	}
 	if !reflect.DeepEqual(traceOf(got), traceOf(want)) {
-		t.Fatal("mid-tick cancellation prefix diverges from the CancelAfterTicks run")
+		t.Fatal("mid-tick cancellation prefix diverges from the CancelAfter run")
 	}
 }
 

@@ -41,7 +41,7 @@ import (
 
 // RunClosed executes the configured experiment through the closed-form
 // multinomial engine. The protocol must be single-choice (see
-// closedUnsupported); everything else — fixed or random arrays, any
+// singleChoiceFactory); everything else — fixed or random arrays, any
 // distribution, checkpoints, height levels, load vectors, class
 // observables — behaves like Run.
 //
@@ -49,13 +49,7 @@ import (
 // contract: a fired Context returns a deterministic repetition-prefix
 // partial plus a *CancelledError, a contained panic a *PanicError.
 func RunClosed(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := closedUnsupported(&cfg); err != nil {
-		return nil, err
-	}
-	return runChunks(engRunClosed, &cfg)
+	return runChunked(EngineClosedForm, &RunSpec{Config: cfg})
 }
 
 // closedRep is the closed-form engine's repetition kernel (see

@@ -84,81 +84,17 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/bins"
 	"repro/internal/chash"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
-
-// ClusterConfig describes one cluster run. The engine is unexported
-// (runCluster): the only public path is Dispatch with a RunSpec whose
-// Cluster field is set, so every caller shares the eligibility checks
-// and result shape.
-type ClusterConfig struct {
-	// Array supplies the server capacities (required); ball counts are
-	// queue lengths. Cloned and reset unless AdoptArray is set.
-	Array *bins.Array
-	// Placer builds the per-shard dispatch policy (nil = Algorithm 1,
-	// d = 2) on queue-relative load.
-	Placer protocol.Factory
-	// Ticks is the horizon (>= 1).
-	Ticks int
-	// Arrivals is the per-tick request count (>= 0).
-	Arrivals int64
-	// VnodesPerUnit gives every peer capacity·VnodesPerUnit ring
-	// points (0 = 2), so arc shares are capacity-proportional in
-	// expectation — the ring-level version of the paper's non-uniform
-	// selection probabilities.
-	VnodesPerUnit int
-	// Churn is the crash/recover plan (zero value = no churn).
-	Churn cluster.ChurnPlan
-	// Retry is the timeout/retry policy (zero value = no timeouts).
-	Retry cluster.RetryPolicy
-	// ShedThreshold arms admission control when > 0: arrivals that
-	// would push the total queue beyond threshold·(live capacity) are
-	// shed. 0 admits everything.
-	ShedThreshold float64
-	// LatencyMax is the latency histogram's top bucket in ticks
-	// (0 = 32); completions slower than that land in the overflow
-	// bucket.
-	LatencyMax int
-	// Seed is the base RNG seed; see the package comment for the
-	// frozen per-tick substream layout.
-	Seed uint64
-	// Shards is the shard count (0 = DefaultShards, clamped to n).
-	// Part of the model, like Seed.
-	Shards int
-	// Workers caps parallelism (0 = GOMAXPROCS). Never affects the
-	// result, only the wall clock.
-	Workers int
-	// Context, when non-nil, arms cooperative cancellation: a fired
-	// context stops the run at the next task or phase boundary and
-	// returns the completed-tick prefix.
-	Context context.Context
-	// AdoptArray lets the engine mutate Array in place (reset first)
-	// instead of cloning it.
-	AdoptArray bool
-	// CancelAfterTicks, when positive, deterministically stops the run
-	// after exactly that many completed ticks, as if the context had
-	// fired there (Cause == nil).
-	CancelAfterTicks int
-
-	// ObsOptions is the shared observation block. Checkpoints are TICK
-	// indices — cut k observes queue occupancy and the maximum
-	// queue-relative load at the end of tick Checkpoints[k] (1-based) —
-	// HeightLevels reports the final queue-depth distribution through
-	// the LoadHistogram kernel, and the per-ball height histogram
-	// (HeightBins) is not collected.
-	ObsOptions
-}
 
 // ClusterResult aggregates one cluster run. All counters cover the
 // COMPLETED-tick prefix (== the whole run unless cancelled).
@@ -206,47 +142,6 @@ type ClusterResult struct {
 	Array        *bins.Array
 }
 
-func (c *ClusterConfig) validate() (shards int, err error) {
-	if c.Array == nil {
-		return 0, fmt.Errorf("sim: RunCluster needs an Array")
-	}
-	if c.Ticks < 1 {
-		return 0, fmt.Errorf("sim: Ticks = %d, need >= 1", c.Ticks)
-	}
-	if c.Arrivals < 0 {
-		return 0, fmt.Errorf("sim: Arrivals = %d, need >= 0", c.Arrivals)
-	}
-	if c.VnodesPerUnit < 0 {
-		return 0, fmt.Errorf("sim: VnodesPerUnit = %d, need >= 0", c.VnodesPerUnit)
-	}
-	if c.ShedThreshold < 0 || c.ShedThreshold != c.ShedThreshold {
-		return 0, fmt.Errorf("sim: ShedThreshold = %v, need >= 0", c.ShedThreshold)
-	}
-	if c.LatencyMax < 0 {
-		return 0, fmt.Errorf("sim: LatencyMax = %d, need >= 0", c.LatencyMax)
-	}
-	if c.Workers < 0 {
-		return 0, fmt.Errorf("sim: Workers = %d, need >= 0", c.Workers)
-	}
-	if c.CancelAfterTicks < 0 {
-		return 0, fmt.Errorf("sim: CancelAfterTicks = %d, need >= 0", c.CancelAfterTicks)
-	}
-	n := c.Array.N()
-	if err := c.Churn.Validate(n); err != nil {
-		return 0, fmt.Errorf("sim: %w", err)
-	}
-	if err := c.Retry.Validate(); err != nil {
-		return 0, fmt.Errorf("sim: %w", err)
-	}
-	if err := c.ObsOptions.validate(); err != nil {
-		return 0, err
-	}
-	if err := c.ObsOptions.rejectHeightBins("the cluster engine"); err != nil {
-		return 0, err
-	}
-	return resolveShards(c.Shards, n)
-}
-
 // Cluster task kinds: one per phase of a tick, plus the placer
 // (re)build setup phase.
 const (
@@ -290,10 +185,13 @@ type clusterState struct {
 	// sharded is the shard plan over the live per-peer arc weights
 	// (0 = dead); weights, shardW and router follow every re-shard.
 	sharded
-	cfg  *ClusterConfig
+	p    ClusterParams
 	cc   *canceller
 	seed uint64
 	kk   uint64 // RNG streams consumed per tick: shards + 2
+	// levels and cancelAfter are the spec's HeightLevels and
+	// CancelAfter (in ticks).
+	levels, cancelAfter int
 
 	ring      *chash.Ring
 	prevW     []float64 // last weights the placers were built over
@@ -367,38 +265,46 @@ type clusterState struct {
 	cPending      int64
 }
 
-// runCluster executes one cluster run. Unexported by design: Dispatch
-// (RunSpec.Cluster) is the only public entry point.
-func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
-	shards, err := cfg.validate()
+// runCluster executes one cluster run of spec.Cluster's serving model:
+// the spec's Array gives the peer capacities (ball counts are queue
+// lengths), its Checkpoints are TICK indices — cut k observes queue
+// occupancy and the maximum queue-relative load at the end of tick
+// Checkpoints[k] — HeightLevels reports the final queue-depth
+// distribution, and CancelAfter counts completed ticks. Unexported by
+// design: Dispatch (RunSpec.Cluster) is the only public entry point.
+func runCluster(spec *RunSpec) (*ClusterResult, error) {
+	shards, err := spec.validate(EngineCluster)
 	if err != nil {
 		return nil, err
 	}
+	p := spec.Cluster
 	// Global stream 0: ring construction. The vnode positions are the
 	// only randomness membership ever consumes — churn splices cached
 	// points, so a crash/recover cycle is RNG-free.
-	caps := cfg.Array.Capacities()
-	vpu := cfg.VnodesPerUnit
+	caps := spec.Array.Capacities()
+	vpu := p.VnodesPerUnit
 	if vpu == 0 {
 		vpu = 2
 	}
-	ring, err := chash.NewWeightedRing(caps, vpu, xrand.NewStream(cfg.Seed, 0))
+	ring, err := chash.NewWeightedRing(caps, vpu, xrand.NewStream(spec.Seed, 0))
 	if err != nil {
 		return nil, fmt.Errorf("sim: RunCluster ring: %w", err)
 	}
-	sh, err := newSharded(engRunCluster, &LargeConfig{Array: cfg.Array, Placer: cfg.Placer, Workers: cfg.Workers, AdoptArray: cfg.AdoptArray}, shards, ring.ArcLengths())
+	sh, err := newSharded(engRunCluster, spec, shards, ring.ArcLengths())
 	if err != nil {
 		return nil, err
 	}
 	n := sh.n
 	st := &clusterState{
-		sharded: sh,
-		cfg:     &cfg,
-		cc:      newCanceller(cfg.Context),
-		seed:    cfg.Seed,
-		kk:      uint64(shards + 2),
-		ring:    ring,
-		caps:    caps,
+		sharded:     sh,
+		p:           *p,
+		cc:          newCanceller(spec.Context),
+		seed:        spec.Seed,
+		kk:          uint64(shards + 2),
+		levels:      spec.HeightLevels,
+		cancelAfter: spec.CancelAfter,
+		ring:        ring,
+		caps:        caps,
 	}
 	st.totalCap = sh.arr.TotalCapacity()
 	st.liveCap = st.totalCap
@@ -420,7 +326,7 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		}
 	}
 
-	rg := sh.routeWidth(cfg.Arrivals)
+	rg := sh.routeWidth(p.ArrivalsPerTick)
 	st.groups = newRouteGroups(rg, shards, 0)
 
 	st.counts = make([]int64, shards)
@@ -438,9 +344,9 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	st.queues = make([][]cohort, n)
 	st.retryQ = make(map[int][]retryEntry)
 	st.crashedScratch = make([]int, 0, n)
-	st.livePerTick = make([]int, 0, cfg.Ticks)
+	st.livePerTick = make([]int, 0, p.Ticks)
 
-	latMax := cfg.LatencyMax
+	latMax := p.LatencyMax
 	if latMax == 0 {
 		latMax = 32
 	}
@@ -458,9 +364,9 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		st.dirty[s] = true // initial build: every placer
 	}
 
-	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
+	cuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
 	st.cuts = cuts
-	st.nCuts = obs.CountReached(cuts, int64(cfg.Ticks))
+	st.nCuts = obs.CountReached(cuts, int64(p.Ticks))
 	if len(cuts) > 0 {
 		st.cp = obs.NewCheckpoints(cuts)
 	}
@@ -470,7 +376,7 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 
 	st.ph = phase{pool: &st.pl, x: st, engine: engRunCluster, names: clusterKinds}
 	st.pl.start(sh.poolWidth(rg))
-	res, err := st.orchestrate(cfg.Ticks)
+	res, err := st.orchestrate(p.Ticks)
 	st.pl.close()
 	return res, err
 }
@@ -604,7 +510,7 @@ func (st *clusterState) serveShard(s int) {
 // covers whole queues, not just heads — redistributed cohorts keep
 // their original dispatch ticks, so a queue is not disp-sorted.
 func (st *clusterState) expireShard(s int) {
-	cutoff := int32(st.tick - st.cfg.Retry.TimeoutTicks)
+	cutoff := int32(st.tick - st.p.Retry.TimeoutTicks)
 	exp := st.expired[s][:0]
 	for p := st.bounds[s]; p < st.bounds[s+1]; p++ {
 		q := st.queues[p]
@@ -675,7 +581,7 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err erro
 		}
 	}()
 	crashed = st.crashedScratch[:0]
-	sched := st.cfg.Churn.Schedule
+	sched := st.p.Churn.Schedule
 	for st.nextEv < len(sched) && sched[st.nextEv].Tick <= t {
 		e := sched[st.nextEv]
 		st.nextEv++
@@ -690,15 +596,15 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err erro
 			recovered++
 		}
 	}
-	if st.cfg.Churn.Stochastic() {
+	if st.p.Churn.Stochastic() {
 		st.crand.Seed(xrand.Mix64(st.seed, st.tbase))
 		for p := 0; p < st.n; p++ {
 			u := st.crand.Float64()
 			if st.live[p] {
-				if u < st.cfg.Churn.CrashProb && st.crash(t, p) {
+				if u < st.p.Churn.CrashProb && st.crash(t, p) {
 					crashed = append(crashed, p)
 				}
-			} else if u < st.cfg.Churn.RecoverProb && st.revive(t, p) {
+			} else if u < st.p.Churn.RecoverProb && st.revive(t, p) {
 				recovered++
 			}
 		}
@@ -819,7 +725,7 @@ func (st *clusterState) orchestrate(ticks int) (*ClusterResult, error) {
 		if !ok {
 			return st.partial(st.cc.err())
 		}
-		if ca := st.cfg.CancelAfterTicks; ca > 0 && st.ticksDone == ca && st.ticksDone < ticks {
+		if ca := st.cancelAfter; ca > 0 && st.ticksDone == ca && st.ticksDone < ticks {
 			return st.partial(nil)
 		}
 	}
@@ -872,10 +778,10 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 
 	// Phase 2 — admission: shed what would push the cluster past
 	// ShedThreshold × live capacity. Counted, never silently dropped.
-	arrivedT := st.cfg.Arrivals
+	arrivedT := st.p.ArrivalsPerTick
 	admitT := arrivedT
 	var shedT int64
-	if th := st.cfg.ShedThreshold; th > 0 {
+	if th := st.p.ShedThreshold; th > 0 {
 		admitT, shedT, err = st.admission(t, arrivedT, th)
 		if err != nil {
 			return false, err
@@ -952,7 +858,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	// leave their queues; each either schedules a backed-off retry or
 	// — retries exhausted — counts failed.
 	var timedOutT, failedT int64
-	if st.cfg.Retry.TimeoutTicks > 0 {
+	if st.p.Retry.TimeoutTicks > 0 {
 		if err := st.ph.run(clusterExpire, st.shards); err != nil {
 			return false, err
 		}
@@ -962,9 +868,9 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 		for s := 0; s < st.shards; s++ {
 			for _, e := range st.expired[s] {
 				timedOutT += e.count
-				if int(e.att) < st.cfg.Retry.MaxRetries {
+				if int(e.att) < st.p.Retry.MaxRetries {
 					att := e.att + 1
-					dueTick := t + st.cfg.Retry.Backoff(int(att))
+					dueTick := t + st.p.Retry.Backoff(int(att))
 					st.retryQ[dueTick] = append(st.retryQ[dueTick], retryEntry{orig: e.orig, att: att, count: e.count})
 					st.pendingRetry += e.count
 				} else {
@@ -1051,7 +957,7 @@ func (st *clusterState) partialResult() *ClusterResult {
 
 // partial is the cancelled exit: the committed-tick prefix plus a
 // *CancelledError whose cause is the context's error, or nil for the
-// deterministic CancelAfterTicks stop.
+// deterministic CancelAfter stop.
 func (st *clusterState) partial(cause error) (*ClusterResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunCluster,
@@ -1069,7 +975,7 @@ func (st *clusterState) partial(cause error) (*ClusterResult, error) {
 func (st *clusterState) final() (*ClusterResult, error) {
 	res := st.partialResult()
 	var err error
-	res.MaxQueueLoad, res.AvgQueueLoad, res.HeightCounts, err = finalState(engRunCluster, st.arr, st.cfg.HeightLevels, st.cQueued)
+	res.MaxQueueLoad, res.AvgQueueLoad, res.HeightCounts, err = finalState(engRunCluster, st.arr, st.levels, st.cQueued)
 	if err != nil {
 		return nil, err
 	}

@@ -70,36 +70,38 @@ func stressPlan() (cluster.ChurnPlan, cluster.RetryPolicy) {
 // starts.
 func TestClusterValidation(t *testing.T) {
 	a := clusterArray(t, 2, 3, 4)
-	base := func() ClusterConfig { return ClusterConfig{Array: a, Ticks: 4, Arrivals: 5} }
+	base := func() RunSpec {
+		return RunSpec{Config: Config{Array: a}, Cluster: &ClusterParams{Ticks: 4, ArrivalsPerTick: 5}}
+	}
 	cases := []struct {
 		name string
-		mut  func(*ClusterConfig)
+		mut  func(*RunSpec)
 		want string
 	}{
-		{"nil array", func(c *ClusterConfig) { c.Array = nil }, "needs an Array"},
-		{"zero ticks", func(c *ClusterConfig) { c.Ticks = 0 }, "Ticks"},
-		{"negative arrivals", func(c *ClusterConfig) { c.Arrivals = -1 }, "Arrivals"},
-		{"negative vnodes", func(c *ClusterConfig) { c.VnodesPerUnit = -1 }, "VnodesPerUnit"},
-		{"negative shed", func(c *ClusterConfig) { c.ShedThreshold = -0.5 }, "ShedThreshold"},
-		{"negative latency max", func(c *ClusterConfig) { c.LatencyMax = -1 }, "LatencyMax"},
-		{"negative workers", func(c *ClusterConfig) { c.Workers = -1 }, "Workers"},
-		{"negative cancel", func(c *ClusterConfig) { c.CancelAfterTicks = -1 }, "CancelAfterTicks"},
-		{"bad crash prob", func(c *ClusterConfig) { c.Churn.CrashProb = 1.5 }, "CrashProb"},
-		{"bad schedule peer", func(c *ClusterConfig) {
-			c.Churn.Schedule = []cluster.ChurnEvent{{Tick: 0, Peer: 9, Down: true}}
+		{"nil array", func(c *RunSpec) { c.Array = nil }, "needs an Array"},
+		{"zero ticks", func(c *RunSpec) { c.Cluster.Ticks = 0 }, "Ticks"},
+		{"negative arrivals", func(c *RunSpec) { c.Cluster.ArrivalsPerTick = -1 }, "Arrivals"},
+		{"negative vnodes", func(c *RunSpec) { c.Cluster.VnodesPerUnit = -1 }, "VnodesPerUnit"},
+		{"negative shed", func(c *RunSpec) { c.Cluster.ShedThreshold = -0.5 }, "ShedThreshold"},
+		{"negative latency max", func(c *RunSpec) { c.Cluster.LatencyMax = -1 }, "LatencyMax"},
+		{"negative workers", func(c *RunSpec) { c.Workers = -1 }, "Workers"},
+		{"negative cancel", func(c *RunSpec) { c.CancelAfter = -1 }, "CancelAfter"},
+		{"bad crash prob", func(c *RunSpec) { c.Cluster.Churn.CrashProb = 1.5 }, "CrashProb"},
+		{"bad schedule peer", func(c *RunSpec) {
+			c.Cluster.Churn.Schedule = []cluster.ChurnEvent{{Tick: 0, Peer: 9, Down: true}}
 		}, "Peer"},
-		{"unsorted schedule", func(c *ClusterConfig) {
-			c.Churn.Schedule = []cluster.ChurnEvent{{Tick: 3, Peer: 0, Down: true}, {Tick: 1, Peer: 1, Down: true}}
+		{"unsorted schedule", func(c *RunSpec) {
+			c.Cluster.Churn.Schedule = []cluster.ChurnEvent{{Tick: 3, Peer: 0, Down: true}, {Tick: 1, Peer: 1, Down: true}}
 		}, "out of order"},
-		{"retries without timeout", func(c *ClusterConfig) { c.Retry.MaxRetries = 2 }, "MaxRetries"},
-		{"height bins", func(c *ClusterConfig) { c.HeightBins = 4 }, "cluster engine"},
-		{"shards out of range", func(c *ClusterConfig) { c.Shards = 7 }, "Shards"},
-		{"bad checkpoints", func(c *ClusterConfig) { c.Checkpoints = []int64{3, 2} }, "cuts"},
+		{"retries without timeout", func(c *RunSpec) { c.Cluster.Retry.MaxRetries = 2 }, "MaxRetries"},
+		{"height bins", func(c *RunSpec) { c.HeightBins = 4 }, "cluster engine"},
+		{"shards out of range", func(c *RunSpec) { c.Shards = 7 }, "Shards"},
+		{"bad checkpoints", func(c *RunSpec) { c.Checkpoints = []int64{3, 2} }, "cuts"},
 	}
 	for _, tc := range cases {
 		cfg := base()
 		tc.mut(&cfg)
-		_, err := runCluster(cfg)
+		_, err := runCluster(&cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
@@ -112,7 +114,7 @@ func TestClusterValidation(t *testing.T) {
 // goodput equals the latency histogram mass.
 func TestClusterQuietConservation(t *testing.T) {
 	a := clusterArray(t, 1, 2, 3, 4, 5, 6, 7, 8)
-	res, err := runCluster(ClusterConfig{Array: a, Ticks: 12, Arrivals: 30, Seed: 7, Shards: 3})
+	res, err := runCluster(&RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 3, Cluster: &ClusterParams{Ticks: 12, ArrivalsPerTick: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +148,16 @@ func TestClusterQuietConservation(t *testing.T) {
 func TestClusterStressConservation(t *testing.T) {
 	churn, retry := stressPlan()
 	a := clusterArray(t, 4, 1, 6, 2, 8, 3, 5, 7, 2, 4)
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 40, Arrivals: 25, Seed: 11, Shards: 4,
-		Churn: churn, Retry: retry, ShedThreshold: 3,
+	res, err := runCluster(&RunSpec{
+		Config: Config{Array: a, Seed: 11},
+		Shards: 4,
+		Cluster: &ClusterParams{
+			Ticks:           40,
+			ArrivalsPerTick: 25,
+			Churn:           churn,
+			Retry:           retry,
+			ShedThreshold:   3,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +195,21 @@ func TestClusterBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		var want clusterTrace
 		for wi, workers := range []int{1, 2, 8} {
-			res, err := runCluster(ClusterConfig{
-				Array: a, Ticks: 30, Arrivals: 25, Seed: 5, Shards: shards, Workers: workers,
-				Churn: churn, Retry: retry, ShedThreshold: 3,
-				ObsOptions: ObsOptions{Checkpoints: []int64{5, 10, 20, 30}},
+			res, err := runCluster(&RunSpec{
+				Config: Config{
+					Array:      a,
+					Seed:       5,
+					Workers:    workers,
+					ObsOptions: ObsOptions{Checkpoints: []int64{5, 10, 20, 30}},
+				},
+				Shards: shards,
+				Cluster: &ClusterParams{
+					Ticks:           30,
+					ArrivalsPerTick: 25,
+					Churn:           churn,
+					Retry:           retry,
+					ShedThreshold:   3,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -212,14 +232,19 @@ func TestClusterBitIdenticalAcrossWorkers(t *testing.T) {
 // scheduled churn, so the trace is readable by hand.
 func TestClusterGoldenAvailabilityTrace(t *testing.T) {
 	a := clusterArray(t, 2, 3, 4, 5)
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 10, Arrivals: 20, Seed: 3, Shards: 2,
-		Churn: cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{
-			{Tick: 2, Peer: 1, Down: true},
-			{Tick: 4, Peer: 3, Down: true},
-			{Tick: 6, Peer: 1, Down: false},
-			{Tick: 8, Peer: 3, Down: false},
-		}},
+	res, err := runCluster(&RunSpec{
+		Config: Config{Array: a, Seed: 3},
+		Shards: 2,
+		Cluster: &ClusterParams{
+			Ticks:           10,
+			ArrivalsPerTick: 20,
+			Churn: cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{
+				{Tick: 2, Peer: 1, Down: true},
+				{Tick: 4, Peer: 3, Down: true},
+				{Tick: 6, Peer: 1, Down: false},
+				{Tick: 8, Peer: 3, Down: false},
+			}},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,15 +273,20 @@ func TestClusterGoldenAvailabilityTrace(t *testing.T) {
 // the engine never deadlocks.
 func TestClusterLastPeerNeverDies(t *testing.T) {
 	a := clusterArray(t, 2, 2, 2)
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 8, Arrivals: 4, Seed: 1, Shards: 3,
-		Churn: cluster.ChurnPlan{
-			Schedule: []cluster.ChurnEvent{
-				{Tick: 0, Peer: 0, Down: true},
-				{Tick: 0, Peer: 1, Down: true},
-				{Tick: 0, Peer: 2, Down: true},
+	res, err := runCluster(&RunSpec{
+		Config: Config{Array: a, Seed: 1},
+		Shards: 3,
+		Cluster: &ClusterParams{
+			Ticks:           8,
+			ArrivalsPerTick: 4,
+			Churn: cluster.ChurnPlan{
+				Schedule: []cluster.ChurnEvent{
+					{Tick: 0, Peer: 0, Down: true},
+					{Tick: 0, Peer: 1, Down: true},
+					{Tick: 0, Peer: 2, Down: true},
+				},
+				CrashProb: 1,
 			},
-			CrashProb: 1,
 		},
 	})
 	if err != nil {
@@ -277,9 +307,14 @@ func TestClusterLastPeerNeverDies(t *testing.T) {
 // arcs, the router its weight, redistribution its residents.
 func TestClusterDeadPeerGetsNothing(t *testing.T) {
 	a := clusterArray(t, 3, 3, 3, 3)
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 10, Arrivals: 20, Seed: 9, Shards: 2,
-		Churn: cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{{Tick: 0, Peer: 2, Down: true}}},
+	res, err := runCluster(&RunSpec{
+		Config: Config{Array: a, Seed: 9},
+		Shards: 2,
+		Cluster: &ClusterParams{
+			Ticks:           10,
+			ArrivalsPerTick: 20,
+			Churn:           cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{{Tick: 0, Peer: 2, Down: true}}},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,9 +333,14 @@ func TestClusterDeadPeerGetsNothing(t *testing.T) {
 // retried and failed exactly.
 func TestClusterRetryFailureSplit(t *testing.T) {
 	a := clusterArray(t, 1)
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 10, Arrivals: 5, Seed: 2, Shards: 1,
-		Retry: cluster.RetryPolicy{TimeoutTicks: 2},
+	res, err := runCluster(&RunSpec{
+		Config: Config{Array: a, Seed: 2},
+		Shards: 1,
+		Cluster: &ClusterParams{
+			Ticks:           10,
+			ArrivalsPerTick: 5,
+			Retry:           cluster.RetryPolicy{TimeoutTicks: 2},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,9 +352,14 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 		t.Fatalf("MaxRetries=0: failed %d / timedOut %d / retried %d / pending %d",
 			res.Failed, res.TimedOut, res.Retried, res.PendingRetry)
 	}
-	res2, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 10, Arrivals: 5, Seed: 2, Shards: 1,
-		Retry: cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 3, BackoffBase: 2},
+	res2, err := runCluster(&RunSpec{
+		Config: Config{Array: a, Seed: 2},
+		Shards: 1,
+		Cluster: &ClusterParams{
+			Ticks:           10,
+			ArrivalsPerTick: 5,
+			Retry:           cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 3, BackoffBase: 2},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,10 +377,18 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 func TestClusterShedding(t *testing.T) {
 	a := clusterArray(t, 2, 2, 2, 2)
 	cuts := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 8, Arrivals: 40, Seed: 4, Shards: 2,
-		ShedThreshold: 1.5,
-		ObsOptions:    ObsOptions{Checkpoints: cuts},
+	res, err := runCluster(&RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       4,
+			ObsOptions: ObsOptions{Checkpoints: cuts},
+		},
+		Shards: 2,
+		Cluster: &ClusterParams{
+			Ticks:           8,
+			ArrivalsPerTick: 40,
+			ShedThreshold:   1.5,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,21 +415,34 @@ func TestClusterCancelAfterTicksPrefix(t *testing.T) {
 	churn, retry := stressPlan()
 	a := clusterArray(t, 4, 1, 6, 2, 8, 3, 5, 7, 2, 4)
 	const k = 9
-	cfg := ClusterConfig{
-		Array: a, Ticks: 30, Arrivals: 25, Seed: 5, Shards: 4, Workers: 4,
-		Churn: churn, Retry: retry, ShedThreshold: 3,
-		ObsOptions: ObsOptions{Checkpoints: []int64{3, 6, 9, 20}},
+	cfg := RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       5,
+			Workers:    4,
+			ObsOptions: ObsOptions{Checkpoints: []int64{3, 6, 9, 20}},
+		},
+		Shards: 4,
+		Cluster: &ClusterParams{
+			Ticks:           30,
+			ArrivalsPerTick: 25,
+			Churn:           churn,
+			Retry:           retry,
+			ShedThreshold:   3,
+		},
 	}
+	cp := *cfg.Cluster
+	cp.Ticks = k
 	short := cfg
-	short.Ticks = k
-	want, err := runCluster(short)
+	short.Cluster = &cp
+	want, err := runCluster(&short)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cancelledCfg := cfg
-	cancelledCfg.CancelAfterTicks = k
-	got, err := runCluster(cancelledCfg)
+	cancelledCfg.CancelAfter = k
+	got, err := runCluster(&cancelledCfg)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
@@ -402,7 +468,7 @@ func TestClusterContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := clusterArray(t, 2, 3, 4)
-	res, err := runCluster(ClusterConfig{Array: a, Ticks: 10, Arrivals: 5, Context: ctx})
+	res, err := runCluster(&RunSpec{Config: Config{Array: a, Context: ctx}, Cluster: &ClusterParams{Ticks: 10, ArrivalsPerTick: 5}})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
@@ -420,9 +486,14 @@ func TestClusterContextCancellation(t *testing.T) {
 // array.
 func TestClusterHeights(t *testing.T) {
 	a := clusterArray(t, 1, 2, 3, 4)
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 6, Arrivals: 20, Seed: 8, Shards: 2,
-		ObsOptions: ObsOptions{HeightLevels: 4},
+	res, err := runCluster(&RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       8,
+			ObsOptions: ObsOptions{HeightLevels: 4},
+		},
+		Shards:  2,
+		Cluster: &ClusterParams{Ticks: 6, ArrivalsPerTick: 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,9 +566,16 @@ func TestClusterDispatch(t *testing.T) {
 func TestClusterGoldenCounters(t *testing.T) {
 	churn, retry := stressPlan()
 	a := clusterArray(t, 4, 1, 6, 2, 8, 3, 5, 7, 2, 4)
-	res, err := runCluster(ClusterConfig{
-		Array: a, Ticks: 30, Arrivals: 38, Seed: 5, Shards: 4,
-		Churn: churn, Retry: retry, ShedThreshold: 2,
+	res, err := runCluster(&RunSpec{
+		Config: Config{Array: a, Seed: 5},
+		Shards: 4,
+		Cluster: &ClusterParams{
+			Ticks:           30,
+			ArrivalsPerTick: 38,
+			Churn:           churn,
+			Retry:           retry,
+			ShedThreshold:   2,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,11 @@
-// Unified engine dispatch: one RunSpec, one entry point, three engines.
+// Unified engine dispatch: one RunSpec, one entry point, five engines.
 //
-// The repo grew three ways to run the balls-into-bins game — the
-// classic chunked engine (Run), the sharded Monte-Carlo engine
-// (RunLargeMonte) and the closed-form multinomial engine (RunClosed) —
-// each with its own sweet spot. Dispatch hides the choice behind a
-// single spec so the figure/validate/tune harness can ask for "this
-// game, these observables, at this n" and get the right engine:
+// The repo runs the balls-into-bins game five ways, each with its own
+// sweet spot. Dispatch hides the choice behind a single spec so the
+// figure/validate/tune harness can ask for "this game, these
+// observables, at this n" and get the right engine:
 //
-//   - classic: the reference engine. Supports every observable
+//   - classic: Run, the reference engine. Supports every observable
 //     (random arrays, per-ball heights, per-class vectors) at any n a
 //     per-ball pass can afford.
 //   - sharded: RunLargeMonte. Fixed arrays only; scales a single
@@ -18,6 +16,14 @@
 //   - closed-form: RunClosed. Single-choice protocols only; one
 //     Multinomial(m, p) draw per repetition, O(n + checkpoints·n) per
 //     rep with no per-ball work at all.
+//   - stream: rounds of arrivals, deletions and rebalancing over one
+//     sharded array (stream.go); selected by RunSpec.Stream.
+//   - cluster: ticks of requests served by a churning ring of peers
+//     (cluster.go); selected by RunSpec.Cluster.
+//
+// RunSpec is the only engine input: every engine entry point reads it
+// directly, validate holds each check the engines share once, and
+// unsupported is the one capability table.
 //
 // # Determinism contract
 //
@@ -69,6 +75,10 @@ const (
 	// and shedding. The engine function is unexported — Dispatch is its
 	// only public entry point — and requires RunSpec.Cluster.
 	EngineCluster Engine = "cluster"
+
+	// engineLarge names RunLarge in the capability table: the sharded
+	// engine's observables, for a single game.
+	engineLarge Engine = "large"
 )
 
 // AutoScaleMinBins is the bin count at which EngineAuto switches from
@@ -84,18 +94,21 @@ func ParseEngine(s string) (Engine, error) {
 	switch Engine(s) {
 	case "", EngineAuto:
 		return EngineAuto, nil
-	case EngineClassic:
-		return EngineClassic, nil
-	case EngineSharded:
-		return EngineSharded, nil
-	case EngineClosedForm:
-		return EngineClosedForm, nil
-	case EngineStream:
-		return EngineStream, nil
-	case EngineCluster:
-		return EngineCluster, nil
+	case EngineClassic, EngineSharded, EngineClosedForm, EngineStream, EngineCluster:
+		return Engine(s), nil
 	}
 	return "", fmt.Errorf("sim: unknown engine %q (want auto, classic, sharded, closed-form, stream or cluster)", s)
+}
+
+// noun names the engine in error messages.
+func (e Engine) noun() string {
+	switch e {
+	case engineLarge:
+		return "RunLarge"
+	case EngineStream:
+		return "the streaming engine"
+	}
+	return "the " + string(e) + " engine"
 }
 
 // StreamParams carries the round-structure parameters of a streaming
@@ -103,61 +116,150 @@ func ParseEngine(s string) (Engine, error) {
 // streaming spec: EngineAuto dispatches to the streaming engine iff
 // Stream is non-nil, and no other engine will silently run such a
 // spec. The spec's Balls/BallsFactor become the per-round arrival
-// count (StreamConfig.Arrivals/ArrivalsFactor).
+// count: a fixed count, or BallsFactor·C, or exactly C — Config's
+// ball-count rules, per round.
 type StreamParams struct {
-	// Rounds is the number of rounds (>= 1; 0 allowed when Schedule
-	// implies it).
+	// Rounds is the number of rounds (>= 1). When Schedule is set and
+	// Rounds is 0, Rounds defaults to len(Schedule).
 	Rounds int
-	// Schedule optionally gives every round's arrival count explicitly
-	// (see StreamConfig.Schedule).
+	// Schedule, when non-empty, gives every round's arrival count
+	// explicitly (entries >= 0; length must equal Rounds when Rounds
+	// is set). Mutually exclusive with Balls/BallsFactor.
 	Schedule []int64
-	// Deletions is the per-round deletion count (>= 0).
+	// Deletions is the number of balls deleted per round, clamped to
+	// the current occupancy (>= 0).
 	Deletions int64
-	// RebalanceTol enables the inter-round rebalance pass when > 0.
+	// RebalanceTol enables the inter-round rebalance pass when > 0:
+	// after deletions, every shard holding more than
+	// (1+RebalanceTol)·target balls sheds the excess to shards below
+	// target. 0 disables the pass.
 	RebalanceTol float64
-	// CancelAfterRounds deterministically stops the run after that
-	// many rounds when positive (see StreamConfig.CancelAfterRounds).
-	CancelAfterRounds int
+}
+
+// rounds is the run's round count: Rounds, or len(Schedule) when
+// Rounds is 0.
+func (p *StreamParams) rounds() int {
+	if p.Rounds == 0 {
+		return len(p.Schedule)
+	}
+	return p.Rounds
+}
+
+// validate checks the round parameters against the spec's ball count.
+func (p *StreamParams) validate(c *Config) error {
+	if len(p.Schedule) > 0 {
+		if c.Balls != 0 || c.BallsFactor != 0 {
+			return fmt.Errorf("sim: Schedule is mutually exclusive with Balls/BallsFactor")
+		}
+		if p.Rounds != 0 && p.Rounds != len(p.Schedule) {
+			return fmt.Errorf("sim: Rounds = %d but len(Schedule) = %d", p.Rounds, len(p.Schedule))
+		}
+		for r, a := range p.Schedule {
+			if a < 0 {
+				return fmt.Errorf("sim: Schedule[%d] = %d, need >= 0", r, a)
+			}
+		}
+	}
+	if p.rounds() < 1 {
+		return fmt.Errorf("sim: Rounds = %d, need >= 1", p.Rounds)
+	}
+	if p.Deletions < 0 {
+		return fmt.Errorf("sim: Deletions = %d, need >= 0", p.Deletions)
+	}
+	if p.RebalanceTol < 0 || p.RebalanceTol != p.RebalanceTol {
+		return fmt.Errorf("sim: RebalanceTol = %v, need >= 0", p.RebalanceTol)
+	}
+	return nil
 }
 
 // ClusterParams carries the serving-model parameters of a cluster run
 // (RunSpec.Cluster). Their presence is what makes a spec a cluster
 // spec: EngineAuto dispatches to the cluster engine iff Cluster is
 // non-nil, and no other engine will silently run such a spec. The
-// spec's Array supplies the peer capacities; arrivals come from
-// ArrivalsPerTick, not Config.Balls.
+// spec's Array supplies the peer capacities (ball counts are queue
+// lengths); arrivals come from ArrivalsPerTick, not Config.Balls.
 type ClusterParams struct {
 	// Ticks is the simulation horizon (>= 1).
 	Ticks int
 	// ArrivalsPerTick is the per-tick request count (>= 0).
 	ArrivalsPerTick int64
-	// VnodesPerUnit is the ring density (ClusterConfig.VnodesPerUnit).
+	// VnodesPerUnit gives every peer capacity·VnodesPerUnit ring
+	// points (0 = 2), so arc shares are capacity-proportional in
+	// expectation — the ring-level version of the paper's non-uniform
+	// selection probabilities.
 	VnodesPerUnit int
-	// Churn is the crash/recover plan.
+	// Churn is the crash/recover plan (zero value = no churn).
 	Churn cluster.ChurnPlan
-	// Retry is the timeout/retry policy.
+	// Retry is the timeout/retry policy (zero value = no timeouts).
 	Retry cluster.RetryPolicy
-	// ShedThreshold arms admission control when > 0.
+	// ShedThreshold arms admission control when > 0: arrivals that
+	// would push the total queue beyond threshold·(live capacity) are
+	// shed. 0 admits everything.
 	ShedThreshold float64
-	// LatencyMax is the latency histogram's top bucket in ticks (0 = 32).
+	// LatencyMax is the latency histogram's top bucket in ticks
+	// (0 = 32); completions slower than that land in the overflow
+	// bucket.
 	LatencyMax int
-	// CancelAfterTicks deterministically stops the run after that many
-	// ticks when positive (see ClusterConfig.CancelAfterTicks).
-	CancelAfterTicks int
 }
 
-// RunSpec is the engine-independent description of one experiment: the
-// classic Config (array, distribution, protocol, balls, reps, seed,
-// workers, observables) plus an engine hint and the sharded engine's
-// shard count.
+// validate checks the serving parameters for n peers.
+func (p *ClusterParams) validate(n int) error {
+	switch {
+	case p.Ticks < 1:
+		return fmt.Errorf("sim: Ticks = %d, need >= 1", p.Ticks)
+	case p.ArrivalsPerTick < 0:
+		return fmt.Errorf("sim: ArrivalsPerTick = %d, need >= 0", p.ArrivalsPerTick)
+	case p.VnodesPerUnit < 0:
+		return fmt.Errorf("sim: VnodesPerUnit = %d, need >= 0", p.VnodesPerUnit)
+	case p.ShedThreshold < 0 || p.ShedThreshold != p.ShedThreshold:
+		return fmt.Errorf("sim: ShedThreshold = %v, need >= 0", p.ShedThreshold)
+	case p.LatencyMax < 0:
+		return fmt.Errorf("sim: LatencyMax = %d, need >= 0", p.LatencyMax)
+	}
+	if err := p.Churn.Validate(n); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if err := p.Retry.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
+}
+
+// RunSpec is the engine-independent description of one experiment and
+// the only input of every engine: the classic Config (array,
+// distribution, protocol, balls, reps, seed, workers, observables)
+// plus an engine hint, the sharded engines' parameters and the
+// streaming or serving parameters.
 type RunSpec struct {
 	Config
 	// Engine selects the engine ("" = EngineAuto).
 	Engine Engine
-	// Shards is the sharded and streaming engines' shard count
-	// (0 = DefaultShards). Ignored by the classic and closed-form
-	// engines.
+	// Shards is the sharded engines' shard count (0 = DefaultShards,
+	// clamped to the number of bins). Part of the model: changing it
+	// changes the result, like changing Seed. Ignored by the classic
+	// and closed-form engines.
 	Shards int
+	// ShardStats requests per-shard aggregates across repetitions
+	// (balls routed, final shard-local max load) — the imbalance view
+	// of the two-level protocol, in Result.ShardStats. Costs one
+	// O(shard) scan per shard per repetition. Sharded engine only.
+	ShardStats bool
+	// Resume continues a previously cancelled sharded run from its
+	// checkpoint (see MonteCheckpoint): repetitions [0, CompletedReps)
+	// are taken from the checkpoint and the run proceeds to Reps. The
+	// final aggregates are byte-identical to an uninterrupted run. The
+	// checkpoint's fingerprint must match this spec. Sharded engine
+	// only.
+	Resume *MonteCheckpoint
+	// CancelAfter, when positive, deterministically stops the run
+	// after exactly that many units of the engine's own progress —
+	// repetitions (sharded), rounds (stream) or ticks (cluster) — as
+	// if the context had fired there, with a nil
+	// CancelledError.Cause. Unlike a real context it is timing-free,
+	// which is what lets tests and scripts byte-compare an interrupted
+	// run against an uninterrupted one. The classic and closed-form
+	// engines and RunLarge reject it.
+	CancelAfter int
 	// Stream carries the streaming engine's round parameters. Setting
 	// it makes the spec a streaming spec: EngineAuto (and
 	// EngineStream) run the streaming engine, and every other explicit
@@ -169,10 +271,124 @@ type RunSpec struct {
 	// same exclusivity contract as Stream (and at most one of the two
 	// may be set).
 	Cluster *ClusterParams
-	// AdoptArray lets the engine mutate Config.Array in place instead
-	// of cloning it (streaming engine only; the public wrappers use it
-	// to avoid a transient second O(n) array).
+	// AdoptArray lets the sharded engines mutate Config.Array in place
+	// (reset first) instead of cloning it. The public wrappers, which
+	// build a private array from a capacity slice, use it to avoid a
+	// transient second O(n) array at n = 10^7.
 	AdoptArray bool
+}
+
+// validate checks the spec for engine e and returns its resolved shard
+// count (0 for the chunked engines, which ignore Shards). Every check
+// several engines share lives here once; the round and serving
+// parameters check their own fields, and unsupported says which
+// fields each engine can honour. Every rejection names its field.
+func (spec *RunSpec) validate(e Engine) (shards int, err error) {
+	c := &spec.Config
+	chunked := e == EngineClassic || e == EngineClosedForm
+	switch {
+	// Round parameters bind a spec to the streaming engine, serving
+	// parameters to the cluster engine: any other engine would silently
+	// drop that structure, so it errors instead.
+	case e == EngineStream && spec.Stream == nil:
+		return 0, fmt.Errorf("sim: engine stream needs round parameters (RunSpec.Stream is nil)")
+	case e == EngineCluster && spec.Cluster == nil:
+		return 0, fmt.Errorf("sim: engine cluster needs serving parameters (RunSpec.Cluster is nil)")
+	case e != EngineStream && spec.Stream != nil:
+		return 0, fmt.Errorf("sim: %s cannot run a streaming spec (Stream is set; use engine stream or auto)", e.noun())
+	case e != EngineCluster && spec.Cluster != nil:
+		return 0, fmt.Errorf("sim: %s cannot run a cluster spec (Cluster is set; use engine cluster or auto)", e.noun())
+	case c.Array == nil && c.ArrayFn == nil:
+		return 0, fmt.Errorf("sim: %s needs an Array (no Array or ArrayFn configured)", e.noun())
+	case (chunked || e == EngineSharded) && c.Reps < 1:
+		return 0, fmt.Errorf("sim: Reps = %d, need >= 1", c.Reps)
+	case c.Balls < 0:
+		return 0, fmt.Errorf("sim: Balls = %d, need >= 0", c.Balls)
+	case c.BallsFactor < 0:
+		return 0, fmt.Errorf("sim: BallsFactor = %v, need >= 0", c.BallsFactor)
+	case c.Workers < 0:
+		return 0, fmt.Errorf("sim: Workers = %d, need >= 0", c.Workers)
+	case spec.CancelAfter < 0:
+		return 0, fmt.Errorf("sim: CancelAfter = %d, need >= 0", spec.CancelAfter)
+	case len(c.ClassLoadVectors) > 0 && c.ArrayFn != nil:
+		return 0, fmt.Errorf("sim: ClassLoadVectors requires a fixed Array")
+	}
+	for i, class := range c.ClassLoadVectors {
+		if class < 1 {
+			return 0, fmt.Errorf("sim: ClassLoadVectors[%d] = %d, capacity classes are >= 1", i, class)
+		}
+	}
+	for i, class := range c.TrackClasses {
+		if class < 1 {
+			return 0, fmt.Errorf("sim: TrackClasses[%d] = %d, capacity classes are >= 1", i, class)
+		}
+	}
+	for i, class := range c.ClassMaxLoads {
+		if class < 1 {
+			return 0, fmt.Errorf("sim: ClassMaxLoads[%d] = %d, capacity classes are >= 1", i, class)
+		}
+	}
+	if err := c.ObsOptions.validate(); err != nil {
+		return 0, err
+	}
+	if err := spec.unsupported(e); err != nil {
+		return 0, err
+	}
+	switch e {
+	case EngineClassic, EngineClosedForm:
+		return 0, nil
+	case EngineStream:
+		err = spec.Stream.validate(c)
+	case EngineCluster:
+		err = spec.Cluster.validate(c.Array.N())
+	}
+	if err != nil {
+		return 0, err
+	}
+	return resolveShards(spec.Shards, c.Array.N())
+}
+
+// unsupported reports, by field name, the first field of the spec that
+// engine e cannot honour (nil when e can run the spec). It is the one
+// capability table: every engine rejects through it and EngineAuto
+// uses it as its selection predicate. The chunked engines (classic,
+// closed-form) run every Config observable on fixed or per-repetition
+// arrays; the sharded engines work on one fixed array and its
+// whole-array observables; RunLarge, stream and cluster run a single
+// trajectory.
+func (spec *RunSpec) unsupported(e Engine) error {
+	c := &spec.Config
+	chunked := e == EngineClassic || e == EngineClosedForm
+	single := e == engineLarge || e == EngineStream || e == EngineCluster
+	switch {
+	case !chunked && c.ArrayFn != nil:
+		return fmt.Errorf("sim: ArrayFn: %s needs a fixed Array (ArrayFn builds per-repetition arrays)", e.noun())
+	case single && c.Reps > 1:
+		return fmt.Errorf("sim: Reps = %d: %s runs a single trajectory", c.Reps, e.noun())
+	case single && c.CollectLoadVector:
+		return fmt.Errorf("sim: %s does not collect the sorted load vector (CollectLoadVector)", e.noun())
+	case !chunked && len(c.TrackClasses) > 0:
+		return fmt.Errorf("sim: %s does not collect TrackClasses", e.noun())
+	case !chunked && len(c.ClassLoadVectors) > 0:
+		return fmt.Errorf("sim: %s does not collect ClassLoadVectors", e.noun())
+	case !chunked && len(c.ClassMaxLoads) > 0:
+		return fmt.Errorf("sim: %s does not collect ClassMaxLoads", e.noun())
+	case e != EngineClassic && c.HeightBins > 0:
+		return fmt.Errorf("sim: HeightBins = %d: %s does not collect the per-ball height histogram (classic engine only)", c.HeightBins, e.noun())
+	case (chunked || e == engineLarge) && spec.CancelAfter > 0:
+		return fmt.Errorf("sim: CancelAfter = %d: %s has no deterministic stop (sharded, stream and cluster engines only)", spec.CancelAfter, e.noun())
+	case e != EngineSharded && spec.ShardStats:
+		return fmt.Errorf("sim: %s does not collect ShardStats (sharded engine only)", e.noun())
+	case e != EngineSharded && spec.Resume != nil:
+		return fmt.Errorf("sim: %s cannot Resume a checkpoint (sharded engine only)", e.noun())
+	case e == EngineCluster && c.Dist != nil:
+		return fmt.Errorf("sim: %s derives dispatch weights from the ring's live arcs (Dist is not configurable)", e.noun())
+	case e == EngineCluster && (c.Balls != 0 || c.BallsFactor != 0):
+		return fmt.Errorf("sim: %s takes arrivals from Cluster.ArrivalsPerTick, not Balls/BallsFactor", e.noun())
+	case e == EngineClosedForm && !singleChoiceFactory(c.factory()):
+		return fmt.Errorf("sim: %s needs a single-choice Placer (single, or d=1 / beta=0 variants)", e.noun())
+	}
+	return nil
 }
 
 // Dispatch resolves the spec's engine and runs it, converging on the
@@ -187,18 +403,14 @@ func Dispatch(spec RunSpec) (*Result, error) {
 	}
 	var res *Result
 	switch engine {
-	case EngineClassic:
-		res, err = Run(spec.Config)
-	case EngineClosedForm:
-		res, err = RunClosed(spec.Config)
+	case EngineClassic, EngineClosedForm:
+		res, err = runChunked(engine, &spec)
 	case EngineSharded:
 		res, err = runShardedSpec(&spec)
 	case EngineStream:
 		res, err = runStreamSpec(&spec)
 	case EngineCluster:
 		res, err = runClusterSpec(&spec)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %q", engine)
 	}
 	if res != nil {
 		res.Engine = engine
@@ -206,58 +418,22 @@ func Dispatch(spec RunSpec) (*Result, error) {
 	return res, err
 }
 
-// resolveEngine applies the selection rule. Explicitly requested
-// engines fail loudly when the spec is outside their capability;
-// EngineAuto only ever picks an engine that supports the spec.
+// resolveEngine applies the selection rule. An explicitly requested
+// engine is returned as is — its entry point rejects, by field name,
+// any spec outside its capability — while EngineAuto only ever picks
+// an engine that supports the spec.
 func (spec *RunSpec) resolveEngine() (Engine, error) {
-	// Round parameters bind the spec to the streaming engine, serving
-	// parameters to the cluster engine: any other explicit engine would
-	// silently drop that structure, so it errors instead.
 	if spec.Stream != nil && spec.Cluster != nil {
 		return "", fmt.Errorf("sim: Stream and Cluster both set: a spec is streaming or serving, not both")
 	}
-	if spec.Stream != nil {
-		switch spec.Engine {
-		case "", EngineAuto, EngineStream:
-			if err := streamUnsupported(spec); err != nil {
-				return "", err
-			}
-			return EngineStream, nil
-		case EngineClassic, EngineSharded, EngineClosedForm, EngineCluster:
-			return "", fmt.Errorf("sim: engine %q cannot run a streaming spec (Stream is set; use engine stream or auto)", spec.Engine)
-		}
-		return "", fmt.Errorf("sim: unknown engine %q (want auto, classic, sharded, closed-form, stream or cluster)", spec.Engine)
-	}
-	if spec.Cluster != nil {
-		switch spec.Engine {
-		case "", EngineAuto, EngineCluster:
-			if err := clusterUnsupported(spec); err != nil {
-				return "", err
-			}
-			return EngineCluster, nil
-		case EngineClassic, EngineSharded, EngineClosedForm, EngineStream:
-			return "", fmt.Errorf("sim: engine %q cannot run a cluster spec (Cluster is set; use engine cluster or auto)", spec.Engine)
-		}
-		return "", fmt.Errorf("sim: unknown engine %q (want auto, classic, sharded, closed-form, stream or cluster)", spec.Engine)
-	}
 	switch spec.Engine {
-	case EngineClassic:
-		return EngineClassic, nil
-	case EngineClosedForm:
-		if err := closedUnsupported(&spec.Config); err != nil {
-			return "", err
-		}
-		return EngineClosedForm, nil
-	case EngineSharded:
-		if err := shardedUnsupported(&spec.Config); err != nil {
-			return "", err
-		}
-		return EngineSharded, nil
-	case EngineStream:
-		return "", fmt.Errorf("sim: engine stream needs round parameters (RunSpec.Stream is nil)")
-	case EngineCluster:
-		return "", fmt.Errorf("sim: engine cluster needs serving parameters (RunSpec.Cluster is nil)")
 	case "", EngineAuto:
+		if spec.Stream != nil {
+			return EngineStream, nil
+		}
+		if spec.Cluster != nil {
+			return EngineCluster, nil
+		}
 		// Auto: below the scale threshold stay classic (bit-compatible
 		// with the seed harness); at scale prefer closed-form (exact
 		// law, no per-ball work), then sharded.
@@ -265,70 +441,17 @@ func (spec *RunSpec) resolveEngine() (Engine, error) {
 		if err != nil || n < AutoScaleMinBins {
 			return EngineClassic, nil
 		}
-		if closedUnsupported(&spec.Config) == nil {
+		if spec.unsupported(EngineClosedForm) == nil {
 			return EngineClosedForm, nil
 		}
-		if shardedUnsupported(&spec.Config) == nil {
+		if spec.unsupported(EngineSharded) == nil {
 			return EngineSharded, nil
 		}
 		return EngineClassic, nil
+	case EngineClassic, EngineSharded, EngineClosedForm, EngineStream, EngineCluster:
+		return spec.Engine, nil
 	}
 	return "", fmt.Errorf("sim: unknown engine %q (want auto, classic, sharded, closed-form, stream or cluster)", spec.Engine)
-}
-
-// streamUnsupported reports, by field name, why the streaming engine
-// cannot run the spec (nil when it can). Like the sharded engine it
-// works on fixed arrays and whole-array observables; it runs a single
-// stream, not repetitions.
-func streamUnsupported(spec *RunSpec) error {
-	c := &spec.Config
-	switch {
-	case c.ArrayFn != nil:
-		return fmt.Errorf("sim: streaming engine needs a fixed Array (ArrayFn builds per-repetition arrays)")
-	case c.Reps > 1:
-		return fmt.Errorf("sim: Reps = %d: the streaming engine runs a single stream", c.Reps)
-	case c.CollectLoadVector:
-		return fmt.Errorf("sim: streaming engine does not collect the sorted load vector (CollectLoadVector)")
-	case len(c.TrackClasses) > 0:
-		return fmt.Errorf("sim: streaming engine does not collect TrackClasses")
-	case len(c.ClassLoadVectors) > 0:
-		return fmt.Errorf("sim: streaming engine does not collect ClassLoadVectors")
-	case len(c.ClassMaxLoads) > 0:
-		return fmt.Errorf("sim: streaming engine does not collect ClassMaxLoads")
-	case c.HeightBins > 0:
-		return fmt.Errorf("sim: streaming engine does not collect the per-ball height histogram")
-	}
-	return nil
-}
-
-// clusterUnsupported reports, by field name, why the cluster engine
-// cannot run the spec (nil when it can). Like the streaming engine it
-// runs a single trajectory over a fixed array; dispatch probabilities
-// come from the ring's live arcs, never from Config.Dist; arrivals
-// come from ClusterParams.ArrivalsPerTick, never from Config.Balls.
-func clusterUnsupported(spec *RunSpec) error {
-	c := &spec.Config
-	switch {
-	case c.ArrayFn != nil:
-		return fmt.Errorf("sim: cluster engine needs a fixed Array (ArrayFn builds per-repetition arrays)")
-	case c.Dist != nil:
-		return fmt.Errorf("sim: cluster engine derives dispatch weights from the ring's live arcs (Dist is not configurable)")
-	case c.Balls != 0 || c.BallsFactor != 0:
-		return fmt.Errorf("sim: cluster engine takes arrivals from Cluster.ArrivalsPerTick, not Balls/BallsFactor")
-	case c.Reps > 1:
-		return fmt.Errorf("sim: Reps = %d: the cluster engine runs a single trajectory", c.Reps)
-	case c.CollectLoadVector:
-		return fmt.Errorf("sim: cluster engine does not collect the sorted load vector (CollectLoadVector)")
-	case len(c.TrackClasses) > 0:
-		return fmt.Errorf("sim: cluster engine does not collect TrackClasses")
-	case len(c.ClassLoadVectors) > 0:
-		return fmt.Errorf("sim: cluster engine does not collect ClassLoadVectors")
-	case len(c.ClassMaxLoads) > 0:
-		return fmt.Errorf("sim: cluster engine does not collect ClassMaxLoads")
-	case c.HeightBins > 0:
-		return fmt.Errorf("sim: cluster engine does not collect the per-ball height histogram")
-	}
-	return nil
 }
 
 // probeNBins is nBins with panic containment: a panicking ArrayFn must
@@ -344,46 +467,13 @@ func probeNBins(c *Config) (n int, err error) {
 	return nBins(c)
 }
 
-// shardedUnsupported reports why the sharded engine cannot run the
-// spec (nil when it can). The sharded engine works on fixed arrays and
-// the observables RunLargeMonte aggregates; per-class and per-ball
-// observables stay classic.
-func shardedUnsupported(c *Config) error {
-	switch {
-	case c.ArrayFn != nil:
-		return fmt.Errorf("sim: sharded engine needs a fixed Array (ArrayFn builds per-repetition arrays)")
-	case len(c.TrackClasses) > 0:
-		return fmt.Errorf("sim: sharded engine does not collect TrackClasses")
-	case len(c.ClassLoadVectors) > 0:
-		return fmt.Errorf("sim: sharded engine does not collect ClassLoadVectors")
-	case len(c.ClassMaxLoads) > 0:
-		return fmt.Errorf("sim: sharded engine does not collect ClassMaxLoads")
-	case c.HeightBins > 0:
-		return fmt.Errorf("sim: sharded engine does not collect the per-ball height histogram")
-	}
-	return nil
-}
-
-// closedUnsupported reports why the closed-form engine cannot run the
-// spec (nil when it can): the protocol must place every ball by one
-// independent weighted draw — then and only then is the final load
-// vector one Multinomial(m, p) sample — and the per-ball height
-// histogram needs a placement order the closed form integrates out.
-func closedUnsupported(c *Config) error {
-	if c.HeightBins > 0 {
-		return fmt.Errorf("sim: closed-form engine does not collect the per-ball height histogram")
-	}
-	if !singleChoiceFactory(c.factory()) {
-		return fmt.Errorf("sim: closed-form engine needs a single-choice protocol (single, or d=1 / beta=0 variants)")
-	}
-	return nil
-}
-
 // singleChoiceFactory reports whether the factory builds a protocol
-// that places each ball by a single independent weighted draw. It
-// probes the factory on a tiny array and matches the placer's name —
-// the protocol package's names are part of its contract (they key the
-// figure tables) — containing any probe panic as "not single-choice".
+// that places each ball by a single independent weighted draw — then
+// and only then is the final load vector one Multinomial(m, p) sample,
+// the closed-form engine's model. It probes the factory on a tiny
+// array and matches the placer's name — the protocol package's names
+// are part of its contract (they key the figure tables) — containing
+// any probe panic as "not single-choice".
 func singleChoiceFactory(f protocol.Factory) (single bool) {
 	defer func() {
 		if recover() != nil {
@@ -405,28 +495,12 @@ func singleChoiceFactory(f protocol.Factory) (single bool) {
 	return false
 }
 
-// runShardedSpec maps the spec onto RunLargeMonte and its result back
-// onto the classic Result shape. The mapping is total for everything
-// shardedUnsupported admits; checkpoint rows keep the sharded model's
-// block-aligned realised cuts (RealBalls <= the requested cut).
+// runShardedSpec runs the spec on RunLargeMonte and maps its result
+// onto the classic Result shape; checkpoint rows keep the sharded
+// model's block-aligned realised cuts (RealBalls <= the requested
+// cut).
 func runShardedSpec(spec *RunSpec) (*Result, error) {
-	mcfg := LargeMonteConfig{
-		LargeConfig: LargeConfig{
-			Array:       spec.Array,
-			Dist:        spec.Dist,
-			Placer:      spec.Placer,
-			Balls:       spec.Balls,
-			BallsFactor: spec.BallsFactor,
-			Seed:        spec.Seed,
-			Shards:      spec.Shards,
-			Workers:     spec.Workers,
-			Context:     spec.Context,
-			ObsOptions:  spec.ObsOptions,
-		},
-		Reps:              spec.Reps,
-		CollectLoadVector: spec.CollectLoadVector,
-	}
-	mres, merr := RunLargeMonte(mcfg)
+	mres, merr := RunLargeMonte(*spec)
 	if mres == nil {
 		return nil, merr
 	}
@@ -440,6 +514,7 @@ func runShardedSpec(spec *RunSpec) (*Result, error) {
 		MeanSortedLoads: mres.MeanSortedLoads,
 		Checkpoints:     mres.Checkpoints,
 		HeightCounts:    mres.HeightCounts,
+		ShardStats:      mres.ShardStats,
 	}
 	// The sharded engine runs fixed arrays only, so balls and capacity
 	// are the same constant every repetition.
@@ -449,34 +524,15 @@ func runShardedSpec(spec *RunSpec) (*Result, error) {
 	return res, merr
 }
 
-// runStreamSpec maps the spec onto the streaming engine and its
-// result back onto the classic Result shape: the final-state load
-// statistics become single-observation aggregates, the round-indexed
-// trajectory rows flow through Checkpoints, and the full streaming
-// result rides along in Result.Stream. A cancelled run converts the
-// deterministic completed-round partial and passes the
-// *CancelledError through untouched.
+// runStreamSpec runs the streaming engine and maps its result onto the
+// classic Result shape: the final-state load statistics become
+// single-observation aggregates, the round-indexed trajectory rows
+// flow through Checkpoints, and the full streaming result rides along
+// in Result.Stream. A cancelled run converts the deterministic
+// completed-round partial and passes the *CancelledError through
+// untouched.
 func runStreamSpec(spec *RunSpec) (*Result, error) {
-	p := spec.Stream
-	scfg := StreamConfig{
-		Array:             spec.Array,
-		Dist:              spec.Dist,
-		Placer:            spec.Placer,
-		Rounds:            p.Rounds,
-		Arrivals:          spec.Balls,
-		ArrivalsFactor:    spec.BallsFactor,
-		Schedule:          p.Schedule,
-		Deletions:         p.Deletions,
-		RebalanceTol:      p.RebalanceTol,
-		Seed:              spec.Seed,
-		Shards:            spec.Shards,
-		Workers:           spec.Workers,
-		Context:           spec.Context,
-		AdoptArray:        spec.AdoptArray,
-		CancelAfterRounds: p.CancelAfterRounds,
-		ObsOptions:        spec.ObsOptions,
-	}
-	sres, serr := runStream(scfg)
+	sres, serr := runStream(spec)
 	if sres == nil {
 		return nil, serr
 	}
@@ -499,34 +555,15 @@ func runStreamSpec(spec *RunSpec) (*Result, error) {
 	return res, serr
 }
 
-// runClusterSpec maps the spec onto the cluster engine and its result
-// back onto the classic Result shape: the final queue-state statistics
-// become single-observation aggregates, the tick-indexed trajectory
-// rows flow through Checkpoints, and the full serving result rides
-// along in Result.Cluster. A cancelled run converts the deterministic
+// runClusterSpec runs the cluster engine and maps its result onto the
+// classic Result shape: the final queue-state statistics become
+// single-observation aggregates, the tick-indexed trajectory rows flow
+// through Checkpoints, and the full serving result rides along in
+// Result.Cluster. A cancelled run converts the deterministic
 // completed-tick partial and passes the *CancelledError through
 // untouched.
 func runClusterSpec(spec *RunSpec) (*Result, error) {
-	p := spec.Cluster
-	ccfg := ClusterConfig{
-		Array:            spec.Array,
-		Placer:           spec.Placer,
-		Ticks:            p.Ticks,
-		Arrivals:         p.ArrivalsPerTick,
-		VnodesPerUnit:    p.VnodesPerUnit,
-		Churn:            p.Churn,
-		Retry:            p.Retry,
-		ShedThreshold:    p.ShedThreshold,
-		LatencyMax:       p.LatencyMax,
-		Seed:             spec.Seed,
-		Shards:           spec.Shards,
-		Workers:          spec.Workers,
-		Context:          spec.Context,
-		AdoptArray:       spec.AdoptArray,
-		CancelAfterTicks: p.CancelAfterTicks,
-		ObsOptions:       spec.ObsOptions,
-	}
-	cres, cerr := runCluster(ccfg)
+	cres, cerr := runCluster(spec)
 	if cres == nil {
 		return nil, cerr
 	}
@@ -542,6 +579,7 @@ func runClusterSpec(spec *RunSpec) (*Result, error) {
 		// state, so its accumulators stay empty.
 		res.MaxLoad.AddN(cres.MaxQueueLoad, 1)
 		res.AvgLoad.AddN(cres.AvgQueueLoad, 1)
+		res.Deviation.AddN(cres.MaxQueueLoad-cres.AvgQueueLoad, 1)
 		res.Balls.AddN(float64(cres.FinalQueued), 1)
 		res.TotalCapacity.AddN(float64(spec.Array.TotalCapacity()), 1)
 	}

@@ -264,3 +264,59 @@ func TestDispatchCancelledPassthrough(t *testing.T) {
 		}
 	}
 }
+
+// TestDispatchConservation asserts the model's ball-conservation
+// identities at the Dispatch boundary of every engine: the ball count
+// is the average load times the capacity, every engine reports the
+// gap (Deviation), and the streaming and serving engines' counters
+// account for every ball in the final array.
+func TestDispatchConservation(t *testing.T) {
+	a := largeArray(t, 600)
+	churn, retry := stressPlan()
+	specs := map[Engine]RunSpec{
+		EngineClassic:    {Config: Config{Array: a, Reps: 4, Seed: 1}, Engine: EngineClassic},
+		EngineClosedForm: {Config: Config{Array: a, Reps: 4, Seed: 2, Placer: protocol.SingleFactory()}, Engine: EngineClosedForm},
+		EngineSharded:    {Config: Config{Array: a, Reps: 3, Seed: 3, BallsFactor: 2}, Engine: EngineSharded, Shards: 4},
+		EngineStream: {Config: Config{Array: a, Seed: 4, Balls: 900}, Shards: 4,
+			Stream: &StreamParams{Rounds: 4, Deletions: 500, RebalanceTol: 0.1}},
+		EngineCluster: {Config: Config{Array: a, Seed: 5}, Shards: 4,
+			Cluster: &ClusterParams{Ticks: 12, ArrivalsPerTick: 8000, Churn: churn, Retry: retry, ShedThreshold: 1.5}},
+	}
+	for engine, spec := range specs {
+		res, err := Dispatch(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if res.Engine != engine {
+			t.Fatalf("%s: dispatched to %s", engine, res.Engine)
+		}
+		balls, avg, capacity := res.Balls.Mean(), res.AvgLoad.Mean(), res.TotalCapacity.Mean()
+		if balls <= 0 || math.Abs(avg*capacity-balls) > 1e-9*balls {
+			t.Errorf("%s: Balls = %v, AvgLoad·TotalCapacity = %v·%v", engine, balls, avg, capacity)
+		}
+		if res.Deviation.N() == 0 || math.IsNaN(res.Deviation.Mean()) {
+			t.Errorf("%s: Deviation not filled (n = %d)", engine, res.Deviation.N())
+		}
+		if s := res.Stream; s != nil {
+			var shardSum int64
+			for _, b := range s.ShardBalls {
+				shardSum += b
+			}
+			if s.Arrived-s.Deleted != s.Balls || shardSum != s.Balls || s.Array.TotalBalls() != s.Balls || float64(s.Balls) != balls {
+				t.Errorf("stream: arrived %d − deleted %d, balls %d, Σ shards %d, array %d, result %v",
+					s.Arrived, s.Deleted, s.Balls, shardSum, s.Array.TotalBalls(), balls)
+			}
+		}
+		if c := res.Cluster; c != nil {
+			if c.FinalQueued != c.Array.TotalBalls() || float64(c.FinalQueued) != balls {
+				t.Errorf("cluster: queued %d, array %d, result %v", c.FinalQueued, c.Array.TotalBalls(), balls)
+			}
+			if c.Arrived != c.Shed+c.Admitted || c.Admitted != c.Completed+c.Failed+c.PendingRetry+c.FinalQueued {
+				t.Errorf("cluster admission identities broken: %+v", c)
+			}
+			if c.Shed == 0 || c.Retried == 0 || c.Redistributed == 0 {
+				t.Errorf("cluster spec too quiet to test conservation: %+v", c)
+			}
+		}
+	}
+}

@@ -3,7 +3,7 @@
 //
 // # Cooperative cancellation
 //
-// Every engine config carries an optional context.Context. Cancellation
+// Every spec carries an optional context.Context. Cancellation
 // is checked at task boundaries — one classic repetition, one routing
 // block, one RoutingBlock-sized placement or deletion stride — and at
 // every phase barrier, so cancellation latency is bounded by one block
@@ -51,7 +51,7 @@ const (
 // ErrCancelled is the sentinel every cancellation error matches:
 // errors.Is(err, ErrCancelled) is true exactly when a run stopped
 // early because its context was cancelled (or a deterministic
-// self-cancel like CancelAfterReps fired) rather than because of a
+// self-cancel — RunSpec.CancelAfter — fired) rather than because of a
 // failure.
 var ErrCancelled = errors.New("sim: run cancelled")
 
@@ -59,19 +59,20 @@ var ErrCancelled = errors.New("sim: run cancelled")
 // that returns it ALSO returns a non-nil partial result; the fields
 // here describe which deterministic prefix that partial covers.
 type CancelledError struct {
-	// Engine is the engine that was cancelled ("Run", "RunLarge",
-	// "RunLargeMonte").
+	// Engine is the engine that was cancelled ("Run", "RunClosed",
+	// "RunLarge", "RunLargeMonte", "RunStream" or "RunCluster").
 	Engine string
 	// CompletedReps is the folded repetition prefix of the partial
-	// (Run, RunLargeMonte): aggregates cover reps [0, CompletedReps)
-	// and are bit-identical to a run configured with that Reps value.
-	// -1 for RunLarge (whose unit of progress is checkpoint cuts) and
-	// for the streaming engine (whose unit is completed rounds).
+	// (Run, RunClosed, RunLargeMonte): aggregates cover reps
+	// [0, CompletedReps) and are bit-identical to a run configured with
+	// that Reps value. -1 for RunLarge (whose unit of progress is
+	// checkpoint cuts) and for the streaming and cluster engines (whose
+	// units are completed rounds and ticks).
 	CompletedReps int
 	// CompletedCuts is the number of leading checkpoint rows present
-	// in a cancelled RunLarge or RunStream partial (each bit-identical
-	// to the corresponding row of an uninterrupted run). -1 for the
-	// repetition-based engines.
+	// in a cancelled RunLarge, RunStream or RunCluster partial (each
+	// bit-identical to the corresponding row of an uninterrupted run).
+	// -1 for the repetition-based engines.
 	CompletedCuts int
 	// CompletedRounds is the completed-round prefix of a cancelled
 	// streaming run: the partial's trajectory, counters and shard
@@ -87,11 +88,11 @@ type CancelledError struct {
 	CompletedTicks int
 	// Checkpoint is the serializable resume state of a cancelled
 	// RunLargeMonte run (nil for the other engines): feeding it back
-	// through LargeMonteConfig.Resume continues the run and produces
+	// through RunSpec.Resume continues the run and produces
 	// final aggregates byte-identical to an uninterrupted one.
 	Checkpoint *MonteCheckpoint
 	// Cause is the context error that triggered the cancellation, or
-	// nil when a deterministic self-cancel (CancelAfterReps) fired.
+	// nil when a deterministic self-cancel (RunSpec.CancelAfter) fired.
 	Cause error
 }
 

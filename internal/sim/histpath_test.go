@@ -105,18 +105,20 @@ func TestRunHistogramPathMatchesNaive(t *testing.T) {
 // collector, bit for bit.
 func TestRunLargeMonteHistogramMatchesNaive(t *testing.T) {
 	a := largeArray(t, 900)
-	ref, err := RunLarge(LargeConfig{Array: a, Seed: 2718, Shards: 16})
+	ref, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 2718}, Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{
-			Array: a, Seed: 2718, Shards: 16,
-			ObsOptions: ObsOptions{HeightLevels: 3},
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array:             a,
+			Seed:              2718,
+			ObsOptions:        ObsOptions{HeightLevels: 3},
+			Reps:              1,
+			CollectLoadVector: true,
 		},
-		Reps:              1,
-		CollectLoadVector: true,
-		ShardStats:        true,
+		Shards:     16,
+		ShardStats: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,13 +146,17 @@ func TestRunLargeMonteHistogramMatchesNaive(t *testing.T) {
 // report identical stats for the identical placement.
 func TestRunLargeFinalHistogramMatchesScan(t *testing.T) {
 	a := largeArray(t, 700)
-	plain, err := RunLarge(LargeConfig{Array: a, Seed: 5, Shards: 8})
+	plain, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 5}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withHeights, err := RunLarge(LargeConfig{
-		Array: a, Seed: 5, Shards: 8,
-		ObsOptions: ObsOptions{HeightLevels: 5},
+	withHeights, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       5,
+			ObsOptions: ObsOptions{HeightLevels: 5},
+		},
+		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -50,11 +50,9 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bins"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -62,82 +60,19 @@ import (
 	"repro/internal/xrand"
 )
 
-// DefaultShards is the shard count used when LargeConfig.Shards is 0.
+// DefaultShards is the shard count used when RunSpec.Shards is 0.
 // It is a fixed constant (not derived from the machine) so results are
 // reproducible across environments; 64 shards keep 4-16 workers busy
 // with low imbalance while leaving per-shard arrays large enough that
 // the within-shard game is statistically meaningful.
 const DefaultShards = 64
 
-// LargeConfig describes one sharded single-run experiment.
-type LargeConfig struct {
-	// Array supplies the capacities (required). It is cloned and reset;
-	// the caller's array is never mutated.
-	Array *bins.Array
-	// Dist chooses bin selection weights. Nil defaults to
-	// dist.Proportional{}.
-	Dist dist.Distribution
-	// Placer builds the per-shard allocation protocol. Nil defaults to
-	// the paper's Algorithm 1 with d = 2.
-	Placer protocol.Factory
-	// Balls is the number of balls to place. When 0, the count is
-	// BallsFactor·C (rounded), and when BallsFactor is also 0 it
-	// defaults to exactly C — the same rules as Config.
-	Balls int64
-	// BallsFactor scales the total capacity into a ball count.
-	BallsFactor float64
-	// Seed is the base RNG seed. Routing block b draws from substream
-	// (Seed, stream 0, b); stream 1+s places shard s.
-	Seed uint64
-	// Shards is the number of contiguous shards (0 = DefaultShards,
-	// clamped to the number of bins). Part of the model: changing it
-	// changes the result, like changing Seed.
-	Shards int
-	// Workers caps parallelism (0 = GOMAXPROCS). Never affects the
-	// result, only the wall clock.
-	Workers int
-	// Context, when non-nil, arms cooperative cancellation: the run
-	// polls it at routing-block and placement-stride boundaries (never
-	// per ball) and, once it fires, returns a *CancelledError together
-	// with a deterministic partial result — the longest complete
-	// checkpoint-cut prefix, bit-identical to the corresponding rows of
-	// an uninterrupted run. Nil behaves like context.Background() and
-	// keeps the hot path bit-for-bit unchanged.
-	Context context.Context
-
-	// ObsOptions is the shared observation-option block (see
-	// obsoptions.go). In the sharded engines Checkpoints are global
-	// ball counts realised as block-aligned per-shard cuts: the
-	// routing model orders balls block by block and, within a routing
-	// block, by shard index; a checkpoint at B is realised as the
-	// number of balls among the first B so ordered that belong to
-	// each shard (full blocks below B plus a shard-ordered partial
-	// fill of the boundary block; see route.go) — aligned down to the
-	// placement kernel's block size (protocol.BlockSize) so snapshots
-	// land between SampleBatch blocks. The realised ball count
-	// (CheckpointRow.RealBalls, a multiple of the block size, <= B)
-	// reflects that; a cut whose realisation is empty (B below
-	// ~BlockSize) is skipped like a cut beyond m, visible through
-	// Reps. Like Shards, the cut rule is part of the model: it
-	// depends only on (Seed, Shards, Checkpoints), never on Workers —
-	// and requesting checkpoints never moves a single draw: the final
-	// state is bit-identical with and without them. HeightLevels
-	// observes the final state; the per-ball height histogram
-	// (HeightBins) is classic-engine-only and rejected here.
-	ObsOptions
-	// AdoptArray lets the engine take ownership of Array: it is reset
-	// and mutated in place instead of cloned first. The public
-	// wrappers, which build a private array from a capacity slice,
-	// use it to avoid a transient second O(n) array at n = 10^7.
-	AdoptArray bool
-}
-
 // LargeResult aggregates one sharded run.
 type LargeResult struct {
 	// N is the number of bins; Shards the realised shard count.
 	N      int
 	Shards int
-	// Balls is the total number of balls placed (= cfg.Balls or C).
+	// Balls is the total number of balls placed (spec.ballCount).
 	Balls int64
 	// MaxLoad, AvgLoad and Deviation are the final whole-array load
 	// statistics (deviation = max − average).
@@ -155,28 +90,6 @@ type LargeResult struct {
 	HeightCounts []obs.HeightRow
 	// Array is the final bin state (owned by the caller).
 	Array *bins.Array
-}
-
-func (c *LargeConfig) validate() (shards int, err error) {
-	if c.Array == nil {
-		return 0, fmt.Errorf("sim: RunLarge needs an Array")
-	}
-	if c.Balls < 0 {
-		return 0, fmt.Errorf("sim: Balls = %d, need >= 0", c.Balls)
-	}
-	if c.BallsFactor < 0 {
-		return 0, fmt.Errorf("sim: BallsFactor = %v, need >= 0", c.BallsFactor)
-	}
-	if c.Workers < 0 {
-		return 0, fmt.Errorf("sim: Workers = %d, need >= 0", c.Workers)
-	}
-	if err := c.ObsOptions.validate(); err != nil {
-		return 0, err
-	}
-	if err := c.ObsOptions.rejectHeightBins("the sharded engine"); err != nil {
-		return 0, err
-	}
-	return resolveShards(c.Shards, c.Array.N())
 }
 
 // RunLarge's task kinds: routing groups (phase 1), then shards
@@ -227,32 +140,35 @@ func (r *largeRun) exec(kind, i int) error {
 	return placeShard(r.cc, r.views[i], r.weights[r.bounds[i]:r.bounds[i+1]], r.factory, r.seed, r.counts[i], i, r.prefix, r.track, r.cutsDone)
 }
 
-// RunLarge executes one sharded single run. See the package comment of
-// this file for the model and the determinism contract.
+// RunLarge executes one sharded single run of the spec's game. See the
+// package comment of this file for the model and the determinism
+// contract. The spec's Array is cloned and reset (mutated in place
+// under AdoptArray); Balls/BallsFactor follow Config's rules; the
+// observation options follow the sharded cut rule (ObsOptions).
 //
-// When cfg.Context is cancelled mid-run, RunLarge returns a partial
+// When spec.Context is cancelled mid-run, RunLarge returns a partial
 // *LargeResult together with a *CancelledError: the partial carries
 // the longest checkpoint-cut prefix every shard completed (rows
 // bit-identical to the corresponding rows of an uninterrupted run) but
 // no final array state. A panic in any routing or placement task
 // surfaces as a *PanicError, never as a crash or a hang.
-func RunLarge(cfg LargeConfig) (*LargeResult, error) {
-	shards, err := cfg.validate()
+func RunLarge(spec RunSpec) (*LargeResult, error) {
+	shards, err := spec.validate(engineLarge)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := newSharded(engRunLarge, &cfg, shards, nil)
+	sh, err := newSharded(engRunLarge, &spec, shards, nil)
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
+	cc := newCanceller(spec.Context)
 	arr, n := sh.arr, sh.n
-	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(arr.TotalCapacity())
+	m := spec.ballCount(arr.TotalCapacity())
 
-	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
+	cuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
 	nCuts := obs.CountReached(cuts, m)
 	r := &largeRun{
-		sharded: sh, cc: cc, seed: cfg.Seed, m: m, rbase: xrand.Mix64(cfg.Seed, 0),
+		sharded: sh, cc: cc, seed: spec.Seed, m: m, rbase: xrand.Mix64(spec.Seed, 0),
 		counts: make([]int64, shards), views: make([]*bins.Array, shards),
 	}
 	var realized []int64
@@ -353,7 +269,7 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	if len(cuts) > 0 {
 		res.Checkpoints = cutRows(cuts, realized, r.track, arr.TotalCapacity())
 	}
-	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = finalState(engRunLarge, arr, cfg.HeightLevels, m)
+	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = finalState(engRunLarge, arr, spec.HeightLevels, m)
 	if err != nil {
 		return nil, err
 	}

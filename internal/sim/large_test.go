@@ -20,27 +20,27 @@ func largeArray(t testing.TB, n int) *bins.Array {
 }
 
 func TestRunLargeValidation(t *testing.T) {
-	if _, err := RunLarge(LargeConfig{}); err == nil {
+	if _, err := RunLarge(RunSpec{}); err == nil {
 		t.Error("nil array accepted")
 	}
 	a := largeArray(t, 100)
-	if _, err := RunLarge(LargeConfig{Array: a, Balls: -1}); err == nil {
+	if _, err := RunLarge(RunSpec{Config: Config{Array: a, Balls: -1}}); err == nil {
 		t.Error("negative balls accepted")
 	}
-	if _, err := RunLarge(LargeConfig{Array: a, BallsFactor: -0.5}); err == nil {
+	if _, err := RunLarge(RunSpec{Config: Config{Array: a, BallsFactor: -0.5}}); err == nil {
 		t.Error("negative factor accepted")
 	}
-	if _, err := RunLarge(LargeConfig{Array: a, Shards: -3}); err == nil {
+	if _, err := RunLarge(RunSpec{Config: Config{Array: a}, Shards: -3}); err == nil {
 		t.Error("negative shards accepted")
 	}
-	if _, err := RunLarge(LargeConfig{Array: a, Shards: 101}); err == nil {
+	if _, err := RunLarge(RunSpec{Config: Config{Array: a}, Shards: 101}); err == nil {
 		t.Error("shards > n accepted")
 	}
 }
 
 func TestRunLargeDefaults(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLarge(LargeConfig{Array: a, Seed: 1})
+	res, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +71,14 @@ func TestRunLargeDefaults(t *testing.T) {
 		t.Fatal("RunLarge mutated the config array")
 	}
 	// BallsFactor scales C, explicit Balls overrides it
-	fres, err := RunLarge(LargeConfig{Array: a, Seed: 1, BallsFactor: 2})
+	fres, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1, BallsFactor: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fres.Balls != 2*a.TotalCapacity() {
 		t.Fatalf("factor 2 placed %d balls, want %d", fres.Balls, 2*a.TotalCapacity())
 	}
-	ores, err := RunLarge(LargeConfig{Array: a, Seed: 1, Balls: 7, BallsFactor: 2})
+	ores, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1, Balls: 7, BallsFactor: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunLargeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := RunLarge(LargeConfig{Array: small, Seed: 1})
+	sres, err := RunLarge(RunSpec{Config: Config{Array: small, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,14 @@ func TestRunLargeBitIdenticalAcrossWorkers(t *testing.T) {
 	a := largeArray(t, 2000)
 	var base *LargeResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := RunLarge(LargeConfig{
-			Array: a, Seed: 42, Shards: 16, Workers: workers,
-			Placer: protocol.GreedyFactory(4),
+		res, err := RunLarge(RunSpec{
+			Config: Config{
+				Array:   a,
+				Seed:    42,
+				Workers: workers,
+				Placer:  protocol.GreedyFactory(4),
+			},
+			Shards: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,11 +139,11 @@ func TestRunLargeBitIdenticalAcrossWorkers(t *testing.T) {
 // bit-identity test above rather than hidden here.
 func TestRunLargeShardsArePartOfTheModel(t *testing.T) {
 	a := largeArray(t, 2000)
-	r16, err := RunLarge(LargeConfig{Array: a, Seed: 7, Shards: 16})
+	r16, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := RunLarge(LargeConfig{Array: a, Seed: 7, Shards: 32})
+	r32, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +166,13 @@ func TestRunLargeShardsArePartOfTheModel(t *testing.T) {
 func TestRunLargeRoutingProportional(t *testing.T) {
 	const n = 1000
 	a := largeArray(t, n) // C = 500·1 + 500·10 = 5500
-	res, err := RunLarge(LargeConfig{
-		Array:  a,
-		Seed:   3,
-		Balls:  200000,
-		Placer: protocol.SingleFactory(),
+	res, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:  a,
+			Seed:   3,
+			Balls:  200000,
+			Placer: protocol.SingleFactory(),
+		},
 		Shards: 32,
 	})
 	if err != nil {
@@ -194,10 +201,12 @@ func TestRunLargeRoutingProportional(t *testing.T) {
 // all-zero weight vectors.
 func TestRunLargeZeroWeightShards(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLarge(LargeConfig{
-		Array:  a,
-		Seed:   5,
-		Dist:   dist.TopOnly{MinCapacity: 10},
+	res, err := RunLarge(RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  5,
+			Dist:  dist.TopOnly{MinCapacity: 10},
+		},
 		Shards: 20,
 	})
 	if err != nil {
@@ -221,7 +230,7 @@ func TestRunLargeZeroWeightShards(t *testing.T) {
 // block-wise multinomial count generation; frozen from that point on.
 func TestRunLargeGoldenValues(t *testing.T) {
 	a := largeArray(t, 512)
-	res, err := RunLarge(LargeConfig{Array: a, Seed: 20260727, Shards: 8})
+	res, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 20260727}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +262,17 @@ func TestRunLargeGoldenValues(t *testing.T) {
 // with and without checkpoints.
 func TestRunLargeCheckpointsDoNotMoveDraws(t *testing.T) {
 	a := largeArray(t, 512)
-	plain, err := RunLarge(LargeConfig{Array: a, Seed: 20260727, Shards: 8})
+	plain, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 20260727}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cped, err := RunLarge(LargeConfig{
-		Array: a, Seed: 20260727, Shards: 8,
-		ObsOptions: ObsOptions{Checkpoints: []int64{300, 1500, 2500}, HeightLevels: 4},
+	cped, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       20260727,
+			ObsOptions: ObsOptions{Checkpoints: []int64{300, 1500, 2500}, HeightLevels: 4},
+		},
+		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,9 +301,13 @@ func TestRunLargeCheckpointsDoNotMoveDraws(t *testing.T) {
 // skipped like a cut beyond m rather than recorded as max load 0.
 func TestRunLargeCheckpointModel(t *testing.T) {
 	a := largeArray(t, 4000) // C = 22000
-	res, err := RunLarge(LargeConfig{
-		Array: a, Seed: 9, Shards: 4,
-		ObsOptions: ObsOptions{Checkpoints: []int64{1, 5000, 15000, 900000}},
+	res, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       9,
+			ObsOptions: ObsOptions{Checkpoints: []int64{1, 5000, 15000, 900000}},
+		},
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,9 +350,14 @@ func TestRunLargeCheckpointsBitIdenticalAcrossWorkers(t *testing.T) {
 	a := largeArray(t, 2000)
 	var base *LargeResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := RunLarge(LargeConfig{
-			Array: a, Seed: 42, Shards: 16, Workers: workers,
-			ObsOptions: ObsOptions{Checkpoints: []int64{2000, 6000, 10000}, HeightLevels: 3},
+		res, err := RunLarge(RunSpec{
+			Config: Config{
+				Array:      a,
+				Seed:       42,
+				Workers:    workers,
+				ObsOptions: ObsOptions{Checkpoints: []int64{2000, 6000, 10000}, HeightLevels: 3},
+			},
+			Shards: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -357,8 +379,14 @@ func TestRunLargeCheckpointsBitIdenticalAcrossWorkers(t *testing.T) {
 // direct scan of the final array.
 func TestRunLargeHeights(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLarge(LargeConfig{
-		Array: a, Seed: 4, Shards: 8, BallsFactor: 3, ObsOptions: ObsOptions{HeightLevels: 5},
+	res, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:       a,
+			Seed:        4,
+			BallsFactor: 3,
+			ObsOptions:  ObsOptions{HeightLevels: 5},
+		},
+		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,12 +412,12 @@ func TestRunLargeHeights(t *testing.T) {
 // place (saving the O(n) clone) and produces the identical result.
 func TestRunLargeAdoptArray(t *testing.T) {
 	a := largeArray(t, 800)
-	ref, err := RunLarge(LargeConfig{Array: a, Seed: 6, Shards: 8})
+	ref, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 6}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	own := largeArray(t, 800)
-	res, err := RunLarge(LargeConfig{Array: own, Seed: 6, Shards: 8, AdoptArray: true})
+	res, err := RunLarge(RunSpec{Config: Config{Array: own, Seed: 6}, Shards: 8, AdoptArray: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,10 +436,10 @@ func TestRunLargeAdoptArray(t *testing.T) {
 
 func TestRunLargeObservationValidation(t *testing.T) {
 	a := largeArray(t, 100)
-	if _, err := RunLarge(LargeConfig{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0}}}); err == nil {
+	if _, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0}}}}); err == nil {
 		t.Error("checkpoint at 0 balls accepted")
 	}
-	if _, err := RunLarge(LargeConfig{Array: a, ObsOptions: ObsOptions{HeightLevels: -1}}); err == nil {
+	if _, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{HeightLevels: -1}}}); err == nil {
 		t.Error("negative HeightLevels accepted")
 	}
 }

@@ -7,7 +7,7 @@
 // # Scheduling model
 //
 // All CPU work (routing blocks, per-shard placement, per-repetition
-// summaries) executes on ONE shared bounded pool of at most cfg.Workers
+// summaries) executes on ONE shared bounded pool of at most spec.Workers
 // goroutines (the phase runner, runner.go). On top of it,
 // min(Workers, Reps) repetition orchestrators each own a single
 // reusable bin-array clone (plus its shard views, per-shard placers and
@@ -52,43 +52,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// LargeMonteConfig describes a Monte-Carlo aggregate over sharded
-// single runs: Reps independent repetitions of the game LargeConfig
-// describes.
-type LargeMonteConfig struct {
-	LargeConfig
-	// Reps is the number of independent repetitions (>= 1). Repetition
-	// rep derives its RNG streams by offsetting the single-run layout:
-	// routing on stream rep·(Shards+1), shard s on stream
-	// rep·(Shards+1)+1+s — so repetition 0 is bit-identical to
-	// RunLarge with the same LargeConfig.
-	Reps int
-	// CollectLoadVector requests the element-wise mean of the sorted
-	// (non-increasing) load vector across repetitions. Costs one O(n)
-	// sort per repetition plus a single O(n) running-sum vector; the
-	// per-repetition vectors are never retained.
-	CollectLoadVector bool
-	// ShardStats requests per-shard aggregates across repetitions
-	// (balls routed, final shard-local max load) — the imbalance view
-	// of the two-level protocol. Costs one O(shard) scan per shard per
-	// repetition.
-	ShardStats bool
-	// Resume continues a previously cancelled run from its checkpoint
-	// (see MonteCheckpoint): repetitions [0, CompletedReps) are taken
-	// from the checkpoint and the run proceeds to Reps. The final
-	// aggregates are byte-identical to an uninterrupted run — per-rep
-	// RNG streams depend only on (Seed, rep), the fold order is fixed,
-	// and JSON round-trips the fold state exactly. The checkpoint's
-	// fingerprint must match this configuration.
-	Resume *MonteCheckpoint
-	// CancelAfterReps, when positive, deterministically cancels the run
-	// after exactly that many folded repetitions — as if the context
-	// had fired at precisely that point. Unlike a real context it is
-	// timing-free, which is what lets tests and scripts byte-compare an
-	// interrupted-then-resumed run against an uninterrupted one.
-	CancelAfterReps int
-}
-
 // LargeMonteResult aggregates a sharded Monte-Carlo run. Per-repetition
 // bin arrays are not retained — only streaming summaries.
 type LargeMonteResult struct {
@@ -107,19 +70,20 @@ type LargeMonteResult struct {
 	AvgLoad   stats.Accumulator
 	Deviation stats.Accumulator
 	// MeanSortedLoads is the element-wise mean of the non-increasing
-	// sorted load vector (only when CollectLoadVector).
+	// sorted load vector (only when CollectLoadVector; one O(n) sort
+	// per repetition, never retained).
 	MeanSortedLoads []float64
 	// Checkpoints holds per-checkpoint aggregates across repetitions,
-	// in ascending cut order (only when LargeConfig.Checkpoints were
+	// in ascending cut order (only when Checkpoints were
 	// requested). Each repetition realises a cut through its own
 	// routing stream, so RealBalls varies across repetitions; rows
 	// fold strictly in repetition order.
 	Checkpoints []obs.CheckpointRow
 	// HeightCounts holds per-level bins-at-load>=k aggregates across
-	// repetitions (only when LargeConfig.HeightLevels was requested).
+	// repetitions (only when HeightLevels was requested).
 	HeightCounts []obs.HeightRow
 	// ShardStats holds per-shard aggregates (only when
-	// LargeMonteConfig.ShardStats was requested).
+	// RunSpec.ShardStats was requested).
 	ShardStats *obs.ShardStats
 }
 
@@ -134,7 +98,7 @@ type monteAgg struct {
 	next int // next repetition index allowed to fold
 	// stopAt caps the folded prefix: a repetition folds its summary
 	// only while rep < stopAt. It starts at the run's planned last
-	// repetition (Reps, or CancelAfterReps) and only ever decreases —
+	// repetition (Reps, or CancelAfter) and only ever decreases —
 	// the earliest cancelled repetition wins — so the folded prefix
 	// [0, stopAt) is always contiguous, whatever the timing.
 	stopAt int
@@ -282,7 +246,7 @@ type monteRepState struct {
 // and building a placer over an all-zero weight slice would fail.
 // routeWidth is the number of routing groups, and cutBlocks/cutRems
 // the shared cut plan.
-func newMonteRepState(sh *sharded, cfg *LargeMonteConfig, cuts []int64, routeWidth int, cutBlocks, cutRems []int64, protoHist *bins.LoadHistogram, pl *pool) (*monteRepState, error) {
+func newMonteRepState(sh *sharded, spec *RunSpec, cuts []int64, routeWidth int, cutBlocks, cutRems []int64, protoHist *bins.LoadHistogram, pl *pool) (*monteRepState, error) {
 	shards, bounds := sh.shards, sh.bounds
 	st := &monteRepState{
 		arr:         sh.arr.Clone(),
@@ -308,10 +272,10 @@ func newMonteRepState(sh *sharded, cfg *LargeMonteConfig, cuts []int64, routeWid
 		st.cutBalls = make([]int64, len(cuts))
 		st.cpMax = make([]float64, len(cuts))
 	}
-	if cfg.HeightLevels > 0 {
-		st.hlCounts = make([]int64, cfg.HeightLevels)
+	if spec.HeightLevels > 0 {
+		st.hlCounts = make([]int64, spec.HeightLevels)
 	}
-	if cfg.ShardStats {
+	if spec.ShardStats {
 		st.shardMax = make([]float64, shards)
 	}
 	for s := 0; s < shards; s++ {
@@ -513,40 +477,37 @@ func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *s
 	return true, nil
 }
 
-// RunLargeMonte executes cfg.Reps repetitions of the sharded single-run
+// RunLargeMonte executes spec.Reps repetitions of the sharded single-run
 // engine and aggregates them. See the package comment of this file for
-// the scheduling model and the determinism contract.
+// the scheduling model and the determinism contract. Repetition rep
+// derives its RNG streams by offsetting the single-run layout — routing
+// on stream rep·(Shards+1), shard s on stream rep·(Shards+1)+1+s — so
+// repetition 0 is bit-identical to RunLarge with the same spec.
 //
-// When cfg.Context fires (or CancelAfterReps triggers), RunLargeMonte
+// When spec.Context fires (or CancelAfter triggers), RunLargeMonte
 // returns a partial *LargeMonteResult covering a contiguous repetition
 // prefix — bit-identical to a run configured with that many Reps —
 // plus a *CancelledError whose Checkpoint resumes the run. A panic in
 // any pool task or orchestrator surfaces as a *PanicError, never as a
 // crash or a stuck fold ladder.
-func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
-	shards, err := cfg.LargeConfig.validate()
+func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
+	shards, err := spec.validate(EngineSharded)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Reps < 1 {
-		return nil, fmt.Errorf("sim: RunLargeMonte Reps = %d, need >= 1", cfg.Reps)
-	}
-	if cfg.CancelAfterReps < 0 {
-		return nil, fmt.Errorf("sim: RunLargeMonte CancelAfterReps = %d, need >= 0", cfg.CancelAfterReps)
 	}
 	// The shard plan (boundaries, per-shard weights, routing table) is
 	// shared read-only across repetitions: AliasTable.Sample only reads
 	// the packed columns, so concurrent routing passes of different
 	// repetitions can use one router.
-	sh, err := newSharded(engRunLargeMC, &cfg.LargeConfig, shards, nil)
+	sh, err := newSharded(engRunLargeMC, &spec, shards, nil)
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
+	cc := newCanceller(spec.Context)
 	n, master := sh.n, sh.arr
-	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(master.TotalCapacity())
+	m := spec.ballCount(master.TotalCapacity())
 
-	allCuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
+	allCuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
 	cuts := allCuts[:obs.CountReached(allCuts, m)]
 	totalCap := master.TotalCapacity()
 
@@ -560,23 +521,23 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	// of the per-repetition path. Max/avg-only runs skip histograms
 	// entirely and keep the direct exact scans.
 	var proto *bins.LoadHistogram
-	if cfg.CollectLoadVector || cfg.HeightLevels > 0 {
+	if spec.CollectLoadVector || spec.HeightLevels > 0 {
 		proto = master.NewLoadHistogram()
 	}
 
-	res := &LargeMonteResult{N: n, Shards: shards, Reps: cfg.Reps, Balls: m}
+	res := &LargeMonteResult{N: n, Shards: shards, Reps: spec.Reps, Balls: m}
 	agg := &monteAgg{}
 	agg.cond = sync.NewCond(&agg.mu)
-	if cfg.CollectLoadVector {
+	if spec.CollectLoadVector {
 		agg.loads = obs.NewSortedLoads()
 	}
 	if len(allCuts) > 0 {
 		agg.cp = obs.NewCheckpoints(allCuts)
 	}
-	if cfg.HeightLevels > 0 {
-		agg.hl = obs.NewHeights(cfg.HeightLevels)
+	if spec.HeightLevels > 0 {
+		agg.hl = obs.NewHeights(spec.HeightLevels)
 	}
-	if cfg.ShardStats {
+	if spec.ShardStats {
 		agg.ss = obs.NewShardStats(shards)
 	}
 
@@ -585,30 +546,30 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	// checkpoint can actually be read (Resume) or written (a cancel
 	// source exists) — the plain path pays nothing.
 	var fp MonteFingerprint
-	if cfg.Resume != nil || cc != nil || cfg.CancelAfterReps > 0 {
+	if spec.Resume != nil || cc != nil || spec.CancelAfter > 0 {
 		fp = MonteFingerprint{
-			N: n, Shards: shards, Balls: m, Seed: cfg.Seed,
+			N: n, Shards: shards, Balls: m, Seed: spec.Seed,
 			TotalCapacity: totalCap, CapHash: capHash(master),
-			Checkpoints: allCuts, HeightLevels: cfg.HeightLevels,
-			CollectLoadVector: cfg.CollectLoadVector, ShardStats: cfg.ShardStats,
+			Checkpoints: allCuts, HeightLevels: spec.HeightLevels,
+			CollectLoadVector: spec.CollectLoadVector, ShardStats: spec.ShardStats,
 		}
 	}
 	resumed := 0
-	if cfg.Resume != nil {
-		if err := cfg.Resume.restore(fp, res, agg); err != nil {
+	if spec.Resume != nil {
+		if err := spec.Resume.restore(fp, res, agg); err != nil {
 			return nil, err
 		}
 		resumed = agg.next
-		if resumed > cfg.Reps {
-			return nil, fmt.Errorf("sim: resume checkpoint covers %d repetitions, run has only %d", resumed, cfg.Reps)
+		if resumed > spec.Reps {
+			return nil, fmt.Errorf("sim: resume checkpoint covers %d repetitions, run has only %d", resumed, spec.Reps)
 		}
 	}
 	// planned is the last repetition the run intends to fold: Reps, or
 	// the deterministic self-cancel point. A real context cancellation
 	// lowers the realised prefix further through foldCancelled.
-	planned := cfg.Reps
-	if cfg.CancelAfterReps > 0 && cfg.CancelAfterReps < planned {
-		planned = cfg.CancelAfterReps
+	planned := spec.Reps
+	if spec.CancelAfter > 0 && spec.CancelAfter < planned {
+		planned = spec.CancelAfter
 	}
 	if planned < resumed {
 		planned = resumed
@@ -620,7 +581,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	start, stop := resumed, planned
 	protoHist := proto
 
-	inflight := min(sh.workers, cfg.Reps-start)
+	inflight := min(sh.workers, spec.Reps-start)
 
 	// The shared bounded pool: every CPU-heavy task of every phase of
 	// every repetition runs here, so concurrency never exceeds Workers.
@@ -641,7 +602,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.abort(newPanicError(engRunLargeMC, "orchestrator", -1, w, r))
 				}
 			}()
-			st, serr := newMonteRepState(&sh, &cfg, cuts, routeWidth, cutBlocks, cutRems, protoHist, &pl)
+			st, serr := newMonteRepState(&sh, &spec, cuts, routeWidth, cutBlocks, cutRems, protoHist, &pl)
 			if serr == nil {
 				st.cc = cc
 			}
@@ -685,7 +646,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 			// Static strided assignment: orchestrator w owns reps
 			// start+w, start+w+inflight, … — processed in increasing
 			// order, which the in-order fold relies on for progress.
-			for rep := start + w; rep < cfg.Reps; rep += inflight {
+			for rep := start + w; rep < spec.Reps; rep += inflight {
 				if fault.Enabled {
 					fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpOrchestrator, Rep: rep, Shard: -1, Block: -1})
 				}
@@ -702,7 +663,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.fold(rep, skip)
 					continue
 				}
-				ok, rerr := st.runRep(cfg.Seed, uint64(rep), shards, m, sh.router)
+				ok, rerr := st.runRep(spec.Seed, uint64(rep), shards, m, sh.router)
 				switch {
 				case rerr != nil:
 					agg.fold(rep, func(ag *monteAgg) { ag.err = rerr })
@@ -730,8 +691,8 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 		res.HeightCounts = agg.hl.Rows()
 	}
 	res.ShardStats = agg.ss
-	if completed := agg.stopAt; completed < cfg.Reps {
-		// Cancelled (context or CancelAfterReps): the aggregates cover
+	if completed := agg.stopAt; completed < spec.Reps {
+		// Cancelled (context or CancelAfter): the aggregates cover
 		// exactly repetitions [0, completed) — bit-identical to a run
 		// configured with Reps = completed — and the checkpoint resumes
 		// from there.

@@ -13,19 +13,19 @@ import (
 
 func TestRunLargeMonteValidation(t *testing.T) {
 	a := largeArray(t, 100)
-	if _, err := RunLargeMonte(LargeMonteConfig{Reps: 1}); err == nil {
+	if _, err := RunLargeMonte(RunSpec{Config: Config{Reps: 1}}); err == nil {
 		t.Error("nil array accepted")
 	}
-	if _, err := RunLargeMonte(LargeMonteConfig{LargeConfig: LargeConfig{Array: a}}); err == nil {
+	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a}}); err == nil {
 		t.Error("Reps = 0 accepted")
 	}
-	if _, err := RunLargeMonte(LargeMonteConfig{LargeConfig: LargeConfig{Array: a}, Reps: -2}); err == nil {
+	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a, Reps: -2}}); err == nil {
 		t.Error("negative Reps accepted")
 	}
-	if _, err := RunLargeMonte(LargeMonteConfig{LargeConfig: LargeConfig{Array: a, Shards: 101}, Reps: 1}); err == nil {
+	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a, Reps: 1}, Shards: 101}); err == nil {
 		t.Error("shards > n accepted")
 	}
-	if _, err := RunLargeMonte(LargeMonteConfig{LargeConfig: LargeConfig{Array: a, Balls: -1}, Reps: 1}); err == nil {
+	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a, Balls: -1, Reps: 1}}); err == nil {
 		t.Error("negative balls accepted")
 	}
 }
@@ -36,19 +36,20 @@ func TestRunLargeMonteValidation(t *testing.T) {
 // 1+s), so every statistic matches bit for bit.
 func TestRunLargeMonteRepZeroMatchesRunLarge(t *testing.T) {
 	a := largeArray(t, 1500)
-	cases := []LargeConfig{
-		{Array: a, Seed: 42, Shards: 16},
-		{Array: a, Seed: 7, Shards: 5, Placer: protocol.GreedyFactory(4)},
-		{Array: a, Seed: 9, Shards: 8, Balls: 3000, Placer: protocol.SingleFactory()},
-		{Array: a, Seed: 11, Shards: 10, Dist: dist.TopOnly{MinCapacity: 10}},
-		{Array: a, Seed: 3, Shards: 6, BallsFactor: 2.5},
+	cases := []RunSpec{
+		{Config: Config{Array: a, Seed: 42}, Shards: 16},
+		{Config: Config{Array: a, Seed: 7, Placer: protocol.GreedyFactory(4)}, Shards: 5},
+		{Config: Config{Array: a, Seed: 9, Balls: 3000, Placer: protocol.SingleFactory()}, Shards: 8},
+		{Config: Config{Array: a, Seed: 11, Dist: dist.TopOnly{MinCapacity: 10}}, Shards: 10},
+		{Config: Config{Array: a, Seed: 3, BallsFactor: 2.5}, Shards: 6},
 	}
 	for i, lc := range cases {
 		want, err := RunLarge(lc)
 		if err != nil {
 			t.Fatalf("case %d: RunLarge: %v", i, err)
 		}
-		got, err := RunLargeMonte(LargeMonteConfig{LargeConfig: lc, Reps: 1})
+		lc.Reps = 1
+		got, err := RunLargeMonte(lc)
 		if err != nil {
 			t.Fatalf("case %d: RunLargeMonte: %v", i, err)
 		}
@@ -76,12 +77,15 @@ func TestRunLargeMonteBitIdenticalAcrossTopologies(t *testing.T) {
 		for _, reps := range []int{1, 3, 10} {
 			var base *LargeMonteResult
 			for _, workers := range []int{1, 2, 3, 8} {
-				res, err := RunLargeMonte(LargeMonteConfig{
-					LargeConfig: LargeConfig{
-						Array: a, Seed: 77, Shards: shards, Workers: workers,
+				res, err := RunLargeMonte(RunSpec{
+					Config: Config{
+						Array:             a,
+						Seed:              77,
+						Workers:           workers,
+						Reps:              reps,
+						CollectLoadVector: true,
 					},
-					Reps:              reps,
-					CollectLoadVector: true,
+					Shards: shards,
 				})
 				if err != nil {
 					t.Fatalf("shards=%d reps=%d workers=%d: %v", shards, reps, workers, err)
@@ -104,9 +108,13 @@ func TestRunLargeMonteBitIdenticalAcrossTopologies(t *testing.T) {
 // consistent with max/avg.
 func TestRunLargeMonteAggregates(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{Array: a, Seed: 13, Shards: 8},
-		Reps:        20,
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  13,
+			Reps:  20,
+		},
+		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +149,14 @@ func TestRunLargeMonteLoadVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig:       LargeConfig{Array: a, Seed: 21, Shards: 4},
-		Reps:              6,
-		CollectLoadVector: true,
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array:             a,
+			Seed:              21,
+			Reps:              6,
+			CollectLoadVector: true,
+		},
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,9 +175,13 @@ func TestRunLargeMonteLoadVector(t *testing.T) {
 		t.Fatalf("mean sorted loads sum %v, want m = %d", sum, res.Balls)
 	}
 	// without the flag no vector is produced
-	res2, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{Array: a, Seed: 21, Shards: 4},
-		Reps:        2,
+	res2, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  21,
+			Reps:  2,
+		},
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,14 +196,14 @@ func TestRunLargeMonteLoadVector(t *testing.T) {
 // not fail placer construction, across many repetitions.
 func TestRunLargeMonteZeroWeightShards(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{
-			Array:  a,
-			Seed:   5,
-			Dist:   dist.TopOnly{MinCapacity: 10},
-			Shards: 20,
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  5,
+			Dist:  dist.TopOnly{MinCapacity: 10},
+			Reps:  5,
 		},
-		Reps: 5,
+		Shards: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +221,15 @@ func TestRunLargeMonteFactoryError(t *testing.T) {
 		return nil, fmt.Errorf("boom")
 	}
 	for _, workers := range []int{1, 3} {
-		_, err := RunLargeMonte(LargeMonteConfig{
-			LargeConfig: LargeConfig{Array: a, Seed: 1, Shards: 4, Workers: workers, Placer: boom},
-			Reps:        7,
+		_, err := RunLargeMonte(RunSpec{
+			Config: Config{
+				Array:   a,
+				Seed:    1,
+				Workers: workers,
+				Placer:  boom,
+				Reps:    7,
+			},
+			Shards: 4,
 		})
 		if err == nil {
 			t.Fatalf("workers=%d: factory error swallowed", workers)
@@ -221,9 +243,13 @@ func TestRunLargeMonteFactoryError(t *testing.T) {
 // aggregate, so it must show up here and be deliberate.
 func TestRunLargeMonteGoldenValues(t *testing.T) {
 	a := largeArray(t, 512)
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{Array: a, Seed: 20260727, Shards: 8},
-		Reps:        4,
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  20260727,
+			Reps:  4,
+		},
+		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,15 +273,20 @@ func TestRunLargeMonteGoldenValues(t *testing.T) {
 // same maxima, same height counts.
 func TestRunLargeMonteCheckpointedRepZero(t *testing.T) {
 	a := largeArray(t, 1500)
-	lc := LargeConfig{
-		Array: a, Seed: 42, Shards: 16,
-		ObsOptions: ObsOptions{Checkpoints: []int64{1000, 4000, 8000}, HeightLevels: 4},
+	lc := RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       42,
+			ObsOptions: ObsOptions{Checkpoints: []int64{1000, 4000, 8000}, HeightLevels: 4},
+		},
+		Shards: 16,
 	}
 	want, err := RunLarge(lc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunLargeMonte(LargeMonteConfig{LargeConfig: lc, Reps: 1})
+	lc.Reps = 1
+	got, err := RunLargeMonte(lc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +309,17 @@ func TestRunLargeMonteObservationsBitIdenticalAcrossTopologies(t *testing.T) {
 		for _, reps := range []int{1, 3, 10} {
 			var base *LargeMonteResult
 			for _, workers := range []int{1, 2, 3, 8} {
-				res, err := RunLargeMonte(LargeMonteConfig{
-					LargeConfig: LargeConfig{
-						Array: a, Seed: 77, Shards: shards, Workers: workers,
-						ObsOptions: ObsOptions{Checkpoints: []int64{500, 1500, 3000}, HeightLevels: 3},
+				res, err := RunLargeMonte(RunSpec{
+					Config: Config{
+						Array:             a,
+						Seed:              77,
+						Workers:           workers,
+						ObsOptions:        ObsOptions{Checkpoints: []int64{500, 1500, 3000}, HeightLevels: 3},
+						Reps:              reps,
+						CollectLoadVector: true,
 					},
-					Reps:              reps,
-					CollectLoadVector: true,
-					ShardStats:        true,
+					Shards:     shards,
+					ShardStats: true,
 				})
 				if err != nil {
 					t.Fatalf("shards=%d reps=%d workers=%d: %v", shards, reps, workers, err)
@@ -308,12 +342,14 @@ func TestRunLargeMonteObservationsBitIdenticalAcrossTopologies(t *testing.T) {
 // requested cut; every in-range cut is observed by every repetition.
 func TestRunLargeMonteCheckpointAggregates(t *testing.T) {
 	a := largeArray(t, 1000) // C = 5500
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{
-			Array: a, Seed: 13, Shards: 8,
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       13,
 			ObsOptions: ObsOptions{Checkpoints: []int64{2000, 4000, 50000}},
+			Reps:       12,
 		},
-		Reps: 12,
+		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,10 +385,14 @@ func TestRunLargeMonteCheckpointAggregates(t *testing.T) {
 // consistent with the global max.
 func TestRunLargeMonteShardStats(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{Array: a, Seed: 21, Shards: 8},
-		Reps:        6,
-		ShardStats:  true,
+	res, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  21,
+			Reps:  6,
+		},
+		Shards:     8,
+		ShardStats: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,9 +417,13 @@ func TestRunLargeMonteShardStats(t *testing.T) {
 		t.Fatalf("max of shard maxima %v, global worst max %v", maxOfMax, res.MaxLoad.Max())
 	}
 	// without the flag no stats are produced
-	res2, err := RunLargeMonte(LargeMonteConfig{
-		LargeConfig: LargeConfig{Array: a, Seed: 21, Shards: 8},
-		Reps:        2,
+	res2, err := RunLargeMonte(RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  21,
+			Reps:  2,
+		},
+		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,9 @@
 // Shared observation options: one struct, one validation, one set of
-// docs for the observation requests every engine config carries.
+// docs for the observation requests every engine honours.
 //
-// Before this file each engine config re-declared (and re-validated)
-// its own Checkpoints / HeightLevels / HeightBins / HeightMax fields,
-// and the docs drifted per copy. ObsOptions is embedded anonymously in
-// Config, LargeConfig (and through it LargeMonteConfig) and
-// StreamConfig, so field READS keep their flat spelling
-// (cfg.Checkpoints); composite literals spell the extra level
+// ObsOptions is embedded anonymously in Config (and through it in
+// RunSpec), so field READS keep their flat spelling
+// (spec.Checkpoints); composite literals spell the extra level
 // (ObsOptions: sim.ObsOptions{...}).
 package sim
 
@@ -16,27 +13,46 @@ import (
 	"repro/internal/obs"
 )
 
-// ObsOptions is the observation-request block shared by every engine
-// config. Engines differ in which options they support and in the cut
-// semantics — the embedding config documents both:
+// ObsOptions is the observation-request block of every spec. Engines
+// differ in the cut semantics and in which options they support
+// (RunSpec.unsupported rejects the rest by field name):
 //
-//   - Config (classic): every option; Checkpoints are ball counts,
-//     observed exactly.
-//   - LargeConfig / LargeMonteConfig (sharded): Checkpoints are ball
-//     counts realised as block-aligned per-shard cuts (<= the request;
-//     see large.go); HeightLevels observes the final state; the
-//     per-ball height histogram (HeightBins) is not collected.
-//   - StreamConfig (streaming): Checkpoints are ROUND indices — cut k
-//     observes the system state at the end of round Checkpoints[k]
-//     (1-based) — HeightLevels observes the final state, and
-//     HeightBins is not collected.
+//   - classic and closed-form: every option; Checkpoints are ball
+//     counts, observed exactly.
+//   - sharded (RunLargeMonte, and RunLarge for a single game):
+//     Checkpoints are global ball counts realised as block-aligned
+//     per-shard cuts. The routing model orders balls block by block
+//     and, within a routing block, by shard index; a checkpoint at B
+//     is realised as the number of balls among the first B so ordered
+//     that belong to each shard (full blocks below B plus a
+//     shard-ordered partial fill of the boundary block; see route.go),
+//     aligned down to the placement kernel's block size
+//     (protocol.BlockSize) so snapshots land between SampleBatch
+//     blocks. The realised ball count (CheckpointRow.RealBalls, a
+//     multiple of the block size, <= B) reflects that; a cut whose
+//     realisation is empty (B below ~BlockSize) is skipped like a cut
+//     beyond m, visible through Reps. Like Shards, the cut rule is
+//     part of the model: it depends only on (Seed, Shards,
+//     Checkpoints), never on Workers — and requesting checkpoints
+//     never moves a single draw: the final state is bit-identical with
+//     and without them. HeightLevels observes the final state.
+//   - stream: Checkpoints are ROUND indices — cut k observes the
+//     system state at the end of round Checkpoints[k] (1-based) —
+//     and HeightLevels observes the final state.
+//   - cluster: Checkpoints are TICK indices — cut k observes queue
+//     occupancy and the maximum queue-relative load at the end of
+//     tick Checkpoints[k] (1-based) — and HeightLevels reports the
+//     final queue-depth distribution.
+//
+// The per-ball height histogram (HeightBins) is classic-only.
 type ObsOptions struct {
 	// Checkpoints lists the cut points at which running (max,
 	// max − average) load observations are taken: ball counts in the
 	// classic and sharded engines, round indices in the streaming
-	// engine. Cuts must be positive and strictly increasing; cuts
-	// beyond the run (balls > m, rounds > Rounds) are skipped, visible
-	// through CheckpointRow.Reps.
+	// engine, tick indices in the cluster engine. Cuts must be positive
+	// and strictly increasing; cuts beyond the run (balls > m, rounds >
+	// Rounds, ticks > Ticks) are skipped, visible through
+	// CheckpointRow.Reps.
 	Checkpoints []int64
 	// HeightLevels, when positive, requests the count of bins at final
 	// load >= k for k = 1..HeightLevels (obs.Heights) — the
@@ -52,9 +68,8 @@ type ObsOptions struct {
 	HeightMax float64
 }
 
-// validate checks the option fields shared by every engine. Engines
-// with narrower support (no per-ball histogram outside the classic
-// engine) layer their own field-named rejections on top.
+// validate checks the option fields every engine shares; which
+// options an engine supports is RunSpec.unsupported's call.
 func (o *ObsOptions) validate() error {
 	if o.HeightLevels < 0 {
 		return fmt.Errorf("sim: HeightLevels = %d, need >= 0", o.HeightLevels)
@@ -70,15 +85,6 @@ func (o *ObsOptions) validate() error {
 	}
 	if _, err := obs.NormalizeCuts(o.Checkpoints); err != nil {
 		return fmt.Errorf("sim: %w", err)
-	}
-	return nil
-}
-
-// rejectHeightBins is the shared field-named rejection for the engines
-// that cannot collect the per-ball height histogram.
-func (o *ObsOptions) rejectHeightBins(engine string) error {
-	if o.HeightBins > 0 {
-		return fmt.Errorf("sim: HeightBins = %d: %s does not collect the per-ball height histogram (classic engine only)", o.HeightBins, engine)
 	}
 	return nil
 }

@@ -106,7 +106,7 @@ type shardRowState struct {
 
 // MonteCheckpoint is the complete, serializable fold state of a
 // RunLargeMonte run after repetitions [0, CompletedReps) have been
-// folded. Feed it back through LargeMonteConfig.Resume to continue the
+// folded. Feed it back through RunSpec.Resume to continue the
 // run; the final aggregates are then byte-identical to an
 // uninterrupted run (see the file comment for why).
 type MonteCheckpoint struct {

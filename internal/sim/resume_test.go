@@ -11,16 +11,19 @@ import (
 // monteResumeConfig is the shared configuration of the resume tests:
 // every collector switched on, so the checkpoint must round-trip the
 // whole observation pipeline, not just the three scalar accumulators.
-func monteResumeConfig(t *testing.T, shards, workers int) LargeMonteConfig {
+func monteResumeConfig(t *testing.T, shards, workers int) RunSpec {
 	t.Helper()
-	return LargeMonteConfig{
-		LargeConfig: LargeConfig{
-			Array: largeArray(t, 600), Seed: 20260727, Shards: shards, Workers: workers,
-			ObsOptions: ObsOptions{Checkpoints: []int64{500, 1500, 3000}, HeightLevels: 3},
+	return RunSpec{
+		Config: Config{
+			Array:             largeArray(t, 600),
+			Seed:              20260727,
+			Workers:           workers,
+			ObsOptions:        ObsOptions{Checkpoints: []int64{500, 1500, 3000}, HeightLevels: 3},
+			Reps:              9,
+			CollectLoadVector: true,
 		},
-		Reps:              9,
-		CollectLoadVector: true,
-		ShardStats:        true,
+		Shards:     shards,
+		ShardStats: true,
 	}
 }
 
@@ -38,7 +41,7 @@ func TestMonteResumeByteIdentical(t *testing.T) {
 					t.Fatalf("shards=%d workers=%d: uninterrupted run: %v", shards, workers, err)
 				}
 				interrupted := cfg
-				interrupted.CancelAfterReps = k
+				interrupted.CancelAfter = k
 				partial, err := RunLargeMonte(interrupted)
 				var cerr *CancelledError
 				if !errors.As(err, &cerr) || cerr.Checkpoint == nil {
@@ -73,7 +76,7 @@ func TestMonteResumeAcrossTopologies(t *testing.T) {
 		t.Fatal(err)
 	}
 	interrupted := cfg
-	interrupted.CancelAfterReps = 5
+	interrupted.CancelAfter = 5
 	_, err = RunLargeMonte(interrupted)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -101,7 +104,7 @@ func TestMonteResumeFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	interrupted := cfg
-	interrupted.CancelAfterReps = 3
+	interrupted.CancelAfter = 3
 	_, err = RunLargeMonte(interrupted)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -139,7 +142,7 @@ func TestMonteResumeChained(t *testing.T) {
 		t.Fatal(err)
 	}
 	step1 := cfg
-	step1.CancelAfterReps = 2
+	step1.CancelAfter = 2
 	_, err = RunLargeMonte(step1)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -147,7 +150,7 @@ func TestMonteResumeChained(t *testing.T) {
 	}
 	step2 := cfg
 	step2.Resume = cerr.Checkpoint
-	step2.CancelAfterReps = 5
+	step2.CancelAfter = 5
 	_, err = RunLargeMonte(step2)
 	if !errors.As(err, &cerr) {
 		t.Fatalf("step 2: %v", err)
@@ -173,7 +176,7 @@ func TestMonteResumeChained(t *testing.T) {
 func TestMonteResumeRejectsMismatch(t *testing.T) {
 	cfg := monteResumeConfig(t, 4, 2)
 	interrupted := cfg
-	interrupted.CancelAfterReps = 3
+	interrupted.CancelAfter = 3
 	_, err := RunLargeMonte(interrupted)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -183,16 +186,16 @@ func TestMonteResumeRejectsMismatch(t *testing.T) {
 
 	mutate := []struct {
 		name string
-		mod  func(c *LargeMonteConfig)
+		mod  func(c *RunSpec)
 	}{
-		{"seed", func(c *LargeMonteConfig) { c.Seed = 999 }},
-		{"shards", func(c *LargeMonteConfig) { c.Shards = 8 }},
-		{"checkpoints", func(c *LargeMonteConfig) { c.Checkpoints = []int64{500, 1500} }},
-		{"heights", func(c *LargeMonteConfig) { c.HeightLevels = 2 }},
-		{"load vector", func(c *LargeMonteConfig) { c.CollectLoadVector = false }},
-		{"shard stats", func(c *LargeMonteConfig) { c.ShardStats = false }},
-		{"capacities", func(c *LargeMonteConfig) { c.Array = largeArray(t, 601) }},
-		{"reps budget", func(c *LargeMonteConfig) { c.Reps = 2 }},
+		{"seed", func(c *RunSpec) { c.Seed = 999 }},
+		{"shards", func(c *RunSpec) { c.Shards = 8 }},
+		{"checkpoints", func(c *RunSpec) { c.Checkpoints = []int64{500, 1500} }},
+		{"heights", func(c *RunSpec) { c.HeightLevels = 2 }},
+		{"load vector", func(c *RunSpec) { c.CollectLoadVector = false }},
+		{"shard stats", func(c *RunSpec) { c.ShardStats = false }},
+		{"capacities", func(c *RunSpec) { c.Array = largeArray(t, 601) }},
+		{"reps budget", func(c *RunSpec) { c.Reps = 2 }},
 	}
 	for _, tc := range mutate {
 		bad := cfg

@@ -231,9 +231,14 @@ func TestRunLargeShardsWorkersCheckpointsMatrix(t *testing.T) {
 		for _, cuts := range [][]int64{nil, {700}, {300, 5000, 12000}} {
 			var base *LargeResult
 			for _, workers := range []int{1, 2, 3, 8} {
-				res, err := RunLarge(LargeConfig{
-					Array: a, Seed: 1234, Shards: shards, Workers: workers,
-					ObsOptions: ObsOptions{Checkpoints: cuts, HeightLevels: 2},
+				res, err := RunLarge(RunSpec{
+					Config: Config{
+						Array:      a,
+						Seed:       1234,
+						Workers:    workers,
+						ObsOptions: ObsOptions{Checkpoints: cuts, HeightLevels: 2},
+					},
+					Shards: shards,
 				})
 				if err != nil {
 					t.Fatalf("shards=%d cuts=%v workers=%d: %v", shards, cuts, workers, err)
@@ -257,13 +262,17 @@ func TestRunLargeShardsWorkersCheckpointsMatrix(t *testing.T) {
 		}
 		// The final state never depends on which checkpoint set was
 		// requested: compare the no-cut run against the 3-cut run.
-		plain, err := RunLarge(LargeConfig{Array: a, Seed: 1234, Shards: shards})
+		plain, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1234}, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cped, err := RunLarge(LargeConfig{
-			Array: a, Seed: 1234, Shards: shards,
-			ObsOptions: ObsOptions{Checkpoints: []int64{300, 5000, 12000}},
+		cped, err := RunLarge(RunSpec{
+			Config: Config{
+				Array:      a,
+				Seed:       1234,
+				ObsOptions: ObsOptions{Checkpoints: []int64{300, 5000, 12000}},
+			},
+			Shards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -285,9 +294,15 @@ func TestRunLargeHugeBallCount(t *testing.T) {
 	const m = 2*RoutingBlock + 40000
 	var base *LargeResult
 	for _, workers := range []int{1, 4} {
-		res, err := RunLarge(LargeConfig{
-			Array: a, Seed: 5, Shards: 16, Workers: workers, Balls: m,
-			ObsOptions: ObsOptions{Checkpoints: []int64{RoutingBlock + 100}},
+		res, err := RunLarge(RunSpec{
+			Config: Config{
+				Array:      a,
+				Seed:       5,
+				Workers:    workers,
+				Balls:      m,
+				ObsOptions: ObsOptions{Checkpoints: []int64{RoutingBlock + 100}},
+			},
+			Shards: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -323,7 +338,7 @@ func TestRunLargeSingleBin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLarge(LargeConfig{Array: arr, Seed: 1, Balls: 1000})
+	res, err := RunLarge(RunSpec{Config: Config{Array: arr, Seed: 1, Balls: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}

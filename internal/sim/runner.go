@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bins"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -197,27 +196,35 @@ type repWorker struct {
 	counts  []int64 // closed form: one multinomial increment vector
 }
 
-// runChunks runs a validated classic-family config on engine eng.
+// runChunked validates the spec for a chunked engine (classic or
+// closed-form) and runs its Config through the chunk driver.
 //
-// When cfg.Context fires mid-run it returns a partial *Result together
+// When the Context fires mid-run it returns a partial *Result together
 // with a *CancelledError: the partial covers a contiguous repetition
 // prefix and is bit-identical to a run configured with that many Reps.
-func runChunks(eng string, cfg *Config) (*Result, error) {
-	checkpoints, err := obs.NormalizeCuts(cfg.Checkpoints)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+func runChunked(e Engine, spec *RunSpec) (*Result, error) {
+	if _, err := spec.validate(e); err != nil {
+		return nil, err
 	}
+	eng := engRun
+	if e == EngineClosedForm {
+		eng = engRunClosed
+	}
+	// The driver keeps its own copy of the Config, so the spec itself
+	// never escapes to the heap.
+	cfg := spec.Config
+	checkpoints, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
 	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
 	workers := min(resolveWorkers(cfg.Workers), nChunks)
-	r := &chunkRun{cfg: cfg, cc: newCanceller(cfg.Context), checkpoints: checkpoints, partials: make([]chunkPartial, nChunks)}
+	r := &chunkRun{cfg: &cfg, cc: newCanceller(cfg.Context), checkpoints: checkpoints, partials: make([]chunkPartial, nChunks)}
 	r.ph = phase{pool: &r.pl, x: r, engine: eng, names: chunkKinds}
 	r.pl.start(workers)
-	err = r.ph.run(0, workers)
+	err := r.ph.run(0, workers)
 	r.pl.close()
 	if err != nil {
 		return nil, err
 	}
-	res, completed, err := reduce(cfg, checkpoints, r.partials)
+	res, completed, err := reduce(&cfg, checkpoints, r.partials)
 	if err != nil {
 		return nil, err
 	}
@@ -330,37 +337,28 @@ type sharded struct {
 	workers int
 }
 
-// newSharded builds the prologue from the fields every sharded config
-// shares (LargeConfig's). The array is cloned unless AdoptArray is set;
-// weights, when non-nil, replace the distribution's (the cluster engine
-// routes on ring arcs).
-func newSharded(eng string, cfg *LargeConfig, shards int, weights []float64) (sharded, error) {
-	arr := cfg.Array
-	if !cfg.AdoptArray {
-		arr = cfg.Array.Clone()
+// newSharded builds the prologue from a validated spec. The array is
+// cloned unless AdoptArray is set; weights, when non-nil, replace the
+// distribution's (the cluster engine routes on ring arcs).
+func newSharded(eng string, spec *RunSpec, shards int, weights []float64) (sharded, error) {
+	arr := spec.Array
+	if !spec.AdoptArray {
+		arr = spec.Array.Clone()
 	}
 	arr.Reset()
 	if weights == nil {
-		d := cfg.Dist
-		if d == nil {
-			d = dist.Proportional{}
-		}
 		var err error
-		if weights, err = d.Weights(arr); err != nil {
+		if weights, err = spec.distribution().Weights(arr); err != nil {
 			return sharded{}, fmt.Errorf("sim: %s weights: %w", eng, err)
 		}
-	}
-	factory := cfg.Placer
-	if factory == nil {
-		factory = protocol.GreedyFactory(2)
 	}
 	bounds, shardW, router, err := shardPlan(weights, arr.N(), shards)
 	if err != nil {
 		return sharded{}, fmt.Errorf("sim: %s router: %w", eng, err)
 	}
 	return sharded{
-		arr: arr, n: arr.N(), shards: shards, weights: weights, factory: factory,
-		bounds: bounds, shardW: shardW, router: router, workers: resolveWorkers(cfg.Workers),
+		arr: arr, n: arr.N(), shards: shards, weights: weights, factory: spec.factory(),
+		bounds: bounds, shardW: shardW, router: router, workers: resolveWorkers(spec.Workers),
 	}, nil
 }
 

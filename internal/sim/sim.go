@@ -141,6 +141,9 @@ type Result struct {
 	// a cluster spec): request/churn accounting, the availability
 	// trace, the latency histogram and the tick-indexed trajectory.
 	Cluster *ClusterResult
+	// ShardStats holds the sharded engine's per-shard aggregates (only
+	// when RunSpec.ShardStats was requested).
+	ShardStats *obs.ShardStats
 }
 
 type chunkPartial struct {
@@ -158,43 +161,6 @@ type chunkPartial struct {
 	// abandoned by cancellation holds exactly its leading reps, which
 	// is what makes the cancelled partial a contiguous prefix.
 	reps int
-}
-
-func (c *Config) validate() error {
-	if c.Array == nil && c.ArrayFn == nil {
-		return fmt.Errorf("sim: no Array or ArrayFn configured")
-	}
-	if c.Reps < 1 {
-		return fmt.Errorf("sim: Reps = %d, need >= 1", c.Reps)
-	}
-	if c.Balls < 0 {
-		return fmt.Errorf("sim: Balls = %d, need >= 0", c.Balls)
-	}
-	if c.BallsFactor < 0 {
-		return fmt.Errorf("sim: BallsFactor = %v, need >= 0", c.BallsFactor)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: Workers = %d, need >= 0", c.Workers)
-	}
-	if len(c.ClassLoadVectors) > 0 && c.ArrayFn != nil {
-		return fmt.Errorf("sim: ClassLoadVectors requires a fixed Array")
-	}
-	for i, class := range c.ClassLoadVectors {
-		if class < 1 {
-			return fmt.Errorf("sim: ClassLoadVectors[%d] = %d, capacity classes are >= 1", i, class)
-		}
-	}
-	for i, class := range c.TrackClasses {
-		if class < 1 {
-			return fmt.Errorf("sim: TrackClasses[%d] = %d, capacity classes are >= 1", i, class)
-		}
-	}
-	for i, class := range c.ClassMaxLoads {
-		if class < 1 {
-			return fmt.Errorf("sim: ClassMaxLoads[%d] = %d, capacity classes are >= 1", i, class)
-		}
-	}
-	return c.ObsOptions.validate()
 }
 
 func (c *Config) distribution() dist.Distribution {
@@ -233,10 +199,7 @@ func (c *Config) ballCount(totalCapacity int64) int64 {
 // many Reps. A panic in repetition or setup code surfaces as a
 // *PanicError, never as a crash or a hang.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return runChunks(engRun, &cfg)
+	return runChunked(EngineClassic, &RunSpec{Config: cfg})
 }
 
 // workerScratch holds per-worker reusable buffers so the repetition
@@ -629,7 +592,7 @@ func nBins(cfg *Config) (int, error) {
 // full outcome.
 func RunOnce(cfg Config) (*bins.Array, error) {
 	cfg.Reps = 1
-	if err := cfg.validate(); err != nil {
+	if _, err := (&RunSpec{Config: cfg}).validate(EngineClassic); err != nil {
 		return nil, err
 	}
 	r := xrand.NewStream(cfg.Seed, 0)

@@ -73,13 +73,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/bins"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -87,76 +85,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// StreamConfig describes one streaming run. The engine itself is
-// unexported (runStream): the only public path is Dispatch with
-// Engine = EngineStream, so every caller goes through the same
-// eligibility checks and result shape.
-type StreamConfig struct {
-	// Array supplies the capacities (required). It is cloned and reset
-	// unless AdoptArray is set.
-	Array *bins.Array
-	// Dist chooses bin selection weights (nil = dist.Proportional{}).
-	Dist dist.Distribution
-	// Placer builds the per-shard protocol (nil = Algorithm 1, d = 2).
-	Placer protocol.Factory
-	// Rounds is the number of rounds (>= 1). When Schedule is set and
-	// Rounds is 0, Rounds defaults to len(Schedule).
-	Rounds int
-	// Arrivals is the fixed per-round arrival count. When 0 the count
-	// is ArrivalsFactor·C (rounded), and when that is also 0 it
-	// defaults to exactly C — Config's ball-count rules, per round.
-	Arrivals int64
-	// ArrivalsFactor scales the total capacity into a per-round
-	// arrival count.
-	ArrivalsFactor float64
-	// Schedule, when non-empty, gives every round's arrival count
-	// explicitly (entries >= 0; length must equal Rounds when Rounds
-	// is set). Mutually exclusive with Arrivals/ArrivalsFactor.
-	Schedule []int64
-	// Deletions is the number of balls deleted per round, clamped to
-	// the current occupancy (>= 0).
-	Deletions int64
-	// RebalanceTol enables the inter-round rebalance pass when > 0:
-	// after deletions, every shard holding more than
-	// (1+RebalanceTol)·target balls sheds the excess to shards below
-	// target. 0 disables the pass.
-	RebalanceTol float64
-	// Seed is the base RNG seed; see the package comment for the
-	// frozen per-round substream layout.
-	Seed uint64
-	// Shards is the shard count (0 = DefaultShards, clamped to n).
-	// Part of the model, like Seed.
-	Shards int
-	// Workers caps parallelism (0 = GOMAXPROCS). Never affects the
-	// result, only the wall clock.
-	Workers int
-	// Context, when non-nil, arms cooperative cancellation: a fired
-	// context stops the run at the next task or phase boundary and
-	// returns the completed-round prefix (see the package comment).
-	Context context.Context
-	// AdoptArray lets the engine mutate Array in place (reset first)
-	// instead of cloning it.
-	AdoptArray bool
-	// CancelAfterRounds, when positive, deterministically stops the
-	// run after exactly that many completed rounds, as if the context
-	// had fired there (Cause == nil) — a timing-free way to exercise
-	// the cancellation path.
-	CancelAfterRounds int
-
-	// ObsOptions is the shared observation block (obsoptions.go). In
-	// the streaming engine Checkpoints are ROUND indices — cut k
-	// observes the system at the end of round Checkpoints[k] — and the
-	// per-ball height histogram (HeightBins) is not collected.
-	ObsOptions
-}
-
 // StreamResult aggregates one streaming run.
 type StreamResult struct {
 	// N is the number of bins; Shards the realised shard count.
 	N      int
 	Shards int
-	// Rounds is the number of COMPLETED rounds (== cfg.Rounds unless
-	// the run was cancelled).
+	// Rounds is the number of COMPLETED rounds (== the spec's rounds
+	// unless the run was cancelled).
 	Rounds int
 	// Arrived, Deleted and Moved count the balls that arrived, were
 	// deleted and were rebalanced across the completed rounds.
@@ -184,57 +119,6 @@ type StreamResult struct {
 	HeightCounts []obs.HeightRow
 	// Array is the final bin state (nil on a cancelled run).
 	Array *bins.Array
-}
-
-func (c *StreamConfig) validate() (shards, rounds int, err error) {
-	if c.Array == nil {
-		return 0, 0, fmt.Errorf("sim: RunStream needs an Array")
-	}
-	if c.Arrivals < 0 {
-		return 0, 0, fmt.Errorf("sim: Arrivals = %d, need >= 0", c.Arrivals)
-	}
-	if c.ArrivalsFactor < 0 {
-		return 0, 0, fmt.Errorf("sim: ArrivalsFactor = %v, need >= 0", c.ArrivalsFactor)
-	}
-	rounds = c.Rounds
-	if len(c.Schedule) > 0 {
-		if c.Arrivals != 0 || c.ArrivalsFactor != 0 {
-			return 0, 0, fmt.Errorf("sim: Schedule is mutually exclusive with Arrivals/ArrivalsFactor")
-		}
-		if rounds == 0 {
-			rounds = len(c.Schedule)
-		} else if rounds != len(c.Schedule) {
-			return 0, 0, fmt.Errorf("sim: Rounds = %d but len(Schedule) = %d", c.Rounds, len(c.Schedule))
-		}
-		for r, a := range c.Schedule {
-			if a < 0 {
-				return 0, 0, fmt.Errorf("sim: Schedule[%d] = %d, need >= 0", r, a)
-			}
-		}
-	}
-	if rounds < 1 {
-		return 0, 0, fmt.Errorf("sim: Rounds = %d, need >= 1", c.Rounds)
-	}
-	if c.Deletions < 0 {
-		return 0, 0, fmt.Errorf("sim: Deletions = %d, need >= 0", c.Deletions)
-	}
-	if c.RebalanceTol < 0 || c.RebalanceTol != c.RebalanceTol {
-		return 0, 0, fmt.Errorf("sim: RebalanceTol = %v, need >= 0", c.RebalanceTol)
-	}
-	if c.Workers < 0 {
-		return 0, 0, fmt.Errorf("sim: Workers = %d, need >= 0", c.Workers)
-	}
-	if c.CancelAfterRounds < 0 {
-		return 0, 0, fmt.Errorf("sim: CancelAfterRounds = %d, need >= 0", c.CancelAfterRounds)
-	}
-	if err := c.ObsOptions.validate(); err != nil {
-		return 0, 0, err
-	}
-	if err := c.ObsOptions.rejectHeightBins("the streaming engine"); err != nil {
-		return 0, 0, err
-	}
-	shards, err = resolveShards(c.Shards, c.Array.N())
-	return shards, rounds, err
 }
 
 // Stream task kinds: one per phase of a round (plus the one-time
@@ -331,11 +215,14 @@ func (a *apportion) split(m int64, w []float64, sum float64, out []int64) {
 // rounds/sec benchmark).
 type streamState struct {
 	sharded
-	cfg  *StreamConfig
+	p    StreamParams
 	cc   *canceller
 	seed uint64
 	kk   uint64 // RNG streams consumed per round: 3·shards + 2
 	sumW float64
+	// levels and cancelAfter are the spec's HeightLevels and
+	// CancelAfter (in rounds).
+	levels, cancelAfter int
 
 	views   []*bins.Array
 	placers []protocol.Placer
@@ -391,33 +278,39 @@ type streamState struct {
 	csballs []int64
 }
 
-// runStream executes one streaming run. Unexported by design: Dispatch
-// (Engine = EngineStream) is the only public entry point, so every
-// caller shares the eligibility checks and the Result mapping.
-func runStream(cfg StreamConfig) (*StreamResult, error) {
-	shards, rounds, err := cfg.validate()
+// runStream executes one streaming run of spec.Stream's rounds: the
+// spec's Balls/BallsFactor give the per-round arrivals, its
+// Checkpoints are ROUND indices, and CancelAfter counts completed
+// rounds. Unexported by design: Dispatch (Engine = EngineStream) is
+// the only public entry point, so every caller shares the eligibility
+// checks and the Result mapping.
+func runStream(spec *RunSpec) (*StreamResult, error) {
+	shards, err := spec.validate(EngineStream)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := newSharded(engRunStream, &LargeConfig{Array: cfg.Array, Dist: cfg.Dist, Placer: cfg.Placer, Workers: cfg.Workers, AdoptArray: cfg.AdoptArray}, shards, nil)
+	sh, err := newSharded(engRunStream, spec, shards, nil)
 	if err != nil {
 		return nil, err
 	}
 	st := &streamState{
-		sharded: sh,
-		cfg:     &cfg,
-		cc:      newCanceller(cfg.Context),
-		seed:    cfg.Seed,
-		kk:      uint64(3*shards + 2),
+		sharded:     sh,
+		p:           *spec.Stream,
+		cc:          newCanceller(spec.Context),
+		seed:        spec.Seed,
+		kk:          uint64(3*shards + 2),
+		levels:      spec.HeightLevels,
+		cancelAfter: spec.CancelAfter,
 	}
+	rounds := st.p.rounds()
 	for _, w := range sh.shardW {
 		st.sumW += w
 	}
 	st.totalCap = sh.arr.TotalCapacity()
-	if len(cfg.Schedule) > 0 {
-		st.sched = cfg.Schedule
+	if len(st.p.Schedule) > 0 {
+		st.sched = st.p.Schedule
 	} else {
-		st.fixedM = (&Config{Balls: cfg.Arrivals, BallsFactor: cfg.ArrivalsFactor}).ballCount(st.totalCap)
+		st.fixedM = spec.ballCount(st.totalCap)
 	}
 
 	maxM := st.fixedM
@@ -446,7 +339,7 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 		return nil, fmt.Errorf("sim: RunStream: %w", err)
 	}
 
-	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
+	cuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
 	st.cuts = cuts
 	st.nCuts = obs.CountReached(cuts, int64(rounds))
 	if len(cuts) > 0 {
@@ -676,7 +569,7 @@ func (st *streamState) orchestrate(rounds int) (*StreamResult, error) {
 		if !ok {
 			return st.partial(st.cc.err())
 		}
-		if ca := st.cfg.CancelAfterRounds; ca > 0 && st.rounds == ca && st.rounds < rounds {
+		if ca := st.cancelAfter; ca > 0 && st.rounds == ca && st.rounds < rounds {
 			return st.partial(nil)
 		}
 	}
@@ -732,7 +625,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 
 	// Phase 3 — deletions: exactly uniform without replacement over
 	// the current occupancy, P(shard)·P(bin|shard) factorised.
-	d := st.cfg.Deletions
+	d := st.p.Deletions
 	if d > st.total {
 		d = st.total
 	}
@@ -759,7 +652,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	// deficit shards. Source and destination shards are disjoint, but
 	// the model orders move-outs before move-ins.
 	var moved int64
-	if tol := st.cfg.RebalanceTol; tol > 0 {
+	if tol := st.p.RebalanceTol; tol > 0 {
 		moved = st.planRebalance(tol)
 		if moved > 0 {
 			if err := st.ph.run(streamMoveOut, st.shards); err != nil {
@@ -827,7 +720,7 @@ func (st *streamState) partialResult() *StreamResult {
 
 // partial is the cancelled exit: the committed-round prefix plus a
 // *CancelledError whose cause is the context's error, or nil for the
-// deterministic CancelAfterRounds stop.
+// deterministic CancelAfter stop.
 func (st *streamState) partial(cause error) (*StreamResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunStream,
@@ -846,7 +739,7 @@ func (st *streamState) partial(cause error) (*StreamResult, error) {
 func (st *streamState) final() (*StreamResult, error) {
 	res := st.partialResult()
 	var err error
-	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = finalState(engRunStream, st.arr, st.cfg.HeightLevels, st.arrived)
+	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = finalState(engRunStream, st.arr, st.levels, st.arrived)
 	if err != nil {
 		return nil, err
 	}

@@ -18,30 +18,34 @@ func TestStreamValidation(t *testing.T) {
 	a := largeArray(t, 100)
 	cases := []struct {
 		name string
-		cfg  StreamConfig
+		cfg  RunSpec
 		want string
 	}{
-		{"nil array", StreamConfig{Rounds: 1}, "needs an Array"},
-		{"no rounds", StreamConfig{Array: a}, "Rounds"},
-		{"negative rounds", StreamConfig{Array: a, Rounds: -2}, "Rounds"},
-		{"negative arrivals", StreamConfig{Array: a, Rounds: 1, Arrivals: -1}, "Arrivals"},
-		{"negative factor", StreamConfig{Array: a, Rounds: 1, ArrivalsFactor: -0.5}, "ArrivalsFactor"},
-		{"negative deletions", StreamConfig{Array: a, Rounds: 1, Deletions: -3}, "Deletions"},
-		{"negative tolerance", StreamConfig{Array: a, Rounds: 1, RebalanceTol: -0.1}, "RebalanceTol"},
-		{"NaN tolerance", StreamConfig{Array: a, Rounds: 1, RebalanceTol: math.NaN()}, "RebalanceTol"},
-		{"negative workers", StreamConfig{Array: a, Rounds: 1, Workers: -1}, "Workers"},
-		{"negative cancel", StreamConfig{Array: a, Rounds: 1, CancelAfterRounds: -1}, "CancelAfterRounds"},
-		{"shards out of range", StreamConfig{Array: a, Rounds: 1, Shards: 101}, "Shards"},
-		{"schedule and arrivals", StreamConfig{Array: a, Schedule: []int64{10}, Arrivals: 5}, "mutually exclusive"},
-		{"schedule length", StreamConfig{Array: a, Rounds: 3, Schedule: []int64{10, 20}}, "len(Schedule)"},
-		{"negative schedule entry", StreamConfig{Array: a, Schedule: []int64{10, -1}}, "Schedule[1]"},
-		{"height histogram", StreamConfig{Array: a, Rounds: 1,
-			ObsOptions: ObsOptions{HeightBins: 4}}, "streaming engine"},
-		{"bad cuts", StreamConfig{Array: a, Rounds: 1,
-			ObsOptions: ObsOptions{Checkpoints: []int64{3, 2}}}, "Checkpoints"},
+		{"nil array", RunSpec{Stream: &StreamParams{Rounds: 1}}, "needs an Array"},
+		{"no rounds", RunSpec{Config: Config{Array: a}, Stream: &StreamParams{}}, "Rounds"},
+		{"negative rounds", RunSpec{Config: Config{Array: a}, Stream: &StreamParams{Rounds: -2}}, "Rounds"},
+		{"negative arrivals", RunSpec{Config: Config{Array: a, Balls: -1}, Stream: &StreamParams{Rounds: 1}}, "Balls"},
+		{"negative factor", RunSpec{Config: Config{Array: a, BallsFactor: -0.5}, Stream: &StreamParams{Rounds: 1}}, "BallsFactor"},
+		{"negative deletions", RunSpec{Config: Config{Array: a}, Stream: &StreamParams{Rounds: 1, Deletions: -3}}, "Deletions"},
+		{"negative tolerance", RunSpec{Config: Config{Array: a}, Stream: &StreamParams{Rounds: 1, RebalanceTol: -0.1}}, "RebalanceTol"},
+		{"NaN tolerance", RunSpec{Config: Config{Array: a}, Stream: &StreamParams{Rounds: 1, RebalanceTol: math.NaN()}}, "RebalanceTol"},
+		{"negative workers", RunSpec{Config: Config{Array: a, Workers: -1}, Stream: &StreamParams{Rounds: 1}}, "Workers"},
+		{"negative cancel", RunSpec{Config: Config{Array: a}, CancelAfter: -1, Stream: &StreamParams{Rounds: 1}}, "CancelAfter"},
+		{"shards out of range", RunSpec{Config: Config{Array: a}, Shards: 101, Stream: &StreamParams{Rounds: 1}}, "Shards"},
+		{"schedule and arrivals", RunSpec{Config: Config{Array: a, Balls: 5}, Stream: &StreamParams{Schedule: []int64{10}}}, "mutually exclusive"},
+		{"schedule length", RunSpec{Config: Config{Array: a}, Stream: &StreamParams{Rounds: 3, Schedule: []int64{10, 20}}}, "len(Schedule)"},
+		{"negative schedule entry", RunSpec{Config: Config{Array: a}, Stream: &StreamParams{Schedule: []int64{10, -1}}}, "Schedule[1]"},
+		{"height histogram", RunSpec{
+			Config: Config{Array: a, ObsOptions: ObsOptions{HeightBins: 4}},
+			Stream: &StreamParams{Rounds: 1},
+		}, "streaming engine"},
+		{"bad cuts", RunSpec{
+			Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{3, 2}}},
+			Stream: &StreamParams{Rounds: 1},
+		}, "Checkpoints"},
 	}
 	for _, tc := range cases {
-		_, err := runStream(tc.cfg)
+		_, err := runStream(&tc.cfg)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -59,13 +63,28 @@ func TestStreamValidation(t *testing.T) {
 // bit-for-bit RunLarge's.
 func TestStreamQuietRoundMatchesRunLarge(t *testing.T) {
 	a := largeArray(t, 1500)
-	want, err := RunLarge(LargeConfig{Array: a, Seed: 42, Shards: 8,
-		Placer: protocol.GreedyFactory(3), ObsOptions: ObsOptions{HeightLevels: 4}})
+	want, err := RunLarge(RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       42,
+			Placer:     protocol.GreedyFactory(3),
+			ObsOptions: ObsOptions{HeightLevels: 4},
+		},
+		Shards: 8,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runStream(StreamConfig{Array: a, Seed: 42, Shards: 8, Rounds: 1,
-		Placer: protocol.GreedyFactory(3), ObsOptions: ObsOptions{HeightLevels: 4}})
+	got, err := runStream(&RunSpec{
+		Config: Config{
+			Array:      a,
+			Seed:       42,
+			Placer:     protocol.GreedyFactory(3),
+			ObsOptions: ObsOptions{HeightLevels: 4},
+		},
+		Shards: 8,
+		Stream: &StreamParams{Rounds: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +110,22 @@ func TestStreamQuietRoundMatchesRunLarge(t *testing.T) {
 // streamMatrixConfig is the full-featured configuration the topology
 // matrix and the goldens share: arrivals, deletions, rebalance and
 // round cuts all active.
-func streamMatrixConfig(t *testing.T, workers int) StreamConfig {
+func streamMatrixConfig(t *testing.T, workers int) RunSpec {
 	t.Helper()
-	return StreamConfig{
-		Array:        largeArray(t, 512),
-		Seed:         20260808,
-		Shards:       8,
-		Workers:      workers,
-		Rounds:       5,
-		Arrivals:     1000,
-		Deletions:    400,
-		RebalanceTol: 0.25,
-		ObsOptions:   ObsOptions{Checkpoints: []int64{2, 4, 5}},
+	return RunSpec{
+		Config: Config{
+			Array:      largeArray(t, 512),
+			Seed:       20260808,
+			Workers:    workers,
+			Balls:      1000,
+			ObsOptions: ObsOptions{Checkpoints: []int64{2, 4, 5}},
+		},
+		Shards: 8,
+		Stream: &StreamParams{
+			Rounds:       5,
+			Deletions:    400,
+			RebalanceTol: 0.25,
+		},
 	}
 }
 
@@ -113,7 +136,8 @@ func streamMatrixConfig(t *testing.T, workers int) StreamConfig {
 func TestStreamBitIdenticalAcrossWorkers(t *testing.T) {
 	var base *StreamResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := runStream(streamMatrixConfig(t, workers))
+		cfg := streamMatrixConfig(t, workers)
+		res, err := runStream(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +175,8 @@ func TestStreamBitIdenticalAcrossWorkers(t *testing.T) {
 // silently invalidates every pinned streaming result and must be
 // deliberate.
 func TestStreamGoldenValues(t *testing.T) {
-	res, err := runStream(streamMatrixConfig(t, 3))
+	cfg := streamMatrixConfig(t, 3)
+	res, err := runStream(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +221,19 @@ func TestStreamGoldenValues(t *testing.T) {
 // agrees, and every shard respects the rebalance ceiling at the end.
 func TestStreamConservation(t *testing.T) {
 	const tol = 0.3
-	res, err := runStream(StreamConfig{
-		Array: largeArray(t, 800), Seed: 9, Shards: 10, Workers: 4,
-		Rounds: 6, Arrivals: 700, Deletions: 250, RebalanceTol: tol,
+	res, err := runStream(&RunSpec{
+		Config: Config{
+			Array:   largeArray(t, 800),
+			Seed:    9,
+			Workers: 4,
+			Balls:   700,
+		},
+		Shards: 10,
+		Stream: &StreamParams{
+			Rounds:       6,
+			Deletions:    250,
+			RebalanceTol: tol,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,10 +283,10 @@ func TestStreamConservation(t *testing.T) {
 // implies Rounds, and deletions clamp to the occupancy instead of
 // going negative.
 func TestStreamSchedule(t *testing.T) {
-	res, err := runStream(StreamConfig{
-		Array: largeArray(t, 400), Seed: 3, Shards: 4,
-		Schedule:  []int64{5000, 0, 0, 0},
-		Deletions: 2000,
+	res, err := runStream(&RunSpec{
+		Config: Config{Array: largeArray(t, 400), Seed: 3},
+		Shards: 4,
+		Stream: &StreamParams{Schedule: []int64{5000, 0, 0, 0}, Deletions: 2000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,10 +311,19 @@ func TestStreamSchedule(t *testing.T) {
 // receive, lose or rebalance a ball — and never build a placer.
 func TestStreamZeroWeightShards(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := runStream(StreamConfig{
-		Array: a, Seed: 5, Shards: 20, Rounds: 3,
-		Arrivals: 800, Deletions: 300, RebalanceTol: 0.5,
-		Dist: dist.TopOnly{MinCapacity: 10},
+	res, err := runStream(&RunSpec{
+		Config: Config{
+			Array: a,
+			Seed:  5,
+			Balls: 800,
+			Dist:  dist.TopOnly{MinCapacity: 10},
+		},
+		Shards: 20,
+		Stream: &StreamParams{
+			Rounds:       3,
+			Deletions:    300,
+			RebalanceTol: 0.5,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,15 +341,17 @@ func TestStreamZeroWeightShards(t *testing.T) {
 // Rounds value.
 func TestStreamCancelAfterRoundsPrefix(t *testing.T) {
 	cfg := streamMatrixConfig(t, 4)
+	sp := *cfg.Stream
+	sp.Rounds = 3
 	short := cfg
-	short.Rounds = 3
-	want, err := runStream(short)
+	short.Stream = &sp
+	want, err := runStream(&short)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancelled := cfg
-	cancelled.CancelAfterRounds = 3
-	got, err := runStream(cancelled)
+	cancelled.CancelAfter = 3
+	got, err := runStream(&cancelled)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
@@ -332,11 +378,11 @@ func TestStreamCancelAfterRoundsPrefix(t *testing.T) {
 	if got.Array != nil || got.MaxLoad != 0 {
 		t.Fatal("cancelled partial carries final state")
 	}
-	// CancelAfterRounds >= Rounds is a no-op: the run completes.
+	// CancelAfter >= Rounds is a no-op: the run completes.
 	full := cfg
-	full.CancelAfterRounds = cfg.Rounds
-	if _, err := runStream(full); err != nil {
-		t.Fatalf("CancelAfterRounds == Rounds should complete, got %v", err)
+	full.CancelAfter = cfg.Stream.Rounds
+	if _, err := runStream(&full); err != nil {
+		t.Fatalf("CancelAfter == Rounds should complete, got %v", err)
 	}
 }
 
@@ -348,7 +394,7 @@ func TestStreamContextCancellation(t *testing.T) {
 	cancel()
 	cfg := streamMatrixConfig(t, 2)
 	cfg.Context = ctx
-	res, err := runStream(cfg)
+	res, err := runStream(&cfg)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
@@ -420,7 +466,8 @@ func TestStreamDispatch(t *testing.T) {
 		t.Fatalf("classic mapping off: %+v", res)
 	}
 	// It must be the same bits runStream produces directly.
-	direct, err := runStream(streamMatrixConfig(t, 0))
+	spec := streamMatrixConfig(t, 0)
+	direct, err := runStream(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +479,9 @@ func TestStreamDispatch(t *testing.T) {
 	cres, err := Dispatch(RunSpec{
 		Config: Config{Array: a, Seed: 20260808, Balls: 1000,
 			ObsOptions: ObsOptions{Checkpoints: []int64{2, 4, 5}}},
-		Shards: 8,
-		Stream: &StreamParams{Rounds: 5, Deletions: 400, RebalanceTol: 0.25, CancelAfterRounds: 3},
+		Shards:      8,
+		CancelAfter: 3,
+		Stream:      &StreamParams{Rounds: 5, Deletions: 400, RebalanceTol: 0.25},
 	})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) || cerr.CompletedRounds != 3 {
@@ -452,9 +500,19 @@ func TestStreamSteadyStateAllocFree(t *testing.T) {
 	a := largeArray(t, 4096)
 	run := func(rounds int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			_, err := runStream(StreamConfig{
-				Array: a, Seed: 11, Shards: 8, Workers: 2, Rounds: rounds,
-				Arrivals: 2048, Deletions: 512, RebalanceTol: 0.2,
+			_, err := runStream(&RunSpec{
+				Config: Config{
+					Array:   a,
+					Seed:    11,
+					Workers: 2,
+					Balls:   2048,
+				},
+				Shards: 8,
+				Stream: &StreamParams{
+					Rounds:       rounds,
+					Deletions:    512,
+					RebalanceTol: 0.2,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -473,10 +531,10 @@ func TestStreamSteadyStateAllocFree(t *testing.T) {
 // bin exactly — the two-level (shard tree, then bin tree) deletion
 // kernel is without-replacement end to end.
 func TestStreamDeletionExhaustive(t *testing.T) {
-	res, err := runStream(StreamConfig{
-		Array: largeArray(t, 300), Seed: 8, Shards: 6,
-		Schedule:  []int64{4000, 0},
-		Deletions: 4000,
+	res, err := runStream(&RunSpec{
+		Config: Config{Array: largeArray(t, 300), Seed: 8},
+		Shards: 6,
+		Stream: &StreamParams{Schedule: []int64{4000, 0}, Deletions: 4000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -497,16 +555,22 @@ func TestStreamDeletionExhaustive(t *testing.T) {
 // round (deletions) leave the arrival routing and placement draws of
 // that round untouched.
 func TestStreamSubstreamLayout(t *testing.T) {
-	base := StreamConfig{
-		Array: largeArray(t, 400), Seed: 13, Shards: 4, Rounds: 1, Arrivals: 2000,
+	base := RunSpec{
+		Config: Config{
+			Array: largeArray(t, 400),
+			Seed:  13,
+			Balls: 2000,
+		},
+		Shards: 4,
+		Stream: &StreamParams{Rounds: 1},
 	}
-	quiet, err := runStream(base)
+	quiet, err := runStream(&base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withDel := base
-	withDel.Deletions = 500
-	del, err := runStream(withDel)
+	withDel.Stream = &StreamParams{Rounds: 1, Deletions: 500}
+	del, err := runStream(&withDel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,10 +601,15 @@ func TestStreamSubstreamLayout(t *testing.T) {
 // TestStreamHeights: the final-state height observable rides along
 // like RunLarge's.
 func TestStreamHeights(t *testing.T) {
-	res, err := runStream(StreamConfig{
-		Array: largeArray(t, 500), Seed: 2, Shards: 5, Rounds: 3,
-		Arrivals: 400, Deletions: 100,
-		ObsOptions: ObsOptions{HeightLevels: 3},
+	res, err := runStream(&RunSpec{
+		Config: Config{
+			Array:      largeArray(t, 500),
+			Seed:       2,
+			Balls:      400,
+			ObsOptions: ObsOptions{HeightLevels: 3},
+		},
+		Shards: 5,
+		Stream: &StreamParams{Rounds: 3, Deletions: 100},
 	})
 	if err != nil {
 		t.Fatal(err)

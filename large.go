@@ -2,8 +2,6 @@ package balls
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"repro/internal/bins"
 	"repro/internal/sim"
@@ -117,44 +115,13 @@ func (l LargeLoads) N() int { return l.arr.N() }
 // the corresponding row of an uninterrupted run. Final-state fields
 // (MaxLoad, Loads, …) are unset on a cancelled partial.
 func SimulateLarge(cfg LargeConfig) (*LargeResult, error) {
-	if len(cfg.Capacities) == 0 {
-		return nil, fmt.Errorf("balls: SimulateLarge needs capacities")
-	}
-	arr, err := bins.New(cfg.Capacities)
+	spec, err := buildSpec("SimulateLarge", &cfg)
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	res, err := sim.RunLarge(sim.LargeConfig{
-		Array:       arr,
-		Dist:        cfg.Distribution.resolve(),
-		Placer:      cfg.Protocol.resolve(),
-		Balls:       cfg.Balls,
-		BallsFactor: cfg.BallsFactor,
-		Seed:        seed,
-		Shards:      cfg.Shards,
-		Workers:     cfg.Workers,
-		ObsOptions: sim.ObsOptions{
-			Checkpoints:  cfg.Checkpoints,
-			HeightLevels: cfg.Heights,
-		},
-		// arr is private to this call, so the engine may own it —
-		// skipping the clone avoids a second transient O(n) array at
-		// n = 10^7.
-		AdoptArray: true,
-		Context:    cfg.Context,
-	})
-	if err != nil {
-		// Declared inside the branch: errors.As takes the address, and
-		// a function-scope declaration would heap-allocate on the
-		// happy path too.
-		var cancelled *CancelledError
-		if !errors.As(err, &cancelled) || res == nil {
-			return nil, err
-		}
+	res, err := sim.RunLarge(spec)
+	if err != nil && cancelledPartial(err, res != nil) == nil {
+		return nil, err
 	}
 	return &LargeResult{
 		N:           res.N,
@@ -258,53 +225,21 @@ type MonteLargeResult struct {
 // (see MonteLargeConfig.Resume): interrupted-then-resumed aggregates
 // are byte-identical to an uninterrupted run's.
 func MonteCarloLarge(cfg MonteLargeConfig) (*MonteLargeResult, error) {
-	if len(cfg.Capacities) == 0 {
-		return nil, fmt.Errorf("balls: MonteCarloLarge needs capacities")
-	}
-	arr, err := bins.New(cfg.Capacities)
+	spec, err := buildSpec("MonteCarloLarge", &cfg.LargeConfig)
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	spec.Reps = cfg.Reps
+	if spec.Reps == 0 {
+		spec.Reps = 100
 	}
-	reps := cfg.Reps
-	if reps == 0 {
-		reps = 100
-	}
-	res, err := sim.RunLargeMonte(sim.LargeMonteConfig{
-		LargeConfig: sim.LargeConfig{
-			Array:       arr,
-			Dist:        cfg.Distribution.resolve(),
-			Placer:      cfg.Protocol.resolve(),
-			Balls:       cfg.Balls,
-			BallsFactor: cfg.BallsFactor,
-			Seed:        seed,
-			Shards:      cfg.Shards,
-			Workers:     cfg.Workers,
-			ObsOptions: sim.ObsOptions{
-				Checkpoints:  cfg.Checkpoints,
-				HeightLevels: cfg.Heights,
-			},
-			// arr is private to this call; adopting it as the master
-			// saves one transient O(n) array at n = 10^7.
-			AdoptArray: true,
-			Context:    cfg.Context,
-		},
-		Reps:              reps,
-		CollectLoadVector: cfg.SortedLoads,
-		ShardStats:        cfg.ShardStats,
-		Resume:            cfg.Resume,
-		CancelAfterReps:   cfg.CancelAfterReps,
-	})
-	if err != nil {
-		// Same heap-allocation dodge as SimulateLarge: errors.As takes
-		// the address, so the declaration stays inside the error branch.
-		var cancelled *CancelledError
-		if !errors.As(err, &cancelled) || res == nil {
-			return nil, err
-		}
+	spec.CollectLoadVector = cfg.SortedLoads
+	spec.ShardStats = cfg.ShardStats
+	spec.Resume = cfg.Resume
+	spec.CancelAfter = cfg.CancelAfterReps
+	res, err := sim.RunLargeMonte(spec)
+	if err != nil && cancelledPartial(err, res != nil) == nil {
+		return nil, err
 	}
 	return &MonteLargeResult{
 		N:               res.N,

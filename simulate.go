@@ -2,7 +2,6 @@ package balls
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -50,8 +49,10 @@ type SimConfig struct {
 	Context context.Context
 }
 
-// CheckpointResult is one aggregated checkpoint. It is shared by all
-// three engines (Simulate, SimulateLarge, MonteCarloLarge).
+// CheckpointResult is one aggregated checkpoint. It is shared by every
+// wrapper (Simulate, SimulateLarge, MonteCarloLarge, SimulateStream,
+// SimulateCluster); the streaming and serving cuts are round and tick
+// indices.
 type CheckpointResult struct {
 	// Balls is the requested cut (a global ball count).
 	Balls int64
@@ -192,10 +193,18 @@ type SimResult struct {
 // aggregates are bit-identical to a run configured with that smaller
 // Reps. Mean fields are NaN when no repetition completed.
 func Simulate(cfg SimConfig) (*SimResult, error) {
-	if len(cfg.Capacities) == 0 {
-		return nil, fmt.Errorf("balls: Simulate needs capacities")
-	}
-	arr, err := bins.New(cfg.Capacities)
+	spec, err := buildSpec("Simulate", &LargeConfig{
+		Capacities:   cfg.Capacities,
+		Balls:        cfg.Balls,
+		BallsFactor:  cfg.BallsFactor,
+		Seed:         cfg.Seed,
+		Workers:      cfg.Workers,
+		Distribution: cfg.Distribution,
+		Protocol:     cfg.Protocol,
+		Checkpoints:  cfg.Checkpoints,
+		Heights:      cfg.Heights,
+		Context:      cfg.Context,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -203,32 +212,12 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if reps == 0 {
 		reps = 100
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	res, err := sim.Run(sim.Config{
-		Array:             arr,
-		Dist:              cfg.Distribution.resolve(),
-		Placer:            cfg.Protocol.resolve(),
-		Balls:             cfg.Balls,
-		BallsFactor:       cfg.BallsFactor,
-		Reps:              reps,
-		Seed:              seed,
-		Workers:           cfg.Workers,
-		CollectLoadVector: cfg.SortedLoads,
-		ObsOptions: sim.ObsOptions{
-			Checkpoints:  cfg.Checkpoints,
-			HeightLevels: cfg.Heights,
-		},
-		Context: cfg.Context,
-	})
+	spec.Reps = reps
+	spec.CollectLoadVector = cfg.SortedLoads
+	res, err := sim.Run(spec.Config)
 	if err != nil {
-		// errors.As takes cancelled's address, which would heap-allocate
-		// it on every call — declared inside the error branch so the
-		// happy path stays allocation-free.
-		var cancelled *CancelledError
-		if !errors.As(err, &cancelled) || res == nil {
+		cancelled := cancelledPartial(err, res != nil)
+		if cancelled == nil {
 			return nil, err
 		}
 		reps = cancelled.CompletedReps
@@ -248,6 +237,45 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		MeanSortedLoads: res.MeanSortedLoads,
 		Checkpoints:     checkpointResults(res.Checkpoints),
 		Heights:         heightResults(res.HeightCounts),
-		TheoryBound:     theory.TwoChoiceBound(arr.N(), 2),
+		TheoryBound:     theory.TwoChoiceBound(spec.Array.N(), 2),
 	}, err
+}
+
+// buildSpec is the one mapping from the public configs to the engine
+// spec. It takes the fields every public config shares, in their
+// LargeConfig spelling: a private bin array over the capacities,
+// adopted by the engine so no second O(n) copy is made; the seed
+// default of 1; the selection distribution and protocol (unset ones
+// stay nil, the engines' defaults); the observation requests; and the
+// context. The wrapper then sets its engine's own fields.
+func buildSpec(wrapper string, cfg *LargeConfig) (sim.RunSpec, error) {
+	if len(cfg.Capacities) == 0 {
+		return sim.RunSpec{}, fmt.Errorf("balls: %s needs capacities", wrapper)
+	}
+	arr, err := bins.New(cfg.Capacities)
+	if err != nil {
+		return sim.RunSpec{}, err
+	}
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return sim.RunSpec{
+		Config: sim.Config{
+			Array:       arr,
+			Dist:        cfg.Distribution.inner,
+			Placer:      cfg.Protocol.factory,
+			Balls:       cfg.Balls,
+			BallsFactor: cfg.BallsFactor,
+			Seed:        seed,
+			Workers:     cfg.Workers,
+			ObsOptions: sim.ObsOptions{
+				Checkpoints:  cfg.Checkpoints,
+				HeightLevels: cfg.Heights,
+			},
+			Context: cfg.Context,
+		},
+		Shards:     cfg.Shards,
+		AdoptArray: true,
+	}, nil
 }

@@ -2,10 +2,7 @@ package balls
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
-	"repro/internal/bins"
 	"repro/internal/sim"
 )
 
@@ -133,53 +130,33 @@ type StreamResult struct {
 // with Rounds = CancelledError.CompletedRounds. Final-state fields
 // (MaxLoad, Heights, Loads) are unset on a cancelled partial.
 func SimulateStream(cfg StreamConfig) (*StreamResult, error) {
-	if len(cfg.Capacities) == 0 {
-		return nil, fmt.Errorf("balls: SimulateStream needs capacities")
-	}
-	arr, err := bins.New(cfg.Capacities)
+	spec, err := buildSpec("SimulateStream", &LargeConfig{
+		Capacities:   cfg.Capacities,
+		Balls:        cfg.Arrivals,
+		BallsFactor:  cfg.ArrivalsFactor,
+		Seed:         cfg.Seed,
+		Shards:       cfg.Shards,
+		Workers:      cfg.Workers,
+		Distribution: cfg.Distribution,
+		Protocol:     cfg.Protocol,
+		Checkpoints:  cfg.Checkpoints,
+		Heights:      cfg.Heights,
+		Context:      cfg.Context,
+	})
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	spec.Engine = sim.EngineStream
+	spec.CancelAfter = cfg.CancelAfterRounds
+	spec.Stream = &sim.StreamParams{
+		Rounds:       cfg.Rounds,
+		Schedule:     cfg.Schedule,
+		Deletions:    cfg.Deletions,
+		RebalanceTol: cfg.RebalanceTol,
 	}
-	res, err := sim.Dispatch(sim.RunSpec{
-		Config: sim.Config{
-			Array:       arr,
-			Dist:        cfg.Distribution.resolve(),
-			Placer:      cfg.Protocol.resolve(),
-			Balls:       cfg.Arrivals,
-			BallsFactor: cfg.ArrivalsFactor,
-			Seed:        seed,
-			Workers:     cfg.Workers,
-			ObsOptions: sim.ObsOptions{
-				Checkpoints:  cfg.Checkpoints,
-				HeightLevels: cfg.Heights,
-			},
-			Context: cfg.Context,
-		},
-		Engine: sim.EngineStream,
-		Shards: cfg.Shards,
-		Stream: &sim.StreamParams{
-			Rounds:            cfg.Rounds,
-			Schedule:          cfg.Schedule,
-			Deletions:         cfg.Deletions,
-			RebalanceTol:      cfg.RebalanceTol,
-			CancelAfterRounds: cfg.CancelAfterRounds,
-		},
-		// arr is private to this call, so the engine may own it —
-		// skipping the clone avoids a second transient O(n) array.
-		AdoptArray: true,
-	})
-	if err != nil {
-		// Declared inside the branch: errors.As takes the address, and
-		// a function-scope declaration would heap-allocate on the
-		// happy path too.
-		var cancelled *CancelledError
-		if !errors.As(err, &cancelled) || res == nil {
-			return nil, err
-		}
+	res, err := sim.Dispatch(spec)
+	if err != nil && cancelledPartial(err, res != nil) == nil {
+		return nil, err
 	}
 	sres := res.Stream
 	return &StreamResult{
