@@ -208,7 +208,9 @@ func BenchmarkRunStream4W(b *testing.B) { benchRunStream(b, 4) }
 // benchClusterTick measures the churn-tolerant serving engine with all
 // degraded-mode machinery armed — stochastic churn (so ring re-shards
 // and queue redistribution fire), timeouts with retries, and admission
-// control — reported as ticks/sec.
+// control — reported as ticks/sec. Its remaining allocations are the
+// churn ticks' router and placer rebuilds; a churn-free tick allocates
+// nothing (pinned by TestClusterSteadyStateAllocFree in internal/sim).
 func benchClusterTick(b *testing.B, workers int) {
 	b.Helper()
 	caps := CapacitiesTwoClass(50_000, 1, 50_000, 10)

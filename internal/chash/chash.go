@@ -14,19 +14,25 @@
 // # Membership churn
 //
 // A ring remembers every peer's virtual points forever: the positions are
-// drawn once, at construction, and RemovePeer/AddPeer splice a peer's
-// points out of and back into the sorted ring incrementally — one
-// compaction or merge pass, no re-sort, and crucially no RNG draw, so
-// churn is deterministic given the construction seed and a peer that
-// crashes and recovers returns to exactly its old points (its keys come
-// home). Arc weights are recomputed from the surviving points; a dead
-// peer owns no points, so lookups can never land on it and its former
-// arcs accrue to its ring successors — the consistent-hashing property
-// that only neighbouring shares move under churn.
+// drawn once, at construction, and stay in one sorted array for the
+// ring's lifetime. Membership is a per-peer live flag, so
+// RemovePeer/AddPeer are O(1) flips — no splice, no re-sort, and
+// crucially no RNG draw, so churn is deterministic given the
+// construction seed and a peer that crashes and recovers returns to
+// exactly its old points (its keys come home). Lookups and arc lengths
+// skip dead peers' points; a dead peer therefore owns nothing, lookups
+// can never land on it, and its former arcs accrue to its live ring
+// successors — the consistent-hashing property that only neighbouring
+// shares move under churn. TouchedPeers names exactly those successors,
+// and PeerArc recomputes one peer's arc in O(its points), so a caller
+// tracking arc weights pays O(vnodes) per membership change instead of
+// a pass over the whole ring.
 package chash
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/xrand"
@@ -34,17 +40,19 @@ import (
 
 // Ring is a consistent-hashing ring over n peers, each owning a fixed
 // set of virtual points drawn at construction. Peers may be live (their
-// points are on the ring) or removed (points remembered, not mounted).
+// points own keys) or removed (points kept, skipped by every query).
 type Ring struct {
 	n      int
 	vnodes int
-	points []float64 // sorted positions in [0,1) of LIVE peers' points
-	owner  []int32   // peer owning each mounted point
-	// peerPts[p] is peer p's fixed, ascending point set — the
-	// churn-invariant identity RemovePeer/AddPeer splice with.
-	peerPts [][]float64
+	points []float64 // sorted positions in [0,1) of every peer's points
+	owner  []int32   // peer owning each point
+	// peerIdx[peerOff[p]:peerOff[p+1]] are the ascending indices into
+	// points of peer p's points.
+	peerIdx []int32
+	peerOff []int32
 	live    []bool
 	nLive   int
+	mark    []bool // TouchedPeers de-duplication scratch, all false between calls
 }
 
 // NewRing places n peers with the given number of virtual nodes each at
@@ -96,8 +104,8 @@ func NewWeightedRing(capacities []int64, vnodesPerUnit int, r *xrand.Rand) (*Rin
 }
 
 // build draws counts[p] points for every peer IN PEER ORDER (the draw
-// sequence is part of the model), caches each peer's ascending point
-// set, and mounts everything sorted.
+// sequence is part of the model), sorts them by (position, owner) and
+// indexes each peer's points in ascending order.
 func build(counts []int, r *xrand.Rand) (*Ring, error) {
 	n := len(counts)
 	total := 0
@@ -108,32 +116,36 @@ func build(counts []int, r *xrand.Rand) (*Ring, error) {
 		n:       n,
 		points:  make([]float64, total),
 		owner:   make([]int32, total),
-		peerPts: make([][]float64, n),
+		peerIdx: make([]int32, total),
+		peerOff: make([]int32, n+1),
 		live:    make([]bool, n),
 		nLive:   n,
+		mark:    make([]bool, n),
 	}
 	type pv struct {
 		pos   float64
 		owner int32
 	}
 	pvs := make([]pv, 0, total)
-	flat := make([]float64, total) // one backing array for every peer's cache
-	off := 0
 	for p := 0; p < n; p++ {
-		pts := flat[off : off+counts[p] : off+counts[p]]
-		off += counts[p]
-		for v := range pts {
-			pts[v] = r.Float64()
-			pvs = append(pvs, pv{pos: pts[v], owner: int32(p)})
+		for v := 0; v < counts[p]; v++ {
+			pvs = append(pvs, pv{pos: r.Float64(), owner: int32(p)})
 		}
-		sort.Float64s(pts)
-		ring.peerPts[p] = pts
+		ring.peerOff[p+1] = ring.peerOff[p] + int32(counts[p])
 		ring.live[p] = true
 	}
-	sort.Slice(pvs, func(i, j int) bool { return pvs[i].pos < pvs[j].pos })
+	slices.SortFunc(pvs, func(a, b pv) int {
+		if c := cmp.Compare(a.pos, b.pos); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.owner, b.owner)
+	})
+	next := slices.Clone(ring.peerOff[:n])
 	for i, e := range pvs {
 		ring.points[i] = e.pos
 		ring.owner[i] = e.owner
+		ring.peerIdx[next[e.owner]] = int32(i)
+		next[e.owner]++
 	}
 	return ring, nil
 }
@@ -144,12 +156,13 @@ func (r *Ring) N() int { return r.n }
 // NumLive returns the number of live peers.
 func (r *Ring) NumLive() int { return r.nLive }
 
-// Live reports whether peer p is currently mounted on the ring.
+// Live reports whether peer p is currently live (its points own keys).
 func (r *Ring) Live(p int) bool { return r.live[p] }
 
-// RemovePeer unmounts peer p's points — one compaction pass over the
-// sorted ring, no re-sort, no RNG. The last live peer cannot be
-// removed: an empty ring owns nothing and Lookup would be undefined.
+// RemovePeer takes peer p off the ring: O(1), one live-flag flip — its
+// points stay in place and every query skips them. No RNG. The last
+// live peer cannot be removed: an empty ring owns nothing and Lookup
+// would be undefined.
 func (r *Ring) RemovePeer(p int) error {
 	if p < 0 || p >= r.n {
 		return fmt.Errorf("chash: RemovePeer(%d) of %d peers", p, r.n)
@@ -160,26 +173,15 @@ func (r *Ring) RemovePeer(p int) error {
 	if r.nLive == 1 {
 		return fmt.Errorf("chash: RemovePeer(%d) would empty the ring", p)
 	}
-	k := 0
-	for i := range r.points {
-		if r.owner[i] == int32(p) {
-			continue
-		}
-		r.points[k] = r.points[i]
-		r.owner[k] = r.owner[i]
-		k++
-	}
-	r.points = r.points[:k]
-	r.owner = r.owner[:k]
 	r.live[p] = false
 	r.nLive--
 	return nil
 }
 
-// AddPeer re-mounts peer p's remembered points — one backwards
-// in-place merge of its ascending cached set into the sorted ring, no
-// re-sort, no RNG. A peer that crashes and recovers therefore returns
-// to exactly the points it held before, bit for bit.
+// AddPeer puts peer p back on the ring: O(1), one live-flag flip, no
+// RNG. Its points never left the sorted array, so a peer that crashes
+// and recovers returns to exactly the points it held before, bit for
+// bit.
 func (r *Ring) AddPeer(p int) error {
 	if p < 0 || p >= r.n {
 		return fmt.Errorf("chash: AddPeer(%d) of %d peers", p, r.n)
@@ -187,52 +189,56 @@ func (r *Ring) AddPeer(p int) error {
 	if r.live[p] {
 		return fmt.Errorf("chash: AddPeer(%d): peer is already live", p)
 	}
-	pts := r.peerPts[p]
-	old := len(r.points)
-	total := old + len(pts)
-	if cap(r.points) >= total {
-		r.points = r.points[:total]
-		r.owner = r.owner[:total]
-	} else {
-		np := make([]float64, total)
-		no := make([]int32, total)
-		copy(np, r.points)
-		copy(no, r.owner)
-		r.points, r.owner = np, no
-	}
-	i, k := old-1, total-1
-	for j := len(pts) - 1; j >= 0; k-- {
-		if i >= 0 && r.points[i] > pts[j] {
-			r.points[k] = r.points[i]
-			r.owner[k] = r.owner[i]
-			i--
-		} else {
-			r.points[k] = pts[j]
-			r.owner[k] = int32(p)
-			j--
-		}
-	}
 	r.live[p] = true
 	r.nLive++
 	return nil
 }
 
-// Lookup returns the peer owning position x in [0,1): the peer of the
-// first point at or after x, wrapping around.
-func (r *Ring) Lookup(x float64) int {
-	i := sort.SearchFloat64s(r.points, x)
-	if i == len(r.points) {
-		i = 0
+// liveAt reports whether point i belongs to a live peer.
+func (r *Ring) liveAt(i int) bool { return r.live[r.owner[i]] }
+
+// nextLive returns the index of the first live point at or after i,
+// wrapping around. At least one peer is always live, and every peer has
+// at least one point, so the scan terminates.
+func (r *Ring) nextLive(i int) int {
+	for {
+		if i == len(r.points) {
+			i = 0
+		}
+		if r.liveAt(i) {
+			return i
+		}
+		i++
 	}
-	return int(r.owner[i])
+}
+
+// prevLive returns the index of the last live point at or before i,
+// wrapping around.
+func (r *Ring) prevLive(i int) int {
+	for {
+		if i < 0 {
+			i = len(r.points) - 1
+		}
+		if r.liveAt(i) {
+			return i
+		}
+		i--
+	}
+}
+
+// Lookup returns the peer owning position x in [0,1): the peer of the
+// first live point at or after x, wrapping around.
+func (r *Ring) Lookup(x float64) int {
+	return int(r.owner[r.nextLive(sort.SearchFloat64s(r.points, x))])
 }
 
 // LookupBatch resolves many positions at once: the queries are sorted
-// once and resolved in a single merge pass against the sorted ring —
-// O(P + Q + Q·log Q) for Q queries over P points instead of Q binary
-// searches — writing each query's owner to the matching out slot.
-// Results are exactly Lookup's, element for element. out is reused
-// when it has the capacity; the filled slice is returned.
+// once and resolved in a single forward pass against the sorted ring,
+// skipping dead peers' points as it goes — O(P + Q·log Q) for Q queries
+// over P points however many peers are dead — writing each query's
+// owner to the matching out slot. Results are exactly Lookup's, element
+// for element. out is reused when it has the capacity; the filled slice
+// is returned.
 func (r *Ring) LookupBatch(xs []float64, out []int) []int {
 	if cap(out) < len(xs) {
 		out = make([]int, len(xs))
@@ -245,47 +251,106 @@ func (r *Ring) LookupBatch(xs []float64, out []int) []int {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
-	i := 0
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(xs[a], xs[b]) })
+	// i is the first point at or after the current query; j the first
+	// live point at or after i (== len(points) once none is left).
+	i, j := 0, 0
+	wrap := -1 // owner of the first live point, resolved on demand
 	for _, q := range order {
 		x := xs[q]
 		for i < len(r.points) && r.points[i] < x {
 			i++
 		}
-		if i == len(r.points) {
-			out[q] = int(r.owner[0]) // wrap, like Lookup
+		if j < i {
+			j = i
+		}
+		for j < len(r.points) && !r.liveAt(j) {
+			j++
+		}
+		if j == len(r.points) {
+			if wrap < 0 {
+				wrap = int(r.owner[r.nextLive(0)])
+			}
+			out[q] = wrap // wrap, like Lookup
 			continue
 		}
-		out[q] = int(r.owner[i])
+		out[q] = int(r.owner[j])
 	}
 	return out
 }
 
 // ArcLengths returns each peer's total owned arc length; the entries
-// sum to 1 and removed peers hold 0. The arc ending at point i (owned
-// by peer owner[i]) starts at the previous point.
+// sum to 1 and removed peers hold 0. The arc ending at live point i
+// (owned by peer owner[i]) starts at the previous live point.
 func (r *Ring) ArcLengths() []float64 {
 	return r.ArcLengthsInto(nil)
 }
 
 // ArcLengthsInto fills dst (grown if needed) with the per-peer arc
-// lengths — the allocation-free variant the cluster engine calls on
-// every churn event.
+// lengths, allocation-free when dst has the capacity. Each peer's arc
+// is summed over its live points in ascending position order — the
+// same float operations, in the same order, as PeerArc.
 func (r *Ring) ArcLengthsInto(dst []float64) []float64 {
 	if cap(dst) < r.n {
 		dst = make([]float64, r.n)
 	}
 	dst = dst[:r.n]
 	clear(dst)
-	for i := range r.points {
-		prev := 0.0
-		if i == 0 {
-			// wrap-around arc: from the last point to 1, plus 0 to points[0]
-			prev = r.points[len(r.points)-1] - 1
-		} else {
-			prev = r.points[i-1]
+	// wrap-around arc of the first live point: from the last live point
+	// to 1, plus 0 to the point itself
+	prev := r.points[r.prevLive(len(r.points)-1)] - 1
+	for i, pt := range r.points {
+		if !r.liveAt(i) {
+			continue
 		}
-		dst[r.owner[i]] += r.points[i] - prev
+		dst[r.owner[i]] += pt - prev
+		prev = pt
+	}
+	return dst
+}
+
+// PeerArc returns peer p's total arc length, bit-identical to
+// ArcLengthsInto's entry for p, in O(p's points) when few peers are
+// dead: every point's arc starts at the previous live point, wrapping
+// at the first. A removed peer's arc is 0.
+func (r *Ring) PeerArc(p int) float64 {
+	if !r.live[p] {
+		return 0
+	}
+	var arc float64
+	for _, i := range r.peerIdx[r.peerOff[p]:r.peerOff[p+1]] {
+		j := r.prevLive(int(i) - 1)
+		prev := r.points[j]
+		if j >= int(i) {
+			prev-- // wrapped: i is the first live point
+		}
+		arc += r.points[i] - prev
+	}
+	return arc
+}
+
+// TouchedPeers appends to dst, once each, every peer whose arc may have
+// changed through the membership flips of the given peers: each toggled
+// peer, plus the owner of the next live point after each of its points
+// — evaluated on the CURRENT membership, so call it after all of a
+// batch's RemovePeer/AddPeer calls. Every other peer's previous-live
+// point is unchanged, so its PeerArc is too. toggled may repeat peers.
+func (r *Ring) TouchedPeers(toggled []int, dst []int) []int {
+	start := len(dst)
+	add := func(p int) {
+		if !r.mark[p] {
+			r.mark[p] = true
+			dst = append(dst, p)
+		}
+	}
+	for _, p := range toggled {
+		add(p)
+		for _, i := range r.peerIdx[r.peerOff[p]:r.peerOff[p+1]] {
+			add(int(r.owner[r.nextLive(int(i)+1)]))
+		}
+	}
+	for _, p := range dst[start:] {
+		r.mark[p] = false
 	}
 	return dst
 }

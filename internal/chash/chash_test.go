@@ -2,6 +2,7 @@ package chash
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -422,4 +423,232 @@ func TestDChoiceBatchParity(t *testing.T) {
 	if loads[3] != 0 {
 		t.Fatalf("dead peer received %d balls", loads[3])
 	}
+}
+
+// spliceRing is the reference membership algorithm the live-flag Ring
+// replaced: only live peers' points are mounted, in one compacted
+// sorted array; RemovePeer compacts a peer's points out and AddPeer
+// merges its cached ascending point set back in. Kept here as the
+// oracle for the live-flag design.
+type spliceRing struct {
+	points  []float64
+	owner   []int32
+	peerPts [][]float64
+	n       int
+}
+
+// newSpliceRing draws the points exactly as build does (peer order)
+// and mounts them with a position-only sort, as the reference did.
+func newSpliceRing(counts []int, r *xrand.Rand) *spliceRing {
+	type pv struct {
+		pos   float64
+		owner int32
+	}
+	s := &spliceRing{n: len(counts), peerPts: make([][]float64, len(counts))}
+	var pvs []pv
+	for p, c := range counts {
+		pts := make([]float64, c)
+		for v := range pts {
+			pts[v] = r.Float64()
+			pvs = append(pvs, pv{pts[v], int32(p)})
+		}
+		sort.Float64s(pts)
+		s.peerPts[p] = pts
+	}
+	sort.Slice(pvs, func(i, j int) bool { return pvs[i].pos < pvs[j].pos })
+	for _, e := range pvs {
+		s.points = append(s.points, e.pos)
+		s.owner = append(s.owner, e.owner)
+	}
+	return s
+}
+
+func (s *spliceRing) remove(p int) {
+	k := 0
+	for i := range s.points {
+		if s.owner[i] == int32(p) {
+			continue
+		}
+		s.points[k], s.owner[k] = s.points[i], s.owner[i]
+		k++
+	}
+	s.points, s.owner = s.points[:k], s.owner[:k]
+}
+
+func (s *spliceRing) add(p int) {
+	pts := s.peerPts[p]
+	old := len(s.points)
+	s.points = append(s.points, pts...)
+	s.owner = append(s.owner, make([]int32, len(pts))...)
+	i, k := old-1, len(s.points)-1
+	for j := len(pts) - 1; j >= 0; k-- {
+		if i >= 0 && s.points[i] > pts[j] {
+			s.points[k], s.owner[k] = s.points[i], s.owner[i]
+			i--
+		} else {
+			s.points[k], s.owner[k] = pts[j], int32(p)
+			j--
+		}
+	}
+}
+
+func (s *spliceRing) lookup(x float64) int {
+	i := sort.SearchFloat64s(s.points, x)
+	if i == len(s.points) {
+		i = 0
+	}
+	return int(s.owner[i])
+}
+
+func (s *spliceRing) arcs() []float64 {
+	dst := make([]float64, s.n)
+	for i := range s.points {
+		prev := 0.0
+		if i == 0 {
+			prev = s.points[len(s.points)-1] - 1
+		} else {
+			prev = s.points[i-1]
+		}
+		dst[s.owner[i]] += s.points[i] - prev
+	}
+	return dst
+}
+
+// TestChurnSpliceOracleIdentical drives the live-flag Ring and the
+// splice reference through the same random RemovePeer/AddPeer batches
+// — including a phase with over 90% of peers dead — and asserts, bit
+// for bit after every batch: ArcLengthsInto, an arc vector maintained
+// incrementally through TouchedPeers/PeerArc (every entry, touched or
+// not), Lookup and LookupBatch all equal the reference.
+func TestChurnSpliceOracleIdentical(t *testing.T) {
+	cases := []struct {
+		name   string
+		counts []int
+	}{
+		{"uniform-v1", repeatCount(60, 1)},
+		{"uniform-v4", repeatCount(40, 4)},
+		{"weighted", []int{2, 6, 4, 2, 10, 8, 2, 4, 6, 2, 20, 2, 4, 6, 8, 2, 2, 4, 10, 2}},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ring, err := build(tc.counts, xrand.NewStream(31, uint64(ci)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newSpliceRing(tc.counts, xrand.NewStream(31, uint64(ci)))
+			n := len(tc.counts)
+			rng := xrand.New(uint64(1000 + ci))
+			xs := make([]float64, 0, 600)
+			for len(xs) < 500 {
+				xs = append(xs, rng.Float64())
+			}
+			// exact point hits, the ring ends and the wrap region
+			for i := 0; i < len(ring.points); i += 7 {
+				xs = append(xs, ring.points[i])
+			}
+			xs = append(xs, 0, math.Nextafter(1, 0), ring.points[len(ring.points)-1], math.Nextafter(ring.points[0], 0))
+
+			inc := ring.ArcLengths()
+			var dst []float64
+			var owners, touched []int
+			var toggled []int
+			check := func(step int) {
+				t.Helper()
+				want := ref.arcs()
+				dst = ring.ArcLengthsInto(dst)
+				for p := 0; p < n; p++ {
+					if math.Float64bits(dst[p]) != math.Float64bits(want[p]) {
+						t.Fatalf("step %d: ArcLengthsInto[%d] = %v, reference %v", step, p, dst[p], want[p])
+					}
+					if math.Float64bits(inc[p]) != math.Float64bits(want[p]) {
+						t.Fatalf("step %d: incremental arc[%d] = %v, reference %v", step, p, inc[p], want[p])
+					}
+				}
+				owners = ring.LookupBatch(xs, owners)
+				for i, x := range xs {
+					w := ref.lookup(x)
+					if got := ring.Lookup(x); got != w {
+						t.Fatalf("step %d: Lookup(%v) = %d, reference %d", step, x, got, w)
+					}
+					if owners[i] != w {
+						t.Fatalf("step %d: LookupBatch(%v) = %d, reference %d", step, x, owners[i], w)
+					}
+				}
+			}
+			toggle := func(p int) {
+				if ring.Live(p) {
+					if ring.NumLive() == 1 {
+						return
+					}
+					if err := ring.RemovePeer(p); err != nil {
+						t.Fatal(err)
+					}
+					ref.remove(p)
+				} else {
+					if err := ring.AddPeer(p); err != nil {
+						t.Fatal(err)
+					}
+					ref.add(p)
+				}
+				toggled = append(toggled, p)
+			}
+			commit := func() {
+				touched = ring.TouchedPeers(toggled, touched[:0])
+				for _, p := range touched {
+					inc[p] = ring.PeerArc(p)
+				}
+				toggled = toggled[:0]
+			}
+			check(-1)
+			step := 0
+			// Phase 1: random batches of 1..4 toggles.
+			for ; step < 150; step++ {
+				for k := 1 + int(rng.Uint64()%4); k > 0; k-- {
+					toggle(int(rng.Uint64() % uint64(n)))
+				}
+				commit()
+				check(step)
+			}
+			// Phase 2: kill peers until over 90% are dead, in batches.
+			for ring.NumLive()*10 >= n {
+				for k := 1 + int(rng.Uint64()%6); k > 0; k-- {
+					if p := int(rng.Uint64() % uint64(n)); ring.Live(p) {
+						toggle(p)
+					}
+				}
+				commit()
+				check(step)
+				step++
+			}
+			// Phase 3: churn at the floor — mostly removals of the few
+			// live peers, with the occasional recovery — then recover.
+			for k := 0; k < 100; k++ {
+				p := int(rng.Uint64() % uint64(n))
+				if ring.Live(p) || rng.Float64() < 0.1 {
+					toggle(p)
+				}
+				if rng.Float64() < 0.5 {
+					commit()
+					check(step)
+				}
+				step++
+			}
+			commit()
+			for p := 0; p < n; p++ {
+				if !ring.Live(p) {
+					toggle(p)
+				}
+			}
+			commit()
+			check(step)
+		})
+	}
+}
+
+func repeatCount(n, v int) []int {
+	c := make([]int, n)
+	for i := range c {
+		c[i] = v
+	}
+	return c
 }

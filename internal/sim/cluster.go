@@ -22,16 +22,19 @@
 //     substream — in peer order, applied or not, so the draw sequence
 //     is frozen whatever the membership state. The last live peer is
 //     never taken down.
-//   - Re-shard: a crashed peer's points leave the ring incrementally
-//     (chash.Ring.RemovePeer — no rebuild, no RNG; recovery re-mounts
-//     the identical points), arc weights are recomputed, the shard
-//     router is rebuilt over the new shard weight sums, and only the
-//     shards whose weight slice changed rebuild their placers. The
-//     dead peer's resident queue is redistributed: each cohort is
-//     split over the live shard weights by largest remainder (the
-//     PR 8 rebalance rule — deterministic, no RNG) and re-placed by
-//     the destination shards' placers, KEEPING its original dispatch
-//     tick — redistribution does not reset the timeout clock.
+//   - Re-shard: a crash or recovery flips the peer's live flag on the
+//     ring (chash.Ring.RemovePeer/AddPeer — O(1), no RNG; its points
+//     never leave the sorted ring, so recovery restores the identical
+//     points). Only the peers the flips touched — the flipped peers and
+//     the live ring successors of their points — get their arc weights
+//     recomputed, only the shards holding a changed weight re-sum their
+//     weight and rebuild their placers, and the shard router is rebuilt
+//     over the new shard weight sums. The dead peer's resident queue is
+//     redistributed: each cohort is split over the live shard weights
+//     by largest remainder (the streaming rebalance rule —
+//     deterministic, no RNG) and re-placed by the destination shards'
+//     placers, KEEPING its original dispatch tick — redistribution
+//     does not reset the timeout clock.
 //   - Admission: when ShedThreshold > 0, arrivals beyond
 //     floor(threshold·live capacity) − queued are shed — counted,
 //     never silently dropped. Retries bypass admission: a request the
@@ -180,6 +183,68 @@ type retryEntry struct {
 	count int64
 }
 
+// qnode is one resident cohort in a shard's queue arena, linked into
+// its peer's FIFO.
+type qnode struct {
+	cohort
+	next int32 // next node of the same peer's FIFO, or -1
+}
+
+// cohortQueues holds the FIFO cohort queues of one shard's peers in a
+// single node arena: each peer's queue is a linked list of arena
+// nodes, and released nodes go on a free list, so once the arena has
+// grown to the shard's peak resident cohort count, queueing never
+// allocates. Only the shard's own task (or the orchestrator, between
+// phases) touches it.
+type cohortQueues struct {
+	nodes      []qnode
+	free       int32   // head of the free list, or -1
+	head, tail []int32 // per local peer: first and last node, or -1
+}
+
+func newCohortQueues(peers int) cohortQueues {
+	q := cohortQueues{free: -1, head: make([]int32, peers), tail: make([]int32, peers)}
+	for i := range q.head {
+		q.head[i], q.tail[i] = -1, -1
+	}
+	return q
+}
+
+// push appends c to local peer i's queue.
+func (q *cohortQueues) push(i int, c cohort) {
+	k := q.free
+	if k >= 0 {
+		q.free = q.nodes[k].next
+		q.nodes[k] = qnode{cohort: c, next: -1}
+	} else {
+		k = int32(len(q.nodes))
+		q.nodes = append(q.nodes, qnode{cohort: c, next: -1})
+	}
+	if t := q.tail[i]; t >= 0 {
+		q.nodes[t].next = k
+	} else {
+		q.head[i] = k
+	}
+	q.tail[i] = k
+}
+
+// unlink removes node k, whose predecessor in peer i's queue is prev
+// (-1 at the head), and releases it; it returns k's successor.
+func (q *cohortQueues) unlink(i int, prev, k int32) int32 {
+	next := q.nodes[k].next
+	if prev < 0 {
+		q.head[i] = next
+	} else {
+		q.nodes[prev].next = next
+	}
+	if q.tail[i] == k {
+		q.tail[i] = prev
+	}
+	q.nodes[k].next = q.free
+	q.free = k
+	return next
+}
+
 // clusterState is the engine's whole working set, allocated once.
 type clusterState struct {
 	// sharded is the shard plan over the live per-peer arc weights
@@ -193,13 +258,12 @@ type clusterState struct {
 	// CancelAfter (in ticks).
 	levels, cancelAfter int
 
-	ring      *chash.Ring
-	prevW     []float64 // last weights the placers were built over
+	ring      *chash.Ring // also the one record of which peers are live
+	toggled   []int       // peers crashed or recovered this tick
+	touched   []int       // peers whose arc the tick's toggles may have changed
 	caps      []int64
 	totalCap  int64
 	liveCap   int64
-	live      []bool
-	nLive     int
 	peerShard []int32
 
 	sumW    float64
@@ -207,10 +271,14 @@ type clusterState struct {
 	placers []protocol.Placer
 	dirty   []bool
 
-	queues         [][]cohort           // per-peer FIFO of resident cohorts
-	retryQ         map[int][]retryEntry // due tick -> timed-out batches
-	work           [][]cohort           // per-shard redistribution/retry work lists
-	aport          []int64              // apportionment scratch
+	queues []cohortQueues // per-shard arenas of the peers' resident cohort FIFOs
+	// retryWheel[d % len] holds the timed-out batches due at tick d.
+	// Backoffs are at most len−1 ticks, so the pending due ticks never
+	// share a slot; batches due at or after the horizon are never
+	// stored (they only count in pendingRetry).
+	retryWheel     [][]retryEntry
+	work           [][]cohort // per-shard redistribution/retry work lists
+	aport          []int64    // apportionment scratch
 	ap             apportion
 	before         [][]int64 // per-shard queue-snapshot scratch (delta scans)
 	svcLat         []*obs.Latency
@@ -279,8 +347,8 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 	}
 	p := spec.Cluster
 	// Global stream 0: ring construction. The vnode positions are the
-	// only randomness membership ever consumes — churn splices cached
-	// points, so a crash/recover cycle is RNG-free.
+	// only randomness membership ever consumes — churn flips live
+	// flags, so a crash/recover cycle is RNG-free.
 	caps := spec.Array.Capacities()
 	vpu := p.VnodesPerUnit
 	if vpu == 0 {
@@ -308,13 +376,6 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 	}
 	st.totalCap = sh.arr.TotalCapacity()
 	st.liveCap = st.totalCap
-	st.prevW = make([]float64, n)
-	copy(st.prevW, st.weights)
-	st.live = make([]bool, n)
-	for i := range st.live {
-		st.live[i] = true
-	}
-	st.nLive = n
 
 	for _, w := range st.shardW {
 		st.sumW += w
@@ -341,8 +402,12 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 	st.svcLat = make([]*obs.Latency, shards)
 	st.svcDone = make([]int64, shards)
 	st.expired = make([][]cohort, shards)
-	st.queues = make([][]cohort, n)
-	st.retryQ = make(map[int][]retryEntry)
+	st.queues = make([]cohortQueues, shards)
+	maxDelay := p.Retry.Backoff(p.Retry.MaxRetries)
+	if maxDelay < 1 || maxDelay > p.Ticks {
+		maxDelay = p.Ticks
+	}
+	st.retryWheel = make([][]retryEntry, maxDelay+1)
 	st.crashedScratch = make([]int, 0, n)
 	st.livePerTick = make([]int, 0, p.Ticks)
 
@@ -360,6 +425,7 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 			return nil, fmt.Errorf("sim: RunCluster shard %d: %w", s, err)
 		}
 		st.before[s] = make([]int64, st.views[s].N())
+		st.queues[s] = newCohortQueues(st.views[s].N())
 		st.svcLat[s], _ = obs.NewLatency(latMax)
 		st.dirty[s] = true // initial build: every placer
 	}
@@ -453,15 +519,15 @@ func (st *clusterState) placeCohort(s int, disp, orig int32, att int16, count in
 		return
 	}
 	view := st.views[s]
-	lo := st.bounds[s]
 	b := st.before[s]
 	for i := range b {
 		b[i] = view.Balls(i)
 	}
 	placeSegment(st.cc, engRunCluster, st.tick, s, st.placers[s], view, &st.rands[s], count)
+	q := &st.queues[s]
 	for i := range b {
 		if d := view.Balls(i) - b[i]; d > 0 {
-			st.queues[lo+i] = append(st.queues[lo+i], cohort{disp: disp, orig: orig, att: att, count: d})
+			q.push(i, cohort{disp: disp, orig: orig, att: att, count: d})
 		}
 	}
 }
@@ -474,15 +540,17 @@ func (st *clusterState) serveShard(s int) {
 	lat.Reset()
 	var done int64
 	now := int64(st.tick)
-	for p := st.bounds[s]; p < st.bounds[s+1]; p++ {
-		if !st.live[p] {
+	q := &st.queues[s]
+	lo := st.bounds[s]
+	for p := lo; p < st.bounds[s+1]; p++ {
+		if !st.ring.Live(p) {
 			continue
 		}
-		q := st.queues[p]
+		i := p - lo
 		budget := st.caps[p]
 		var served int64
-		for budget > 0 && len(q) > 0 {
-			c := &q[0]
+		for k := q.head[i]; budget > 0 && k >= 0; k = q.head[i] {
+			c := &q.nodes[k].cohort
 			take := c.count
 			if take > budget {
 				take = budget
@@ -491,13 +559,13 @@ func (st *clusterState) serveShard(s int) {
 			c.count -= take
 			budget -= take
 			served += take
-			if c.count == 0 {
-				q = q[1:]
+			if c.count > 0 {
+				break
 			}
+			q.unlink(i, -1, k)
 		}
-		st.queues[p] = q
 		if served > 0 {
-			st.views[s].RemoveBalls(p-st.bounds[s], served)
+			st.views[s].RemoveBalls(i, served)
 			done += served
 		}
 	}
@@ -512,21 +580,22 @@ func (st *clusterState) serveShard(s int) {
 func (st *clusterState) expireShard(s int) {
 	cutoff := int32(st.tick - st.p.Retry.TimeoutTicks)
 	exp := st.expired[s][:0]
-	for p := st.bounds[s]; p < st.bounds[s+1]; p++ {
-		q := st.queues[p]
-		kept := q[:0]
+	q := &st.queues[s]
+	for i := range q.head {
 		var gone int64
-		for _, c := range q {
-			if c.disp <= cutoff {
-				exp = append(exp, c)
-				gone += c.count
-			} else {
-				kept = append(kept, c)
+		prev := int32(-1)
+		for k := q.head[i]; k >= 0; {
+			c := q.nodes[k].cohort
+			if c.disp > cutoff {
+				prev, k = k, q.nodes[k].next
+				continue
 			}
+			exp = append(exp, c)
+			gone += c.count
+			k = q.unlink(i, prev, k)
 		}
-		st.queues[p] = kept
 		if gone > 0 {
-			st.views[s].RemoveBalls(p-st.bounds[s], gone)
+			st.views[s].RemoveBalls(i, gone)
 		}
 	}
 	st.expired[s] = exp
@@ -536,25 +605,24 @@ func (st *clusterState) expireShard(s int) {
 // not apply (already down, or p is the last live peer — the engine
 // degrades, it never dies).
 func (st *clusterState) crash(t, p int) bool {
-	if !st.live[p] || st.nLive <= 1 {
+	if !st.ring.Live(p) || st.ring.NumLive() <= 1 {
 		return false
 	}
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpCrash, Rep: t, Shard: p, Block: -1})
 	}
 	if err := st.ring.RemovePeer(p); err != nil {
-		panic(err) // state mirrors ring liveness; contained by churnStep
+		panic(err) // checked above; contained by churnStep
 	}
-	st.live[p] = false
-	st.nLive--
 	st.liveCap -= st.caps[p]
+	st.toggled = append(st.toggled, p)
 	return true
 }
 
-// revive re-mounts peer p's remembered ring points. Returns false when
+// revive puts peer p's ring points back in service. Returns false when
 // p is already live.
 func (st *clusterState) revive(t, p int) bool {
-	if st.live[p] {
+	if st.ring.Live(p) {
 		return false
 	}
 	if fault.Enabled {
@@ -563,9 +631,8 @@ func (st *clusterState) revive(t, p int) bool {
 	if err := st.ring.AddPeer(p); err != nil {
 		panic(err)
 	}
-	st.live[p] = true
-	st.nLive++
 	st.liveCap += st.caps[p]
+	st.toggled = append(st.toggled, p)
 	return true
 }
 
@@ -581,6 +648,7 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err erro
 		}
 	}()
 	crashed = st.crashedScratch[:0]
+	st.toggled = st.toggled[:0]
 	sched := st.p.Churn.Schedule
 	for st.nextEv < len(sched) && sched[st.nextEv].Tick <= t {
 		e := sched[st.nextEv]
@@ -600,7 +668,7 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err erro
 		st.crand.Seed(xrand.Mix64(st.seed, st.tbase))
 		for p := 0; p < st.n; p++ {
 			u := st.crand.Float64()
-			if st.live[p] {
+			if st.ring.Live(p) {
 				if u < st.p.Churn.CrashProb && st.crash(t, p) {
 					crashed = append(crashed, p)
 				}
@@ -613,10 +681,12 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err erro
 	return crashed, recovered, nil
 }
 
-// reshardPlan recomputes routing after churn: fresh arc weights from
-// the spliced ring, per-shard weight sums, a rebuilt multinomial
-// router, and dirty marks on exactly the shards whose weight slice
-// changed. Orchestrator-side, behind its own recover.
+// reshardPlan recomputes routing after churn: fresh arc weights for
+// the peers the tick's toggles touched (bit-identical to a full arc
+// pass — every other peer's arc is unchanged), dirty marks on exactly
+// the shards whose weight slice changed, their re-summed shard
+// weights, and a rebuilt multinomial router. O(toggled peers' points +
+// shards), not O(ring). Orchestrator-side, behind its own recover.
 func (st *clusterState) reshardPlan(t int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -626,21 +696,23 @@ func (st *clusterState) reshardPlan(t int) (err error) {
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: t, Shard: -1, Block: -1})
 	}
-	st.weights = st.ring.ArcLengthsInto(st.weights)
-	for i := 0; i < st.n; i++ {
-		if st.weights[i] != st.prevW[i] {
-			st.dirty[st.peerShard[i]] = true
-			st.prevW[i] = st.weights[i]
+	st.touched = st.ring.TouchedPeers(st.toggled, st.touched[:0])
+	for _, p := range st.touched {
+		if w := st.ring.PeerArc(p); w != st.weights[p] {
+			st.weights[p] = w
+			st.dirty[st.peerShard[p]] = true
 		}
 	}
 	st.sumW = 0
 	for s := 0; s < st.shards; s++ {
-		var w float64
-		for i := st.bounds[s]; i < st.bounds[s+1]; i++ {
-			w += st.weights[i]
+		if st.dirty[s] {
+			var w float64
+			for i := st.bounds[s]; i < st.bounds[s+1]; i++ {
+				w += st.weights[i]
+			}
+			st.shardW[s] = w
 		}
-		st.shardW[s] = w
-		st.sumW += w
+		st.sumW += st.shardW[s]
 	}
 	router, rerr := sampling.NewMultinomial(st.shardW)
 	if rerr != nil {
@@ -685,11 +757,12 @@ func (st *clusterState) admission(t int, arrived int64, th float64) (admit, shed
 func (st *clusterState) redistribute(crashed []int) (int64, error) {
 	var moved int64
 	for _, p := range crashed {
-		q := st.queues[p]
-		st.queues[p] = nil
 		s := int(st.peerShard[p])
-		for _, c := range q {
-			st.views[s].RemoveBalls(p-st.bounds[s], c.count)
+		q := &st.queues[s]
+		i := p - st.bounds[s]
+		for k := q.head[i]; k >= 0; k = q.unlink(i, -1, k) {
+			c := q.nodes[k].cohort
+			st.views[s].RemoveBalls(i, c.count)
 			st.ap.split(c.count, st.shardW, st.sumW, st.aport)
 			for s2, cnt := range st.aport {
 				if cnt > 0 {
@@ -752,7 +825,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	tickLive := st.nLive
+	tickLive := st.ring.NumLive()
 	var movedT int64
 	if len(crashed) > 0 || recovered > 0 {
 		if err := st.reshardPlan(t); err != nil {
@@ -820,8 +893,9 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	// placement, hence an alternate candidate. Retries bypass
 	// admission.
 	var retriedT int64
-	if due := st.retryQ[t]; len(due) > 0 {
-		delete(st.retryQ, t)
+	if slot := &st.retryWheel[t%len(st.retryWheel)]; len(*slot) > 0 {
+		due := *slot
+		*slot = due[:0]
 		for _, e := range due {
 			st.ap.split(e.count, st.shardW, st.sumW, st.aport)
 			for s, cnt := range st.aport {
@@ -870,8 +944,10 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 				timedOutT += e.count
 				if int(e.att) < st.p.Retry.MaxRetries {
 					att := e.att + 1
-					dueTick := t + st.p.Retry.Backoff(int(att))
-					st.retryQ[dueTick] = append(st.retryQ[dueTick], retryEntry{orig: e.orig, att: att, count: e.count})
+					if due := t + st.p.Retry.Backoff(int(att)); due > t && due < st.p.Ticks {
+						slot := &st.retryWheel[due%len(st.retryWheel)]
+						*slot = append(*slot, retryEntry{orig: e.orig, att: att, count: e.count})
+					}
 					st.pendingRetry += e.count
 				} else {
 					failedT += e.count

@@ -590,3 +590,95 @@ func TestClusterGoldenCounters(t *testing.T) {
 		t.Fatalf("golden counters drifted:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestClusterGoldenHeavyChurn: a scheduled crash of 37 of 40 peers at
+// tick 3, staggered recovery over ticks 8..12, stochastic churn on top,
+// with timeouts, retries and shedding armed. Every counter and the
+// availability trace are pinned, so the ring's membership bookkeeping
+// and the queue/retry machinery are held to the exact trajectory when
+// most of the ring is dead.
+func TestClusterGoldenHeavyChurn(t *testing.T) {
+	var sched []cluster.ChurnEvent
+	for p := 0; p < 37; p++ {
+		sched = append(sched, cluster.ChurnEvent{Tick: 3, Peer: p, Down: true})
+	}
+	for tick := 8; tick < 13; tick++ {
+		for p := tick - 8; p < 37; p += 5 {
+			sched = append(sched, cluster.ChurnEvent{Tick: tick, Peer: p, Down: false})
+		}
+	}
+	caps := make([]int64, 40)
+	for i := range caps {
+		caps[i] = int64(1 + i%5)
+	}
+	res, err := runCluster(&RunSpec{
+		Config: Config{Array: clusterArray(t, caps...), Seed: 9},
+		Shards: 4,
+		Cluster: &ClusterParams{
+			Ticks:           20,
+			ArrivalsPerTick: 90,
+			Churn:           cluster.ChurnPlan{Schedule: sched, CrashProb: 0.02, RecoverProb: 0.1},
+			Retry:           cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+			ShedThreshold:   3,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [...]int64{res.Arrived, res.Shed, res.Admitted, res.Dispatched, res.Completed,
+		res.TimedOut, res.Retried, res.Failed, res.Redistributed, res.FinalQueued,
+		res.PendingRetry, int64(res.Crashes), int64(res.Recoveries), res.Latency.Count(), res.Latency.Sum()}
+	want := [...]int64{1800, 238, 1562, 1702, 1487,
+		77, 74, 2, 66, 72,
+		1, 48, 43, 1487, 2941}
+	if got != want {
+		t.Fatalf("golden counters drifted:\n got %v\nwant %v", got, want)
+	}
+	wantLive := []int{40, 39, 38, 6, 9, 12, 15, 15, 18, 28, 33, 34, 37, 35, 35, 35, 36, 36, 36, 35}
+	if !reflect.DeepEqual(res.LivePerTick, wantLive) {
+		t.Fatalf("LivePerTick = %v, want %v", res.LivePerTick, wantLive)
+	}
+}
+
+// TestClusterSteadyStateAllocFree is the serving engine's allocation
+// gate: once the queue arenas and the retry wheel have grown to their
+// working size, a churn-free tick with timeouts, retries and shedding
+// armed allocates nothing — measured as the allocation DELTA between a
+// long and a short run of the same spec (setup allocations cancel out).
+func TestClusterSteadyStateAllocFree(t *testing.T) {
+	a := largeArray(t, 4096)
+	spec := func(ticks int) *RunSpec {
+		return &RunSpec{
+			Config: Config{Array: a, Seed: 11, Workers: 2},
+			Shards: 8,
+			Cluster: &ClusterParams{
+				Ticks:           ticks,
+				ArrivalsPerTick: 30_000,
+				Retry:           cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+				ShedThreshold:   2,
+			},
+		}
+	}
+	res, err := runCluster(spec(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shed == 0 || res.TimedOut == 0 || res.Retried == 0 {
+		t.Fatalf("spec does not exercise the degraded-mode paths: shed %d, timed out %d, retried %d",
+			res.Shed, res.TimedOut, res.Retried)
+	}
+	run := func(ticks int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := runCluster(spec(ticks)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const short, long = 8, 28
+	base := run(short)
+	full := run(long)
+	if perTick := (full - base) / (long - short); perTick > 0.5 {
+		t.Fatalf("steady-state ticks allocate %.2f allocs/tick, want 0 (%d ticks: %.0f, %d ticks: %.0f)",
+			perTick, short, base, long, full)
+	}
+}

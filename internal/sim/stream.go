@@ -142,31 +142,64 @@ var streamKinds = []taskName{
 
 // apportion is the largest-remainder apportionment shared by the
 // streaming rebalance and the cluster engine's redistribution and
-// retry dispatch. As a sort.Interface it orders candidate indices by
-// descending residue (ties by ascending index — a total order, so the
-// result is unique whatever sort algorithm runs). Engines keep one in
-// their state so the per-round sort allocates nothing.
+// retry dispatch. It ranks candidate indices by descending residue
+// (ties by ascending index — a total order, so the result is unique
+// whatever selection or sort algorithm runs). Engines keep one in
+// their state so splitting allocates nothing.
 type apportion struct {
 	rem []float64 // residue per shard (indexed by shard)
 	idx []int     // candidate shard indices being sorted
 }
 
-func (a *apportion) Len() int      { return len(a.idx) }
-func (a *apportion) Swap(i, j int) { a.idx[i], a.idx[j] = a.idx[j], a.idx[i] }
-func (a *apportion) Less(i, j int) bool {
-	ri, rj := a.rem[a.idx[i]], a.rem[a.idx[j]]
-	if ri != rj {
-		return ri > rj
+func (a *apportion) Len() int           { return len(a.idx) }
+func (a *apportion) Swap(i, j int)      { a.idx[i], a.idx[j] = a.idx[j], a.idx[i] }
+func (a *apportion) Less(i, j int) bool { return a.ranks(a.idx[i], a.idx[j]) }
+
+// ranks reports whether candidate x ranks before candidate y.
+func (a *apportion) ranks(x, y int) bool {
+	if a.rem[x] != a.rem[y] {
+		return a.rem[x] > a.rem[y]
 	}
-	return a.idx[i] < a.idx[j]
+	return x < y
+}
+
+// selectTop reorders idx so that its first r entries are the r
+// top-ranked candidates, in no particular order — quickselect,
+// expected O(len(idx)). 0 <= r <= len(idx).
+func (a *apportion) selectTop(r int) {
+	idx := a.idx
+	lo, hi := 0, len(idx) // the top-r boundary r lies in [lo, hi]
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		idx[mid], idx[hi-1] = idx[hi-1], idx[mid]
+		pivot := idx[hi-1]
+		k := lo
+		for j := lo; j < hi-1; j++ {
+			if a.ranks(idx[j], pivot) {
+				idx[k], idx[j] = idx[j], idx[k]
+				k++
+			}
+		}
+		idx[k], idx[hi-1] = idx[hi-1], idx[k]
+		// idx[lo:k] rank before the pivot, now at k; idx[k+1:hi] after.
+		switch {
+		case r < k:
+			hi = k
+		case r > k+1:
+			lo = k + 1
+		default:
+			return
+		}
+	}
 }
 
 // split apportions m balls over the entries of w with positive weight
 // (sum = Σ w): floor quotas of m·w[s]/sum first, then one extra ball
-// per candidate in descending-residue order, wrapping around in the
-// float-residue corner case of more leftover than candidates, and
-// taking back from the smallest residues should the floors
-// over-assign. out is overwritten (0 for weightless entries). The rule
+// to each of the r = m − assigned top-ranked candidates — found by
+// selection, since only the set matters — wrapping around in
+// descending-residue order in the float-residue corner case of at
+// least as much leftover as candidates, and taking back from the
+// smallest residues should the floors over-assign. out is overwritten (0 for weightless entries). The rule
 // draws no randomness, and all arithmetic is exact integer or
 // correctly-rounded IEEE binary (+, ·, /, Floor — no fused operations),
 // so the split is bit-identical across platforms and worker counts.
@@ -188,11 +221,20 @@ func (a *apportion) split(m int64, w []float64, sum float64, out []int64) {
 		assigned += int64(q)
 		a.idx = append(a.idx, s)
 	}
-	if len(a.idx) == 0 {
+	k := len(a.idx)
+	if k == 0 {
+		return
+	}
+	if r := m - assigned; r >= 0 && r < int64(k) {
+		if r > 0 {
+			a.selectTop(int(r))
+			for _, s := range a.idx[:r] {
+				out[s]++
+			}
+		}
 		return
 	}
 	sort.Sort(a)
-	k := len(a.idx)
 	for r := m - assigned; r > 0; {
 		for j := 0; j < k && r > 0; j++ {
 			out[a.idx[j]]++

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -625,5 +626,93 @@ func TestStreamHeights(t *testing.T) {
 	}
 	if got := res.HeightCounts[0].Bins.Mean(); got != float64(loaded) {
 		t.Fatalf("bins at load >= 1: %v, want %d", got, loaded)
+	}
+}
+
+// splitBySort is the sort-based largest-remainder rule apportion.split
+// replaced for the common case: floor quotas, then one extra ball per
+// candidate in full descending-residue order (ties to the lower
+// index), wrapping, and taking back from the smallest residues on
+// over-assignment.
+func splitBySort(m int64, w []float64, sum float64) []int64 {
+	out := make([]int64, len(w))
+	if m == 0 || sum <= 0 {
+		return out
+	}
+	rem := make([]float64, len(w))
+	var idx []int
+	var assigned int64
+	for s, ws := range w {
+		if ws <= 0 {
+			continue
+		}
+		ideal := float64(m) * ws / sum
+		q := math.Floor(ideal)
+		out[s] = int64(q)
+		rem[s] = ideal - q
+		assigned += int64(q)
+		idx = append(idx, s)
+	}
+	if len(idx) == 0 {
+		return out
+	}
+	sort.Slice(idx, func(i, j int) bool {
+		if rem[idx[i]] != rem[idx[j]] {
+			return rem[idx[i]] > rem[idx[j]]
+		}
+		return idx[i] < idx[j]
+	})
+	k := len(idx)
+	for r := m - assigned; r > 0; {
+		for j := 0; j < k && r > 0; j++ {
+			out[idx[j]]++
+			r--
+		}
+	}
+	for r := assigned - m; r > 0; {
+		for j := k - 1; j >= 0 && r > 0; j-- {
+			if out[idx[j]] > 0 {
+				out[idx[j]]--
+				r--
+			}
+		}
+	}
+	return out
+}
+
+// TestApportionSelectionMatchesSort: the selection-based split hands
+// out exactly the sort-based rule's counts, over random weights (zero
+// entries included), weights forced into residue ties, and every m
+// from 1 to 10⁴.
+func TestApportionSelectionMatchesSort(t *testing.T) {
+	r := xrand.New(17)
+	var vectors [][]float64
+	for _, k := range []int{1, 2, 3, 7, 64, 200} {
+		random := make([]float64, k)
+		ties := make([]float64, k)
+		for i := range random {
+			if r.Float64() < 0.15 {
+				random[i] = 0 // weightless: never a candidate
+			} else {
+				random[i] = r.Float64()
+			}
+			ties[i] = float64(1 + r.Uint64()%3) // few distinct values: residue ties
+		}
+		vectors = append(vectors, random, ties)
+	}
+	for vi, w := range vectors {
+		var sum float64
+		for _, v := range w {
+			sum += v
+		}
+		a := apportion{rem: make([]float64, len(w)), idx: make([]int, 0, len(w))}
+		out := make([]int64, len(w))
+		for m := int64(1); m <= 10_000; m++ {
+			a.split(m, w, sum, out)
+			want := splitBySort(m, w, sum)
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("vector %d (k=%d), m=%d:\n got %v\nwant %v", vi, len(w), m, out, want)
+			}
+		}
 	}
 }
