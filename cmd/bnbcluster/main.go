@@ -9,9 +9,6 @@
 //	bnbcluster -spec 8x1+2x10 -arrivals 21 -ticks 2000
 //	bnbcluster -spec 8x2 -arrivals 14 -churn down@100:3,up@400:3 -timeout 8 -retries 2
 //	bnbcluster -spec 20x1 -arrivals 16 -crash-prob 0.002 -recover-prob 0.1 -shed 4 -json
-//
-// The pre-churn discrete-time simulator (dispatch policies, warm-up
-// windows, no failures) is still available behind -legacy.
 package main
 
 import (
@@ -24,8 +21,6 @@ import (
 	"strings"
 
 	balls "repro"
-	"repro/internal/cluster"
-	"repro/internal/protocol"
 )
 
 func main() {
@@ -82,19 +77,12 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "worker cap (0 = GOMAXPROCS; never affects results)")
 	cancelAfter := fs.Int("cancel-after-ticks", 0, "deterministically stop after this many ticks (0 = run to the horizon)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	legacy := fs.Bool("legacy", false, "run the pre-churn simulator (enables -policy/-d/-warmup; ignores churn/retry/shed flags)")
-	policy := fs.String("policy", "greedy", "legacy dispatch policy: greedy | standard | single | goleft | batched:B")
-	d := fs.Int("d", 2, "legacy choices per request")
-	warmup := fs.Int("warmup", 0, "legacy warm-up ticks excluded from stats (default ticks/10)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	caps, err := balls.ParseCapacitySpec(*spec)
 	if err != nil {
 		return err
-	}
-	if *legacy {
-		return runLegacy(caps, int(*arrivals), *ticks, *warmup, *policy, *d, *seed, *asJSON)
 	}
 	schedule, err := parseChurn(*churn)
 	if err != nil {
@@ -208,96 +196,10 @@ func parseChurn(s string) ([]balls.ChurnEvent, error) {
 	return events, nil
 }
 
-// legacyReport is the JSON schema of the -legacy path, unchanged from
-// the pre-churn simulator.
-type legacyReport struct {
-	Servers         int     `json:"servers"`
-	TotalCapacity   int64   `json:"total_capacity"`
-	ArrivalsPerTick int     `json:"arrivals_per_tick"`
-	Utilization     float64 `json:"utilization"`
-	Ticks           int     `json:"ticks"`
-	Policy          string  `json:"policy"`
-	MeanResponse    float64 `json:"mean_response_ticks"`
-	P95Response     float64 `json:"p95_response_hint"`
-	MaxQueueLoad    float64 `json:"max_queue_load"`
-	MeanPeakQueue   float64 `json:"mean_peak_queue_load"`
-	FinalBacklog    int64   `json:"final_backlog"`
-	Completed       int64   `json:"completed"`
-}
-
-func runLegacy(caps []int64, arrivals, ticks, warmup int, policy string, d int, seed uint64, asJSON bool) error {
-	factory, name, err := parsePolicy(policy, d)
-	if err != nil {
-		return err
-	}
-	if warmup == 0 {
-		warmup = ticks / 10
-	}
-	cfg := cluster.Config{
-		Capacities:      caps,
-		ArrivalsPerTick: arrivals,
-		Ticks:           ticks,
-		WarmupTicks:     warmup,
-		Placer:          factory,
-		Seed:            seed,
-	}
-	res, err := cluster.Run(cfg)
-	if err != nil {
-		return err
-	}
-	rep := legacyReport{
-		Servers:         len(caps),
-		TotalCapacity:   sumCaps(caps),
-		ArrivalsPerTick: arrivals,
-		Utilization:     cluster.Utilization(cfg),
-		Ticks:           ticks,
-		Policy:          name,
-		MeanResponse:    res.ResponseTime.Mean(),
-		P95Response:     res.ResponseTime.Mean() + 2*res.ResponseTime.StdDev(),
-		MaxQueueLoad:    res.MaxQueueLoad,
-		MeanPeakQueue:   res.MeanQueueLoad.Mean(),
-		FinalBacklog:    res.FinalQueued,
-		Completed:       res.Completed,
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	fmt.Printf("servers:          %d (capacity %d/tick)\n", rep.Servers, rep.TotalCapacity)
-	fmt.Printf("arrivals:         %d/tick (utilization %.0f%%)\n", rep.ArrivalsPerTick, 100*rep.Utilization)
-	fmt.Printf("policy:           %s\n", rep.Policy)
-	fmt.Printf("mean response:    %.3f ticks (mean+2sd %.3f)\n", rep.MeanResponse, rep.P95Response)
-	fmt.Printf("peak queue load:  %.3f (mean per-tick peak %.3f)\n", rep.MaxQueueLoad, rep.MeanPeakQueue)
-	fmt.Printf("final backlog:    %d requests after %d ticks\n", rep.FinalBacklog, rep.Ticks)
-	return nil
-}
-
 func sumCaps(caps []int64) int64 {
 	var s int64
 	for _, c := range caps {
 		s += c
 	}
 	return s
-}
-
-func parsePolicy(s string, d int) (protocol.Factory, string, error) {
-	switch {
-	case s == "greedy":
-		return protocol.GreedyFactory(d), fmt.Sprintf("greedy(d=%d)", d), nil
-	case s == "standard":
-		return protocol.StandardFactory(d), fmt.Sprintf("standard(d=%d)", d), nil
-	case s == "single":
-		return protocol.SingleFactory(), "single", nil
-	case s == "goleft":
-		return protocol.GoLeftFactory(d), fmt.Sprintf("goleft(d=%d)", d), nil
-	case len(s) > 8 && s[:8] == "batched:":
-		var b int
-		if _, err := fmt.Sscanf(s[8:], "%d", &b); err != nil || b < 1 {
-			return nil, "", fmt.Errorf("bad batch size in %q", s)
-		}
-		return protocol.BatchedFactory(d, b), fmt.Sprintf("batched(d=%d,B=%d)", d, b), nil
-	default:
-		return nil, "", fmt.Errorf("unknown policy %q", s)
-	}
 }

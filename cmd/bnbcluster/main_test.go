@@ -1,39 +1,10 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	balls "repro"
 )
-
-func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		d    int
-		want string
-	}{
-		{"greedy", 2, "greedy(d=2)"},
-		{"standard", 3, "standard(d=3)"},
-		{"single", 2, "single"},
-		{"goleft", 2, "goleft(d=2)"},
-		{"batched:16", 2, "batched(d=2,B=16)"},
-	}
-	for _, c := range cases {
-		f, name, err := parsePolicy(c.in, c.d)
-		if err != nil {
-			t.Fatalf("parsePolicy(%q): %v", c.in, err)
-		}
-		if f == nil || name != c.want {
-			t.Errorf("parsePolicy(%q) = %q, want %q", c.in, name, c.want)
-		}
-	}
-	for _, bad := range []string{"", "zzz", "batched:", "batched:x", "batched:0"} {
-		if _, _, err := parsePolicy(bad, 2); err == nil {
-			t.Errorf("parsePolicy(%q) accepted", bad)
-		}
-	}
-}
 
 func TestParseChurn(t *testing.T) {
 	events, err := parseChurn("down@5:2, up@9:2,down@12:0")
@@ -100,33 +71,8 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunLegacyEndToEnd(t *testing.T) {
-	if err := run([]string{"-legacy", "-spec", "4x1+1x5", "-arrivals", "4", "-ticks", "100"}); err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-	if err := run([]string{"-legacy", "-spec", "4x1", "-arrivals", "2", "-ticks", "50", "-json"}); err != nil {
-		t.Fatalf("legacy run -json: %v", err)
-	}
-	if err := run([]string{"-legacy", "-spec", "4x1", "-policy", "zzz"}); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if err := run([]string{"-legacy", "-spec", "8x1", "-arrivals", "4", "-ticks", "60", "-policy", "batched:8"}); err != nil {
-		t.Fatalf("batched policy: %v", err)
-	}
-}
-
 func TestSumCaps(t *testing.T) {
 	if got := sumCaps([]int64{1, 2, 3}); got != 6 {
 		t.Fatalf("sumCaps = %d", got)
-	}
-}
-
-func TestPolicyNameInOutput(t *testing.T) {
-	_, name, err := parsePolicy("batched:4", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(name, "B=4") || !strings.Contains(name, "d=3") {
-		t.Fatalf("name %q", name)
 	}
 }

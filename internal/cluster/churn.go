@@ -1,7 +1,14 @@
-// Churn and retry: the failure-model vocabulary of the churn-tolerant
-// cluster engine (internal/sim, Engine "cluster"). The types live here,
-// next to the queueing domain model, so the engine package depends on
-// the cluster domain and not the other way around.
+// Package cluster is the serving-cluster domain model behind the
+// paper's application framing (requests = balls, heterogeneous servers
+// = bins, "capacity" = speed): ChurnPlan and RetryPolicy, the failure
+// model of the churn-tolerant serving engine in internal/sim (reached
+// through sim.Dispatch with engine "cluster") — scheduled and
+// stochastic crash/recover events over a consistent-hashing ring
+// (internal/chash), request timeouts with bounded exponential-backoff
+// retries, and overload shedding. The engine lives in internal/sim so
+// it can reuse the multinomial block router and the fault-tolerant
+// execution layer; this package stays the dependency-free vocabulary
+// both sides import.
 package cluster
 
 import "fmt"

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bins"
 	"repro/internal/chash"
-	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/loadvec"
 	"repro/internal/protocol"
@@ -403,34 +402,46 @@ func extFairness(p Params) ([]*table.Table, error) {
 	return []*table.Table{tab}, nil
 }
 
-// extCluster sweeps utilisation in the queueing cluster simulator and
-// compares dispatch policies on mean response time and worst queue load.
+// extCluster sweeps utilisation in the serving engine (sim.Dispatch
+// with RunSpec.Cluster: one shard, no churn) and compares dispatch
+// policies on mean response time and worst queue load. The per-tick
+// trajectory (a checkpoint at every tick) yields the worst queue load.
 func extCluster(p Params) ([]*table.Table, error) {
 	ticks := p.scaledN(2000, 300)
-	warmup := ticks / 10
-	capacities := []int64{1, 1, 1, 1, 1, 1, 1, 1, 10, 10} // C = 28
+	arr, err := bins.TwoClass(8, 1, 2, 10) // C = 28
+	if err != nil {
+		return nil, err
+	}
+	everyTick := make([]int64, ticks)
+	for t := range everyTick {
+		everyTick[t] = int64(t + 1)
+	}
 	tab := table.New(fmt.Sprintf("Extension: queueing cluster, response time by dispatch policy (%d ticks)", ticks),
 		"utilization_pct", "greedy_resp", "oblivious_resp", "single_resp",
 		"greedy_maxq", "oblivious_maxq", "single_maxq")
-	for _, arrivals := range []int{7, 14, 21, 25, 27} {
+	for _, arrivals := range []int64{7, 14, 21, 25, 27} {
 		row := []float64{100 * float64(arrivals) / 28}
 		var resp, maxq []float64
 		for _, f := range []protocol.Factory{
 			protocol.GreedyFactory(2), protocol.StandardFactory(2), protocol.SingleFactory(),
 		} {
-			res, err := cluster.Run(cluster.Config{
-				Capacities:      capacities,
-				ArrivalsPerTick: arrivals,
-				Ticks:           ticks,
-				WarmupTicks:     warmup,
-				Placer:          f,
-				Seed:            p.seed(),
+			res, err := sim.Dispatch(sim.RunSpec{
+				Config: sim.Config{
+					Array: arr, Placer: f, Seed: p.seed(), Workers: p.Workers,
+					ObsOptions: sim.ObsOptions{Checkpoints: everyTick},
+				},
+				Shards:  1,
+				Cluster: &sim.ClusterParams{Ticks: ticks, ArrivalsPerTick: arrivals},
 			})
 			if err != nil {
 				return nil, err
 			}
-			resp = append(resp, res.ResponseTime.Mean())
-			maxq = append(maxq, res.MaxQueueLoad)
+			worst := 0.0
+			for i := range res.Checkpoints {
+				worst = max(worst, res.Checkpoints[i].MaxLoad.Max())
+			}
+			resp = append(resp, res.Cluster.Latency.Mean())
+			maxq = append(maxq, worst)
 		}
 		row = append(row, resp...)
 		row = append(row, maxq...)

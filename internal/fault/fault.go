@@ -113,14 +113,14 @@ func (o Op) String() string {
 // Site identifies one fault-injection point. Engines fill every field
 // they know; fields that do not apply to an operation are -1.
 type Site struct {
-	// Engine is the engine name: "Run", "RunClosed", "RunLarge",
-	// "RunLargeMonte", "RunStream" or "RunCluster". Empty in a Plan's
+	// Engine is the engine name: "Run", "RunClosed", "RunLargeMonte",
+	// "RunStream" or "RunCluster". Empty in a Plan's
 	// Match means any engine.
 	Engine string
 	// Op is the operation kind (OpAny in a Plan's Match means any).
 	Op Op
-	// Rep is the repetition index (0 for the single-run engine; -1 in
-	// a Plan's Match means any repetition).
+	// Rep is the repetition index (the round or tick for the streaming
+	// and cluster engines; -1 in a Plan's Match means any repetition).
 	Rep int
 	// Shard is the shard index of a placement/reset site, or the
 	// routing-group index of a routing site (-1 = any / not

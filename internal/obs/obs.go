@@ -1,8 +1,8 @@
 // Package obs is the unified observation subsystem: composable,
 // merge-able collectors that every simulation engine — the classic and
 // closed-form chunked engines (sim.Run, sim.RunClosed), the sharded
-// engines (sim.RunLarge, sim.RunLargeMonte), and the streaming and
-// cluster engines behind sim.Dispatch — drives through one contract.
+// engine (sim.RunLargeMonte), and the streaming and cluster engines
+// behind sim.Dispatch — drives through one contract.
 //
 // # Contract
 //

@@ -138,7 +138,7 @@ func TestRunLargeCancelImmediate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := largeArray(t, 400)
-	res, err := RunLarge(RunSpec{
+	res, err := runLarge(RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       3,
@@ -151,8 +151,8 @@ func TestRunLargeCancelImmediate(t *testing.T) {
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
 	}
-	if cerr.Engine != engRunLarge || cerr.CompletedCuts != 0 || cerr.CompletedReps != -1 {
-		t.Fatalf("provenance %+v, want RunLarge with 0 completed cuts", cerr)
+	if cerr.Engine != engRunLargeMC || cerr.CompletedCuts != 0 || cerr.CompletedReps != 0 {
+		t.Fatalf("provenance %+v, want RunLargeMonte with 0 completed reps and cuts", cerr)
 	}
 	if res == nil || res.N != 400 || res.Shards != 4 {
 		t.Fatalf("partial shape %+v", res)
@@ -174,7 +174,7 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	a := largeArray(t, 1500)
 	cuts := []int64{2000, 20000, 100000, 300000}
 	base := RunSpec{Config: Config{Array: a, Seed: 11, Workers: 1, BallsFactor: 50, ObsOptions: ObsOptions{Checkpoints: cuts}}, Shards: 4}
-	want, err := RunLarge(base)
+	want, err := runLarge(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	counted := base
 	counted.Context = live
 	counted.Placer = hookedFactory(func(call int64) { calls = call })
-	got, err := RunLarge(counted)
+	got, err := runLarge(counted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 				cancel()
 			}
 		})
-		res, err := RunLarge(cancelled)
+		res, err := runLarge(cancelled)
 		cancel()
 		var cerr *CancelledError
 		if !errors.As(err, &cerr) {
@@ -368,26 +368,6 @@ func TestRunChunkPanicContained(t *testing.T) {
 	}
 }
 
-// TestRunLargePlacePanicContained: a shard placement panic in the
-// single-run engine carries its shard index.
-func TestRunLargePlacePanicContained(t *testing.T) {
-	defer leakCheck(t)()
-	a := largeArray(t, 400)
-	factory := hookedFactory(func(call int64) {
-		if call == 2 {
-			panic("injected shard panic")
-		}
-	})
-	_, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 4, Placer: factory}, Shards: 4})
-	var perr *PanicError
-	if !errors.As(err, &perr) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if perr.Engine != engRunLarge || perr.Task != "place" || perr.Index < 0 || perr.Index >= 4 {
-		t.Fatalf("provenance %+v, want RunLarge place task with a shard index", perr)
-	}
-}
-
 // TestValidateFieldNamedErrors pins the config-validation hardening:
 // malformed observation requests and negative knobs are rejected with
 // errors naming the offending field, before any goroutine starts.
@@ -424,15 +404,15 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 			return err
 		}},
 		{"large zero checkpoint", "Checkpoints[", func() error {
-			_, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0, 5}}}})
+			_, err := runLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0, 5}}}})
 			return err
 		}},
 		{"large unsorted checkpoints", "Checkpoints[", func() error {
-			_, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{100, 20}}}})
+			_, err := runLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{100, 20}}}})
 			return err
 		}},
 		{"large negative workers", "Workers", func() error {
-			_, err := RunLarge(RunSpec{Config: Config{Array: a, Workers: -1}})
+			_, err := runLarge(RunSpec{Config: Config{Array: a, Workers: -1}})
 			return err
 		}},
 		{"monte unsorted checkpoints", "Checkpoints[", func() error {
@@ -453,7 +433,7 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 			return err
 		}},
 		{"large shards out of range", "Shards", func() error {
-			_, err := RunLarge(RunSpec{Config: Config{Array: a}, Shards: 101})
+			_, err := runLarge(RunSpec{Config: Config{Array: a}, Shards: 101})
 			return err
 		}},
 		{"stream shards out of range", "Shards", func() error {

@@ -44,29 +44,6 @@ func wantInjectedPanic(t *testing.T, err error, engine string, op fault.Op) {
 	}
 }
 
-// TestChaosRunLargePanicSites: a panic at any routing block or shard
-// placement of the single-run engine surfaces with provenance, across
-// shard and worker topologies.
-func TestChaosRunLargePanicSites(t *testing.T) {
-	a := largeArray(t, 600)
-	sites := []fault.Site{
-		{Engine: engRunLarge, Op: fault.OpRoute, Rep: -1, Shard: -1, Block: 0},
-		{Engine: engRunLarge, Op: fault.OpPlace, Rep: -1, Shard: 0, Block: -1},
-	}
-	for _, site := range sites {
-		for _, shards := range []int{1, 4} {
-			for _, workers := range []int{1, 4} {
-				func() {
-					defer leakCheck(t)()
-					defer fault.Arm(fault.Plan{Match: site, Do: fault.Panic, Msg: "chaos"})()
-					_, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1, Workers: workers}, Shards: shards})
-					wantInjectedPanic(t, err, engRunLarge, site.Op)
-				}()
-			}
-		}
-	}
-}
-
 // TestChaosRunLargeMontePanicSites: every Monte pool-task kind — a
 // routing block, a shard placement, a between-rep reset, a summary, an
 // orchestrator step — dies at a pinned repetition and the run reports
@@ -138,7 +115,7 @@ func TestChaosCancelMidRouting(t *testing.T) {
 	})()
 	// Four routing blocks (m = 30·C at C = 8250 is 247500 balls), one
 	// worker so blocks are visited in order.
-	res, err := RunLarge(RunSpec{
+	res, err := runLarge(RunSpec{
 		Config: Config{
 			Array:       a,
 			Seed:        6,
@@ -153,8 +130,8 @@ func TestChaosCancelMidRouting(t *testing.T) {
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
 	}
-	if cerr.Engine != engRunLarge || cerr.CompletedCuts != 0 {
-		t.Fatalf("provenance %+v, want RunLarge cancelled during routing", cerr)
+	if cerr.Engine != engRunLargeMC || cerr.CompletedCuts != 0 {
+		t.Fatalf("provenance %+v, want RunLargeMonte cancelled during routing", cerr)
 	}
 	if res == nil || res.Array != nil || len(res.Checkpoints) != 0 {
 		t.Fatalf("mid-routing partial carries state: %+v", res)
@@ -217,7 +194,7 @@ func TestChaosCancelThenResume(t *testing.T) {
 // points, not draws.
 func TestChaosDelayHarmless(t *testing.T) {
 	a := largeArray(t, 400)
-	want, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 9}, Shards: 4})
+	want, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 9}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +202,7 @@ func TestChaosDelayHarmless(t *testing.T) {
 		Match: fault.Site{Op: fault.OpPlace, Rep: -1, Shard: 1, Block: -1},
 		Do:    fault.Delay, Sleep: 30 * time.Millisecond,
 	})()
-	got, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 9}, Shards: 4})
+	got, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 9}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/bins"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 func clusterArray(t testing.TB, caps ...int64) *bins.Array {
@@ -556,6 +557,42 @@ func TestClusterDispatch(t *testing.T) {
 	}
 	if _, err := ParseEngine("cluster"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterGreedyBeatsSingleOnTail: at 87.5% utilisation the
+// capacity-aware two-choice dispatcher keeps the worst queue-relative
+// load of the per-tick trajectory below single-choice dispatch, and
+// its mean response time no higher. One shard, so every request's two
+// candidates range over all servers.
+func TestClusterGreedyBeatsSingleOnTail(t *testing.T) {
+	a := clusterArray(t, 1, 1, 1, 1, 10, 10) // C = 24
+	const ticks = 600
+	everyTick := make([]int64, ticks)
+	for i := range everyTick {
+		everyTick[i] = int64(i + 1)
+	}
+	serve := func(f protocol.Factory) (worst, meanLatency float64) {
+		res, err := Dispatch(RunSpec{
+			Config:  Config{Array: a, Seed: 3, Placer: f, ObsOptions: ObsOptions{Checkpoints: everyTick}},
+			Shards:  1,
+			Cluster: &ClusterParams{Ticks: ticks, ArrivalsPerTick: 21},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Checkpoints {
+			worst = max(worst, res.Checkpoints[i].MaxLoad.Max())
+		}
+		return worst, res.Cluster.Latency.Mean()
+	}
+	gWorst, gLat := serve(protocol.GreedyFactory(2))
+	sWorst, sLat := serve(protocol.SingleFactory())
+	if gWorst >= sWorst {
+		t.Fatalf("greedy worst queue load %.3f not below single %.3f", gWorst, sWorst)
+	}
+	if gLat > sLat {
+		t.Fatalf("greedy mean response %.3f above single %.3f", gLat, sLat)
 	}
 }
 

@@ -75,10 +75,6 @@ const (
 	// and shedding. The engine function is unexported — Dispatch is its
 	// only public entry point — and requires RunSpec.Cluster.
 	EngineCluster Engine = "cluster"
-
-	// engineLarge names RunLarge in the capability table: the sharded
-	// engine's observables, for a single game.
-	engineLarge Engine = "large"
 )
 
 // AutoScaleMinBins is the bin count at which EngineAuto switches from
@@ -102,10 +98,7 @@ func ParseEngine(s string) (Engine, error) {
 
 // noun names the engine in error messages.
 func (e Engine) noun() string {
-	switch e {
-	case engineLarge:
-		return "RunLarge"
-	case EngineStream:
+	if e == EngineStream {
 		return "the streaming engine"
 	}
 	return "the " + string(e) + " engine"
@@ -258,7 +251,7 @@ type RunSpec struct {
 	// CancelledError.Cause. Unlike a real context it is timing-free,
 	// which is what lets tests and scripts byte-compare an interrupted
 	// run against an uninterrupted one. The classic and closed-form
-	// engines and RunLarge reject it.
+	// engines reject it.
 	CancelAfter int
 	// Stream carries the streaming engine's round parameters. Setting
 	// it makes the spec a streaming spec: EngineAuto (and
@@ -274,7 +267,9 @@ type RunSpec struct {
 	// AdoptArray lets the sharded engines mutate Config.Array in place
 	// (reset first) instead of cloning it. The public wrappers, which
 	// build a private array from a capacity slice, use it to avoid a
-	// transient second O(n) array at n = 10^7.
+	// transient second O(n) array at n = 10^7. RunLargeMonte leaves
+	// there the final state of the last repetition its first
+	// orchestrator played: with Reps = 1, the game's final state.
 	AdoptArray bool
 }
 
@@ -354,12 +349,12 @@ func (spec *RunSpec) validate(e Engine) (shards int, err error) {
 // uses it as its selection predicate. The chunked engines (classic,
 // closed-form) run every Config observable on fixed or per-repetition
 // arrays; the sharded engines work on one fixed array and its
-// whole-array observables; RunLarge, stream and cluster run a single
+// whole-array observables; stream and cluster run a single
 // trajectory.
 func (spec *RunSpec) unsupported(e Engine) error {
 	c := &spec.Config
 	chunked := e == EngineClassic || e == EngineClosedForm
-	single := e == engineLarge || e == EngineStream || e == EngineCluster
+	single := e == EngineStream || e == EngineCluster
 	switch {
 	case !chunked && c.ArrayFn != nil:
 		return fmt.Errorf("sim: ArrayFn: %s needs a fixed Array (ArrayFn builds per-repetition arrays)", e.noun())
@@ -375,7 +370,7 @@ func (spec *RunSpec) unsupported(e Engine) error {
 		return fmt.Errorf("sim: %s does not collect ClassMaxLoads", e.noun())
 	case e != EngineClassic && c.HeightBins > 0:
 		return fmt.Errorf("sim: HeightBins = %d: %s does not collect the per-ball height histogram (classic engine only)", c.HeightBins, e.noun())
-	case (chunked || e == engineLarge) && spec.CancelAfter > 0:
+	case chunked && spec.CancelAfter > 0:
 		return fmt.Errorf("sim: CancelAfter = %d: %s has no deterministic stop (sharded, stream and cluster engines only)", spec.CancelAfter, e.noun())
 	case e != EngineSharded && spec.ShardStats:
 		return fmt.Errorf("sim: %s does not collect ShardStats (sharded engine only)", e.noun())

@@ -41,7 +41,6 @@ import (
 // Engine names used in provenance (PanicError.Engine, fault.Site.Engine).
 const (
 	engRun        = "Run"
-	engRunLarge   = "RunLarge"
 	engRunLargeMC = "RunLargeMonte"
 	engRunClosed  = "RunClosed"
 	engRunStream  = "RunStream"
@@ -60,19 +59,19 @@ var ErrCancelled = errors.New("sim: run cancelled")
 // here describe which deterministic prefix that partial covers.
 type CancelledError struct {
 	// Engine is the engine that was cancelled ("Run", "RunClosed",
-	// "RunLarge", "RunLargeMonte", "RunStream" or "RunCluster").
+	// "RunLargeMonte", "RunStream" or "RunCluster").
 	Engine string
 	// CompletedReps is the folded repetition prefix of the partial
 	// (Run, RunClosed, RunLargeMonte): aggregates cover reps
 	// [0, CompletedReps) and are bit-identical to a run configured with
-	// that Reps value. -1 for RunLarge (whose unit of progress is
-	// checkpoint cuts) and for the streaming and cluster engines (whose
+	// that Reps value. -1 for the streaming and cluster engines (whose
 	// units are completed rounds and ticks).
 	CompletedReps int
 	// CompletedCuts is the number of leading checkpoint rows present
-	// in a cancelled RunLarge, RunStream or RunCluster partial (each
-	// bit-identical to the corresponding row of an uninterrupted run).
-	// -1 for the repetition-based engines.
+	// in a cancelled RunStream or RunCluster partial, or in a
+	// RunLargeMonte partial with CompletedReps = 0 — there, the cuts
+	// every shard of repetition 0 completed (each row bit-identical to
+	// the corresponding row of an uninterrupted run). -1 otherwise.
 	CompletedCuts int
 	// CompletedRounds is the completed-round prefix of a cancelled
 	// streaming run: the partial's trajectory, counters and shard
@@ -129,8 +128,8 @@ type PanicError struct {
 	// the streaming and cluster phase names ("delete", "move-out",
 	// "redistribute", "retry", "churn", ...).
 	Task string
-	// Rep is the repetition the task belonged to (-1 when unknown; 0
-	// for the single-run engine).
+	// Rep is the repetition, round or tick the task belonged to (-1
+	// when unknown).
 	Rep int
 	// Index is the task's shard index (place/reset), routing-group
 	// index (route), or worker index (orchestrator); -1 when not

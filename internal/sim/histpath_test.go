@@ -100,12 +100,12 @@ func TestRunHistogramPathMatchesNaive(t *testing.T) {
 
 // TestRunLargeMonteHistogramMatchesNaive pins the sharded engines'
 // merge-in-shard-order histogram against naive scans of the identical
-// final state: RunLarge (which returns its final array) must agree
-// with a Reps=1 RunLargeMonte carrying every histogram-derived
-// collector, bit for bit.
+// final state: the single game (runLarge, which returns its final
+// array) must agree with a Reps=1 RunLargeMonte carrying every
+// histogram-derived collector, bit for bit.
 func TestRunLargeMonteHistogramMatchesNaive(t *testing.T) {
 	a := largeArray(t, 900)
-	ref, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 2718}, Shards: 16})
+	ref, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 2718}, Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +141,16 @@ func TestRunLargeMonteHistogramMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestRunLargeFinalHistogramMatchesScan: RunLarge's final fold uses
-// the histogram only when heights are requested; both paths must
+// TestRunLargeFinalHistogramMatchesScan: the single game's final fold
+// uses the histogram only when heights are requested; both paths must
 // report identical stats for the identical placement.
 func TestRunLargeFinalHistogramMatchesScan(t *testing.T) {
 	a := largeArray(t, 700)
-	plain, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 5}, Shards: 8})
+	plain, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 5}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withHeights, err := RunLarge(RunSpec{
+	withHeights, err := runLarge(RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       5,

@@ -7,8 +7,52 @@ import (
 
 	"repro/internal/bins"
 	"repro/internal/dist"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
+
+// largeResult is the single sharded game as the tests read it: the
+// final statistics, observations, per-shard routed counts and final
+// array of a Reps = 1 RunLargeMonte run.
+type largeResult struct {
+	N            int
+	Shards       int
+	Balls        int64
+	MaxLoad      float64
+	AvgLoad      float64
+	Deviation    float64
+	ShardBalls   []int64
+	Checkpoints  []obs.CheckpointRow
+	HeightCounts []obs.HeightRow
+	Array        *bins.Array // nil on a cancelled partial
+}
+
+// runLarge plays the spec's single sharded game: RunLargeMonte with
+// Reps = 1 on a private clone of spec.Array (on spec.Array itself
+// under AdoptArray), which then holds the final state. A cancelled
+// partial carries the shape and the completed cut prefix only.
+func runLarge(spec RunSpec) (*largeResult, error) {
+	spec.Reps = 1
+	spec.ShardStats = true
+	if spec.Array != nil && !spec.AdoptArray {
+		spec.Array, spec.AdoptArray = spec.Array.Clone(), true
+	}
+	res, err := RunLargeMonte(spec)
+	if res == nil {
+		return nil, err
+	}
+	out := &largeResult{N: res.N, Shards: res.Shards, Balls: res.Balls, Checkpoints: res.Checkpoints}
+	if err != nil {
+		return out, err
+	}
+	out.MaxLoad, out.AvgLoad, out.Deviation = res.MaxLoad.Mean(), res.AvgLoad.Mean(), res.Deviation.Mean()
+	out.HeightCounts = res.HeightCounts
+	out.Array = spec.Array
+	for _, row := range res.ShardStats.Rows() {
+		out.ShardBalls = append(out.ShardBalls, int64(row.Balls.Mean()))
+	}
+	return out, nil
+}
 
 func largeArray(t testing.TB, n int) *bins.Array {
 	t.Helper()
@@ -20,27 +64,27 @@ func largeArray(t testing.TB, n int) *bins.Array {
 }
 
 func TestRunLargeValidation(t *testing.T) {
-	if _, err := RunLarge(RunSpec{}); err == nil {
+	if _, err := runLarge(RunSpec{}); err == nil {
 		t.Error("nil array accepted")
 	}
 	a := largeArray(t, 100)
-	if _, err := RunLarge(RunSpec{Config: Config{Array: a, Balls: -1}}); err == nil {
+	if _, err := runLarge(RunSpec{Config: Config{Array: a, Balls: -1}}); err == nil {
 		t.Error("negative balls accepted")
 	}
-	if _, err := RunLarge(RunSpec{Config: Config{Array: a, BallsFactor: -0.5}}); err == nil {
+	if _, err := runLarge(RunSpec{Config: Config{Array: a, BallsFactor: -0.5}}); err == nil {
 		t.Error("negative factor accepted")
 	}
-	if _, err := RunLarge(RunSpec{Config: Config{Array: a}, Shards: -3}); err == nil {
+	if _, err := runLarge(RunSpec{Config: Config{Array: a}, Shards: -3}); err == nil {
 		t.Error("negative shards accepted")
 	}
-	if _, err := RunLarge(RunSpec{Config: Config{Array: a}, Shards: 101}); err == nil {
+	if _, err := runLarge(RunSpec{Config: Config{Array: a}, Shards: 101}); err == nil {
 		t.Error("shards > n accepted")
 	}
 }
 
 func TestRunLargeDefaults(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1}})
+	res, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +112,17 @@ func TestRunLargeDefaults(t *testing.T) {
 	}
 	// the caller's array must stay untouched
 	if a.TotalBalls() != 0 {
-		t.Fatal("RunLarge mutated the config array")
+		t.Fatal("the single game mutated the config array")
 	}
 	// BallsFactor scales C, explicit Balls overrides it
-	fres, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1, BallsFactor: 2}})
+	fres, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 1, BallsFactor: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fres.Balls != 2*a.TotalCapacity() {
 		t.Fatalf("factor 2 placed %d balls, want %d", fres.Balls, 2*a.TotalCapacity())
 	}
-	ores, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1, Balls: 7, BallsFactor: 2}})
+	ores, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 1, Balls: 7, BallsFactor: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +134,7 @@ func TestRunLargeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := RunLarge(RunSpec{Config: Config{Array: small, Seed: 1}})
+	sres, err := runLarge(RunSpec{Config: Config{Array: small, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +147,9 @@ func TestRunLargeDefaults(t *testing.T) {
 // the full final bin state is bit-identical for any worker count.
 func TestRunLargeBitIdenticalAcrossWorkers(t *testing.T) {
 	a := largeArray(t, 2000)
-	var base *LargeResult
+	var base *largeResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := RunLarge(RunSpec{
+		res, err := runLarge(RunSpec{
 			Config: Config{
 				Array:   a,
 				Seed:    42,
@@ -139,11 +183,11 @@ func TestRunLargeBitIdenticalAcrossWorkers(t *testing.T) {
 // bit-identity test above rather than hidden here.
 func TestRunLargeShardsArePartOfTheModel(t *testing.T) {
 	a := largeArray(t, 2000)
-	r16, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 16})
+	r16, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 32})
+	r32, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +210,7 @@ func TestRunLargeShardsArePartOfTheModel(t *testing.T) {
 func TestRunLargeRoutingProportional(t *testing.T) {
 	const n = 1000
 	a := largeArray(t, n) // C = 500·1 + 500·10 = 5500
-	res, err := RunLarge(RunSpec{
+	res, err := runLarge(RunSpec{
 		Config: Config{
 			Array:  a,
 			Seed:   3,
@@ -201,7 +245,7 @@ func TestRunLargeRoutingProportional(t *testing.T) {
 // all-zero weight vectors.
 func TestRunLargeZeroWeightShards(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLarge(RunSpec{
+	res, err := runLarge(RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  5,
@@ -230,7 +274,7 @@ func TestRunLargeZeroWeightShards(t *testing.T) {
 // block-wise multinomial count generation; frozen from that point on.
 func TestRunLargeGoldenValues(t *testing.T) {
 	a := largeArray(t, 512)
-	res, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 20260727}, Shards: 8})
+	res, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 20260727}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +306,11 @@ func TestRunLargeGoldenValues(t *testing.T) {
 // with and without checkpoints.
 func TestRunLargeCheckpointsDoNotMoveDraws(t *testing.T) {
 	a := largeArray(t, 512)
-	plain, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 20260727}, Shards: 8})
+	plain, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 20260727}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cped, err := RunLarge(RunSpec{
+	cped, err := runLarge(RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       20260727,
@@ -301,7 +345,7 @@ func TestRunLargeCheckpointsDoNotMoveDraws(t *testing.T) {
 // skipped like a cut beyond m rather than recorded as max load 0.
 func TestRunLargeCheckpointModel(t *testing.T) {
 	a := largeArray(t, 4000) // C = 22000
-	res, err := RunLarge(RunSpec{
+	res, err := runLarge(RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       9,
@@ -348,9 +392,9 @@ func TestRunLargeCheckpointModel(t *testing.T) {
 // worker-independence contract to the observation pipeline.
 func TestRunLargeCheckpointsBitIdenticalAcrossWorkers(t *testing.T) {
 	a := largeArray(t, 2000)
-	var base *LargeResult
+	var base *largeResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := RunLarge(RunSpec{
+		res, err := runLarge(RunSpec{
 			Config: Config{
 				Array:      a,
 				Seed:       42,
@@ -379,7 +423,7 @@ func TestRunLargeCheckpointsBitIdenticalAcrossWorkers(t *testing.T) {
 // direct scan of the final array.
 func TestRunLargeHeights(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLarge(RunSpec{
+	res, err := runLarge(RunSpec{
 		Config: Config{
 			Array:       a,
 			Seed:        4,
@@ -412,12 +456,12 @@ func TestRunLargeHeights(t *testing.T) {
 // place (saving the O(n) clone) and produces the identical result.
 func TestRunLargeAdoptArray(t *testing.T) {
 	a := largeArray(t, 800)
-	ref, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 6}, Shards: 8})
+	ref, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 6}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	own := largeArray(t, 800)
-	res, err := RunLarge(RunSpec{Config: Config{Array: own, Seed: 6}, Shards: 8, AdoptArray: true})
+	res, err := runLarge(RunSpec{Config: Config{Array: own, Seed: 6}, Shards: 8, AdoptArray: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,10 +480,10 @@ func TestRunLargeAdoptArray(t *testing.T) {
 
 func TestRunLargeObservationValidation(t *testing.T) {
 	a := largeArray(t, 100)
-	if _, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0}}}}); err == nil {
+	if _, err := runLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0}}}}); err == nil {
 		t.Error("checkpoint at 0 balls accepted")
 	}
-	if _, err := RunLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{HeightLevels: -1}}}); err == nil {
+	if _, err := runLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{HeightLevels: -1}}}); err == nil {
 		t.Error("negative HeightLevels accepted")
 	}
 }

@@ -1,8 +1,9 @@
-// Sharded Monte-Carlo engine: R repetitions of the sharded single-run
-// game (RunLarge), scheduled as a two-level pipeline so that huge-n
+// Sharded Monte-Carlo engine: R repetitions of the sharded game
+// (large.go), scheduled as a two-level pipeline so that huge-n
 // aggregates — the regime where the paper's gap bounds become
 // empirically sharp — run at full machine width without holding more
-// than a handful of bin arrays in memory.
+// than a handful of bin arrays in memory. Reps = 1 is the single
+// sharded game.
 //
 // # Scheduling model
 //
@@ -10,11 +11,17 @@
 // summaries) executes on ONE shared bounded pool of at most spec.Workers
 // goroutines (the phase runner, runner.go). On top of it,
 // min(Workers, Reps) repetition orchestrators each own a single
-// reusable bin-array clone (plus its shard views, per-shard placers and
+// reusable bin array (plus its shard views, per-shard placers and
 // routing groups, built once and reset between repetitions) and pump
 // their repetitions through the pool, one phase barrier at a time:
 //
 //	route blocks(rep) ∥ reset shards → place shards in parallel → summarise
+//
+// Orchestrator 0 plays on the run's own array; every other one plays
+// on a clone taken before any orchestrator starts. A fresh array skips
+// the reset, and each shard's placer is built by its first placement
+// task, so the single game (Reps = 1) pays for no clone, no reset and
+// no serial placer build.
 //
 // Orchestrators only coordinate — they never burn a core — so shard
 // tasks of one repetition overlap the routing blocks of the next, and
@@ -29,18 +36,19 @@
 // rep·(Shards+1): its routing blocks draw from the substreams of
 // stream rep·(Shards+1) (block b from (Seed, rep·(Shards+1), b) — see
 // route.go) and shard s places from stream rep·(Shards+1)+1+s of the
-// base seed. Repetition 0 therefore consumes exactly the streams of
-// RunLarge — RunLargeMonte with Reps = 1 reproduces RunLarge bit for
-// bit — and every repetition is a pure function of (capacities,
-// distribution, protocol, balls, Seed, Shards, rep). Aggregation folds
+// base seed. Repetition 0 therefore consumes exactly the single
+// game's streams (routing on stream 0, shard s on stream 1+s), and
+// every repetition is a pure function of (capacities, distribution,
+// protocol, balls, Seed, Shards, rep). Aggregation folds
 // repetition summaries strictly in repetition order (a turn-based
 // in-order fold), so every accumulator and the mean load vector are
 // bit-identical for any Workers value. Shards and the routing-block
-// structure remain part of the model, exactly as in RunLarge.
+// structure remain part of the model.
 package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bins"
@@ -116,6 +124,13 @@ type monteAgg struct {
 	cp    *obs.Checkpoints
 	hl    *obs.Heights
 	ss    *obs.ShardStats
+
+	// cuts0/rows0 are repetition 0's completed checkpoint-cut prefix
+	// when repetition 0 was cancelled — the single game's partial.
+	// Written only by the orchestrator that runs repetition 0, read
+	// after every orchestrator has exited.
+	cuts0 int
+	rows0 []obs.CheckpointRow
 }
 
 // fold blocks until it is rep's turn, runs fn under the aggregation
@@ -182,15 +197,17 @@ func (ag *monteAgg) failed() bool {
 }
 
 // monteRepState is one orchestrator's reusable per-repetition state:
-// its own array clone, shard views, per-shard placers and generators,
+// its own bin array, shard views, per-shard placers and generators,
 // and routing groups (built once, reset between repetitions), routing
 // counts and summary scratch. It is touched by pool tasks of at most
 // one repetition at a time.
 type monteRepState struct {
+	sh      *sharded
 	arr     *bins.Array
+	fresh   bool              // arr has never been placed on: skip the reset
 	views   []*bins.Array     // nil for zero-weight shards (never routed to)
-	placers []protocol.Placer // nil iff views[s] is nil
-	rands   []xrand.Rand      // per-shard placement generators, re-seeded each rep
+	placers []protocol.Placer // built by the shard's first placement task
+	rands   []shardRand       // per-shard placement generators, re-seeded each rep
 	counts  []int64
 	max     float64
 	avg     float64
@@ -237,27 +254,42 @@ type monteRepState struct {
 	cpMax    []float64   // combined whole-array max per cut
 	hlCounts []int64     // bins at load >= k (HeightLevels)
 	shardMax []float64   // final shard-local max (ShardStats)
+	// cutsDone[s] is how many cuts shard s fully placed and tracked in
+	// the current repetition (nil unless cancellation is armed and a
+	// cut is reachable).
+	cutsDone []int
 }
 
-// newMonteRepState clones the (already reset) master array of the
-// shard plan and builds the orchestrator's shard views, placers,
+// shardRand is one shard's placement generator, padded so that no two
+// shards' generators share a cache line: the placement tasks of
+// neighbouring shards advance theirs on every draw, concurrently.
+type shardRand struct {
+	xrand.Rand
+	_ [96]byte
+}
+
+// newMonteRepState builds an orchestrator's state over arr, a fresh
+// (reset) array — the plan's own or a clone of it: the shard views,
 // routing groups and phase on the shared pool. Zero-weight shards get
-// neither view nor placer — the router can never send a ball there,
+// no view, so never a placer — the router can never send a ball there,
 // and building a placer over an all-zero weight slice would fail.
 // routeWidth is the number of routing groups, and cutBlocks/cutRems
 // the shared cut plan.
-func newMonteRepState(sh *sharded, spec *RunSpec, cuts []int64, routeWidth int, cutBlocks, cutRems []int64, protoHist *bins.LoadHistogram, pl *pool) (*monteRepState, error) {
+func newMonteRepState(sh *sharded, arr *bins.Array, spec *RunSpec, cc *canceller, cuts []int64, routeWidth int, cutBlocks, cutRems []int64, protoHist *bins.LoadHistogram, pl *pool) (*monteRepState, error) {
 	shards, bounds := sh.shards, sh.bounds
 	st := &monteRepState{
-		arr:         sh.arr.Clone(),
+		sh:          sh,
+		arr:         arr,
+		fresh:       true,
 		views:       make([]*bins.Array, shards),
 		placers:     make([]protocol.Placer, shards),
-		rands:       make([]xrand.Rand, shards),
+		rands:       make([]shardRand, shards),
 		counts:      make([]int64, shards),
 		routeGroups: newRouteGroups(routeWidth, shards, len(cuts)),
 		cutBlocks:   cutBlocks,
 		cutRems:     cutRems,
 		cuts:        cuts,
+		cc:          cc,
 	}
 	st.ph = phase{pool: pl, x: st, engine: engRunLargeMC, names: monteKinds}
 	if len(cuts) > 0 {
@@ -271,6 +303,9 @@ func newMonteRepState(sh *sharded, spec *RunSpec, cuts []int64, routeWidth int, 
 		}
 		st.cutBalls = make([]int64, len(cuts))
 		st.cpMax = make([]float64, len(cuts))
+		if cc != nil {
+			st.cutsDone = make([]int, shards)
+		}
 	}
 	if spec.HeightLevels > 0 {
 		st.hlCounts = make([]int64, spec.HeightLevels)
@@ -286,12 +321,7 @@ func newMonteRepState(sh *sharded, spec *RunSpec, cuts []int64, routeWidth int, 
 		if err != nil {
 			return nil, fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
 		}
-		p, err := sh.factory(v, sh.weights[bounds[s]:bounds[s+1]])
-		if err != nil {
-			return nil, fmt.Errorf("sim: RunLargeMonte shard %d placer: %w", s, err)
-		}
 		st.views[s] = v
-		st.placers[s] = p
 	}
 	if protoHist != nil {
 		st.histAll = protoHist.CloneEmpty()
@@ -314,6 +344,32 @@ func newMonteRepState(sh *sharded, spec *RunSpec, cuts []int64, routeWidth int, 
 		}
 	}
 	return st, nil
+}
+
+// cutPrefix returns the checkpoint rows of the cuts every shard of a
+// cancelled repetition completed — each bit-identical to the row the
+// uninterrupted repetition reports — and their count. A repetition
+// cancelled during routing completed none.
+func (st *monteRepState) cutPrefix(totalCap int64) (int, []obs.CheckpointRow) {
+	if st.cutsDone == nil {
+		return 0, nil
+	}
+	done := len(st.cuts)
+	for _, d := range st.cutsDone {
+		done = min(done, d)
+	}
+	if done == 0 {
+		return 0, nil
+	}
+	cp := obs.NewCheckpoints(st.cuts[:done])
+	combineShardMaxima(st.track[:done], st.cpMax[:done])
+	for k := 0; k < done; k++ {
+		// An empty block-aligned realisation saw no state at the cut.
+		if st.cutBalls[k] != 0 {
+			cp.Observe(k, st.cutBalls[k], totalCap, st.cpMax[k])
+		}
+	}
+	return done, cp.Rows()
 }
 
 // Monte's task kinds: Phase A overlaps routing groups with shard
@@ -345,20 +401,30 @@ func (st *monteRepState) exec(kind, idx int) error {
 	case montePlace:
 		s := idx
 		p := st.placers[s]
-		// Stateful placers (e.g. the batched protocol's round
-		// snapshot) must forget the previous repetition.
-		if rp, ok := p.(interface{ Reset() }); ok {
+		if p == nil {
+			// The alias-table build is O(shard size): it runs here, in
+			// parallel across shards, reading only the shard's own
+			// weights and view.
+			var err error
+			lo, hi := st.sh.bounds[s], st.sh.bounds[s+1]
+			if p, err = st.sh.factory(st.views[s], st.sh.weights[lo:hi]); err != nil {
+				return fmt.Errorf("sim: RunLargeMonte shard %d placer: %w", s, err)
+			}
+			st.placers[s] = p
+		} else if rp, ok := p.(interface{ Reset() }); ok {
+			// Stateful placers (e.g. the batched protocol's round
+			// snapshot) must forget the previous repetition.
 			rp.Reset()
 		}
 		// Re-seeding the shard's reusable generator is NewStream
 		// without the allocation (pinned by the stream-contract
 		// tests).
-		rs := &st.rands[s]
+		rs := &st.rands[s].Rand
 		rs.Seed(xrand.Mix64(st.seed, st.base+1+uint64(s)))
-		// The shared segment schedule (placeShardSegments) is what
-		// keeps repetition 0 bit-identical to a checkpointed
-		// RunLarge. Segmentation never moves a draw.
-		placeShardSegments(st.cc, engRunLargeMC, st.rep, p, st.views[s], rs, st.counts[s], s, st.prefix, st.track)
+		done, _ := placeShardSegments(st.cc, engRunLargeMC, st.rep, p, st.views[s], rs, st.counts[s], s, st.prefix, st.track)
+		if st.cutsDone != nil {
+			st.cutsDone[s] = done
+		}
 		if st.hists != nil {
 			// The shard's one-pass histogram, rebuilt over its own view
 			// while other shards are still placing. A zero-count shard
@@ -399,8 +465,15 @@ func (st *monteRepState) exec(kind, idx int) error {
 			}
 		} else {
 			st.arr.Recount()
-			st.max = st.arr.MaxLoad()
 			st.avg = st.arr.AverageLoad()
+			if st.shardMax != nil {
+				// Division is correctly rounded, hence monotone: the max
+				// of the shard-local maxima the placement tasks scanned
+				// is the whole-array max, bit for bit.
+				st.max = slices.Max(st.shardMax)
+			} else {
+				st.max = st.arr.MaxLoad()
+			}
 		}
 		combineShardMaxima(st.track, st.cpMax)
 	}
@@ -430,14 +503,16 @@ func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *s
 	st.rbase = xrand.Mix64(seed, st.base)
 	st.m = m
 	st.router = router
+	clear(st.cutsDone)
 	for g := range st.routeGroups {
 		st.ph.submit(monteRoute, g)
 	}
 	for s := range st.views {
-		if st.views[s] != nil {
+		if st.views[s] != nil && !st.fresh {
 			st.ph.submit(monteReset, s)
 		}
 	}
+	st.fresh = false
 	if err := st.ph.wait(); err != nil {
 		return false, err
 	}
@@ -460,6 +535,9 @@ func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *s
 		// histograms on it still gets a (draw-free) taskPlace so its
 		// empty view refreshes st.hists[s] for the Phase C merge.
 		if st.views[s] == nil || (st.counts[s] == 0 && st.hists == nil) {
+			if st.cutsDone != nil {
+				st.cutsDone[s] = len(st.cuts)
+			}
 			continue
 		}
 		st.ph.submit(montePlace, s)
@@ -477,19 +555,22 @@ func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *s
 	return true, nil
 }
 
-// RunLargeMonte executes spec.Reps repetitions of the sharded single-run
-// engine and aggregates them. See the package comment of this file for
-// the scheduling model and the determinism contract. Repetition rep
-// derives its RNG streams by offsetting the single-run layout — routing
-// on stream rep·(Shards+1), shard s on stream rep·(Shards+1)+1+s — so
-// repetition 0 is bit-identical to RunLarge with the same spec.
+// RunLargeMonte executes spec.Reps repetitions of the sharded game
+// (large.go) and aggregates them; Reps = 1 is the single sharded game.
+// See the package comment of this file for the scheduling model and
+// the determinism contract. Repetition rep derives its RNG streams by
+// offsetting the single game's layout — routing on stream
+// rep·(Shards+1), shard s on stream rep·(Shards+1)+1+s.
 //
 // When spec.Context fires (or CancelAfter triggers), RunLargeMonte
 // returns a partial *LargeMonteResult covering a contiguous repetition
 // prefix — bit-identical to a run configured with that many Reps —
-// plus a *CancelledError whose Checkpoint resumes the run. A panic in
-// any pool task or orchestrator surfaces as a *PanicError, never as a
-// crash or a stuck fold ladder.
+// plus a *CancelledError whose Checkpoint resumes the run. When the
+// prefix is empty, the partial's Checkpoints are instead the cuts
+// every shard of repetition 0 completed (CancelledError.CompletedCuts
+// of them), each row bit-identical to the uninterrupted run's. A panic
+// in any pool task or orchestrator surfaces as a *PanicError, never as
+// a crash or a stuck fold ladder.
 func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 	shards, err := spec.validate(EngineSharded)
 	if err != nil {
@@ -585,7 +666,20 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 
 	// The shared bounded pool: every CPU-heavy task of every phase of
 	// every repetition runs here, so concurrency never exceeds Workers.
+	// Orchestrator 0 plays on the master array itself; the others'
+	// clones are all taken here, before orchestrator 0 starts placing
+	// on the master.
 	var pl pool
+	states := make([]*monteRepState, inflight)
+	for w := range states {
+		arr := master
+		if w > 0 {
+			arr = master.Clone()
+		}
+		if states[w], err = newMonteRepState(&sh, arr, &spec, cc, cuts, routeWidth, cutBlocks, cutRems, protoHist, &pl); err != nil {
+			return nil, err
+		}
+	}
 	pl.start(sh.poolWidth(routeWidth))
 
 	var orchWG sync.WaitGroup
@@ -602,10 +696,7 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 					agg.abort(newPanicError(engRunLargeMC, "orchestrator", -1, w, r))
 				}
 			}()
-			st, serr := newMonteRepState(&sh, &spec, cuts, routeWidth, cutBlocks, cutRems, protoHist, &pl)
-			if serr == nil {
-				st.cc = cc
-			}
+			st := states[w]
 			// One fold body per orchestrator, not per repetition: it
 			// snapshots whatever st holds when its repetition's turn
 			// comes, so hoisting it out of the loop only removes the
@@ -650,11 +741,6 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 				if fault.Enabled {
 					fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpOrchestrator, Rep: rep, Shard: -1, Block: -1})
 				}
-				if serr != nil {
-					err := serr
-					agg.fold(rep, func(ag *monteAgg) { ag.err = err })
-					continue
-				}
 				if rep >= stop || cc.cancelled() {
 					agg.foldCancelled(rep)
 					continue
@@ -668,6 +754,9 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 				case rerr != nil:
 					agg.fold(rep, func(ag *monteAgg) { ag.err = rerr })
 				case !ok:
+					if rep == 0 {
+						agg.cuts0, agg.rows0 = st.cutPrefix(totalCap)
+					}
 					agg.foldCancelled(rep)
 				default:
 					agg.fold(rep, foldRep)
@@ -697,7 +786,7 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 		// configured with Reps = completed — and the checkpoint resumes
 		// from there.
 		res.Reps = completed
-		return res, &CancelledError{
+		cerr := &CancelledError{
 			Engine:          engRunLargeMC,
 			CompletedReps:   completed,
 			CompletedCuts:   -1,
@@ -706,6 +795,15 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 			Checkpoint:      captureMonteCheckpoint(fp, completed, res, agg),
 			Cause:           cc.err(),
 		}
+		if completed == 0 {
+			cerr.CompletedCuts, res.Checkpoints = agg.cuts0, agg.rows0
+		}
+		return res, cerr
+	}
+	if spec.AdoptArray && proto != nil {
+		// The histogram summaries never recount the array: the adopted
+		// array leaves with an exact cached ball total.
+		master.Recount()
 	}
 	return res, nil
 }

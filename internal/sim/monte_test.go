@@ -30,42 +30,6 @@ func TestRunLargeMonteValidation(t *testing.T) {
 	}
 }
 
-// TestRunLargeMonteRepZeroMatchesRunLarge: with Reps = 1 the Monte
-// engine must reproduce RunLarge exactly — repetition 0 consumes the
-// identical stream layout (routing on stream 0, shard s on stream
-// 1+s), so every statistic matches bit for bit.
-func TestRunLargeMonteRepZeroMatchesRunLarge(t *testing.T) {
-	a := largeArray(t, 1500)
-	cases := []RunSpec{
-		{Config: Config{Array: a, Seed: 42}, Shards: 16},
-		{Config: Config{Array: a, Seed: 7, Placer: protocol.GreedyFactory(4)}, Shards: 5},
-		{Config: Config{Array: a, Seed: 9, Balls: 3000, Placer: protocol.SingleFactory()}, Shards: 8},
-		{Config: Config{Array: a, Seed: 11, Dist: dist.TopOnly{MinCapacity: 10}}, Shards: 10},
-		{Config: Config{Array: a, Seed: 3, BallsFactor: 2.5}, Shards: 6},
-	}
-	for i, lc := range cases {
-		want, err := RunLarge(lc)
-		if err != nil {
-			t.Fatalf("case %d: RunLarge: %v", i, err)
-		}
-		lc.Reps = 1
-		got, err := RunLargeMonte(lc)
-		if err != nil {
-			t.Fatalf("case %d: RunLargeMonte: %v", i, err)
-		}
-		if got.Balls != want.Balls || got.Shards != want.Shards || got.N != want.N {
-			t.Fatalf("case %d: shape mismatch: %+v vs %+v", i, got, want)
-		}
-		if got.MaxLoad.Mean() != want.MaxLoad || got.AvgLoad.Mean() != want.AvgLoad ||
-			got.Deviation.Mean() != want.Deviation {
-			t.Fatalf("case %d: stats differ: max %v/%v avg %v/%v dev %v/%v", i,
-				got.MaxLoad.Mean(), want.MaxLoad,
-				got.AvgLoad.Mean(), want.AvgLoad,
-				got.Deviation.Mean(), want.Deviation)
-		}
-	}
-}
-
 // TestRunLargeMonteBitIdenticalAcrossTopologies is the engine's core
 // contract: the entire aggregate — every accumulator, the mean sorted
 // load vector — is bit-identical for any Workers value, across shard
@@ -191,7 +155,7 @@ func TestRunLargeMonteLoadVector(t *testing.T) {
 	}
 }
 
-// TestRunLargeMonteZeroWeightShards mirrors the RunLarge test: whole
+// TestRunLargeMonteZeroWeightShards mirrors the single-game test: whole
 // shards with zero selection weight must never receive balls and must
 // not fail placer construction, across many repetitions.
 func TestRunLargeMonteZeroWeightShards(t *testing.T) {
@@ -254,7 +218,7 @@ func TestRunLargeMonteGoldenValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rep 0 is the RunLarge golden configuration (max load 3, pinned
+	// rep 0 is the single-game golden configuration (max load 3, pinned
 	// in TestRunLargeGoldenValues); the aggregate additionally pins
 	// reps 1-3's offset streams. Re-pinned exactly once with the move
 	// to block-wise multinomial routing; frozen from that point on.
@@ -268,9 +232,10 @@ func TestRunLargeMonteGoldenValues(t *testing.T) {
 }
 
 // TestRunLargeMonteCheckpointedRepZero: with Reps = 1 and the full
-// observation set requested, the Monte engine must reproduce a
-// checkpointed RunLarge bit for bit — same cuts, same realised balls,
-// same maxima, same height counts.
+// observation set requested, the Monte engine must reproduce the
+// checkpointed single game (runLarge: ShardStats on, an adopted clone)
+// bit for bit — same cuts, same realised balls, same maxima, same
+// height counts.
 func TestRunLargeMonteCheckpointedRepZero(t *testing.T) {
 	a := largeArray(t, 1500)
 	lc := RunSpec{
@@ -281,7 +246,7 @@ func TestRunLargeMonteCheckpointedRepZero(t *testing.T) {
 		},
 		Shards: 16,
 	}
-	want, err := RunLarge(lc)
+	want, err := runLarge(lc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestRouteStreamContract(t *testing.T) {
 		}
 	}
 	// Golden first outputs of the first three block substreams of
-	// (seed 20260727, stream 0) — the RunLarge routing layout.
+	// (seed 20260727, stream 0) — the single game's routing layout.
 	want := []uint64{
 		xrand.NewBlockStream(20260727, 0, 0).Uint64(),
 		xrand.NewBlockStream(20260727, 0, 1).Uint64(),
@@ -229,9 +229,9 @@ func TestRunLargeShardsWorkersCheckpointsMatrix(t *testing.T) {
 	a := largeArray(t, 3000)
 	for _, shards := range []int{1, 5, 16} {
 		for _, cuts := range [][]int64{nil, {700}, {300, 5000, 12000}} {
-			var base *LargeResult
+			var base *largeResult
 			for _, workers := range []int{1, 2, 3, 8} {
-				res, err := RunLarge(RunSpec{
+				res, err := runLarge(RunSpec{
 					Config: Config{
 						Array:      a,
 						Seed:       1234,
@@ -262,11 +262,11 @@ func TestRunLargeShardsWorkersCheckpointsMatrix(t *testing.T) {
 		}
 		// The final state never depends on which checkpoint set was
 		// requested: compare the no-cut run against the 3-cut run.
-		plain, err := RunLarge(RunSpec{Config: Config{Array: a, Seed: 1234}, Shards: shards})
+		plain, err := runLarge(RunSpec{Config: Config{Array: a, Seed: 1234}, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cped, err := RunLarge(RunSpec{
+		cped, err := runLarge(RunSpec{
 			Config: Config{
 				Array:      a,
 				Seed:       1234,
@@ -292,9 +292,9 @@ func TestRunLargeShardsWorkersCheckpointsMatrix(t *testing.T) {
 func TestRunLargeHugeBallCount(t *testing.T) {
 	a := largeArray(t, 2000)
 	const m = 2*RoutingBlock + 40000
-	var base *LargeResult
+	var base *largeResult
 	for _, workers := range []int{1, 4} {
-		res, err := RunLarge(RunSpec{
+		res, err := runLarge(RunSpec{
 			Config: Config{
 				Array:      a,
 				Seed:       5,
@@ -338,7 +338,7 @@ func TestRunLargeSingleBin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLarge(RunSpec{Config: Config{Array: arr, Seed: 1, Balls: 1000}})
+	res, err := runLarge(RunSpec{Config: Config{Array: arr, Seed: 1, Balls: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 // A pool is a bounded set of worker goroutines draining one channel of
 // tasks passed by VALUE — (phase, kind, index, slot) — so dispatching
 // work allocates nothing. A phase is one barrier over the tasks an
-// actor submits to a pool: the chunk driver, RunLarge, the streaming
-// and the cluster engine each drive one phase; in RunLargeMonte every
+// actor submits to a pool: the chunk driver, the streaming and the
+// cluster engine each drive one phase; in RunLargeMonte every
 // repetition orchestrator drives its own phase on the shared pool.
 // Every task runs behind a recover that converts a panic into a
 // *PanicError carrying {engine, task name, rep, index}: the worker
@@ -377,7 +377,7 @@ func (sh *sharded) poolWidth(groups int) int {
 }
 
 // finalState is the end-of-run fold of the single-trajectory engines
-// (RunLarge, streaming, cluster): recount the array, then the exact max
+// (streaming, cluster): recount the array, then the exact max
 // load — from one histogram pass that also yields the bins-at-load>=k
 // counts when levels > 0, else from a direct scan — and the average.
 func finalState(eng string, arr *bins.Array, levels int, balls int64) (maxLoad, avg float64, heights []obs.HeightRow, err error) {

@@ -45,9 +45,10 @@
 // schedule, Deletions, RebalanceTol, Seed, Shards, Rounds) and — bit
 // for bit — independent of Workers. The layout is FROZEN: with
 // Rounds = 1, Deletions = 0 and RebalanceTol = 0, round 0 consumes
-// exactly RunLarge's streams (routing on stream 0, shard s placement
-// on stream 1+s), so a one-round quiet stream reproduces RunLarge bit
-// for bit — pinned by tests, like the stream goldens.
+// exactly the streams of RunLargeMonte's repetition 0 (routing on
+// stream 0, shard s placement on stream 1+s), so a one-round quiet
+// stream reproduces the single sharded game bit for bit — pinned by
+// tests, like the stream goldens.
 //
 // # Observation
 //

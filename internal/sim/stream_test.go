@@ -59,12 +59,12 @@ func TestStreamValidation(t *testing.T) {
 
 // TestStreamQuietRoundMatchesRunLarge pins the frozen substream
 // layout's anchor: with one round, no deletions and no rebalance, the
-// streaming engine consumes exactly RunLarge's streams (routing on
-// stream 0, shard s placement on stream 1+s), so the final array is
-// bit-for-bit RunLarge's.
+// streaming engine consumes exactly the single sharded game's streams
+// (routing on stream 0, shard s placement on stream 1+s), so the final
+// array is bit-for-bit the single game's.
 func TestStreamQuietRoundMatchesRunLarge(t *testing.T) {
 	a := largeArray(t, 1500)
-	want, err := RunLarge(RunSpec{
+	want, err := runLarge(RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       42,
@@ -90,21 +90,21 @@ func TestStreamQuietRoundMatchesRunLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Balls != want.Balls || got.Arrived != want.Balls {
-		t.Fatalf("stream placed %d balls, RunLarge %d", got.Balls, want.Balls)
+		t.Fatalf("stream placed %d balls, single game %d", got.Balls, want.Balls)
 	}
 	if !reflect.DeepEqual(got.ShardBalls, want.ShardBalls) {
 		t.Fatalf("routing diverged: %v vs %v", got.ShardBalls, want.ShardBalls)
 	}
 	for i := 0; i < a.N(); i++ {
 		if got.Array.Balls(i) != want.Array.Balls(i) {
-			t.Fatalf("bin %d: stream %d balls, RunLarge %d", i, got.Array.Balls(i), want.Array.Balls(i))
+			t.Fatalf("bin %d: stream %d balls, single game %d", i, got.Array.Balls(i), want.Array.Balls(i))
 		}
 	}
 	if got.MaxLoad != want.MaxLoad || got.AvgLoad != want.AvgLoad || got.Deviation != want.Deviation {
-		t.Fatal("final statistics diverged from RunLarge")
+		t.Fatal("final statistics diverged from the single game")
 	}
 	if !reflect.DeepEqual(got.HeightCounts, want.HeightCounts) {
-		t.Fatal("height counts diverged from RunLarge")
+		t.Fatal("height counts diverged from the single game")
 	}
 }
 
@@ -171,7 +171,7 @@ func TestStreamBitIdenticalAcrossWorkers(t *testing.T) {
 // TestStreamGoldenValues pins exact outputs of the full streaming
 // model — arrival routing, placement, the deletion factorisation, the
 // rebalance apportionment and the round cuts — for one fixed spec.
-// Like the RunLarge goldens these are FROZEN: any change here means
+// Like the single-game goldens these are FROZEN: any change here means
 // the stream substream layout (or a kernel on it) was redefined, which
 // silently invalidates every pinned streaming result and must be
 // deliberate.
@@ -600,7 +600,7 @@ func TestStreamSubstreamLayout(t *testing.T) {
 }
 
 // TestStreamHeights: the final-state height observable rides along
-// like RunLarge's.
+// like the single game's.
 func TestStreamHeights(t *testing.T) {
 	res, err := runStream(&RunSpec{
 		Config: Config{

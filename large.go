@@ -97,44 +97,56 @@ func (l LargeLoads) Load(i int) float64 { return l.arr.Load(i) }
 func (l LargeLoads) N() int { return l.arr.N() }
 
 // SimulateLarge runs ONE game at large scale, sharded across workers:
-// the bin array splits into cfg.Shards contiguous shards, balls are
-// routed to shards with probability proportional to each shard's
-// total selection weight — generated block-wise as exact multinomial
-// count vectors, one deterministic substream per routing block, never
-// ball by ball — and each shard runs the protocol over its own bins
-// on its own RNG stream. Each candidate draw has exactly the
-// configured marginal distribution; the relaxation is that one ball's
-// d choices all land in the same shard. The final state is
-// bit-identical for any Workers value — only (Capacities, Balls, Seed,
-// Shards, Distribution, Protocol) determine it; routing blocks are
-// part of the model, like Shards.
+// MonteCarloLarge with Reps = 1, keeping the final state. The bin
+// array splits into cfg.Shards contiguous shards, balls are routed to
+// shards with probability proportional to each shard's total
+// selection weight — generated block-wise as exact multinomial count
+// vectors, one deterministic substream per routing block, never ball
+// by ball — and each shard runs the protocol over its own bins on its
+// own RNG stream. Each candidate draw has exactly the configured
+// marginal distribution; the relaxation is that one ball's d choices
+// all land in the same shard. The final state is bit-identical for any
+// Workers value — only (Capacities, Balls, Seed, Shards, Distribution,
+// Protocol) determine it; routing blocks are part of the model, like
+// Shards.
 //
 // When cfg.Context fires mid-run, SimulateLarge returns a partial
-// result alongside a *CancelledError: the leading
+// result alongside a *CancelledError (CompletedReps = 0): the leading
 // CancelledError.CompletedCuts checkpoint rows, each bit-identical to
 // the corresponding row of an uninterrupted run. Final-state fields
-// (MaxLoad, Loads, …) are unset on a cancelled partial.
+// (MaxLoad, ShardBalls, Loads, …) are unset on a cancelled partial.
 func SimulateLarge(cfg LargeConfig) (*LargeResult, error) {
 	spec, err := buildSpec("SimulateLarge", &cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunLarge(spec)
+	spec.Reps = 1
+	spec.ShardStats = true
+	res, err := sim.RunLargeMonte(spec)
 	if err != nil && cancelledPartial(err, res != nil) == nil {
 		return nil, err
 	}
-	return &LargeResult{
+	out := &LargeResult{
 		N:           res.N,
 		Shards:      res.Shards,
 		Balls:       res.Balls,
-		MaxLoad:     res.MaxLoad,
-		AverageLoad: res.AvgLoad,
-		Deviation:   res.Deviation,
-		ShardBalls:  res.ShardBalls,
 		Checkpoints: checkpointResults(res.Checkpoints),
-		Heights:     heightResults(res.HeightCounts),
-		Loads:       LargeLoads{arr: res.Array},
-	}, err
+	}
+	if err != nil {
+		return out, err
+	}
+	out.MaxLoad = res.MaxLoad.Mean()
+	out.AverageLoad = res.AvgLoad.Mean()
+	out.Deviation = res.Deviation.Mean()
+	out.Heights = heightResults(res.HeightCounts)
+	out.Loads = LargeLoads{arr: spec.Array}
+	// One observation per shard: the mean is the exact routed count.
+	rows := res.ShardStats.Rows()
+	out.ShardBalls = make([]int64, len(rows))
+	for s := range rows {
+		out.ShardBalls[s] = int64(rows[s].Balls.Mean())
+	}
+	return out, nil
 }
 
 // MonteLargeConfig describes a Monte-Carlo aggregate over sharded
@@ -211,13 +223,12 @@ type MonteLargeResult struct {
 // parallelism of each repetition inside repetition-level parallelism
 // on one shared bounded worker pool — the huge-n Monte-Carlo regime
 // (n up to 10^7 with hundreds of repetitions) the classic Simulate
-// and single-run SimulateLarge engines cannot reach alone.
+// engine cannot reach.
 //
-// Repetition 0 consumes exactly the streams of SimulateLarge with the
-// same config (Reps = 1 reproduces it bit for bit); repetition rep
-// offsets the stream layout by rep·(Shards+1). The aggregate is
-// bit-identical for any Workers value; Shards remains part of the
-// model, exactly as in SimulateLarge.
+// Repetition 0 is the game SimulateLarge plays with the same config;
+// repetition rep offsets the stream layout by rep·(Shards+1). The
+// aggregate is bit-identical for any Workers value; Shards remains
+// part of the model, exactly as in SimulateLarge.
 //
 // When cfg.Context fires (or CancelAfterReps triggers),
 // MonteCarloLarge returns the aggregates over the completed-repetition
