@@ -140,7 +140,9 @@ func TestCountTreePanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Sample on empty", func() { ct.Sample(xrand.New(1)) })
+	const empty = "sampling: CountTree.Sample with zero total"
+	mustPanicWith(t, empty, func() { ct.Sample(xrand.New(1)) })
+	mustPanicWith(t, empty, func() { ct.SampleDec(xrand.New(1)) })
 	mustPanic("Dec at zero", func() { ct.Dec(1) })
 	mustPanic("Build with negative count", func() { ct.Build(func(int) int64 { return -1 }) })
 }
@@ -159,3 +161,175 @@ func TestCountTreeBuildAllocFree(t *testing.T) {
 		t.Fatalf("Build allocates %v per run, want 0", allocs)
 	}
 }
+
+// drainTwins drains both trees to empty on identically seeded streams
+// and fails at the first step where SampleDec and Sample+Dec disagree
+// on the index, or where the trees differ afterwards.
+func drainTwins(t testing.TB, counts []int64, seed uint64) {
+	t.Helper()
+	fused, err := NewCountTree(len(counts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := NewCountTree(len(counts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := func(i int) int64 { return counts[i] }
+	fused.Build(fn)
+	split.Build(fn)
+	rf, rs := xrand.New(seed), xrand.New(seed)
+	for step := 0; fused.Total() > 0; step++ {
+		i := split.Sample(rs)
+		split.Dec(i)
+		if got := fused.SampleDec(rf); got != i {
+			t.Fatalf("n=%d seed=%d step %d: SampleDec = %d, Sample+Dec = %d", len(counts), seed, step, got, i)
+		}
+		if fused.Total() != split.Total() {
+			t.Fatalf("n=%d seed=%d step %d: Total %d vs %d", len(counts), seed, step, fused.Total(), split.Total())
+		}
+	}
+	if split.Total() != 0 {
+		t.Fatalf("n=%d seed=%d: Sample+Dec tree left %d after SampleDec drained", len(counts), seed, split.Total())
+	}
+	for i := range counts {
+		if fused.Count(i) != 0 || split.Count(i) != 0 {
+			t.Fatalf("n=%d seed=%d: Count(%d) = %d / %d after draining", len(counts), seed, i, fused.Count(i), split.Count(i))
+		}
+	}
+	for i := range fused.tree {
+		if fused.tree[i] != split.tree[i] {
+			t.Fatalf("n=%d seed=%d: node %d = %d / %d after draining", len(counts), seed, i, fused.tree[i], split.tree[i])
+		}
+	}
+}
+
+// TestCountTreeSampleDecMatchesSampleThenDec is SampleDec's contract:
+// the same draw, the same index and the same tree as Sample then Dec,
+// at every step of a full drain — on power-of-two sizes, on sizes just
+// off one (so the padding is empty, nearly empty and nearly full), and
+// with runs of zero counts at both ends and in the middle.
+func TestCountTreeSampleDecMatchesSampleThenDec(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 15625} {
+		r := xrand.New(uint64(n))
+		counts := make([]int64, n)
+		for i := range counts {
+			counts[i] = int64(r.Uint64n(6))
+		}
+		// Zero runs at both ends (a quarter of the indices each, at
+		// least one), then nonzero counts in between.
+		z := max(n/4, 1)
+		for i := 0; i < z && i < n; i++ {
+			counts[i] = 0
+			counts[n-1-i] = 0
+		}
+		if n >= 3 {
+			counts[n/2] += 3
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			drainTwins(t, counts, seed)
+		}
+		// Every index nonzero: the draw's last index and the padding
+		// boundary are reachable.
+		for i := range counts {
+			counts[i] = 1 + int64(i%4)
+		}
+		drainTwins(t, counts, 7)
+	}
+}
+
+// FuzzCountTreeSampleDec drains arbitrary small count vectors (one
+// byte per count) with SampleDec and Sample+Dec on the same stream.
+func FuzzCountTreeSampleDec(f *testing.F) {
+	f.Add([]byte{1}, uint64(1))
+	f.Add([]byte{0, 0, 0}, uint64(1))
+	f.Add([]byte{0, 0, 5}, uint64(2))
+	f.Add([]byte{3, 0, 7, 1, 0, 5, 2}, uint64(3))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint64(4))
+	f.Add([]byte{0, 9, 0, 0, 0, 0, 0, 0, 4}, uint64(5))
+	f.Add([]byte{255, 0, 0, 255, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint64(6))
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64) {
+		if len(raw) == 0 || len(raw) > 4096 {
+			return
+		}
+		counts := make([]int64, len(raw))
+		var total int64
+		for i, b := range raw {
+			counts[i] = int64(b)
+			total += int64(b)
+		}
+		if total == 0 {
+			ct, _ := NewCountTree(len(counts))
+			mustPanicWith(t, "sampling: CountTree.Sample with zero total", func() { ct.SampleDec(xrand.New(seed)) })
+			return
+		}
+		drainTwins(t, counts, seed)
+	})
+}
+
+func mustPanicWith(t testing.TB, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestCountTreeBuildTotalOverflow: a total past 2^62 is refused
+// instead of wrapping (or breaking the descents' sign arithmetic).
+func TestCountTreeBuildTotalOverflow(t *testing.T) {
+	ct, err := NewCountTree(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanicWith(t, "sampling: CountTree.Build: total exceeds 2^62 at index 1", func() {
+		ct.Build(func(int) int64 { return 1<<61 + 1 })
+	})
+	// Exactly 2^62 is allowed, and every unit is reachable.
+	ct.Build(func(int) int64 { return 1 << 61 })
+	if ct.Total() != 1<<62 {
+		t.Fatalf("Total = %d, want 2^62", ct.Total())
+	}
+	r := xrand.New(11)
+	for k := 0; k < 64; k++ {
+		ct.SampleDec(r)
+	}
+	if ct.Total() != 1<<62-64 || ct.Count(0)+ct.Count(1) != ct.Total() {
+		t.Fatalf("after 64 takes: total %d, counts %d + %d", ct.Total(), ct.Count(0), ct.Count(1))
+	}
+}
+
+// benchCountTree drains a tree built from shard-like loads (n bins
+// holding n balls) and rebuilds it when empty, so the rebuild is
+// amortised over n takes as in one deletion round. take is the kernel
+// under test.
+func benchCountTree(b *testing.B, n int, take func(*CountTree, *xrand.Rand)) {
+	counts := make([]int64, n)
+	r := xrand.New(1)
+	for k := 0; k < n; k++ {
+		counts[r.Uint64n(uint64(n))]++
+	}
+	ct, err := NewCountTree(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fn := func(i int) int64 { return counts[i] }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ct.Total() == 0 {
+			ct.Build(fn)
+		}
+		take(ct, r)
+	}
+}
+
+func takeSampleThenDec(t *CountTree, r *xrand.Rand) { t.Dec(t.Sample(r)) }
+func takeSampleDec(t *CountTree, r *xrand.Rand)     { t.SampleDec(r) }
+
+func BenchmarkCountTreeTake64(b *testing.B)         { benchCountTree(b, 64, takeSampleThenDec) }
+func BenchmarkCountTreeTake15625(b *testing.B)      { benchCountTree(b, 15625, takeSampleThenDec) }
+func BenchmarkCountTreeSampleDec64(b *testing.B)    { benchCountTree(b, 64, takeSampleDec) }
+func BenchmarkCountTreeSampleDec15625(b *testing.B) { benchCountTree(b, 15625, takeSampleDec) }

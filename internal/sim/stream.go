@@ -19,7 +19,8 @@
 // (sampling.CountTree) over the per-shard occupancies draws the
 // deletion's shard, then each shard's own count tree over its bin
 // loads draws the bin — both stages all-integer, so the deletion law
-// is exact, not a relaxation.
+// is exact, not a relaxation. Each stage costs one fused
+// CountTree.SampleDec descent (draw and decrement) per deleted ball.
 //
 // The rebalance pass (enabled by RebalanceTol > 0) moves balls from
 // shards above (1+tol)·target to shards below target, where shard s's
@@ -436,9 +437,9 @@ func (st *streamState) exec(kind, s int) (err error) {
 			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.counts[s])
 		}
 	case streamDelete:
-		st.deleteShard(s)
+		st.takeShard(s, st.delQuota[s], fault.OpDelete, 2+uint64(st.shards))
 	case streamMoveOut:
-		st.moveOutShard(s)
+		st.takeShard(s, st.moveOut[s], fault.OpRebalance, 2+2*uint64(st.shards))
 	case streamMoveIn:
 		if st.moveIn[s] > 0 {
 			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.moveIn[s])
@@ -453,66 +454,40 @@ func (st *streamState) exec(kind, s int) (err error) {
 	return err
 }
 
-// deleteShard removes the round's delQuota[s] deletion draws from
-// shard s: rebuild the shard's bin count tree from the live loads,
-// then Sample/Dec/Remove on the shard's own deletion stream. The tree
-// mirrors the view exactly, so Remove can never hit an empty bin.
-func (st *streamState) deleteShard(s int) {
-	q := st.delQuota[s]
+// takeShard removes q balls from shard s, exactly uniformly without
+// replacement: rebuild the shard's bin count tree from the live loads,
+// then one SampleDec + Remove per ball on the shard's stream base+off+s.
+// The tree mirrors the view exactly, so Remove can never hit an empty
+// bin. It is both the deletion pass (delQuota, the within-shard
+// deletion streams) and the rebalance move-out (moveOut, the move-out
+// streams); moved-out balls are re-placed by the deficit shards'
+// move-in tasks, and ball identity is not tracked, exactly as in the
+// count-based routing model.
+func (st *streamState) takeShard(s int, q int64, op fault.Op, off uint64) {
 	if q == 0 {
 		return
 	}
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: st.round, Shard: s, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunStream, Op: op, Rep: st.round, Shard: s, Block: -1})
 	}
 	view := st.views[s]
 	tree := st.trees[s]
 	tree.Build(view.Balls)
 	rng := &st.scratch[s]
-	rng.Seed(xrand.Mix64(st.seed, st.rbase+2+uint64(st.shards)+uint64(s)))
+	rng.Seed(xrand.Mix64(st.seed, st.rbase+off+uint64(s)))
 	for k := int64(0); k < q; k++ {
 		if k&(RoutingBlock-1) == 0 && st.cc.cancelled() {
 			return
 		}
-		i := tree.Sample(rng)
-		tree.Dec(i)
-		view.Remove(i)
-	}
-}
-
-// moveOutShard removes the round's moveOut[s] rebalance draws from
-// shard s — the same without-replacement kernel as deleteShard, on the
-// shard's move-out stream. The removed balls are re-placed by the
-// deficit shards' move-in tasks; ball identity is not tracked, exactly
-// as in the count-based routing model.
-func (st *streamState) moveOutShard(s int) {
-	q := st.moveOut[s]
-	if q == 0 {
-		return
-	}
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpRebalance, Rep: st.round, Shard: s, Block: -1})
-	}
-	view := st.views[s]
-	tree := st.trees[s]
-	tree.Build(view.Balls)
-	rng := &st.scratch[s]
-	rng.Seed(xrand.Mix64(st.seed, st.rbase+2+2*uint64(st.shards)+uint64(s)))
-	for k := int64(0); k < q; k++ {
-		if k&(RoutingBlock-1) == 0 && st.cc.cancelled() {
-			return
-		}
-		i := tree.Sample(rng)
-		tree.Dec(i)
-		view.Remove(i)
+		view.Remove(tree.SampleDec(rng))
 	}
 }
 
 // routeDeletions is the round's deletion shard-routing step: D
-// sequential draws from the shard-occupancy count tree on the round's
-// deletion-routing stream, decrementing as it goes — the quota vector
-// is multivariate-hypergeometric, exactly the shard counts of deleting
-// D balls uniformly without replacement. It runs on the orchestrator
+// sequential SampleDec draws from the shard-occupancy count tree on
+// the round's deletion-routing stream, each decrementing the drawn
+// shard — the quota vector is multivariate-hypergeometric, exactly the
+// shard counts of deleting D balls uniformly without replacement. It runs on the orchestrator
 // goroutine behind its own recover so an injected (or genuine) panic
 // surfaces as a *PanicError like any pool task's.
 func (st *streamState) routeDeletions(d int64) (err error) {
@@ -528,9 +503,7 @@ func (st *streamState) routeDeletions(d int64) (err error) {
 	st.srand.Seed(xrand.Mix64(st.seed, st.rbase+1+uint64(st.shards)))
 	clear(st.delQuota)
 	for k := int64(0); k < d; k++ {
-		s := st.shardT.Sample(&st.srand)
-		st.shardT.Dec(s)
-		st.delQuota[s]++
+		st.delQuota[st.shardT.SampleDec(&st.srand)]++
 	}
 	return nil
 }

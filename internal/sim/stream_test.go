@@ -217,6 +217,45 @@ func TestStreamGoldenValues(t *testing.T) {
 	}
 }
 
+// TestStreamRebalanceHeavyGolden pins a spec whose rebalance pass
+// does real work: 32 shards of 16 bins at tol 0.01 move 592 balls over
+// 8 rounds, so the move-out kernel (the shard trees on the move-out
+// streams) is pinned as tightly as the deletion kernel, which the
+// matrix spec barely exercises (it moves one ball). FROZEN like the
+// other stream goldens.
+func TestStreamRebalanceHeavyGolden(t *testing.T) {
+	res, err := runStream(&RunSpec{
+		Config: Config{Array: largeArray(t, 512), Seed: 20261017, Workers: 2, Balls: 4000},
+		Shards: 32,
+		Stream: &StreamParams{Rounds: 8, Deletions: 3000, RebalanceTol: 0.01},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Arrived != 32000 || res.Deleted != 24000 || res.Balls != 8000 || res.MaxLoad != 6 {
+		t.Fatalf("counters = %+v, golden arrived 32000, deleted 24000, balls 8000, max load 6", res)
+	}
+	const wantMoved = int64(592)
+	if res.Moved != wantMoved {
+		t.Fatalf("moved = %d, golden %d", res.Moved, wantMoved)
+	}
+	wantShardBalls := []int64{
+		44, 46, 46, 46, 42, 44, 46, 46, 46, 45, 46, 45, 46, 45, 45, 45,
+		460, 450, 460, 450, 460, 450, 455, 449, 460, 449, 454, 452, 460, 448, 460, 460,
+	}
+	if !reflect.DeepEqual(res.ShardBalls, wantShardBalls) {
+		t.Fatalf("shard occupancies %v, golden %v", res.ShardBalls, wantShardBalls)
+	}
+	var h uint64
+	for i := 0; i < res.Array.N(); i++ {
+		h = h*1315423911 + uint64(res.Array.Balls(i))
+	}
+	const wantHash = uint64(4381619250351591396)
+	if h != wantHash {
+		t.Fatalf("final-state hash %d, golden %d (stream substreams changed)", h, wantHash)
+	}
+}
+
 // TestStreamConservation checks the occupancy accounting across a run
 // with all phases active: arrived − deleted balls remain, the array
 // agrees, and every shard respects the rebalance ceiling at the end.
