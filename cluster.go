@@ -3,23 +3,22 @@ package balls
 import (
 	"context"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
 // ChurnEvent is one scheduled membership change: server Peer crashes
 // (Down) or recovers (!Down) at the start of tick Tick.
-type ChurnEvent = cluster.ChurnEvent
+type ChurnEvent = sim.ChurnEvent
 
 // ChurnPlan describes when servers crash and recover: a deterministic
 // schedule plus optional per-tick Bernoulli crash/recover draws on a
 // pinned substream. Neither path ever takes down the last live server.
-type ChurnPlan = cluster.ChurnPlan
+type ChurnPlan = sim.ChurnPlan
 
 // RetryPolicy is the per-request timeout/retry contract: requests
 // queued longer than TimeoutTicks are pulled and re-dispatched up to
 // MaxRetries times after a deterministic exponential backoff.
-type RetryPolicy = cluster.RetryPolicy
+type RetryPolicy = sim.RetryPolicy
 
 // ClusterConfig describes one churn-tolerant serving run: requests
 // arrive in ticks, are routed onto live servers through a weighted

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Array is a heterogeneous bin array: capacities plus current ball counts.
@@ -28,11 +29,22 @@ import (
 // rather than held in parallel slices: the allocation hot path touches a
 // handful of random bins per ball, and the packed layout makes each
 // touched bin exactly one cache line instead of two.
+//
+// The header fills one whole cache line. An engine allocates the shard
+// views of one array back to back, and every Add or Remove on a view
+// writes its ball total m: without the pad, neighbouring shards' headers
+// would share a line that concurrent shard tasks false-share.
 type Array struct {
 	bins []bin
 	c    int64 // total capacity
 	m    int64 // total balls currently allocated
+	_    [64 - (24 + 2*8)]byte
 }
+
+// Compile-time guard: Array stays exactly one 64-byte cache line
+// (re-size the pad above when fields change; any other size makes this
+// constant negative or non-zero, which does not compile).
+const _ uintptr = 0 - (unsafe.Sizeof(Array{}) ^ 64)
 
 // bin packs one bin's capacity and current ball count.
 type bin struct {

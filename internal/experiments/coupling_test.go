@@ -79,9 +79,12 @@ func TestMaxLoadDominationEndToEnd(t *testing.T) {
 // and returns the final max load.
 func greedyMaxLoad(t *testing.T, caps []int64, seed uint64) float64 {
 	t.Helper()
-	arr, err := sim.RunOnce(sim.Config{Array: bins.MustNew(caps), Seed: seed})
+	res, err := sim.Dispatch(sim.RunSpec{
+		Config: sim.Config{Array: bins.MustNew(caps), Reps: 1, Seed: seed},
+		Engine: sim.EngineClassic,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return arr.MaxLoad()
+	return res.MaxLoad.Mean()
 }

@@ -1,8 +1,8 @@
 // Package obs is the unified observation subsystem: composable,
-// merge-able collectors that every simulation engine — the classic and
-// closed-form chunked engines (sim.Run, sim.RunClosed), the sharded
-// engine (sim.RunLargeMonte), and the streaming and cluster engines
-// behind sim.Dispatch — drives through one contract.
+// merge-able collectors that every simulation engine behind
+// sim.Dispatch — the classic and closed-form chunked engines, the
+// sharded engine, and the streaming and cluster engines — drives
+// through one contract.
 //
 // # Contract
 //

@@ -69,7 +69,7 @@ func TestRunCancelImmediate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := largeArray(t, 200)
-	res, err := Run(Config{Array: a, Seed: 1, Reps: 10, Context: ctx})
+	res, err := runClassic(Config{Array: a, Seed: 1, Reps: 10, Context: ctx})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
@@ -102,7 +102,7 @@ func TestRunCancelPartialIsPrefix(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := Run(Config{
+	res, err := runClassic(Config{
 		Array: a, Seed: 5, Reps: 64, Workers: 1, Placer: factory,
 		ObsOptions: ObsOptions{Checkpoints: []int64{500, 1000}},
 		Context:    ctx,
@@ -118,7 +118,7 @@ func TestRunCancelPartialIsPrefix(t *testing.T) {
 	if res.MaxLoad.N() != int64(k) {
 		t.Fatalf("partial aggregates %d observations, CompletedReps %d", res.MaxLoad.N(), k)
 	}
-	want, err := Run(Config{
+	want, err := runClassic(Config{
 		Array: a, Seed: 5, Reps: k, Workers: 3, Placer: hookedFactory(func(int64) {}),
 		ObsOptions: ObsOptions{Checkpoints: []int64{500, 1000}},
 	})
@@ -249,13 +249,13 @@ func TestRunLargeMonteCancelAfterRepsIsPrefix(t *testing.T) {
 			}
 			prefix := cfg
 			prefix.Reps = 3
-			want, err := RunLargeMonte(prefix)
+			want, err := runLargeMonte(prefix)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d prefix run: %v", shards, workers, err)
 			}
 			cancelledCfg := cfg
 			cancelledCfg.CancelAfter = 3
-			res, err := RunLargeMonte(cancelledCfg)
+			res, err := runLargeMonte(cancelledCfg)
 			var cerr *CancelledError
 			if !errors.As(err, &cerr) {
 				t.Fatalf("shards=%d workers=%d: err = %v, want *CancelledError", shards, workers, err)
@@ -284,7 +284,7 @@ func TestRunLargeMonteContextCancel(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array:   a,
 			Seed:    9,
@@ -324,7 +324,7 @@ func TestRunLargeMontePlacePanicReleasesFold(t *testing.T) {
 				panic("injected placement panic")
 			}
 		})
-		_, err := RunLargeMonte(RunSpec{
+		_, err := runLargeMonte(RunSpec{
 			Config: Config{
 				Array:   a,
 				Seed:    2,
@@ -358,7 +358,7 @@ func TestRunChunkPanicContained(t *testing.T) {
 			panic("injected chunk panic")
 		}
 	})
-	_, err := Run(Config{Array: a, Seed: 1, Reps: 24, Workers: 3, Placer: factory})
+	_, err := runClassic(Config{Array: a, Seed: 1, Reps: 24, Workers: 3, Placer: factory})
 	var perr *PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -384,23 +384,23 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 		run  func() error
 	}{
 		{"classic negative checkpoint", "Checkpoints[", func() error {
-			_, err := Run(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{-5}}})
+			_, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{-5}}})
 			return err
 		}},
 		{"classic unsorted checkpoints", "Checkpoints[", func() error {
-			_, err := Run(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{50, 10}}})
+			_, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{50, 10}}})
 			return err
 		}},
 		{"classic duplicate checkpoints", "Checkpoints[", func() error {
-			_, err := Run(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{10, 10}}})
+			_, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{10, 10}}})
 			return err
 		}},
 		{"classic negative workers", "Workers", func() error {
-			_, err := Run(Config{Array: a, Reps: 1, Workers: -2})
+			_, err := runClassic(Config{Array: a, Reps: 1, Workers: -2})
 			return err
 		}},
 		{"classic negative height levels", "HeightLevels", func() error {
-			_, err := Run(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{HeightLevels: -1}})
+			_, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{HeightLevels: -1}})
 			return err
 		}},
 		{"large zero checkpoint", "Checkpoints[", func() error {
@@ -416,7 +416,7 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 			return err
 		}},
 		{"monte unsorted checkpoints", "Checkpoints[", func() error {
-			_, err := RunLargeMonte(RunSpec{
+			_, err := runLargeMonte(RunSpec{
 				Config: Config{
 					Array:      a,
 					ObsOptions: ObsOptions{Checkpoints: []int64{9, 3}},
@@ -426,7 +426,7 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 			return err
 		}},
 		{"monte negative cancel-after", "CancelAfter", func() error {
-			_, err := RunLargeMonte(RunSpec{
+			_, err := runLargeMonte(RunSpec{
 				Config:      Config{Array: a, Reps: 1},
 				CancelAfter: -1,
 			})

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/bins"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 )
 
@@ -63,7 +62,7 @@ func TestChaosRunLargeMontePanicSites(t *testing.T) {
 				func() {
 					defer leakCheck(t)()
 					defer fault.Arm(fault.Plan{Match: site, Do: fault.Panic, Msg: "chaos"})()
-					_, err := RunLargeMonte(RunSpec{
+					_, err := runLargeMonte(RunSpec{
 						Config: Config{
 							Array:   a,
 							Seed:    1,
@@ -90,7 +89,7 @@ func TestChaosRunChunkPanic(t *testing.T) {
 				Match: fault.Site{Engine: engRun, Op: fault.OpChunk, Rep: 3, Shard: -1, Block: -1},
 				Do:    fault.Panic, Msg: "chaos",
 			})()
-			_, err := Run(Config{Array: a, Seed: 1, Reps: 24, Workers: workers})
+			_, err := runClassic(Config{Array: a, Seed: 1, Reps: 24, Workers: workers})
 			wantInjectedPanic(t, err, engRun, fault.OpChunk)
 			var perr *PanicError
 			errors.As(err, &perr)
@@ -157,7 +156,7 @@ func TestChaosCancelThenResume(t *testing.T) {
 		Shards:     4,
 		ShardStats: true,
 	}
-	full, err := RunLargeMonte(cfg)
+	full, err := runLargeMonte(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestChaosCancelThenResume(t *testing.T) {
 	})
 	interrupted := cfg
 	interrupted.Context = ctx
-	_, err = RunLargeMonte(interrupted)
+	_, err = runLargeMonte(interrupted)
 	disarm()
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
@@ -180,7 +179,7 @@ func TestChaosCancelThenResume(t *testing.T) {
 	}
 	resumedCfg := cfg
 	resumedCfg.Resume = cerr.Checkpoint
-	resumed, err := RunLargeMonte(resumedCfg)
+	resumed, err := runLargeMonte(resumedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,13 +377,13 @@ func chaosClusterConfig(t *testing.T, ctx context.Context) *RunSpec {
 			ArrivalsPerTick: 80,
 			// Purely scheduled churn: every site's tick is exact, so a plan
 			// pinned to {op, tick, peer} always fires.
-			Churn: cluster.ChurnPlan{
-				Schedule: []cluster.ChurnEvent{
+			Churn: ChurnPlan{
+				Schedule: []ChurnEvent{
 					{Tick: 2, Peer: 7, Down: true},
 					{Tick: 6, Peer: 7, Down: false},
 				},
 			},
-			Retry:         cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+			Retry:         RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
 			ShedThreshold: 1.5,
 		},
 	}

@@ -1,6 +1,9 @@
-package cluster
+package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestChurnPlanValidate(t *testing.T) {
 	good := ChurnPlan{
@@ -84,5 +87,26 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	// The shift clamp keeps huge attempt numbers finite and positive.
 	if got := z.Backoff(1000); got != 1<<30 {
 		t.Fatalf("Backoff(1000) = %d, want %d", got, 1<<30)
+	}
+}
+
+// TestRetryPolicyBackoffSaturates: the delay is positive and
+// non-decreasing in the attempt for every base, saturating at
+// math.MaxInt instead of wrapping (at base 2^33 the unsaturated
+// Backoff(31) would be 2^63, a negative int).
+func TestRetryPolicyBackoffSaturates(t *testing.T) {
+	for _, base := range []int{1, 1 << 20, 1 << 33, 1 << 40} {
+		p := RetryPolicy{TimeoutTicks: 1, MaxRetries: 64, BackoffBase: base}
+		prev := 0
+		for a := 0; a <= 64; a++ {
+			d := p.Backoff(a)
+			if d <= 0 || d < prev {
+				t.Fatalf("base %d: Backoff(%d) = %d after %d", base, a, d, prev)
+			}
+			prev = d
+		}
+		if base >= 1<<33 && p.Backoff(64) != math.MaxInt {
+			t.Fatalf("base %d: Backoff(64) = %d, want saturation at MaxInt", base, p.Backoff(64))
+		}
 	}
 }

@@ -39,19 +39,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// RunClosed executes the configured experiment through the closed-form
-// multinomial engine. The protocol must be single-choice (see
-// singleChoiceFactory); everything else — fixed or random arrays, any
-// distribution, checkpoints, height levels, load vectors, class
-// observables — behaves like Run.
-//
-// Cancellation and panic containment follow the classic engine's
-// contract: a fired Context returns a deterministic repetition-prefix
-// partial plus a *CancelledError, a contained panic a *PanicError.
-func RunClosed(cfg Config) (*Result, error) {
-	return runChunked(EngineClosedForm, &RunSpec{Config: cfg})
-}
-
 // closedRep is the closed-form engine's repetition kernel (see
 // chunkRun): one multinomial increment per checkpoint segment,
 // accumulated into the array, then the classic engine's shared final
@@ -79,7 +66,7 @@ func closedRep(cfg *Config, checkpoints []int64, rep uint64, w *repWorker, p *ch
 		arr.Reset()
 	}
 
-	m := cfg.ballCount(arr.TotalCapacity())
+	m := cfg.BallCount(arr.TotalCapacity())
 
 	if len(checkpoints) > 0 && p.cp == nil {
 		p.cp = obs.NewCheckpoints(checkpoints)

@@ -17,7 +17,7 @@
 // dispatch → retry dispatch → service → timeout scan → observation →
 // commit.
 //
-//   - Churn (cluster.ChurnPlan): scheduled events apply first, then
+//   - Churn (ChurnPlan): scheduled events apply first, then
 //     every peer consumes one Bernoulli draw from the tick's churn
 //     substream — in peer order, applied or not, so the draw sequence
 //     is frozen whatever the membership state. The last live peer is
@@ -73,13 +73,16 @@
 //
 // # Cancellation and faults
 //
-// Cancellation is tick-granular: a cancelled run returns a
-// *CancelledError with CompletedTicks = k plus a partial whose
-// counters, availability trace, latency histogram and trajectory are
-// bit-identical to a run configured with Ticks = k. Every phase of a
-// tick is one barrier on the phase runner (runner.go), each task behind
-// its panic containment with {engine, task, tick, peer/shard}
-// provenance. Fault sites: OpCrash (each applied churn event, peer in
+// A tick is one step of the step driver (runner.go): every phase is
+// one barrier of tasks per shard or routing group, and the churn,
+// re-shard and admission steps are inline tasks on the orchestrator,
+// all behind the runner's panic containment with {engine, task, tick,
+// shard} provenance (index −1 for the inline steps). Cancellation is
+// polled at task boundaries, at every barrier and at every tick
+// boundary; a cancelled run returns a *CancelledError with
+// CompletedTicks = k plus a partial whose counters, availability
+// trace, latency histogram and trajectory are bit-identical to a run
+// configured with Ticks = k. Fault sites: OpCrash (each applied churn event, peer in
 // Site.Shard), OpReshard (ring/router rebuild with Shard = −1, each
 // shard's redistribution task), OpShed (the admission step), OpRetry
 // (each shard's retry-dispatch task), plus the inherited OpRoute and
@@ -89,12 +92,12 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bins"
 	"repro/internal/chash"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
@@ -145,24 +148,190 @@ type ClusterResult struct {
 	Array        *bins.Array
 }
 
-// Cluster task kinds: one per phase of a tick, plus the placer
-// (re)build setup phase.
+// ClusterParams carries the serving-model parameters of a cluster run
+// (RunSpec.Cluster). Their presence is what makes a spec a cluster
+// spec: EngineAuto dispatches to the cluster engine iff Cluster is
+// non-nil, and no other engine will silently run such a spec. The
+// spec's Array supplies the peer capacities (ball counts are queue
+// lengths); arrivals come from ArrivalsPerTick, not Config.Balls.
+type ClusterParams struct {
+	// Ticks is the simulation horizon (>= 1).
+	Ticks int
+	// ArrivalsPerTick is the per-tick request count (>= 0).
+	ArrivalsPerTick int64
+	// VnodesPerUnit gives every peer capacity·VnodesPerUnit ring
+	// points (0 = 2), so arc shares are capacity-proportional in
+	// expectation — the ring-level version of the paper's non-uniform
+	// selection probabilities.
+	VnodesPerUnit int
+	// Churn is the crash/recover plan (zero value = no churn).
+	Churn ChurnPlan
+	// Retry is the timeout/retry policy (zero value = no timeouts).
+	Retry RetryPolicy
+	// ShedThreshold arms admission control when > 0: arrivals that
+	// would push the total queue beyond threshold·(live capacity) are
+	// shed. 0 admits everything.
+	ShedThreshold float64
+	// LatencyMax is the latency histogram's top bucket in ticks
+	// (0 = 32); completions slower than that land in the overflow
+	// bucket.
+	LatencyMax int
+}
+
+// validate checks the serving parameters for n peers.
+func (p *ClusterParams) validate(n int) error {
+	switch {
+	case p.Ticks < 1:
+		return fmt.Errorf("sim: Ticks = %d, need >= 1", p.Ticks)
+	case p.ArrivalsPerTick < 0:
+		return fmt.Errorf("sim: ArrivalsPerTick = %d, need >= 0", p.ArrivalsPerTick)
+	case p.VnodesPerUnit < 0:
+		return fmt.Errorf("sim: VnodesPerUnit = %d, need >= 0", p.VnodesPerUnit)
+	case p.ShedThreshold < 0 || p.ShedThreshold != p.ShedThreshold:
+		return fmt.Errorf("sim: ShedThreshold = %v, need >= 0", p.ShedThreshold)
+	case p.LatencyMax < 0:
+		return fmt.Errorf("sim: LatencyMax = %d, need >= 0", p.LatencyMax)
+	}
+	if err := p.Churn.Validate(n); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if err := p.Retry.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
+}
+
+// ChurnEvent is one scheduled membership change: peer Peer crashes
+// (Down) or recovers (!Down) at the START of tick Tick, before any
+// request of that tick is admitted or dispatched.
+type ChurnEvent struct {
+	Tick int
+	Peer int
+	Down bool
+}
+
+// ChurnPlan describes when peers crash and recover. The deterministic
+// Schedule and the stochastic crash/recover process compose: scheduled
+// events apply first each tick, then every peer flips state with its
+// pinned-substream Bernoulli draw. Both paths refuse to take down the
+// last live peer — a cluster with zero capacity would deadlock every
+// request — so availability is degraded, never zero.
+type ChurnPlan struct {
+	// Schedule lists deterministic events, sorted by ascending Tick
+	// (ties in any peer order). Events at or beyond the horizon never
+	// fire.
+	Schedule []ChurnEvent
+	// CrashProb is the per-tick probability that a live peer crashes;
+	// RecoverProb the per-tick probability that a down peer recovers.
+	// Each peer consumes exactly one draw per tick from the tick's
+	// churn substream — in peer order, whether or not the draw applies
+	// — so the draw sequence is frozen whatever the membership state.
+	CrashProb   float64
+	RecoverProb float64
+}
+
+// Empty reports whether the plan never changes membership.
+func (p *ChurnPlan) Empty() bool {
+	return len(p.Schedule) == 0 && p.CrashProb == 0 && p.RecoverProb == 0
+}
+
+// Stochastic reports whether the plan draws per-tick Bernoulli churn.
+func (p *ChurnPlan) Stochastic() bool {
+	return p.CrashProb > 0 || p.RecoverProb > 0
+}
+
+// Validate checks the plan against a peer count.
+func (p *ChurnPlan) Validate(peers int) error {
+	if p.CrashProb < 0 || p.CrashProb > 1 || p.CrashProb != p.CrashProb {
+		return fmt.Errorf("cluster: CrashProb = %v outside [0,1]", p.CrashProb)
+	}
+	if p.RecoverProb < 0 || p.RecoverProb > 1 || p.RecoverProb != p.RecoverProb {
+		return fmt.Errorf("cluster: RecoverProb = %v outside [0,1]", p.RecoverProb)
+	}
+	last := 0
+	for i, e := range p.Schedule {
+		if e.Tick < 0 {
+			return fmt.Errorf("cluster: Schedule[%d].Tick = %d, need >= 0", i, e.Tick)
+		}
+		if e.Tick < last {
+			return fmt.Errorf("cluster: Schedule[%d].Tick = %d out of order (previous %d)", i, e.Tick, last)
+		}
+		last = e.Tick
+		if e.Peer < 0 || e.Peer >= peers {
+			return fmt.Errorf("cluster: Schedule[%d].Peer = %d outside [0,%d)", i, e.Peer, peers)
+		}
+	}
+	return nil
+}
+
+// RetryPolicy is the per-request timeout/retry contract: a request
+// queued longer than TimeoutTicks is pulled from its queue and — up to
+// MaxRetries times — re-dispatched after a deterministic exponential
+// backoff onto an alternate d-choice candidate. A request that exhausts
+// its retries counts as failed, never silently dropped.
+type RetryPolicy struct {
+	// TimeoutTicks is the queueing age (in ticks since dispatch) at
+	// which a request times out. 0 disables timeouts, and with them
+	// retries and failures.
+	TimeoutTicks int
+	// MaxRetries bounds the re-dispatch attempts per request.
+	MaxRetries int
+	// BackoffBase is the first retry delay in ticks; attempt a waits
+	// BackoffBase·2^(a-1) ticks (0 defaults to 1).
+	BackoffBase int
+}
+
+// Validate checks the policy.
+func (p *RetryPolicy) Validate() error {
+	if p.TimeoutTicks < 0 {
+		return fmt.Errorf("cluster: TimeoutTicks = %d, need >= 0", p.TimeoutTicks)
+	}
+	if p.MaxRetries < 0 {
+		return fmt.Errorf("cluster: MaxRetries = %d, need >= 0", p.MaxRetries)
+	}
+	if p.BackoffBase < 0 {
+		return fmt.Errorf("cluster: BackoffBase = %d, need >= 0", p.BackoffBase)
+	}
+	if p.TimeoutTicks == 0 && p.MaxRetries > 0 {
+		return fmt.Errorf("cluster: MaxRetries = %d without TimeoutTicks: retries need a timeout", p.MaxRetries)
+	}
+	return nil
+}
+
+// Backoff returns the delay in ticks before retry attempt a (1-based):
+// BackoffBase·2^(a-1), with a zero base treated as 1, the shift clamped
+// to [0, 30], and the product saturating at math.MaxInt. The delay is
+// therefore positive and non-decreasing in the attempt, and never
+// overflows.
+func (p *RetryPolicy) Backoff(attempt int) int {
+	base := max(p.BackoffBase, 1)
+	shift := min(max(attempt-1, 0), 30)
+	if base > math.MaxInt>>shift {
+		return math.MaxInt
+	}
+	return base << shift
+}
+
+// Cluster task kinds, after the step driver's: one per phase of a
+// tick, the placer (re)build setup phase, and the inline churn,
+// re-shard and admission steps.
 const (
-	clusterSetup = iota
-	clusterRoute
+	clusterSetup = stepKinds + iota
 	clusterPlace
+	clusterChurn
+	clusterReshard
 	clusterRedist
+	clusterAdmit
 	clusterRetry
 	clusterServe
 	clusterExpire
-	clusterObserve
 )
 
-var clusterKinds = []taskName{
-	{"setup", "setup shard"}, {"route", "routing group"}, {"place", "shard"},
-	{"redistribute", "redistribution shard"}, {"retry", "retry shard"},
-	{"serve", "service shard"}, {"expire", "timeout shard"}, {"observe", "observe shard"},
-}
+var clusterKinds = slices.Concat(stepNames, []taskName{
+	{"setup", "setup shard"}, {"place", "shard"}, {"churn", "churn"}, {"reshard", "reshard"},
+	{"redistribute", "redistribution shard"}, {"shed", "admission"}, {"retry", "retry shard"},
+	{"serve", "service shard"}, {"expire", "timeout shard"},
+})
 
 // cohort is a batch of requests sharing (dispatch tick, origin tick,
 // attempt): one FIFO queue entry per peer per batch, so per-request
@@ -247,75 +416,46 @@ func (q *cohortQueues) unlink(i int, prev, k int32) int32 {
 
 // clusterState is the engine's whole working set, allocated once.
 type clusterState struct {
-	// sharded is the shard plan over the live per-peer arc weights
-	// (0 = dead); weights, shardW and router follow every re-shard.
-	sharded
-	p    ClusterParams
-	cc   *canceller
-	seed uint64
-	kk   uint64 // RNG streams consumed per tick: shards + 2
-	// levels and cancelAfter are the spec's HeightLevels and
-	// CancelAfter (in ticks).
-	levels, cancelAfter int
+	// stepper's shard plan is over the live per-peer arc weights
+	// (0 = dead); weights, shardW, sumW and router follow every
+	// re-shard.
+	stepper
+	p ClusterParams
 
 	ring      *chash.Ring // also the one record of which peers are live
 	toggled   []int       // peers crashed or recovered this tick
 	touched   []int       // peers whose arc the tick's toggles may have changed
+	crashed   []int       // peers crashed this tick
+	recovered int         // peers recovered this tick
 	caps      []int64
-	totalCap  int64
 	liveCap   int64
 	peerShard []int32
-
-	sumW    float64
-	views   []*bins.Array
-	placers []protocol.Placer
-	dirty   []bool
+	dirty     []bool
 
 	queues []cohortQueues // per-shard arenas of the peers' resident cohort FIFOs
 	// retryWheel[d % len] holds the timed-out batches due at tick d.
 	// Backoffs are at most len−1 ticks, so the pending due ticks never
 	// share a slot; batches due at or after the horizon are never
 	// stored (they only count in pendingRetry).
-	retryWheel     [][]retryEntry
-	work           [][]cohort // per-shard redistribution/retry work lists
-	aport          []int64    // apportionment scratch
-	ap             apportion
-	before         [][]int64 // per-shard queue-snapshot scratch (delta scans)
-	svcLat         []*obs.Latency
-	svcDone        []int64
-	expired        [][]cohort
-	crashedScratch []int
-
-	rands  []xrand.Rand
-	crand  xrand.Rand
-	groups []routeGroup
-	counts []int64
-
-	cuts     []int64
-	nCuts    int
-	nextCut  int
-	cp       *obs.Checkpoints
-	trackRow []float64
-	trackMat [][]float64
-	maxOut   []float64
-
-	pl pool
-	ph phase
+	retryWheel [][]retryEntry
+	work       [][]cohort // per-shard redistribution/retry work lists
+	aport      []int64    // apportionment scratch
+	ap         apportion
+	before     [][]int64 // per-shard queue-snapshot scratch (delta scans)
+	svcLat     []*obs.Latency
+	svcDone    []int64
+	expired    [][]cohort
+	crand      xrand.Rand
 
 	// Tick-scoped fields, written by the orchestrator strictly between
 	// phase barriers.
-	tick         int
-	tbase        uint64
-	rrbase       uint64
-	curM         int64
-	rgr          int
 	nextEv       int
+	admit, shedT int64 // this tick's admitted and shed arrivals
 	liveQ        int64 // live queued-request total
 	pendingRetry int64
 
 	// Committed prefix: updated only when a tick completes, so a
 	// cancelled run reports exactly the completed-tick state.
-	ticksDone     int
 	arrived       int64
 	shed          int64
 	admitted      int64
@@ -338,8 +478,8 @@ type clusterState struct {
 // lengths), its Checkpoints are TICK indices — cut k observes queue
 // occupancy and the maximum queue-relative load at the end of tick
 // Checkpoints[k] — HeightLevels reports the final queue-depth
-// distribution, and CancelAfter counts completed ticks. Unexported by
-// design: Dispatch (RunSpec.Cluster) is the only public entry point.
+// distribution, and CancelAfter counts completed ticks. Dispatch
+// (RunSpec.Cluster) is its only entry point.
 func runCluster(spec *RunSpec) (*ClusterResult, error) {
 	shards, err := spec.validate(EngineCluster)
 	if err != nil {
@@ -362,24 +502,14 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := &clusterState{p: *p, ring: ring, caps: caps}
+	// Every shard gets a view: churn can move weight onto any of them.
+	if err := st.init(engRunCluster, spec, sh, p.Ticks, p.ArrivalsPerTick, true); err != nil {
+		return nil, err
+	}
+	st.first, st.kk, st.routeAt, st.placeAt = 1, uint64(shards+2), 1, 2
 	n := sh.n
-	st := &clusterState{
-		sharded:     sh,
-		p:           *p,
-		cc:          newCanceller(spec.Context),
-		seed:        spec.Seed,
-		kk:          uint64(shards + 2),
-		levels:      spec.HeightLevels,
-		cancelAfter: spec.CancelAfter,
-		ring:        ring,
-		caps:        caps,
-	}
-	st.totalCap = sh.arr.TotalCapacity()
 	st.liveCap = st.totalCap
-
-	for _, w := range st.shardW {
-		st.sumW += w
-	}
 	st.peerShard = make([]int32, n)
 	for s := 0; s < shards; s++ {
 		for i := st.bounds[s]; i < st.bounds[s+1]; i++ {
@@ -387,28 +517,17 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 		}
 	}
 
-	rg := sh.routeWidth(p.ArrivalsPerTick)
-	st.groups = newRouteGroups(rg, shards, 0)
-
-	st.counts = make([]int64, shards)
 	st.aport = make([]int64, shards)
 	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
 	st.dirty = make([]bool, shards)
-	st.rands = make([]xrand.Rand, shards)
-	st.views = make([]*bins.Array, shards)
-	st.placers = make([]protocol.Placer, shards)
 	st.work = make([][]cohort, shards)
 	st.before = make([][]int64, shards)
 	st.svcLat = make([]*obs.Latency, shards)
 	st.svcDone = make([]int64, shards)
 	st.expired = make([][]cohort, shards)
 	st.queues = make([]cohortQueues, shards)
-	maxDelay := p.Retry.Backoff(p.Retry.MaxRetries)
-	if maxDelay < 1 || maxDelay > p.Ticks {
-		maxDelay = p.Ticks
-	}
-	st.retryWheel = make([][]retryEntry, maxDelay+1)
-	st.crashedScratch = make([]int, 0, n)
+	st.retryWheel = make([][]retryEntry, min(p.Retry.Backoff(p.Retry.MaxRetries), p.Ticks)+1)
+	st.crashed = make([]int, 0, n)
 	st.livePerTick = make([]int, 0, p.Ticks)
 
 	latMax := p.LatencyMax
@@ -419,49 +538,42 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: RunCluster: %w", err)
 	}
-	for s := 0; s < shards; s++ {
-		st.views[s], err = sh.arr.Shard(st.bounds[s], st.bounds[s+1])
-		if err != nil {
-			return nil, fmt.Errorf("sim: RunCluster shard %d: %w", s, err)
-		}
-		st.before[s] = make([]int64, st.views[s].N())
-		st.queues[s] = newCohortQueues(st.views[s].N())
+	for s, v := range st.views {
+		st.before[s] = make([]int64, v.N())
+		st.queues[s] = newCohortQueues(v.N())
 		st.svcLat[s], _ = obs.NewLatency(latMax)
 		st.dirty[s] = true // initial build: every placer
 	}
 
-	cuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
-	st.cuts = cuts
-	st.nCuts = obs.CountReached(cuts, int64(p.Ticks))
-	if len(cuts) > 0 {
-		st.cp = obs.NewCheckpoints(cuts)
+	cerr, err := st.run(st, engRunCluster, clusterKinds, clusterSetup)
+	if err != nil {
+		return nil, err
 	}
-	st.trackRow = make([]float64, shards)
-	st.trackMat = [][]float64{st.trackRow}
-	st.maxOut = make([]float64, 1)
-
-	st.ph = phase{pool: &st.pl, x: st, engine: engRunCluster, names: clusterKinds}
-	st.pl.start(sh.poolWidth(rg))
-	res, err := st.orchestrate(p.Ticks)
-	st.pl.close()
-	return res, err
+	if cerr != nil {
+		return st.partialResult(), cerr
+	}
+	return st.final()
 }
 
 // exec executes one task. Task state is indexed by (kind, idx) and
 // every task touches only its own shard's (or routing group's) peers,
 // queues and scratch, so any scheduling onto workers is bit-identical.
+// The inline steps (churn, reshard, admission) run on the orchestrator.
 func (st *clusterState) exec(kind, s int) error {
 	switch kind {
 	case clusterSetup:
 		return st.setupShard(s)
-	case clusterRoute:
-		st.groups[s].reset()
-		st.groups[s].route(st.cc, engRunCluster, st.tick, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
 	case clusterPlace:
 		if st.counts[s] > 0 {
-			tick := int32(st.tick)
+			tick := int32(st.step)
 			st.placeCohort(s, tick, tick, 0, st.counts[s])
 		}
+	case clusterChurn:
+		st.churnStep()
+	case clusterReshard:
+		return st.reshardPlan()
+	case clusterAdmit:
+		st.admission()
 	case clusterRedist, clusterRetry:
 		// Both re-place the shard's apportioned work list; only the
 		// fault site differs.
@@ -471,7 +583,7 @@ func (st *clusterState) exec(kind, s int) error {
 				if kind == clusterRetry {
 					op = fault.OpRetry
 				}
-				fault.Hit(fault.Site{Engine: engRunCluster, Op: op, Rep: st.tick, Shard: s, Block: -1})
+				fault.Hit(fault.Site{Engine: engRunCluster, Op: op, Rep: st.step, Shard: s, Block: -1})
 			}
 			for _, it := range st.work[s] {
 				st.placeCohort(s, it.disp, it.orig, it.att, it.count)
@@ -482,8 +594,8 @@ func (st *clusterState) exec(kind, s int) error {
 		st.serveShard(s)
 	case clusterExpire:
 		st.expireShard(s)
-	case clusterObserve:
-		st.trackRow[s] = st.views[s].MaxLoad()
+	default:
+		st.stepExec(kind, s)
 	}
 	return nil
 }
@@ -523,7 +635,7 @@ func (st *clusterState) placeCohort(s int, disp, orig int32, att int16, count in
 	for i := range b {
 		b[i] = view.Balls(i)
 	}
-	placeSegment(st.cc, engRunCluster, st.tick, s, st.placers[s], view, &st.rands[s], count)
+	st.place(s, count)
 	q := &st.queues[s]
 	for i := range b {
 		if d := view.Balls(i) - b[i]; d > 0 {
@@ -539,7 +651,7 @@ func (st *clusterState) serveShard(s int) {
 	lat := st.svcLat[s]
 	lat.Reset()
 	var done int64
-	now := int64(st.tick)
+	now := int64(st.step)
 	q := &st.queues[s]
 	lo := st.bounds[s]
 	for p := lo; p < st.bounds[s+1]; p++ {
@@ -578,7 +690,7 @@ func (st *clusterState) serveShard(s int) {
 // covers whole queues, not just heads — redistributed cohorts keep
 // their original dispatch ticks, so a queue is not disp-sorted.
 func (st *clusterState) expireShard(s int) {
-	cutoff := int32(st.tick - st.p.Retry.TimeoutTicks)
+	cutoff := int32(st.step - st.p.Retry.TimeoutTicks)
 	exp := st.expired[s][:0]
 	q := &st.queues[s]
 	for i := range q.head {
@@ -601,84 +713,55 @@ func (st *clusterState) expireShard(s int) {
 	st.expired[s] = exp
 }
 
-// crash takes peer p off the ring. Returns false when the event does
-// not apply (already down, or p is the last live peer — the engine
-// degrades, it never dies).
-func (st *clusterState) crash(t, p int) bool {
-	if !st.ring.Live(p) || st.ring.NumLive() <= 1 {
-		return false
+// toggle crashes (down) or revives peer p, recording it in the tick's
+// crashed list or recovery count. An event that does not apply — p is
+// already in that state, or p is the last live peer (the engine
+// degrades, it never dies) — changes nothing.
+func (st *clusterState) toggle(p int, down bool) {
+	if st.ring.Live(p) != down || (down && st.ring.NumLive() <= 1) {
+		return
 	}
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpCrash, Rep: t, Shard: p, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpCrash, Rep: st.step, Shard: p, Block: -1})
 	}
-	if err := st.ring.RemovePeer(p); err != nil {
-		panic(err) // checked above; contained by churnStep
+	var err error
+	if down {
+		err = st.ring.RemovePeer(p)
+		st.liveCap -= st.caps[p]
+		st.crashed = append(st.crashed, p)
+	} else {
+		err = st.ring.AddPeer(p)
+		st.liveCap += st.caps[p]
+		st.recovered++
 	}
-	st.liveCap -= st.caps[p]
+	if err != nil {
+		panic(err) // checked above; contained by the churn task
+	}
 	st.toggled = append(st.toggled, p)
-	return true
 }
 
-// revive puts peer p's ring points back in service. Returns false when
-// p is already live.
-func (st *clusterState) revive(t, p int) bool {
-	if st.ring.Live(p) {
-		return false
-	}
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpCrash, Rep: t, Shard: p, Block: -1})
-	}
-	if err := st.ring.AddPeer(p); err != nil {
-		panic(err)
-	}
-	st.liveCap += st.caps[p]
-	st.toggled = append(st.toggled, p)
-	return true
-}
-
-// churnStep applies tick t's membership changes: scheduled events
+// churnStep applies the tick's membership changes: scheduled events
 // first, then one Bernoulli draw per peer (in peer order, consumed
 // whether or not it applies) from the tick's churn substream. It runs
-// on the orchestrator behind its own recover.
-func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed, recovered = nil, 0
-			err = fmt.Errorf("sim: RunCluster churn: %w", newPanicError(engRunCluster, "churn", t, -1, r))
-		}
-	}()
-	crashed = st.crashedScratch[:0]
-	st.toggled = st.toggled[:0]
+// as an inline task on the orchestrator and leaves the tick's crashed
+// peers and recovery count in st.crashed and st.recovered.
+func (st *clusterState) churnStep() {
+	st.crashed, st.recovered, st.toggled = st.crashed[:0], 0, st.toggled[:0]
 	sched := st.p.Churn.Schedule
-	for st.nextEv < len(sched) && sched[st.nextEv].Tick <= t {
-		e := sched[st.nextEv]
-		st.nextEv++
-		if e.Tick < t {
-			continue
-		}
-		if e.Down {
-			if st.crash(t, e.Peer) {
-				crashed = append(crashed, e.Peer)
-			}
-		} else if st.revive(t, e.Peer) {
-			recovered++
+	for ; st.nextEv < len(sched) && sched[st.nextEv].Tick <= st.step; st.nextEv++ {
+		if e := sched[st.nextEv]; e.Tick == st.step {
+			st.toggle(e.Peer, e.Down)
 		}
 	}
 	if st.p.Churn.Stochastic() {
-		st.crand.Seed(xrand.Mix64(st.seed, st.tbase))
+		st.crand.Seed(xrand.Mix64(st.seed, st.base))
 		for p := 0; p < st.n; p++ {
 			u := st.crand.Float64()
-			if st.ring.Live(p) {
-				if u < st.p.Churn.CrashProb && st.crash(t, p) {
-					crashed = append(crashed, p)
-				}
-			} else if u < st.p.Churn.RecoverProb && st.revive(t, p) {
-				recovered++
+			if live := st.ring.Live(p); live && u < st.p.Churn.CrashProb || !live && u < st.p.Churn.RecoverProb {
+				st.toggle(p, live)
 			}
 		}
 	}
-	st.crashedScratch = crashed[:0]
-	return crashed, recovered, nil
 }
 
 // reshardPlan recomputes routing after churn: fresh arc weights for
@@ -686,15 +769,10 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err erro
 // pass — every other peer's arc is unchanged), dirty marks on exactly
 // the shards whose weight slice changed, their re-summed shard
 // weights, and a rebuilt multinomial router. O(toggled peers' points +
-// shards), not O(ring). Orchestrator-side, behind its own recover.
-func (st *clusterState) reshardPlan(t int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: RunCluster reshard: %w", newPanicError(engRunCluster, "reshard", t, -1, r))
-		}
-	}()
+// shards), not O(ring). An inline task on the orchestrator.
+func (st *clusterState) reshardPlan() error {
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: t, Shard: -1, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: st.step, Shard: -1, Block: -1})
 	}
 	st.touched = st.ring.TouchedPeers(st.toggled, st.touched[:0])
 	for _, p := range st.touched {
@@ -714,49 +792,35 @@ func (st *clusterState) reshardPlan(t int) (err error) {
 		}
 		st.sumW += st.shardW[s]
 	}
-	router, rerr := sampling.NewMultinomial(st.shardW)
-	if rerr != nil {
-		return rerr // unreachable while a peer lives; surfaced loudly if not
+	router, err := sampling.NewMultinomial(st.shardW)
+	if err != nil {
+		return err // unreachable while a peer lives; surfaced loudly if not
 	}
 	st.router = router
 	return nil
 }
 
-// admission is the shedding step: of the tick's arrivals, admit what
-// fits under threshold × live capacity given the current occupancy and
-// shed the rest. Orchestrator-side, behind its own recover so an
-// injected OpShed fault surfaces as a provenance error.
-func (st *clusterState) admission(t int, arrived int64, th float64) (admit, shed int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			admit, shed = 0, 0
-			err = fmt.Errorf("sim: RunCluster admission: %w", newPanicError(engRunCluster, "shed", t, -1, r))
-		}
-	}()
+// admission is the shedding step, an inline task on the orchestrator:
+// of the tick's arrivals, admit what fits under ShedThreshold × live
+// capacity given the current occupancy and shed the rest.
+func (st *clusterState) admission() {
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpShed, Rep: t, Shard: -1, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpShed, Rep: st.step, Shard: -1, Block: -1})
 	}
-	admit = arrived
-	room := int64(math.Floor(th*float64(st.liveCap))) - st.liveQ
-	if room < 0 {
-		room = 0
-	}
-	if admit > room {
-		admit = room
-		shed = arrived - admit
-	}
-	return admit, shed, nil
+	room := int64(math.Floor(st.p.ShedThreshold*float64(st.liveCap))) - st.liveQ
+	st.admit = min(st.p.ArrivalsPerTick, max(room, 0))
+	st.shedT = st.p.ArrivalsPerTick - st.admit
 }
 
-// redistribute drains the queues of this tick's crashed peers: each
-// resident cohort leaves its dead queue, is split over the live shard
-// weights by largest remainder (deterministic, integer-exact, no RNG),
-// and re-placed by the destination shards — keeping its original
-// dispatch AND origin ticks, so neither the timeout nor the latency
-// clock resets. Returns the number of requests moved.
-func (st *clusterState) redistribute(crashed []int) (int64, error) {
+// drainCrashed empties the queues of this tick's crashed peers into
+// the redistribution work lists: each resident cohort is split over
+// the live shard weights by largest remainder (deterministic,
+// integer-exact, no RNG), keeping its original dispatch AND origin
+// ticks, so neither the timeout nor the latency clock resets. Returns
+// the number of requests moved.
+func (st *clusterState) drainCrashed() int64 {
 	var moved int64
-	for _, p := range crashed {
+	for _, p := range st.crashed {
 		s := int(st.peerShard[p])
 		q := &st.queues[s]
 		i := p - st.bounds[s]
@@ -772,119 +836,52 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 			moved += c.count
 		}
 	}
-	if moved == 0 {
-		return 0, nil
-	}
-	if err := st.ph.run(clusterRedist, st.shards); err != nil {
-		return 0, err
-	}
-	return moved, nil
+	return moved
 }
 
-// orchestrate runs the setup phase and then the ticks, committing the
-// completed-tick prefix as it goes.
-func (st *clusterState) orchestrate(ticks int) (*ClusterResult, error) {
-	if err := st.ph.run(clusterSetup, st.shards); err != nil {
-		return nil, err
-	}
-	if st.cc.cancelled() {
-		return st.partial(st.cc.err())
-	}
-	for t := 0; t < ticks; t++ {
-		ok, err := st.runTick(t)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return st.partial(st.cc.err())
-		}
-		if ca := st.cancelAfter; ca > 0 && st.ticksDone == ca && st.ticksDone < ticks {
-			return st.partial(nil)
-		}
-	}
-	return st.final()
-}
-
-// runTick executes tick t. ok == false means the tick was abandoned at
-// a cancellation point — nothing of it is committed.
-func (st *clusterState) runTick(t int) (ok bool, err error) {
-	if st.cc.cancelled() {
-		return false, nil
-	}
-	st.tick, st.ph.rep = t, t
-	st.tbase = 1 + uint64(t)*st.kk
-	// Placement streams are re-seeded for EVERY shard at the start of
-	// every tick, so a shard's draws depend only on (seed, tick,
-	// shard), never on the traffic of earlier ticks.
-	for s := 0; s < st.shards; s++ {
-		st.rands[s].Seed(xrand.Mix64(st.seed, st.tbase+2+uint64(s)))
-	}
-
+// runStep plays tick t: churn → re-shard/redistribute → admission →
+// arrival dispatch → retry dispatch → service → timeout scan →
+// observation → commit.
+func (st *clusterState) runStep(t int) (ok bool, err error) {
 	// Phase 1 — churn + incremental re-shard + redistribution.
-	crashed, recovered, err := st.churnStep(t)
-	if err != nil {
+	if ok, err := st.inline(clusterChurn); !ok {
 		return false, err
 	}
 	tickLive := st.ring.NumLive()
 	var movedT int64
-	if len(crashed) > 0 || recovered > 0 {
-		if err := st.reshardPlan(t); err != nil {
+	if len(st.crashed) > 0 || st.recovered > 0 {
+		if ok, err := st.inline(clusterReshard); !ok {
 			return false, err
 		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		if err := st.ph.run(clusterSetup, st.shards); err != nil {
+		if ok, err := st.phase(clusterSetup, st.shards); !ok {
 			return false, err
 		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		movedT, err = st.redistribute(crashed)
-		if err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+		if movedT = st.drainCrashed(); movedT > 0 {
+			if ok, err := st.phase(clusterRedist, st.shards); !ok {
+				return false, err
+			}
 		}
 	}
 
 	// Phase 2 — admission: shed what would push the cluster past
 	// ShedThreshold × live capacity. Counted, never silently dropped.
-	arrivedT := st.p.ArrivalsPerTick
-	admitT := arrivedT
-	var shedT int64
-	if th := st.p.ShedThreshold; th > 0 {
-		admitT, shedT, err = st.admission(t, arrivedT, th)
-		if err != nil {
+	st.admit, st.shedT = st.p.ArrivalsPerTick, 0
+	if st.p.ShedThreshold > 0 {
+		if ok, err := st.inline(clusterAdmit); !ok {
 			return false, err
 		}
 	}
 
 	// Phase 3 — arrival dispatch: block-wise multinomial routing over
 	// the live shard weights, then per-shard placement.
-	if admitT > 0 {
-		st.curM = admitT
-		st.rrbase = xrand.Mix64(st.seed, st.tbase+1)
-		rgr := len(st.groups)
-		if nb := numRouteBlocks(admitT); rgr > nb {
-			rgr = nb
-		}
-		st.rgr = rgr
-		if err := st.ph.run(clusterRoute, rgr); err != nil {
+	if st.admit > 0 {
+		if ok, err := st.route(st.admit); !ok {
 			return false, err
 		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		mergeRouteGroups(st.groups[:rgr], st.counts, nil)
-		if err := st.ph.run(clusterPlace, st.shards); err != nil {
+		if ok, err := st.phase(clusterPlace, st.shards); !ok {
 			return false, err
 		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		st.liveQ += admitT
+		st.liveQ += st.admit
 	}
 
 	// Phase 4 — retry dispatch: batches whose backoff elapses this
@@ -906,21 +903,15 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 			retriedT += e.count
 		}
 		st.pendingRetry -= retriedT
-		if err := st.ph.run(clusterRetry, st.shards); err != nil {
+		if ok, err := st.phase(clusterRetry, st.shards); !ok {
 			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
 		}
 		st.liveQ += retriedT
 	}
 
 	// Phase 5 — service.
-	if err := st.ph.run(clusterServe, st.shards); err != nil {
+	if ok, err := st.phase(clusterServe, st.shards); !ok {
 		return false, err
-	}
-	if st.cc.cancelled() {
-		return false, nil
 	}
 	var doneT int64
 	for s := 0; s < st.shards; s++ {
@@ -930,22 +921,21 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 
 	// Phase 6 — timeout scan: requests queued TimeoutTicks or longer
 	// leave their queues; each either schedules a backed-off retry or
-	// — retries exhausted — counts failed.
+	// — retries exhausted — counts failed. A retry due at or after the
+	// horizon only counts as pending (d < Ticks − t cannot overflow,
+	// however large the backoff).
 	var timedOutT, failedT int64
 	if st.p.Retry.TimeoutTicks > 0 {
-		if err := st.ph.run(clusterExpire, st.shards); err != nil {
+		if ok, err := st.phase(clusterExpire, st.shards); !ok {
 			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
 		}
 		for s := 0; s < st.shards; s++ {
 			for _, e := range st.expired[s] {
 				timedOutT += e.count
 				if int(e.att) < st.p.Retry.MaxRetries {
 					att := e.att + 1
-					if due := t + st.p.Retry.Backoff(int(att)); due > t && due < st.p.Ticks {
-						slot := &st.retryWheel[due%len(st.retryWheel)]
+					if d := st.p.Retry.Backoff(int(att)); d < st.p.Ticks-t {
+						slot := &st.retryWheel[(t+d)%len(st.retryWheel)]
 						*slot = append(*slot, retryEntry{orig: e.orig, att: att, count: e.count})
 					}
 					st.pendingRetry += e.count
@@ -957,34 +947,25 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 		st.liveQ -= timedOutT
 	}
 
-	// Phase 7 — observation: a cut at tick t+1 snapshots queue
-	// occupancy and max queue-relative load before the commit.
-	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(t)+1 {
-		if err := st.ph.run(clusterObserve, st.shards); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		combineShardMaxima(st.trackMat, st.maxOut)
-		st.cp.Observe(st.nextCut, st.liveQ, st.totalCap, st.maxOut[0])
-		st.nextCut++
+	// Phase 7 — observation of a cut at tick t+1: queue occupancy and
+	// max queue-relative load.
+	if ok, err := st.observe(st.liveQ); !ok {
+		return false, err
 	}
 
 	// Commit: the tick is now part of the result prefix. Latency folds
 	// in shard order — integer adds, exactly associative.
-	st.ticksDone = t + 1
-	st.arrived += arrivedT
-	st.shed += shedT
-	st.admitted += admitT
+	st.arrived += st.p.ArrivalsPerTick
+	st.shed += st.shedT
+	st.admitted += st.admit
 	st.retried += retriedT
 	st.redistributed += movedT
-	st.dispatched += admitT + retriedT + movedT
+	st.dispatched += st.admit + retriedT + movedT
 	st.completed += doneT
 	st.timedOut += timedOutT
 	st.failed += failedT
-	st.crashes += len(crashed)
-	st.recoveries += recovered
+	st.crashes += len(st.crashed)
+	st.recoveries += st.recovered
 	st.livePerTick = append(st.livePerTick, tickLive)
 	for s := 0; s < st.shards; s++ {
 		if err := st.lat.Merge(st.svcLat[s]); err != nil {
@@ -1001,7 +982,7 @@ func (st *clusterState) partialResult() *ClusterResult {
 	res := &ClusterResult{
 		N:             st.n,
 		Shards:        st.shards,
-		Ticks:         st.ticksDone,
+		Ticks:         st.done,
 		Arrived:       st.arrived,
 		Shed:          st.shed,
 		Admitted:      st.admitted,
@@ -1017,32 +998,16 @@ func (st *clusterState) partialResult() *ClusterResult {
 		Recoveries:    st.recoveries,
 		LivePerTick:   st.livePerTick,
 		Latency:       st.lat,
+		Checkpoints:   st.rows(),
 	}
-	if st.ticksDone > 0 {
+	if st.done > 0 {
 		var liveSum int64
 		for _, l := range st.livePerTick {
 			liveSum += int64(l)
 		}
-		res.Availability = float64(liveSum) / float64(int64(st.n)*int64(st.ticksDone))
-	}
-	if st.cp != nil {
-		res.Checkpoints = st.cp.Rows()
+		res.Availability = float64(liveSum) / float64(int64(st.n)*int64(st.done))
 	}
 	return res
-}
-
-// partial is the cancelled exit: the committed-tick prefix plus a
-// *CancelledError whose cause is the context's error, or nil for the
-// deterministic CancelAfter stop.
-func (st *clusterState) partial(cause error) (*ClusterResult, error) {
-	return st.partialResult(), &CancelledError{
-		Engine:          engRunCluster,
-		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
-		CompletedRounds: -1,
-		CompletedTicks:  st.ticksDone,
-		Cause:           cause,
-	}
 }
 
 // final builds the completed-run result: the committed counters plus
@@ -1051,7 +1016,7 @@ func (st *clusterState) partial(cause error) (*ClusterResult, error) {
 func (st *clusterState) final() (*ClusterResult, error) {
 	res := st.partialResult()
 	var err error
-	res.MaxQueueLoad, res.AvgQueueLoad, res.HeightCounts, err = finalState(engRunCluster, st.arr, st.levels, st.cQueued)
+	res.MaxQueueLoad, res.AvgQueueLoad, res.HeightCounts, err = st.finalState(st.cQueued)
 	if err != nil {
 		return nil, err
 	}

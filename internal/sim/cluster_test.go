@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/bins"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
@@ -53,9 +52,9 @@ func traceOf(res *ClusterResult) clusterTrace {
 
 // stressPlan is the test-wide churn/retry/shedding configuration that
 // exercises every degraded-mode path at once.
-func stressPlan() (cluster.ChurnPlan, cluster.RetryPolicy) {
-	churn := cluster.ChurnPlan{
-		Schedule: []cluster.ChurnEvent{
+func stressPlan() (ChurnPlan, RetryPolicy) {
+	churn := ChurnPlan{
+		Schedule: []ChurnEvent{
 			{Tick: 2, Peer: 0, Down: true},
 			{Tick: 3, Peer: 5, Down: true},
 			{Tick: 6, Peer: 0, Down: false},
@@ -63,7 +62,7 @@ func stressPlan() (cluster.ChurnPlan, cluster.RetryPolicy) {
 		CrashProb:   0.05,
 		RecoverProb: 0.3,
 	}
-	retry := cluster.RetryPolicy{TimeoutTicks: 3, MaxRetries: 2, BackoffBase: 1}
+	retry := RetryPolicy{TimeoutTicks: 3, MaxRetries: 2, BackoffBase: 1}
 	return churn, retry
 }
 
@@ -89,10 +88,10 @@ func TestClusterValidation(t *testing.T) {
 		{"negative cancel", func(c *RunSpec) { c.CancelAfter = -1 }, "CancelAfter"},
 		{"bad crash prob", func(c *RunSpec) { c.Cluster.Churn.CrashProb = 1.5 }, "CrashProb"},
 		{"bad schedule peer", func(c *RunSpec) {
-			c.Cluster.Churn.Schedule = []cluster.ChurnEvent{{Tick: 0, Peer: 9, Down: true}}
+			c.Cluster.Churn.Schedule = []ChurnEvent{{Tick: 0, Peer: 9, Down: true}}
 		}, "Peer"},
 		{"unsorted schedule", func(c *RunSpec) {
-			c.Cluster.Churn.Schedule = []cluster.ChurnEvent{{Tick: 3, Peer: 0, Down: true}, {Tick: 1, Peer: 1, Down: true}}
+			c.Cluster.Churn.Schedule = []ChurnEvent{{Tick: 3, Peer: 0, Down: true}, {Tick: 1, Peer: 1, Down: true}}
 		}, "out of order"},
 		{"retries without timeout", func(c *RunSpec) { c.Cluster.Retry.MaxRetries = 2 }, "MaxRetries"},
 		{"height bins", func(c *RunSpec) { c.HeightBins = 4 }, "cluster engine"},
@@ -239,7 +238,7 @@ func TestClusterGoldenAvailabilityTrace(t *testing.T) {
 		Cluster: &ClusterParams{
 			Ticks:           10,
 			ArrivalsPerTick: 20,
-			Churn: cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{
+			Churn: ChurnPlan{Schedule: []ChurnEvent{
 				{Tick: 2, Peer: 1, Down: true},
 				{Tick: 4, Peer: 3, Down: true},
 				{Tick: 6, Peer: 1, Down: false},
@@ -280,8 +279,8 @@ func TestClusterLastPeerNeverDies(t *testing.T) {
 		Cluster: &ClusterParams{
 			Ticks:           8,
 			ArrivalsPerTick: 4,
-			Churn: cluster.ChurnPlan{
-				Schedule: []cluster.ChurnEvent{
+			Churn: ChurnPlan{
+				Schedule: []ChurnEvent{
 					{Tick: 0, Peer: 0, Down: true},
 					{Tick: 0, Peer: 1, Down: true},
 					{Tick: 0, Peer: 2, Down: true},
@@ -314,7 +313,7 @@ func TestClusterDeadPeerGetsNothing(t *testing.T) {
 		Cluster: &ClusterParams{
 			Ticks:           10,
 			ArrivalsPerTick: 20,
-			Churn:           cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{{Tick: 0, Peer: 2, Down: true}}},
+			Churn:           ChurnPlan{Schedule: []ChurnEvent{{Tick: 0, Peer: 2, Down: true}}},
 		},
 	})
 	if err != nil {
@@ -340,7 +339,7 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 		Cluster: &ClusterParams{
 			Ticks:           10,
 			ArrivalsPerTick: 5,
-			Retry:           cluster.RetryPolicy{TimeoutTicks: 2},
+			Retry:           RetryPolicy{TimeoutTicks: 2},
 		},
 	})
 	if err != nil {
@@ -359,7 +358,7 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 		Cluster: &ClusterParams{
 			Ticks:           10,
 			ArrivalsPerTick: 5,
-			Retry:           cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 3, BackoffBase: 2},
+			Retry:           RetryPolicy{TimeoutTicks: 2, MaxRetries: 3, BackoffBase: 2},
 		},
 	})
 	if err != nil {
@@ -370,6 +369,37 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 	}
 	if res2.Admitted != res2.Completed+res2.Failed+res2.PendingRetry+res2.FinalQueued {
 		t.Fatalf("conservation: %+v", res2)
+	}
+}
+
+// TestClusterHugeBackoffIsPending: a backoff far beyond the horizon
+// (base 2^40, whose late attempts saturate at math.MaxInt) parks every
+// timed-out request as pending, exactly like a backoff that lands on
+// the horizon itself — the due-tick test never overflows.
+func TestClusterHugeBackoffIsPending(t *testing.T) {
+	const ticks = 10
+	run := func(base int) clusterTrace {
+		t.Helper()
+		res, err := runCluster(&RunSpec{
+			Config: Config{Array: clusterArray(t, 1, 2), Seed: 4},
+			Shards: 1,
+			Cluster: &ClusterParams{
+				Ticks:           ticks,
+				ArrivalsPerTick: 6,
+				Retry:           RetryPolicy{TimeoutTicks: 2, MaxRetries: 40, BackoffBase: base},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traceOf(res)
+	}
+	huge, horizon := run(1<<40), run(ticks)
+	if huge.Res.PendingRetry == 0 || huge.Res.Retried != 0 {
+		t.Fatalf("want every timeout pending: %+v", huge.Res)
+	}
+	if !reflect.DeepEqual(huge, horizon) {
+		t.Fatalf("base 2^40:\n%+v\nbase = horizon:\n%+v", huge.Res, horizon.Res)
 	}
 }
 
@@ -635,13 +665,13 @@ func TestClusterGoldenCounters(t *testing.T) {
 // and the queue/retry machinery are held to the exact trajectory when
 // most of the ring is dead.
 func TestClusterGoldenHeavyChurn(t *testing.T) {
-	var sched []cluster.ChurnEvent
+	var sched []ChurnEvent
 	for p := 0; p < 37; p++ {
-		sched = append(sched, cluster.ChurnEvent{Tick: 3, Peer: p, Down: true})
+		sched = append(sched, ChurnEvent{Tick: 3, Peer: p, Down: true})
 	}
 	for tick := 8; tick < 13; tick++ {
 		for p := tick - 8; p < 37; p += 5 {
-			sched = append(sched, cluster.ChurnEvent{Tick: tick, Peer: p, Down: false})
+			sched = append(sched, ChurnEvent{Tick: tick, Peer: p, Down: false})
 		}
 	}
 	caps := make([]int64, 40)
@@ -654,8 +684,8 @@ func TestClusterGoldenHeavyChurn(t *testing.T) {
 		Cluster: &ClusterParams{
 			Ticks:           20,
 			ArrivalsPerTick: 90,
-			Churn:           cluster.ChurnPlan{Schedule: sched, CrashProb: 0.02, RecoverProb: 0.1},
-			Retry:           cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+			Churn:           ChurnPlan{Schedule: sched, CrashProb: 0.02, RecoverProb: 0.1},
+			Retry:           RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
 			ShedThreshold:   3,
 		},
 	})
@@ -691,7 +721,7 @@ func TestClusterSteadyStateAllocFree(t *testing.T) {
 			Cluster: &ClusterParams{
 				Ticks:           ticks,
 				ArrivalsPerTick: 30_000,
-				Retry:           cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+				Retry:           RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
 				ShedThreshold:   2,
 			},
 		}

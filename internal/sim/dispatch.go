@@ -1,27 +1,31 @@
 // Unified engine dispatch: one RunSpec, one entry point, five engines.
 //
 // The repo runs the balls-into-bins game five ways, each with its own
-// sweet spot. Dispatch hides the choice behind a single spec so the
-// figure/validate/tune harness can ask for "this game, these
-// observables, at this n" and get the right engine:
+// sweet spot. Dispatch is the package's only exported way to run any
+// of them: it hides the choice behind a single spec so the public
+// wrappers and the figure/validate/tune harness can ask for "this
+// game, these observables, at this n" and get the right engine. The
+// engine functions are unexported:
 //
-//   - classic: Run, the reference engine. Supports every observable
-//     (random arrays, per-ball heights, per-class vectors) at any n a
-//     per-ball pass can afford.
-//   - sharded: RunLargeMonte. Fixed arrays only; scales a single
-//     repetition across cores via multinomial block routing, so
+//   - classic: runChunked with the runRep kernel (sim.go), the
+//     reference engine. Supports every observable (random arrays,
+//     per-ball heights, per-class vectors) at any n a per-ball pass
+//     can afford.
+//   - sharded: runLargeMonte (monte.go). Fixed arrays only; scales a
+//     single repetition across cores via multinomial block routing, so
 //     n = 10^6..10^7 repetitions are practical. Shards and the routing
 //     blocks are part of the model (see large.go): results are
 //     deterministic in the spec but not bit-identical to classic.
-//   - closed-form: RunClosed. Single-choice protocols only; one
-//     Multinomial(m, p) draw per repetition, O(n + checkpoints·n) per
-//     rep with no per-ball work at all.
-//   - stream: rounds of arrivals, deletions and rebalancing over one
-//     sharded array (stream.go); selected by RunSpec.Stream.
-//   - cluster: ticks of requests served by a churning ring of peers
-//     (cluster.go); selected by RunSpec.Cluster.
+//   - closed-form: runChunked with the closedRep kernel (closed.go).
+//     Single-choice protocols only; one Multinomial(m, p) draw per
+//     repetition, O(n + checkpoints·n) per rep with no per-ball work.
+//   - stream: runStream (stream.go), rounds of arrivals, deletions and
+//     rebalancing over one sharded array; selected by RunSpec.Stream.
+//   - cluster: runCluster (cluster.go), ticks of requests served by a
+//     churning ring of peers; selected by RunSpec.Cluster.
 //
-// RunSpec is the only engine input: every engine entry point reads it
+// Stream and cluster are both steps of the one step driver in
+// runner.go. RunSpec is the only engine input: every engine reads it
 // directly, validate holds each check the engines share once, and
 // unsupported is the one capability table.
 //
@@ -42,7 +46,7 @@ import (
 	"fmt"
 
 	"repro/internal/bins"
-	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -55,25 +59,21 @@ const (
 	// when the spec supports it and n is at least AutoScaleMinBins,
 	// else classic. The choice depends only on the spec.
 	EngineAuto Engine = "auto"
-	// EngineClassic forces the classic chunked engine (Run).
+	// EngineClassic forces the classic chunked engine.
 	EngineClassic Engine = "classic"
-	// EngineSharded forces the sharded Monte-Carlo engine
-	// (RunLargeMonte).
+	// EngineSharded forces the sharded Monte-Carlo engine.
 	EngineSharded Engine = "sharded"
-	// EngineClosedForm forces the closed-form multinomial engine
-	// (RunClosed).
+	// EngineClosedForm forces the closed-form multinomial engine.
 	EngineClosedForm Engine = "closed-form"
 	// EngineStream selects the streaming engine (stream.go): balls
 	// arrive in rounds, a deterministic deletion stream expires them,
-	// and an optional rebalance pass bounds cross-shard drift. The
-	// engine function is unexported — Dispatch is its only public
-	// entry point — and requires RunSpec.Stream.
+	// and an optional rebalance pass bounds cross-shard drift. It
+	// requires RunSpec.Stream.
 	EngineStream Engine = "stream"
 	// EngineCluster selects the churn-tolerant serving engine
 	// (cluster.go): ticks of batched arrivals over a consistent-hashing
 	// ring of live peers, with crashes, recoveries, timeouts, retries
-	// and shedding. The engine function is unexported — Dispatch is its
-	// only public entry point — and requires RunSpec.Cluster.
+	// and shedding. It requires RunSpec.Cluster.
 	EngineCluster Engine = "cluster"
 )
 
@@ -102,120 +102,6 @@ func (e Engine) noun() string {
 		return "the streaming engine"
 	}
 	return "the " + string(e) + " engine"
-}
-
-// StreamParams carries the round-structure parameters of a streaming
-// run (RunSpec.Stream). Their presence is what makes a spec a
-// streaming spec: EngineAuto dispatches to the streaming engine iff
-// Stream is non-nil, and no other engine will silently run such a
-// spec. The spec's Balls/BallsFactor become the per-round arrival
-// count: a fixed count, or BallsFactor·C, or exactly C — Config's
-// ball-count rules, per round.
-type StreamParams struct {
-	// Rounds is the number of rounds (>= 1). When Schedule is set and
-	// Rounds is 0, Rounds defaults to len(Schedule).
-	Rounds int
-	// Schedule, when non-empty, gives every round's arrival count
-	// explicitly (entries >= 0; length must equal Rounds when Rounds
-	// is set). Mutually exclusive with Balls/BallsFactor.
-	Schedule []int64
-	// Deletions is the number of balls deleted per round, clamped to
-	// the current occupancy (>= 0).
-	Deletions int64
-	// RebalanceTol enables the inter-round rebalance pass when > 0:
-	// after deletions, every shard holding more than
-	// (1+RebalanceTol)·target balls sheds the excess to shards below
-	// target. 0 disables the pass.
-	RebalanceTol float64
-}
-
-// rounds is the run's round count: Rounds, or len(Schedule) when
-// Rounds is 0.
-func (p *StreamParams) rounds() int {
-	if p.Rounds == 0 {
-		return len(p.Schedule)
-	}
-	return p.Rounds
-}
-
-// validate checks the round parameters against the spec's ball count.
-func (p *StreamParams) validate(c *Config) error {
-	if len(p.Schedule) > 0 {
-		if c.Balls != 0 || c.BallsFactor != 0 {
-			return fmt.Errorf("sim: Schedule is mutually exclusive with Balls/BallsFactor")
-		}
-		if p.Rounds != 0 && p.Rounds != len(p.Schedule) {
-			return fmt.Errorf("sim: Rounds = %d but len(Schedule) = %d", p.Rounds, len(p.Schedule))
-		}
-		for r, a := range p.Schedule {
-			if a < 0 {
-				return fmt.Errorf("sim: Schedule[%d] = %d, need >= 0", r, a)
-			}
-		}
-	}
-	if p.rounds() < 1 {
-		return fmt.Errorf("sim: Rounds = %d, need >= 1", p.Rounds)
-	}
-	if p.Deletions < 0 {
-		return fmt.Errorf("sim: Deletions = %d, need >= 0", p.Deletions)
-	}
-	if p.RebalanceTol < 0 || p.RebalanceTol != p.RebalanceTol {
-		return fmt.Errorf("sim: RebalanceTol = %v, need >= 0", p.RebalanceTol)
-	}
-	return nil
-}
-
-// ClusterParams carries the serving-model parameters of a cluster run
-// (RunSpec.Cluster). Their presence is what makes a spec a cluster
-// spec: EngineAuto dispatches to the cluster engine iff Cluster is
-// non-nil, and no other engine will silently run such a spec. The
-// spec's Array supplies the peer capacities (ball counts are queue
-// lengths); arrivals come from ArrivalsPerTick, not Config.Balls.
-type ClusterParams struct {
-	// Ticks is the simulation horizon (>= 1).
-	Ticks int
-	// ArrivalsPerTick is the per-tick request count (>= 0).
-	ArrivalsPerTick int64
-	// VnodesPerUnit gives every peer capacity·VnodesPerUnit ring
-	// points (0 = 2), so arc shares are capacity-proportional in
-	// expectation — the ring-level version of the paper's non-uniform
-	// selection probabilities.
-	VnodesPerUnit int
-	// Churn is the crash/recover plan (zero value = no churn).
-	Churn cluster.ChurnPlan
-	// Retry is the timeout/retry policy (zero value = no timeouts).
-	Retry cluster.RetryPolicy
-	// ShedThreshold arms admission control when > 0: arrivals that
-	// would push the total queue beyond threshold·(live capacity) are
-	// shed. 0 admits everything.
-	ShedThreshold float64
-	// LatencyMax is the latency histogram's top bucket in ticks
-	// (0 = 32); completions slower than that land in the overflow
-	// bucket.
-	LatencyMax int
-}
-
-// validate checks the serving parameters for n peers.
-func (p *ClusterParams) validate(n int) error {
-	switch {
-	case p.Ticks < 1:
-		return fmt.Errorf("sim: Ticks = %d, need >= 1", p.Ticks)
-	case p.ArrivalsPerTick < 0:
-		return fmt.Errorf("sim: ArrivalsPerTick = %d, need >= 0", p.ArrivalsPerTick)
-	case p.VnodesPerUnit < 0:
-		return fmt.Errorf("sim: VnodesPerUnit = %d, need >= 0", p.VnodesPerUnit)
-	case p.ShedThreshold < 0 || p.ShedThreshold != p.ShedThreshold:
-		return fmt.Errorf("sim: ShedThreshold = %v, need >= 0", p.ShedThreshold)
-	case p.LatencyMax < 0:
-		return fmt.Errorf("sim: LatencyMax = %d, need >= 0", p.LatencyMax)
-	}
-	if err := p.Churn.Validate(n); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if err := p.Retry.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	return nil
 }
 
 // RunSpec is the engine-independent description of one experiment and
@@ -267,7 +153,7 @@ type RunSpec struct {
 	// AdoptArray lets the sharded engines mutate Config.Array in place
 	// (reset first) instead of cloning it. The public wrappers, which
 	// build a private array from a capacity slice, use it to avoid a
-	// transient second O(n) array at n = 10^7. RunLargeMonte leaves
+	// transient second O(n) array at n = 10^7. The sharded engine leaves
 	// there the final state of the last repetition its first
 	// orchestrator played: with Reps = 1, the game's final state.
 	AdoptArray bool
@@ -401,11 +287,19 @@ func Dispatch(spec RunSpec) (*Result, error) {
 	case EngineClassic, EngineClosedForm:
 		res, err = runChunked(engine, &spec)
 	case EngineSharded:
-		res, err = runShardedSpec(&spec)
+		res, err = runLargeMonte(spec)
 	case EngineStream:
-		res, err = runStreamSpec(&spec)
+		var s *StreamResult
+		if s, err = runStream(&spec); s != nil {
+			res = trajectoryResult(&spec, s.N, s.Shards, s.Checkpoints, s.HeightCounts, s.Array != nil, s.MaxLoad, s.AvgLoad, s.Balls)
+			res.Stream = s
+		}
 	case EngineCluster:
-		res, err = runClusterSpec(&spec)
+		var c *ClusterResult
+		if c, err = runCluster(&spec); c != nil {
+			res = trajectoryResult(&spec, c.N, c.Shards, c.Checkpoints, c.HeightCounts, c.Array != nil, c.MaxQueueLoad, c.AvgQueueLoad, c.FinalQueued)
+			res.Cluster = c
+		}
 	}
 	if res != nil {
 		res.Engine = engine
@@ -490,93 +384,20 @@ func singleChoiceFactory(f protocol.Factory) (single bool) {
 	return false
 }
 
-// runShardedSpec runs the spec on RunLargeMonte and maps its result
-// onto the classic Result shape; checkpoint rows keep the sharded
-// model's block-aligned realised cuts (RealBalls <= the requested
-// cut).
-func runShardedSpec(spec *RunSpec) (*Result, error) {
-	mres, merr := RunLargeMonte(*spec)
-	if mres == nil {
-		return nil, merr
+// trajectoryResult maps a single-trajectory run (stream or cluster)
+// onto the classic Result shape: the step-indexed trajectory rows flow
+// through Checkpoints, and a completed run's final state is one
+// observation of each whole-array statistic. A cancelled partial has
+// no final state, so its accumulators stay empty; the engine's own
+// result rides along in Result.Stream or Result.Cluster.
+func trajectoryResult(spec *RunSpec, n, shards int, rows []obs.CheckpointRow, heights []obs.HeightRow, final bool, maxLoad, avgLoad float64, balls int64) *Result {
+	res := &Result{N: n, Shards: shards, Checkpoints: rows, HeightCounts: heights}
+	if final {
+		res.MaxLoad.Add(maxLoad)
+		res.AvgLoad.Add(avgLoad)
+		res.Deviation.Add(maxLoad - avgLoad)
+		res.Balls.Add(float64(balls))
+		res.TotalCapacity.Add(float64(spec.Array.TotalCapacity()))
 	}
-	// merr may be a *CancelledError carrying a deterministic partial;
-	// convert the partial and pass the error through untouched.
-	res := &Result{
-		N:               mres.N,
-		MaxLoad:         mres.MaxLoad,
-		AvgLoad:         mres.AvgLoad,
-		Deviation:       mres.Deviation,
-		MeanSortedLoads: mres.MeanSortedLoads,
-		Checkpoints:     mres.Checkpoints,
-		HeightCounts:    mres.HeightCounts,
-		ShardStats:      mres.ShardStats,
-	}
-	// The sharded engine runs fixed arrays only, so balls and capacity
-	// are the same constant every repetition.
-	reps := int64(mres.Reps)
-	res.Balls.AddN(float64(mres.Balls), reps)
-	res.TotalCapacity.AddN(float64(spec.Array.TotalCapacity()), reps)
-	return res, merr
-}
-
-// runStreamSpec runs the streaming engine and maps its result onto the
-// classic Result shape: the final-state load statistics become
-// single-observation aggregates, the round-indexed trajectory rows
-// flow through Checkpoints, and the full streaming result rides along
-// in Result.Stream. A cancelled run converts the deterministic
-// completed-round partial and passes the *CancelledError through
-// untouched.
-func runStreamSpec(spec *RunSpec) (*Result, error) {
-	sres, serr := runStream(spec)
-	if sres == nil {
-		return nil, serr
-	}
-	res := &Result{
-		N:            sres.N,
-		Checkpoints:  sres.Checkpoints,
-		HeightCounts: sres.HeightCounts,
-		Stream:       sres,
-	}
-	if sres.Array != nil {
-		// Completed run: the final state is one observation of each
-		// whole-array statistic. A cancelled partial has no final
-		// state, so its accumulators stay empty.
-		res.MaxLoad.AddN(sres.MaxLoad, 1)
-		res.AvgLoad.AddN(sres.AvgLoad, 1)
-		res.Deviation.AddN(sres.Deviation, 1)
-		res.Balls.AddN(float64(sres.Balls), 1)
-		res.TotalCapacity.AddN(float64(spec.Array.TotalCapacity()), 1)
-	}
-	return res, serr
-}
-
-// runClusterSpec runs the cluster engine and maps its result onto the
-// classic Result shape: the final queue-state statistics become
-// single-observation aggregates, the tick-indexed trajectory rows flow
-// through Checkpoints, and the full serving result rides along in
-// Result.Cluster. A cancelled run converts the deterministic
-// completed-tick partial and passes the *CancelledError through
-// untouched.
-func runClusterSpec(spec *RunSpec) (*Result, error) {
-	cres, cerr := runCluster(spec)
-	if cres == nil {
-		return nil, cerr
-	}
-	res := &Result{
-		N:            cres.N,
-		Checkpoints:  cres.Checkpoints,
-		HeightCounts: cres.HeightCounts,
-		Cluster:      cres,
-	}
-	if cres.Array != nil {
-		// Completed run: the final queue state is one observation of
-		// each whole-array statistic. A cancelled partial has no final
-		// state, so its accumulators stay empty.
-		res.MaxLoad.AddN(cres.MaxQueueLoad, 1)
-		res.AvgLoad.AddN(cres.AvgQueueLoad, 1)
-		res.Deviation.AddN(cres.MaxQueueLoad-cres.AvgQueueLoad, 1)
-		res.Balls.AddN(float64(cres.FinalQueued), 1)
-		res.TotalCapacity.AddN(float64(spec.Array.TotalCapacity()), 1)
-	}
-	return res, cerr
+	return res
 }

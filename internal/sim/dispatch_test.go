@@ -3,7 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bins"
@@ -104,9 +110,8 @@ func TestDispatchExplicitEngineErrors(t *testing.T) {
 	}
 }
 
-// TestDispatchShardedResultShape pins the LargeMonteResult → Result
-// conversion: every classic field the sharded engine can fill must
-// arrive filled.
+// TestDispatchShardedResultShape pins the sharded engine's Result:
+// every classic field it can fill must arrive filled.
 func TestDispatchShardedResultShape(t *testing.T) {
 	// n is large enough that the block-aligned per-shard cut
 	// realisation (multiples of protocol.BlockSize per shard) is
@@ -174,9 +179,9 @@ func TestClosedFormDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		cfg := base
 		cfg.Workers = workers
-		res, err := RunClosed(cfg)
+		res, err := runClosed(cfg)
 		if err != nil {
-			t.Fatalf("RunClosed(workers=%d): %v", workers, err)
+			t.Fatalf("runClosed(workers=%d): %v", workers, err)
 		}
 		if ref == nil {
 			ref = res
@@ -210,7 +215,7 @@ func TestClassMaxLoads(t *testing.T) {
 	}
 	reps := 6
 	cfg := Config{Array: arr, Reps: reps, Seed: 42, Workers: 2, ClassMaxLoads: []int64{1, 5}}
-	res, err := Run(cfg)
+	res, err := runClassic(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -224,7 +229,7 @@ func TestClassMaxLoads(t *testing.T) {
 	// the deterministic result, so they must match bit for bit.
 	serial := cfg
 	serial.Workers = 1
-	sres, err := Run(serial)
+	sres, err := runClassic(serial)
 	if err != nil {
 		t.Fatalf("serial Run: %v", err)
 	}
@@ -318,5 +323,42 @@ func TestDispatchConservation(t *testing.T) {
 				t.Errorf("cluster spec too quiet to test conservation: %+v", c)
 			}
 		}
+	}
+}
+
+// TestDispatchIsTheOnlyEngineEntry guards the package's exported
+// surface: Dispatch is the one exported function that runs an engine,
+// so every caller shares its validation, engine selection and Result
+// mapping. Any other exported top-level function must be on the
+// allowlist below — an engine runner may not reappear.
+func TestDispatchIsTheOnlyEngineEntry(t *testing.T) {
+	allowed := []string{"Dispatch", "ParseEngine", "ReadMonteCheckpoint"}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+					exported = append(exported, fn.Name.Name)
+				}
+			}
+		}
+	}
+	if len(exported) == 0 {
+		t.Fatal("parsed no exported function: wrong directory?")
+	}
+	for _, name := range exported {
+		if !slices.Contains(allowed, name) {
+			t.Errorf("exported func %s: only Dispatch may run an engine (extend the allowlist only for non-engine helpers)", name)
+		}
+	}
+	if !slices.Contains(exported, "Dispatch") {
+		t.Error("Dispatch is not exported")
 	}
 }

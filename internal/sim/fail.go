@@ -22,10 +22,11 @@
 //
 // Every pool task runs behind the phase runner's recover (runner.go),
 // which converts a panic into a *PanicError carrying provenance
-// (engine, task name, repetition, shard/group index); classic
-// repetitions and setups, Monte orchestrators and the orchestrator-side
-// steps of the streaming and cluster engines carry their own recovers
-// with the same provenance. The lowest-index failure of a phase wins,
+// (engine, task name, repetition, shard/group index). The
+// orchestrator-side steps of the streaming and cluster engines run as
+// inline tasks behind that same recover; classic repetitions and
+// setups and Monte orchestrators carry their own recovers with the
+// same provenance. The lowest-index failure of a phase wins,
 // every waiter is released (see monteAgg.abort), and no worker
 // goroutine is stranded — a panic anywhere surfaces as an ordinary
 // error from the engine call, never as a process crash or a hang.
@@ -38,7 +39,10 @@ import (
 	"runtime/debug"
 )
 
-// Engine names used in provenance (PanicError.Engine, fault.Site.Engine).
+// Engine names used in provenance (PanicError.Engine,
+// CancelledError.Engine, fault.Site.Engine). They name the classic,
+// sharded, closed-form, stream and cluster engines and are part of the
+// output, so they keep their historical spelling.
 const (
 	engRun        = "Run"
 	engRunLargeMC = "RunLargeMonte"
@@ -58,18 +62,19 @@ var ErrCancelled = errors.New("sim: run cancelled")
 // that returns it ALSO returns a non-nil partial result; the fields
 // here describe which deterministic prefix that partial covers.
 type CancelledError struct {
-	// Engine is the engine that was cancelled ("Run", "RunClosed",
-	// "RunLargeMonte", "RunStream" or "RunCluster").
+	// Engine is the provenance name of the engine that was cancelled:
+	// "Run" (classic), "RunClosed" (closed-form), "RunLargeMonte"
+	// (sharded), "RunStream" or "RunCluster".
 	Engine string
 	// CompletedReps is the folded repetition prefix of the partial
-	// (Run, RunClosed, RunLargeMonte): aggregates cover reps
+	// (classic, closed-form and sharded engines): aggregates cover reps
 	// [0, CompletedReps) and are bit-identical to a run configured with
 	// that Reps value. -1 for the streaming and cluster engines (whose
 	// units are completed rounds and ticks).
 	CompletedReps int
 	// CompletedCuts is the number of leading checkpoint rows present
-	// in a cancelled RunStream or RunCluster partial, or in a
-	// RunLargeMonte partial with CompletedReps = 0 — there, the cuts
+	// in a cancelled stream or cluster partial, or in a sharded
+	// partial with CompletedReps = 0 — there, the cuts
 	// every shard of repetition 0 completed (each row bit-identical to
 	// the corresponding row of an uninterrupted run). -1 otherwise.
 	CompletedCuts int
@@ -86,7 +91,7 @@ type CancelledError struct {
 	// engines.
 	CompletedTicks int
 	// Checkpoint is the serializable resume state of a cancelled
-	// RunLargeMonte run (nil for the other engines): feeding it back
+	// sharded run (nil for the other engines): feeding it back
 	// through RunSpec.Resume continues the run and produces
 	// final aggregates byte-identical to an uninterrupted one.
 	Checkpoint *MonteCheckpoint

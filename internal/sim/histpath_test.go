@@ -32,7 +32,7 @@ func naiveHeights(a *bins.Array, levels int) []float64 {
 
 // TestRunHistogramPathMatchesNaive pins the classic engine's fused
 // histogram observation against naive per-bin scans of the SAME final
-// state (RunOnce replays repetition 0's exact draw sequence): the mean
+// state (runOnce replays repetition 0's exact draw sequence): the mean
 // sorted load vector, height counts, max load and every per-class
 // observable must be bit-identical to the scan/sort path they replaced.
 func TestRunHistogramPathMatchesNaive(t *testing.T) {
@@ -48,11 +48,11 @@ func TestRunHistogramPathMatchesNaive(t *testing.T) {
 		ClassLoadVectors:  []int64{1, 10},
 		ObsOptions:        ObsOptions{HeightLevels: 4},
 	}
-	res, err := Run(cfg)
+	res, err := runClassic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := RunOnce(Config{Array: a, Seed: 314})
+	final, err := runOnce(Config{Array: a, Seed: 314})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRunLargeMonteHistogramMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array:             a,
 			Seed:              2718,

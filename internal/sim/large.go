@@ -1,9 +1,9 @@
 // The sharded game: one huge repetition (n up to 10^7 bins) partitioned
-// across workers, so a single game scales across cores the way Run
-// scales repetitions. RunLargeMonte plays it once per repetition; Reps
-// = 1 is the single sharded game. This file holds the model and the
-// helpers every sharded engine (RunLargeMonte, the streaming engine)
-// shares.
+// across workers, so a single game scales across cores the way the
+// classic engine scales repetitions. The sharded Monte-Carlo engine
+// (monte.go) plays it once per repetition; Reps = 1 is the single
+// sharded game. This file holds the model and the helpers every
+// sharded engine — sharded Monte-Carlo, stream and cluster — shares.
 //
 // # Model
 //
@@ -72,8 +72,8 @@ const DefaultShards = 64
 // those weights. Every sharded engine builds it here (through
 // newSharded), so the shard geometry and routing distribution never
 // diverge between engines: a quiet stream round reproduces repetition 0
-// of RunLargeMonte bit for bit only because both use the identical
-// plan.
+// of the sharded engine bit for bit only because both use the
+// identical plan.
 func shardPlan(weights []float64, n, shards int) (bounds []int, shardW []float64, router *sampling.Multinomial, err error) {
 	bounds = make([]int, shards+1)
 	for s := 0; s <= shards; s++ {

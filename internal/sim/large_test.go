@@ -13,7 +13,7 @@ import (
 
 // largeResult is the single sharded game as the tests read it: the
 // final statistics, observations, per-shard routed counts and final
-// array of a Reps = 1 RunLargeMonte run.
+// array of a Reps = 1 sharded run.
 type largeResult struct {
 	N            int
 	Shards       int
@@ -27,7 +27,7 @@ type largeResult struct {
 	Array        *bins.Array // nil on a cancelled partial
 }
 
-// runLarge plays the spec's single sharded game: RunLargeMonte with
+// runLarge plays the spec's single sharded game: runLargeMonte with
 // Reps = 1 on a private clone of spec.Array (on spec.Array itself
 // under AdoptArray), which then holds the final state. A cancelled
 // partial carries the shape and the completed cut prefix only.
@@ -37,11 +37,11 @@ func runLarge(spec RunSpec) (*largeResult, error) {
 	if spec.Array != nil && !spec.AdoptArray {
 		spec.Array, spec.AdoptArray = spec.Array.Clone(), true
 	}
-	res, err := RunLargeMonte(spec)
+	res, err := runLargeMonte(spec)
 	if res == nil {
 		return nil, err
 	}
-	out := &largeResult{N: res.N, Shards: res.Shards, Balls: res.Balls, Checkpoints: res.Checkpoints}
+	out := &largeResult{N: res.N, Shards: res.Shards, Balls: spec.BallCount(spec.Array.TotalCapacity()), Checkpoints: res.Checkpoints}
 	if err != nil {
 		return out, err
 	}

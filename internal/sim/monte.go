@@ -56,44 +56,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
-
-// LargeMonteResult aggregates a sharded Monte-Carlo run. Per-repetition
-// bin arrays are not retained — only streaming summaries.
-type LargeMonteResult struct {
-	// N is the number of bins; Shards the realised shard count; Reps
-	// the number of repetitions aggregated.
-	N      int
-	Shards int
-	Reps   int
-	// Balls is the number of balls placed per repetition (identical
-	// across repetitions: the array is fixed).
-	Balls int64
-	// MaxLoad, AvgLoad and Deviation aggregate the final whole-array
-	// load statistics across repetitions (deviation = max − average,
-	// the paper's gap).
-	MaxLoad   stats.Accumulator
-	AvgLoad   stats.Accumulator
-	Deviation stats.Accumulator
-	// MeanSortedLoads is the element-wise mean of the non-increasing
-	// sorted load vector (only when CollectLoadVector; one O(n) sort
-	// per repetition, never retained).
-	MeanSortedLoads []float64
-	// Checkpoints holds per-checkpoint aggregates across repetitions,
-	// in ascending cut order (only when Checkpoints were
-	// requested). Each repetition realises a cut through its own
-	// routing stream, so RealBalls varies across repetitions; rows
-	// fold strictly in repetition order.
-	Checkpoints []obs.CheckpointRow
-	// HeightCounts holds per-level bins-at-load>=k aggregates across
-	// repetitions (only when HeightLevels was requested).
-	HeightCounts []obs.HeightRow
-	// ShardStats holds per-shard aggregates (only when
-	// RunSpec.ShardStats was requested).
-	ShardStats *obs.ShardStats
-}
 
 // monteAgg folds per-repetition summaries strictly in repetition order:
 // an orchestrator that finished repetition rep waits until every
@@ -258,14 +222,6 @@ type monteRepState struct {
 	// the current repetition (nil unless cancellation is armed and a
 	// cut is reachable).
 	cutsDone []int
-}
-
-// shardRand is one shard's placement generator, padded so that no two
-// shards' generators share a cache line: the placement tasks of
-// neighbouring shards advance theirs on every draw, concurrently.
-type shardRand struct {
-	xrand.Rand
-	_ [96]byte
 }
 
 // newMonteRepState builds an orchestrator's state over arr, a fresh
@@ -555,23 +511,25 @@ func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *s
 	return true, nil
 }
 
-// RunLargeMonte executes spec.Reps repetitions of the sharded game
-// (large.go) and aggregates them; Reps = 1 is the single sharded game.
-// See the package comment of this file for the scheduling model and
-// the determinism contract. Repetition rep derives its RNG streams by
-// offsetting the single game's layout — routing on stream
-// rep·(Shards+1), shard s on stream rep·(Shards+1)+1+s.
+// runLargeMonte executes spec.Reps repetitions of the sharded game
+// (large.go) and aggregates them onto the classic Result shape; Reps =
+// 1 is the single sharded game. See the package comment of this file
+// for the scheduling model and the determinism contract. Repetition
+// rep derives its RNG streams by offsetting the single game's layout —
+// routing on stream rep·(Shards+1), shard s on stream
+// rep·(Shards+1)+1+s. Checkpoint rows keep the sharded model's
+// block-aligned realised cuts (RealBalls <= the requested cut).
 //
-// When spec.Context fires (or CancelAfter triggers), RunLargeMonte
-// returns a partial *LargeMonteResult covering a contiguous repetition
-// prefix — bit-identical to a run configured with that many Reps —
-// plus a *CancelledError whose Checkpoint resumes the run. When the
-// prefix is empty, the partial's Checkpoints are instead the cuts
-// every shard of repetition 0 completed (CancelledError.CompletedCuts
-// of them), each row bit-identical to the uninterrupted run's. A panic
-// in any pool task or orchestrator surfaces as a *PanicError, never as
-// a crash or a stuck fold ladder.
-func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
+// When spec.Context fires (or CancelAfter triggers), runLargeMonte
+// returns a partial *Result covering a contiguous repetition prefix —
+// bit-identical to a run configured with that many Reps — plus a
+// *CancelledError whose Checkpoint resumes the run. When the prefix is
+// empty, the partial's Checkpoints are instead the cuts every shard of
+// repetition 0 completed (CancelledError.CompletedCuts of them), each
+// row bit-identical to the uninterrupted run's. A panic in any pool
+// task or orchestrator surfaces as a *PanicError, never as a crash or
+// a stuck fold ladder.
+func runLargeMonte(spec RunSpec) (*Result, error) {
 	shards, err := spec.validate(EngineSharded)
 	if err != nil {
 		return nil, err
@@ -586,7 +544,7 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 	}
 	cc := newCanceller(spec.Context)
 	n, master := sh.n, sh.arr
-	m := spec.ballCount(master.TotalCapacity())
+	m := spec.BallCount(master.TotalCapacity())
 
 	allCuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
 	cuts := allCuts[:obs.CountReached(allCuts, m)]
@@ -606,7 +564,7 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 		proto = master.NewLoadHistogram()
 	}
 
-	res := &LargeMonteResult{N: n, Shards: shards, Reps: spec.Reps, Balls: m}
+	res := &Result{N: n, Shards: shards}
 	agg := &monteAgg{}
 	agg.cond = sync.NewCond(&agg.mu)
 	if spec.CollectLoadVector {
@@ -780,12 +738,16 @@ func RunLargeMonte(spec RunSpec) (*LargeMonteResult, error) {
 		res.HeightCounts = agg.hl.Rows()
 	}
 	res.ShardStats = agg.ss
-	if completed := agg.stopAt; completed < spec.Reps {
+	// The array is fixed, so balls and capacity are the same constant
+	// in every folded repetition.
+	completed := agg.stopAt
+	res.Balls.AddN(float64(m), int64(completed))
+	res.TotalCapacity.AddN(float64(totalCap), int64(completed))
+	if completed < spec.Reps {
 		// Cancelled (context or CancelAfter): the aggregates cover
 		// exactly repetitions [0, completed) — bit-identical to a run
 		// configured with Reps = completed — and the checkpoint resumes
 		// from there.
-		res.Reps = completed
 		cerr := &CancelledError{
 			Engine:          engRunLargeMC,
 			CompletedReps:   completed,

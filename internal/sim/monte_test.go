@@ -13,19 +13,19 @@ import (
 
 func TestRunLargeMonteValidation(t *testing.T) {
 	a := largeArray(t, 100)
-	if _, err := RunLargeMonte(RunSpec{Config: Config{Reps: 1}}); err == nil {
+	if _, err := runLargeMonte(RunSpec{Config: Config{Reps: 1}}); err == nil {
 		t.Error("nil array accepted")
 	}
-	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a}}); err == nil {
+	if _, err := runLargeMonte(RunSpec{Config: Config{Array: a}}); err == nil {
 		t.Error("Reps = 0 accepted")
 	}
-	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a, Reps: -2}}); err == nil {
+	if _, err := runLargeMonte(RunSpec{Config: Config{Array: a, Reps: -2}}); err == nil {
 		t.Error("negative Reps accepted")
 	}
-	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a, Reps: 1}, Shards: 101}); err == nil {
+	if _, err := runLargeMonte(RunSpec{Config: Config{Array: a, Reps: 1}, Shards: 101}); err == nil {
 		t.Error("shards > n accepted")
 	}
-	if _, err := RunLargeMonte(RunSpec{Config: Config{Array: a, Balls: -1, Reps: 1}}); err == nil {
+	if _, err := runLargeMonte(RunSpec{Config: Config{Array: a, Balls: -1, Reps: 1}}); err == nil {
 		t.Error("negative balls accepted")
 	}
 }
@@ -39,9 +39,9 @@ func TestRunLargeMonteBitIdenticalAcrossTopologies(t *testing.T) {
 	a := largeArray(t, 600)
 	for _, shards := range []int{1, 4, 16} {
 		for _, reps := range []int{1, 3, 10} {
-			var base *LargeMonteResult
+			var base *Result
 			for _, workers := range []int{1, 2, 3, 8} {
-				res, err := RunLargeMonte(RunSpec{
+				res, err := runLargeMonte(RunSpec{
 					Config: Config{
 						Array:             a,
 						Seed:              77,
@@ -72,7 +72,7 @@ func TestRunLargeMonteBitIdenticalAcrossTopologies(t *testing.T) {
 // consistent with max/avg.
 func TestRunLargeMonteAggregates(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  13,
@@ -113,7 +113,7 @@ func TestRunLargeMonteLoadVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array:             a,
 			Seed:              21,
@@ -135,11 +135,11 @@ func TestRunLargeMonteLoadVector(t *testing.T) {
 			t.Fatalf("mean sorted loads not non-increasing at %d", i)
 		}
 	}
-	if math.Abs(sum-float64(res.Balls)) > 1e-9 {
-		t.Fatalf("mean sorted loads sum %v, want m = %d", sum, res.Balls)
+	if math.Abs(sum-res.Balls.Mean()) > 1e-9 {
+		t.Fatalf("mean sorted loads sum %v, want m = %v", sum, res.Balls.Mean())
 	}
 	// without the flag no vector is produced
-	res2, err := RunLargeMonte(RunSpec{
+	res2, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  21,
@@ -160,7 +160,7 @@ func TestRunLargeMonteLoadVector(t *testing.T) {
 // not fail placer construction, across many repetitions.
 func TestRunLargeMonteZeroWeightShards(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  5,
@@ -185,7 +185,7 @@ func TestRunLargeMonteFactoryError(t *testing.T) {
 		return nil, fmt.Errorf("boom")
 	}
 	for _, workers := range []int{1, 3} {
-		_, err := RunLargeMonte(RunSpec{
+		_, err := runLargeMonte(RunSpec{
 			Config: Config{
 				Array:   a,
 				Seed:    1,
@@ -207,7 +207,7 @@ func TestRunLargeMonteFactoryError(t *testing.T) {
 // aggregate, so it must show up here and be deliberate.
 func TestRunLargeMonteGoldenValues(t *testing.T) {
 	a := largeArray(t, 512)
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  20260727,
@@ -251,7 +251,7 @@ func TestRunLargeMonteCheckpointedRepZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc.Reps = 1
-	got, err := RunLargeMonte(lc)
+	got, err := runLargeMonte(lc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +272,9 @@ func TestRunLargeMonteObservationsBitIdenticalAcrossTopologies(t *testing.T) {
 	a := largeArray(t, 600)
 	for _, shards := range []int{1, 4, 16} {
 		for _, reps := range []int{1, 3, 10} {
-			var base *LargeMonteResult
+			var base *Result
 			for _, workers := range []int{1, 2, 3, 8} {
-				res, err := RunLargeMonte(RunSpec{
+				res, err := runLargeMonte(RunSpec{
 					Config: Config{
 						Array:             a,
 						Seed:              77,
@@ -307,7 +307,7 @@ func TestRunLargeMonteObservationsBitIdenticalAcrossTopologies(t *testing.T) {
 // requested cut; every in-range cut is observed by every repetition.
 func TestRunLargeMonteCheckpointAggregates(t *testing.T) {
 	a := largeArray(t, 1000) // C = 5500
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       13,
@@ -350,7 +350,7 @@ func TestRunLargeMonteCheckpointAggregates(t *testing.T) {
 // consistent with the global max.
 func TestRunLargeMonteShardStats(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := RunLargeMonte(RunSpec{
+	res, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  21,
@@ -375,14 +375,14 @@ func TestRunLargeMonteShardStats(t *testing.T) {
 			maxOfMax = row.MaxLoad.Max()
 		}
 	}
-	if math.Abs(ballSum-float64(res.Balls)) > 1e-9 {
-		t.Fatalf("mean shard balls sum %v, want m = %d", ballSum, res.Balls)
+	if math.Abs(ballSum-res.Balls.Mean()) > 1e-9 {
+		t.Fatalf("mean shard balls sum %v, want m = %v", ballSum, res.Balls.Mean())
 	}
 	if maxOfMax != res.MaxLoad.Max() {
 		t.Fatalf("max of shard maxima %v, global worst max %v", maxOfMax, res.MaxLoad.Max())
 	}
 	// without the flag no stats are produced
-	res2, err := RunLargeMonte(RunSpec{
+	res2, err := runLargeMonte(RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  21,

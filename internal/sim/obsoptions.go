@@ -19,7 +19,7 @@ import (
 //
 //   - classic and closed-form: every option; Checkpoints are ball
 //     counts, observed exactly.
-//   - sharded (RunLargeMonte; Reps = 1 is the single game):
+//   - sharded (Reps = 1 is the single game):
 //     Checkpoints are global ball counts realised as block-aligned
 //     per-shard cuts. The routing model orders balls block by block
 //     and, within a routing block, by shard index; a checkpoint at B

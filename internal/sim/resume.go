@@ -1,10 +1,10 @@
 // Fault-tolerant execution layer, part 2: deterministic checkpoint and
 // resume for the sharded Monte-Carlo engine.
 //
-// RunLargeMonte folds repetition summaries strictly in repetition order
-// (monteAgg), so the complete fold state after repetitions [0, k) is a
-// small, well-defined value: the three result accumulators, the running
-// load-vector sums and every collector row. MonteCheckpoint serializes
+// The sharded engine folds repetition summaries strictly in repetition
+// order (monteAgg), so the complete fold state after repetitions
+// [0, k) is a small, well-defined value: the three result
+// accumulators, the running load-vector sums and every collector row. MonteCheckpoint serializes
 // exactly that state. Because JSON round-trips float64 exactly (Go
 // emits the shortest representation that parses back to the same bits)
 // and Welford state is always finite for finite inputs, a run resumed
@@ -105,7 +105,7 @@ type shardRowState struct {
 }
 
 // MonteCheckpoint is the complete, serializable fold state of a
-// RunLargeMonte run after repetitions [0, CompletedReps) have been
+// sharded run after repetitions [0, CompletedReps) have been
 // folded. Feed it back through RunSpec.Resume to continue the
 // run; the final aggregates are then byte-identical to an
 // uninterrupted run (see the file comment for why).
@@ -134,7 +134,7 @@ type MonteCheckpoint struct {
 // captureMonteCheckpoint snapshots the fold state. Callers hold the
 // aggregation lock or have exclusive access (the orchestrators have
 // all returned).
-func captureMonteCheckpoint(fp MonteFingerprint, completed int, res *LargeMonteResult, ag *monteAgg) *MonteCheckpoint {
+func captureMonteCheckpoint(fp MonteFingerprint, completed int, res *Result, ag *monteAgg) *MonteCheckpoint {
 	cp := &MonteCheckpoint{
 		Version:       monteCheckpointVersion,
 		Fingerprint:   fp,
@@ -184,7 +184,7 @@ func captureMonteCheckpoint(fp MonteFingerprint, completed int, res *LargeMonteR
 // restore loads the checkpointed fold state into a freshly built
 // result and aggregator (whose collectors already have the shapes the
 // fingerprint promised). It runs before any orchestrator starts.
-func (cp *MonteCheckpoint) restore(fp MonteFingerprint, res *LargeMonteResult, ag *monteAgg) error {
+func (cp *MonteCheckpoint) restore(fp MonteFingerprint, res *Result, ag *monteAgg) error {
 	if cp.Version != monteCheckpointVersion {
 		return fmt.Errorf("sim: resume checkpoint version %d, this build reads %d", cp.Version, monteCheckpointVersion)
 	}

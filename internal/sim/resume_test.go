@@ -36,24 +36,24 @@ func TestMonteResumeByteIdentical(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			for _, k := range []int{1, 4, 8} {
 				cfg := monteResumeConfig(t, shards, workers)
-				full, err := RunLargeMonte(cfg)
+				full, err := runLargeMonte(cfg)
 				if err != nil {
 					t.Fatalf("shards=%d workers=%d: uninterrupted run: %v", shards, workers, err)
 				}
 				interrupted := cfg
 				interrupted.CancelAfter = k
-				partial, err := RunLargeMonte(interrupted)
+				partial, err := runLargeMonte(interrupted)
 				var cerr *CancelledError
 				if !errors.As(err, &cerr) || cerr.Checkpoint == nil {
 					t.Fatalf("shards=%d workers=%d k=%d: err = %v, want checkpoint-carrying *CancelledError", shards, workers, k, err)
 				}
-				if partial.Reps != k || cerr.Checkpoint.CompletedReps != k {
+				if partial.MaxLoad.N() != int64(k) || cerr.Checkpoint.CompletedReps != k {
 					t.Fatalf("shards=%d workers=%d k=%d: partial covers %d reps, checkpoint %d",
-						shards, workers, k, partial.Reps, cerr.Checkpoint.CompletedReps)
+						shards, workers, k, partial.MaxLoad.N(), cerr.Checkpoint.CompletedReps)
 				}
 				resumedCfg := cfg
 				resumedCfg.Resume = cerr.Checkpoint
-				resumed, err := RunLargeMonte(resumedCfg)
+				resumed, err := runLargeMonte(resumedCfg)
 				if err != nil {
 					t.Fatalf("shards=%d workers=%d k=%d: resumed run: %v", shards, workers, k, err)
 				}
@@ -71,13 +71,13 @@ func TestMonteResumeByteIdentical(t *testing.T) {
 // never part of the model, and the resume state must not leak it.
 func TestMonteResumeAcrossTopologies(t *testing.T) {
 	cfg := monteResumeConfig(t, 4, 3)
-	full, err := RunLargeMonte(cfg)
+	full, err := runLargeMonte(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	interrupted := cfg
 	interrupted.CancelAfter = 5
-	_, err = RunLargeMonte(interrupted)
+	_, err = runLargeMonte(interrupted)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v", err)
@@ -85,7 +85,7 @@ func TestMonteResumeAcrossTopologies(t *testing.T) {
 	resumedCfg := cfg
 	resumedCfg.Workers = 1
 	resumedCfg.Resume = cerr.Checkpoint
-	resumed, err := RunLargeMonte(resumedCfg)
+	resumed, err := runLargeMonte(resumedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestMonteResumeAcrossTopologies(t *testing.T) {
 // and still reproduces the uninterrupted run bit for bit.
 func TestMonteResumeFileRoundTrip(t *testing.T) {
 	cfg := monteResumeConfig(t, 4, 2)
-	full, err := RunLargeMonte(cfg)
+	full, err := runLargeMonte(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	interrupted := cfg
 	interrupted.CancelAfter = 3
-	_, err = RunLargeMonte(interrupted)
+	_, err = runLargeMonte(interrupted)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v", err)
@@ -123,7 +123,7 @@ func TestMonteResumeFileRoundTrip(t *testing.T) {
 	}
 	resumedCfg := cfg
 	resumedCfg.Resume = loaded
-	resumed, err := RunLargeMonte(resumedCfg)
+	resumed, err := runLargeMonte(resumedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +137,13 @@ func TestMonteResumeFileRoundTrip(t *testing.T) {
 // resume composes.
 func TestMonteResumeChained(t *testing.T) {
 	cfg := monteResumeConfig(t, 4, 2)
-	full, err := RunLargeMonte(cfg)
+	full, err := runLargeMonte(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	step1 := cfg
 	step1.CancelAfter = 2
-	_, err = RunLargeMonte(step1)
+	_, err = runLargeMonte(step1)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("step 1: %v", err)
@@ -151,7 +151,7 @@ func TestMonteResumeChained(t *testing.T) {
 	step2 := cfg
 	step2.Resume = cerr.Checkpoint
 	step2.CancelAfter = 5
-	_, err = RunLargeMonte(step2)
+	_, err = runLargeMonte(step2)
 	if !errors.As(err, &cerr) {
 		t.Fatalf("step 2: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestMonteResumeChained(t *testing.T) {
 	}
 	final := cfg
 	final.Resume = cerr.Checkpoint
-	resumed, err := RunLargeMonte(final)
+	resumed, err := runLargeMonte(final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMonteResumeRejectsMismatch(t *testing.T) {
 	cfg := monteResumeConfig(t, 4, 2)
 	interrupted := cfg
 	interrupted.CancelAfter = 3
-	_, err := RunLargeMonte(interrupted)
+	_, err := runLargeMonte(interrupted)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v", err)
@@ -201,7 +201,7 @@ func TestMonteResumeRejectsMismatch(t *testing.T) {
 		bad := cfg
 		tc.mod(&bad)
 		bad.Resume = cp
-		if _, err := RunLargeMonte(bad); err == nil {
+		if _, err := runLargeMonte(bad); err == nil {
 			t.Errorf("%s mismatch accepted", tc.name)
 		}
 	}
@@ -211,7 +211,7 @@ func TestMonteResumeRejectsMismatch(t *testing.T) {
 	stale.Version = 99
 	bad := cfg
 	bad.Resume = &stale
-	if _, err := RunLargeMonte(bad); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := runLargeMonte(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("stale version accepted (err = %v)", err)
 	}
 }

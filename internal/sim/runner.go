@@ -1,28 +1,43 @@
 // Shared execution skeleton: the one worker pool, phase barrier and
 // per-task panic containment every engine schedules its work through,
-// the chunk driver behind Run and RunClosed, and the prologue and final
-// fold the sharded engines share.
+// the chunk driver behind the classic and closed-form engines, the
+// prologue and generators the sharded engines share, and the step
+// driver of the dynamic engines (streaming rounds, cluster ticks).
 //
 // # Pool and phases
 //
 // A pool is a bounded set of worker goroutines draining one channel of
 // tasks passed by VALUE — (phase, kind, index, slot) — so dispatching
 // work allocates nothing. A phase is one barrier over the tasks an
-// actor submits to a pool: the chunk driver, the streaming and the
-// cluster engine each drive one phase; in RunLargeMonte every
-// repetition orchestrator drives its own phase on the shared pool.
-// Every task runs behind a recover that converts a panic into a
-// *PanicError carrying {engine, task name, rep, index}: the worker
-// survives and the barrier is always reached. A phase may mix task
-// kinds (Monte overlaps routing with resets); slots number the tasks in
-// submission order, and the barrier reports the failure of the LOWEST
-// failing slot, so which error a multi-failure phase surfaces never
-// depends on timing.
+// actor submits to a pool: the chunk driver and the step driver each
+// drive one phase; in the sharded Monte-Carlo engine every repetition
+// orchestrator drives its own phase on the shared pool. Every task
+// runs behind a recover that converts a panic into a *PanicError
+// carrying {engine, task name, rep, index}: the worker survives and
+// the barrier is always reached. Orchestrator-side steps (deletion
+// routing, churn, re-shard, admission) run as inline tasks on the
+// calling goroutine behind the same recover, with index −1. A phase
+// may mix task kinds (Monte overlaps routing with resets); slots
+// number the tasks in submission order, and the barrier reports the
+// failure of the LOWEST failing slot, so which error a multi-failure
+// phase surfaces never depends on timing.
 //
 // Tasks touch only the state their (kind, index) names — a shard, a
 // routing group, a worker's chunks — so any assignment of tasks to
 // workers produces identical bits. Workers only decides how many tasks
 // run at once.
+//
+// # Step driver
+//
+// The streaming and cluster engines play one trajectory as a sequence
+// of steps (rounds, ticks) over one sharded array. stepper is the loop
+// they share: the setup phase, the step loop with its step-boundary
+// cancellation and CancelAfter stop, per-step re-seeding of the shard
+// placement streams, arrival routing up to the merged per-shard
+// counts, the observation cut, and the *CancelledError of an early
+// stop. An engine supplies only its step body (runStep), its task
+// bodies (exec) and its result; runStep commits the step's counters
+// last, so an abandoned step leaves the committed prefix untouched.
 package sim
 
 import (
@@ -36,6 +51,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
+	"repro/internal/xrand"
 )
 
 // resolveWorkers maps a Workers field to a worker count (0 means
@@ -93,7 +109,7 @@ func (p *pool) close() {
 
 // taskName names one task kind: task is the PanicError task name, and
 // a non-empty label wraps a failing task's error as
-// "sim: <engine> <label> <index>: ...".
+// "sim: <engine> <label> <index>: ..." (no index for inline tasks).
 type taskName struct{ task, label string }
 
 // phase is one barrier over the tasks an actor submits to a pool.
@@ -139,6 +155,15 @@ func (ph *phase) run(kind, count int) error {
 	return ph.wait()
 }
 
+// inline runs one task of the given kind on the calling goroutine —
+// an orchestrator-side step — behind the same containment as pool
+// tasks, with index −1.
+func (ph *phase) inline(kind int) error {
+	ph.wg.Add(1)
+	ph.runTask(task{ph: ph, kind: int32(kind), idx: -1})
+	return ph.wait()
+}
+
 // runTask executes one task behind the phase's panic containment.
 func (ph *phase) runTask(t task) {
 	defer ph.wg.Done()
@@ -154,7 +179,11 @@ func (ph *phase) runTask(t task) {
 
 // fail records a task's error unless a lower slot already failed.
 func (ph *phase) fail(t task, err error) {
-	if label := ph.names[t.kind].label; label != "" {
+	switch label := ph.names[t.kind].label; {
+	case label == "":
+	case t.idx < 0:
+		err = fmt.Errorf("sim: %s %s: %w", ph.engine, label, err)
+	default:
 		err = fmt.Errorf("sim: %s %s %d: %w", ph.engine, label, t.idx, err)
 	}
 	ph.mu.Lock()
@@ -168,8 +197,9 @@ func (ph *phase) fail(t task, err error) {
 // setup and repetitions carry their own, finer provenance.
 var chunkKinds = []taskName{{task: "worker"}}
 
-// chunkRun is the chunk driver shared by Run and RunClosed: repetitions
-// in chunks of chunkSize, one pool task per worker. Each worker task
+// chunkRun is the chunk driver of the classic and closed-form engines:
+// repetitions in chunks of chunkSize, one pool task per worker. Each
+// worker task
 // builds its fixed state once, then claims chunks in ascending order
 // until none is left, running the engine's repetition kernel (runRep or
 // closedRep) on each repetition. Partials are per chunk and merge in
@@ -376,20 +406,266 @@ func (sh *sharded) poolWidth(groups int) int {
 	return min(sh.workers, max(sh.shards, groups))
 }
 
-// finalState is the end-of-run fold of the single-trajectory engines
-// (streaming, cluster): recount the array, then the exact max
-// load — from one histogram pass that also yields the bins-at-load>=k
-// counts when levels > 0, else from a direct scan — and the average.
-func finalState(eng string, arr *bins.Array, levels int, balls int64) (maxLoad, avg float64, heights []obs.HeightRow, err error) {
+// shardRand is one shard's placement generator, padded so that no two
+// shards' generators share a cache line: the placement tasks of
+// neighbouring shards advance theirs on every draw, concurrently.
+type shardRand struct {
+	xrand.Rand
+	_ [96]byte
+}
+
+// stepEngine is a dynamic engine as the step driver sees it: its task
+// bodies (exec) and its step body. runStep plays and commits the step
+// in flight; ok == false means it was abandoned at a cancellation
+// point, with nothing of it committed.
+type stepEngine interface {
+	executor
+	runStep(t int) (ok bool, err error)
+}
+
+// The step driver's own task kinds. An engine numbers its kinds from
+// stepKinds on, and its name table extends stepNames.
+const (
+	stepRoute = iota
+	stepObserve
+	stepKinds
+)
+
+var stepNames = []taskName{{"route", "routing group"}, {"observe", "observe shard"}}
+
+// stepper is the step driver and the working set the dynamic engines
+// share, allocated once before step 0.
+type stepper struct {
+	sharded
+	cc   *canceller
+	seed uint64
+	// Step t consumes the kk RNG streams from first + t·kk on; routeAt
+	// and placeAt are the offsets of its arrival-routing stream and of
+	// shard 0's placement stream (shard s: placeAt + s) within them.
+	first, kk, routeAt, placeAt uint64
+	// levels and cancelAfter are the spec's HeightLevels and
+	// CancelAfter (in steps).
+	levels, cancelAfter int
+	steps               int // steps in the run
+	done                int // completed steps: the committed prefix
+	totalCap            int64
+	sumW                float64 // Σ shardW
+
+	views   []*bins.Array // nil for a shard that can never receive a ball
+	placers []protocol.Placer
+	rands   []shardRand // per-shard placement streams, re-seeded every step
+
+	groups []routeGroup
+	counts []int64 // the step's merged per-shard arrival counts
+
+	cuts     []int64 // normalized step-index cuts
+	nCuts    int     // cuts reachable within the run
+	nextCut  int
+	cp       *obs.Checkpoints
+	trackRow []float64   // per-shard max-load scratch for the current cut
+	trackMat [][]float64 // {trackRow}, the shape combineShardMaxima folds
+	maxOut   []float64   // combineShardMaxima output scratch (len 1)
+
+	pl pool
+	ph phase
+
+	// Step-scoped fields, written by the orchestrator strictly between
+	// phase barriers (the task-channel sends order the writes before
+	// any worker reads).
+	step   int
+	base   uint64 // the step's first stream: first + step·kk
+	rrbase uint64 // Mix64(seed, base+routeAt): arrival routing base
+	curM   int64  // arrivals being routed
+	rgr    int    // routing groups active
+}
+
+// init builds the driver over a validated spec and its sharded
+// prologue: routing groups for up to maxM arrivals per step, the
+// step-indexed cuts, and a view per shard of positive weight — every
+// shard when all is set. Views are built before the pool does any
+// work: Array.Shard is a parent method, and the bins.Shard contract
+// forbids running parent methods while views mutate.
+func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM int64, all bool) error {
+	d.sharded = sh
+	d.cc = newCanceller(spec.Context)
+	d.seed = spec.Seed
+	d.levels, d.cancelAfter = spec.HeightLevels, spec.CancelAfter
+	d.steps = steps
+	d.totalCap = sh.arr.TotalCapacity()
+	for _, w := range sh.shardW {
+		d.sumW += w
+	}
+	d.views = make([]*bins.Array, sh.shards)
+	d.placers = make([]protocol.Placer, sh.shards)
+	d.rands = make([]shardRand, sh.shards)
+	d.groups = newRouteGroups(sh.routeWidth(maxM), sh.shards, 0)
+	d.counts = make([]int64, sh.shards)
+	d.cuts, _ = obs.NormalizeCuts(spec.Checkpoints) // validated by the caller
+	d.nCuts = obs.CountReached(d.cuts, int64(steps))
+	if len(d.cuts) > 0 {
+		d.cp = obs.NewCheckpoints(d.cuts)
+		d.trackRow = make([]float64, sh.shards)
+		d.trackMat = [][]float64{d.trackRow}
+		d.maxOut = make([]float64, 1)
+	}
+	for s := range d.views {
+		if !all && sh.shardW[s] <= 0 {
+			continue
+		}
+		v, err := sh.arr.Shard(sh.bounds[s], sh.bounds[s+1])
+		if err != nil {
+			return fmt.Errorf("sim: %s shard %d: %w", eng, s, err)
+		}
+		d.views[s] = v
+	}
+	return nil
+}
+
+// run drives x: the setup phase (one setupKind task per shard), then
+// steps 0 … steps−1, each opened by a cancellation check, its stream
+// base and provenance, and a re-seed of EVERY shard's placement stream
+// — whether or not the shard receives balls — so a shard's draws
+// depend only on (seed, step, shard), never on the steps before. A
+// non-nil *CancelledError means the run stopped early (context or
+// CancelAfter): the engine's committed prefix is then its partial.
+func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int) (*CancelledError, error) {
+	d.ph = phase{pool: &d.pl, x: x, engine: eng, names: kinds}
+	d.pl.start(d.poolWidth(len(d.groups)))
+	defer d.pl.close()
+	ok, err := d.phase(setupKind, d.shards)
+	for t := 0; ok && t < d.steps; t++ {
+		if d.cc.cancelled() {
+			break
+		}
+		d.step, d.ph.rep = t, t
+		d.base = d.first + uint64(t)*d.kk
+		for s := range d.rands {
+			d.rands[s].Seed(xrand.Mix64(d.seed, d.base+d.placeAt+uint64(s)))
+		}
+		if ok, err = x.runStep(t); ok {
+			d.done = t + 1
+			if d.done == d.cancelAfter && d.done < d.steps {
+				return d.cancelled(nil), nil
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if d.done < d.steps {
+		return d.cancelled(d.cc.err()), nil
+	}
+	return nil, nil
+}
+
+// cancelled is the early stop's error: the committed prefix (done
+// steps, nextCut cuts) and its cause — the context's error, or nil for
+// the deterministic CancelAfter stop.
+func (d *stepper) cancelled(cause error) *CancelledError {
+	e := &CancelledError{Engine: d.ph.engine, CompletedReps: -1, CompletedCuts: d.nextCut, CompletedRounds: -1, CompletedTicks: -1, Cause: cause}
+	if d.ph.engine == engRunStream {
+		e.CompletedRounds = d.done
+	} else {
+		e.CompletedTicks = d.done
+	}
+	return e
+}
+
+// phase runs n tasks of kind on the pool and reports whether the step
+// goes on: ok == false on a task error (returned) or a fired context.
+func (d *stepper) phase(kind, n int) (ok bool, err error) {
+	if err := d.ph.run(kind, n); err != nil {
+		return false, err
+	}
+	return !d.cc.cancelled(), nil
+}
+
+// inline is phase for one orchestrator-side task (phase.inline).
+func (d *stepper) inline(kind int) (ok bool, err error) {
+	if err := d.ph.inline(kind); err != nil {
+		return false, err
+	}
+	return !d.cc.cancelled(), nil
+}
+
+// route routes the step's m arrivals block-wise on its routing stream,
+// fanned out over the routing groups, and merges the groups into
+// counts (exact integer sums, so the grouping never shows).
+func (d *stepper) route(m int64) (ok bool, err error) {
+	d.curM = m
+	d.rrbase = xrand.Mix64(d.seed, d.base+d.routeAt)
+	d.rgr = min(len(d.groups), numRouteBlocks(m))
+	if ok, err := d.phase(stepRoute, d.rgr); !ok {
+		return false, err
+	}
+	mergeRouteGroups(d.groups[:d.rgr], d.counts, nil)
+	return true, nil
+}
+
+// place places n balls on shard s from its placement stream.
+func (d *stepper) place(s int, n int64) {
+	if n > 0 {
+		placeSegment(d.cc, d.ph.engine, d.step, s, d.placers[s], d.views[s], &d.rands[s].Rand, n)
+	}
+}
+
+// observe takes the cut that falls at the end of the step in flight, if
+// any: the shard maxima in parallel, then one trajectory row holding
+// balls resident balls. Engines call it just before their commit, so a
+// cancellation inside it abandons the whole step and the trajectory
+// stays exactly the committed prefix's.
+func (d *stepper) observe(balls int64) (ok bool, err error) {
+	if d.nextCut == d.nCuts || d.cuts[d.nextCut] != int64(d.step)+1 {
+		return true, nil
+	}
+	if ok, err := d.phase(stepObserve, d.shards); !ok {
+		return false, err
+	}
+	combineShardMaxima(d.trackMat, d.maxOut)
+	d.cp.Observe(d.nextCut, balls, d.totalCap, d.maxOut[0])
+	d.nextCut++
+	return true, nil
+}
+
+// stepExec runs the driver's own task kinds; engines' exec methods
+// delegate every kind below stepKinds here.
+func (d *stepper) stepExec(kind, idx int) {
+	switch kind {
+	case stepRoute:
+		g := &d.groups[idx]
+		g.reset()
+		g.route(d.cc, d.ph.engine, d.step, d.rrbase, d.router, d.curM, idx, d.rgr, nil, nil)
+	case stepObserve:
+		d.trackRow[idx] = 0
+		if v := d.views[idx]; v != nil {
+			d.trackRow[idx] = v.MaxLoad()
+		}
+	}
+}
+
+// rows returns the trajectory rows (nil when no cut was requested).
+func (d *stepper) rows() []obs.CheckpointRow {
+	if d.cp == nil {
+		return nil
+	}
+	return d.cp.Rows()
+}
+
+// finalState is the end-of-run fold: recount the array, then the exact
+// max load — from one histogram pass that also yields the
+// bins-at-load>=k counts when levels > 0, else from a direct scan —
+// and the average.
+func (d *stepper) finalState(balls int64) (maxLoad, avg float64, heights []obs.HeightRow, err error) {
+	arr := d.arr
 	arr.Recount()
-	if levels > 0 {
+	if d.levels > 0 {
 		h := arr.NewLoadHistogram()
 		if err := arr.HistogramInto(h); err != nil {
-			return 0, 0, nil, fmt.Errorf("sim: %s histogram: %w", eng, err)
+			return 0, 0, nil, fmt.Errorf("sim: %s histogram: %w", d.ph.engine, err)
 		}
-		hl := obs.NewHeights(levels)
+		hl := obs.NewHeights(d.levels)
 		if err := hl.SnapshotHist(obs.Final, h, balls); err != nil {
-			return 0, 0, nil, fmt.Errorf("sim: %s heights: %w", eng, err)
+			return 0, 0, nil, fmt.Errorf("sim: %s heights: %w", d.ph.engine, err)
 		}
 		maxLoad, heights = h.MaxLoad(), hl.Rows()
 	} else {

@@ -97,8 +97,10 @@ type CheckpointStat = obs.CheckpointRow
 type Result struct {
 	// N is the number of bins (identical across repetitions).
 	N int
-	// Engine records which engine produced the result. Set by Dispatch
-	// (empty when an engine entry point was called directly).
+	// Shards is the realised shard count of the sharded, stream and
+	// cluster engines (0 for classic and closed-form).
+	Shards int
+	// Engine records which engine produced the result.
 	Engine Engine
 	// Balls aggregates the per-repetition ball count (constant unless the
 	// array is random and BallsFactor scaling is used).
@@ -177,7 +179,10 @@ func (c *Config) factory() protocol.Factory {
 	return c.Placer
 }
 
-func (c *Config) ballCount(totalCapacity int64) int64 {
+// BallCount is the number of balls one repetition over an array of the
+// given total capacity places: Balls, else BallsFactor·C rounded (at
+// least 1), else exactly C.
+func (c *Config) BallCount(totalCapacity int64) int64 {
 	if c.Balls > 0 {
 		return c.Balls
 	}
@@ -189,17 +194,6 @@ func (c *Config) ballCount(totalCapacity int64) int64 {
 		return m
 	}
 	return totalCapacity
-}
-
-// Run executes the configured experiment.
-//
-// When cfg.Context fires mid-run, Run returns a partial *Result
-// together with a *CancelledError: the partial covers a contiguous
-// repetition prefix and is bit-identical to a run configured with that
-// many Reps. A panic in repetition or setup code surfaces as a
-// *PanicError, never as a crash or a hang.
-func Run(cfg Config) (*Result, error) {
-	return runChunked(EngineClassic, &RunSpec{Config: cfg})
 }
 
 // workerScratch holds per-worker reusable buffers so the repetition
@@ -287,7 +281,7 @@ func runRep(cfg *Config, checkpoints []int64, rep uint64, w *repWorker, p *chunk
 		}
 	}
 
-	m := cfg.ballCount(arr.TotalCapacity())
+	m := cfg.BallCount(arr.TotalCapacity())
 
 	if len(checkpoints) > 0 && p.cp == nil {
 		p.cp = obs.NewCheckpoints(checkpoints)
@@ -585,37 +579,4 @@ func nBins(cfg *Config) (int, error) {
 		return 0, fmt.Errorf("sim: probing bin count from ArrayFn: %w", err)
 	}
 	return a.N(), nil
-}
-
-// RunOnce executes a single repetition (rep index 0 of the given seed)
-// and returns the final array — the simplest way to inspect one game's
-// full outcome.
-func RunOnce(cfg Config) (*bins.Array, error) {
-	cfg.Reps = 1
-	if _, err := (&RunSpec{Config: cfg}).validate(EngineClassic); err != nil {
-		return nil, err
-	}
-	r := xrand.NewStream(cfg.Seed, 0)
-	var arr *bins.Array
-	var err error
-	if cfg.ArrayFn != nil {
-		arr, err = cfg.ArrayFn(r)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		arr = cfg.Array.Clone()
-		arr.Reset()
-	}
-	weights, err := cfg.distribution().Weights(arr)
-	if err != nil {
-		return nil, err
-	}
-	placer, err := cfg.factory()(arr, weights)
-	if err != nil {
-		return nil, err
-	}
-	m := cfg.ballCount(arr.TotalCapacity())
-	placer.PlaceBatch(arr, r, m)
-	return arr, nil
 }

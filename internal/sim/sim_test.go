@@ -12,6 +12,37 @@ import (
 	"repro/internal/xrand"
 )
 
+// runClassic and runClosed run cfg on the classic and closed-form
+// chunked engines: what Dispatch does for EngineClassic and
+// EngineClosedForm, minus the engine selection.
+func runClassic(cfg Config) (*Result, error) {
+	return runChunked(EngineClassic, &RunSpec{Config: cfg})
+}
+
+func runClosed(cfg Config) (*Result, error) {
+	return runChunked(EngineClosedForm, &RunSpec{Config: cfg})
+}
+
+// runOnce plays repetition 0 of cfg's classic game directly — one
+// PlaceBatch on stream (Seed, 0), no chunk driver, no observers — and
+// returns the final array: the naive reference the engine tests compare
+// against.
+func runOnce(cfg Config) (*bins.Array, error) {
+	r := xrand.NewStream(cfg.Seed, 0)
+	arr := cfg.Array.Clone()
+	arr.Reset()
+	weights, err := cfg.distribution().Weights(arr)
+	if err != nil {
+		return nil, err
+	}
+	placer, err := cfg.factory()(arr, weights)
+	if err != nil {
+		return nil, err
+	}
+	placer.PlaceBatch(arr, r, cfg.BallCount(arr.TotalCapacity()))
+	return arr, nil
+}
+
 func uniformArray(t *testing.T, n int, c int64) *bins.Array {
 	t.Helper()
 	a, err := bins.Uniform(n, c)
@@ -22,20 +53,20 @@ func uniformArray(t *testing.T, n int, c int64) *bins.Array {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Run(Config{Reps: 1}); err == nil {
+	if _, err := runClassic(Config{Reps: 1}); err == nil {
 		t.Error("no array accepted")
 	}
 	a := uniformArray(t, 4, 1)
-	if _, err := Run(Config{Array: a, Reps: 0}); err == nil {
+	if _, err := runClassic(Config{Array: a, Reps: 0}); err == nil {
 		t.Error("zero reps accepted")
 	}
-	if _, err := Run(Config{Array: a, Reps: 1, Balls: -1}); err == nil {
+	if _, err := runClassic(Config{Array: a, Reps: 1, Balls: -1}); err == nil {
 		t.Error("negative balls accepted")
 	}
-	if _, err := Run(Config{Array: a, Reps: 1, BallsFactor: -2}); err == nil {
+	if _, err := runClassic(Config{Array: a, Reps: 1, BallsFactor: -2}); err == nil {
 		t.Error("negative factor accepted")
 	}
-	if _, err := Run(Config{
+	if _, err := runClassic(Config{
 		ArrayFn:          func(r *xrand.Rand) (*bins.Array, error) { return a.Clone(), nil },
 		Reps:             1,
 		ClassLoadVectors: []int64{1},
@@ -46,7 +77,7 @@ func TestValidation(t *testing.T) {
 
 func TestDefaultBallsEqualsCapacity(t *testing.T) {
 	a := uniformArray(t, 16, 3) // C = 48
-	res, err := Run(Config{Array: a, Reps: 4, Seed: 1})
+	res, err := runClassic(Config{Array: a, Reps: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +94,14 @@ func TestDefaultBallsEqualsCapacity(t *testing.T) {
 
 func TestBallsFactor(t *testing.T) {
 	a := uniformArray(t, 10, 2) // C = 20
-	res, err := Run(Config{Array: a, Reps: 2, BallsFactor: 2.5, Seed: 1})
+	res, err := runClassic(Config{Array: a, Reps: 2, BallsFactor: 2.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Balls.Mean(); got != 50 {
 		t.Fatalf("mean balls = %v, want 50", got)
 	}
-	res, err = Run(Config{Array: a, Reps: 2, Balls: 7, BallsFactor: 2.5, Seed: 1})
+	res, err = runClassic(Config{Array: a, Reps: 2, Balls: 7, BallsFactor: 2.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +116,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	a := uniformArray(t, 64, 2)
 	var base *Result
 	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := Run(Config{
+		res, err := runClassic(Config{
 			Array: a, Reps: 40, Seed: 99, Workers: workers,
 			CollectLoadVector: true,
 			TrackClasses:      []int64{2},
@@ -122,11 +153,11 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestSeedChangesResults(t *testing.T) {
 	a := uniformArray(t, 64, 1)
-	r1, err := Run(Config{Array: a, Reps: 10, Seed: 1})
+	r1, err := runClassic(Config{Array: a, Reps: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Config{Array: a, Reps: 10, Seed: 2})
+	r2, err := runClassic(Config{Array: a, Reps: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +172,7 @@ func TestSeedChangesResults(t *testing.T) {
 
 func TestCollectLoadVectorSorted(t *testing.T) {
 	a := uniformArray(t, 32, 1)
-	res, err := Run(Config{Array: a, Reps: 20, Seed: 5, CollectLoadVector: true})
+	res, err := runClassic(Config{Array: a, Reps: 20, Seed: 5, CollectLoadVector: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +199,7 @@ func TestTrackClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Array: a, Reps: 50, Seed: 3, TrackClasses: []int64{1, 8}})
+	res, err := runClassic(Config{Array: a, Reps: 50, Seed: 3, TrackClasses: []int64{1, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +219,7 @@ func TestClassLoadVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Array: a, Reps: 30, Seed: 4, ClassLoadVectors: []int64{1, 8}})
+	res, err := runClassic(Config{Array: a, Reps: 30, Seed: 4, ClassLoadVectors: []int64{1, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +241,7 @@ func TestClassLoadVectors(t *testing.T) {
 
 func TestCheckpoints(t *testing.T) {
 	a := uniformArray(t, 16, 1)
-	res, err := Run(Config{
+	res, err := runClassic(Config{
 		Array: a, Reps: 10, Seed: 6, Balls: 64,
 		ObsOptions: ObsOptions{Checkpoints: []int64{16, 32, 48, 64}},
 	})
@@ -239,7 +270,7 @@ func TestCheckpoints(t *testing.T) {
 
 func TestCheckpointBeyondBallsIgnored(t *testing.T) {
 	a := uniformArray(t, 8, 1)
-	res, err := Run(Config{
+	res, err := runClassic(Config{
 		Array: a, Reps: 5, Seed: 7, Balls: 8,
 		ObsOptions: ObsOptions{Checkpoints: []int64{4, 100}},
 	})
@@ -255,7 +286,7 @@ func TestCheckpointBeyondBallsIgnored(t *testing.T) {
 }
 
 func TestArrayFnRandomCapacities(t *testing.T) {
-	res, err := Run(Config{
+	res, err := runClassic(Config{
 		ArrayFn: func(r *xrand.Rand) (*bins.Array, error) {
 			return bins.RandomBinomial(100, 4, r)
 		},
@@ -279,7 +310,7 @@ func TestArrayFnRandomCapacities(t *testing.T) {
 
 func TestArrayFnErrorPropagates(t *testing.T) {
 	called := false
-	_, err := Run(Config{
+	_, err := runClassic(Config{
 		ArrayFn: func(r *xrand.Rand) (*bins.Array, error) {
 			called = true
 			return nil, errTest
@@ -306,7 +337,7 @@ func (*testError) Error() string { return "test error" }
 // surface that error instead of silently reporting N = 0.
 func TestNBinsProbeErrorSurfaces(t *testing.T) {
 	calls := 0
-	_, err := Run(Config{
+	_, err := runClassic(Config{
 		ArrayFn: func(r *xrand.Rand) (*bins.Array, error) {
 			calls++
 			if calls > 2 { // reps succeed, the final probe fails
@@ -334,7 +365,7 @@ func TestUniformDistOption(t *testing.T) {
 		Dist:   dist.Uniform{},
 		Placer: protocol.SingleFactory(),
 	}
-	arr, err := RunOnce(cfg)
+	arr, err := runOnce(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +380,7 @@ func TestUniformDistOption(t *testing.T) {
 
 func TestRunOnce(t *testing.T) {
 	a := uniformArray(t, 10, 1)
-	arr, err := RunOnce(Config{Array: a, Seed: 1})
+	arr, err := runOnce(Config{Array: a, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,13 +392,29 @@ func TestRunOnce(t *testing.T) {
 		t.Fatal("RunOnce mutated the config array")
 	}
 	// deterministic
-	arr2, err := RunOnce(Config{Array: a, Seed: 1})
+	arr2, err := runOnce(Config{Array: a, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < arr.N(); i++ {
 		if arr.Balls(i) != arr2.Balls(i) {
 			t.Fatal("RunOnce not deterministic")
+		}
+	}
+	// The reference is repetition 0 of the classic engine, so a Reps = 1
+	// run through Dispatch reports its max load.
+	for seed := uint64(0); seed < 20; seed++ {
+		b := bins.MustNew([]int64{1, 1, 2, 3, 5, 8, 13, 21})
+		ref, err := runOnce(Config{Array: b, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Dispatch(RunSpec{Config: Config{Array: b, Reps: 1, Seed: seed}, Engine: EngineClassic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.MaxLoad.Mean(), ref.MaxLoad(); got != want {
+			t.Fatalf("seed %d: Dispatch max load %v, repetition 0 played directly %v", seed, got, want)
 		}
 	}
 }
@@ -396,7 +443,7 @@ func TestGoldenValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{Array: arr, Reps: 50, Seed: 12345})
+		res, err := runClassic(Config{Array: arr, Reps: 50, Seed: 12345})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,11 +472,11 @@ func TestQuickRandomConfigInvariants(t *testing.T) {
 			return false
 		}
 		cfg := Config{Array: arr, Reps: int(reps%8) + 1, Seed: seed}
-		a, err := Run(cfg)
+		a, err := runClassic(cfg)
 		if err != nil {
 			return false
 		}
-		b, err := Run(cfg)
+		b, err := runClassic(cfg)
 		if err != nil {
 			return false
 		}
@@ -448,7 +495,7 @@ func TestQuickRandomConfigInvariants(t *testing.T) {
 
 func TestHeightHistogram(t *testing.T) {
 	a := uniformArray(t, 50, 1)
-	res, err := Run(Config{
+	res, err := runClassic(Config{
 		Array: a, Reps: 20, Seed: 12,
 		ObsOptions: ObsOptions{HeightBins: 16, HeightMax: 8},
 	})
@@ -472,7 +519,7 @@ func TestHeightHistogram(t *testing.T) {
 		t.Fatal("no height-1 balls recorded")
 	}
 	// deterministic across worker counts
-	res2, err := Run(Config{
+	res2, err := runClassic(Config{
 		Array: a, Reps: 20, Seed: 12,
 		Workers: 3, ObsOptions: ObsOptions{HeightBins: 16, HeightMax: 8},
 	})
@@ -488,7 +535,7 @@ func TestHeightHistogram(t *testing.T) {
 
 func TestHeightHistogramDefaultMax(t *testing.T) {
 	a := uniformArray(t, 10, 1)
-	res, err := Run(Config{Array: a, Reps: 2, Seed: 1, ObsOptions: ObsOptions{HeightBins: 4}})
+	res, err := runClassic(Config{Array: a, Reps: 2, Seed: 1, ObsOptions: ObsOptions{HeightBins: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +548,7 @@ func TestHeightHistogramDefaultMax(t *testing.T) {
 // give mean max load between 2 and 5 (theory: ln ln n / ln 2 + O(1) ≈ 2.8).
 func TestMaxLoadSanity(t *testing.T) {
 	a := uniformArray(t, 1000, 1)
-	res, err := Run(Config{Array: a, Reps: 50, Seed: 10})
+	res, err := runClassic(Config{Array: a, Reps: 50, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,10 +563,10 @@ func TestMaxLoadSanity(t *testing.T) {
 // on how to skip it.
 func TestCheckpointValidation(t *testing.T) {
 	a := uniformArray(t, 4, 1)
-	if _, err := Run(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{0, 5}}}); err == nil {
+	if _, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{0, 5}}}); err == nil {
 		t.Fatal("checkpoint at 0 balls accepted")
 	}
-	if _, err := Run(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{-3}}}); err == nil {
+	if _, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{-3}}}); err == nil {
 		t.Fatal("negative checkpoint accepted")
 	}
 }
@@ -530,13 +577,13 @@ func TestCheckpointValidation(t *testing.T) {
 func TestCheckpointsAgreeAcrossPaths(t *testing.T) {
 	a := uniformArray(t, 8, 2)
 	base := Config{Array: a, Reps: 4, Seed: 11, Balls: 40, ObsOptions: ObsOptions{Checkpoints: []int64{5, 20}}}
-	plain, err := Run(base)
+	plain, err := runClassic(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withHeights := base
 	withHeights.HeightBins = 8
-	hres, err := Run(withHeights)
+	hres, err := runClassic(withHeights)
 	if err != nil {
 		t.Fatal(err)
 	}

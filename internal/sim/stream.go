@@ -46,7 +46,7 @@
 // schedule, Deletions, RebalanceTol, Seed, Shards, Rounds) and — bit
 // for bit — independent of Workers. The layout is FROZEN: with
 // Rounds = 1, Deletions = 0 and RebalanceTol = 0, round 0 consumes
-// exactly the streams of RunLargeMonte's repetition 0 (routing on
+// exactly the streams of the sharded engine's repetition 0 (routing on
 // stream 0, shard s placement on stream 1+s), so a one-round quiet
 // stream reproduces the single sharded game bit for bit — pinned by
 // tests, like the stream goldens.
@@ -61,28 +61,30 @@
 //
 // # Cancellation and faults
 //
-// Every phase of a round is one barrier on the phase runner
-// (runner.go): a task per shard or routing group, each behind the
-// runner's panic containment. Cancellation is polled at task
-// boundaries (routing blocks, placement strides, deletion strides) and
-// at every phase barrier. A cancelled run returns a *CancelledError
-// plus a deterministic partial: counters, shard occupancies and
-// trajectory rows of the COMPLETED-ROUND prefix, bit-identical to a
-// run configured with Rounds = CompletedRounds. Fault-injection sites
-// cover routing blocks (OpRoute), placement strides (OpPlace), the
-// deletion router and per-shard deletion tasks (OpDelete) and move-out
-// tasks (OpRebalance), all with Rep = the round index.
+// A round is one step of the step driver (runner.go): every phase is
+// one barrier of tasks per shard or routing group, and the deletion
+// routing is an inline task on the orchestrator, all behind the
+// runner's panic containment with Rep = the round index. Cancellation
+// is polled at task boundaries (routing blocks, placement strides,
+// deletion strides), at every barrier and at every round boundary. A
+// cancelled run returns a *CancelledError plus a deterministic
+// partial: counters, shard occupancies and trajectory rows of the
+// COMPLETED-ROUND prefix, bit-identical to a run configured with
+// Rounds = CompletedRounds. Fault-injection sites cover routing blocks
+// (OpRoute), placement strides (OpPlace), the deletion router and
+// per-shard deletion tasks (OpDelete) and move-out tasks
+// (OpRebalance).
 package sim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bins"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
@@ -123,24 +125,84 @@ type StreamResult struct {
 	Array *bins.Array
 }
 
-// Stream task kinds: one per phase of a round (plus the one-time
-// placer-build setup phase). Every task is identified by (kind, shard
-// or routing-group index).
+// StreamParams carries the round-structure parameters of a streaming
+// run (RunSpec.Stream). Their presence is what makes a spec a
+// streaming spec: EngineAuto dispatches to the streaming engine iff
+// Stream is non-nil, and no other engine will silently run such a
+// spec. The spec's Balls/BallsFactor become the per-round arrival
+// count: a fixed count, or BallsFactor·C, or exactly C — Config's
+// ball-count rules, per round.
+type StreamParams struct {
+	// Rounds is the number of rounds (>= 1). When Schedule is set and
+	// Rounds is 0, Rounds defaults to len(Schedule).
+	Rounds int
+	// Schedule, when non-empty, gives every round's arrival count
+	// explicitly (entries >= 0; length must equal Rounds when Rounds
+	// is set). Mutually exclusive with Balls/BallsFactor.
+	Schedule []int64
+	// Deletions is the number of balls deleted per round, clamped to
+	// the current occupancy (>= 0).
+	Deletions int64
+	// RebalanceTol enables the inter-round rebalance pass when > 0:
+	// after deletions, every shard holding more than
+	// (1+RebalanceTol)·target balls sheds the excess to shards below
+	// target. 0 disables the pass.
+	RebalanceTol float64
+}
+
+// rounds is the run's round count: Rounds, or len(Schedule) when
+// Rounds is 0.
+func (p *StreamParams) rounds() int {
+	if p.Rounds == 0 {
+		return len(p.Schedule)
+	}
+	return p.Rounds
+}
+
+// validate checks the round parameters against the spec's ball count.
+func (p *StreamParams) validate(c *Config) error {
+	if len(p.Schedule) > 0 {
+		if c.Balls != 0 || c.BallsFactor != 0 {
+			return fmt.Errorf("sim: Schedule is mutually exclusive with Balls/BallsFactor")
+		}
+		if p.Rounds != 0 && p.Rounds != len(p.Schedule) {
+			return fmt.Errorf("sim: Rounds = %d but len(Schedule) = %d", p.Rounds, len(p.Schedule))
+		}
+		for r, a := range p.Schedule {
+			if a < 0 {
+				return fmt.Errorf("sim: Schedule[%d] = %d, need >= 0", r, a)
+			}
+		}
+	}
+	if p.rounds() < 1 {
+		return fmt.Errorf("sim: Rounds = %d, need >= 1", p.Rounds)
+	}
+	if p.Deletions < 0 {
+		return fmt.Errorf("sim: Deletions = %d, need >= 0", p.Deletions)
+	}
+	if p.RebalanceTol < 0 || p.RebalanceTol != p.RebalanceTol {
+		return fmt.Errorf("sim: RebalanceTol = %v, need >= 0", p.RebalanceTol)
+	}
+	return nil
+}
+
+// Stream task kinds, after the step driver's: one per phase of a
+// round, plus the one-time placer-build setup phase and the inline
+// deletion-routing step. Every task is identified by (kind, shard or
+// routing-group index).
 const (
-	streamRoute = iota
-	streamSetup
+	streamSetup = stepKinds + iota
 	streamPlace
+	streamDeleteRoute
 	streamDelete
 	streamMoveOut
 	streamMoveIn
-	streamObserve
 )
 
-var streamKinds = []taskName{
-	{"route", "routing group"}, {"setup", "setup shard"}, {"place", "shard"},
-	{"delete", "deletion shard"}, {"move-out", "move-out shard"},
-	{"move-in", "move-in shard"}, {"observe", "observe shard"},
-}
+var streamKinds = slices.Concat(stepNames, []taskName{
+	{"setup", "setup shard"}, {"place", "shard"}, {"delete-route", "deletion routing"},
+	{"delete", "deletion shard"}, {"move-out", "move-out shard"}, {"move-in", "move-in shard"},
+})
 
 // apportion is the largest-remainder apportionment shared by the
 // streaming rebalance and the cluster engine's redistribution and
@@ -196,13 +258,17 @@ func (a *apportion) selectTop(r int) {
 }
 
 // split apportions m balls over the entries of w with positive weight
-// (sum = Σ w): floor quotas of m·w[s]/sum first, then one extra ball
-// to each of the r = m − assigned top-ranked candidates — found by
-// selection, since only the set matters — wrapping around in
-// descending-residue order in the float-residue corner case of at
-// least as much leftover as candidates, and taking back from the
-// smallest residues should the floors over-assign. out is overwritten (0 for weightless entries). The rule
-// draws no randomness, and all arithmetic is exact integer or
+// (sum = Σ w) and overwrites out (0 for weightless entries):
+//
+//   - floor quotas of m·w[s]/sum first;
+//   - then one extra ball to each of the r = m − assigned top-ranked
+//     candidates, found by selection since only the set matters;
+//   - in the float-residue corner case of at least as much leftover as
+//     candidates, wrapping around in descending-residue order, and
+//     should the floors over-assign, taking back from the smallest
+//     residues.
+//
+// The rule draws no randomness, and all arithmetic is exact integer or
 // correctly-rounded IEEE binary (+, ·, /, Floor — no fused operations),
 // so the split is bit-identical across platforms and worker counts.
 func (a *apportion) split(m int64, w []float64, sum float64, out []int64) {
@@ -258,29 +324,17 @@ func (a *apportion) split(m int64, w []float64, sum float64, out []int64) {
 // allocation at all (pinned by TestStreamSteadyStateAllocFree and the
 // rounds/sec benchmark).
 type streamState struct {
-	sharded
-	p    StreamParams
-	cc   *canceller
-	seed uint64
-	kk   uint64 // RNG streams consumed per round: 3·shards + 2
-	sumW float64
-	// levels and cancelAfter are the spec's HeightLevels and
-	// CancelAfter (in rounds).
-	levels, cancelAfter int
+	stepper
+	p StreamParams
 
-	views   []*bins.Array
-	placers []protocol.Placer
 	trees   []*sampling.CountTree // per-shard bin count trees (deletion/move-out)
 	shardT  *sampling.CountTree   // shard-level occupancy tree (deletion routing)
+	scratch []shardRand           // per-shard scratch streams (deletion / move-out tasks)
+	srand   xrand.Rand            // deletion shard-routing stream
 
-	rands   []xrand.Rand // per-shard placement streams, re-seeded every round
-	scratch []xrand.Rand // per-shard scratch streams (deletion / move-out tasks)
-	srand   xrand.Rand   // deletion shard-routing stream
-
-	groups   []routeGroup
-	counts   []int64 // per-round arrival routing counts
 	sballs   []int64 // live per-shard occupancy
 	total    int64   // live occupancy
+	del      int64   // this round's deletions
 	delQuota []int64
 	moveOut  []int64
 	moveIn   []int64
@@ -288,33 +342,11 @@ type streamState struct {
 	defW     []float64 // rebalance scratch: per-shard deficit weights
 	ap       apportion
 
-	fixedM   int64   // per-round arrivals when no schedule is set
-	sched    []int64 // explicit schedule (nil when fixedM applies)
-	totalCap int64
-
-	cuts     []int64 // normalized round-index cuts
-	nCuts    int     // cuts reachable within Rounds
-	nextCut  int
-	cp       *obs.Checkpoints
-	trackRow []float64   // per-shard max-load scratch for the current cut
-	trackMat [][]float64 // {trackRow}, the shape combineShardMaxima folds
-	maxOut   []float64   // combineShardMaxima output scratch (len 1)
-
-	pl pool
-	ph phase
-
-	// Round-scoped fields, written by the orchestrator strictly
-	// between phase barriers (the task-channel sends order the writes
-	// before any worker reads).
-	round  int
-	rbase  uint64 // round base stream index: round·kk
-	rrbase uint64 // Mix64(seed, rbase): arrival routing base
-	curM   int64  // this round's arrivals
-	rgr    int    // routing groups active this round
+	fixedM int64   // per-round arrivals when no schedule is set
+	sched  []int64 // explicit schedule (nil when fixedM applies)
 
 	// Committed prefix: updated only when a round completes, so a
 	// cancelled run reports exactly the completed-round state.
-	rounds  int
 	arrived int64
 	deleted int64
 	moved   int64
@@ -325,9 +357,7 @@ type streamState struct {
 // runStream executes one streaming run of spec.Stream's rounds: the
 // spec's Balls/BallsFactor give the per-round arrivals, its
 // Checkpoints are ROUND indices, and CancelAfter counts completed
-// rounds. Unexported by design: Dispatch (Engine = EngineStream) is
-// the only public entry point, so every caller shares the eligibility
-// checks and the Result mapping.
+// rounds. Dispatch (Engine = EngineStream) is its only entry point.
 func runStream(spec *RunSpec) (*StreamResult, error) {
 	shards, err := spec.validate(EngineStream)
 	if err != nil {
@@ -337,34 +367,24 @@ func runStream(spec *RunSpec) (*StreamResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &streamState{
-		sharded:     sh,
-		p:           *spec.Stream,
-		cc:          newCanceller(spec.Context),
-		seed:        spec.Seed,
-		kk:          uint64(3*shards + 2),
-		levels:      spec.HeightLevels,
-		cancelAfter: spec.CancelAfter,
-	}
-	rounds := st.p.rounds()
-	for _, w := range sh.shardW {
-		st.sumW += w
-	}
-	st.totalCap = sh.arr.TotalCapacity()
+	st := &streamState{p: *spec.Stream}
 	if len(st.p.Schedule) > 0 {
 		st.sched = st.p.Schedule
 	} else {
-		st.fixedM = spec.ballCount(st.totalCap)
+		st.fixedM = spec.BallCount(sh.arr.TotalCapacity())
 	}
-
 	maxM := st.fixedM
 	for _, a := range st.sched {
 		maxM = max(maxM, a)
 	}
-	rg := sh.routeWidth(maxM)
-	st.groups = newRouteGroups(rg, shards, 0)
+	// Zero-weight shards get no view: routing never sends them a ball,
+	// deletion and rebalance never touch an empty shard, and skipping
+	// them keeps degenerate weight slices from failing the placer build.
+	if err := st.init(engRunStream, spec, sh, st.p.rounds(), maxM, false); err != nil {
+		return nil, err
+	}
+	st.kk, st.placeAt = uint64(3*shards+2), 1
 
-	st.counts = make([]int64, shards)
 	st.sballs = make([]int64, shards)
 	st.csballs = make([]int64, shards)
 	st.delQuota = make([]int64, shards)
@@ -373,51 +393,28 @@ func runStream(spec *RunSpec) (*StreamResult, error) {
 	st.targets = make([]float64, shards)
 	st.defW = make([]float64, shards)
 	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
-	st.rands = make([]xrand.Rand, shards)
-	st.scratch = make([]xrand.Rand, shards)
-	st.views = make([]*bins.Array, shards)
-	st.placers = make([]protocol.Placer, shards)
+	st.scratch = make([]shardRand, shards)
 	st.trees = make([]*sampling.CountTree, shards)
-	st.shardT, err = sampling.NewCountTree(shards)
-	if err != nil {
+	if st.shardT, err = sampling.NewCountTree(shards); err != nil {
 		return nil, fmt.Errorf("sim: RunStream: %w", err)
 	}
-
-	cuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
-	st.cuts = cuts
-	st.nCuts = obs.CountReached(cuts, int64(rounds))
-	if len(cuts) > 0 {
-		st.cp = obs.NewCheckpoints(cuts)
-		st.trackRow = make([]float64, shards)
-		st.trackMat = [][]float64{st.trackRow}
-		st.maxOut = make([]float64, 1)
-	}
-
-	// Shard views are built before the pool does any work: Array.Shard
-	// is a parent method, and the bins.Shard contract forbids running
-	// parent methods while views mutate. Zero-weight shards get no
-	// view: routing never sends them a ball, deletion and rebalance
-	// never touch an empty shard, and skipping them keeps degenerate
-	// weight slices from failing the placer build.
-	for s := 0; s < shards; s++ {
-		if sh.shardW[s] <= 0 {
+	for s, v := range st.views {
+		if v == nil {
 			continue
 		}
-		st.views[s], err = sh.arr.Shard(sh.bounds[s], sh.bounds[s+1])
-		if err != nil {
-			return nil, fmt.Errorf("sim: RunStream shard %d: %w", s, err)
-		}
-		st.trees[s], err = sampling.NewCountTree(st.views[s].N())
-		if err != nil {
+		if st.trees[s], err = sampling.NewCountTree(v.N()); err != nil {
 			return nil, fmt.Errorf("sim: RunStream shard %d: %w", s, err)
 		}
 	}
 
-	st.ph = phase{pool: &st.pl, x: st, engine: engRunStream, names: streamKinds}
-	st.pl.start(sh.poolWidth(rg))
-	res, err := st.orchestrate(rounds)
-	st.pl.close()
-	return res, err
+	cerr, err := st.run(st, engRunStream, streamKinds, streamSetup)
+	if err != nil {
+		return nil, err
+	}
+	if cerr != nil {
+		return st.partialResult(), cerr
+	}
+	return st.final()
 }
 
 // exec executes one task. Task state is indexed by (kind, idx) and every
@@ -425,31 +422,24 @@ func runStream(spec *RunSpec) (*StreamResult, error) {
 // scheduling of tasks onto workers produces identical bits.
 func (st *streamState) exec(kind, s int) (err error) {
 	switch kind {
-	case streamRoute:
-		st.groups[s].reset()
-		st.groups[s].route(st.cc, engRunStream, st.round, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
 	case streamSetup:
+		// Per-shard placer builds (alias tables, O(shard size) each),
+		// once per run — a steady-state round allocates nothing.
 		if st.views[s] != nil {
 			st.placers[s], err = st.factory(st.views[s], st.weights[st.bounds[s]:st.bounds[s+1]])
 		}
 	case streamPlace:
-		if st.counts[s] > 0 {
-			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.counts[s])
-		}
+		st.place(s, st.counts[s])
+	case streamDeleteRoute:
+		st.routeDeletions()
 	case streamDelete:
 		st.takeShard(s, st.delQuota[s], fault.OpDelete, 2+uint64(st.shards))
 	case streamMoveOut:
 		st.takeShard(s, st.moveOut[s], fault.OpRebalance, 2+2*uint64(st.shards))
 	case streamMoveIn:
-		if st.moveIn[s] > 0 {
-			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.moveIn[s])
-		}
-	case streamObserve:
-		if v := st.views[s]; v != nil {
-			st.trackRow[s] = v.MaxLoad()
-		} else {
-			st.trackRow[s] = 0
-		}
+		st.place(s, st.moveIn[s])
+	default:
+		st.stepExec(kind, s)
 	}
 	return err
 }
@@ -468,13 +458,13 @@ func (st *streamState) takeShard(s int, q int64, op fault.Op, off uint64) {
 		return
 	}
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunStream, Op: op, Rep: st.round, Shard: s, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunStream, Op: op, Rep: st.step, Shard: s, Block: -1})
 	}
 	view := st.views[s]
 	tree := st.trees[s]
 	tree.Build(view.Balls)
-	rng := &st.scratch[s]
-	rng.Seed(xrand.Mix64(st.seed, st.rbase+off+uint64(s)))
+	rng := &st.scratch[s].Rand
+	rng.Seed(xrand.Mix64(st.seed, st.base+off+uint64(s)))
 	for k := int64(0); k < q; k++ {
 		if k&(RoutingBlock-1) == 0 && st.cc.cancelled() {
 			return
@@ -483,29 +473,22 @@ func (st *streamState) takeShard(s int, q int64, op fault.Op, off uint64) {
 	}
 }
 
-// routeDeletions is the round's deletion shard-routing step: D
-// sequential SampleDec draws from the shard-occupancy count tree on
-// the round's deletion-routing stream, each decrementing the drawn
-// shard — the quota vector is multivariate-hypergeometric, exactly the
-// shard counts of deleting D balls uniformly without replacement. It runs on the orchestrator
-// goroutine behind its own recover so an injected (or genuine) panic
-// surfaces as a *PanicError like any pool task's.
-func (st *streamState) routeDeletions(d int64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: RunStream deletion routing: %w", newPanicError(engRunStream, "delete-route", st.round, -1, r))
-		}
-	}()
+// routeDeletions is the round's deletion shard-routing step, an inline
+// task on the orchestrator: st.del sequential SampleDec draws from the
+// shard-occupancy count tree on the round's deletion-routing stream,
+// each decrementing the drawn shard. The quota vector is therefore
+// multivariate-hypergeometric: exactly the shard counts of deleting
+// st.del balls uniformly without replacement.
+func (st *streamState) routeDeletions() {
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: st.round, Shard: -1, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: st.step, Shard: -1, Block: -1})
 	}
 	st.shardT.Build(func(s int) int64 { return st.sballs[s] })
-	st.srand.Seed(xrand.Mix64(st.seed, st.rbase+1+uint64(st.shards)))
+	st.srand.Seed(xrand.Mix64(st.seed, st.base+1+uint64(st.shards)))
 	clear(st.delQuota)
-	for k := int64(0); k < d; k++ {
+	for k := int64(0); k < st.del; k++ {
 		st.delQuota[st.shardT.SampleDec(&st.srand)]++
 	}
-	return nil
 }
 
 // planRebalance fills moveOut/moveIn for the round and returns the
@@ -557,81 +540,21 @@ func (st *streamState) planRebalance(tol float64) int64 {
 	return m
 }
 
-// arrivalsAt returns round r's arrival count.
-func (st *streamState) arrivalsAt(r int) int64 {
-	if st.sched != nil {
-		return st.sched[r]
-	}
-	return st.fixedM
-}
-
-// orchestrate runs the setup phase and then the rounds, committing the
-// completed-round prefix as it goes.
-func (st *streamState) orchestrate(rounds int) (*StreamResult, error) {
-	// One-time setup: per-shard placer builds (alias tables,
-	// O(shard size) each) fan out across the pool. Built once, not per
-	// round — a steady-state round allocates nothing.
-	if err := st.ph.run(streamSetup, st.shards); err != nil {
-		return nil, err
-	}
-	if st.cc.cancelled() {
-		return st.partial(st.cc.err())
-	}
-	for r := 0; r < rounds; r++ {
-		ok, err := st.runRound(r)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return st.partial(st.cc.err())
-		}
-		if ca := st.cancelAfter; ca > 0 && st.rounds == ca && st.rounds < rounds {
-			return st.partial(nil)
-		}
-	}
-	return st.final()
-}
-
-// runRound executes round r: arrivals → deletions → rebalance →
-// observation → commit. ok == false means the round was abandoned at a
-// cancellation point — nothing of it is committed.
-func (st *streamState) runRound(r int) (ok bool, err error) {
-	if st.cc.cancelled() {
-		return false, nil
-	}
-	st.round, st.ph.rep = r, r
-	st.rbase = uint64(r) * st.kk
-	// Placement streams are re-seeded for EVERY shard at the start of
-	// every round — whether or not the shard receives arrivals — so a
-	// shard's draws depend only on (seed, round, shard), never on the
-	// quiet rounds before.
-	for s := 0; s < st.shards; s++ {
-		st.rands[s].Seed(xrand.Mix64(st.seed, st.rbase+1+uint64(s)))
-	}
-
+// runStep plays round r: arrivals → deletions → rebalance →
+// observation → commit.
+func (st *streamState) runStep(r int) (ok bool, err error) {
 	// Phase 1+2 — arrivals: block-wise multinomial routing on the
 	// round's routing stream, then per-shard placement.
-	m := st.arrivalsAt(r)
-	st.curM = m
+	m := st.fixedM
+	if st.sched != nil {
+		m = st.sched[r]
+	}
 	if m > 0 {
-		st.rrbase = xrand.Mix64(st.seed, st.rbase)
-		rgr := len(st.groups)
-		if nb := numRouteBlocks(m); rgr > nb {
-			rgr = nb
-		}
-		st.rgr = rgr
-		if err := st.ph.run(streamRoute, rgr); err != nil {
+		if ok, err := st.route(m); !ok {
 			return false, err
 		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		mergeRouteGroups(st.groups[:rgr], st.counts, nil)
-		if err := st.ph.run(streamPlace, st.shards); err != nil {
+		if ok, err := st.phase(streamPlace, st.shards); !ok {
 			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
 		}
 		for s, c := range st.counts {
 			st.sballs[s] += c
@@ -641,27 +564,18 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 
 	// Phase 3 — deletions: exactly uniform without replacement over
 	// the current occupancy, P(shard)·P(bin|shard) factorised.
-	d := st.p.Deletions
-	if d > st.total {
-		d = st.total
-	}
-	if d > 0 {
-		if err := st.routeDeletions(d); err != nil {
+	st.del = min(st.p.Deletions, st.total)
+	if st.del > 0 {
+		if ok, err := st.inline(streamDeleteRoute); !ok {
 			return false, err
 		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		if err := st.ph.run(streamDelete, st.shards); err != nil {
+		if ok, err := st.phase(streamDelete, st.shards); !ok {
 			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
 		}
 		for s, q := range st.delQuota {
 			st.sballs[s] -= q
 		}
-		st.total -= d
+		st.total -= st.del
 	}
 
 	// Phase 4 — rebalance: shed surpluses above (1+tol)·target to the
@@ -669,19 +583,12 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	// the model orders move-outs before move-ins.
 	var moved int64
 	if tol := st.p.RebalanceTol; tol > 0 {
-		moved = st.planRebalance(tol)
-		if moved > 0 {
-			if err := st.ph.run(streamMoveOut, st.shards); err != nil {
+		if moved = st.planRebalance(tol); moved > 0 {
+			if ok, err := st.phase(streamMoveOut, st.shards); !ok {
 				return false, err
 			}
-			if st.cc.cancelled() {
-				return false, nil
-			}
-			if err := st.ph.run(streamMoveIn, st.shards); err != nil {
+			if ok, err := st.phase(streamMoveIn, st.shards); !ok {
 				return false, err
-			}
-			if st.cc.cancelled() {
-				return false, nil
 			}
 			for s := 0; s < st.shards; s++ {
 				st.sballs[s] += st.moveIn[s] - st.moveOut[s]
@@ -689,62 +596,32 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 		}
 	}
 
-	// Phase 5 — observation: a cut at round r+1 snapshots the system
-	// before the commit, so a cancellation inside the observe phase
-	// abandons the whole round and the trajectory stays exactly the
-	// committed prefix's.
-	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(r)+1 {
-		if err := st.ph.run(streamObserve, st.shards); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		combineShardMaxima(st.trackMat, st.maxOut)
-		st.cp.Observe(st.nextCut, st.total, st.totalCap, st.maxOut[0])
-		st.nextCut++
+	// Phase 5 — observation of a cut at round r+1.
+	if ok, err := st.observe(st.total); !ok {
+		return false, err
 	}
 
 	// Commit: the round is now part of the result prefix.
-	st.rounds = r + 1
 	st.arrived += m
-	st.deleted += d
+	st.deleted += st.del
 	st.moved += moved
 	st.ctotal = st.total
 	copy(st.csballs, st.sballs)
 	return true, nil
 }
 
-// partialResult builds the committed-prefix result every cancelled
-// path shares.
+// partialResult is the committed-prefix result every exit shares.
 func (st *streamState) partialResult() *StreamResult {
-	res := &StreamResult{
-		N:          st.n,
-		Shards:     st.shards,
-		Rounds:     st.rounds,
-		Arrived:    st.arrived,
-		Deleted:    st.deleted,
-		Moved:      st.moved,
-		Balls:      st.ctotal,
-		ShardBalls: st.csballs,
-	}
-	if st.cp != nil {
-		res.Checkpoints = st.cp.Rows()
-	}
-	return res
-}
-
-// partial is the cancelled exit: the committed-round prefix plus a
-// *CancelledError whose cause is the context's error, or nil for the
-// deterministic CancelAfter stop.
-func (st *streamState) partial(cause error) (*StreamResult, error) {
-	return st.partialResult(), &CancelledError{
-		Engine:          engRunStream,
-		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
-		CompletedRounds: st.rounds,
-		CompletedTicks:  -1,
-		Cause:           cause,
+	return &StreamResult{
+		N:           st.n,
+		Shards:      st.shards,
+		Rounds:      st.done,
+		Arrived:     st.arrived,
+		Deleted:     st.deleted,
+		Moved:       st.moved,
+		Balls:       st.ctotal,
+		ShardBalls:  st.csballs,
+		Checkpoints: st.rows(),
 	}
 }
 
@@ -755,7 +632,7 @@ func (st *streamState) partial(cause error) (*StreamResult, error) {
 func (st *streamState) final() (*StreamResult, error) {
 	res := st.partialResult()
 	var err error
-	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = finalState(engRunStream, st.arr, st.levels, st.arrived)
+	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = st.finalState(st.arrived)
 	if err != nil {
 		return nil, err
 	}

@@ -624,7 +624,7 @@ func TestStreamSubstreamLayout(t *testing.T) {
 	// And the deletion draws come from their own streams: the
 	// per-round stream budget covers routing (1), placements (S),
 	// deletion routing (1), per-shard deletions (S) and move-outs (S).
-	st := &streamState{sharded: sharded{shards: 4}, kk: uint64(3*4 + 2)}
+	st := &streamState{stepper: stepper{sharded: sharded{shards: 4}, kk: uint64(3*4 + 2)}}
 	if st.kk != 14 {
 		t.Fatalf("stream budget = %d, want 14 for 4 shards", st.kk)
 	}

@@ -120,16 +120,17 @@ func SimulateLarge(cfg LargeConfig) (*LargeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec.Engine = sim.EngineSharded
 	spec.Reps = 1
 	spec.ShardStats = true
-	res, err := sim.RunLargeMonte(spec)
+	res, err := sim.Dispatch(spec)
 	if err != nil && cancelledPartial(err, res != nil) == nil {
 		return nil, err
 	}
 	out := &LargeResult{
 		N:           res.N,
 		Shards:      res.Shards,
-		Balls:       res.Balls,
+		Balls:       spec.BallCount(spec.Array.TotalCapacity()),
 		Checkpoints: checkpointResults(res.Checkpoints),
 	}
 	if err != nil {
@@ -240,6 +241,7 @@ func MonteCarloLarge(cfg MonteLargeConfig) (*MonteLargeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec.Engine = sim.EngineSharded
 	spec.Reps = cfg.Reps
 	if spec.Reps == 0 {
 		spec.Reps = 100
@@ -248,15 +250,15 @@ func MonteCarloLarge(cfg MonteLargeConfig) (*MonteLargeResult, error) {
 	spec.ShardStats = cfg.ShardStats
 	spec.Resume = cfg.Resume
 	spec.CancelAfter = cfg.CancelAfterReps
-	res, err := sim.RunLargeMonte(spec)
+	res, err := sim.Dispatch(spec)
 	if err != nil && cancelledPartial(err, res != nil) == nil {
 		return nil, err
 	}
 	return &MonteLargeResult{
 		N:               res.N,
 		Shards:          res.Shards,
-		Reps:            res.Reps,
-		Balls:           res.Balls,
+		Reps:            int(res.MaxLoad.N()),
+		Balls:           spec.BallCount(spec.Array.TotalCapacity()),
 		AverageLoad:     res.AvgLoad.Mean(),
 		MeanMaxLoad:     res.MaxLoad.Mean(),
 		MaxLoadCI95:     res.MaxLoad.CI95(),

@@ -214,7 +214,10 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	}
 	spec.Reps = reps
 	spec.CollectLoadVector = cfg.SortedLoads
-	res, err := sim.Run(spec.Config)
+	// Classic explicitly: auto-selection would move n >= AutoScaleMinBins
+	// off the paper's per-ball game.
+	spec.Engine = sim.EngineClassic
+	res, err := sim.Dispatch(spec)
 	if err != nil {
 		cancelled := cancelledPartial(err, res != nil)
 		if cancelled == nil {
