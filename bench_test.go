@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // benchParams keeps per-iteration cost low while exercising the entire
@@ -243,8 +244,8 @@ func BenchmarkClusterTick1W(b *testing.B) { benchClusterTick(b, 1) }
 func BenchmarkClusterTick4W(b *testing.B) { benchClusterTick(b, 4) }
 
 // benchRunLargeMonte measures the sharded Monte-Carlo engine: several
-// repetitions of a large sharded game per iteration, with per-shard
-// tasks nested inside repetition orchestration on the shared pool.
+// repetitions of a large sharded game per iteration, played in order
+// with per-shard tasks on the engine's pool.
 func benchRunLargeMonte(b *testing.B, workers int) {
 	b.Helper()
 	caps := CapacitiesTwoClass(100_000, 1, 100_000, 10)
@@ -267,6 +268,23 @@ func benchRunLargeMonte(b *testing.B, workers int) {
 
 func BenchmarkRunLargeMonte1W(b *testing.B) { benchRunLargeMonte(b, 1) }
 func BenchmarkRunLargeMonte4W(b *testing.B) { benchRunLargeMonte(b, 4) }
+
+// BenchmarkRunLargeMonteThreshold2W measures the sharded Monte-Carlo
+// engine at the smallest n auto-selection hands it (AutoScaleMinBins),
+// where per-repetition fixed costs weigh most: default shards, m = C,
+// 20 repetitions on two workers.
+func BenchmarkRunLargeMonteThreshold2W(b *testing.B) {
+	caps := CapacitiesTwoClass(sim.AutoScaleMinBins/2, 1, sim.AutoScaleMinBins/2, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MonteCarloLarge(MonteLargeConfig{
+			LargeConfig: LargeConfig{Capacities: caps, Seed: 1, Workers: 2},
+			Reps:        20,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkNewSystem(b *testing.B) {
 	caps := CapacitiesTwoClass(5000, 1, 5000, 10)

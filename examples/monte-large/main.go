@@ -1,9 +1,9 @@
 // Command monte-large demonstrates the sharded Monte-Carlo engine:
-// many repetitions of a huge sharded game, with per-shard parallelism
-// nested inside repetition parallelism on one shared worker pool. The
-// aggregate (mean/worst max load, the paper's gap with a confidence
-// interval) streams out of the engine without ever holding more than
-// min(workers, reps) bin arrays — the regime where the paper's
+// many repetitions of a huge sharded game, played one after another
+// with per-shard parallelism on one bounded worker pool. The aggregate
+// (mean/worst max load, the paper's gap with a confidence interval)
+// streams out of the engine without ever holding more than one bin
+// array, whatever the worker count — the regime where the paper's
 // greedy-d-choice gap bounds become empirically sharp.
 //
 //	go run ./examples/monte-large [-n 500000] [-reps 50] [-shards 64]
@@ -113,7 +113,7 @@ func main() {
 	fmt.Printf("\naggregate AND observations bit-identical across all worker counts ✓\n")
 	fmt.Printf("(repetition 0 reproduces balls.SimulateLarge exactly; each further\n")
 	fmt.Printf("repetition offsets the stream layout by shards+1 — the topology of\n")
-	fmt.Printf("workers over shards and repetitions never touches a single bit)\n")
+	fmt.Printf("workers over shards never touches a single bit)\n")
 }
 
 // sameHeights compares height rows on Level and MeanBins only: with a

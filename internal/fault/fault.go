@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection harness behind
-// the engines' chaos test matrix: engines mark every pool-task site
+// the engines' chaos test matrix: engines mark every task site
 // (a routing block, a shard placement, a per-repetition reset or
-// summary, a classic chunk repetition, a Monte orchestrator step) with
+// summary, a classic chunk repetition, a Monte repetition's fold) with
 // a Hit call, and a test armed with a Plan makes exactly the matching
 // site panic, stall, or cancel the run.
 //
@@ -48,8 +48,9 @@ const (
 	OpSummary
 	// OpChunk is one repetition of the classic chunked engine.
 	OpChunk
-	// OpOrchestrator is a Monte repetition orchestrator step — after
-	// the repetition's tasks have drained, before its fold turn.
+	// OpOrchestrator is a Monte repetition's fold on the calling
+	// goroutine — after the repetition's tasks have drained, before its
+	// summary is folded.
 	OpOrchestrator
 	// OpDelete is one deletion step of the streaming engine: the
 	// round's shard-routing pass (Shard = -1) or one shard's

@@ -310,11 +310,10 @@ func TestRunLargeMonteContextCancel(t *testing.T) {
 	}
 }
 
-// TestRunLargeMontePlacePanicReleasesFold is the monteAgg error-path
-// regression: a pool task dying mid-repetition (after the orchestrator
-// claimed its fold slot) must surface as a provenance error and release
-// the fold ladder — every orchestrator and worker goroutine exits, no
-// waiter hangs on the fold condition.
+// TestRunLargeMontePlacePanicReleasesFold is the Monte error-path
+// regression: a pool task dying mid-repetition must surface as a
+// provenance error, the repetition loop must stop without folding it,
+// and every pool worker goroutine must exit.
 func TestRunLargeMontePlacePanicReleasesFold(t *testing.T) {
 	a := largeArray(t, 400)
 	for _, workers := range []int{1, 4} {

@@ -43,10 +43,10 @@ func wantInjectedPanic(t *testing.T, err error, engine string, op fault.Op) {
 	}
 }
 
-// TestChaosRunLargeMontePanicSites: every Monte pool-task kind — a
-// routing block, a shard placement, a between-rep reset, a summary, an
-// orchestrator step — dies at a pinned repetition and the run reports
-// it instead of hanging, across shard and worker topologies.
+// TestChaosRunLargeMontePanicSites: every Monte task kind — a routing
+// block, a shard placement, a between-rep reset, a summary, the fold
+// (an orchestrator step) — dies at a pinned repetition and the run
+// reports it instead of hanging, across shard and worker topologies.
 func TestChaosRunLargeMontePanicSites(t *testing.T) {
 	a := largeArray(t, 600)
 	sites := []fault.Site{

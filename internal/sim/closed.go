@@ -22,12 +22,13 @@
 //
 // Repetition rep draws everything from xrand.NewStream(Seed, rep) —
 // the classic engine's stream layout — and repetitions fold through
-// the same chunk scaffolding as Run, so results are bit-identical for
-// any Workers value and cancellation yields the same deterministic
-// contiguous-prefix partials. The engine draws a different random
-// sequence than Run (interval-tree binomial splits instead of per-ball
-// samples), so classic and closed-form agree in distribution, not bit
-// for bit: parity_test.go pins the distributional agreement.
+// the same chunk driver as the classic engine, so results are
+// bit-identical for any Workers value and cancellation yields the same
+// deterministic contiguous-prefix partials. The engine draws a
+// different random sequence than the classic engine (interval-tree
+// binomial splits instead of per-ball samples), so classic and
+// closed-form agree in distribution, not bit for bit: parity_test.go
+// pins the distributional agreement.
 package sim
 
 import (

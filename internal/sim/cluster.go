@@ -802,12 +802,18 @@ func (st *clusterState) reshardPlan() error {
 
 // admission is the shedding step, an inline task on the orchestrator:
 // of the tick's arrivals, admit what fits under ShedThreshold × live
-// capacity given the current occupancy and shed the rest.
+// capacity given the current occupancy and shed the rest. A limit of
+// 2^63 or more (+Inf included) admits everything: its conversion to
+// int64 is implementation-dependent in Go (MinInt64 on amd64, which
+// would shed everything; saturated on arm64).
 func (st *clusterState) admission() {
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpShed, Rep: st.step, Shard: -1, Block: -1})
 	}
-	room := int64(math.Floor(st.p.ShedThreshold*float64(st.liveCap))) - st.liveQ
+	room := int64(math.MaxInt64)
+	if limit := math.Floor(st.p.ShedThreshold * float64(st.liveCap)); limit < math.MaxInt64 {
+		room = int64(limit) - st.liveQ
+	}
 	st.admit = min(st.p.ArrivalsPerTick, max(room, 0))
 	st.shedT = st.p.ArrivalsPerTick - st.admit
 }

@@ -7,6 +7,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -434,6 +435,43 @@ func TestClusterShedding(t *testing.T) {
 	for _, row := range res.Checkpoints {
 		if row.Reps() > 0 && row.RealBalls.Mean() > 12 {
 			t.Fatalf("checkpoint occupancy %v exceeds the admission cap", row.RealBalls.Mean())
+		}
+	}
+}
+
+// TestClusterHugeShedThresholdAdmitsAll: a threshold whose limit
+// overflows int64 (1e18 × live capacity, +Inf) admits every arrival,
+// exactly like shedding switched off — it must never wrap into a
+// negative room that sheds everything.
+func TestClusterHugeShedThresholdAdmitsAll(t *testing.T) {
+	caps := make([]int64, 100)
+	for i := range caps {
+		caps[i] = 1 + 3*int64(i/50) // 50 servers of capacity 1, 50 of 4
+	}
+	run := func(threshold float64) clusterTrace {
+		t.Helper()
+		res, err := runCluster(&RunSpec{
+			Config: Config{Array: clusterArray(t, caps...), Seed: 8},
+			Shards: 4,
+			Cluster: &ClusterParams{
+				Ticks:           5,
+				ArrivalsPerTick: 100,
+				ShedThreshold:   threshold,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traceOf(res)
+	}
+	off := run(0)
+	for _, threshold := range []float64{1e18, math.Inf(1)} {
+		got := run(threshold)
+		if got.Res.Shed != 0 {
+			t.Fatalf("threshold %v shed %d of %d arrivals", threshold, got.Res.Shed, got.Res.Arrived)
+		}
+		if !reflect.DeepEqual(got, off) {
+			t.Fatalf("threshold %v:\n%+v\nthreshold 0:\n%+v", threshold, got.Res, off.Res)
 		}
 	}
 }

@@ -153,9 +153,9 @@ type RunSpec struct {
 	// AdoptArray lets the sharded engines mutate Config.Array in place
 	// (reset first) instead of cloning it. The public wrappers, which
 	// build a private array from a capacity slice, use it to avoid a
-	// transient second O(n) array at n = 10^7. The sharded engine leaves
-	// there the final state of the last repetition its first
-	// orchestrator played: with Reps = 1, the game's final state.
+	// transient second O(n) array at n = 10^7. The sharded engine plays
+	// every repetition on it and leaves there the final state of the
+	// last one: with Reps = 1, the game's final state.
 	AdoptArray bool
 }
 

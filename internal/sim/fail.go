@@ -23,11 +23,12 @@
 // Every pool task runs behind the phase runner's recover (runner.go),
 // which converts a panic into a *PanicError carrying provenance
 // (engine, task name, repetition, shard/group index). The
-// orchestrator-side steps of the streaming and cluster engines run as
-// inline tasks behind that same recover; classic repetitions and
-// setups and Monte orchestrators carry their own recovers with the
-// same provenance. The lowest-index failure of a phase wins,
-// every waiter is released (see monteAgg.abort), and no worker
+// orchestrator-side steps — the streaming and cluster engines'
+// routing, churn, re-shard and admission, the sharded Monte-Carlo
+// engine's per-repetition summary and fold — run as inline tasks
+// behind that same recover; classic repetitions and setups carry
+// their own recovers with the same provenance. The lowest-slot failure
+// of a phase wins, every barrier is still reached, and no worker
 // goroutine is stranded — a panic anywhere surfaces as an ordinary
 // error from the engine call, never as a process crash or a hang.
 package sim
@@ -129,16 +130,16 @@ type PanicError struct {
 	// Engine is the engine the panic happened in.
 	Engine string
 	// Task names the task kind: "route", "place", "reset", "summary",
-	// "chunk" (classic chunk repetition), "setup", "orchestrator", and
+	// "chunk" (classic chunk repetition), "setup", "orchestrator" (a
+	// sharded repetition's fold), and
 	// the streaming and cluster phase names ("delete", "move-out",
 	// "redistribute", "retry", "churn", ...).
 	Task string
 	// Rep is the repetition, round or tick the task belonged to (-1
 	// when unknown).
 	Rep int
-	// Index is the task's shard index (place/reset), routing-group
-	// index (route), or worker index (orchestrator); -1 when not
-	// applicable.
+	// Index is the task's shard index (place/reset) or routing-group
+	// index (route); -1 for inline tasks and when not applicable.
 	Index int
 	// Value is the recovered panic value; Stack the goroutine stack
 	// captured at recovery.

@@ -67,6 +67,38 @@ func TestRunLargeMonteBitIdenticalAcrossTopologies(t *testing.T) {
 	}
 }
 
+// TestRunLargeMonteMemoryFlatInWorkers: the run plays every repetition
+// on its own array, so more workers add pool goroutines and routing
+// groups, never another array with its shard views and placers. Two
+// routing blocks per repetition make the 4-worker run use two routing
+// groups.
+func TestRunLargeMonteMemoryFlatInWorkers(t *testing.T) {
+	a := largeArray(t, 10_000)
+	run := func(workers int) (*Result, float64) {
+		spec := RunSpec{
+			Config: Config{Array: a, Balls: 100_000, Seed: 5, Workers: workers, Reps: 4},
+			Shards: 64,
+		}
+		var res *Result
+		allocs := testing.AllocsPerRun(2, func() {
+			var err error
+			if res, err = runLargeMonte(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res, allocs
+	}
+	res1, allocs1 := run(1)
+	res4, allocs4 := run(4)
+	t.Logf("allocs/run: %v at Workers 1, %v at Workers 4", allocs1, allocs4)
+	if allocs4 > allocs1+16 {
+		t.Errorf("allocs/run: %v at Workers 4, %v at Workers 1; want at most 16 more", allocs4, allocs1)
+	}
+	if !reflect.DeepEqual(res1, res4) {
+		t.Fatalf("Workers 4 result differs from Workers 1:\n got  %+v\n want %+v", res4, res1)
+	}
+}
+
 // TestRunLargeMonteAggregates: repetitions are genuinely independent
 // (nonzero variance), counts add up, and the gap aggregate is
 // consistent with max/avg.
@@ -178,7 +210,8 @@ func TestRunLargeMonteZeroWeightShards(t *testing.T) {
 }
 
 // TestRunLargeMonteFactoryError: a failing placer factory surfaces as
-// an error, not a hang — every repetition still takes its fold turn.
+// an error, not a hang — the repetition loop stops at the first
+// failing repetition.
 func TestRunLargeMonteFactoryError(t *testing.T) {
 	a := largeArray(t, 200)
 	boom := func(*bins.Array, []float64) (protocol.Placer, error) {

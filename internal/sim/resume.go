@@ -1,15 +1,15 @@
 // Fault-tolerant execution layer, part 2: deterministic checkpoint and
 // resume for the sharded Monte-Carlo engine.
 //
-// The sharded engine folds repetition summaries strictly in repetition
-// order (monteAgg), so the complete fold state after repetitions
-// [0, k) is a small, well-defined value: the three result
-// accumulators, the running load-vector sums and every collector row. MonteCheckpoint serializes
-// exactly that state. Because JSON round-trips float64 exactly (Go
-// emits the shortest representation that parses back to the same bits)
-// and Welford state is always finite for finite inputs, a run resumed
-// from repetition k is byte-identical to one that was never
-// interrupted: the fold after restore continues on bit-identical
+// The sharded engine plays and folds repetitions in order on one
+// goroutine, so the complete fold state after repetitions [0, k) is a
+// small, well-defined value: the three result accumulators, the
+// running load-vector sums and every collector row. MonteCheckpoint
+// serializes exactly that state. Because JSON round-trips float64
+// exactly (Go emits the shortest representation that parses back to
+// the same bits) and Welford state is always finite for finite inputs,
+// a run resumed from repetition k is byte-identical to one that was
+// never interrupted: the fold after restore continues on bit-identical
 // accumulator state, in the same repetition order, with the same
 // per-repetition RNG streams (repetition rep's streams depend only on
 // (Seed, rep), never on where the run started).
@@ -131,10 +131,10 @@ type MonteCheckpoint struct {
 	Shards      []shardRowState      `json:"shards,omitempty"`
 }
 
-// captureMonteCheckpoint snapshots the fold state. Callers hold the
-// aggregation lock or have exclusive access (the orchestrators have
-// all returned).
-func captureMonteCheckpoint(fp MonteFingerprint, completed int, res *Result, ag *monteAgg) *MonteCheckpoint {
+// captureMonteCheckpoint snapshots the fold state of a run whose pool
+// has shut down.
+func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteRepState) *MonteCheckpoint {
+	res := st.res
 	cp := &MonteCheckpoint{
 		Version:       monteCheckpointVersion,
 		Fingerprint:   fp,
@@ -143,13 +143,13 @@ func captureMonteCheckpoint(fp MonteFingerprint, completed int, res *Result, ag 
 		AvgLoad:       res.AvgLoad.State(),
 		Deviation:     res.Deviation.State(),
 	}
-	if ag.loads != nil {
-		sum, n := ag.loads.State()
+	if st.loads != nil {
+		sum, n := st.loads.State()
 		cp.LoadSums = slices.Clone(sum)
 		cp.LoadReps = n
 	}
-	if ag.cp != nil {
-		rows := ag.cp.Rows()
+	if st.cp != nil {
+		rows := st.cp.Rows()
 		cp.Checkpoints = make([]checkpointRowState, len(rows))
 		for i := range rows {
 			cp.Checkpoints[i] = checkpointRowState{
@@ -160,15 +160,15 @@ func captureMonteCheckpoint(fp MonteFingerprint, completed int, res *Result, ag 
 			}
 		}
 	}
-	if ag.hl != nil {
-		rows := ag.hl.Rows()
+	if st.hl != nil {
+		rows := st.hl.Rows()
 		cp.Heights = make([]heightRowState, len(rows))
 		for i := range rows {
 			cp.Heights[i] = heightRowState{Level: rows[i].Level, Bins: rows[i].Bins.State()}
 		}
 	}
-	if ag.ss != nil {
-		rows := ag.ss.Rows()
+	if st.ss != nil {
+		rows := st.ss.Rows()
 		cp.Shards = make([]shardRowState, len(rows))
 		for i := range rows {
 			cp.Shards[i] = shardRowState{
@@ -181,10 +181,10 @@ func captureMonteCheckpoint(fp MonteFingerprint, completed int, res *Result, ag 
 	return cp
 }
 
-// restore loads the checkpointed fold state into a freshly built
-// result and aggregator (whose collectors already have the shapes the
-// fingerprint promised). It runs before any orchestrator starts.
-func (cp *MonteCheckpoint) restore(fp MonteFingerprint, res *Result, ag *monteAgg) error {
+// restore loads the checkpointed fold state into a freshly built run
+// state (whose collectors already have the shapes the fingerprint
+// promised). It runs before the first repetition.
+func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteRepState) error {
 	if cp.Version != monteCheckpointVersion {
 		return fmt.Errorf("sim: resume checkpoint version %d, this build reads %d", cp.Version, monteCheckpointVersion)
 	}
@@ -194,14 +194,15 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, res *Result, ag *monteAg
 	if cp.CompletedReps < 0 {
 		return fmt.Errorf("sim: resume checkpoint has %d completed repetitions", cp.CompletedReps)
 	}
+	res := st.res
 	res.MaxLoad.Restore(cp.MaxLoad)
 	res.AvgLoad.Restore(cp.AvgLoad)
 	res.Deviation.Restore(cp.Deviation)
-	if ag.loads != nil {
-		ag.loads = obs.RestoreSortedLoads(cp.LoadSums, cp.LoadReps)
+	if st.loads != nil {
+		st.loads = obs.RestoreSortedLoads(cp.LoadSums, cp.LoadReps)
 	}
-	if ag.cp != nil {
-		rows := ag.cp.Rows()
+	if st.cp != nil {
+		rows := st.cp.Rows()
 		if len(cp.Checkpoints) != len(rows) {
 			return fmt.Errorf("sim: resume checkpoint has %d checkpoint rows, run has %d", len(cp.Checkpoints), len(rows))
 		}
@@ -214,8 +215,8 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, res *Result, ag *monteAg
 			rows[i].Deviation.Restore(cp.Checkpoints[i].Deviation)
 		}
 	}
-	if ag.hl != nil {
-		rows := ag.hl.Rows()
+	if st.hl != nil {
+		rows := st.hl.Rows()
 		if len(cp.Heights) != len(rows) {
 			return fmt.Errorf("sim: resume checkpoint has %d height rows, run has %d", len(cp.Heights), len(rows))
 		}
@@ -223,8 +224,8 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, res *Result, ag *monteAg
 			rows[i].Bins.Restore(cp.Heights[i].Bins)
 		}
 	}
-	if ag.ss != nil {
-		rows := ag.ss.Rows()
+	if st.ss != nil {
+		rows := st.ss.Rows()
 		if len(cp.Shards) != len(rows) {
 			return fmt.Errorf("sim: resume checkpoint has %d shard rows, run has %d", len(cp.Shards), len(rows))
 		}
@@ -233,7 +234,6 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, res *Result, ag *monteAg
 			rows[i].MaxLoad.Restore(cp.Shards[i].MaxLoad)
 		}
 	}
-	ag.next = cp.CompletedReps
 	return nil
 }
 

@@ -9,18 +9,18 @@
 // A pool is a bounded set of worker goroutines draining one channel of
 // tasks passed by VALUE — (phase, kind, index, slot) — so dispatching
 // work allocates nothing. A phase is one barrier over the tasks an
-// actor submits to a pool: the chunk driver and the step driver each
-// drive one phase; in the sharded Monte-Carlo engine every repetition
-// orchestrator drives its own phase on the shared pool. Every task
-// runs behind a recover that converts a panic into a *PanicError
-// carrying {engine, task name, rep, index}: the worker survives and
-// the barrier is always reached. Orchestrator-side steps (deletion
-// routing, churn, re-shard, admission) run as inline tasks on the
-// calling goroutine behind the same recover, with index −1. A phase
-// may mix task kinds (Monte overlaps routing with resets); slots
-// number the tasks in submission order, and the barrier reports the
-// failure of the LOWEST failing slot, so which error a multi-failure
-// phase surfaces never depends on timing.
+// actor submits to a pool: the chunk driver, the step driver and the
+// sharded Monte-Carlo engine each drive one phase on their own pool.
+// Every task runs behind a recover that converts a panic into a
+// *PanicError carrying {engine, task name, rep, index}: the worker
+// survives and the barrier is always reached. Orchestrator-side steps
+// (deletion routing, churn, re-shard, admission, the Monte summary
+// and fold) run as inline tasks on the calling goroutine behind the
+// same recover, with index −1. A phase may mix task kinds (Monte
+// overlaps routing with resets); slots number the tasks in submission
+// order, and the barrier reports the failure of the LOWEST failing
+// slot, so which error a multi-failure phase surfaces never depends on
+// timing.
 //
 // Tasks touch only the state their (kind, index) names — a shard, a
 // routing group, a worker's chunks — so any assignment of tasks to
@@ -84,9 +84,13 @@ type pool struct {
 	wg    sync.WaitGroup
 }
 
-// start launches workers goroutines.
-func (p *pool) start(workers int) {
-	p.tasks = make(chan task)
+// start launches workers goroutines behind a queue of depth tasks.
+// With depth 0 every submit waits for a worker to take the task; a
+// queue lets one submitter hand over a whole phase at once, at the
+// cost of one more allocation (a task holds a pointer, so the buffer
+// is allocated apart from the channel).
+func (p *pool) start(workers, depth int) {
+	p.tasks = make(chan task, depth)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go p.work()
@@ -248,7 +252,7 @@ func runChunked(e Engine, spec *RunSpec) (*Result, error) {
 	workers := min(resolveWorkers(cfg.Workers), nChunks)
 	r := &chunkRun{cfg: &cfg, cc: newCanceller(cfg.Context), checkpoints: checkpoints, partials: make([]chunkPartial, nChunks)}
 	r.ph = phase{pool: &r.pl, x: r, engine: eng, names: chunkKinds}
-	r.pl.start(workers)
+	r.pl.start(workers, 0)
 	err := r.ph.run(0, workers)
 	r.pl.close()
 	if err != nil {
@@ -530,7 +534,7 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 // CancelAfter): the engine's committed prefix is then its partial.
 func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int) (*CancelledError, error) {
 	d.ph = phase{pool: &d.pl, x: x, engine: eng, names: kinds}
-	d.pl.start(d.poolWidth(len(d.groups)))
+	d.pl.start(d.poolWidth(len(d.groups)), 0)
 	defer d.pl.close()
 	ok, err := d.phase(setupKind, d.shards)
 	for t := 0; ok && t < d.steps; t++ {

@@ -26,7 +26,7 @@ func (x *probeExec) exec(kind, idx int) error {
 // 1's errors are wrapped with a label, kind 0's pass through.
 func startProbe(x *probeExec, workers int) (*pool, *phase) {
 	p := &pool{}
-	p.start(workers)
+	p.start(workers, 0)
 	return p, &phase{pool: p, x: x, engine: "probe", names: []taskName{{task: "first"}, {task: "second", label: "second shard"}}}
 }
 

@@ -56,12 +56,12 @@ type Config struct {
 	Seed uint64
 	// Workers caps parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Context, when non-nil, arms cooperative cancellation: workers
-	// poll it between repetitions and, once it fires, Run returns a
+	// Context, when non-nil, arms cooperative cancellation: the engine
+	// polls it at task boundaries and, once it fires, returns a
 	// *CancelledError together with a deterministic partial result
-	// covering a contiguous repetition prefix — bit-identical to a run
-	// configured with that many Reps. Nil behaves like
-	// context.Background().
+	// covering a contiguous prefix of repetitions (rounds, ticks) —
+	// bit-identical to a run configured with that many. Nil behaves
+	// like context.Background().
 	Context context.Context
 
 	// CollectLoadVector requests the element-wise mean of the sorted

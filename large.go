@@ -175,15 +175,15 @@ type MonteLargeConfig struct {
 	SortedLoads bool
 	// ShardStats requests per-shard aggregates across repetitions
 	// (balls routed, shard-local final max load) — the imbalance view
-	// of the two-level protocol. Costs one O(shard) scan per shard per
-	// repetition.
+	// of the two-level protocol. The shard-local maxima are taken on
+	// every run anyway, so this adds only the per-shard accumulators.
 	ShardStats bool
 }
 
 // MonteLargeResult aggregates a sharded Monte-Carlo run. Only summary
-// statistics are kept — per-repetition bin arrays are discarded as
-// soon as each repetition is summarised, so memory stays
-// O(min(Workers, Reps) · n), never O(Reps · n).
+// statistics are kept — every repetition is played on one bin array
+// and summarised before the next starts, so memory stays O(n) for any
+// Workers, never O(Reps · n).
 type MonteLargeResult struct {
 	// N is the number of bins, Shards the realised shard count, Reps
 	// the number of repetitions aggregated, Balls the balls placed per
@@ -220,11 +220,10 @@ type MonteLargeResult struct {
 }
 
 // MonteCarloLarge runs cfg.Reps independent sharded games (each as
-// SimulateLarge would) and aggregates them, nesting the per-shard
-// parallelism of each repetition inside repetition-level parallelism
-// on one shared bounded worker pool — the huge-n Monte-Carlo regime
-// (n up to 10^7 with hundreds of repetitions) the classic Simulate
-// engine cannot reach.
+// SimulateLarge would) one after another, each with per-shard
+// parallelism on one bounded worker pool, and aggregates them — the
+// huge-n Monte-Carlo regime (n up to 10^7 with hundreds of
+// repetitions) the classic Simulate engine cannot reach.
 //
 // Repetition 0 is the game SimulateLarge plays with the same config;
 // repetition rep offsets the stream layout by rep·(Shards+1). The
