@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/xrand"
 )
@@ -30,12 +31,24 @@ import (
 // unusable; allocate with NewCountTree and (re)fill with Build, which
 // is allocation-free so per-round rebuilds cost no steady-state
 // garbage.
+//
+// The header fills one whole cache line. The streaming engine
+// allocates one tree per shard back to back, and every SampleDec
+// writes the header's total: without the pad, neighbouring shards'
+// headers would share a line that concurrent deletion tasks
+// false-share.
 type CountTree struct {
 	tree []int64 // 1-based Fenwick tree over P indices: len(tree) == P+1
 	n    int
 	mask int // P/2, the first step of a descent (tree[P] is the total)
 	tot  int64
+	_    [64 - (24 + 3*8)]byte
 }
+
+// Compile-time guard: CountTree stays exactly one 64-byte cache line
+// (re-size the pad above when fields change; any other size makes this
+// constant negative or non-zero, which does not compile).
+const _ uintptr = 0 - (unsafe.Sizeof(CountTree{}) ^ 64)
 
 // maxCountTotal bounds Total(): with every prefix sum at most 2^62,
 // the descents' differences u - tree[next] stay inside int64, so their

@@ -93,6 +93,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/bins"
 	"repro/internal/chash"
@@ -414,6 +415,29 @@ func (q *cohortQueues) unlink(i int, prev, k int32) int32 {
 	return next
 }
 
+// clusterShard is one shard's serving state: its peers' cohort
+// queues, the placer-rebuild mark, the work list its redistribution
+// and retry tasks place, placeCohort's before-snapshot, the expired
+// list of its timeout scan, and its service phase's latency scratch
+// and served count. The shard's tasks write all of it, so the slot is
+// padded to whole cache lines: neighbouring shards' tasks run
+// concurrently, and unpadded slots would false-share their headers.
+type clusterShard struct {
+	q       cohortQueues
+	dirty   bool
+	work    []cohort
+	before  []int64
+	expired []cohort
+	lat     obs.Latency
+	served  int64
+	_       [256 - (80 + 8 + 3*24 + 40 + 8)]byte
+}
+
+// Compile-time guard: clusterShard must stay a whole number of 64-byte
+// cache lines (re-size the pad above when fields change; a non-zero
+// remainder makes this constant negative, which does not compile).
+const _ uintptr = 0 - unsafe.Sizeof(clusterShard{})%64
+
 // clusterState is the engine's whole working set, allocated once.
 type clusterState struct {
 	// stepper's shard plan is over the live per-peer arc weights
@@ -430,21 +454,15 @@ type clusterState struct {
 	caps      []int64
 	liveCap   int64
 	peerShard []int32
-	dirty     []bool
 
-	queues []cohortQueues // per-shard arenas of the peers' resident cohort FIFOs
+	slots []clusterShard // per-shard serving state
 	// retryWheel[d % len] holds the timed-out batches due at tick d.
 	// Backoffs are at most len−1 ticks, so the pending due ticks never
 	// share a slot; batches due at or after the horizon are never
 	// stored (they only count in pendingRetry).
 	retryWheel [][]retryEntry
-	work       [][]cohort // per-shard redistribution/retry work lists
-	aport      []int64    // apportionment scratch
+	aport      []int64 // apportionment scratch
 	ap         apportion
-	before     [][]int64 // per-shard queue-snapshot scratch (delta scans)
-	svcLat     []*obs.Latency
-	svcDone    []int64
-	expired    [][]cohort
 	crand      xrand.Rand
 
 	// Tick-scoped fields, written by the orchestrator strictly between
@@ -519,13 +537,7 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 
 	st.aport = make([]int64, shards)
 	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
-	st.dirty = make([]bool, shards)
-	st.work = make([][]cohort, shards)
-	st.before = make([][]int64, shards)
-	st.svcLat = make([]*obs.Latency, shards)
-	st.svcDone = make([]int64, shards)
-	st.expired = make([][]cohort, shards)
-	st.queues = make([]cohortQueues, shards)
+	st.slots = make([]clusterShard, shards)
 	st.retryWheel = make([][]retryEntry, min(p.Retry.Backoff(p.Retry.MaxRetries), p.Ticks)+1)
 	st.crashed = make([]int, 0, n)
 	st.livePerTick = make([]int, 0, p.Ticks)
@@ -539,10 +551,12 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 		return nil, fmt.Errorf("sim: RunCluster: %w", err)
 	}
 	for s, v := range st.views {
-		st.before[s] = make([]int64, v.N())
-		st.queues[s] = newCohortQueues(v.N())
-		st.svcLat[s], _ = obs.NewLatency(latMax)
-		st.dirty[s] = true // initial build: every placer
+		sl := &st.slots[s]
+		sl.q = newCohortQueues(v.N())
+		sl.dirty = true // initial build: every placer
+		sl.before = make([]int64, v.N())
+		lat, _ := obs.NewLatency(latMax)
+		sl.lat = *lat
 	}
 
 	cerr, err := st.run(st, engRunCluster, clusterKinds, clusterSetup)
@@ -577,7 +591,7 @@ func (st *clusterState) exec(kind, s int) error {
 	case clusterRedist, clusterRetry:
 		// Both re-place the shard's apportioned work list; only the
 		// fault site differs.
-		if len(st.work[s]) > 0 {
+		if sl := &st.slots[s]; len(sl.work) > 0 {
 			if fault.Enabled {
 				op := fault.OpReshard
 				if kind == clusterRetry {
@@ -585,10 +599,10 @@ func (st *clusterState) exec(kind, s int) error {
 				}
 				fault.Hit(fault.Site{Engine: engRunCluster, Op: op, Rep: st.step, Shard: s, Block: -1})
 			}
-			for _, it := range st.work[s] {
+			for _, it := range sl.work {
 				st.placeCohort(s, it.disp, it.orig, it.att, it.count)
 			}
-			st.work[s] = st.work[s][:0]
+			sl.work = sl.work[:0]
 		}
 	case clusterServe:
 		st.serveShard(s)
@@ -605,10 +619,10 @@ func (st *clusterState) exec(kind, s int) error {
 // are dirty; a shard whose live weight vanished entirely (every peer
 // down) gets a nil placer — the router can never route a ball there.
 func (st *clusterState) setupShard(s int) (err error) {
-	if !st.dirty[s] {
+	if !st.slots[s].dirty {
 		return nil
 	}
-	st.dirty[s] = false
+	st.slots[s].dirty = false
 	w := st.weights[st.bounds[s]:st.bounds[s+1]]
 	var sum float64
 	for _, v := range w {
@@ -631,12 +645,12 @@ func (st *clusterState) placeCohort(s int, disp, orig int32, att int16, count in
 		return
 	}
 	view := st.views[s]
-	b := st.before[s]
+	b := st.slots[s].before
 	for i := range b {
 		b[i] = view.Balls(i)
 	}
 	st.place(s, count)
-	q := &st.queues[s]
+	q := &st.slots[s].q
 	for i := range b {
 		if d := view.Balls(i) - b[i]; d > 0 {
 			q.push(i, cohort{disp: disp, orig: orig, att: att, count: d})
@@ -648,11 +662,12 @@ func (st *clusterState) placeCohort(s int, disp, orig int32, att int16, count in
 // completes up to `capacity` requests FIFO, folding response times
 // into the shard's per-tick latency scratch.
 func (st *clusterState) serveShard(s int) {
-	lat := st.svcLat[s]
+	sl := &st.slots[s]
+	lat := &sl.lat
 	lat.Reset()
 	var done int64
 	now := int64(st.step)
-	q := &st.queues[s]
+	q := &sl.q
 	lo := st.bounds[s]
 	for p := lo; p < st.bounds[s+1]; p++ {
 		if !st.ring.Live(p) {
@@ -681,7 +696,7 @@ func (st *clusterState) serveShard(s int) {
 			done += served
 		}
 	}
-	st.svcDone[s] = done
+	sl.served = done
 }
 
 // expireShard is the tick's timeout scan on shard s: cohorts
@@ -691,8 +706,9 @@ func (st *clusterState) serveShard(s int) {
 // their original dispatch ticks, so a queue is not disp-sorted.
 func (st *clusterState) expireShard(s int) {
 	cutoff := int32(st.step - st.p.Retry.TimeoutTicks)
-	exp := st.expired[s][:0]
-	q := &st.queues[s]
+	sl := &st.slots[s]
+	exp := sl.expired[:0]
+	q := &sl.q
 	for i := range q.head {
 		var gone int64
 		prev := int32(-1)
@@ -710,7 +726,7 @@ func (st *clusterState) expireShard(s int) {
 			st.views[s].RemoveBalls(i, gone)
 		}
 	}
-	st.expired[s] = exp
+	sl.expired = exp
 }
 
 // toggle crashes (down) or revives peer p, recording it in the tick's
@@ -778,12 +794,12 @@ func (st *clusterState) reshardPlan() error {
 	for _, p := range st.touched {
 		if w := st.ring.PeerArc(p); w != st.weights[p] {
 			st.weights[p] = w
-			st.dirty[st.peerShard[p]] = true
+			st.slots[st.peerShard[p]].dirty = true
 		}
 	}
 	st.sumW = 0
 	for s := 0; s < st.shards; s++ {
-		if st.dirty[s] {
+		if st.slots[s].dirty {
 			var w float64
 			for i := st.bounds[s]; i < st.bounds[s+1]; i++ {
 				w += st.weights[i]
@@ -828,7 +844,7 @@ func (st *clusterState) drainCrashed() int64 {
 	var moved int64
 	for _, p := range st.crashed {
 		s := int(st.peerShard[p])
-		q := &st.queues[s]
+		q := &st.slots[s].q
 		i := p - st.bounds[s]
 		for k := q.head[i]; k >= 0; k = q.unlink(i, -1, k) {
 			c := q.nodes[k].cohort
@@ -836,7 +852,7 @@ func (st *clusterState) drainCrashed() int64 {
 			st.ap.split(c.count, st.shardW, st.sumW, st.aport)
 			for s2, cnt := range st.aport {
 				if cnt > 0 {
-					st.work[s2] = append(st.work[s2], cohort{disp: c.disp, orig: c.orig, att: c.att, count: cnt})
+					st.slots[s2].work = append(st.slots[s2].work, cohort{disp: c.disp, orig: c.orig, att: c.att, count: cnt})
 				}
 			}
 			moved += c.count
@@ -903,7 +919,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 			st.ap.split(e.count, st.shardW, st.sumW, st.aport)
 			for s, cnt := range st.aport {
 				if cnt > 0 {
-					st.work[s] = append(st.work[s], cohort{disp: int32(t), orig: e.orig, att: e.att, count: cnt})
+					st.slots[s].work = append(st.slots[s].work, cohort{disp: int32(t), orig: e.orig, att: e.att, count: cnt})
 				}
 			}
 			retriedT += e.count
@@ -921,7 +937,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 	}
 	var doneT int64
 	for s := 0; s < st.shards; s++ {
-		doneT += st.svcDone[s]
+		doneT += st.slots[s].served
 	}
 	st.liveQ -= doneT
 
@@ -936,7 +952,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 			return false, err
 		}
 		for s := 0; s < st.shards; s++ {
-			for _, e := range st.expired[s] {
+			for _, e := range st.slots[s].expired {
 				timedOutT += e.count
 				if int(e.att) < st.p.Retry.MaxRetries {
 					att := e.att + 1
@@ -974,7 +990,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 	st.recoveries += st.recovered
 	st.livePerTick = append(st.livePerTick, tickLive)
 	for s := 0; s < st.shards; s++ {
-		if err := st.lat.Merge(st.svcLat[s]); err != nil {
+		if err := st.lat.Merge(&st.slots[s].lat); err != nil {
 			return false, err
 		}
 	}

@@ -9,10 +9,10 @@
 //
 // One repetition state owns the run's bin array, its shard views,
 // per-shard placers and generators, and routing groups (built once,
-// reset between repetitions), plus a bounded pool of at most
-// spec.Workers goroutines (the phase runner, runner.go). The calling
-// goroutine plays the repetitions in order, one phase barrier at a
-// time:
+// reset between repetitions), plus one phase (the phase runner,
+// runner.go) whose tasks run on the calling goroutine and at most
+// spec.Workers−1 helpers. The calling goroutine plays the repetitions
+// in order, one phase barrier at a time:
 //
 //	route blocks ∥ reset shards → place shards in parallel → summarise → fold
 //
@@ -93,7 +93,6 @@ type monteRepState struct {
 
 	// cc is the run's canceller (nil when no Context).
 	cc *canceller
-	pl pool
 	ph phase
 
 	// Routing state: the routing groups (route.go), reused across
@@ -128,10 +127,10 @@ type monteRepState struct {
 
 // newMonteRepState builds the run's state over the prologue's fresh
 // (reset) array: the shard views, routing groups, observation scratch,
-// the collectors over the normalized cuts allCuts, and the phase on
-// its own pool. Zero-weight shards get no view, so never a placer —
-// the router can never send a ball there, and building a placer over
-// an all-zero weight slice would fail.
+// the collectors over the normalized cuts allCuts, and the phase.
+// Zero-weight shards get no view, so never a placer — the router can
+// never send a ball there, and building a placer over an all-zero
+// weight slice would fail.
 func newMonteRepState(sh *sharded, spec *RunSpec, cc *canceller, allCuts []int64) (*monteRepState, error) {
 	shards, bounds := sh.shards, sh.bounds
 	totalCap := sh.arr.TotalCapacity()
@@ -154,7 +153,7 @@ func newMonteRepState(sh *sharded, spec *RunSpec, cc *canceller, allCuts []int64
 		cc:          cc,
 		res:         &Result{N: sh.n, Shards: shards},
 	}
-	st.ph = phase{pool: &st.pl, x: st, engine: engRunLargeMC, names: monteKinds}
+	st.ph = phase{x: st, engine: engRunLargeMC, names: monteKinds}
 	st.cutBlocks, st.cutRems = cutPlan(cuts)
 	if len(cuts) > 0 {
 		st.prefix = make([][]int64, len(cuts))
@@ -447,12 +446,9 @@ func (st *monteRepState) runRep(rep int) (ok bool, err error) {
 // folded prefix. The first cancellation or error ends it, so both are
 // the lowest repetition's whatever Workers is.
 func (st *monteRepState) play(start, stop int) (int, error) {
-	// The queue holds a whole phase, so the calling goroutine submits
-	// it all at once instead of waiting for a free worker between tasks
-	// — each such wait lasts until the scheduler runs it again, while
-	// a worker sits idle.
-	st.pl.start(st.sh.poolWidth(len(st.routeGroups)), len(st.routeGroups)+st.sh.shards)
-	defer st.pl.close()
+	// The widest phase is Phase A: every routing group and every reset.
+	st.ph.start(st.sh.workers, len(st.routeGroups)+st.sh.shards)
+	defer st.ph.close()
 	for rep := start; rep < stop; rep++ {
 		if st.cc.cancelled() {
 			return rep, nil

@@ -1,16 +1,22 @@
-// Shared execution skeleton: the one worker pool, phase barrier and
-// per-task panic containment every engine schedules its work through,
+// Shared execution skeleton: the one phase runner — task list, barrier,
+// helper goroutines and per-task panic containment — every engine
+// schedules its work through,
 // the chunk driver behind the classic and closed-form engines, the
 // prologue and generators the sharded engines share, and the step
 // driver of the dynamic engines (streaming rounds, cluster ticks).
 //
-// # Pool and phases
+// # Phases
 //
-// A pool is a bounded set of worker goroutines draining one channel of
-// tasks passed by VALUE — (phase, kind, index, slot) — so dispatching
-// work allocates nothing. A phase is one barrier over the tasks an
-// actor submits to a pool: the chunk driver, the step driver and the
-// sharded Monte-Carlo engine each drive one phase on their own pool.
+// A phase is one barrier over the tasks an actor submits: the chunk
+// driver, the step driver and the sharded Monte-Carlo engine each
+// drive one. Submitting appends (kind, index) to the phase's task
+// list, sized once at start for the widest phase; the barrier wakes at
+// most workers−1 helper goroutines — one channel token each, once per
+// phase — and the calling goroutine claims tasks from the same atomic
+// counter as worker 0. Dispatching work therefore allocates nothing
+// and sends nothing per task, and a one-worker phase starts no
+// goroutine and no channel.
+//
 // Every task runs behind a recover that converts a panic into a
 // *PanicError carrying {engine, task name, rep, index}: the worker
 // survives and the barrier is always reached. Orchestrator-side steps
@@ -25,7 +31,9 @@
 // Tasks touch only the state their (kind, index) names — a shard, a
 // routing group, a worker's chunks — so any assignment of tasks to
 // workers produces identical bits. Workers only decides how many tasks
-// run at once.
+// run at once. Per-shard state that tasks write sits on cache lines of
+// its own (padded types with compile-time size guards), so
+// neighbouring shards' tasks never false-share a line.
 //
 // # Step driver
 //
@@ -45,6 +53,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/bins"
 	"repro/internal/fault"
@@ -69,86 +78,107 @@ type executor interface {
 	exec(kind, idx int) error
 }
 
-// task is one unit of pool work: the phase it belongs to, its kind and
-// index, and its slot — its position in the phase's submission order.
-type task struct {
-	ph              *phase
-	kind, idx, slot int32
-}
-
-// pool is a bounded set of workers draining tasks. Engines embed it in
-// their state, so starting one allocates only the channel and the
-// worker goroutines.
-type pool struct {
-	tasks chan task
-	wg    sync.WaitGroup
-}
-
-// start launches workers goroutines behind a queue of depth tasks.
-// With depth 0 every submit waits for a worker to take the task; a
-// queue lets one submitter hand over a whole phase at once, at the
-// cost of one more allocation (a task holds a pointer, so the buffer
-// is allocated apart from the channel).
-func (p *pool) start(workers, depth int) {
-	p.tasks = make(chan task, depth)
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.work()
-	}
-}
-
-func (p *pool) work() {
-	defer p.wg.Done()
-	for t := range p.tasks {
-		t.ph.runTask(t)
-	}
-}
-
-// close stops the workers and waits for them to exit. Every phase must
-// have passed its barrier first.
-func (p *pool) close() {
-	close(p.tasks)
-	p.wg.Wait()
-}
+// task is one submitted unit of work: its kind and the index it names.
+// Its slot — its position in the phase's submission order — is its
+// index in the phase's list.
+type task struct{ kind, idx int32 }
 
 // taskName names one task kind: task is the PanicError task name, and
 // a non-empty label wraps a failing task's error as
 // "sim: <engine> <label> <index>: ..." (no index for inline tasks).
 type taskName struct{ task, label string }
 
-// phase is one barrier over the tasks an actor submits to a pool.
+// phase is one barrier over the tasks an actor submits, and the helper
+// goroutines that run them with it. Engines embed it in their state.
 type phase struct {
-	pool   *pool
 	x      executor
 	engine string
 	names  []taskName // indexed by task kind
 	// rep is the repetition, round or tick of the tasks in flight (panic
 	// provenance); written only between barriers.
-	rep  int
-	next int32 // slot of the next submitted task
-	wg   sync.WaitGroup
+	rep int
+
+	tasks []task         // the batch in submission order, run by wait
+	claim atomic.Int32   // the next unclaimed slot of tasks
+	wake  chan struct{}  // one token per woken helper; buffered for all helpers
+	busy  sync.WaitGroup // the helpers woken for the batch in flight
+	live  sync.WaitGroup // the helper goroutines
 
 	mu    sync.Mutex
 	err   error // failure of the lowest failing slot so far
 	errAt int32
 }
 
-// submit queues one task on the pool.
-func (ph *phase) submit(kind, idx int) {
-	ph.wg.Add(1)
-	ph.pool.tasks <- task{ph: ph, kind: int32(kind), idx: int32(idx), slot: ph.next}
-	ph.next++
+// start sizes the task list for the widest phase — width tasks — and
+// starts min(workers, width)−1 helper goroutines: the calling
+// goroutine is worker 0, so one worker starts no goroutine and no
+// channel.
+func (ph *phase) start(workers, width int) {
+	ph.tasks = make([]task, 0, width)
+	if helpers := min(workers, width) - 1; helpers > 0 {
+		ph.wake = make(chan struct{}, helpers)
+		ph.live.Add(helpers)
+		for w := 0; w < helpers; w++ {
+			go ph.help()
+		}
+	}
 }
 
-// wait is the barrier: it blocks until every submitted task finished
-// and returns the error of the lowest failing slot, leaving the phase
-// ready for its next batch.
+// help is a helper goroutine: once per token, it claims tasks of the
+// batch in flight until none is left.
+func (ph *phase) help() {
+	defer ph.live.Done()
+	for range ph.wake {
+		ph.drain()
+		ph.busy.Done()
+	}
+}
+
+// close stops the helpers and waits for them to exit. Every phase must
+// have passed its barrier first.
+func (ph *phase) close() {
+	if ph.wake != nil {
+		close(ph.wake)
+		ph.live.Wait()
+	}
+}
+
+// submit appends one task to the batch; wait runs it.
+func (ph *phase) submit(kind, idx int) {
+	ph.tasks = append(ph.tasks, task{kind: int32(kind), idx: int32(idx)})
+}
+
+// wait is the barrier: it wakes at most one helper per task beyond
+// the first, claims tasks itself until none is left, waits for the
+// helpers it woke, and returns the error of the lowest failing slot,
+// leaving the phase ready for its next batch. The wake sends order
+// every write the caller made before wait before any helper's task.
 func (ph *phase) wait() error {
-	ph.wg.Wait()
-	ph.next = 0
+	if n := min(cap(ph.wake), len(ph.tasks)-1); n > 0 {
+		ph.busy.Add(n)
+		for i := 0; i < n; i++ {
+			ph.wake <- struct{}{}
+		}
+	}
+	ph.drain()
+	ph.busy.Wait()
+	ph.tasks = ph.tasks[:0]
+	ph.claim.Store(0)
 	err := ph.err
 	ph.err = nil
 	return err
+}
+
+// drain claims and runs tasks of the batch in flight until none is
+// left.
+func (ph *phase) drain() {
+	for {
+		slot := ph.claim.Add(1) - 1
+		if int(slot) >= len(ph.tasks) {
+			return
+		}
+		ph.runTask(ph.tasks[slot], slot)
+	}
 }
 
 // run submits the tasks (kind, 0) … (kind, count−1) and waits for them.
@@ -163,26 +193,25 @@ func (ph *phase) run(kind, count int) error {
 // an orchestrator-side step — behind the same containment as pool
 // tasks, with index −1.
 func (ph *phase) inline(kind int) error {
-	ph.wg.Add(1)
-	ph.runTask(task{ph: ph, kind: int32(kind), idx: -1})
+	ph.runTask(task{kind: int32(kind), idx: -1}, 0)
 	return ph.wait()
 }
 
-// runTask executes one task behind the phase's panic containment.
-func (ph *phase) runTask(t task) {
-	defer ph.wg.Done()
+// runTask executes the task in slot behind the phase's panic
+// containment.
+func (ph *phase) runTask(t task, slot int32) {
 	defer func() {
 		if r := recover(); r != nil {
-			ph.fail(t, newPanicError(ph.engine, ph.names[t.kind].task, ph.rep, int(t.idx), r))
+			ph.fail(t, slot, newPanicError(ph.engine, ph.names[t.kind].task, ph.rep, int(t.idx), r))
 		}
 	}()
 	if err := ph.x.exec(int(t.kind), int(t.idx)); err != nil {
-		ph.fail(t, err)
+		ph.fail(t, slot, err)
 	}
 }
 
 // fail records a task's error unless a lower slot already failed.
-func (ph *phase) fail(t task, err error) {
+func (ph *phase) fail(t task, slot int32, err error) {
 	switch label := ph.names[t.kind].label; {
 	case label == "":
 	case t.idx < 0:
@@ -191,8 +220,8 @@ func (ph *phase) fail(t task, err error) {
 		err = fmt.Errorf("sim: %s %s %d: %w", ph.engine, label, t.idx, err)
 	}
 	ph.mu.Lock()
-	if ph.err == nil || t.slot < ph.errAt {
-		ph.err, ph.errAt = err, t.slot
+	if ph.err == nil || slot < ph.errAt {
+		ph.err, ph.errAt = err, slot
 	}
 	ph.mu.Unlock()
 }
@@ -214,7 +243,6 @@ type chunkRun struct {
 	checkpoints []int64
 	partials    []chunkPartial
 	nextChunk   atomic.Int64
-	pl          pool
 	ph          phase
 }
 
@@ -251,10 +279,10 @@ func runChunked(e Engine, spec *RunSpec) (*Result, error) {
 	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
 	workers := min(resolveWorkers(cfg.Workers), nChunks)
 	r := &chunkRun{cfg: &cfg, cc: newCanceller(cfg.Context), checkpoints: checkpoints, partials: make([]chunkPartial, nChunks)}
-	r.ph = phase{pool: &r.pl, x: r, engine: eng, names: chunkKinds}
-	r.pl.start(workers, 0)
+	r.ph = phase{x: r, engine: eng, names: chunkKinds}
+	r.ph.start(workers, workers)
 	err := r.ph.run(0, workers)
-	r.pl.close()
+	r.ph.close()
 	if err != nil {
 		return nil, err
 	}
@@ -404,12 +432,6 @@ func (sh *sharded) routeWidth(m int64) int {
 	return max(min(sh.workers, numRouteBlocks(m)), 1)
 }
 
-// poolWidth is the pool size: the workers, capped at the widest phase
-// (one task per shard or per routing group).
-func (sh *sharded) poolWidth(groups int) int {
-	return min(sh.workers, max(sh.shards, groups))
-}
-
 // shardRand is one shard's placement generator, padded so that no two
 // shards' generators share a cache line: the placement tasks of
 // neighbouring shards advance theirs on every draw, concurrently.
@@ -417,6 +439,21 @@ type shardRand struct {
 	xrand.Rand
 	_ [96]byte
 }
+
+// cutMax is one shard's max load at a cut, padded to a cache line: the
+// observe tasks of neighbouring shards write theirs concurrently.
+type cutMax struct {
+	v float64
+	_ [56]byte
+}
+
+// Compile-time guards: shardRand is two whole cache lines and cutMax
+// one (re-size the pads when fields change; any other size makes a
+// constant negative or non-zero, which does not compile).
+const (
+	_ uintptr = 0 - (unsafe.Sizeof(shardRand{}) ^ 128)
+	_ uintptr = 0 - (unsafe.Sizeof(cutMax{}) ^ 64)
+)
 
 // stepEngine is a dynamic engine as the step driver sees it: its task
 // bodies (exec) and its step body. runStep plays and commits the step
@@ -462,20 +499,17 @@ type stepper struct {
 	groups []routeGroup
 	counts []int64 // the step's merged per-shard arrival counts
 
-	cuts     []int64 // normalized step-index cuts
-	nCuts    int     // cuts reachable within the run
-	nextCut  int
-	cp       *obs.Checkpoints
-	trackRow []float64   // per-shard max-load scratch for the current cut
-	trackMat [][]float64 // {trackRow}, the shape combineShardMaxima folds
-	maxOut   []float64   // combineShardMaxima output scratch (len 1)
+	cuts    []int64 // normalized step-index cuts
+	nCuts   int     // cuts reachable within the run
+	nextCut int
+	cp      *obs.Checkpoints
+	cutMax  []cutMax // per-shard max load at the current cut
 
-	pl pool
 	ph phase
 
 	// Step-scoped fields, written by the orchestrator strictly between
-	// phase barriers (the task-channel sends order the writes before
-	// any worker reads).
+	// phase barriers (a phase's wake sends order the writes before any
+	// helper reads).
 	step   int
 	base   uint64 // the step's first stream: first + step·kk
 	rrbase uint64 // Mix64(seed, base+routeAt): arrival routing base
@@ -508,9 +542,7 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	d.nCuts = obs.CountReached(d.cuts, int64(steps))
 	if len(d.cuts) > 0 {
 		d.cp = obs.NewCheckpoints(d.cuts)
-		d.trackRow = make([]float64, sh.shards)
-		d.trackMat = [][]float64{d.trackRow}
-		d.maxOut = make([]float64, 1)
+		d.cutMax = make([]cutMax, sh.shards)
 	}
 	for s := range d.views {
 		if !all && sh.shardW[s] <= 0 {
@@ -533,9 +565,9 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 // non-nil *CancelledError means the run stopped early (context or
 // CancelAfter): the engine's committed prefix is then its partial.
 func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int) (*CancelledError, error) {
-	d.ph = phase{pool: &d.pl, x: x, engine: eng, names: kinds}
-	d.pl.start(d.poolWidth(len(d.groups)), 0)
-	defer d.pl.close()
+	d.ph = phase{x: x, engine: eng, names: kinds}
+	d.ph.start(d.workers, max(d.shards, len(d.groups)))
+	defer d.ph.close()
 	ok, err := d.phase(setupKind, d.shards)
 	for t := 0; ok && t < d.steps; t++ {
 		if d.cc.cancelled() {
@@ -625,8 +657,13 @@ func (d *stepper) observe(balls int64) (ok bool, err error) {
 	if ok, err := d.phase(stepObserve, d.shards); !ok {
 		return false, err
 	}
-	combineShardMaxima(d.trackMat, d.maxOut)
-	d.cp.Observe(d.nextCut, balls, d.totalCap, d.maxOut[0])
+	top := 0.0
+	for i := range d.cutMax {
+		if v := d.cutMax[i].v; v > top {
+			top = v
+		}
+	}
+	d.cp.Observe(d.nextCut, balls, d.totalCap, top)
 	d.nextCut++
 	return true, nil
 }
@@ -640,9 +677,9 @@ func (d *stepper) stepExec(kind, idx int) {
 		g.reset()
 		g.route(d.cc, d.ph.engine, d.step, d.rrbase, d.router, d.curM, idx, d.rgr, nil, nil)
 	case stepObserve:
-		d.trackRow[idx] = 0
+		d.cutMax[idx].v = 0
 		if v := d.views[idx]; v != nil {
-			d.trackRow[idx] = v.MaxLoad()
+			d.cutMax[idx].v = v.MaxLoad()
 		}
 	}
 }

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,23 +26,32 @@ func (x *probeExec) exec(kind, idx int) error {
 	return nil
 }
 
-// startProbe starts a pool of workers and one phase on it over x. Kind
-// 1's errors are wrapped with a label, kind 0's pass through.
-func startProbe(x *probeExec, workers int) (*pool, *phase) {
-	p := &pool{}
-	p.start(workers, 0)
-	return p, &phase{pool: p, x: x, engine: "probe", names: []taskName{{task: "first"}, {task: "second", label: "second shard"}}}
+// startProbe starts a phase of workers over x, sized for the probe's
+// widest phase (both kinds, 16 tasks). Kind 1's errors are wrapped with
+// a label, kind 0's pass through.
+func startProbe(x executor, workers int) *phase {
+	ph := &phase{x: x, engine: "probe", names: []taskName{{task: "first"}, {task: "second", label: "second shard"}}}
+	ph.start(workers, 16)
+	return ph
 }
 
 // TestPhaseReportsLowestFailingTask: when several tasks of one phase
 // panic, the barrier reports the one submitted first — whatever order
-// the workers finish in, and across the kinds a mixed phase submits —
-// while every other task of the phase still runs.
+// the workers claim and finish them in, and across the kinds a mixed
+// phase submits — while every other task of the phase still runs.
 func TestPhaseReportsLowestFailingTask(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testPhaseReportsLowestFailingTask(t, workers)
+		})
+	}
+}
+
+func testPhaseReportsLowestFailingTask(t *testing.T, workers int) {
 	defer leakCheck(t)()
 	x := &probeExec{panics: map[[2]int]bool{{1, 5}: true, {1, 2}: true, {0, 6}: true, {0, 1}: true}}
-	p, ph := startProbe(x, 4)
-	defer p.close()
+	ph := startProbe(x, workers)
+	defer ph.close()
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
 		ph.rep = i
@@ -80,11 +93,13 @@ func TestPhaseReportsLowestFailingTask(t *testing.T) {
 }
 
 // TestPhaseDispatchAllocFree: submitting a phase's tasks and passing
-// its barrier allocates nothing — tasks travel by value.
+// its barrier allocates nothing — the task list is sized at start,
+// workers claim its slots from an atomic counter, and waking a helper
+// sends an empty token.
 func TestPhaseDispatchAllocFree(t *testing.T) {
 	x := &probeExec{}
-	p, ph := startProbe(x, 2)
-	defer p.close()
+	ph := startProbe(x, 2)
+	defer ph.close()
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := ph.run(0, 8); err != nil {
 			t.Fatal(err)
@@ -103,11 +118,82 @@ func TestPhasePanicLeavesNoGoroutine(t *testing.T) {
 	for idx := 0; idx < 8; idx++ {
 		x.panics[[2]int{0, idx}] = true
 	}
-	p, ph := startProbe(x, 3)
+	ph := startProbe(x, 3)
 	err := ph.run(0, 8)
-	p.close()
+	ph.close()
 	var perr *PanicError
 	if !errors.As(err, &perr) || perr.Task != "first" || perr.Index != 0 {
 		t.Fatalf("err = %v, want the panic of task first/0", err)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from the header line
+// of its stack trace ("goroutine N [running]:").
+func goid() int64 {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	id, err := strconv.ParseInt(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// callerProbe records, for every task it runs, the goroutine that ran
+// it and the goroutine count at that moment.
+type callerProbe struct {
+	ids   []int64
+	count []int
+}
+
+func (x *callerProbe) exec(_, _ int) error {
+	x.ids = append(x.ids, goid())
+	x.count = append(x.count, runtime.NumGoroutine())
+	return nil
+}
+
+// TestPhaseOneWorkerRunsOnCaller: a one-worker phase is the calling
+// goroutine alone — start launches no goroutine, every task of a
+// phase, a mixed batch and an inline step runs on the caller, and the
+// goroutine count never moves above its value before start.
+func TestPhaseOneWorkerRunsOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	x := &callerProbe{}
+	ph := startProbe(x, 1)
+	if ph.wake != nil {
+		t.Fatal("one-worker phase made a wake channel")
+	}
+	if err := ph.run(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	for idx := 0; idx < 4; idx++ {
+		ph.submit(1, idx)
+		ph.submit(0, idx)
+	}
+	if err := ph.wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ph.inline(1); err != nil {
+		t.Fatal(err)
+	}
+	during := runtime.NumGoroutine()
+	ph.close()
+	after := runtime.NumGoroutine()
+
+	if len(x.ids) != 17 {
+		t.Fatalf("%d tasks ran, want 17", len(x.ids))
+	}
+	caller := goid()
+	for i, id := range x.ids {
+		if id != caller {
+			t.Errorf("task %d ran on goroutine %d, want the caller %d", i, id, caller)
+		}
+		if x.count[i] > before {
+			t.Errorf("task %d saw %d goroutines, %d before start", i, x.count[i], before)
+		}
+	}
+	if during > before || after > before {
+		t.Errorf("goroutines: %d before start, %d after run, %d after close", before, during, after)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -754,4 +755,89 @@ func TestApportionSelectionMatchesSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRouteDeletionsExactLaw: the deletion-routing quota vector is
+// exactly multivariate-hypergeometric. With shard occupancies n =
+// (3, 2, 4) and D = 4 deletions per round, each of the 11 feasible
+// quota vectors k must appear with probability Π C(nᵢ,kᵢ) / C(9,4).
+// routeDeletions runs for 20,000 rounds (the round's stream base
+// advancing as in a real run) at the pinned seed 1, and the quota
+// frequencies pass a chi-square test at α = 10⁻³ (df = 10). The
+// statistic is a pure function of the seed, so the test is
+// deterministic: no skip, no retry.
+func TestRouteDeletionsExactLaw(t *testing.T) {
+	occ := []int64{3, 2, 4}
+	const del, rounds = 4, 20000
+	shards := len(occ)
+	tree, err := sampling.NewCountTree(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &streamState{
+		stepper:  stepper{sharded: sharded{shards: shards}, seed: 1, kk: uint64(3*shards + 2)},
+		shardT:   tree,
+		sballs:   occ,
+		del:      del,
+		delQuota: make([]int64, shards),
+	}
+
+	// The feasible quota vectors and their exact probabilities.
+	var total int64
+	for _, n := range occ {
+		total += n
+	}
+	choose := func(n, k int64) float64 {
+		c := 1.0
+		for i := int64(0); i < k; i++ {
+			c = c * float64(n-i) / float64(i+1)
+		}
+		return c
+	}
+	index := map[[3]int64]int{}
+	var pmf []float64
+	for k0 := int64(0); k0 <= occ[0]; k0++ {
+		for k1 := int64(0); k1 <= occ[1]; k1++ {
+			k2 := del - k0 - k1
+			if k2 < 0 || k2 > occ[2] {
+				continue
+			}
+			index[[3]int64{k0, k1, k2}] = len(pmf)
+			pmf = append(pmf, choose(occ[0], k0)*choose(occ[1], k1)*choose(occ[2], k2)/choose(total, del))
+		}
+	}
+	var sum float64
+	for _, p := range pmf {
+		sum += p
+	}
+	if len(pmf) != 11 || math.Abs(sum-1) > 1e-12 {
+		t.Fatalf("%d feasible quota vectors with total probability %v, want 11 and 1", len(pmf), sum)
+	}
+
+	observed := make([]float64, len(pmf))
+	for r := 0; r < rounds; r++ {
+		st.base = uint64(r) * st.kk
+		st.routeDeletions()
+		i, ok := index[[3]int64(st.delQuota)]
+		if !ok {
+			t.Fatalf("round %d: infeasible quota vector %v", r, st.delQuota)
+		}
+		observed[i]++
+	}
+	expected := make([]float64, len(pmf))
+	for i, p := range pmf {
+		expected[i] = p * rounds
+	}
+	chi2, err := stats.ChiSquare(observed, expected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit, err := stats.ChiSquareCritical(len(pmf)-1, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chi2 > crit {
+		t.Fatalf("chi2 = %.2f > %.2f (df %d, α = 0.001): quota frequencies %v, expected %v", chi2, crit, len(pmf)-1, observed, expected)
+	}
+	t.Logf("chi2 = %.2f (critical %.2f, df %d)", chi2, crit, len(pmf)-1)
 }
