@@ -177,8 +177,8 @@ func SimulateCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	cres := res.Cluster
 	out := &ClusterResult{
-		N:              cres.N,
-		Shards:         cres.Shards,
+		N:              res.N,
+		Shards:         res.Shards,
 		Ticks:          cres.Ticks,
 		Arrived:        cres.Arrived,
 		Shed:           cres.Shed,
@@ -197,13 +197,14 @@ func SimulateCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		MeanLatency:    cres.Latency.Mean(),
 		P99Latency:     cres.Latency.Quantile(0.99),
 		LatencyBuckets: cres.Latency.Buckets(),
-		Checkpoints:    checkpointResults(cres.Checkpoints),
-		MaxQueueLoad:   cres.MaxQueueLoad,
-		AvgQueueLoad:   cres.AvgQueueLoad,
-		Heights:        heightResults(cres.HeightCounts),
+		Checkpoints:    checkpointResults(res.Checkpoints),
 	}
-	if cres.Array != nil {
-		out.Loads = LargeLoads{arr: cres.Array}
+	if err != nil {
+		return out, err
 	}
-	return out, err
+	out.MaxQueueLoad = res.MaxLoad.Mean()
+	out.AvgQueueLoad = res.AvgLoad.Mean()
+	out.Heights = heightResults(res.HeightCounts)
+	out.Loads = LargeLoads{arr: spec.Array}
+	return out, nil
 }

@@ -294,12 +294,13 @@ func TestChaosRunStreamRoundKill(t *testing.T) {
 		Match: fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: 2, Shard: -1, Block: -1},
 		Do:    fault.CancelRun, Cancel: cancel, Once: true,
 	})
-	res, err := runStream(chaosStreamConfig(t, ctx))
+	out, err := runStream(chaosStreamConfig(t, ctx))
 	disarm()
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CancelledError", err)
 	}
+	res := out.Stream
 	if cerr.Engine != engRunStream || cerr.CompletedRounds != res.Rounds {
 		t.Fatalf("provenance %+v does not match partial rounds %d", cerr, res.Rounds)
 	}
@@ -308,10 +309,11 @@ func TestChaosRunStreamRoundKill(t *testing.T) {
 	}
 	short := chaosStreamConfig(t, nil)
 	short.Stream.Rounds = res.Rounds
-	want, err := runStream(short)
+	wantOut, err := runStream(short)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantOut.Stream
 	if res.Arrived != want.Arrived || res.Deleted != want.Deleted ||
 		res.Moved != want.Moved || res.Balls != want.Balls {
 		t.Fatalf("partial counters %+v, want prefix %+v", res, want)
@@ -319,7 +321,7 @@ func TestChaosRunStreamRoundKill(t *testing.T) {
 	if !reflect.DeepEqual(res.ShardBalls, want.ShardBalls) {
 		t.Fatal("partial shard occupancies differ from the equivalent shorter run")
 	}
-	if !reflect.DeepEqual(res.Checkpoints, want.Checkpoints) {
+	if !reflect.DeepEqual(out.Checkpoints, wantOut.Checkpoints) {
 		t.Fatal("partial trajectory differs from the equivalent shorter run")
 	}
 }
@@ -345,8 +347,8 @@ func TestChaosRunStreamDelayHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxLoad != want.MaxLoad || got.Moved != want.Moved ||
-		!reflect.DeepEqual(got.ShardBalls, want.ShardBalls) ||
+	if got.MaxLoad != want.MaxLoad || got.Stream.Moved != want.Stream.Moved ||
+		!reflect.DeepEqual(got.Stream.ShardBalls, want.Stream.ShardBalls) ||
 		!reflect.DeepEqual(got.Checkpoints, want.Checkpoints) {
 		t.Fatal("a delay fault changed the streaming result")
 	}
@@ -475,7 +477,7 @@ func TestChaosRunClusterCancelMidTick(t *testing.T) {
 	if cerr.CompletedTicks != k {
 		t.Fatalf("completed ticks = %d, want %d", cerr.CompletedTicks, k)
 	}
-	if !reflect.DeepEqual(traceOf(got), traceOf(want)) {
+	if !reflect.DeepEqual(traceOf(got, nil), traceOf(want, nil)) {
 		t.Fatal("mid-tick cancellation prefix diverges from the CancelAfter run")
 	}
 }
@@ -483,7 +485,9 @@ func TestChaosRunClusterCancelMidTick(t *testing.T) {
 // TestChaosRunClusterDelayHarmless: stalls at churn-path sites slow
 // the run but never change a bit of the degraded-mode result.
 func TestChaosRunClusterDelayHarmless(t *testing.T) {
-	want, err := runCluster(chaosClusterConfig(t, nil))
+	wantSpec := chaosClusterConfig(t, nil)
+	wantArr := adopt(wantSpec)
+	want, err := runCluster(wantSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +501,13 @@ func TestChaosRunClusterDelayHarmless(t *testing.T) {
 			Do:    fault.Delay, Sleep: 10 * time.Millisecond,
 		},
 	)()
-	got, err := runCluster(chaosClusterConfig(t, nil))
+	gotSpec := chaosClusterConfig(t, nil)
+	gotArr := adopt(gotSpec)
+	got, err := runCluster(gotSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(traceOf(got), traceOf(want)) {
+	if !reflect.DeepEqual(traceOf(got, gotArr), traceOf(want, wantArr)) {
 		t.Fatal("a delay fault changed the cluster result")
 	}
 }

@@ -21,8 +21,9 @@
 // # Determinism
 //
 // Repetition rep draws everything from xrand.NewStream(Seed, rep) —
-// the classic engine's stream layout — and repetitions fold through
-// the same chunk driver as the classic engine, so results are
+// the classic engine's stream layout — and repetitions run through the
+// classic engine's chunk driver and repetition kernel (runRep, sim.go),
+// of which only the per-segment advance below differs, so results are
 // bit-identical for any Workers value and cancellation yields the same
 // deterministic contiguous-prefix partials. The engine draws a
 // different random sequence than the classic engine (interval-tree
@@ -32,76 +33,26 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/bins"
-	"repro/internal/obs"
-	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
 
-// closedRep is the closed-form engine's repetition kernel (see
-// chunkRun): one multinomial increment per checkpoint segment,
-// accumulated into the array, then the classic engine's shared final
-// fold.
-func closedRep(cfg *Config, checkpoints []int64, rep uint64, w *repWorker, p *chunkPartial) error {
-	r := xrand.NewStream(cfg.Seed, rep)
-
-	arr := w.arr
-	router := w.router
-	if cfg.ArrayFn != nil {
-		var err error
-		arr, err = cfg.ArrayFn(r)
-		if err != nil {
-			return fmt.Errorf("sim: rep %d array: %w", rep, err)
-		}
-		weights, err := cfg.distribution().Weights(arr)
-		if err != nil {
-			return fmt.Errorf("sim: rep %d weights: %w", rep, err)
-		}
-		router, err = sampling.NewMultinomial(weights)
-		if err != nil {
-			return fmt.Errorf("sim: rep %d router: %w", rep, err)
-		}
-	} else {
-		arr.Reset()
+// advance places k more balls on the worker's array: one PlaceBatch
+// (classic), or one Multinomial(k, p) increment (closed form) —
+// conditional splitting, so the increments of consecutive checkpoint
+// segments are independent and their running sums realise the
+// trajectory's exact joint law.
+func (w *repWorker) advance(r *xrand.Rand, k int64) {
+	if w.router == nil {
+		w.placer.PlaceBatch(w.arr, r, k)
+		return
 	}
-
-	m := cfg.BallCount(arr.TotalCapacity())
-
-	if len(checkpoints) > 0 && p.cp == nil {
-		p.cp = obs.NewCheckpoints(checkpoints)
+	if cap(w.counts) < w.arr.N() {
+		w.counts = make([]int64, w.arr.N())
 	}
-	if cfg.HeightLevels > 0 && p.hl == nil {
-		p.hl = obs.NewHeights(cfg.HeightLevels)
-	}
-	if cap(w.counts) < arr.N() {
-		w.counts = make([]int64, arr.N())
-	}
-	counts := w.counts[:arr.N()]
-
-	// Conditional splitting: each segment between consecutive reached
-	// cuts (and the final segment up to m) is an independent
-	// Multinomial(segment, p) increment; the running sums realise the
-	// trajectory's exact joint law.
-	placed := int64(0)
-	nextCp := 0
-	for nextCp < len(checkpoints) && checkpoints[nextCp] <= m {
-		cut := checkpoints[nextCp]
-		router.Draw(r, cut-placed, counts)
-		addCounts(arr, counts)
-		placed = cut
-		if err := snapshotCheckpoint(cfg, p, &w.scratch, arr, nextCp, cut); err != nil {
-			return err
-		}
-		nextCp++
-	}
-	router.Draw(r, m-placed, counts)
-	addCounts(arr, counts)
-	// Checkpoints beyond m stay unrecorded, exactly like the classic
-	// engine: their rows show Reps() < cfg.Reps.
-
-	return foldFinal(cfg, arr, m, rep, &w.scratch, p)
+	counts := w.counts[:w.arr.N()]
+	w.router.Draw(r, k, counts)
+	addCounts(w.arr, counts)
 }
 
 // addCounts applies one multinomial increment vector to the array.

@@ -95,7 +95,6 @@ import (
 	"slices"
 	"unsafe"
 
-	"repro/internal/bins"
 	"repro/internal/chash"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -103,14 +102,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// ClusterResult aggregates one cluster run. All counters cover the
+// ClusterResult holds a cluster run's own counters (Result.Cluster);
+// the trajectory, the final queue-state statistics and the height
+// counts live on the Result itself. All counters cover the
 // COMPLETED-tick prefix (== the whole run unless cancelled).
 type ClusterResult struct {
-	// N is the number of peers; Shards the realised shard count; Ticks
-	// the number of completed ticks.
-	N      int
-	Shards int
-	Ticks  int
+	// Ticks is the number of completed ticks.
+	Ticks int
 	// Request accounting. Conservation:
 	// Admitted + Retried = Completed + TimedOut + FinalQueued and
 	// Admitted = Completed + Failed + PendingRetry + FinalQueued.
@@ -135,18 +133,6 @@ type ClusterResult struct {
 	// Latency is the exact integer response-time histogram of every
 	// completed request (goodput = Latency.Count() == Completed).
 	Latency *obs.Latency
-	// Checkpoints holds the tick-indexed trajectory rows (Balls is the
-	// tick index, RealBalls the queued-request count at that tick's
-	// end, MaxLoad the maximum queue-relative load).
-	Checkpoints []obs.CheckpointRow
-	// Final-state fields, zero/nil on a cancelled run: the maximum and
-	// average queue-relative load at the horizon, the queue-depth
-	// height counts (when HeightLevels was requested), and the final
-	// queue state itself.
-	MaxQueueLoad float64
-	AvgQueueLoad float64
-	HeightCounts []obs.HeightRow
-	Array        *bins.Array
 }
 
 // ClusterParams carries the serving-model parameters of a cluster run
@@ -498,7 +484,7 @@ type clusterState struct {
 // Checkpoints[k] — HeightLevels reports the final queue-depth
 // distribution, and CancelAfter counts completed ticks. Dispatch
 // (RunSpec.Cluster) is its only entry point.
-func runCluster(spec *RunSpec) (*ClusterResult, error) {
+func runCluster(spec *RunSpec) (*Result, error) {
 	shards, err := spec.validate(EngineCluster)
 	if err != nil {
 		return nil, err
@@ -563,10 +549,39 @@ func runCluster(spec *RunSpec) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cerr != nil {
-		return st.partialResult(), cerr
+	res, err := st.result(st.cQueued, cerr == nil)
+	if err != nil {
+		return nil, err
 	}
-	return st.final()
+	res.Cluster = &ClusterResult{
+		Ticks:         st.done,
+		Arrived:       st.arrived,
+		Shed:          st.shed,
+		Admitted:      st.admitted,
+		Dispatched:    st.dispatched,
+		Completed:     st.completed,
+		TimedOut:      st.timedOut,
+		Retried:       st.retried,
+		Failed:        st.failed,
+		Redistributed: st.redistributed,
+		FinalQueued:   st.cQueued,
+		PendingRetry:  st.cPending,
+		Crashes:       st.crashes,
+		Recoveries:    st.recoveries,
+		LivePerTick:   st.livePerTick,
+		Latency:       st.lat,
+	}
+	if st.done > 0 {
+		var liveSum int64
+		for _, l := range st.livePerTick {
+			liveSum += int64(l)
+		}
+		res.Cluster.Availability = float64(liveSum) / float64(int64(st.n)*int64(st.done))
+	}
+	if cerr != nil {
+		return res, cerr
+	}
+	return res, nil
 }
 
 // exec executes one task. Task state is indexed by (kind, idx) and
@@ -609,7 +624,7 @@ func (st *clusterState) exec(kind, s int) error {
 	case clusterExpire:
 		st.expireShard(s)
 	default:
-		st.stepExec(kind, s)
+		return st.stepExec(kind, s)
 	}
 	return nil
 }
@@ -897,7 +912,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 	// Phase 3 — arrival dispatch: block-wise multinomial routing over
 	// the live shard weights, then per-shard placement.
 	if st.admit > 0 {
-		if ok, err := st.route(st.admit); !ok {
+		if ok, err := st.route(st.admit, stepRoute, 0); !ok {
 			return false, err
 		}
 		if ok, err := st.phase(clusterPlace, st.shards); !ok {
@@ -997,51 +1012,4 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 	st.cQueued = st.liveQ
 	st.cPending = st.pendingRetry
 	return true, nil
-}
-
-// partialResult builds the committed-prefix result every exit shares.
-func (st *clusterState) partialResult() *ClusterResult {
-	res := &ClusterResult{
-		N:             st.n,
-		Shards:        st.shards,
-		Ticks:         st.done,
-		Arrived:       st.arrived,
-		Shed:          st.shed,
-		Admitted:      st.admitted,
-		Dispatched:    st.dispatched,
-		Completed:     st.completed,
-		TimedOut:      st.timedOut,
-		Retried:       st.retried,
-		Failed:        st.failed,
-		Redistributed: st.redistributed,
-		FinalQueued:   st.cQueued,
-		PendingRetry:  st.cPending,
-		Crashes:       st.crashes,
-		Recoveries:    st.recoveries,
-		LivePerTick:   st.livePerTick,
-		Latency:       st.lat,
-		Checkpoints:   st.rows(),
-	}
-	if st.done > 0 {
-		var liveSum int64
-		for _, l := range st.livePerTick {
-			liveSum += int64(l)
-		}
-		res.Availability = float64(liveSum) / float64(int64(st.n)*int64(st.done))
-	}
-	return res
-}
-
-// final builds the completed-run result: the committed counters plus
-// the final queue-state statistics (the queue-depth distribution, when
-// HeightLevels is set, through the histogram kernel).
-func (st *clusterState) final() (*ClusterResult, error) {
-	res := st.partialResult()
-	var err error
-	res.MaxQueueLoad, res.AvgQueueLoad, res.HeightCounts, err = st.finalState(st.cQueued)
-	if err != nil {
-		return nil, err
-	}
-	res.Array = st.arr
-	return res, nil
 }

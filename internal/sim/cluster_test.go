@@ -15,6 +15,7 @@ import (
 	"repro/internal/bins"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 func clusterArray(t testing.TB, caps ...int64) *bins.Array {
@@ -26,26 +27,26 @@ func clusterArray(t testing.TB, caps ...int64) *bins.Array {
 	return a
 }
 
-// clusterTrace flattens a ClusterResult into a comparable value: every
+// clusterTrace flattens a cluster run into a comparable value: every
 // counter, the availability trace, the latency buckets, the trajectory
-// rows and the final queue vector.
+// rows, the final queue-load statistics and the final queue vector.
 type clusterTrace struct {
-	Res     ClusterResult
-	LatBkts []int64
-	Rows    []obs.CheckpointRow
-	Queues  []int64
+	Res      ClusterResult
+	LatBkts  []int64
+	Rows     []obs.CheckpointRow
+	Max, Avg stats.Accumulator
+	Queues   []int64
 }
 
-func traceOf(res *ClusterResult) clusterTrace {
-	tr := clusterTrace{Res: *res, LatBkts: res.Latency.Buckets(), Rows: res.Checkpoints}
+// traceOf flattens res, whose run adopted arr (read only when the run
+// completed: a cancelled partial has no final state).
+func traceOf(res *Result, arr *bins.Array) clusterTrace {
+	tr := clusterTrace{Res: *res.Cluster, LatBkts: res.Cluster.Latency.Buckets(), Rows: res.Checkpoints, Max: res.MaxLoad, Avg: res.AvgLoad}
 	tr.Res.Latency = nil
-	tr.Res.Checkpoints = nil
-	tr.Res.Array = nil
-	tr.Res.HeightCounts = nil
-	if res.Array != nil {
-		tr.Queues = make([]int64, res.Array.N())
+	if res.MaxLoad.N() > 0 {
+		tr.Queues = make([]int64, arr.N())
 		for i := range tr.Queues {
-			tr.Queues[i] = res.Array.Balls(i)
+			tr.Queues[i] = arr.Balls(i)
 		}
 	}
 	return tr
@@ -115,10 +116,11 @@ func TestClusterValidation(t *testing.T) {
 // goodput equals the latency histogram mass.
 func TestClusterQuietConservation(t *testing.T) {
 	a := clusterArray(t, 1, 2, 3, 4, 5, 6, 7, 8)
-	res, err := runCluster(&RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 3, Cluster: &ClusterParams{Ticks: 12, ArrivalsPerTick: 30}})
+	out, err := runCluster(&RunSpec{Config: Config{Array: a, Seed: 7}, Shards: 3, Cluster: &ClusterParams{Ticks: 12, ArrivalsPerTick: 30}, AdoptArray: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	if res.Arrived != 12*30 || res.Shed != 0 || res.Admitted != res.Arrived {
 		t.Fatalf("arrived/shed/admitted = %d/%d/%d", res.Arrived, res.Shed, res.Admitted)
 	}
@@ -135,8 +137,8 @@ func TestClusterQuietConservation(t *testing.T) {
 		t.Fatalf("latency mass %d != completed %d", res.Latency.Count(), res.Completed)
 	}
 	var queued int64
-	for i := 0; i < res.Array.N(); i++ {
-		queued += res.Array.Balls(i)
+	for i := 0; i < a.N(); i++ {
+		queued += a.Balls(i)
 	}
 	if queued != res.FinalQueued {
 		t.Fatalf("array holds %d queued, result says %d", queued, res.FinalQueued)
@@ -149,7 +151,7 @@ func TestClusterQuietConservation(t *testing.T) {
 func TestClusterStressConservation(t *testing.T) {
 	churn, retry := stressPlan()
 	a := clusterArray(t, 4, 1, 6, 2, 8, 3, 5, 7, 2, 4)
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{Array: a, Seed: 11},
 		Shards: 4,
 		Cluster: &ClusterParams{
@@ -163,6 +165,7 @@ func TestClusterStressConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	if res.Arrived != res.Shed+res.Admitted {
 		t.Fatalf("arrived %d != shed %d + admitted %d", res.Arrived, res.Shed, res.Admitted)
 	}
@@ -196,7 +199,7 @@ func TestClusterBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		var want clusterTrace
 		for wi, workers := range []int{1, 2, 8} {
-			res, err := runCluster(&RunSpec{
+			out, err := runCluster(&RunSpec{
 				Config: Config{
 					Array:      a,
 					Seed:       5,
@@ -211,11 +214,12 @@ func TestClusterBitIdenticalAcrossWorkers(t *testing.T) {
 					Retry:           retry,
 					ShedThreshold:   3,
 				},
+				AdoptArray: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := traceOf(res)
+			got := traceOf(out, a)
 			if wi == 0 {
 				want = got
 				continue
@@ -233,7 +237,7 @@ func TestClusterBitIdenticalAcrossWorkers(t *testing.T) {
 // scheduled churn, so the trace is readable by hand.
 func TestClusterGoldenAvailabilityTrace(t *testing.T) {
 	a := clusterArray(t, 2, 3, 4, 5)
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{Array: a, Seed: 3},
 		Shards: 2,
 		Cluster: &ClusterParams{
@@ -250,6 +254,7 @@ func TestClusterGoldenAvailabilityTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	wantLive := []int{4, 4, 3, 3, 2, 2, 3, 3, 4, 4}
 	if !reflect.DeepEqual(res.LivePerTick, wantLive) {
 		t.Fatalf("LivePerTick = %v, want %v", res.LivePerTick, wantLive)
@@ -274,7 +279,7 @@ func TestClusterGoldenAvailabilityTrace(t *testing.T) {
 // the engine never deadlocks.
 func TestClusterLastPeerNeverDies(t *testing.T) {
 	a := clusterArray(t, 2, 2, 2)
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{Array: a, Seed: 1},
 		Shards: 3,
 		Cluster: &ClusterParams{
@@ -293,6 +298,7 @@ func TestClusterLastPeerNeverDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	for tick, live := range res.LivePerTick {
 		if live < 1 {
 			t.Fatalf("tick %d: %d live peers", tick, live)
@@ -308,7 +314,7 @@ func TestClusterLastPeerNeverDies(t *testing.T) {
 // arcs, the router its weight, redistribution its residents.
 func TestClusterDeadPeerGetsNothing(t *testing.T) {
 	a := clusterArray(t, 3, 3, 3, 3)
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{Array: a, Seed: 9},
 		Shards: 2,
 		Cluster: &ClusterParams{
@@ -316,11 +322,13 @@ func TestClusterDeadPeerGetsNothing(t *testing.T) {
 			ArrivalsPerTick: 20,
 			Churn:           ChurnPlan{Schedule: []ChurnEvent{{Tick: 0, Peer: 2, Down: true}}},
 		},
+		AdoptArray: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Array.Balls(2); got != 0 {
+	res := out.Cluster
+	if got := a.Balls(2); got != 0 {
 		t.Fatalf("dead peer 2 holds %d queued requests", got)
 	}
 	if res.Redistributed != 0 {
@@ -334,7 +342,7 @@ func TestClusterDeadPeerGetsNothing(t *testing.T) {
 // retried and failed exactly.
 func TestClusterRetryFailureSplit(t *testing.T) {
 	a := clusterArray(t, 1)
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{Array: a, Seed: 2},
 		Shards: 1,
 		Cluster: &ClusterParams{
@@ -346,6 +354,7 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	if res.TimedOut == 0 {
 		t.Fatal("overload produced no timeouts")
 	}
@@ -353,7 +362,7 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 		t.Fatalf("MaxRetries=0: failed %d / timedOut %d / retried %d / pending %d",
 			res.Failed, res.TimedOut, res.Retried, res.PendingRetry)
 	}
-	res2, err := runCluster(&RunSpec{
+	out2, err := runCluster(&RunSpec{
 		Config: Config{Array: a, Seed: 2},
 		Shards: 1,
 		Cluster: &ClusterParams{
@@ -365,6 +374,7 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res2 := out2.Cluster
 	if res2.Retried == 0 {
 		t.Fatal("retries enabled but none dispatched")
 	}
@@ -381,19 +391,21 @@ func TestClusterHugeBackoffIsPending(t *testing.T) {
 	const ticks = 10
 	run := func(base int) clusterTrace {
 		t.Helper()
-		res, err := runCluster(&RunSpec{
-			Config: Config{Array: clusterArray(t, 1, 2), Seed: 4},
+		a := clusterArray(t, 1, 2)
+		out, err := runCluster(&RunSpec{
+			Config: Config{Array: a, Seed: 4},
 			Shards: 1,
 			Cluster: &ClusterParams{
 				Ticks:           ticks,
 				ArrivalsPerTick: 6,
 				Retry:           RetryPolicy{TimeoutTicks: 2, MaxRetries: 40, BackoffBase: base},
 			},
+			AdoptArray: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return traceOf(res)
+		return traceOf(out, a)
 	}
 	huge, horizon := run(1<<40), run(ticks)
 	if huge.Res.PendingRetry == 0 || huge.Res.Retried != 0 {
@@ -409,7 +421,7 @@ func TestClusterHugeBackoffIsPending(t *testing.T) {
 func TestClusterShedding(t *testing.T) {
 	a := clusterArray(t, 2, 2, 2, 2)
 	cuts := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       4,
@@ -425,6 +437,7 @@ func TestClusterShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	if res.Shed == 0 {
 		t.Fatal("tight threshold shed nothing")
 	}
@@ -432,7 +445,7 @@ func TestClusterShedding(t *testing.T) {
 		t.Fatalf("arrived %d != shed %d + admitted %d", res.Arrived, res.Shed, res.Admitted)
 	}
 	// Queue cap: threshold 1.5 × total capacity 8 = 12 requests.
-	for _, row := range res.Checkpoints {
+	for _, row := range out.Checkpoints {
 		if row.Reps() > 0 && row.RealBalls.Mean() > 12 {
 			t.Fatalf("checkpoint occupancy %v exceeds the admission cap", row.RealBalls.Mean())
 		}
@@ -450,19 +463,21 @@ func TestClusterHugeShedThresholdAdmitsAll(t *testing.T) {
 	}
 	run := func(threshold float64) clusterTrace {
 		t.Helper()
-		res, err := runCluster(&RunSpec{
-			Config: Config{Array: clusterArray(t, caps...), Seed: 8},
+		a := clusterArray(t, caps...)
+		out, err := runCluster(&RunSpec{
+			Config: Config{Array: a, Seed: 8},
 			Shards: 4,
 			Cluster: &ClusterParams{
 				Ticks:           5,
 				ArrivalsPerTick: 100,
 				ShedThreshold:   threshold,
 			},
+			AdoptArray: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return traceOf(res)
+		return traceOf(out, a)
 	}
 	off := run(0)
 	for _, threshold := range []float64{1e18, math.Inf(1)} {
@@ -504,6 +519,7 @@ func TestClusterCancelAfterTicksPrefix(t *testing.T) {
 	cp.Ticks = k
 	short := cfg
 	short.Cluster = &cp
+	wantArr := adopt(&short)
 	want, err := runCluster(&short)
 	if err != nil {
 		t.Fatal(err)
@@ -519,12 +535,12 @@ func TestClusterCancelAfterTicksPrefix(t *testing.T) {
 	if cerr.Engine != engRunCluster || cerr.CompletedTicks != k || cerr.Cause != nil {
 		t.Fatalf("cancel error = %+v, want engine %q, %d ticks, nil cause", cerr, engRunCluster, k)
 	}
-	gt, wt := traceOf(got), traceOf(want)
+	gt, wt := traceOf(got, nil), traceOf(want, wantArr)
 	// The completed short run carries final-state fields the partial
-	// cannot (Array, MaxQueueLoad, AvgQueueLoad); blank them before
-	// comparing the committed prefix.
+	// cannot (the queue array, its max and average queue load); blank
+	// them before comparing the committed prefix.
 	wt.Queues = nil
-	wt.Res.MaxQueueLoad, wt.Res.AvgQueueLoad = 0, 0
+	wt.Max, wt.Avg = stats.Accumulator{}, stats.Accumulator{}
 	if !reflect.DeepEqual(gt, wt) {
 		t.Fatalf("cancelled prefix diverges from Ticks=%d run:\n got %+v\nwant %+v", k, gt, wt)
 	}
@@ -545,7 +561,7 @@ func TestClusterContextCancellation(t *testing.T) {
 	if cerr.CompletedTicks != 0 || !errors.Is(cerr.Cause, context.Canceled) {
 		t.Fatalf("cancel error = %+v, want 0 ticks and context.Canceled", cerr)
 	}
-	if res == nil || res.Ticks != 0 || res.Admitted != 0 || res.Latency.Count() != 0 {
+	if res == nil || res.Cluster.Ticks != 0 || res.Cluster.Admitted != 0 || res.Cluster.Latency.Count() != 0 {
 		t.Fatalf("partial = %+v, want empty zero-tick prefix", res)
 	}
 }
@@ -555,28 +571,29 @@ func TestClusterContextCancellation(t *testing.T) {
 // array.
 func TestClusterHeights(t *testing.T) {
 	a := clusterArray(t, 1, 2, 3, 4)
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       8,
 			ObsOptions: ObsOptions{HeightLevels: 4},
 		},
-		Shards:  2,
-		Cluster: &ClusterParams{Ticks: 6, ArrivalsPerTick: 20},
+		Shards:     2,
+		Cluster:    &ClusterParams{Ticks: 6, ArrivalsPerTick: 20},
+		AdoptArray: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.HeightCounts) != 4 {
-		t.Fatalf("HeightCounts rows = %d, want 4", len(res.HeightCounts))
+	if len(out.HeightCounts) != 4 {
+		t.Fatalf("HeightCounts rows = %d, want 4", len(out.HeightCounts))
 	}
 	var atLeast1 int64
-	for i := 0; i < res.Array.N(); i++ {
-		if float64(res.Array.Balls(i))/float64(res.Array.Capacity(i)) >= 1 {
+	for i := 0; i < a.N(); i++ {
+		if float64(a.Balls(i))/float64(a.Capacity(i)) >= 1 {
 			atLeast1++
 		}
 	}
-	if got := res.HeightCounts[0].Bins.Mean(); got != float64(atLeast1) {
+	if got := out.HeightCounts[0].Bins.Mean(); got != float64(atLeast1) {
 		t.Fatalf("bins at load >= 1: rows say %v, array says %d", got, atLeast1)
 	}
 }
@@ -671,7 +688,7 @@ func TestClusterGreedyBeatsSingleOnTail(t *testing.T) {
 func TestClusterGoldenCounters(t *testing.T) {
 	churn, retry := stressPlan()
 	a := clusterArray(t, 4, 1, 6, 2, 8, 3, 5, 7, 2, 4)
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{Array: a, Seed: 5},
 		Shards: 4,
 		Cluster: &ClusterParams{
@@ -685,6 +702,7 @@ func TestClusterGoldenCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	got := [...]int64{res.Arrived, res.Shed, res.Admitted, res.Dispatched, res.Completed,
 		res.TimedOut, res.Retried, res.Failed, res.Redistributed, res.FinalQueued,
 		res.PendingRetry, int64(res.Crashes), int64(res.Recoveries), res.Latency.Count(), res.Latency.Sum()}
@@ -716,7 +734,7 @@ func TestClusterGoldenHeavyChurn(t *testing.T) {
 	for i := range caps {
 		caps[i] = int64(1 + i%5)
 	}
-	res, err := runCluster(&RunSpec{
+	out, err := runCluster(&RunSpec{
 		Config: Config{Array: clusterArray(t, caps...), Seed: 9},
 		Shards: 4,
 		Cluster: &ClusterParams{
@@ -730,6 +748,7 @@ func TestClusterGoldenHeavyChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	got := [...]int64{res.Arrived, res.Shed, res.Admitted, res.Dispatched, res.Completed,
 		res.TimedOut, res.Retried, res.Failed, res.Redistributed, res.FinalQueued,
 		res.PendingRetry, int64(res.Crashes), int64(res.Recoveries), res.Latency.Count(), res.Latency.Sum()}
@@ -764,10 +783,11 @@ func TestClusterSteadyStateAllocFree(t *testing.T) {
 			},
 		}
 	}
-	res, err := runCluster(spec(8))
+	out, err := runCluster(spec(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Cluster
 	if res.Shed == 0 || res.TimedOut == 0 || res.Retried == 0 {
 		t.Fatalf("spec does not exercise the degraded-mode paths: shed %d, timed out %d, retried %d",
 			res.Shed, res.TimedOut, res.Retried)

@@ -16,16 +16,17 @@
 //     n = 10^6..10^7 repetitions are practical. Shards and the routing
 //     blocks are part of the model (see large.go): results are
 //     deterministic in the spec but not bit-identical to classic.
-//   - closed-form: runChunked with the closedRep kernel (closed.go).
-//     Single-choice protocols only; one Multinomial(m, p) draw per
-//     repetition, O(n + checkpoints·n) per rep with no per-ball work.
+//   - closed-form: runChunked with the same runRep kernel, advancing
+//     each checkpoint segment by one Multinomial draw (closed.go).
+//     Single-choice protocols only; O(n + checkpoints·n) per rep with
+//     no per-ball work.
 //   - stream: runStream (stream.go), rounds of arrivals, deletions and
 //     rebalancing over one sharded array; selected by RunSpec.Stream.
 //   - cluster: runCluster (cluster.go), ticks of requests served by a
 //     churning ring of peers; selected by RunSpec.Cluster.
 //
-// Stream and cluster are both steps of the one step driver in
-// runner.go. RunSpec is the only engine input: every engine reads it
+// Sharded, stream and cluster are step bodies on the one step driver
+// in runner.go (a step is a repetition, a round or a tick). RunSpec is the only engine input: every engine reads it
 // directly, validate holds each check the engines share once, and
 // unsupported is the one capability table.
 //
@@ -44,9 +45,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bins"
-	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -185,8 +186,8 @@ func (spec *RunSpec) validate(e Engine) (shards int, err error) {
 		return 0, fmt.Errorf("sim: Reps = %d, need >= 1", c.Reps)
 	case c.Balls < 0:
 		return 0, fmt.Errorf("sim: Balls = %d, need >= 0", c.Balls)
-	case c.BallsFactor < 0:
-		return 0, fmt.Errorf("sim: BallsFactor = %v, need >= 0", c.BallsFactor)
+	case !(c.BallsFactor >= 0) || math.IsInf(c.BallsFactor, 1):
+		return 0, fmt.Errorf("sim: BallsFactor = %v, need a finite value >= 0", c.BallsFactor)
 	case c.Workers < 0:
 		return 0, fmt.Errorf("sim: Workers = %d, need >= 0", c.Workers)
 	case spec.CancelAfter < 0:
@@ -214,6 +215,12 @@ func (spec *RunSpec) validate(e Engine) (shards int, err error) {
 	}
 	if err := spec.unsupported(e); err != nil {
 		return 0, err
+	}
+	if c.ArrayFn == nil {
+		// ArrayFn runs check their ball count per repetition (runRep).
+		if err := c.ballCountErr(c.Array.TotalCapacity()); err != nil {
+			return 0, err
+		}
 	}
 	switch e {
 	case EngineClassic, EngineClosedForm:
@@ -289,17 +296,9 @@ func Dispatch(spec RunSpec) (*Result, error) {
 	case EngineSharded:
 		res, err = runLargeMonte(spec)
 	case EngineStream:
-		var s *StreamResult
-		if s, err = runStream(&spec); s != nil {
-			res = trajectoryResult(&spec, s.N, s.Shards, s.Checkpoints, s.HeightCounts, s.Array != nil, s.MaxLoad, s.AvgLoad, s.Balls)
-			res.Stream = s
-		}
+		res, err = runStream(&spec)
 	case EngineCluster:
-		var c *ClusterResult
-		if c, err = runCluster(&spec); c != nil {
-			res = trajectoryResult(&spec, c.N, c.Shards, c.Checkpoints, c.HeightCounts, c.Array != nil, c.MaxQueueLoad, c.AvgQueueLoad, c.FinalQueued)
-			res.Cluster = c
-		}
+		res, err = runCluster(&spec)
 	}
 	if res != nil {
 		res.Engine = engine
@@ -382,22 +381,4 @@ func singleChoiceFactory(f protocol.Factory) (single bool) {
 		return true
 	}
 	return false
-}
-
-// trajectoryResult maps a single-trajectory run (stream or cluster)
-// onto the classic Result shape: the step-indexed trajectory rows flow
-// through Checkpoints, and a completed run's final state is one
-// observation of each whole-array statistic. A cancelled partial has
-// no final state, so its accumulators stay empty; the engine's own
-// result rides along in Result.Stream or Result.Cluster.
-func trajectoryResult(spec *RunSpec, n, shards int, rows []obs.CheckpointRow, heights []obs.HeightRow, final bool, maxLoad, avgLoad float64, balls int64) *Result {
-	res := &Result{N: n, Shards: shards, Checkpoints: rows, HeightCounts: heights}
-	if final {
-		res.MaxLoad.Add(maxLoad)
-		res.AvgLoad.Add(avgLoad)
-		res.Deviation.Add(maxLoad - avgLoad)
-		res.Balls.Add(float64(balls))
-		res.TotalCapacity.Add(float64(spec.Array.TotalCapacity()))
-	}
-	return res
 }

@@ -288,6 +288,7 @@ func TestDispatchConservation(t *testing.T) {
 			Cluster: &ClusterParams{Ticks: 12, ArrivalsPerTick: 8000, Churn: churn, Retry: retry, ShedThreshold: 1.5}},
 	}
 	for engine, spec := range specs {
+		arr := adopt(&spec)
 		res, err := Dispatch(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -307,14 +308,14 @@ func TestDispatchConservation(t *testing.T) {
 			for _, b := range s.ShardBalls {
 				shardSum += b
 			}
-			if s.Arrived-s.Deleted != s.Balls || shardSum != s.Balls || s.Array.TotalBalls() != s.Balls || float64(s.Balls) != balls {
+			if s.Arrived-s.Deleted != s.Balls || shardSum != s.Balls || arr.TotalBalls() != s.Balls || float64(s.Balls) != balls {
 				t.Errorf("stream: arrived %d − deleted %d, balls %d, Σ shards %d, array %d, result %v",
-					s.Arrived, s.Deleted, s.Balls, shardSum, s.Array.TotalBalls(), balls)
+					s.Arrived, s.Deleted, s.Balls, shardSum, arr.TotalBalls(), balls)
 			}
 		}
 		if c := res.Cluster; c != nil {
-			if c.FinalQueued != c.Array.TotalBalls() || float64(c.FinalQueued) != balls {
-				t.Errorf("cluster: queued %d, array %d, result %v", c.FinalQueued, c.Array.TotalBalls(), balls)
+			if c.FinalQueued != arr.TotalBalls() || float64(c.FinalQueued) != balls {
+				t.Errorf("cluster: queued %d, array %d, result %v", c.FinalQueued, arr.TotalBalls(), balls)
 			}
 			if c.Arrived != c.Shed+c.Admitted || c.Admitted != c.Completed+c.Failed+c.PendingRetry+c.FinalQueued {
 				t.Errorf("cluster admission identities broken: %+v", c)
@@ -360,5 +361,36 @@ func TestDispatchIsTheOnlyEngineEntry(t *testing.T) {
 	}
 	if !slices.Contains(exported, "Dispatch") {
 		t.Error("Dispatch is not exported")
+	}
+}
+
+// TestBallsFactorOutOfRange: a BallsFactor whose ball count is no
+// int64 — a non-finite factor, or a rounded product of 2^63 or more —
+// fails by field name on every engine that takes one (fixed arrays in
+// validate, ArrayFn arrays where each repetition computes m), instead
+// of silently playing another game: the wrapped conversion clamped to
+// 1 ball, and NaN fell back to m = C.
+func TestBallsFactorOutOfRange(t *testing.T) {
+	a := uniformArray(t, 4, 1)
+	fn := func(*xrand.Rand) (*bins.Array, error) { return uniformArray(t, 4, 1), nil }
+	for _, f := range []float64{math.Inf(1), 1e19, 1e300, math.NaN()} {
+		specs := map[string]RunSpec{
+			"classic":         {Config: Config{Array: a, Reps: 2, Seed: 1, BallsFactor: f}, Engine: EngineClassic},
+			"classic ArrayFn": {Config: Config{ArrayFn: fn, Reps: 2, Seed: 1, BallsFactor: f}, Engine: EngineClassic},
+			"closed-form ArrayFn": {Config: Config{ArrayFn: fn, Reps: 2, Seed: 1, BallsFactor: f,
+				Placer: protocol.SingleFactory()}, Engine: EngineClosedForm},
+			"sharded": {Config: Config{Array: a, Reps: 2, Seed: 1, BallsFactor: f}, Engine: EngineSharded, Shards: 2},
+			"stream":  {Config: Config{Array: a, Seed: 1, BallsFactor: f}, Shards: 2, Stream: &StreamParams{Rounds: 2}},
+		}
+		for name, spec := range specs {
+			if _, err := Dispatch(spec); err == nil || !strings.Contains(err.Error(), "BallsFactor") {
+				t.Errorf("%s, BallsFactor = %v: err = %v, want a BallsFactor rejection", name, f, err)
+			}
+		}
+	}
+	// The largest factor whose count fits still runs.
+	ok := RunSpec{Config: Config{Array: a, Reps: 1, Seed: 1, BallsFactor: 0.5}, Engine: EngineClassic}
+	if res, err := Dispatch(ok); err != nil || res.Balls.Mean() != 2 {
+		t.Fatalf("BallsFactor = 0.5 on C = 4: balls %v, err %v", res.Balls.Mean(), err)
 	}
 }

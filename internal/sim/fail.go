@@ -22,12 +22,14 @@
 //
 // Every pool task runs behind the phase runner's recover (runner.go),
 // which converts a panic into a *PanicError carrying provenance
-// (engine, task name, repetition, shard/group index). The
-// orchestrator-side steps — the streaming and cluster engines'
-// routing, churn, re-shard and admission, the sharded Monte-Carlo
-// engine's per-repetition summary and fold — run as inline tasks
-// behind that same recover; classic repetitions and setups carry
-// their own recovers with the same provenance. The lowest-slot failure
+// (engine, task name, repetition/round/tick, shard/group index). The
+// sharded engines all run on the step driver, so their placer builds
+// (the "setup" phase), routing groups and per-shard tasks share that
+// one recover, and so do their orchestrator-side steps — the
+// streaming engine's deletion routing, the cluster engine's churn,
+// re-shard and admission, the Monte-Carlo engine's per-repetition
+// summary and fold — which run as inline tasks. Classic repetitions
+// and setups carry their own recovers with the same provenance. The lowest-slot failure
 // of a phase wins, every barrier is still reached, and no worker
 // goroutine is stranded — a panic anywhere surfaces as an ordinary
 // error from the engine call, never as a process crash or a hang.
@@ -129,11 +131,13 @@ func (e *CancelledError) Unwrap() error { return e.Cause }
 type PanicError struct {
 	// Engine is the engine the panic happened in.
 	Engine string
-	// Task names the task kind: "route", "place", "reset", "summary",
-	// "chunk" (classic chunk repetition), "setup", "orchestrator" (a
-	// sharded repetition's fold), and
-	// the streaming and cluster phase names ("delete", "move-out",
-	// "redistribute", "retry", "churn", ...).
+	// Task names the task kind: the step driver's "route" and "setup"
+	// (a sharded engine's per-shard placer build; a chunk worker's
+	// fixed state), "chunk" (classic chunk repetition), the Monte-Carlo
+	// engine's "reset", "place", "summary" and "orchestrator" (a
+	// repetition's fold), and the streaming and cluster phase names
+	// ("place", "delete", "move-out", "redistribute", "retry",
+	// "churn", ...).
 	Task string
 	// Rep is the repetition, round or tick the task belonged to (-1
 	// when unknown).

@@ -35,7 +35,7 @@ func runLarge(spec RunSpec) (*largeResult, error) {
 	spec.Reps = 1
 	spec.ShardStats = true
 	if spec.Array != nil && !spec.AdoptArray {
-		spec.Array, spec.AdoptArray = spec.Array.Clone(), true
+		adopt(&spec)
 	}
 	res, err := runLargeMonte(spec)
 	if res == nil {
@@ -52,6 +52,14 @@ func runLarge(spec RunSpec) (*largeResult, error) {
 		out.ShardBalls = append(out.ShardBalls, int64(row.Balls.Mean()))
 	}
 	return out, nil
+}
+
+// adopt points spec at a private clone of its array, adopted by the
+// engine, and returns the clone: after a completed run it holds the
+// final state.
+func adopt(spec *RunSpec) *bins.Array {
+	spec.Array, spec.AdoptArray = spec.Array.Clone(), true
+	return spec.Array
 }
 
 func largeArray(t testing.TB, n int) *bins.Array {

@@ -7,24 +7,25 @@
 //
 // # Scheduling model
 //
-// One repetition state owns the run's bin array, its shard views,
-// per-shard placers and generators, and routing groups (built once,
-// reset between repetitions), plus one phase (the phase runner,
-// runner.go) whose tasks run on the calling goroutine and at most
-// spec.Workers−1 helpers. The calling goroutine plays the repetitions
-// in order, one phase barrier at a time:
+// A repetition is one step of the step driver (runner.go), which owns
+// the run's bin array, its shard views, per-shard placers and
+// generators, and routing groups (built once, reset between
+// repetitions), and whose phases run on the calling goroutine and at
+// most spec.Workers−1 helpers. The setup phase builds every shard's
+// placer in parallel; then the calling goroutine plays the
+// repetitions in order, one phase barrier at a time:
 //
 //	route blocks ∥ reset shards → place shards in parallel → summarise → fold
 //
 // Every O(n) pass — reset, placement, the shard-local max scan or
 // histogram — is a per-shard pool task; the summary (O(shards) shard
 // maxima and histogram merges) and the fold are inline tasks on the
-// calling goroutine. A fresh array
-// skips the reset, and each shard's placer is built by its first
-// placement task, so the single game (Reps = 1) pays for no reset and
-// no serial placer build. Peak memory is one bin array plus the
-// running summary for any Workers, never O(Reps · n), so n = 10^7 with
-// hundreds of repetitions fits in RAM.
+// calling goroutine. The fold is the repetition's commit: once it has
+// run the repetition counts, even if the context fired meanwhile. The
+// first repetition played skips the reset (the array is fresh). Peak
+// memory is one bin array plus the running summary for any Workers,
+// never O(Reps · n), so n = 10^7 with hundreds of repetitions fits in
+// RAM.
 //
 // # Determinism contract
 //
@@ -49,62 +50,33 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/xrand"
 )
 
-// monteRepState is the run's reusable per-repetition state: the bin
-// array, shard views, per-shard placers and generators, and routing
-// groups (built once, reset between repetitions), routing counts,
-// summary scratch and the result's collectors. Pool tasks of one
-// repetition at a time touch it; the fold runs between barriers.
-type monteRepState struct {
-	sh       *sharded
-	fresh    bool              // the array has never been placed on: skip the reset
-	views    []*bins.Array     // nil for zero-weight shards (never routed to)
-	placers  []protocol.Placer // built by the shard's first placement task
-	rands    []shardRand       // per-shard placement generators, re-seeded each rep
-	counts   []int64
+// monteState is the run's state on top of the step driver's: the
+// repetition constants, the summary scratch and the result's
+// collectors. Pool tasks of one repetition at a time touch it; the
+// summary and the fold run between barriers.
+type monteState struct {
+	stepper
+	m        int64     // balls per repetition
+	avg      float64   // m/C, identical in every repetition
 	shardMax []float64 // final shard-local max, taken by the shard's placement task
 	max      float64
 
 	// Per-shard load histograms (non-nil iff the run requests a
 	// distribution-shaped observable: load vector or height counts).
-	// Phase B rebuilds each routed shard's histogram over its own view
-	// in parallel; the summary merges them in shard order into histAll —
-	// exact integer addition, so the merged histogram is identical to
-	// a whole-array pass for any worker count. All share the array's
-	// class skeleton, which is what makes the shard views' histograms
-	// mergeable.
+	// Each routed shard's placement task rebuilds its histogram over
+	// its own view in parallel; the summary merges them in shard order
+	// into histAll — exact integer addition, so the merged histogram
+	// is identical to a whole-array pass for any worker count. All
+	// share the array's class skeleton, which is what makes the shard
+	// views' histograms mergeable.
 	hists   []*bins.LoadHistogram
 	histAll *bins.LoadHistogram
 
-	// Run constants: the seed, balls per repetition, total capacity and
-	// the average load m/C, identical in every repetition.
-	seed     uint64
-	m        int64
-	totalCap int64
-	avg      float64
-
-	// Per-repetition task parameters, set by runRep before submitting
-	// any task of the repetition.
-	rep   int
-	base  uint64 // stream base rep·(shards+1)
-	rbase uint64 // Mix64(seed, base): the routing substream base
-
-	// cc is the run's canceller (nil when no Context).
-	cc *canceller
-	ph phase
-
-	// Routing state: the routing groups (route.go), reused across
-	// repetitions, plus the cut plan.
-	routeGroups []routeGroup
-	cutBlocks   []int64
-	cutRems     []int64
-
-	// Observation scratch, allocated once and reused across
-	// repetitions (all nil/empty when not requested).
-	cuts     []int64     // the reached cuts
-	prefix   [][]int64   // [cut][shard] routing prefixes → aligned cuts
+	// Observation scratch over the nCuts reached ball-count cuts,
+	// allocated once and reused across repetitions (all nil/empty when
+	// not requested).
 	cutBalls []int64     // realised balls per cut
 	track    [][]float64 // [cut][shard] shard-local running max at cut
 	cpMax    []float64   // combined whole-array max per cut
@@ -114,84 +86,48 @@ type monteRepState struct {
 	// cut is reachable).
 	cutsDone []int
 
-	// The result and its collectors. The fold runs in repetition order,
-	// so every Observe happens in one fixed order — the unified
-	// observation contract's requirement for bit-identical aggregates
-	// across worker topologies.
+	// The result and its collectors (the checkpoint rows are the
+	// driver's cp). The fold runs in repetition order, so every Observe
+	// happens in one fixed order — the unified observation contract's
+	// requirement for bit-identical aggregates across worker
+	// topologies.
 	res   *Result
 	loads *obs.SortedLoads
-	cp    *obs.Checkpoints
 	hl    *obs.Heights
 	ss    *obs.ShardStats
 }
 
-// newMonteRepState builds the run's state over the prologue's fresh
-// (reset) array: the shard views, routing groups, observation scratch,
-// the collectors over the normalized cuts allCuts, and the phase.
-// Zero-weight shards get no view, so never a placer — the router can
-// never send a ball there, and building a placer over an all-zero
-// weight slice would fail.
-func newMonteRepState(sh *sharded, spec *RunSpec, cc *canceller, allCuts []int64) (*monteRepState, error) {
-	shards, bounds := sh.shards, sh.bounds
-	totalCap := sh.arr.TotalCapacity()
-	m := spec.BallCount(totalCap)
-	cuts := allCuts[:obs.CountReached(allCuts, m)]
-	st := &monteRepState{
-		sh:          sh,
-		fresh:       true,
-		views:       make([]*bins.Array, shards),
-		placers:     make([]protocol.Placer, shards),
-		rands:       make([]shardRand, shards),
-		counts:      make([]int64, shards),
-		shardMax:    make([]float64, shards),
-		seed:        spec.Seed,
-		m:           m,
-		totalCap:    totalCap,
-		avg:         float64(m) / float64(totalCap),
-		routeGroups: newRouteGroups(sh.routeWidth(m), shards, len(cuts)),
-		cuts:        cuts,
-		cc:          cc,
-		res:         &Result{N: sh.n, Shards: shards},
+// newMonteState builds the run's state over the prologue's fresh
+// (reset) array: the driver with the repetition's stream layout, the
+// observation scratch and the collectors. Zero-weight shards get no
+// view, so never a placer — the router can never send a ball there,
+// and building a placer over an all-zero weight slice would fail.
+func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
+	st := &monteState{m: spec.BallCount(sh.arr.TotalCapacity())}
+	if err := st.init(engRunLargeMC, spec, sh, spec.Reps, st.m, false); err != nil {
+		return nil, err
 	}
-	st.ph = phase{x: st, engine: engRunLargeMC, names: monteKinds}
-	st.cutBlocks, st.cutRems = cutPlan(cuts)
-	if len(cuts) > 0 {
-		st.prefix = make([][]int64, len(cuts))
-		st.track = make([][]float64, len(cuts))
-		pflat := make([]int64, len(cuts)*shards)
-		tflat := make([]float64, len(cuts)*shards)
-		for k := range cuts {
-			st.prefix[k] = pflat[k*shards : (k+1)*shards]
-			st.track[k] = tflat[k*shards : (k+1)*shards]
-		}
-		st.cutBalls = make([]int64, len(cuts))
-		st.cpMax = make([]float64, len(cuts))
-		if cc != nil {
-			st.cutsDone = make([]int, shards)
+	st.kk, st.placeAt = uint64(sh.shards+1), 1
+	st.avg = float64(st.m) / float64(st.totalCap)
+	st.shardMax = make([]float64, sh.shards)
+	st.res = &Result{N: sh.n, Shards: sh.shards}
+	if st.nCuts > 0 {
+		st.track = grid[float64](st.nCuts, sh.shards)
+		st.cutBalls = make([]int64, st.nCuts)
+		st.cpMax = make([]float64, st.nCuts)
+		if st.cc != nil {
+			st.cutsDone = make([]int, sh.shards)
 		}
 	}
 	if spec.CollectLoadVector {
 		st.loads = obs.NewSortedLoads()
-	}
-	if len(allCuts) > 0 {
-		st.cp = obs.NewCheckpoints(allCuts)
 	}
 	if spec.HeightLevels > 0 {
 		st.hl = obs.NewHeights(spec.HeightLevels)
 		st.hlCounts = make([]int64, spec.HeightLevels)
 	}
 	if spec.ShardStats {
-		st.ss = obs.NewShardStats(shards)
-	}
-	for s := 0; s < shards; s++ {
-		if sh.shardW[s] <= 0 {
-			continue
-		}
-		v, err := sh.arr.Shard(bounds[s], bounds[s+1])
-		if err != nil {
-			return nil, fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
-		}
-		st.views[s] = v
+		st.ss = obs.NewShardStats(sh.shards)
 	}
 	if spec.CollectLoadVector || spec.HeightLevels > 0 {
 		// One class skeleton for the whole run: every shard histogram
@@ -201,16 +137,16 @@ func newMonteRepState(sh *sharded, spec *RunSpec, cc *canceller, allCuts []int64
 		// entirely.
 		proto := sh.arr.NewLoadHistogram()
 		st.histAll = proto.CloneEmpty()
-		st.hists = make([]*bins.LoadHistogram, shards)
-		for s := 0; s < shards; s++ {
+		st.hists = make([]*bins.LoadHistogram, sh.shards)
+		for s := range st.hists {
 			st.hists[s] = proto.CloneEmpty()
 			if st.views[s] != nil {
-				continue // rebuilt by Phase B every repetition
+				continue // rebuilt by the placement task every repetition
 			}
 			// Zero-weight shards are never routed to, reset or placed:
 			// their bins stay empty for the whole run, so one build at
 			// height zero stands for every repetition.
-			v, err := sh.arr.Shard(bounds[s], bounds[s+1])
+			v, err := sh.arr.Shard(sh.bounds[s], sh.bounds[s+1])
 			if err != nil {
 				return nil, fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
 			}
@@ -226,11 +162,11 @@ func newMonteRepState(sh *sharded, spec *RunSpec, cc *canceller, allCuts []int64
 // cancelled repetition completed — each bit-identical to the row the
 // uninterrupted repetition reports — and their count. A repetition
 // cancelled during routing completed none.
-func (st *monteRepState) cutPrefix() (int, []obs.CheckpointRow) {
+func (st *monteState) cutPrefix() (int, []obs.CheckpointRow) {
 	if st.cutsDone == nil {
 		return 0, nil
 	}
-	done := len(st.cuts)
+	done := st.nCuts
 	for _, d := range st.cutsDone {
 		done = min(done, d)
 	}
@@ -248,57 +184,36 @@ func (st *monteRepState) cutPrefix() (int, []obs.CheckpointRow) {
 	return done, cp.Rows()
 }
 
-// Monte's task kinds: Phase A overlaps routing groups with shard
-// resets, Phase B places shards; the summary and the fold are inline
-// tasks on the calling goroutine.
+// Monte's task kinds, after the step driver's: resets share the
+// routing phase, placements have one of their own, and the summary
+// and the fold are inline tasks on the calling goroutine.
 const (
-	monteRoute = iota
-	monteReset
+	monteReset = stepKinds + iota
 	montePlace
 	monteSummary
 	monteFold
 )
 
-var monteKinds = []taskName{{task: "route"}, {task: "reset"}, {task: "place"}, {task: "summary"}, {task: "orchestrator"}}
+var monteKinds = slices.Concat(stepNames, []taskName{{task: "reset"}, {task: "place"}, {task: "summary"}, {task: "orchestrator"}})
 
-// exec runs one task of the current repetition. Per-repetition
-// parameters (stream base, provenance) live on the state, set by
-// runRep before any task of that repetition is submitted.
-func (st *monteRepState) exec(kind, idx int) error {
+// exec runs one task of the repetition in flight.
+func (st *monteState) exec(kind, s int) error {
 	switch kind {
-	case monteRoute:
-		rg := &st.routeGroups[idx]
-		rg.reset()
-		rg.route(st.cc, engRunLargeMC, st.rep, st.rbase, st.sh.router, st.m, idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
 	case monteReset:
-		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.rep, Shard: idx, Block: -1})
+		if st.views[s] == nil {
+			return nil // never placed on
 		}
-		st.views[idx].Reset()
+		if fault.Enabled {
+			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.step, Shard: s, Block: -1})
+		}
+		st.views[s].Reset()
 	case montePlace:
-		s := idx
-		p := st.placers[s]
-		if p == nil {
-			// The alias-table build is O(shard size): it runs here, in
-			// parallel across shards, reading only the shard's own
-			// weights and view.
-			var err error
-			lo, hi := st.sh.bounds[s], st.sh.bounds[s+1]
-			if p, err = st.sh.factory(st.views[s], st.sh.weights[lo:hi]); err != nil {
-				return fmt.Errorf("sim: RunLargeMonte shard %d placer: %w", s, err)
-			}
-			st.placers[s] = p
-		} else if rp, ok := p.(interface{ Reset() }); ok {
-			// Stateful placers (e.g. the batched protocol's round
-			// snapshot) must forget the previous repetition.
+		// Stateful placers (e.g. the batched protocol's round snapshot)
+		// must forget the previous repetition.
+		if rp, ok := st.placers[s].(interface{ Reset() }); ok {
 			rp.Reset()
 		}
-		// Re-seeding the shard's reusable generator is NewStream
-		// without the allocation (pinned by the stream-contract
-		// tests).
-		rs := &st.rands[s].Rand
-		rs.Seed(xrand.Mix64(st.seed, st.base+1+uint64(s)))
-		done, _ := placeShardSegments(st.cc, engRunLargeMC, st.rep, p, st.views[s], rs, st.counts[s], s, st.prefix, st.track)
+		done, _ := placeShardSegments(st.cc, engRunLargeMC, st.step, st.placers[s], st.views[s], &st.rands[s].Rand, st.counts[s], s, st.prefix, st.track)
 		if st.cutsDone != nil {
 			st.cutsDone[s] = done
 		}
@@ -317,7 +232,7 @@ func (st *monteRepState) exec(kind, idx int) error {
 		st.shardMax[s] = st.hists[s].MaxLoad()
 	case monteSummary:
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.rep, Shard: -1, Block: -1})
+			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.step, Shard: -1, Block: -1})
 		}
 		if st.hists != nil {
 			// Shard-order merge: exact integer addition, so the result
@@ -342,15 +257,17 @@ func (st *monteRepState) exec(kind, idx int) error {
 		combineShardMaxima(st.track, st.cpMax)
 	case monteFold:
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpOrchestrator, Rep: st.rep, Shard: -1, Block: -1})
+			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpOrchestrator, Rep: st.step, Shard: -1, Block: -1})
 		}
 		return st.fold()
+	default:
+		return st.stepExec(kind, s)
 	}
 	return nil
 }
 
 // fold adds the repetition's summary to the result and its collectors.
-func (st *monteRepState) fold() error {
+func (st *monteState) fold() error {
 	res := st.res
 	res.MaxLoad.Add(st.max)
 	res.AvgLoad.Add(st.avg)
@@ -360,14 +277,12 @@ func (st *monteRepState) fold() error {
 			return err
 		}
 	}
-	if st.cp != nil {
-		for k := range st.cuts {
-			// An empty block-aligned realisation means this repetition
-			// saw no state at the cut; skip it (like a cut beyond m) so
-			// zeros never contaminate the maxima aggregates.
-			if st.cutBalls[k] != 0 {
-				st.cp.Observe(k, st.cutBalls[k], st.totalCap, st.cpMax[k])
-			}
+	for k := 0; k < st.nCuts; k++ {
+		// An empty block-aligned realisation means this repetition saw
+		// no state at the cut; skip it (like a cut beyond m) so zeros
+		// never contaminate the maxima aggregates.
+		if st.cutBalls[k] != 0 {
+			st.cp.Observe(k, st.cutBalls[k], st.totalCap, st.cpMax[k])
 		}
 	}
 	if st.hl != nil {
@@ -379,98 +294,59 @@ func (st *monteRepState) fold() error {
 	return nil
 }
 
-// runRep executes one repetition on the pool in three phases. Phase A
-// overlaps the routing blocks (substreams of stream base =
-// rep·(shards+1), fanned out across the routing groups) with the
-// per-shard resets: routing touches only the splitting tree and the
-// group's own buffers, resets touch only view bins; the groups are
-// folded afterwards (exact integer sums, order-free). Phase B places
-// every routed shard in parallel on stream base+1+s and takes its
-// shard-local max. The summary then combines the shards inline.
-//
-// It returns ok = false when the repetition was abandoned, with a
-// non-nil err when a task of it failed and a nil one when the run's
-// context fired.
-func (st *monteRepState) runRep(rep int) (ok bool, err error) {
-	st.rep, st.ph.rep = rep, rep
-	st.base = uint64(rep) * uint64(st.sh.shards+1)
-	st.rbase = xrand.Mix64(st.seed, st.base)
+// runStep plays repetition rep. The routing phase overlaps the routing
+// blocks with the per-shard resets: routing touches only the splitting
+// tree and the groups' own buffers, resets touch only view bins. The
+// placement phase places every routed shard in parallel and takes its
+// shard-local max; the summary then combines the shards and the fold
+// commits the repetition, both inline.
+func (st *monteState) runStep(rep int) (ok bool, err error) {
 	clear(st.cutsDone)
-	for g := range st.routeGroups {
-		st.ph.submit(monteRoute, g)
+	resets := 0
+	if rep > st.start {
+		resets = st.shards
 	}
-	for s := range st.views {
-		if st.views[s] != nil && !st.fresh {
-			st.ph.submit(monteReset, s)
-		}
-	}
-	st.fresh = false
-	if err := st.ph.wait(); err != nil || st.cc.cancelled() {
+	if ok, err := st.route(st.m, monteReset, resets); !ok {
 		return false, err
 	}
-	// Folding the groups is O(groups·shards·cuts) — bookkeeping, not
-	// pool work.
-	mergeRouteGroups(st.routeGroups, st.counts, st.prefix)
-	if len(st.cuts) > 0 {
+	if st.nCuts > 0 {
 		obs.AlignShardCuts(st.prefix, protocol.BlockSize, st.cutBalls)
 	}
 	for k := range st.track {
 		clear(st.track[k])
 	}
 	clear(st.shardMax)
-
 	for s := range st.views {
-		// A zero-count shard normally needs no Phase B at all (its
+		// A zero-count shard normally needs no placement task (its
 		// reset view's max is the cleared 0); with histograms on it
-		// still gets a (draw-free) placement task so its empty view
-		// refreshes st.hists[s] for the summary's merge.
+		// still gets a draw-free one so its empty view refreshes
+		// st.hists[s] for the summary's merge.
 		if st.views[s] == nil || (st.counts[s] == 0 && st.hists == nil) {
 			if st.cutsDone != nil {
-				st.cutsDone[s] = len(st.cuts)
+				st.cutsDone[s] = st.nCuts
 			}
 			continue
 		}
 		st.ph.submit(montePlace, s)
 	}
-	if err := st.ph.wait(); err != nil || st.cc.cancelled() {
+	if ok, err := st.phase(montePlace, 0); !ok {
 		return false, err
 	}
 	if err := st.ph.inline(monteSummary); err != nil {
 		return false, err
 	}
-	return true, nil
-}
-
-// play runs repetitions start … stop−1 in order on the calling
-// goroutine, folding each one as an inline task, and returns the
-// folded prefix. The first cancellation or error ends it, so both are
-// the lowest repetition's whatever Workers is.
-func (st *monteRepState) play(start, stop int) (int, error) {
-	// The widest phase is Phase A: every routing group and every reset.
-	st.ph.start(st.sh.workers, len(st.routeGroups)+st.sh.shards)
-	defer st.ph.close()
-	for rep := start; rep < stop; rep++ {
-		if st.cc.cancelled() {
-			return rep, nil
-		}
-		if ok, err := st.runRep(rep); !ok {
-			return rep, err
-		}
-		if err := st.ph.inline(monteFold); err != nil {
-			return rep, err
-		}
+	if err := st.ph.inline(monteFold); err != nil {
+		return false, err
 	}
-	return stop, nil
+	return true, nil
 }
 
 // runLargeMonte executes spec.Reps repetitions of the sharded game
 // (large.go) and aggregates them onto the classic Result shape; Reps =
 // 1 is the single sharded game. See the package comment of this file
-// for the scheduling model and the determinism contract. Repetition
-// rep derives its RNG streams by offsetting the single game's layout —
-// routing on stream rep·(Shards+1), shard s on stream
-// rep·(Shards+1)+1+s. Checkpoint rows keep the sharded model's
-// block-aligned realised cuts (RealBalls <= the requested cut).
+// for the scheduling model and the determinism contract. Checkpoint
+// rows keep the sharded model's block-aligned realised cuts (RealBalls
+// <= the requested cut).
 //
 // When spec.Context fires (or CancelAfter triggers), runLargeMonte
 // returns a partial *Result covering a contiguous repetition prefix —
@@ -489,9 +365,7 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(spec.Context)
-	allCuts, _ := obs.NormalizeCuts(spec.Checkpoints) // validated above
-	st, err := newMonteRepState(&sh, &spec, cc, allCuts)
+	st, err := newMonteState(&spec, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -502,31 +376,23 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 	// checkpoint can actually be read (Resume) or written (a cancel
 	// source exists) — the plain path pays nothing.
 	var fp MonteFingerprint
-	if spec.Resume != nil || cc != nil || spec.CancelAfter > 0 {
+	if spec.Resume != nil || st.cc != nil || spec.CancelAfter > 0 {
 		fp = MonteFingerprint{
 			N: sh.n, Shards: shards, Balls: st.m, Seed: spec.Seed,
 			TotalCapacity: st.totalCap, CapHash: capHash(sh.arr),
-			Checkpoints: allCuts, HeightLevels: spec.HeightLevels,
+			Checkpoints: st.cuts, HeightLevels: spec.HeightLevels,
 			CollectLoadVector: spec.CollectLoadVector, ShardStats: spec.ShardStats,
 		}
 	}
-	start := 0
 	if spec.Resume != nil {
 		if err := spec.Resume.restore(fp, st); err != nil {
 			return nil, err
 		}
-		if start = spec.Resume.CompletedReps; start > spec.Reps {
-			return nil, fmt.Errorf("sim: resume checkpoint covers %d repetitions, run has only %d", start, spec.Reps)
+		if st.start = spec.Resume.CompletedReps; st.start > spec.Reps {
+			return nil, fmt.Errorf("sim: resume checkpoint covers %d repetitions, run has only %d", st.start, spec.Reps)
 		}
 	}
-	// stop is the last repetition the run intends to fold: Reps, or
-	// the deterministic self-cancel point. A context cancellation ends
-	// the realised prefix earlier.
-	stop := spec.Reps
-	if spec.CancelAfter > 0 {
-		stop = max(min(stop, spec.CancelAfter), start)
-	}
-	completed, err := st.play(start, stop)
+	cerr, err := st.run(st, engRunLargeMC, monteKinds, stepSetup)
 	if err != nil {
 		return nil, err
 	}
@@ -542,23 +408,14 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 	res.ShardStats = st.ss
 	// The array is fixed, so balls and capacity are the same constant
 	// in every folded repetition.
-	res.Balls.AddN(float64(st.m), int64(completed))
-	res.TotalCapacity.AddN(float64(st.totalCap), int64(completed))
-	if completed < spec.Reps {
-		// Cancelled (context or CancelAfter): the aggregates cover
-		// exactly repetitions [0, completed) — bit-identical to a run
-		// configured with Reps = completed — and the checkpoint resumes
-		// from there.
-		cerr := &CancelledError{
-			Engine:          engRunLargeMC,
-			CompletedReps:   completed,
-			CompletedCuts:   -1,
-			CompletedRounds: -1,
-			CompletedTicks:  -1,
-			Checkpoint:      captureMonteCheckpoint(fp, completed, st),
-			Cause:           cc.err(),
-		}
-		if completed == 0 {
+	res.Balls.AddN(float64(st.m), int64(st.done))
+	res.TotalCapacity.AddN(float64(st.totalCap), int64(st.done))
+	if cerr != nil {
+		// The aggregates cover exactly repetitions [0, done) —
+		// bit-identical to a run configured with Reps = done — and the
+		// checkpoint resumes from there.
+		cerr.Checkpoint = captureMonteCheckpoint(fp, st.done, st)
+		if st.done == 0 {
 			// Repetition 0 was the one cancelled: its cut prefix is
 			// the single game's partial.
 			cerr.CompletedCuts, res.Checkpoints = st.cutPrefix()
@@ -568,7 +425,7 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 	if spec.AdoptArray {
 		// Placement writes through the shard views: the adopted array
 		// leaves with an exact cached ball total.
-		sh.arr.Recount()
+		st.arr.Recount()
 	}
 	return res, nil
 }

@@ -133,7 +133,7 @@ type MonteCheckpoint struct {
 
 // captureMonteCheckpoint snapshots the fold state of a run whose pool
 // has shut down.
-func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteRepState) *MonteCheckpoint {
+func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteState) *MonteCheckpoint {
 	res := st.res
 	cp := &MonteCheckpoint{
 		Version:       monteCheckpointVersion,
@@ -184,7 +184,7 @@ func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteRepStat
 // restore loads the checkpointed fold state into a freshly built run
 // state (whose collectors already have the shapes the fingerprint
 // promised). It runs before the first repetition.
-func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteRepState) error {
+func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteState) error {
 	if cp.Version != monteCheckpointVersion {
 		return fmt.Errorf("sim: resume checkpoint version %d, this build reads %d", cp.Version, monteCheckpointVersion)
 	}

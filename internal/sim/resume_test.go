@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -166,6 +167,44 @@ func TestMonteResumeChained(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed, full) {
 		t.Fatal("twice-resumed aggregates differ from uninterrupted run")
+	}
+}
+
+// TestMonteResumePastCancelAfter: resuming a checkpoint that already
+// covers more repetitions than CancelAfter stops at the first step
+// boundary — no repetition is played, the partial is the checkpoint's
+// prefix, and the CancelledError hands back the very same checkpoint,
+// so the resume chain loses and double-counts nothing.
+func TestMonteResumePastCancelAfter(t *testing.T) {
+	cfg := monteResumeConfig(t, 4, 2)
+	interrupted := cfg
+	interrupted.CancelAfter = 5
+	_, err := runLargeMonte(interrupted)
+	var first *CancelledError
+	if !errors.As(err, &first) || first.Checkpoint == nil || first.Checkpoint.CompletedReps != 5 {
+		t.Fatalf("err = %v, want a checkpoint covering 5 repetitions", err)
+	}
+	var placed atomic.Int64
+	resumed := cfg
+	resumed.Placer = hookedFactory(func(int64) { placed.Add(1) })
+	resumed.Resume = first.Checkpoint
+	resumed.CancelAfter = 3
+	res, err := runLargeMonte(resumed)
+	var cerr *CancelledError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("err = %v, want *CancelledError", err)
+	}
+	if cerr.CompletedReps != 5 || cerr.Cause != nil {
+		t.Fatalf("cancel error %+v, want 5 completed repetitions and no cause", cerr)
+	}
+	if n := placed.Load(); n != 0 {
+		t.Fatalf("%d placement calls: a repetition was played past CancelAfter", n)
+	}
+	if res.MaxLoad.N() != 5 {
+		t.Fatalf("partial aggregates %d repetitions, want the checkpoint's 5", res.MaxLoad.N())
+	}
+	if !reflect.DeepEqual(cerr.Checkpoint, first.Checkpoint) {
+		t.Fatalf("checkpoint changed without a repetition played:\n got  %+v\n want %+v", cerr.Checkpoint, first.Checkpoint)
 	}
 }
 

@@ -1,21 +1,20 @@
 // Shared execution skeleton: the one phase runner — task list, barrier,
 // helper goroutines and per-task panic containment — every engine
-// schedules its work through,
-// the chunk driver behind the classic and closed-form engines, the
-// prologue and generators the sharded engines share, and the step
-// driver of the dynamic engines (streaming rounds, cluster ticks).
+// schedules its work through, the chunk driver behind the classic and
+// closed-form engines, and the prologue, generators and step driver of
+// the sharded engines (Monte-Carlo repetitions, streaming rounds,
+// cluster ticks).
 //
 // # Phases
 //
 // A phase is one barrier over the tasks an actor submits: the chunk
-// driver, the step driver and the sharded Monte-Carlo engine each
-// drive one. Submitting appends (kind, index) to the phase's task
-// list, sized once at start for the widest phase; the barrier wakes at
-// most workers−1 helper goroutines — one channel token each, once per
-// phase — and the calling goroutine claims tasks from the same atomic
-// counter as worker 0. Dispatching work therefore allocates nothing
-// and sends nothing per task, and a one-worker phase starts no
-// goroutine and no channel.
+// driver and the step driver each drive one. Submitting appends (kind,
+// index) to the phase's task list, sized once at start for the widest
+// phase; the barrier wakes at most workers−1 helper goroutines — one
+// channel token each, once per phase — and the calling goroutine
+// claims tasks from the same atomic counter as worker 0. Dispatching
+// work therefore allocates nothing and sends nothing per task, and a
+// one-worker phase starts no goroutine and no channel.
 //
 // Every task runs behind a recover that converts a panic into a
 // *PanicError carrying {engine, task name, rep, index}: the worker
@@ -37,15 +36,19 @@
 //
 // # Step driver
 //
-// The streaming and cluster engines play one trajectory as a sequence
-// of steps (rounds, ticks) over one sharded array. stepper is the loop
-// they share: the setup phase, the step loop with its step-boundary
-// cancellation and CancelAfter stop, per-step re-seeding of the shard
-// placement streams, arrival routing up to the merged per-shard
-// counts, the observation cut, and the *CancelledError of an early
-// stop. An engine supplies only its step body (runStep), its task
-// bodies (exec) and its result; runStep commits the step's counters
-// last, so an abandoned step leaves the committed prefix untouched.
+// Every sharded engine plays a sequence of steps over one sharded
+// array: a Monte-Carlo step is one repetition, a streaming step one
+// round, a cluster step one tick. stepper is the loop they share: the
+// setup phase that builds the placers, the step loop from its start
+// step (a resumed run's restored prefix) with its step-boundary
+// CancelAfter stop and cancellation check, per-step re-seeding of the
+// shard placement streams, arrival routing up to the merged per-shard
+// counts and ball-count cut prefixes, the step-indexed observation
+// cut, the *CancelledError of an early stop, and the *Result of a
+// single trajectory. An engine supplies only its step body (runStep)
+// and its task bodies (exec); runStep commits the step last — Monte's
+// fold, the trajectory engines' counters — so an abandoned step leaves
+// the committed prefix untouched.
 package sim
 
 import (
@@ -232,10 +235,9 @@ var chunkKinds = []taskName{{task: "worker"}}
 
 // chunkRun is the chunk driver of the classic and closed-form engines:
 // repetitions in chunks of chunkSize, one pool task per worker. Each
-// worker task
-// builds its fixed state once, then claims chunks in ascending order
-// until none is left, running the engine's repetition kernel (runRep or
-// closedRep) on each repetition. Partials are per chunk and merge in
+// worker task builds its fixed state once, then claims chunks in
+// ascending order until none is left, running the repetition kernel
+// (runRep) on each repetition. Partials are per chunk and merge in
 // chunk order (reduce), so the result is bit-identical for any Workers.
 type chunkRun struct {
 	cfg         *Config
@@ -246,10 +248,10 @@ type chunkRun struct {
 	ph          phase
 }
 
-// repWorker is one chunk worker's reusable state: the fixed array and
-// its placer (classic) or multinomial router (closed form), built once
-// and reset between repetitions — nil under ArrayFn, whose repetitions
-// build their own — plus scratch buffers.
+// repWorker is one chunk worker's reusable state: the array and its
+// placer (classic) or multinomial router (closed form) — built once
+// and reset between repetitions, or under ArrayFn rebuilt by every
+// repetition — plus scratch buffers.
 type repWorker struct {
 	arr     *bins.Array
 	placer  protocol.Placer
@@ -344,6 +346,12 @@ func (r *chunkRun) setup(w *repWorker) (err error) {
 	if err != nil {
 		return err
 	}
+	return r.build(w, weights)
+}
+
+// build builds the worker's kernel over its array's weights: the
+// protocol's placer (classic) or the multinomial router (closed form).
+func (r *chunkRun) build(w *repWorker, weights []float64) (err error) {
 	if r.ph.engine == engRunClosed {
 		w.router, err = sampling.NewMultinomial(weights)
 	} else {
@@ -366,10 +374,7 @@ func (r *chunkRun) guardedRep(rep uint64, chunk int, w *repWorker, p *chunkParti
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: eng, Op: fault.OpChunk, Rep: int(rep), Shard: -1, Block: -1})
 	}
-	if eng == engRunClosed {
-		return closedRep(r.cfg, r.checkpoints, rep, w, p)
-	}
-	return runRep(r.cfg, r.checkpoints, rep, w, p)
+	return r.runRep(rep, w, p)
 }
 
 // resolveShards validates a Shards field against n bins: 0 means
@@ -455,7 +460,7 @@ const (
 	_ uintptr = 0 - (unsafe.Sizeof(cutMax{}) ^ 64)
 )
 
-// stepEngine is a dynamic engine as the step driver sees it: its task
+// stepEngine is a sharded engine as the step driver sees it: its task
 // bodies (exec) and its step body. runStep plays and commits the step
 // in flight; ok == false means it was abandoned at a cancellation
 // point, with nothing of it committed.
@@ -469,13 +474,14 @@ type stepEngine interface {
 const (
 	stepRoute = iota
 	stepObserve
+	stepSetup
 	stepKinds
 )
 
-var stepNames = []taskName{{"route", "routing group"}, {"observe", "observe shard"}}
+var stepNames = []taskName{{"route", "routing group"}, {"observe", "observe shard"}, {"setup", "setup shard"}}
 
-// stepper is the step driver and the working set the dynamic engines
-// share, allocated once before step 0.
+// stepper is the step driver and the working set the sharded engines
+// share, allocated once before the first step.
 type stepper struct {
 	sharded
 	cc   *canceller
@@ -487,6 +493,7 @@ type stepper struct {
 	// levels and cancelAfter are the spec's HeightLevels and
 	// CancelAfter (in steps).
 	levels, cancelAfter int
+	start               int // the first step played: a resumed run's restored prefix
 	steps               int // steps in the run
 	done                int // completed steps: the committed prefix
 	totalCap            int64
@@ -499,11 +506,18 @@ type stepper struct {
 	groups []routeGroup
 	counts []int64 // the step's merged per-shard arrival counts
 
-	cuts    []int64 // normalized step-index cuts
-	nCuts   int     // cuts reachable within the run
-	nextCut int
-	cp      *obs.Checkpoints
-	cutMax  []cutMax // per-shard max load at the current cut
+	// cuts are the normalized cuts: step indices, or for the Monte
+	// engine ball counts within one step. nCuts of them are reachable —
+	// within the run, or within one step's m balls, whose routing then
+	// takes the per-shard prefix[k] of cut k (cutBlocks/cutRems is
+	// their cutPlan; all three nil for step-indexed cuts).
+	cuts               []int64
+	nCuts              int
+	cutBlocks, cutRems []int64
+	prefix             [][]int64
+	nextCut            int
+	cp                 *obs.Checkpoints
+	cutMax             []cutMax // per-shard max load at the current step cut
 
 	ph phase
 
@@ -518,11 +532,11 @@ type stepper struct {
 }
 
 // init builds the driver over a validated spec and its sharded
-// prologue: routing groups for up to maxM arrivals per step, the
-// step-indexed cuts, and a view per shard of positive weight — every
-// shard when all is set. Views are built before the pool does any
-// work: Array.Shard is a parent method, and the bins.Shard contract
-// forbids running parent methods while views mutate.
+// prologue: routing groups for up to maxM arrivals per step, the cuts,
+// and a view per shard of positive weight — every shard when all is
+// set. Views are built before the pool does any work: Array.Shard is a
+// parent method, and the bins.Shard contract forbids running parent
+// methods while views mutate.
 func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM int64, all bool) error {
 	d.sharded = sh
 	d.cc = newCanceller(spec.Context)
@@ -536,14 +550,24 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	d.views = make([]*bins.Array, sh.shards)
 	d.placers = make([]protocol.Placer, sh.shards)
 	d.rands = make([]shardRand, sh.shards)
-	d.groups = newRouteGroups(sh.routeWidth(maxM), sh.shards, 0)
 	d.counts = make([]int64, sh.shards)
 	d.cuts, _ = obs.NormalizeCuts(spec.Checkpoints) // validated by the caller
-	d.nCuts = obs.CountReached(d.cuts, int64(steps))
 	if len(d.cuts) > 0 {
 		d.cp = obs.NewCheckpoints(d.cuts)
-		d.cutMax = make([]cutMax, sh.shards)
 	}
+	if eng == engRunLargeMC {
+		d.nCuts = obs.CountReached(d.cuts, maxM)
+		if d.nCuts > 0 {
+			d.cutBlocks, d.cutRems = cutPlan(d.cuts[:d.nCuts])
+			d.prefix = grid[int64](d.nCuts, sh.shards)
+		}
+	} else {
+		d.nCuts = obs.CountReached(d.cuts, int64(steps))
+		if len(d.cuts) > 0 {
+			d.cutMax = make([]cutMax, sh.shards)
+		}
+	}
+	d.groups = newRouteGroups(sh.routeWidth(maxM), sh.shards, len(d.prefix))
 	for s := range d.views {
 		if !all && sh.shardW[s] <= 0 {
 			continue
@@ -557,19 +581,35 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	return nil
 }
 
+// grid returns a rows×cols matrix carved from one backing array.
+func grid[T any](rows, cols int) [][]T {
+	g, flat := make([][]T, rows), make([]T, rows*cols)
+	for k := range g {
+		g[k] = flat[k*cols : (k+1)*cols]
+	}
+	return g
+}
+
 // run drives x: the setup phase (one setupKind task per shard), then
-// steps 0 … steps−1, each opened by a cancellation check, its stream
-// base and provenance, and a re-seed of EVERY shard's placement stream
-// — whether or not the shard receives balls — so a shard's draws
-// depend only on (seed, step, shard), never on the steps before. A
-// non-nil *CancelledError means the run stopped early (context or
-// CancelAfter): the engine's committed prefix is then its partial.
+// steps start … steps−1, each opened by the CancelAfter stop and a
+// cancellation check, its stream base and provenance, and a re-seed
+// of EVERY shard's placement stream — whether or not the shard
+// receives balls — so a shard's draws depend only on (seed, step,
+// shard), never on the steps before. A non-nil *CancelledError means
+// the run stopped early (context or CancelAfter): the engine's
+// committed prefix is then its partial.
 func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int) (*CancelledError, error) {
 	d.ph = phase{x: x, engine: eng, names: kinds}
-	d.ph.start(d.workers, max(d.shards, len(d.groups)))
+	// The widest phase is a routing pass with one task per shard
+	// alongside (Monte's resets).
+	d.ph.start(d.workers, len(d.groups)+d.shards)
 	defer d.ph.close()
+	d.done = d.start
 	ok, err := d.phase(setupKind, d.shards)
-	for t := 0; ok && t < d.steps; t++ {
+	for t := d.start; ok && t < d.steps; t++ {
+		if d.cancelAfter > 0 && t >= d.cancelAfter {
+			return d.cancelled(nil), nil
+		}
 		if d.cc.cancelled() {
 			break
 		}
@@ -580,9 +620,6 @@ func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int)
 		}
 		if ok, err = x.runStep(t); ok {
 			d.done = t + 1
-			if d.done == d.cancelAfter && d.done < d.steps {
-				return d.cancelled(nil), nil
-			}
 		}
 	}
 	if err != nil {
@@ -595,22 +632,30 @@ func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int)
 }
 
 // cancelled is the early stop's error: the committed prefix (done
-// steps, nextCut cuts) and its cause — the context's error, or nil for
-// the deterministic CancelAfter stop.
+// steps; for the step-indexed engines also nextCut cuts) and its cause
+// — the context's error, or nil for the deterministic CancelAfter
+// stop.
 func (d *stepper) cancelled(cause error) *CancelledError {
 	e := &CancelledError{Engine: d.ph.engine, CompletedReps: -1, CompletedCuts: d.nextCut, CompletedRounds: -1, CompletedTicks: -1, Cause: cause}
-	if d.ph.engine == engRunStream {
+	switch d.ph.engine {
+	case engRunStream:
 		e.CompletedRounds = d.done
-	} else {
+	case engRunCluster:
 		e.CompletedTicks = d.done
+	default:
+		e.CompletedReps, e.CompletedCuts = d.done, -1
 	}
 	return e
 }
 
-// phase runs n tasks of kind on the pool and reports whether the step
-// goes on: ok == false on a task error (returned) or a fired context.
+// phase adds n tasks of kind to those the step already submitted,
+// runs them on the pool and reports whether the step goes on: ok ==
+// false on a task error (returned) or a fired context.
 func (d *stepper) phase(kind, n int) (ok bool, err error) {
-	if err := d.ph.run(kind, n); err != nil {
+	for i := 0; i < n; i++ {
+		d.ph.submit(kind, i)
+	}
+	if err := d.ph.wait(); err != nil {
 		return false, err
 	}
 	return !d.cc.cancelled(), nil
@@ -625,16 +670,20 @@ func (d *stepper) inline(kind int) (ok bool, err error) {
 }
 
 // route routes the step's m arrivals block-wise on its routing stream,
-// fanned out over the routing groups, and merges the groups into
-// counts (exact integer sums, so the grouping never shows).
-func (d *stepper) route(m int64) (ok bool, err error) {
+// fanned out over the routing groups in one phase with n tasks of kind
+// (work that overlaps routing), and merges the groups into counts and
+// the cut prefixes (exact integer sums, so the grouping never shows).
+func (d *stepper) route(m int64, kind, n int) (ok bool, err error) {
 	d.curM = m
 	d.rrbase = xrand.Mix64(d.seed, d.base+d.routeAt)
 	d.rgr = min(len(d.groups), numRouteBlocks(m))
-	if ok, err := d.phase(stepRoute, d.rgr); !ok {
+	for g := 0; g < d.rgr; g++ {
+		d.ph.submit(stepRoute, g)
+	}
+	if ok, err := d.phase(kind, n); !ok {
 		return false, err
 	}
-	mergeRouteGroups(d.groups[:d.rgr], d.counts, nil)
+	mergeRouteGroups(d.groups[:d.rgr], d.counts, d.prefix)
 	return true, nil
 }
 
@@ -645,11 +694,11 @@ func (d *stepper) place(s int, n int64) {
 	}
 }
 
-// observe takes the cut that falls at the end of the step in flight, if
-// any: the shard maxima in parallel, then one trajectory row holding
-// balls resident balls. Engines call it just before their commit, so a
-// cancellation inside it abandons the whole step and the trajectory
-// stays exactly the committed prefix's.
+// observe takes the step cut that falls at the end of the step in
+// flight, if any: the shard maxima in parallel, then one trajectory
+// row holding balls resident balls. Engines call it just before their
+// commit, so a cancellation inside it abandons the whole step and the
+// trajectory stays exactly the committed prefix's.
 func (d *stepper) observe(balls int64) (ok bool, err error) {
 	if d.nextCut == d.nCuts || d.cuts[d.nextCut] != int64(d.step)+1 {
 		return true, nil
@@ -670,47 +719,63 @@ func (d *stepper) observe(balls int64) (ok bool, err error) {
 
 // stepExec runs the driver's own task kinds; engines' exec methods
 // delegate every kind below stepKinds here.
-func (d *stepper) stepExec(kind, idx int) {
+func (d *stepper) stepExec(kind, idx int) (err error) {
 	switch kind {
 	case stepRoute:
 		g := &d.groups[idx]
 		g.reset()
-		g.route(d.cc, d.ph.engine, d.step, d.rrbase, d.router, d.curM, idx, d.rgr, nil, nil)
+		g.route(d.cc, d.ph.engine, d.step, d.rrbase, d.router, d.curM, idx, d.rgr, d.cutBlocks, d.cutRems)
 	case stepObserve:
 		d.cutMax[idx].v = 0
 		if v := d.views[idx]; v != nil {
 			d.cutMax[idx].v = v.MaxLoad()
 		}
+	case stepSetup:
+		// Per-shard placer builds (alias tables, O(shard size) each),
+		// once per run — a steady-state step allocates nothing.
+		if v := d.views[idx]; v != nil {
+			d.placers[idx], err = d.factory(v, d.weights[d.bounds[idx]:d.bounds[idx+1]])
+		}
 	}
+	return err
 }
 
-// rows returns the trajectory rows (nil when no cut was requested).
-func (d *stepper) rows() []obs.CheckpointRow {
-	if d.cp == nil {
-		return nil
+// result is a single-trajectory run's *Result: the trajectory rows
+// always, and for a completed run the final state as one observation
+// of each whole-array statistic, with balls resident — recount the
+// array, then the exact max load (from one histogram pass that also
+// yields the bins-at-load>=k counts when levels > 0, else from a
+// direct scan) and the average. A cancelled partial has no final
+// state, so its accumulators stay empty.
+func (d *stepper) result(balls int64, completed bool) (*Result, error) {
+	res := &Result{N: d.n, Shards: d.shards}
+	if d.cp != nil {
+		res.Checkpoints = d.cp.Rows()
 	}
-	return d.cp.Rows()
-}
-
-// finalState is the end-of-run fold: recount the array, then the exact
-// max load — from one histogram pass that also yields the
-// bins-at-load>=k counts when levels > 0, else from a direct scan —
-// and the average.
-func (d *stepper) finalState(balls int64) (maxLoad, avg float64, heights []obs.HeightRow, err error) {
+	if !completed {
+		return res, nil
+	}
 	arr := d.arr
 	arr.Recount()
+	var maxLoad float64
 	if d.levels > 0 {
 		h := arr.NewLoadHistogram()
 		if err := arr.HistogramInto(h); err != nil {
-			return 0, 0, nil, fmt.Errorf("sim: %s histogram: %w", d.ph.engine, err)
+			return nil, fmt.Errorf("sim: %s histogram: %w", d.ph.engine, err)
 		}
 		hl := obs.NewHeights(d.levels)
 		if err := hl.SnapshotHist(obs.Final, h, balls); err != nil {
-			return 0, 0, nil, fmt.Errorf("sim: %s heights: %w", d.ph.engine, err)
+			return nil, fmt.Errorf("sim: %s heights: %w", d.ph.engine, err)
 		}
-		maxLoad, heights = h.MaxLoad(), hl.Rows()
+		maxLoad, res.HeightCounts = h.MaxLoad(), hl.Rows()
 	} else {
 		maxLoad = arr.MaxLoad()
 	}
-	return maxLoad, arr.AverageLoad(), heights, nil
+	avg := arr.AverageLoad()
+	res.MaxLoad.Add(maxLoad)
+	res.AvgLoad.Add(avg)
+	res.Deviation.Add(maxLoad - avg)
+	res.Balls.Add(float64(balls))
+	res.TotalCapacity.Add(float64(d.totalCap))
+	return res, nil
 }

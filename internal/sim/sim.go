@@ -14,6 +14,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/bins"
 	"repro/internal/dist"
@@ -48,7 +49,8 @@ type Config struct {
 	// is BallsFactor·C (rounded), and when BallsFactor is also 0 it
 	// defaults to exactly C — the paper's m = C baseline.
 	Balls int64
-	// BallsFactor scales the realised total capacity into a ball count.
+	// BallsFactor scales the realised total capacity into a ball count:
+	// finite, >= 0, and with BallsFactor·C rounded at most MaxInt64.
 	BallsFactor float64
 	// Reps is the number of independent repetitions (>= 1).
 	Reps int
@@ -135,13 +137,20 @@ type Result struct {
 	// Heights is the aggregated ball-height histogram (only when
 	// HeightBins was requested).
 	Heights *stats.Histogram
-	// Stream is the full streaming-engine result (only when Dispatch
-	// ran a streaming spec): round counters, final shard occupancies
-	// and the round-indexed trajectory.
+	// Stream holds the streaming engine's own counters (only when
+	// Dispatch ran a streaming spec): completed rounds, arrivals,
+	// deletions, moves and the final shard occupancies. The
+	// round-indexed trajectory is in Checkpoints; a completed run's
+	// final state is one observation of MaxLoad, AvgLoad, Deviation,
+	// Balls (the occupancy) and TotalCapacity, plus HeightCounts.
 	Stream *StreamResult
-	// Cluster is the full cluster-engine result (only when Dispatch ran
-	// a cluster spec): request/churn accounting, the availability
-	// trace, the latency histogram and the tick-indexed trajectory.
+	// Cluster holds the cluster engine's own counters (only when
+	// Dispatch ran a cluster spec): request and churn accounting, the
+	// availability trace and the latency histogram. The tick-indexed
+	// trajectory is in Checkpoints; a completed run's final queue state
+	// is one observation of MaxLoad and AvgLoad (queue-relative load),
+	// Deviation, Balls (the queued requests) and TotalCapacity, plus
+	// HeightCounts.
 	Cluster *ClusterResult
 	// ShardStats holds the sharded engine's per-shard aggregates (only
 	// when RunSpec.ShardStats was requested).
@@ -194,6 +203,17 @@ func (c *Config) BallCount(totalCapacity int64) int64 {
 		return m
 	}
 	return totalCapacity
+}
+
+// ballCountErr reports a BallsFactor whose ball count over total
+// capacity C does not fit an int64: converting a rounded product of
+// 2^63 or more is implementation-defined (MinInt64 on amd64), which
+// would silently change the game.
+func (c *Config) ballCountErr(totalCapacity int64) error {
+	if c.Balls == 0 && c.BallsFactor*float64(totalCapacity)+0.5 >= math.MaxInt64 {
+		return fmt.Errorf("sim: BallsFactor = %v: %v·C balls (C = %d) exceed MaxInt64", c.BallsFactor, c.BallsFactor, totalCapacity)
+	}
+	return nil
 }
 
 // workerScratch holds per-worker reusable buffers so the repetition
@@ -249,38 +269,38 @@ func snapshotCheckpoint(cfg *Config, p *chunkPartial, scratch *workerScratch, ar
 	return p.cp.SnapshotHist(cut, h, balls)
 }
 
-// runRep is the classic engine's repetition kernel (see chunkRun): it
-// executes one repetition on the worker's state and folds its metrics
-// into the partial.
-func runRep(cfg *Config, checkpoints []int64, rep uint64, w *repWorker, p *chunkPartial) error {
-	r := xrand.NewStream(cfg.Seed, rep)
-
-	arr := w.arr
-	placer := w.placer
-	scratch := &w.scratch
+// runRep is the chunk engines' repetition kernel (see chunkRun): it
+// plays one repetition on the worker's state and folds its metrics
+// into the partial. Classic and closed form differ only in how the
+// balls of a checkpoint segment are placed (repWorker.advance).
+func (r *chunkRun) runRep(rep uint64, w *repWorker, p *chunkPartial) error {
+	cfg, checkpoints := r.cfg, r.checkpoints
+	rng := xrand.NewStream(cfg.Seed, rep)
 	if cfg.ArrayFn != nil {
-		var err error
-		arr, err = cfg.ArrayFn(r)
+		arr, err := cfg.ArrayFn(rng)
 		if err != nil {
 			return fmt.Errorf("sim: rep %d array: %w", rep, err)
+		}
+		if err := cfg.ballCountErr(arr.TotalCapacity()); err != nil {
+			return err
 		}
 		weights, err := cfg.distribution().Weights(arr)
 		if err != nil {
 			return fmt.Errorf("sim: rep %d weights: %w", rep, err)
 		}
-		placer, err = cfg.factory()(arr, weights)
-		if err != nil {
+		w.arr = arr
+		if err := r.build(w, weights); err != nil {
 			return fmt.Errorf("sim: rep %d placer: %w", rep, err)
 		}
 	} else {
-		arr.Reset()
+		w.arr.Reset()
 		// Stateful placers (e.g. the batched protocol's round snapshot)
 		// must forget the previous repetition.
-		if rp, ok := placer.(interface{ Reset() }); ok {
+		if rp, ok := w.placer.(interface{ Reset() }); ok {
 			rp.Reset()
 		}
 	}
-
+	arr := w.arr
 	m := cfg.BallCount(arr.TotalCapacity())
 
 	if len(checkpoints) > 0 && p.cp == nil {
@@ -303,38 +323,38 @@ func runRep(cfg *Config, checkpoints []int64, rep uint64, w *repWorker, p *chunk
 	nextCp := 0
 	if p.heights != nil {
 		// Ball heights need the receiving bin of every single ball, so
-		// this path stays per-ball. The draw sequence is identical to the
-		// batch path below.
+		// this path stays per-ball (classic only). The draw sequence is
+		// identical to the batch path below.
 		for k := int64(1); k <= m; k++ {
-			idx := placer.Place(arr, r)
+			idx := w.placer.Place(arr, rng)
 			p.heights.Add(arr.Load(idx))
 			for nextCp < len(checkpoints) && checkpoints[nextCp] == k {
-				if err := snapshotCheckpoint(cfg, p, scratch, arr, nextCp, k); err != nil {
+				if err := snapshotCheckpoint(cfg, p, &w.scratch, arr, nextCp, k); err != nil {
 					return err
 				}
 				nextCp++
 			}
 		}
 	} else {
-		// Batch kernel: one interface dispatch per checkpoint segment
-		// instead of one per ball.
+		// One kernel call per checkpoint segment instead of one per
+		// ball.
 		placed := int64(0)
 		for nextCp < len(checkpoints) && checkpoints[nextCp] <= m {
-			cp := checkpoints[nextCp]
-			placer.PlaceBatch(arr, r, cp-placed)
-			placed = cp
-			if err := snapshotCheckpoint(cfg, p, scratch, arr, nextCp, cp); err != nil {
+			cut := checkpoints[nextCp]
+			w.advance(rng, cut-placed)
+			placed = cut
+			if err := snapshotCheckpoint(cfg, p, &w.scratch, arr, nextCp, cut); err != nil {
 				return err
 			}
 			nextCp++
 		}
-		placer.PlaceBatch(arr, r, m-placed)
+		w.advance(rng, m-placed)
 	}
 	// Checkpoints beyond m stay unrecorded for this repetition: their
 	// rows end up with Reps() < cfg.Reps (0 when no repetition reaches
 	// them), which is how callers see the shortfall.
 
-	return foldFinal(cfg, arr, m, rep, scratch, p)
+	return foldFinal(cfg, arr, m, rep, &w.scratch, p)
 }
 
 // foldFinal folds one repetition's final array state into the chunk

@@ -82,18 +82,15 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/bins"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
 
-// StreamResult aggregates one streaming run.
+// StreamResult holds a streaming run's own counters (Result.Stream);
+// the trajectory, the final whole-array statistics and the height
+// counts live on the Result itself.
 type StreamResult struct {
-	// N is the number of bins; Shards the realised shard count.
-	N      int
-	Shards int
 	// Rounds is the number of COMPLETED rounds (== the spec's rounds
 	// unless the run was cancelled).
 	Rounds int
@@ -105,24 +102,9 @@ type StreamResult struct {
 	// Balls is the occupancy after the last completed round
 	// (== Arrived − Deleted).
 	Balls int64
-	// MaxLoad, AvgLoad and Deviation are the final whole-array load
-	// statistics (deviation = max − average). Zero on a cancelled run,
-	// whose mid-round array state is not a model state.
-	MaxLoad   float64
-	AvgLoad   float64
-	Deviation float64
 	// ShardBalls[s] is shard s's occupancy after the last completed
 	// round.
 	ShardBalls []int64
-	// Checkpoints holds the round-indexed trajectory rows (one row per
-	// requested cut, in ascending round order; Balls is the round
-	// index, RealBalls the occupancy, unreached cuts have Reps 0).
-	Checkpoints []obs.CheckpointRow
-	// HeightCounts holds the bins-at-load>=k counts of the final state
-	// (only when HeightLevels was requested; nil on a cancelled run).
-	HeightCounts []obs.HeightRow
-	// Array is the final bin state (nil on a cancelled run).
-	Array *bins.Array
 }
 
 // StreamParams carries the round-structure parameters of a streaming
@@ -187,12 +169,10 @@ func (p *StreamParams) validate(c *Config) error {
 }
 
 // Stream task kinds, after the step driver's: one per phase of a
-// round, plus the one-time placer-build setup phase and the inline
-// deletion-routing step. Every task is identified by (kind, shard or
-// routing-group index).
+// round, plus the inline deletion-routing step. Every task is
+// identified by (kind, shard or routing-group index).
 const (
-	streamSetup = stepKinds + iota
-	streamPlace
+	streamPlace = stepKinds + iota
 	streamDeleteRoute
 	streamDelete
 	streamMoveOut
@@ -200,7 +180,7 @@ const (
 )
 
 var streamKinds = slices.Concat(stepNames, []taskName{
-	{"setup", "setup shard"}, {"place", "shard"}, {"delete-route", "deletion routing"},
+	{"place", "shard"}, {"delete-route", "deletion routing"},
 	{"delete", "deletion shard"}, {"move-out", "move-out shard"}, {"move-in", "move-in shard"},
 })
 
@@ -358,7 +338,7 @@ type streamState struct {
 // spec's Balls/BallsFactor give the per-round arrivals, its
 // Checkpoints are ROUND indices, and CancelAfter counts completed
 // rounds. Dispatch (Engine = EngineStream) is its only entry point.
-func runStream(spec *RunSpec) (*StreamResult, error) {
+func runStream(spec *RunSpec) (*Result, error) {
 	shards, err := spec.validate(EngineStream)
 	if err != nil {
 		return nil, err
@@ -407,27 +387,33 @@ func runStream(spec *RunSpec) (*StreamResult, error) {
 		}
 	}
 
-	cerr, err := st.run(st, engRunStream, streamKinds, streamSetup)
+	cerr, err := st.run(st, engRunStream, streamKinds, stepSetup)
 	if err != nil {
 		return nil, err
 	}
-	if cerr != nil {
-		return st.partialResult(), cerr
+	res, err := st.result(st.ctotal, cerr == nil)
+	if err != nil {
+		return nil, err
 	}
-	return st.final()
+	res.Stream = &StreamResult{
+		Rounds:     st.done,
+		Arrived:    st.arrived,
+		Deleted:    st.deleted,
+		Moved:      st.moved,
+		Balls:      st.ctotal,
+		ShardBalls: st.csballs,
+	}
+	if cerr != nil {
+		return res, cerr
+	}
+	return res, nil
 }
 
 // exec executes one task. Task state is indexed by (kind, idx) and every
 // task touches only its own shard's (or routing group's) state, so any
 // scheduling of tasks onto workers produces identical bits.
-func (st *streamState) exec(kind, s int) (err error) {
+func (st *streamState) exec(kind, s int) error {
 	switch kind {
-	case streamSetup:
-		// Per-shard placer builds (alias tables, O(shard size) each),
-		// once per run — a steady-state round allocates nothing.
-		if st.views[s] != nil {
-			st.placers[s], err = st.factory(st.views[s], st.weights[st.bounds[s]:st.bounds[s+1]])
-		}
 	case streamPlace:
 		st.place(s, st.counts[s])
 	case streamDeleteRoute:
@@ -439,9 +425,9 @@ func (st *streamState) exec(kind, s int) (err error) {
 	case streamMoveIn:
 		st.place(s, st.moveIn[s])
 	default:
-		st.stepExec(kind, s)
+		return st.stepExec(kind, s)
 	}
-	return err
+	return nil
 }
 
 // takeShard removes q balls from shard s, exactly uniformly without
@@ -550,7 +536,7 @@ func (st *streamState) runStep(r int) (ok bool, err error) {
 		m = st.sched[r]
 	}
 	if m > 0 {
-		if ok, err := st.route(m); !ok {
+		if ok, err := st.route(m, stepRoute, 0); !ok {
 			return false, err
 		}
 		if ok, err := st.phase(streamPlace, st.shards); !ok {
@@ -608,35 +594,4 @@ func (st *streamState) runStep(r int) (ok bool, err error) {
 	st.ctotal = st.total
 	copy(st.csballs, st.sballs)
 	return true, nil
-}
-
-// partialResult is the committed-prefix result every exit shares.
-func (st *streamState) partialResult() *StreamResult {
-	return &StreamResult{
-		N:           st.n,
-		Shards:      st.shards,
-		Rounds:      st.done,
-		Arrived:     st.arrived,
-		Deleted:     st.deleted,
-		Moved:       st.moved,
-		Balls:       st.ctotal,
-		ShardBalls:  st.csballs,
-		Checkpoints: st.rows(),
-	}
-}
-
-// final builds the completed-run result: the committed counters plus
-// the final whole-array statistics and (optionally) height counts. The
-// per-round observe phase keeps its direct per-shard MaxLoad scan —
-// max-only snapshots need no histogram and the scan is alloc-free.
-func (st *streamState) final() (*StreamResult, error) {
-	res := st.partialResult()
-	var err error
-	res.MaxLoad, res.AvgLoad, res.HeightCounts, err = st.finalState(st.arrived)
-	if err != nil {
-		return nil, err
-	}
-	res.Deviation = res.MaxLoad - res.AvgLoad
-	res.Array = st.arr
-	return res, nil
 }

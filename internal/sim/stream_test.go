@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bins"
 	"repro/internal/dist"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
@@ -77,7 +78,7 @@ func TestStreamQuietRoundMatchesRunLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runStream(&RunSpec{
+	spec := RunSpec{
 		Config: Config{
 			Array:      a,
 			Seed:       42,
@@ -86,22 +87,24 @@ func TestStreamQuietRoundMatchesRunLarge(t *testing.T) {
 		},
 		Shards: 8,
 		Stream: &StreamParams{Rounds: 1},
-	})
+	}
+	arr := adopt(&spec)
+	got, err := runStream(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Balls != want.Balls || got.Arrived != want.Balls {
-		t.Fatalf("stream placed %d balls, single game %d", got.Balls, want.Balls)
+	if got.Stream.Balls != want.Balls || got.Stream.Arrived != want.Balls {
+		t.Fatalf("stream placed %d balls, single game %d", got.Stream.Balls, want.Balls)
 	}
-	if !reflect.DeepEqual(got.ShardBalls, want.ShardBalls) {
-		t.Fatalf("routing diverged: %v vs %v", got.ShardBalls, want.ShardBalls)
+	if !reflect.DeepEqual(got.Stream.ShardBalls, want.ShardBalls) {
+		t.Fatalf("routing diverged: %v vs %v", got.Stream.ShardBalls, want.ShardBalls)
 	}
 	for i := 0; i < a.N(); i++ {
-		if got.Array.Balls(i) != want.Array.Balls(i) {
-			t.Fatalf("bin %d: stream %d balls, single game %d", i, got.Array.Balls(i), want.Array.Balls(i))
+		if arr.Balls(i) != want.Array.Balls(i) {
+			t.Fatalf("bin %d: stream %d balls, single game %d", i, arr.Balls(i), want.Array.Balls(i))
 		}
 	}
-	if got.MaxLoad != want.MaxLoad || got.AvgLoad != want.AvgLoad || got.Deviation != want.Deviation {
+	if got.MaxLoad.Mean() != want.MaxLoad || got.AvgLoad.Mean() != want.AvgLoad || got.Deviation.Mean() != want.Deviation {
 		t.Fatal("final statistics diverged from the single game")
 	}
 	if !reflect.DeepEqual(got.HeightCounts, want.HeightCounts) {
@@ -136,22 +139,24 @@ func streamMatrixConfig(t *testing.T, workers int) RunSpec {
 // shard occupancies, trajectory rows and the final array — under every
 // worker topology (also exercised under -race by the CI matrix).
 func TestStreamBitIdenticalAcrossWorkers(t *testing.T) {
-	var base *StreamResult
+	var base *Result
+	var baseArr *bins.Array
 	for _, workers := range []int{1, 2, 3, 8} {
 		cfg := streamMatrixConfig(t, workers)
+		arr := adopt(&cfg)
 		res, err := runStream(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if base == nil {
-			base = res
+			base, baseArr = res, arr
 			continue
 		}
-		if res.Arrived != base.Arrived || res.Deleted != base.Deleted ||
-			res.Moved != base.Moved || res.Balls != base.Balls {
-			t.Fatalf("workers=%d: counters differ: %+v vs %+v", workers, res, base)
+		if g, w := res.Stream, base.Stream; g.Arrived != w.Arrived || g.Deleted != w.Deleted ||
+			g.Moved != w.Moved || g.Balls != w.Balls {
+			t.Fatalf("workers=%d: counters differ: %+v vs %+v", workers, g, w)
 		}
-		if !reflect.DeepEqual(res.ShardBalls, base.ShardBalls) {
+		if !reflect.DeepEqual(res.Stream.ShardBalls, base.Stream.ShardBalls) {
 			t.Fatalf("workers=%d: shard occupancies differ", workers)
 		}
 		if !reflect.DeepEqual(res.Checkpoints, base.Checkpoints) {
@@ -161,9 +166,9 @@ func TestStreamBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: final stats differ", workers)
 		}
 		for i := 0; i < res.N; i++ {
-			if res.Array.Balls(i) != base.Array.Balls(i) {
+			if arr.Balls(i) != baseArr.Balls(i) {
 				t.Fatalf("workers=%d: bin %d has %d balls, want %d",
-					workers, i, res.Array.Balls(i), base.Array.Balls(i))
+					workers, i, arr.Balls(i), baseArr.Balls(i))
 			}
 		}
 	}
@@ -178,10 +183,12 @@ func TestStreamBitIdenticalAcrossWorkers(t *testing.T) {
 // deliberate.
 func TestStreamGoldenValues(t *testing.T) {
 	cfg := streamMatrixConfig(t, 3)
-	res, err := runStream(&cfg)
+	arr := adopt(&cfg)
+	out, err := runStream(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Stream
 	if res.Rounds != 5 || res.Arrived != 5000 || res.Deleted != 2000 || res.Balls != 3000 {
 		t.Fatalf("counters = %+v, golden rounds 5, arrived 5000, deleted 2000, balls 3000", res)
 	}
@@ -201,7 +208,7 @@ func TestStreamGoldenValues(t *testing.T) {
 		{2, 1200, 2}, {4, 2400, 2}, {5, 3000, 3},
 	}
 	for k, w := range wantRows {
-		row := &res.Checkpoints[k]
+		row := &out.Checkpoints[k]
 		if row.Balls != w.round || row.Reps() != 1 ||
 			row.RealBalls.Mean() != w.balls || row.MaxLoad.Mean() != w.maxLoad {
 			t.Fatalf("cut %d: round %d balls %v max %v (reps %d), golden %+v",
@@ -209,8 +216,8 @@ func TestStreamGoldenValues(t *testing.T) {
 		}
 	}
 	var h uint64
-	for i := 0; i < res.Array.N(); i++ {
-		h = h*1315423911 + uint64(res.Array.Balls(i))
+	for i := 0; i < arr.N(); i++ {
+		h = h*1315423911 + uint64(arr.Balls(i))
 	}
 	const wantHash = uint64(668858400744103328)
 	if h != wantHash {
@@ -225,15 +232,18 @@ func TestStreamGoldenValues(t *testing.T) {
 // matrix spec barely exercises (it moves one ball). FROZEN like the
 // other stream goldens.
 func TestStreamRebalanceHeavyGolden(t *testing.T) {
-	res, err := runStream(&RunSpec{
+	spec := RunSpec{
 		Config: Config{Array: largeArray(t, 512), Seed: 20261017, Workers: 2, Balls: 4000},
 		Shards: 32,
 		Stream: &StreamParams{Rounds: 8, Deletions: 3000, RebalanceTol: 0.01},
-	})
+	}
+	arr := adopt(&spec)
+	out, err := runStream(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Arrived != 32000 || res.Deleted != 24000 || res.Balls != 8000 || res.MaxLoad != 6 {
+	res := out.Stream
+	if res.Arrived != 32000 || res.Deleted != 24000 || res.Balls != 8000 || out.MaxLoad.Mean() != 6 {
 		t.Fatalf("counters = %+v, golden arrived 32000, deleted 24000, balls 8000, max load 6", res)
 	}
 	const wantMoved = int64(592)
@@ -248,8 +258,8 @@ func TestStreamRebalanceHeavyGolden(t *testing.T) {
 		t.Fatalf("shard occupancies %v, golden %v", res.ShardBalls, wantShardBalls)
 	}
 	var h uint64
-	for i := 0; i < res.Array.N(); i++ {
-		h = h*1315423911 + uint64(res.Array.Balls(i))
+	for i := 0; i < arr.N(); i++ {
+		h = h*1315423911 + uint64(arr.Balls(i))
 	}
 	const wantHash = uint64(4381619250351591396)
 	if h != wantHash {
@@ -262,7 +272,7 @@ func TestStreamRebalanceHeavyGolden(t *testing.T) {
 // agrees, and every shard respects the rebalance ceiling at the end.
 func TestStreamConservation(t *testing.T) {
 	const tol = 0.3
-	res, err := runStream(&RunSpec{
+	spec := RunSpec{
 		Config: Config{
 			Array:   largeArray(t, 800),
 			Seed:    9,
@@ -275,17 +285,20 @@ func TestStreamConservation(t *testing.T) {
 			Deletions:    250,
 			RebalanceTol: tol,
 		},
-	})
+	}
+	arr := adopt(&spec)
+	out, err := runStream(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Stream
 	if res.Arrived != 6*700 || res.Deleted != 6*250 {
 		t.Fatalf("arrived/deleted = %d/%d, want 4200/1500", res.Arrived, res.Deleted)
 	}
 	if res.Balls != res.Arrived-res.Deleted {
 		t.Fatalf("balls = %d, want arrived-deleted = %d", res.Balls, res.Arrived-res.Deleted)
 	}
-	if got := res.Array.TotalBalls(); got != res.Balls {
+	if got := arr.TotalBalls(); got != res.Balls {
 		t.Fatalf("array holds %d balls, result says %d", got, res.Balls)
 	}
 	var sum int64
@@ -297,11 +310,11 @@ func TestStreamConservation(t *testing.T) {
 	}
 	// The final round's rebalance pass capped every shard at
 	// ceil((1+tol)·target) of the final occupancy.
-	weights, err := dist.Proportional{}.Weights(res.Array)
+	weights, err := dist.Proportional{}.Weights(arr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, shardW, _, err := shardPlan(weights, res.N, res.Shards)
+	_, shardW, _, err := shardPlan(weights, out.N, out.Shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +337,17 @@ func TestStreamConservation(t *testing.T) {
 // implies Rounds, and deletions clamp to the occupancy instead of
 // going negative.
 func TestStreamSchedule(t *testing.T) {
-	res, err := runStream(&RunSpec{
+	spec := RunSpec{
 		Config: Config{Array: largeArray(t, 400), Seed: 3},
 		Shards: 4,
 		Stream: &StreamParams{Schedule: []int64{5000, 0, 0, 0}, Deletions: 2000},
-	})
+	}
+	arr := adopt(&spec)
+	out, err := runStream(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Stream
 	if res.Rounds != 4 {
 		t.Fatalf("rounds = %d, want 4 (implied by the schedule)", res.Rounds)
 	}
@@ -343,7 +359,7 @@ func TestStreamSchedule(t *testing.T) {
 	if res.Deleted != 5000 || res.Balls != 0 {
 		t.Fatalf("deleted/balls = %d/%d, want 5000/0 (clamped drain)", res.Deleted, res.Balls)
 	}
-	if got := res.Array.TotalBalls(); got != 0 {
+	if got := arr.TotalBalls(); got != 0 {
 		t.Fatalf("array holds %d balls after drain", got)
 	}
 }
@@ -352,7 +368,7 @@ func TestStreamSchedule(t *testing.T) {
 // receive, lose or rebalance a ball — and never build a placer.
 func TestStreamZeroWeightShards(t *testing.T) {
 	a := largeArray(t, 1000)
-	res, err := runStream(&RunSpec{
+	spec := RunSpec{
 		Config: Config{
 			Array: a,
 			Seed:  5,
@@ -365,12 +381,13 @@ func TestStreamZeroWeightShards(t *testing.T) {
 			Deletions:    300,
 			RebalanceTol: 0.5,
 		},
-	})
-	if err != nil {
+	}
+	arr := adopt(&spec)
+	if _, err := runStream(&spec); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < a.N(); i++ {
-		if res.Array.Capacity(i) < 10 && res.Array.Balls(i) != 0 {
+		if arr.Capacity(i) < 10 && arr.Balls(i) != 0 {
 			t.Fatalf("small bin %d received balls under top-only", i)
 		}
 	}
@@ -403,12 +420,12 @@ func TestStreamCancelAfterRoundsPrefix(t *testing.T) {
 	if cerr.Engine != engRunStream || cerr.CompletedRounds != 3 || cerr.Cause != nil {
 		t.Fatalf("provenance %+v, want RunStream self-cancelled after 3 rounds", cerr)
 	}
-	if got.Rounds != 3 || got.Arrived != want.Arrived || got.Deleted != want.Deleted ||
-		got.Moved != want.Moved || got.Balls != want.Balls {
-		t.Fatalf("partial counters %+v, want prefix of %+v", got, want)
+	if g, w := got.Stream, want.Stream; g.Rounds != 3 || g.Arrived != w.Arrived || g.Deleted != w.Deleted ||
+		g.Moved != w.Moved || g.Balls != w.Balls {
+		t.Fatalf("partial counters %+v, want prefix of %+v", g, w)
 	}
-	if !reflect.DeepEqual(got.ShardBalls, want.ShardBalls) {
-		t.Fatalf("partial occupancies %v, want %v", got.ShardBalls, want.ShardBalls)
+	if !reflect.DeepEqual(got.Stream.ShardBalls, want.Stream.ShardBalls) {
+		t.Fatalf("partial occupancies %v, want %v", got.Stream.ShardBalls, want.Stream.ShardBalls)
 	}
 	if !reflect.DeepEqual(got.Checkpoints, want.Checkpoints) {
 		t.Fatal("partial trajectory differs from the equivalent shorter run")
@@ -416,7 +433,7 @@ func TestStreamCancelAfterRoundsPrefix(t *testing.T) {
 	if cerr.CompletedCuts != 1 {
 		t.Fatalf("completed cuts = %d, want 1 (only the round-2 cut fired)", cerr.CompletedCuts)
 	}
-	if got.Array != nil || got.MaxLoad != 0 {
+	if got.MaxLoad.N() != 0 || got.HeightCounts != nil {
 		t.Fatal("cancelled partial carries final state")
 	}
 	// CancelAfter >= Rounds is a no-op: the run completes.
@@ -443,8 +460,8 @@ func TestStreamContextCancellation(t *testing.T) {
 	if cerr.CompletedRounds != 0 || cerr.Cause == nil {
 		t.Fatalf("provenance %+v, want 0 rounds with a context cause", cerr)
 	}
-	if res.Rounds != 0 || res.Balls != 0 || res.Arrived != 0 {
-		t.Fatalf("partial %+v, want the empty prefix", res)
+	if s := res.Stream; s.Rounds != 0 || s.Balls != 0 || s.Arrived != 0 {
+		t.Fatalf("partial %+v, want the empty prefix", s)
 	}
 }
 
@@ -512,7 +529,7 @@ func TestStreamDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.Balls != res.Stream.Balls || !reflect.DeepEqual(direct.ShardBalls, res.Stream.ShardBalls) {
+	if direct.Stream.Balls != res.Stream.Balls || !reflect.DeepEqual(direct.Stream.ShardBalls, res.Stream.ShardBalls) {
 		t.Fatal("Dispatch and runStream disagree on the same spec")
 	}
 	// A cancelled dispatch passes the CancelledError through with the
@@ -572,20 +589,22 @@ func TestStreamSteadyStateAllocFree(t *testing.T) {
 // bin exactly — the two-level (shard tree, then bin tree) deletion
 // kernel is without-replacement end to end.
 func TestStreamDeletionExhaustive(t *testing.T) {
-	res, err := runStream(&RunSpec{
+	spec := RunSpec{
 		Config: Config{Array: largeArray(t, 300), Seed: 8},
 		Shards: 6,
 		Stream: &StreamParams{Schedule: []int64{4000, 0}, Deletions: 4000},
-	})
+	}
+	arr := adopt(&spec)
+	out, err := runStream(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Balls != 0 || res.Deleted != 4000 {
+	if res := out.Stream; res.Balls != 0 || res.Deleted != 4000 {
 		t.Fatalf("balls/deleted = %d/%d, want 0/4000", res.Balls, res.Deleted)
 	}
-	for i := 0; i < res.N; i++ {
-		if res.Array.Balls(i) != 0 {
-			t.Fatalf("bin %d still holds %d balls", i, res.Array.Balls(i))
+	for i := 0; i < out.N; i++ {
+		if arr.Balls(i) != 0 {
+			t.Fatalf("bin %d still holds %d balls", i, arr.Balls(i))
 		}
 	}
 }
@@ -616,11 +635,11 @@ func TestStreamSubstreamLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Routing consumed the same stream: identical per-shard arrivals.
-	if !reflect.DeepEqual(del.Moved, quiet.Moved) || del.Arrived != quiet.Arrived {
-		t.Fatalf("arrival counters changed: %+v vs %+v", del, quiet)
+	if d, q := del.Stream, quiet.Stream; !reflect.DeepEqual(d.Moved, q.Moved) || d.Arrived != q.Arrived {
+		t.Fatalf("arrival counters changed: %+v vs %+v", d, q)
 	}
-	if del.Balls != quiet.Balls-500 {
-		t.Fatalf("deletions removed %d balls, want 500", quiet.Balls-del.Balls)
+	if d, q := del.Stream, quiet.Stream; d.Balls != q.Balls-500 {
+		t.Fatalf("deletions removed %d balls, want 500", q.Balls-d.Balls)
 	}
 	// And the deletion draws come from their own streams: the
 	// per-round stream budget covers routing (1), placements (S),
@@ -642,7 +661,7 @@ func TestStreamSubstreamLayout(t *testing.T) {
 // TestStreamHeights: the final-state height observable rides along
 // like the single game's.
 func TestStreamHeights(t *testing.T) {
-	res, err := runStream(&RunSpec{
+	spec := RunSpec{
 		Config: Config{
 			Array:      largeArray(t, 500),
 			Seed:       2,
@@ -651,7 +670,9 @@ func TestStreamHeights(t *testing.T) {
 		},
 		Shards: 5,
 		Stream: &StreamParams{Rounds: 3, Deletions: 100},
-	})
+	}
+	arr := adopt(&spec)
+	res, err := runStream(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +681,7 @@ func TestStreamHeights(t *testing.T) {
 	}
 	var loaded int64
 	for i := 0; i < res.N; i++ {
-		if res.Array.Balls(i) >= res.Array.Capacity(i) {
+		if arr.Balls(i) >= arr.Capacity(i) {
 			loaded++
 		}
 	}

@@ -1,0 +1,112 @@
+#!/bin/sh
+# parent_diff.sh — byte-compare bnbsim/bnbcluster output against a
+# previous revision.
+#
+# A change that claims "no model change" (a refactor, a simplification,
+# a performance change) must leave every engine's output byte-identical.
+# This script builds bnbsim and bnbcluster twice — at REV, from a
+# `git archive` export into a temp dir (no network), and from the
+# working tree — runs one fixed command list on both at -workers 1 and
+# -workers 3, and fails on the first stdout difference. Wall-time lines
+# are the only legitimate difference and are stripped before the diff.
+#
+# The list covers the classic engine (checkpoints, heights), the single
+# sharded game (plain and observed), sharded Monte-Carlo runs
+# (checkpoints, heights, load vectors, distributions, protocols,
+# -cancel-after-reps and a cancel-then-resume round trip), streaming
+# runs (deletions, rebalance, -cancel-after-rounds) and serving runs
+# (churn, retries, shedding, -cancel-after-ticks).
+#
+# Usage: scripts/parent_diff.sh REV      (e.g. scripts/parent_diff.sh HEAD~1)
+set -eu
+
+if [ $# -ne 1 ]; then
+	echo "usage: $0 REV" >&2
+	exit 2
+fi
+REV="$1"
+cd "$(dirname "$0")/.."
+
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+mkdir "$TMP/old"
+git archive "$REV" | tar -x -C "$TMP/old"
+(cd "$TMP/old" && go build -o "$TMP/old-bnbsim" ./cmd/bnbsim && go build -o "$TMP/old-bnbcluster" ./cmd/bnbcluster)
+go build -o "$TMP/new-bnbsim" ./cmd/bnbsim
+go build -o "$TMP/new-bnbcluster" ./cmd/bnbcluster
+
+# run BIN OUT ARGS... : capture stdout with wall-time lines stripped
+# (stderr, which carries cancellation notices, goes to OUT.err). The
+# binary runs as its own statement so a non-zero exit aborts the script
+# under set -e instead of being masked by grep; an empty output fails
+# too, so two silent binaries never compare equal.
+run() {
+	bin="$1"
+	out="$2"
+	shift 2
+	"$bin" "$@" > "$out.raw" 2> "$out.err"
+	grep -v '^wall time' "$out.raw" > "$out" || true
+	if [ ! -s "$out" ]; then
+		echo "no output from $bin $*" >&2
+		exit 1
+	fi
+}
+
+n=0
+# compare TOOL ARGS... : run TOOL (bnbsim or bnbcluster) at REV and
+# from the working tree, at workers 1 and 3, and diff stdout.
+compare() {
+	tool="$1"
+	shift
+	for w in 1 3; do
+		run "$TMP/old-$tool" "$TMP/old.txt" "$@" -workers "$w"
+		run "$TMP/new-$tool" "$TMP/new.txt" "$@" -workers "$w"
+		if ! diff -u "$TMP/old.txt" "$TMP/new.txt"; then
+			echo "OUTPUT CHANGED vs $REV: $tool $* -workers $w" >&2
+			exit 1
+		fi
+	done
+	n=$((n + 1))
+}
+
+SPEC="2000x1+2000x10"
+SEED=20261017
+CPS="1000,5000,1xC,9xC"
+
+compare bnbsim -spec "$SPEC" -seed "$SEED" -reps 12 -checkpoints "$CPS" -heights 4
+compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 4
+compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 4 -checkpoints "$CPS" -heights 4
+compare bnbsim -spec "100000x1+100000x10" -seed "$SEED" -large -shards 8 -checkpoints "70000,3xC" -heights 3
+compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 4 -reps 9 -checkpoints "$CPS" -heights 4
+compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 8 -reps 6 -d 4 -loads
+compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 4 -reps 6 -dist uniform -protocol standard -loads
+compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 4 -reps 6 -dist power:2 -protocol beta:0.5 -heights 3
+compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 4 -reps 9 -checkpoints "$CPS" -heights 4 -cancel-after-reps 5
+compare bnbsim -spec "$SPEC" -seed "$SEED" -stream -rounds 6 -m 3000 -deletions 800 -rebalance-tol 0.2 -shards 4 -checkpoints 2,4,6 -heights 3
+compare bnbsim -spec "$SPEC" -seed "$SEED" -stream -schedule 5000,0,2500 -deletions 1000 -shards 4 -checkpoints 1,3
+compare bnbsim -spec "$SPEC" -seed "$SEED" -stream -rounds 6 -m 3000 -deletions 800 -rebalance-tol 0.2 -shards 4 -checkpoints 2,4,6 -cancel-after-rounds 3
+
+CLUSTER="-spec 800x1+200x10 -arrivals 2000 -ticks 120 -seed $SEED -json \
+	-churn down@20:801,up@90:801 -crash-prob 0.003 -recover-prob 0.1 \
+	-timeout 6 -retries 2 -backoff 2 -shed 2.5 -shards 4"
+compare bnbcluster $CLUSTER
+compare bnbcluster $CLUSTER -cancel-after-ticks 70
+
+# Cancel-then-resume: each build interrupts a Monte-Carlo run after 4
+# repetitions, writing its resume state, then finishes it from that
+# state; the cancelled and the resumed stdout must both match.
+MONTE="-spec $SPEC -seed $SEED -large -shards 4 -reps 9 -checkpoints $CPS -heights 4 -loads"
+for side in old new; do
+	rm -f "$TMP/$side-resume.json"
+	run "$TMP/$side-bnbsim" "$TMP/$side-cancel.txt" $MONTE -workers 3 -resume "$TMP/$side-resume.json" -cancel-after-reps 4
+	run "$TMP/$side-bnbsim" "$TMP/$side-resumed.txt" $MONTE -workers 1 -resume "$TMP/$side-resume.json"
+done
+for phase in cancel resumed; do
+	if ! diff -u "$TMP/old-$phase.txt" "$TMP/new-$phase.txt"; then
+		echo "OUTPUT CHANGED vs $REV: cancel-then-resume ($phase)" >&2
+		exit 1
+	fi
+done
+n=$((n + 1))
+
+echo "all $n command(s) byte-identical to $REV at -workers 1 and 3"

@@ -159,20 +159,24 @@ func SimulateStream(cfg StreamConfig) (*StreamResult, error) {
 		return nil, err
 	}
 	sres := res.Stream
-	return &StreamResult{
-		N:           sres.N,
-		Shards:      sres.Shards,
+	out := &StreamResult{
+		N:           res.N,
+		Shards:      res.Shards,
 		Rounds:      sres.Rounds,
 		Arrived:     sres.Arrived,
 		Deleted:     sres.Deleted,
 		Moved:       sres.Moved,
 		Balls:       sres.Balls,
-		MaxLoad:     sres.MaxLoad,
-		AverageLoad: sres.AvgLoad,
-		Deviation:   sres.Deviation,
 		ShardBalls:  sres.ShardBalls,
-		Checkpoints: checkpointResults(sres.Checkpoints),
-		Heights:     heightResults(sres.HeightCounts),
-		Loads:       LargeLoads{arr: sres.Array},
-	}, err
+		Checkpoints: checkpointResults(res.Checkpoints),
+	}
+	if err != nil {
+		return out, err
+	}
+	out.MaxLoad = res.MaxLoad.Mean()
+	out.AverageLoad = res.AvgLoad.Mean()
+	out.Deviation = res.Deviation.Mean()
+	out.Heights = heightResults(res.HeightCounts)
+	out.Loads = LargeLoads{arr: spec.Array}
+	return out, nil
 }

@@ -2,7 +2,9 @@ package balls
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bins"
@@ -81,5 +83,22 @@ func TestMonteCarloLargeCancelResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed run differs from the uninterrupted one:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestOutOfRangeFactorRejected: the wrappers' BallsFactor and
+// ArrivalsFactor inherit the engines' ball-count check — a factor
+// whose count is no int64 is an error naming the field, never a
+// silently different game.
+func TestOutOfRangeFactorRejected(t *testing.T) {
+	caps := []int64{1, 1, 1, 1}
+	if _, err := Simulate(SimConfig{Capacities: caps, Reps: 1, BallsFactor: 1e19}); err == nil || !strings.Contains(err.Error(), "BallsFactor") {
+		t.Errorf("Simulate, BallsFactor = 1e19: err = %v", err)
+	}
+	if _, err := SimulateLarge(LargeConfig{Capacities: caps, BallsFactor: math.NaN()}); err == nil || !strings.Contains(err.Error(), "BallsFactor") {
+		t.Errorf("SimulateLarge, BallsFactor = NaN: err = %v", err)
+	}
+	if _, err := SimulateStream(StreamConfig{Capacities: caps, Rounds: 1, ArrivalsFactor: math.Inf(1)}); err == nil || !strings.Contains(err.Error(), "BallsFactor") {
+		t.Errorf("SimulateStream, ArrivalsFactor = +Inf: err = %v", err)
 	}
 }
