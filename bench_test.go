@@ -212,9 +212,11 @@ func BenchmarkRunStream4W(b *testing.B) { benchRunStream(b, 4) }
 // benchClusterTick measures the churn-tolerant serving engine with all
 // degraded-mode machinery armed — stochastic churn (so ring re-shards
 // and queue redistribution fire), timeouts with retries, and admission
-// control — reported as ticks/sec. Its remaining allocations are the
-// churn ticks' router and placer rebuilds; a churn-free tick allocates
-// nothing (pinned by TestClusterSteadyStateAllocFree in internal/sim).
+// control — reported as ticks/sec. Its allocations are the run's
+// setup (ring, shard plan, views, placers, queue arenas): churn ticks
+// reweight placers and rebuild the router in place, so steady-state
+// ticks allocate almost nothing, churn or not (pinned by
+// TestClusterSteadyStateAllocFree in internal/sim).
 func benchClusterTick(b *testing.B, workers int) {
 	b.Helper()
 	caps := CapacitiesTwoClass(50_000, 1, 50_000, 10)

@@ -32,6 +32,8 @@ package chash
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -55,14 +57,29 @@ type Ring struct {
 	mark    []bool // TouchedPeers de-duplication scratch, all false between calls
 }
 
+// maxPoints bounds a ring's total point count: points, owners and
+// per-peer offsets are indexed with int32.
+const maxPoints = math.MaxInt32
+
+// tooManyPoints is the error of a ring whose points through peer p
+// would exceed maxPoints.
+func tooManyPoints(p int) error {
+	return fmt.Errorf("chash: the points of peers 0..%d exceed %d", p, maxPoints)
+}
+
 // NewRing places n peers with the given number of virtual nodes each at
-// positions drawn from r. All peers start live.
+// positions drawn from r. All peers start live. A ring of more than
+// MaxInt32 points is rejected, naming the first peer past the limit,
+// before anything of its size is allocated.
 func NewRing(n, vnodes int, r *xrand.Rand) (*Ring, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("chash: n = %d", n)
 	}
 	if vnodes <= 0 {
 		return nil, fmt.Errorf("chash: vnodes = %d", vnodes)
+	}
+	if n > maxPoints/vnodes {
+		return nil, tooManyPoints(maxPoints / vnodes)
 	}
 	counts := make([]int, n)
 	for p := range counts {
@@ -80,7 +97,9 @@ func NewRing(n, vnodes int, r *xrand.Rand) (*Ring, error) {
 // nodes, the standard way to give heterogeneous peers arc shares
 // proportional to capacity. Combined with the d-point game this is the
 // ring-level equivalent of the paper's capacity-proportional selection:
-// the expected arc share of peer p is capacity[p]/ΣC.
+// the expected arc share of peer p is capacity[p]/ΣC. A peer whose
+// product overflows, or a total of more than MaxInt32 points, is
+// rejected by name before anything of the ring's size is allocated.
 func NewWeightedRing(capacities []int64, vnodesPerUnit int, r *xrand.Rand) (*Ring, error) {
 	if len(capacities) == 0 {
 		return nil, fmt.Errorf("chash: no capacities")
@@ -93,6 +112,10 @@ func NewWeightedRing(capacities []int64, vnodesPerUnit int, r *xrand.Rand) (*Rin
 		if c < 1 {
 			return nil, fmt.Errorf("chash: capacity %d of peer %d", c, i)
 		}
+		if c > int64(maxPoints/vnodesPerUnit) {
+			return nil, fmt.Errorf("chash: peer %d: capacity %d × %d vnodes per unit exceeds %d points",
+				i, c, vnodesPerUnit, maxPoints)
+		}
 		counts[i] = int(c) * vnodesPerUnit
 	}
 	ring, err := build(counts, r)
@@ -104,12 +127,18 @@ func NewWeightedRing(capacities []int64, vnodesPerUnit int, r *xrand.Rand) (*Rin
 }
 
 // build draws counts[p] points for every peer IN PEER ORDER (the draw
-// sequence is part of the model), sorts them by (position, owner) and
-// indexes each peer's points in ascending order.
+// sequence is part of the model) and lays them out in ascending
+// (position, owner) order with sortPoints — a bucket sort, O(points)
+// for the uniform positions a ring draws — then indexes each peer's
+// points in ascending order. The counts' total is checked against
+// maxPoints before any allocation of its size.
 func build(counts []int, r *xrand.Rand) (*Ring, error) {
 	n := len(counts)
 	total := 0
-	for _, c := range counts {
+	for p, c := range counts {
+		if c > maxPoints-total {
+			return nil, tooManyPoints(p)
+		}
 		total += c
 	}
 	ring := &Ring{
@@ -122,32 +151,68 @@ func build(counts []int, r *xrand.Rand) (*Ring, error) {
 		nLive:   n,
 		mark:    make([]bool, n),
 	}
-	type pv struct {
-		pos   float64
-		owner int32
-	}
-	pvs := make([]pv, 0, total)
+	pos := make([]float64, total)
 	for p := 0; p < n; p++ {
-		for v := 0; v < counts[p]; v++ {
-			pvs = append(pvs, pv{pos: r.Float64(), owner: int32(p)})
+		lo := ring.peerOff[p]
+		hi := lo + int32(counts[p])
+		for i := lo; i < hi; i++ {
+			pos[i] = r.Float64()
 		}
-		ring.peerOff[p+1] = ring.peerOff[p] + int32(counts[p])
+		ring.peerOff[p+1] = hi
 		ring.live[p] = true
 	}
-	slices.SortFunc(pvs, func(a, b pv) int {
-		if c := cmp.Compare(a.pos, b.pos); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.owner, b.owner)
-	})
+	sortPoints(pos, ring.peerOff, ring.points, ring.owner)
 	next := slices.Clone(ring.peerOff[:n])
-	for i, e := range pvs {
-		ring.points[i] = e.pos
-		ring.owner[i] = e.owner
-		ring.peerIdx[next[e.owner]] = int32(i)
-		next[e.owner]++
+	for i, o := range ring.owner {
+		ring.peerIdx[next[o]] = int32(i)
+		next[o]++
 	}
 	return ring, nil
+}
+
+// sortPoints writes every position of pos into points in ascending
+// (position, owner) order and each one's peer into owner: peer p's
+// positions are pos[off[p]:off[p+1]], all in [0, 1). It is a bucket
+// sort on the positions' 53-bit fixed-point keys x·2⁵³ (exact for
+// xrand.Float64 draws, and monotone in x for any x): a counting pass
+// over the top ⌈log₂ len(pos)⌉ key bits, a scatter in peer order, and
+// an insertion sort that only ever moves points within their bucket.
+// Scatter and insertion sort are both stable, so equal positions keep
+// the scatter's peer order: the result is the same total order the
+// (position, owner) comparator sort gives. The buckets hold about one
+// point each for uniform positions, so the whole sort is O(len(pos))
+// in expectation.
+func sortPoints(pos []float64, off []int32, points []float64, owner []int32) {
+	if len(pos) == 0 {
+		return
+	}
+	top := bits.Len(uint(len(pos) - 1)) // ⌈log₂ len(pos)⌉ bucket bits
+	bucket := func(x float64) uint64 { return uint64(x*0x1p53) >> (53 - top) }
+	start := make([]int32, 1<<top)
+	for _, x := range pos {
+		start[bucket(x)]++
+	}
+	var sum int32
+	for b, c := range start {
+		start[b] = sum
+		sum += c
+	}
+	for p := 0; p+1 < len(off); p++ {
+		for _, x := range pos[off[p]:off[p+1]] {
+			b := bucket(x)
+			j := start[b]
+			start[b]++
+			points[j], owner[j] = x, int32(p)
+		}
+	}
+	for i := 1; i < len(points); i++ {
+		x, o := points[i], owner[i]
+		j := i
+		for ; j > 0 && points[j-1] > x; j-- {
+			points[j], owner[j] = points[j-1], owner[j-1]
+		}
+		points[j], owner[j] = x, o
+	}
 }
 
 // N returns the number of peers (live or not).

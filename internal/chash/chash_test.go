@@ -1,8 +1,12 @@
 package chash
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -652,3 +656,146 @@ func repeatCount(n, v int) []int {
 	}
 	return c
 }
+
+// TestRingPointCountOverflow: a ring of more than MaxInt32 points — a
+// capacity × vnodes product that overflows int, or a total past the
+// int32 index range — is an error naming the peer, returned before
+// anything of the ring's size is allocated (the 1<<62 cases used to
+// panic in makeslice).
+func TestRingPointCountOverflow(t *testing.T) {
+	r := xrand.New(1)
+	for _, tc := range []struct {
+		name string
+		make func() (*Ring, error)
+		peer string
+	}{
+		{"weighted product", func() (*Ring, error) { return NewWeightedRing([]int64{1, 10}, 1<<62, r) }, "peer 0"},
+		{"weighted product of a later peer", func() (*Ring, error) { return NewWeightedRing([]int64{1, 1 << 40}, 1<<20, r) }, "peer 1"},
+		{"weighted total", func() (*Ring, error) { return NewWeightedRing([]int64{1 << 30, 1 << 30, 1}, 1, r) }, "0..1"},
+		{"uniform vnodes", func() (*Ring, error) { return NewRing(3, 1<<62, r) }, "0..0"},
+		{"uniform total", func() (*Ring, error) { return NewRing(1<<20, 1<<12, r) }, "0..524287"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ring, err := tc.make()
+			if err == nil {
+				t.Fatalf("ring of %d points accepted", len(ring.points))
+			}
+			if !strings.Contains(err.Error(), tc.peer) {
+				t.Fatalf("error %q does not name %s", err, tc.peer)
+			}
+		})
+	}
+	// The limit itself is exact: a ring just under it is only checked
+	// here, not built (it would need gigabytes).
+	if err := tooManyPoints(0); !strings.Contains(err.Error(), fmt.Sprint(math.MaxInt32)) {
+		t.Fatalf("error %q does not name the limit", err)
+	}
+}
+
+// sortPointsRef is the reference order sortPoints must reproduce: the
+// (position, owner) comparator sort the ring was built with before the
+// bucket sort.
+func sortPointsRef(pos []float64, off []int32) ([]float64, []int32) {
+	type pv struct {
+		pos   float64
+		owner int32
+	}
+	pvs := make([]pv, 0, len(pos))
+	for p := 0; p+1 < len(off); p++ {
+		for _, x := range pos[off[p]:off[p+1]] {
+			pvs = append(pvs, pv{x, int32(p)})
+		}
+	}
+	slices.SortFunc(pvs, func(a, b pv) int {
+		if c := cmp.Compare(a.pos, b.pos); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.owner, b.owner)
+	})
+	points, owner := make([]float64, len(pvs)), make([]int32, len(pvs))
+	for i, e := range pvs {
+		points[i], owner[i] = e.pos, e.owner
+	}
+	return points, owner
+}
+
+// TestSortPointsParity: the bucket sort lays out exactly the
+// comparator sort's (position, owner) order — on forced ties within
+// and across peers, the extreme positions 0 and 1−2⁻⁵³, every point in
+// one bucket, and random rings of 1 to 10⁵ points.
+func TestSortPointsParity(t *testing.T) {
+	const top = 1 - 0x1p-53
+	type input struct {
+		name   string
+		counts []int
+		pos    func(i int, r *xrand.Rand) float64
+	}
+	inputs := []input{
+		{"single point", []int{1}, func(int, *xrand.Rand) float64 { return 0.5 }},
+		{"ties across peers", []int{3, 2, 4, 1}, func(i int, _ *xrand.Rand) float64 { return float64(i%3) / 4 }},
+		{"ties within a peer", []int{5, 5}, func(i int, _ *xrand.Rand) float64 { return float64(i%2) * 0.25 }},
+		{"extremes", []int{2, 2, 2}, func(i int, _ *xrand.Rand) float64 { return []float64{top, 0}[i%2] }},
+		{"all equal", repeatCount(50, 3), func(int, *xrand.Rand) float64 { return 0.125 }},
+		{"one bucket", repeatCount(40, 25), func(_ int, r *xrand.Rand) float64 { return r.Float64() * 0x1p-40 }},
+		{"one bucket at the top", repeatCount(30, 10), func(_ int, r *xrand.Rand) float64 { return top - r.Float64()*0x1p-45 }},
+		{"coarse grid", repeatCount(100, 20), func(_ int, r *xrand.Rand) float64 { return float64(r.Intn(64)) / 64 }},
+		{"off-grid values", repeatCount(30, 30), func(_ int, r *xrand.Rand) float64 { return r.Float64() * r.Float64() * 1e-300 }},
+	}
+	r := xrand.New(5)
+	for _, total := range []int{1, 2, 3, 7, 64, 1000, 12345, 100_000} {
+		var counts []int
+		for left := total; left > 0; {
+			c := min(1+r.Intn(12), left)
+			counts = append(counts, c)
+			left -= c
+		}
+		inputs = append(inputs, input{fmt.Sprintf("random %d", total), counts, func(_ int, r *xrand.Rand) float64 { return r.Float64() }})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			off := make([]int32, len(in.counts)+1)
+			for p, c := range in.counts {
+				off[p+1] = off[p] + int32(c)
+			}
+			pos := make([]float64, off[len(in.counts)])
+			rng := xrand.New(uint64(len(pos)))
+			for i := range pos {
+				pos[i] = in.pos(i, rng)
+			}
+			points, owner := make([]float64, len(pos)), make([]int32, len(pos))
+			sortPoints(pos, off, points, owner)
+			wantPoints, wantOwner := sortPointsRef(pos, off)
+			for i := range points {
+				if math.Float64bits(points[i]) != math.Float64bits(wantPoints[i]) || owner[i] != wantOwner[i] {
+					t.Fatalf("point %d of %d: (%v, %d), want (%v, %d)",
+						i, len(points), points[i], owner[i], wantPoints[i], wantOwner[i])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRingBuild builds the ring of the cluster-serve workload:
+// 10⁴ two-class peers (capacities 1 and 10) at 2 vnodes per capacity
+// unit, 110k points.
+func BenchmarkRingBuild(b *testing.B) {
+	caps := make([]int64, 10_000)
+	for i := range caps {
+		caps[i] = 1
+		if i >= len(caps)/2 {
+			caps[i] = 10
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ring, err := NewWeightedRing(caps, 2, xrand.New(uint64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ringSink = ring
+	}
+}
+
+// ringSink keeps BenchmarkRingBuild's rings live.
+var ringSink *Ring

@@ -52,6 +52,16 @@ func (b *Batched) Name() string {
 	return fmt.Sprintf("batched-greedy(d=%d,B=%d)", b.d, b.batch)
 }
 
+// Reweight implements Placer. It also ends the current round, as a
+// fresh placer starts with one: the next placement re-freezes the loads.
+func (b *Batched) Reweight(weights []float64) error {
+	if err := reweightTable(b.table, weights, "batched sampler"); err != nil {
+		return err
+	}
+	b.inRound = 0
+	return nil
+}
+
 // choose runs Algorithm 1 against the frozen snapshot, refreshing it
 // every batch placements, and returns the receiving bin.
 func (b *Batched) choose(a *bins.Array, r *xrand.Rand) int {

@@ -8,7 +8,9 @@
 // dispatch. Placers are bound at construction to a fixed capacity vector
 // and selection-weight vector (they pre-build alias tables), but they
 // read ball counts live, so the same Placer can be reused across
-// repetitions by resetting the array.
+// repetitions by resetting the array. Reweight rebinds a placer to a new
+// weight vector over the same bins in place, reusing its tables and
+// buffers, with exactly the placements of a freshly built one.
 //
 // Every placer holds its sampler as a concrete *sampling.AliasTable —
 // not the sampling.Sampler interface — so the per-ball sampling call is
@@ -42,11 +44,20 @@ type Placer interface {
 	PlaceBatch(a *bins.Array, r *xrand.Rand, k int64)
 	// Name identifies the protocol in reports.
 	Name() string
+	// Reweight rebinds the placer to new selection weights for the same
+	// bins, in place: afterwards it places exactly the bins, with
+	// exactly the draws, of a placer the factory builds over the same
+	// array and weights. It rejects what the factory rejects, with the
+	// factory's error; after an error the placer must not place until a
+	// later Reweight succeeds.
+	Reweight(weights []float64) error
 }
 
 // Factory builds a Placer for a specific array and selection weights.
 // The simulation engine calls it once per repetition (or once per worker
-// for fixed arrays).
+// for fixed arrays); an engine whose weights change over a run (the
+// cluster engine's churn) calls it once per placer and Reweights the
+// placer after that.
 type Factory func(a *bins.Array, weights []float64) (Placer, error)
 
 // maxChoices bounds d to keep candidate buffers on the stack.
@@ -56,11 +67,31 @@ func validate(a *bins.Array, weights []float64, d int) error {
 	if a == nil {
 		return fmt.Errorf("protocol: nil array")
 	}
-	if len(weights) != a.N() {
-		return fmt.Errorf("protocol: %d weights for %d bins", len(weights), a.N())
+	if err := weightCount(weights, a.N()); err != nil {
+		return err
 	}
 	if d < 1 || d > maxChoices {
 		return fmt.Errorf("protocol: d = %d outside [1,%d]", d, maxChoices)
+	}
+	return nil
+}
+
+// weightCount rejects a weight vector whose length is not the n bins'.
+func weightCount(weights []float64, n int) error {
+	if len(weights) != n {
+		return fmt.Errorf("protocol: %d weights for %d bins", len(weights), n)
+	}
+	return nil
+}
+
+// reweightTable rebuilds a placer's alias table over weights for the
+// same bins, with the error its constructor wraps as "protocol: what:".
+func reweightTable(t *sampling.AliasTable, weights []float64, what string) error {
+	if err := weightCount(weights, t.N()); err != nil {
+		return err
+	}
+	if err := t.Rebuild(weights); err != nil {
+		return fmt.Errorf("protocol: %s: %w", what, err)
 	}
 	return nil
 }
@@ -134,6 +165,12 @@ func NewGreedy(a *bins.Array, weights []float64, d int) (*Greedy, error) {
 
 // Name implements Placer.
 func (g *Greedy) Name() string { return fmt.Sprintf("greedy(d=%d)", g.d) }
+
+// Reweight implements Placer. The batch buffers and the prefetch gate
+// depend only on d and the bin count, so they stay as they are.
+func (g *Greedy) Reweight(weights []float64) error {
+	return reweightTable(g.table, weights, "greedy sampler")
+}
 
 // select2 resolves Algorithm 1's two-candidate decision from
 // precomputed cross products l1 = (m1+1)·c2 and l2 = (m2+1)·c1 (steps
@@ -680,6 +717,11 @@ func NewStandard(a *bins.Array, weights []float64, d int) (*Standard, error) {
 // Name implements Placer.
 func (s *Standard) Name() string { return fmt.Sprintf("standard(d=%d)", s.d) }
 
+// Reweight implements Placer.
+func (s *Standard) Reweight(weights []float64) error {
+	return reweightTable(s.table, weights, "standard sampler")
+}
+
 // choose2 is the branch-lean d = 2 specialization: both candidates from
 // one Sample2 draw, an unconditional coin draw, then a select cascade on
 // the ball-count comparison (see Greedy.choose2 for the rationale).
@@ -782,6 +824,11 @@ func NewSingle(a *bins.Array, weights []float64) (*Single, error) {
 // Name implements Placer.
 func (s *Single) Name() string { return "single" }
 
+// Reweight implements Placer.
+func (s *Single) Reweight(weights []float64) error {
+	return reweightTable(s.table, weights, "single sampler")
+}
+
 // Place implements Placer.
 func (s *Single) Place(a *bins.Array, r *xrand.Rand) int {
 	b := s.table.Sample(r)
@@ -834,6 +881,21 @@ func NewGoLeft(a *bins.Array, weights []float64, d int) (*GoLeft, error) {
 
 // Name implements Placer.
 func (g *GoLeft) Name() string { return fmt.Sprintf("goleft(d=%d)", g.d) }
+
+// Reweight implements Placer: each group's table is rebuilt over its
+// slice of weights, the same groups NewGoLeft cut.
+func (g *GoLeft) Reweight(weights []float64) error {
+	n := g.offsets[g.d-1] + g.tables[g.d-1].N()
+	if err := weightCount(weights, n); err != nil {
+		return err
+	}
+	for k, t := range g.tables {
+		if err := t.Rebuild(weights[g.offsets[k] : g.offsets[k]+t.N()]); err != nil {
+			return fmt.Errorf("protocol: go-left group %d: %w", k, err)
+		}
+	}
+	return nil
+}
 
 func (g *GoLeft) choose(a *bins.Array, r *xrand.Rand) int {
 	best := g.offsets[0] + g.tables[0].Sample(r)
@@ -889,6 +951,15 @@ func NewOnePlusBeta(a *bins.Array, weights []float64, beta float64) (*OnePlusBet
 
 // Name implements Placer.
 func (p *OnePlusBeta) Name() string { return fmt.Sprintf("oneplusbeta(b=%g)", p.beta) }
+
+// Reweight implements Placer: both halves, Greedy first as in
+// NewOnePlusBeta.
+func (p *OnePlusBeta) Reweight(weights []float64) error {
+	if err := p.greedy.Reweight(weights); err != nil {
+		return err
+	}
+	return p.single.Reweight(weights)
+}
 
 // Place implements Placer.
 func (p *OnePlusBeta) Place(a *bins.Array, r *xrand.Rand) int {

@@ -176,6 +176,9 @@ type Multinomial struct {
 	// length L contains exactly L−1 internal nodes, so the layout is
 	// dense with no child pointers.
 	pLeft []float64
+	// prefix is Rebuild's prefix-sum scratch, kept for the next Rebuild;
+	// nil on a Multinomial that was never rebuilt.
+	prefix []float64
 }
 
 // NewMultinomial builds the splitting tree for the given non-negative
@@ -187,18 +190,42 @@ func NewMultinomial(weights []float64) (*Multinomial, error) {
 	}
 	k := len(weights)
 	m := &Multinomial{k: k, pLeft: make([]float64, k-1)}
-	if k == 1 {
-		return m, nil
+	if k > 1 {
+		m.split(weights, make([]float64, k+1))
 	}
+	return m, nil
+}
+
+// Rebuild recomputes the splitting tree in place over new weights for
+// the same K categories, with NewMultinomial's validation and
+// probabilities. Its prefix-sum scratch stays on the Multinomial, so
+// every Rebuild after the first allocates nothing. On an error m is
+// unchanged. Like the build, it must not run concurrently with Draw.
+func (m *Multinomial) Rebuild(weights []float64) error {
+	if len(weights) != m.k {
+		return fmt.Errorf("sampling: Multinomial.Rebuild with %d weights for %d categories", len(weights), m.k)
+	}
+	if _, err := validateWeights(weights); err != nil {
+		return err
+	}
+	if m.k > 1 {
+		if m.prefix == nil {
+			m.prefix = make([]float64, m.k+1)
+		}
+		m.split(weights, m.prefix)
+	}
+	return nil
+}
+
+// split fills pLeft from weights, with prefix (length K+1) as scratch.
+func (m *Multinomial) split(weights, prefix []float64) {
 	// prefix[i] = Σ weights[:i]; computed once, left to right, so every
 	// node's interval weight is an exact difference of two monotone
 	// prefix values and pLeft never exceeds 1.
-	prefix := make([]float64, k+1)
 	for i, w := range weights {
 		prefix[i+1] = prefix[i] + w
 	}
-	m.build(prefix, 0, 0, k)
-	return m, nil
+	m.build(prefix, 0, 0, m.k)
 }
 
 func (m *Multinomial) build(prefix []float64, node, lo, hi int) {

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -322,6 +323,63 @@ func TestMultinomialDeterministic(t *testing.T) {
 		}
 		if *r1 != *r2 {
 			t.Fatalf("draw %d: RNG states diverged", i)
+		}
+	}
+}
+
+// TestMultinomialRebuildParity: Rebuild gives exactly NewMultinomial's
+// split probabilities for the same K, allocates nothing after the
+// first, and rejects a different K or invalid weights with m
+// unchanged.
+func TestMultinomialRebuildParity(t *testing.T) {
+	r := xrand.New(9)
+	for _, k := range []int{1, 2, 5, 64, 1000} {
+		random := func() []float64 {
+			w := make([]float64, k)
+			for i := range w {
+				if r.Intn(3) > 0 {
+					w[i] = r.Float64()
+				}
+			}
+			w[r.Intn(k)] = 0.5
+			return w
+		}
+		m, err := NewMultinomial(random())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 3; rep++ {
+			w := random()
+			if err := m.Rebuild(w); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewMultinomial(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.k != fresh.k || !slices.Equal(m.pLeft, fresh.pLeft) {
+				t.Fatalf("k = %d: rebuilt tree differs from a fresh build", k)
+			}
+		}
+		w := random()
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := m.Rebuild(w); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("k = %d: Rebuild allocates %v times", k, allocs)
+		}
+		before := slices.Clone(m.pLeft)
+		zero := make([]float64, k)
+		_, want := NewMultinomial(zero)
+		if err := m.Rebuild(zero); err == nil || err.Error() != want.Error() {
+			t.Fatalf("k = %d: Rebuild(zeros) = %v, want %v", k, err, want)
+		}
+		if err := m.Rebuild(make([]float64, k+1)); err == nil {
+			t.Fatalf("k = %d: Rebuild over %d weights accepted", k, k+1)
+		}
+		if !slices.Equal(m.pLeft, before) {
+			t.Fatalf("k = %d: a rejected Rebuild changed the tree", k)
 		}
 	}
 }

@@ -4,7 +4,8 @@
 //
 // Three interchangeable samplers are provided:
 //
-//   - AliasTable: Vose's alias method; O(n) build, O(1) sample. The default
+//   - AliasTable: Vose's alias method; O(n) build (or Rebuild in place,
+//     allocation-free once rebuilt), O(1) sample. The default
 //     for static bin arrays (all paper experiments). Acceptance tests are
 //     integer threshold comparisons, so one Sample costs exactly one 64-bit
 //     RNG draw: the high product bits of a Lemire reduction select the
@@ -76,6 +77,16 @@ func validateWeights(weights []float64) (total float64, err error) {
 // byte saved is a hot-loop cache miss avoided.
 type AliasTable struct {
 	cols []aliasCol
+	// scratch is Rebuild's working memory, kept for the next Rebuild;
+	// nil on a table that was never rebuilt.
+	scratch *aliasScratch
+}
+
+// aliasScratch is the working memory of one Vose build: the scaled
+// weights and the small and large work lists.
+type aliasScratch struct {
+	scaled       []float64
+	small, large []int32
 }
 
 // aliasCol is one packed column: acceptance threshold (probability ×
@@ -107,20 +118,55 @@ func thresholdOf(p float64) uint32 {
 }
 
 // NewAlias builds an alias table from the given non-negative weights.
+// Its working memory is temporary: a table that is never rebuilt keeps
+// only its columns.
 func NewAlias(weights []float64) (*AliasTable, error) {
 	total, err := validateWeights(weights)
 	if err != nil {
 		return nil, err
 	}
+	t := &AliasTable{cols: make([]aliasCol, len(weights))}
+	var sc aliasScratch
+	t.vose(weights, total, &sc)
+	return t, nil
+}
+
+// Rebuild rebuilds the table in place over new weights (of any length)
+// with the same validation and the same columns as NewAlias. Its
+// working memory stays on the table, so rebuilding over weights no
+// longer than any earlier ones allocates nothing. On an error the
+// table is unchanged.
+func (t *AliasTable) Rebuild(weights []float64) error {
+	total, err := validateWeights(weights)
+	if err != nil {
+		return err
+	}
+	if cap(t.cols) < len(weights) {
+		t.cols = make([]aliasCol, len(weights))
+	}
+	t.cols = t.cols[:len(weights)]
+	if t.scratch == nil {
+		t.scratch = new(aliasScratch)
+	}
+	t.vose(weights, total, t.scratch)
+	return nil
+}
+
+// vose fills every column of t (len(weights) of them) by Vose's alias
+// method over weights summing to total, growing sc to fit.
+func (t *AliasTable) vose(weights []float64, total float64, sc *aliasScratch) {
 	n := len(weights)
-	t := &AliasTable{cols: make([]aliasCol, n)}
+	if cap(sc.scaled) < n {
+		sc.scaled = make([]float64, n)
+		sc.small = make([]int32, 0, n)
+		sc.large = make([]int32, 0, n)
+	}
 	// Scale weights so the average column is exactly 1.
-	scaled := make([]float64, n)
+	scaled := sc.scaled[:n]
 	for i, w := range weights {
 		scaled[i] = w * float64(n) / total
 	}
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	small, large := sc.small[:0], sc.large[:0]
 	for i := n - 1; i >= 0; i-- {
 		if scaled[i] < 1 {
 			small = append(small, int32(i))
@@ -148,7 +194,6 @@ func NewAlias(weights []float64) (*AliasTable, error) {
 	for _, l := range small {
 		t.cols[l] = aliasCol{thresh: ^uint32(0), alias: l}
 	}
-	return t, nil
 }
 
 // sampleHi maps the high 32 bits of a 64-bit draw to an index: a 32-bit

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -675,6 +676,62 @@ func TestSampleNMatchesDistribution(t *testing.T) {
 		chi2 := chiSquare(counts, tc.weights, samples)
 		if lim := quantile[nonzero-1]; chi2 > lim {
 			t.Errorf("%s: chi-square %.2f > %.2f (counts %v)", tc.name, chi2, lim, counts)
+		}
+	}
+}
+
+// TestAliasRebuildParity: Rebuild gives exactly NewAlias's columns —
+// over shorter, longer and equal-length weights, zero weights included
+// — keeps its scratch so a rebuild within the capacity allocates
+// nothing, and leaves the table unchanged when it rejects its weights.
+func TestAliasRebuildParity(t *testing.T) {
+	r := xrand.New(3)
+	random := func(n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			if r.Intn(4) > 0 {
+				w[i] = r.Float64() * 10
+			}
+		}
+		w[r.Intn(n)] = 1
+		return w
+	}
+	tab, err := NewAlias(random(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.scratch != nil {
+		t.Fatal("NewAlias kept its scratch")
+	}
+	for _, n := range []int{50, 1, 17, 200, 200, 3, 64} {
+		w := random(n)
+		if err := tab.Rebuild(w); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewAlias(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(tab.cols, fresh.cols) {
+			t.Fatalf("n = %d: rebuilt columns differ from a fresh build", n)
+		}
+	}
+	w := random(64)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := tab.Rebuild(w); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Rebuild within capacity allocates %v times", allocs)
+	}
+	before := slices.Clone(tab.cols)
+	for _, bad := range [][]float64{nil, {0, 0, 0}, {1, -1}, {1, math.NaN()}} {
+		_, want := NewAlias(bad)
+		if err := tab.Rebuild(bad); err == nil || err.Error() != want.Error() {
+			t.Fatalf("Rebuild(%v) = %v, want %v", bad, err, want)
+		}
+		if !slices.Equal(tab.cols, before) {
+			t.Fatalf("a rejected Rebuild(%v) changed the table", bad)
 		}
 	}
 }

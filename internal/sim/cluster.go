@@ -14,7 +14,7 @@
 // # Tick structure
 //
 // One tick is: churn → re-shard/redistribute → admission → arrival
-// dispatch → retry dispatch → service → timeout scan → observation →
+// dispatch → retry dispatch → service and timeout scan → observation →
 // commit.
 //
 //   - Churn (ChurnPlan): scheduled events apply first, then
@@ -28,13 +28,17 @@
 //     points). Only the peers the flips touched — the flipped peers and
 //     the live ring successors of their points — get their arc weights
 //     recomputed, only the shards holding a changed weight re-sum their
-//     weight and rebuild their placers, and the shard router is rebuilt
-//     over the new shard weight sums. The dead peer's resident queue is
-//     redistributed: each cohort is split over the live shard weights
-//     by largest remainder (the streaming rebalance rule —
-//     deterministic, no RNG) and re-placed by the destination shards'
-//     placers, KEEPING its original dispatch tick — redistribution
-//     does not reset the timeout clock.
+//     weight and reweight their placers, and the shard router is
+//     rebuilt over the new shard weight sums. Both rebuilds happen in
+//     place (protocol.Placer.Reweight, sampling.Multinomial.Rebuild),
+//     so a churn tick allocates nothing once every table has been
+//     rebuilt once; a placer is built by the factory only at setup and
+//     for a shard whose live weight returns from zero. The dead peer's
+//     resident queue is redistributed: each cohort is split over the
+//     live shard weights by largest remainder (the streaming rebalance
+//     rule — deterministic, no RNG) and re-placed by the destination
+//     shards' placers, KEEPING its original dispatch tick —
+//     redistribution does not reset the timeout clock.
 //   - Admission: when ShedThreshold > 0, arrivals beyond
 //     floor(threshold·live capacity) − queued are shed — counted,
 //     never silently dropped. Retries bypass admission: a request the
@@ -52,7 +56,9 @@
 //     and either re-dispatched after a deterministic exponential
 //     backoff onto a fresh d-choice placement (an alternate candidate
 //     — the queue state has moved on) or, after MaxRetries attempts,
-//     counted failed.
+//     counted failed. Service and the timeout scan touch only their
+//     own shard's queues, and the orchestrator writes nothing between
+//     them, so one task per shard runs both: one barrier, not two.
 //
 // # Determinism: the substream layout is part of the model
 //
@@ -98,7 +104,6 @@ import (
 	"repro/internal/chash"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
 
@@ -311,13 +316,12 @@ const (
 	clusterAdmit
 	clusterRetry
 	clusterServe
-	clusterExpire
 )
 
 var clusterKinds = slices.Concat(stepNames, []taskName{
 	{"setup", "setup shard"}, {"place", "shard"}, {"churn", "churn"}, {"reshard", "reshard"},
 	{"redistribute", "redistribution shard"}, {"shed", "admission"}, {"retry", "retry shard"},
-	{"serve", "service shard"}, {"expire", "timeout shard"},
+	{"serve", "service shard"},
 })
 
 // cohort is a batch of requests sharing (dispatch tick, origin tick,
@@ -621,18 +625,21 @@ func (st *clusterState) exec(kind, s int) error {
 		}
 	case clusterServe:
 		st.serveShard(s)
-	case clusterExpire:
-		st.expireShard(s)
+		if st.p.Retry.TimeoutTicks > 0 {
+			st.expireShard(s)
+		}
 	default:
 		return st.stepExec(kind, s)
 	}
 	return nil
 }
 
-// setupShard (re)builds shard s's placer over the current live-peer
-// weight slice. Only shards whose weights changed since the last build
-// are dirty; a shard whose live weight vanished entirely (every peer
-// down) gets a nil placer — the router can never route a ball there.
+// setupShard binds shard s's placer to the current live-peer weight
+// slice: Reweight in place when the shard has a placer, the factory
+// when it has none (the initial build, or live weight returning from
+// zero). Only shards whose weights changed since the last bind are
+// dirty; a shard whose live weight vanished entirely (every peer down)
+// gets a nil placer — the router can never route a ball there.
 func (st *clusterState) setupShard(s int) (err error) {
 	if !st.slots[s].dirty {
 		return nil
@@ -646,6 +653,9 @@ func (st *clusterState) setupShard(s int) (err error) {
 	if sum <= 0 {
 		st.placers[s] = nil
 		return nil
+	}
+	if pl := st.placers[s]; pl != nil {
+		return pl.Reweight(w)
 	}
 	st.placers[s], err = st.factory(st.views[s], w)
 	return err
@@ -673,7 +683,7 @@ func (st *clusterState) placeCohort(s int, disp, orig int32, att int16, count in
 	}
 }
 
-// serveShard is the tick's service phase on shard s: every live peer
+// serveShard is the tick's service on shard s: every live peer
 // completes up to `capacity` requests FIFO, folding response times
 // into the shard's per-tick latency scratch.
 func (st *clusterState) serveShard(s int) {
@@ -714,9 +724,11 @@ func (st *clusterState) serveShard(s int) {
 	sl.served = done
 }
 
-// expireShard is the tick's timeout scan on shard s: cohorts
-// dispatched at or before tick − TimeoutTicks leave their queues and
-// are recorded for the orchestrator's retry/failure fold. The scan
+// expireShard is the tick's timeout scan on shard s, run by the
+// shard's service task right after serveShard when timeouts are armed:
+// cohorts dispatched at or before tick − TimeoutTicks leave their
+// queues and are recorded for the orchestrator's retry/failure fold.
+// The scan
 // covers whole queues, not just heads — redistributed cohorts keep
 // their original dispatch ticks, so a queue is not disp-sorted.
 func (st *clusterState) expireShard(s int) {
@@ -799,8 +811,9 @@ func (st *clusterState) churnStep() {
 // the peers the tick's toggles touched (bit-identical to a full arc
 // pass — every other peer's arc is unchanged), dirty marks on exactly
 // the shards whose weight slice changed, their re-summed shard
-// weights, and a rebuilt multinomial router. O(toggled peers' points +
-// shards), not O(ring). An inline task on the orchestrator.
+// weights, and the multinomial router rebuilt in place. O(toggled
+// peers' points + shards), not O(ring). An inline task on the
+// orchestrator.
 func (st *clusterState) reshardPlan() error {
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: st.step, Shard: -1, Block: -1})
@@ -823,12 +836,8 @@ func (st *clusterState) reshardPlan() error {
 		}
 		st.sumW += st.shardW[s]
 	}
-	router, err := sampling.NewMultinomial(st.shardW)
-	if err != nil {
-		return err // unreachable while a peer lives; surfaced loudly if not
-	}
-	st.router = router
-	return nil
+	// The error is unreachable while a peer lives; surfaced loudly if not.
+	return st.router.Rebuild(st.shardW)
 }
 
 // admission is the shedding step, an inline task on the orchestrator:
@@ -877,7 +886,7 @@ func (st *clusterState) drainCrashed() int64 {
 }
 
 // runStep plays tick t: churn → re-shard/redistribute → admission →
-// arrival dispatch → retry dispatch → service → timeout scan →
+// arrival dispatch → retry dispatch → service and timeout scan →
 // observation → commit.
 func (st *clusterState) runStep(t int) (ok bool, err error) {
 	// Phase 1 — churn + incremental re-shard + redistribution.
@@ -946,7 +955,12 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 		st.liveQ += retriedT
 	}
 
-	// Phase 5 — service.
+	// Phase 5 — service, then (timeouts armed) the timeout scan, in one
+	// task per shard: requests queued TimeoutTicks or longer leave
+	// their queues; each either schedules a backed-off retry or —
+	// retries exhausted — counts failed. A retry due at or after the
+	// horizon only counts as pending (d < Ticks − t cannot overflow,
+	// however large the backoff).
 	if ok, err := st.phase(clusterServe, st.shards); !ok {
 		return false, err
 	}
@@ -955,17 +969,8 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 		doneT += st.slots[s].served
 	}
 	st.liveQ -= doneT
-
-	// Phase 6 — timeout scan: requests queued TimeoutTicks or longer
-	// leave their queues; each either schedules a backed-off retry or
-	// — retries exhausted — counts failed. A retry due at or after the
-	// horizon only counts as pending (d < Ticks − t cannot overflow,
-	// however large the backoff).
 	var timedOutT, failedT int64
 	if st.p.Retry.TimeoutTicks > 0 {
-		if ok, err := st.phase(clusterExpire, st.shards); !ok {
-			return false, err
-		}
 		for s := 0; s < st.shards; s++ {
 			for _, e := range st.slots[s].expired {
 				timedOutT += e.count
@@ -984,7 +989,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 		st.liveQ -= timedOutT
 	}
 
-	// Phase 7 — observation of a cut at tick t+1: queue occupancy and
+	// Phase 6 — observation of a cut at tick t+1: queue occupancy and
 	// max queue-relative load.
 	if ok, err := st.observe(st.liveQ); !ok {
 		return false, err
