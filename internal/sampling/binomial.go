@@ -115,9 +115,9 @@ func binomialBTRS(r *xrand.Rand, n int64, p float64) int64 {
 	nf := float64(n)
 	q := 1 - p
 	spq := math.Sqrt(nf * p * q)
-	b := 1.15 + 2.53*spq
-	a := -0.0873 + 0.0248*b + 0.01*p
-	c := nf*p + 0.5
+	b := 1.15 + float64(2.53*spq)
+	a := -0.0873 + float64(0.0248*b) + float64(0.01*p)
+	c := float64(nf*p) + 0.5
 	vr := 0.92 - 4.2/b
 	urvr := 0.86 * vr
 	alpha := (2.83 + 5.1/b) * spq
@@ -131,7 +131,7 @@ func binomialBTRS(r *xrand.Rand, n int64, p float64) int64 {
 			// region lands inside [0, n]; the clamp only guards float
 			// rounding at the region edge.
 			u := v/vr - 0.43
-			k := math.Floor((2*a/(0.5-math.Abs(u))+b)*u + c)
+			k := math.Floor(float64((2*a/(0.5-math.Abs(u))+b)*u) + c)
 			if k < 0 {
 				k = 0
 			} else if k > nf {
@@ -141,19 +141,19 @@ func binomialBTRS(r *xrand.Rand, n int64, p float64) int64 {
 		}
 		var u float64
 		if v >= vr {
-			u = r.Float64() - 0.5
+			u = float64(r.Float64()) - 0.5
 		} else {
 			u = v/vr - 0.93
 			u = math.Copysign(0.5, u) - u
 			v = vr * r.Float64()
 		}
 		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + c)
+		k := math.Floor(float64((2*a/us+b)*u) + c)
 		if k < 0 || k > nf {
 			continue
 		}
 		v = v * alpha / (a/(us*us) + b)
-		if math.Log(v) <= h-lgamma(k+1)-lgamma(nf-k+1)+(k-mode)*lpq {
+		if math.Log(v) <= h-lgamma(k+1)-lgamma(nf-k+1)+float64((k-mode)*lpq) {
 			return int64(k)
 		}
 	}

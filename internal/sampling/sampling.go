@@ -20,6 +20,26 @@
 // All samplers draw from the same *xrand.Rand so experiments remain
 // deterministic under sampler substitution only if the sampler is fixed;
 // the protocol layer pins AliasTable for paper runs.
+//
+// The sharded engines generate whole count vectors instead of one index
+// per ball:
+//
+//   - Binomial and Multinomial (binomial.go) split n balls WITH
+//     replacement over weighted categories, for arrival routing.
+//   - Hypergeometric and MultiHypergeometric (hypergeometric.go) split d
+//     draws WITHOUT replacement over integer counts, for deletions.
+//     Hypergeometric(r, N, K, n) is the number of marked items among n
+//     drawn from N, K of them marked. MultiHypergeometric splits d over
+//     counts down Multinomial's balanced interval tree, one
+//     Hypergeometric draw per internal node handed a non-zero count.
+//   - CountTree (counttree.go) samples and removes single items exactly.
+//
+// The count generators share one contract: forced outcomes (an empty
+// population or sample, a sure category, drawing everything) consume no
+// draws, the algorithm is chosen from the parameters alone, and a draw
+// allocates nothing. Every product that feeds an add is rounded by an
+// explicit float64 conversion, so no compiler may fuse it into a
+// multiply-add (scripts/fma_audit.sh checks the arm64 build).
 package sampling
 
 import (

@@ -76,3 +76,31 @@ func BenchmarkRouteBallsMultinomial(b *testing.B) {
 		mergeRouteGroups(groups, counts, nil)
 	}
 }
+
+// BenchmarkRouteDeletions times one round's deletion routing at the
+// stream-churn shape: D = 400,000 deletions over 64 shards holding the
+// 800,000 balls of its last round in proportion to the two-class shard
+// weights. One op is one routeDeletions call, which allocates nothing.
+func BenchmarkRouteDeletions(b *testing.B) {
+	w := benchShardWeights()
+	var sumW float64
+	for _, ws := range w {
+		sumW += ws
+	}
+	occ := make([]int64, benchRouteShards)
+	for s, ws := range w {
+		occ[s] = int64(800_000 * ws / sumW)
+	}
+	st := &streamState{
+		stepper:  stepper{sharded: sharded{shards: benchRouteShards}, seed: 1, kk: 3*benchRouteShards + 2},
+		sballs:   occ,
+		del:      400_000,
+		delQuota: make([]int64, benchRouteShards),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.base = uint64(i) * st.kk
+		st.routeDeletions()
+	}
+}

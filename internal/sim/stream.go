@@ -14,13 +14,18 @@
 // protocol state on its own bins.Shard view.
 //
 // Deletions are exactly uniform WITHOUT replacement over the balls
-// currently in the system, factorised like routing as
-// P(shard)·P(bin | shard): a shard-level Fenwick count tree
-// (sampling.CountTree) over the per-shard occupancies draws the
-// deletion's shard, then each shard's own count tree over its bin
-// loads draws the bin — both stages all-integer, so the deletion law
-// is exact, not a relaxation. Each stage costs one fused
-// CountTree.SampleDec descent (draw and decrement) per deleted ball.
+// currently in the system, factorised like routing. The delete-route
+// step splits the round's deletion count over the shards by one
+// multivariate-hypergeometric draw over the per-shard occupancies
+// (sampling.MultiHypergeometric: conditional Hypergeometric splits
+// down the shards' balanced interval tree, at most Shards−1 draws on
+// the orchestrator). Each shard's delete task splits its quota the
+// same way over its 64-bin blocks, then takes every block's share
+// with one fused CountTree.SampleDec descent (draw and decrement) per
+// deleted ball on a 64-leaf count tree over the block's loads. Every
+// stage draws from the exact without-replacement law — the splits up
+// to float64 rounding of their acceptance tests, the descents
+// all-integer — so the deletion law is exact, not a relaxation.
 //
 // The rebalance pass (enabled by RebalanceTol > 0) moves balls from
 // shards above (1+tol)·target to shards below target, where shard s's
@@ -66,7 +71,7 @@
 // routing is an inline task on the orchestrator, all behind the
 // runner's panic containment with Rep = the round index. Cancellation
 // is polled at task boundaries (routing blocks, placement strides,
-// deletion strides), at every barrier and at every round boundary. A
+// deletion blocks), at every barrier and at every round boundary. A
 // cancelled run returns a *CancelledError plus a deterministic
 // partial: counters, shard occupancies and trajectory rows of the
 // COMPLETED-ROUND prefix, bit-identical to a run configured with
@@ -82,6 +87,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/bins"
 	"repro/internal/fault"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
@@ -128,7 +134,8 @@ type StreamParams struct {
 	// RebalanceTol enables the inter-round rebalance pass when > 0:
 	// after deletions, every shard holding more than
 	// (1+RebalanceTol)·target balls sheds the excess to shards below
-	// target. 0 disables the pass.
+	// target. 0 disables the pass; a tolerance whose ceiling reaches
+	// 2^63 balls (+Inf, 1e300) runs the pass but never moves a ball.
 	RebalanceTol float64
 }
 
@@ -307,10 +314,9 @@ type streamState struct {
 	stepper
 	p StreamParams
 
-	trees   []*sampling.CountTree // per-shard bin count trees (deletion/move-out)
-	shardT  *sampling.CountTree   // shard-level occupancy tree (deletion routing)
-	scratch []shardRand           // per-shard scratch streams (deletion / move-out tasks)
-	srand   xrand.Rand            // deletion shard-routing stream
+	takes   []shardTake // per-shard within-shard deletion scratch (deletion / move-out tasks)
+	scratch []shardRand // per-shard scratch streams (deletion / move-out tasks)
+	srand   xrand.Rand  // deletion shard-routing stream
 
 	sballs   []int64 // live per-shard occupancy
 	total    int64   // live occupancy
@@ -374,15 +380,27 @@ func runStream(spec *RunSpec) (*Result, error) {
 	st.defW = make([]float64, shards)
 	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
 	st.scratch = make([]shardRand, shards)
-	st.trees = make([]*sampling.CountTree, shards)
-	if st.shardT, err = sampling.NewCountTree(shards); err != nil {
-		return nil, fmt.Errorf("sim: RunStream: %w", err)
+	// Every shard's block totals and takes live in one slab. A shard's
+	// segment is padded to whole cache lines plus a line of gap, so
+	// concurrent tasks never write a shared line.
+	st.takes = make([]shardTake, shards)
+	blocks := func(v *bins.Array) int { return (v.N() + takeBlock - 1) / takeBlock }
+	seg := func(v *bins.Array) int { return (2*blocks(v)+7)&^7 + 8 }
+	var slabLen int
+	for _, v := range st.views {
+		if v != nil {
+			slabLen += seg(v)
+		}
 	}
+	slab := make([]int64, slabLen)
 	for s, v := range st.views {
 		if v == nil {
 			continue
 		}
-		if st.trees[s], err = sampling.NewCountTree(v.N()); err != nil {
+		nb := blocks(v)
+		tk := &st.takes[s]
+		tk.blk, tk.quota, slab = slab[:nb:nb], slab[nb:2*nb:2*nb], slab[seg(v):]
+		if tk.tree, err = sampling.NewCountTree(min(v.N(), takeBlock)); err != nil {
 			return nil, fmt.Errorf("sim: RunStream shard %d: %w", s, err)
 		}
 	}
@@ -430,10 +448,29 @@ func (st *streamState) exec(kind, s int) error {
 	return nil
 }
 
+// takeBlock is the block width of the within-shard deletion kernel:
+// 64 bins, whose count tree (and loads) fit a few cache lines.
+const takeBlock = 64
+
+// shardTake is one shard's within-shard deletion scratch. Its headers
+// are written once, before round 0; tasks write only the tree (its own
+// allocation) and the shard's segment of the blk/quota slab.
+type shardTake struct {
+	tree  *sampling.CountTree // over one block's bins
+	blk   []int64             // per-block ball totals
+	quota []int64             // per-block takes
+}
+
 // takeShard removes q balls from shard s, exactly uniformly without
-// replacement: rebuild the shard's bin count tree from the live loads,
-// then one SampleDec + Remove per ball on the shard's stream base+off+s.
-// The tree mirrors the view exactly, so Remove can never hit an empty
+// replacement, on the shard's stream base+off+s, in two stages:
+//
+//   - split q over the shard's 64-bin blocks by one MultiHypergeometric
+//     draw over the blocks' live ball totals (at most blocks−1
+//     Hypergeometric draws);
+//   - in every block with a take, rebuild a 64-leaf count tree from the
+//     live loads and make one SampleDec + Remove per ball.
+//
+// The trees mirror the view exactly, so Remove can never hit an empty
 // bin. It is both the deletion pass (delQuota, the within-shard
 // deletion streams) and the rebalance move-out (moveOut, the move-out
 // streams); moved-out balls are re-placed by the deficit shards'
@@ -447,34 +484,52 @@ func (st *streamState) takeShard(s int, q int64, op fault.Op, off uint64) {
 		fault.Hit(fault.Site{Engine: engRunStream, Op: op, Rep: st.step, Shard: s, Block: -1})
 	}
 	view := st.views[s]
-	tree := st.trees[s]
-	tree.Build(view.Balls)
+	tk := &st.takes[s]
+	n := view.N()
+	for b := range tk.blk {
+		var c int64
+		for i := b * takeBlock; i < min((b+1)*takeBlock, n); i++ {
+			c += view.Balls(i)
+		}
+		tk.blk[b] = c
+	}
 	rng := &st.scratch[s].Rand
 	rng.Seed(xrand.Mix64(st.seed, st.base+off+uint64(s)))
-	for k := int64(0); k < q; k++ {
-		if k&(RoutingBlock-1) == 0 && st.cc.cancelled() {
+	sampling.MultiHypergeometric(rng, tk.blk, q, tk.quota)
+	for b, k := range tk.quota {
+		if k == 0 {
+			continue
+		}
+		if st.cc.cancelled() {
 			return
 		}
-		view.Remove(tree.SampleDec(rng))
+		lo := b * takeBlock
+		w := min(takeBlock, n-lo)
+		tk.tree.Build(func(i int) int64 {
+			if i < w {
+				return view.Balls(lo + i)
+			}
+			return 0
+		})
+		for ; k > 0; k-- {
+			view.Remove(lo + tk.tree.SampleDec(rng))
+		}
 	}
 }
 
 // routeDeletions is the round's deletion shard-routing step, an inline
-// task on the orchestrator: st.del sequential SampleDec draws from the
-// shard-occupancy count tree on the round's deletion-routing stream,
-// each decrementing the drawn shard. The quota vector is therefore
+// task on the orchestrator: one MultiHypergeometric split of st.del
+// over the shard occupancies on the round's deletion-routing stream —
+// at most Shards−1 Hypergeometric draws down the shards' balanced
+// interval tree. The quota vector is therefore
 // multivariate-hypergeometric: exactly the shard counts of deleting
 // st.del balls uniformly without replacement.
 func (st *streamState) routeDeletions() {
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: st.step, Shard: -1, Block: -1})
 	}
-	st.shardT.Build(func(s int) int64 { return st.sballs[s] })
 	st.srand.Seed(xrand.Mix64(st.seed, st.base+1+uint64(st.shards)))
-	clear(st.delQuota)
-	for k := int64(0); k < st.del; k++ {
-		st.delQuota[st.shardT.SampleDec(&st.srand)]++
-	}
+	sampling.MultiHypergeometric(&st.srand, st.sballs, st.del, st.delQuota)
 }
 
 // planRebalance fills moveOut/moveIn for the round and returns the
@@ -494,10 +549,12 @@ func (st *streamState) planRebalance(tol float64) int64 {
 	var m int64
 	for s := 0; s < st.shards; s++ {
 		st.targets[s] = st.shardW[s] / st.sumW * b
-		lim := int64(math.Ceil((1 + tol) * st.targets[s]))
-		out := st.sballs[s] - lim
-		if out < 0 {
-			out = 0
+		// A limit of 2^63 or more is no surplus: no occupancy reaches
+		// it, and converting it to int64 would be implementation-
+		// defined. So is NaN, an infinite tol times a zero target.
+		var out int64
+		if lim := math.Ceil((1 + tol) * st.targets[s]); lim < math.MaxInt64 {
+			out = max(st.sballs[s]-int64(lim), 0)
 		}
 		st.moveOut[s] = out
 		m += out

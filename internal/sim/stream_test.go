@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/bins"
 	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
 	"repro/internal/stats"
@@ -196,7 +198,7 @@ func TestStreamGoldenValues(t *testing.T) {
 	if res.Moved != wantMoved {
 		t.Fatalf("moved = %d, golden %d", res.Moved, wantMoved)
 	}
-	wantShardBalls := []int64{76, 69, 63, 77, 648, 700, 659, 708}
+	wantShardBalls := []int64{81, 74, 56, 86, 657, 673, 675, 698}
 	if !reflect.DeepEqual(res.ShardBalls, wantShardBalls) {
 		t.Fatalf("shard occupancies %v, golden %v", res.ShardBalls, wantShardBalls)
 	}
@@ -205,7 +207,7 @@ func TestStreamGoldenValues(t *testing.T) {
 		balls   float64
 		maxLoad float64
 	}{
-		{2, 1200, 2}, {4, 2400, 2}, {5, 3000, 3},
+		{2, 1200, 2}, {4, 2400, 3}, {5, 3000, 4},
 	}
 	for k, w := range wantRows {
 		row := &out.Checkpoints[k]
@@ -219,15 +221,15 @@ func TestStreamGoldenValues(t *testing.T) {
 	for i := 0; i < arr.N(); i++ {
 		h = h*1315423911 + uint64(arr.Balls(i))
 	}
-	const wantHash = uint64(668858400744103328)
+	const wantHash = uint64(6436655351108550880)
 	if h != wantHash {
 		t.Fatalf("final-state hash %d, golden %d (stream substreams changed)", h, wantHash)
 	}
 }
 
 // TestStreamRebalanceHeavyGolden pins a spec whose rebalance pass
-// does real work: 32 shards of 16 bins at tol 0.01 move 592 balls over
-// 8 rounds, so the move-out kernel (the shard trees on the move-out
+// does real work: 32 shards of 16 bins at tol 0.01 move 602 balls over
+// 8 rounds, so the move-out kernel (the block trees on the move-out
 // streams) is pinned as tightly as the deletion kernel, which the
 // matrix spec barely exercises (it moves one ball). FROZEN like the
 // other stream goldens.
@@ -246,13 +248,13 @@ func TestStreamRebalanceHeavyGolden(t *testing.T) {
 	if res.Arrived != 32000 || res.Deleted != 24000 || res.Balls != 8000 || out.MaxLoad.Mean() != 6 {
 		t.Fatalf("counters = %+v, golden arrived 32000, deleted 24000, balls 8000, max load 6", res)
 	}
-	const wantMoved = int64(592)
+	const wantMoved = int64(602)
 	if res.Moved != wantMoved {
 		t.Fatalf("moved = %d, golden %d", res.Moved, wantMoved)
 	}
 	wantShardBalls := []int64{
-		44, 46, 46, 46, 42, 44, 46, 46, 46, 45, 46, 45, 46, 45, 45, 45,
-		460, 450, 460, 450, 460, 450, 455, 449, 460, 449, 454, 452, 460, 448, 460, 460,
+		45, 46, 45, 45, 42, 46, 46, 44, 46, 46, 45, 46, 46, 46, 45, 44,
+		449, 452, 458, 455, 449, 459, 451, 450, 460, 455, 457, 460, 460, 451, 460, 451,
 	}
 	if !reflect.DeepEqual(res.ShardBalls, wantShardBalls) {
 		t.Fatalf("shard occupancies %v, golden %v", res.ShardBalls, wantShardBalls)
@@ -261,7 +263,46 @@ func TestStreamRebalanceHeavyGolden(t *testing.T) {
 	for i := 0; i < arr.N(); i++ {
 		h = h*1315423911 + uint64(arr.Balls(i))
 	}
-	const wantHash = uint64(4381619250351591396)
+	const wantHash = uint64(12540796617831626008)
+	if h != wantHash {
+		t.Fatalf("final-state hash %d, golden %d (stream substreams changed)", h, wantHash)
+	}
+}
+
+// TestStreamMultiBlockGolden pins the within-shard block split: the
+// other stream goldens have at most 64 bins per shard, one deletion
+// block, where the split is forced and draws nothing. Here 4 shards of
+// 500 bins (7 full 64-bin blocks and one of 52) delete 2000 balls a
+// round, so every delete and move-out task splits its take over its
+// blocks before descending their trees. FROZEN like the other stream
+// goldens.
+func TestStreamMultiBlockGolden(t *testing.T) {
+	spec := RunSpec{
+		Config: Config{Array: largeArray(t, 2000), Seed: 20261017, Workers: 2, Balls: 3000},
+		Shards: 4,
+		Stream: &StreamParams{Rounds: 4, Deletions: 2000, RebalanceTol: 0.05},
+	}
+	arr := adopt(&spec)
+	out, err := runStream(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := out.Stream
+	if res.Arrived != 12000 || res.Deleted != 8000 || res.Balls != 4000 || out.MaxLoad.Mean() != 2 {
+		t.Fatalf("counters = %+v, golden arrived 12000, deleted 8000, balls 4000, max load 2", res)
+	}
+	const wantMoved = int64(19)
+	if res.Moved != wantMoved {
+		t.Fatalf("moved = %d, golden %d", res.Moved, wantMoved)
+	}
+	if want := []int64{179, 176, 1782, 1863}; !reflect.DeepEqual(res.ShardBalls, want) {
+		t.Fatalf("shard occupancies %v, golden %v", res.ShardBalls, want)
+	}
+	var h uint64
+	for i := 0; i < arr.N(); i++ {
+		h = h*1315423911 + uint64(arr.Balls(i))
+	}
+	const wantHash = uint64(6637456351129321100)
 	if h != wantHash {
 		t.Fatalf("final-state hash %d, golden %d (stream substreams changed)", h, wantHash)
 	}
@@ -585,9 +626,9 @@ func TestStreamSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestStreamDeletionTwoLevelLaw: deleting ALL balls must empty every
-// bin exactly — the two-level (shard tree, then bin tree) deletion
-// kernel is without-replacement end to end.
+// TestStreamDeletionExhaustive: deleting ALL balls must empty every
+// bin exactly — the deletion kernel (shard split, block split, block
+// tree) is without-replacement end to end.
 func TestStreamDeletionExhaustive(t *testing.T) {
 	spec := RunSpec{
 		Config: Config{Array: largeArray(t, 300), Seed: 8},
@@ -791,13 +832,8 @@ func TestRouteDeletionsExactLaw(t *testing.T) {
 	occ := []int64{3, 2, 4}
 	const del, rounds = 4, 20000
 	shards := len(occ)
-	tree, err := sampling.NewCountTree(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := &streamState{
 		stepper:  stepper{sharded: sharded{shards: shards}, seed: 1, kk: uint64(3*shards + 2)},
-		shardT:   tree,
 		sballs:   occ,
 		del:      del,
 		delQuota: make([]int64, shards),
@@ -861,4 +897,233 @@ func TestRouteDeletionsExactLaw(t *testing.T) {
 		t.Fatalf("chi2 = %.2f > %.2f (df %d, α = 0.001): quota frequencies %v, expected %v", chi2, crit, len(pmf)-1, observed, expected)
 	}
 	t.Logf("chi2 = %.2f (critical %.2f, df %d)", chi2, crit, len(pmf)-1)
+}
+
+// multiHypergeometricLaw enumerates the feasible take vectors k of
+// drawing d of the items counted by occ uniformly without replacement,
+// keyed by fmt.Sprint(k), with their exact probabilities
+// Π C(occᵢ,kᵢ) / C(Σ occ, d).
+func multiHypergeometricLaw(occ []int64, d int64) (map[string]int, []float64) {
+	logChoose := func(n, k int64) float64 {
+		a, _ := math.Lgamma(float64(n + 1))
+		b, _ := math.Lgamma(float64(k + 1))
+		c, _ := math.Lgamma(float64(n - k + 1))
+		return a - b - c
+	}
+	var total int64
+	for _, n := range occ {
+		total += n
+	}
+	index := map[string]int{}
+	var pmf []float64
+	k := make([]int64, len(occ))
+	var walk func(i int, left int64)
+	walk = func(i int, left int64) {
+		if i == len(occ) {
+			if left != 0 {
+				return
+			}
+			lp := -logChoose(total, d)
+			for j, n := range occ {
+				lp += logChoose(n, k[j])
+			}
+			index[fmt.Sprint(k)] = len(pmf)
+			pmf = append(pmf, math.Exp(lp))
+			return
+		}
+		for q := int64(0); q <= min(occ[i], left); q++ {
+			k[i] = q
+			walk(i+1, left-q)
+		}
+	}
+	walk(0, d)
+	return index, pmf
+}
+
+// checkTakeLaw fails unless the observed take-vector frequencies pass
+// a chi-square test against pmf at α = 10⁻³.
+func checkTakeLaw(t *testing.T, observed, pmf []float64, rounds int) {
+	t.Helper()
+	expected := make([]float64, len(pmf))
+	for i, p := range pmf {
+		expected[i] = p * float64(rounds)
+	}
+	chi2, err := stats.ChiSquare(observed, expected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit, err := stats.ChiSquareCritical(len(pmf)-1, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chi2 > crit {
+		t.Fatalf("chi2 = %.2f > %.2f (df %d, α = 0.001): frequencies %v, expected %v", chi2, crit, len(pmf)-1, observed, expected)
+	}
+}
+
+// TestRouteDeletionsExactLawEmptyShard: the quota law holds with an
+// empty shard among the occupancies (3, 0, 2, 4) and D = 5 — the
+// empty shard never receives a quota and the 11 feasible vectors
+// follow Π C(nᵢ,kᵢ) / C(9,5). Same pinned-seed chi-square at
+// α = 10⁻³ as TestRouteDeletionsExactLaw.
+func TestRouteDeletionsExactLawEmptyShard(t *testing.T) {
+	occ := []int64{3, 0, 2, 4}
+	const del, rounds = 5, 20000
+	shards := len(occ)
+	st := &streamState{
+		stepper:  stepper{sharded: sharded{shards: shards}, seed: 1, kk: uint64(3*shards + 2)},
+		sballs:   occ,
+		del:      del,
+		delQuota: make([]int64, shards),
+	}
+	index, pmf := multiHypergeometricLaw(occ, del)
+	if len(pmf) != 11 {
+		t.Fatalf("%d feasible quota vectors, want 11", len(pmf))
+	}
+	observed := make([]float64, len(pmf))
+	for r := 0; r < rounds; r++ {
+		st.base = uint64(r) * st.kk
+		st.routeDeletions()
+		i, ok := index[fmt.Sprint(st.delQuota)]
+		if !ok {
+			t.Fatalf("round %d: infeasible quota vector %v", r, st.delQuota)
+		}
+		observed[i]++
+	}
+	checkTakeLaw(t, observed, pmf, rounds)
+}
+
+// TestTakeShardExactLaw: the within-shard kernel deletes exactly
+// uniformly without replacement across its 64-bin blocks. A 70-bin
+// shard holds (2, 1, 1, 3, 2) balls in bins 0, 1, 63, 64 and 69 — two
+// blocks, one of them partial — and loses 4 per round; the per-bin
+// take vector must follow Π C(nᵢ,kᵢ) / C(9,4) (pinned seed,
+// chi-square at α = 10⁻³).
+func TestTakeShardExactLaw(t *testing.T) {
+	binsAt := []int{0, 1, 63, 64, 69}
+	occ := []int64{2, 1, 1, 3, 2}
+	const take, rounds = 4, 20000
+	view, err := bins.Uniform(70, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := sampling.NewCountTree(takeBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &streamState{
+		stepper: stepper{sharded: sharded{shards: 1}, seed: 1, kk: 5, views: []*bins.Array{view}},
+		takes:   []shardTake{{tree: tree, blk: make([]int64, 2), quota: make([]int64, 2)}},
+		scratch: make([]shardRand, 1),
+	}
+	index, pmf := multiHypergeometricLaw(occ, take)
+	observed := make([]float64, len(pmf))
+	taken := make([]int64, len(occ))
+	for r := 0; r < rounds; r++ {
+		for j, b := range binsAt {
+			view.AddBalls(b, occ[j])
+		}
+		st.base = uint64(r) * st.kk
+		st.takeShard(0, take, fault.OpDelete, 2+1)
+		for j, b := range binsAt {
+			taken[j] = occ[j] - view.Balls(b)
+			view.RemoveBalls(b, view.Balls(b))
+		}
+		if view.TotalBalls() != 0 {
+			t.Fatalf("round %d: balls left outside the loaded bins", r)
+		}
+		i, ok := index[fmt.Sprint(taken)]
+		if !ok {
+			t.Fatalf("round %d: infeasible take vector %v", r, taken)
+		}
+		observed[i]++
+	}
+	checkTakeLaw(t, observed, pmf, rounds)
+}
+
+// TestRouteDeletionsDrawAllIsForced: deleting every ball is a forced
+// outcome — the quotas equal the occupancies and the deletion-routing
+// stream is seeded but consumes no draw.
+func TestRouteDeletionsDrawAllIsForced(t *testing.T) {
+	occ := []int64{3, 0, 2, 4}
+	shards := len(occ)
+	st := &streamState{
+		stepper:  stepper{sharded: sharded{shards: shards}, seed: 1, kk: uint64(3*shards + 2)},
+		sballs:   occ,
+		del:      9,
+		delQuota: make([]int64, shards),
+	}
+	st.base = 3 * st.kk
+	st.routeDeletions()
+	if !reflect.DeepEqual(st.delQuota, occ) {
+		t.Fatalf("quotas %v, want the occupancies %v", st.delQuota, occ)
+	}
+	var fresh xrand.Rand
+	fresh.Seed(xrand.Mix64(st.seed, st.base+1+uint64(shards)))
+	if st.srand != fresh {
+		t.Fatal("deleting every ball consumed deletion-routing draws")
+	}
+}
+
+// TestStreamRebalanceTolOverflow: a tolerance whose limit
+// ⌈(1+tol)·target⌉ reaches 2^63 — +Inf, or a finite 1e300 — means no
+// shard has a surplus. planRebalance plans no move (also for a
+// zero-weight shard, where +Inf·0 is NaN), and a run at such a
+// tolerance moves no ball and ends bit-identical to one without the
+// pass.
+func TestStreamRebalanceTolOverflow(t *testing.T) {
+	newState := func() *streamState {
+		const shards = 3
+		return &streamState{
+			stepper: stepper{
+				sharded: sharded{shards: shards, shardW: []float64{1, 1, 0}},
+				sumW:    2,
+				views:   []*bins.Array{{}, {}, nil},
+			},
+			sballs:  []int64{0, 5, 0},
+			total:   5,
+			moveOut: make([]int64, shards),
+			moveIn:  make([]int64, shards),
+			targets: make([]float64, shards),
+			defW:    make([]float64, shards),
+			ap:      apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)},
+		}
+	}
+	// A finite tolerance moves the surplus: targets 2.5, limit 3.
+	if st := newState(); st.planRebalance(0.2) != 2 || !reflect.DeepEqual(st.moveOut, []int64{0, 2, 0}) {
+		t.Fatalf("tol 0.2: moveOut %v, want [0 2 0]", st.moveOut)
+	}
+	for _, tol := range []float64{math.Inf(1), 1e300} {
+		if st := newState(); st.planRebalance(tol) != 0 || !reflect.DeepEqual(st.moveOut, []int64{0, 0, 0}) {
+			t.Fatalf("tol %v: planned moveOut %v, want none", tol, st.moveOut)
+		}
+	}
+
+	run := func(tol float64) (*StreamResult, []int64) {
+		spec := RunSpec{
+			Config: Config{Array: largeArray(t, 400), Seed: 17, Workers: 2, Balls: 2000},
+			Shards: 4,
+			Stream: &StreamParams{Rounds: 3, Deletions: 1500, RebalanceTol: tol},
+		}
+		arr := adopt(&spec)
+		out, err := runStream(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := make([]int64, arr.N())
+		for i := range loads {
+			loads[i] = arr.Balls(i)
+		}
+		return out.Stream, loads
+	}
+	if moved, _ := run(0.01); moved.Moved == 0 {
+		t.Fatal("tol 0.01 moved no ball: the spec does not exercise the rebalance pass")
+	}
+	want, wantLoads := run(0)
+	for _, tol := range []float64{math.Inf(1), 1e300} {
+		got, loads := run(tol)
+		if got.Moved != 0 || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(loads, wantLoads) {
+			t.Fatalf("tol %v: %+v, want %+v with identical loads", tol, got, want)
+		}
+	}
 }

@@ -7,8 +7,10 @@
 # This script builds bnbsim and bnbcluster twice — at REV, from a
 # `git archive` export into a temp dir (no network), and from the
 # working tree — runs one fixed command list on both at -workers 1 and
-# -workers 3, and fails on the first stdout difference. Wall-time lines
-# are the only legitimate difference and are stripped before the diff.
+# -workers 3, and diffs stdout. It runs every command, lists each one
+# whose output changed, and exits 1 at the end if any did, so a declared
+# change in one command does not hide the others. Wall-time lines are
+# the only legitimate difference and are stripped before the diff.
 #
 # The list covers the classic engine (checkpoints, heights), the single
 # sharded game (plain and observed), sharded Monte-Carlo runs
@@ -53,20 +55,34 @@ run() {
 }
 
 n=0
+changed=0
+changedList=""
+# record NAME SAME : count one command and, unless SAME is 1, list it as
+# changed.
+record() {
+	n=$((n + 1))
+	if [ "$2" != 1 ]; then
+		changed=$((changed + 1))
+		changedList="$changedList
+  $1"
+	fi
+}
+
 # compare TOOL ARGS... : run TOOL (bnbsim or bnbcluster) at REV and
 # from the working tree, at workers 1 and 3, and diff stdout.
 compare() {
 	tool="$1"
 	shift
+	same=1
 	for w in 1 3; do
 		run "$TMP/old-$tool" "$TMP/old.txt" "$@" -workers "$w"
 		run "$TMP/new-$tool" "$TMP/new.txt" "$@" -workers "$w"
 		if ! diff -u "$TMP/old.txt" "$TMP/new.txt"; then
 			echo "OUTPUT CHANGED vs $REV: $tool $* -workers $w" >&2
-			exit 1
+			same=0
 		fi
 	done
-	n=$((n + 1))
+	record "$tool $*" "$same"
 }
 
 SPEC="2000x1+2000x10"
@@ -101,12 +117,17 @@ for side in old new; do
 	run "$TMP/$side-bnbsim" "$TMP/$side-cancel.txt" $MONTE -workers 3 -resume "$TMP/$side-resume.json" -cancel-after-reps 4
 	run "$TMP/$side-bnbsim" "$TMP/$side-resumed.txt" $MONTE -workers 1 -resume "$TMP/$side-resume.json"
 done
+same=1
 for phase in cancel resumed; do
 	if ! diff -u "$TMP/old-$phase.txt" "$TMP/new-$phase.txt"; then
 		echo "OUTPUT CHANGED vs $REV: cancel-then-resume ($phase)" >&2
-		exit 1
+		same=0
 	fi
 done
-n=$((n + 1))
+record "cancel-then-resume: bnbsim $MONTE" "$same"
 
+if [ "$changed" -gt 0 ]; then
+	echo "$changed of $n command(s) changed vs $REV:$changedList" >&2
+	exit 1
+fi
 echo "all $n command(s) byte-identical to $REV at -workers 1 and 3"

@@ -37,7 +37,8 @@ type StreamConfig struct {
 	// after deletions, every shard holding more than
 	// (1+RebalanceTol)·target balls sheds the excess to shards below
 	// target, re-placing moved balls through the protocol. 0 disables
-	// the pass.
+	// the pass; a tolerance so large that (1+RebalanceTol)·target
+	// reaches 2^63 (+Inf included) never moves a ball.
 	RebalanceTol float64
 	// Seed is the base seed (default 1). Every round r consumes a
 	// frozen window of 3·Shards+2 substreams starting at r·(3·Shards+2):
