@@ -93,8 +93,8 @@ type Collector interface {
 // contract: SnapshotHist records the same observation Snapshot would,
 // but derives it from a pre-built LoadHistogram instead of scanning
 // the array — the values produced are bit-identical to the scan path
-// (pinned by equivalence tests). Every collector in this package
-// implements both.
+// (pinned by equivalence tests). Every collector in this package but
+// Classes, which reads only histograms, implements both.
 type HistSnapshotter interface {
 	SnapshotHist(cut int, h *LoadHistogram, balls int64) error
 }
@@ -586,3 +586,107 @@ func (s *ShardStats) Merge(other Collector) error {
 
 // Rows returns the per-shard aggregates in shard order.
 func (s *ShardStats) Rows() []ShardRow { return s.rows }
+
+// ---------------------------------------------------------------------
+// Classes
+
+// Classes collects the per-capacity-class observables of each final
+// state (Figs 7, 9, 12-13 and Observation 1) from its LoadHistogram:
+// for every tracked class the repetitions in which one of its bins
+// attains the maximum load, for every max-load class an accumulator of
+// its maximum load, and for every vector class the running sums of its
+// non-increasing load vector. A class listed twice is observed twice.
+type Classes struct {
+	track, maxLoads, vectors []int64
+
+	maxCount map[int64]int64
+	maxLoad  map[int64]*stats.Accumulator
+	loadSum  map[int64][]float64
+}
+
+// NewClasses builds a collector over the given class lists (an empty
+// list collects nothing). It returns a value, so a collector set
+// embeds it without an allocation of its own.
+func NewClasses(track, maxLoads, vectors []int64) Classes {
+	c := Classes{track: track, maxLoads: maxLoads, vectors: vectors}
+	if len(track) > 0 {
+		c.maxCount = make(map[int64]int64, len(track))
+	}
+	if len(maxLoads) > 0 {
+		c.maxLoad = make(map[int64]*stats.Accumulator, len(maxLoads))
+	}
+	if len(vectors) > 0 {
+		c.loadSum = make(map[int64][]float64, len(vectors))
+	}
+	return c
+}
+
+// Observe folds one final state's class observables.
+func (c *Classes) Observe(h *LoadHistogram) error {
+	for _, class := range c.track {
+		if h.ClassAttainsMax(class) {
+			c.maxCount[class]++
+		}
+	}
+	for _, class := range c.maxLoads {
+		if c.maxLoad[class] == nil {
+			c.maxLoad[class] = new(stats.Accumulator)
+		}
+		c.maxLoad[class].Add(h.MaxLoadOfClass(class))
+	}
+	for _, class := range c.vectors {
+		if c.loadSum[class] == nil {
+			c.loadSum[class] = make([]float64, h.ClassBins(class))
+		}
+		if err := h.AddClassLoadsDesc(class, c.loadSum[class]); err != nil {
+			return fmt.Errorf("obs: class %d: %w", class, err)
+		}
+	}
+	return nil
+}
+
+// Merge folds another collector over the same class lists into c.
+func (c *Classes) Merge(o *Classes) error {
+	for class, n := range o.maxCount {
+		c.maxCount[class] += n
+	}
+	for class, acc := range o.maxLoad {
+		if c.maxLoad[class] == nil {
+			c.maxLoad[class] = new(stats.Accumulator)
+		}
+		c.maxLoad[class].Merge(acc)
+	}
+	for class, sum := range o.loadSum {
+		if c.loadSum[class] == nil {
+			c.loadSum[class] = make([]float64, len(sum))
+		}
+		dst := c.loadSum[class]
+		if len(dst) != len(sum) {
+			return fmt.Errorf("obs: merging class %d load vectors of %d and %d bins", class, len(sum), len(dst))
+		}
+		for i, v := range sum {
+			dst[i] += v
+		}
+	}
+	return nil
+}
+
+// Rows returns the observables over reps >= 1 folded repetitions: the
+// fraction of them in which each tracked class attained the maximum
+// load (a class that never did is absent), each max-load class's
+// accumulator, and each vector class's mean load vector — divided in
+// place, so Rows is called once, at the end. Unrequested maps are nil.
+func (c *Classes) Rows(reps int64) (maxFraction map[int64]float64, maxLoad map[int64]*stats.Accumulator, meanLoads map[int64][]float64) {
+	if c.maxCount != nil {
+		maxFraction = make(map[int64]float64, len(c.maxCount))
+		for class, n := range c.maxCount {
+			maxFraction[class] = float64(n) / float64(reps)
+		}
+	}
+	for _, sum := range c.loadSum {
+		for i := range sum {
+			sum[i] /= float64(reps)
+		}
+	}
+	return maxFraction, c.maxLoad, c.loadSum
+}

@@ -228,6 +228,53 @@ func TestHeightsSnapshotAndMerge(t *testing.T) {
 	}
 }
 
+// TestClassesObserveMergeRows: two partials merged in order hold the
+// same class counts and load sums as one collector that observed both
+// states, and Rows normalises by the folded repetitions.
+func TestClassesObserveMergeRows(t *testing.T) {
+	// Two bins of capacity 1 and two of capacity 2.
+	state := func(balls ...int64) *LoadHistogram {
+		a := bins.MustNew([]int64{1, 1, 2, 2})
+		for i, b := range balls {
+			a.AddBalls(i, b)
+		}
+		h := a.NewLoadHistogram()
+		if err := a.HistogramInto(h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	s1, s2 := state(3, 0, 2, 2), state(0, 1, 4, 0) // max in class 1, then class 2
+	lists := func() Classes { return NewClasses([]int64{1, 2}, []int64{2}, []int64{1}) }
+	whole, p1, p2 := lists(), lists(), lists()
+	for _, step := range []struct {
+		c *Classes
+		h *LoadHistogram
+	}{{&whole, s1}, {&whole, s2}, {&p1, s1}, {&p2, s2}} {
+		if err := step.c.Observe(step.h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p1.Merge(&p2); err != nil {
+		t.Fatal(err)
+	}
+	frac, maxLoad, mean := p1.Rows(2)
+	wantFrac, _, wantMean := whole.Rows(2)
+	if !reflect.DeepEqual(frac, wantFrac) || !reflect.DeepEqual(frac, map[int64]float64{1: 0.5, 2: 0.5}) {
+		t.Errorf("max fractions %v, want %v", frac, wantFrac)
+	}
+	if !reflect.DeepEqual(mean, wantMean) || !reflect.DeepEqual(mean[1], []float64{2, 0}) {
+		t.Errorf("class 1 mean loads %v, want %v", mean, wantMean)
+	}
+	if acc := maxLoad[2]; acc.N() != 2 || acc.Min() != 1 || acc.Max() != 2 {
+		t.Errorf("class 2 max-load accumulator n=%d min=%v max=%v", acc.N(), acc.Min(), acc.Max())
+	}
+	empty := NewClasses(nil, nil, nil)
+	if f, _, v := empty.Rows(1); f != nil || v != nil {
+		t.Errorf("an empty collector reported rows %v %v", f, v)
+	}
+}
+
 func TestSortedLoads(t *testing.T) {
 	s := NewSortedLoads()
 	if s.Mean() != nil {

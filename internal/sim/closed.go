@@ -21,11 +21,13 @@
 // # Determinism
 //
 // Repetition rep draws everything from xrand.NewStream(Seed, rep) —
-// the classic engine's stream layout — and repetitions run through the
-// classic engine's chunk driver and repetition kernel (runRep, sim.go),
-// of which only the per-segment advance below differs, so results are
-// bit-identical for any Workers value and cancellation yields the same
-// deterministic contiguous-prefix partials. The engine draws a
+// the classic engine's stream layout — and repetitions run as the
+// classic engine's chunk tasks on the shared phase (runner.go), through
+// its repetition kernel (runRep, sim.go) and collector set, of which
+// only the per-segment advance below differs. So results are
+// bit-identical for any Workers value, a failing run reports its
+// lowest failing chunk, and cancellation yields the same deterministic
+// contiguous-prefix partials. The engine draws a
 // different random sequence than the classic engine (interval-tree
 // binomial splits instead of per-ball samples), so classic and
 // closed-form agree in distribution, not bit for bit: parity_test.go

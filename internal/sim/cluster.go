@@ -592,7 +592,7 @@ func runCluster(spec *RunSpec) (*Result, error) {
 // every task touches only its own shard's (or routing group's) peers,
 // queues and scratch, so any scheduling onto workers is bit-identical.
 // The inline steps (churn, reshard, admission) run on the orchestrator.
-func (st *clusterState) exec(kind, s int) error {
+func (st *clusterState) exec(kind, s, _ int) error {
 	switch kind {
 	case clusterSetup:
 		return st.setupShard(s)

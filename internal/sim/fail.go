@@ -20,19 +20,19 @@
 //
 // # Panic containment
 //
-// Every pool task runs behind the phase runner's recover (runner.go),
-// which converts a panic into a *PanicError carrying provenance
-// (engine, task name, repetition/round/tick, shard/group index). The
-// sharded engines all run on the step driver, so their placer builds
-// (the "setup" phase), routing groups and per-shard tasks share that
-// one recover, and so do their orchestrator-side steps — the
-// streaming engine's deletion routing, the cluster engine's churn,
-// re-shard and admission, the Monte-Carlo engine's per-repetition
-// summary and fold — which run as inline tasks. Classic repetitions
-// and setups carry their own recovers with the same provenance. The lowest-slot failure
-// of a phase wins, every barrier is still reached, and no worker
-// goroutine is stranded — a panic anywhere surfaces as an ordinary
-// error from the engine call, never as a process crash or a hang.
+// Every task of every engine runs behind the phase runner's one
+// recover (runner.go), which converts a panic into a *PanicError
+// carrying provenance (engine, task name, repetition/round/tick,
+// shard/group/chunk index): the chunk engines' per-worker setups and
+// chunks, the sharded engines' placer builds (the "setup" phase),
+// routing groups and per-shard tasks, and their orchestrator-side
+// steps — the streaming engine's deletion routing, the cluster
+// engine's churn, re-shard and admission, the Monte-Carlo engine's
+// per-repetition summary and fold — which run as inline tasks. The
+// lowest-slot failure of a phase wins, every barrier is still reached,
+// and no worker goroutine is stranded — a panic anywhere surfaces as
+// an ordinary error from the engine call, never as a process crash or
+// a hang.
 package sim
 
 import (
@@ -132,18 +132,20 @@ type PanicError struct {
 	// Engine is the engine the panic happened in.
 	Engine string
 	// Task names the task kind: the step driver's "route" and "setup"
-	// (a sharded engine's per-shard placer build; a chunk worker's
-	// fixed state), "chunk" (classic chunk repetition), the Monte-Carlo
+	// (a sharded engine's per-shard placer build; a chunk engine's
+	// per-worker array and placer or router), "chunk" (a classic or
+	// closed-form chunk of repetitions), the Monte-Carlo
 	// engine's "reset", "place", "summary" and "orchestrator" (a
 	// repetition's fold), and the streaming and cluster phase names
 	// ("place", "delete", "move-out", "redistribute", "retry",
 	// "churn", ...).
 	Task string
-	// Rep is the repetition, round or tick the task belonged to (-1
-	// when unknown).
+	// Rep is the repetition, round or tick the task belonged to (for a
+	// chunk, the repetition in flight; -1 when unknown).
 	Rep int
-	// Index is the task's shard index (place/reset) or routing-group
-	// index (route); -1 for inline tasks and when not applicable.
+	// Index is the task's shard index (place/reset), routing-group
+	// index (route), chunk index (chunk) or worker slot (a chunk
+	// engine's setup); -1 for inline tasks and when not applicable.
 	Index int
 	// Value is the recovered panic value; Stack the goroutine stack
 	// captured at recovery.

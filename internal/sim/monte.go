@@ -80,21 +80,12 @@ type monteState struct {
 	cutBalls []int64     // realised balls per cut
 	track    [][]float64 // [cut][shard] shard-local running max at cut
 	cpMax    []float64   // combined whole-array max per cut
-	hlCounts []int64     // bins at load >= k (HeightLevels)
 	// cutsDone[s] is how many cuts shard s fully placed and tracked in
 	// the current repetition (nil unless cancellation is armed and a
 	// cut is reachable).
 	cutsDone []int
 
-	// The result and its collectors (the checkpoint rows are the
-	// driver's cp). The fold runs in repetition order, so every Observe
-	// happens in one fixed order — the unified observation contract's
-	// requirement for bit-identical aggregates across worker
-	// topologies.
-	res   *Result
-	loads *obs.SortedLoads
-	hl    *obs.Heights
-	ss    *obs.ShardStats
+	ss *obs.ShardStats // the rest fold into the driver's collector set
 }
 
 // newMonteState builds the run's state over the prologue's fresh
@@ -110,7 +101,6 @@ func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 	st.kk, st.placeAt = uint64(sh.shards+1), 1
 	st.avg = float64(st.m) / float64(st.totalCap)
 	st.shardMax = make([]float64, sh.shards)
-	st.res = &Result{N: sh.n, Shards: sh.shards}
 	if st.nCuts > 0 {
 		st.track = grid[float64](st.nCuts, sh.shards)
 		st.cutBalls = make([]int64, st.nCuts)
@@ -118,13 +108,6 @@ func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 		if st.cc != nil {
 			st.cutsDone = make([]int, sh.shards)
 		}
-	}
-	if spec.CollectLoadVector {
-		st.loads = obs.NewSortedLoads()
-	}
-	if spec.HeightLevels > 0 {
-		st.hl = obs.NewHeights(spec.HeightLevels)
-		st.hlCounts = make([]int64, spec.HeightLevels)
 	}
 	if spec.ShardStats {
 		st.ss = obs.NewShardStats(sh.shards)
@@ -197,7 +180,7 @@ const (
 var monteKinds = slices.Concat(stepNames, []taskName{{task: "reset"}, {task: "place"}, {task: "summary"}, {task: "orchestrator"}})
 
 // exec runs one task of the repetition in flight.
-func (st *monteState) exec(kind, s int) error {
+func (st *monteState) exec(kind, s, _ int) error {
 	switch kind {
 	case monteReset:
 		if st.views[s] == nil {
@@ -246,9 +229,6 @@ func (st *monteState) exec(kind, s int) error {
 					return fmt.Errorf("sim: RunLargeMonte merge shard %d: %w", s, err)
 				}
 			}
-			if st.hlCounts != nil {
-				ha.CountAtOrAbove(st.hlCounts)
-			}
 		}
 		// Division is correctly rounded, hence monotone: the max of the
 		// shard-local maxima the placement tasks took is the
@@ -266,27 +246,20 @@ func (st *monteState) exec(kind, s int) error {
 	return nil
 }
 
-// fold adds the repetition's summary to the result and its collectors.
+// fold adds the repetition's summary to the collectors: its final
+// state (the merged histogram feeds the load vector and the height
+// counts), its cut rows and its shard rows.
 func (st *monteState) fold() error {
-	res := st.res
-	res.MaxLoad.Add(st.max)
-	res.AvgLoad.Add(st.avg)
-	res.Deviation.Add(st.max - st.avg)
-	if st.loads != nil {
-		if err := st.loads.SnapshotHist(obs.Final, st.histAll, st.m); err != nil {
-			return err
-		}
+	if err := st.col.observe(st.max, st.avg, st.m, st.totalCap, st.histAll); err != nil {
+		return err
 	}
 	for k := 0; k < st.nCuts; k++ {
 		// An empty block-aligned realisation means this repetition saw
 		// no state at the cut; skip it (like a cut beyond m) so zeros
 		// never contaminate the maxima aggregates.
 		if st.cutBalls[k] != 0 {
-			st.cp.Observe(k, st.cutBalls[k], st.totalCap, st.cpMax[k])
+			st.col.cp.Observe(k, st.cutBalls[k], st.totalCap, st.cpMax[k])
 		}
-	}
-	if st.hl != nil {
-		st.hl.Observe(st.hlCounts)
 	}
 	if st.ss != nil {
 		return st.ss.Observe(st.counts, st.shardMax)
@@ -369,7 +342,6 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := st.res
 
 	// The fingerprint pins the experiment a checkpoint belongs to. It
 	// costs an O(n) capacity hash, so it is computed only when a
@@ -388,28 +360,14 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 		if err := spec.Resume.restore(fp, st); err != nil {
 			return nil, err
 		}
-		if st.start = spec.Resume.CompletedReps; st.start > spec.Reps {
-			return nil, fmt.Errorf("sim: resume checkpoint covers %d repetitions, run has only %d", st.start, spec.Reps)
-		}
+		st.start = spec.Resume.CompletedReps
 	}
 	cerr, err := st.run(st, engRunLargeMC, monteKinds, stepSetup)
 	if err != nil {
 		return nil, err
 	}
-	if st.loads != nil {
-		res.MeanSortedLoads = st.loads.Mean()
-	}
-	if st.cp != nil {
-		res.Checkpoints = st.cp.Rows()
-	}
-	if st.hl != nil {
-		res.HeightCounts = st.hl.Rows()
-	}
+	res := st.col.result(&Result{N: sh.n, Shards: shards})
 	res.ShardStats = st.ss
-	// The array is fixed, so balls and capacity are the same constant
-	// in every folded repetition.
-	res.Balls.AddN(float64(st.m), int64(st.done))
-	res.TotalCapacity.AddN(float64(st.totalCap), int64(st.done))
 	if cerr != nil {
 		// The aggregates cover exactly repetitions [0, done) —
 		// bit-identical to a run configured with Reps = done — and the

@@ -134,22 +134,22 @@ type MonteCheckpoint struct {
 // captureMonteCheckpoint snapshots the fold state of a run whose pool
 // has shut down.
 func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteState) *MonteCheckpoint {
-	res := st.res
+	col := &st.col
 	cp := &MonteCheckpoint{
 		Version:       monteCheckpointVersion,
 		Fingerprint:   fp,
 		CompletedReps: completed,
-		MaxLoad:       res.MaxLoad.State(),
-		AvgLoad:       res.AvgLoad.State(),
-		Deviation:     res.Deviation.State(),
+		MaxLoad:       col.maxLoad.State(),
+		AvgLoad:       col.avgLoad.State(),
+		Deviation:     col.deviation.State(),
 	}
-	if st.loads != nil {
-		sum, n := st.loads.State()
+	if col.loads != nil {
+		sum, n := col.loads.State()
 		cp.LoadSums = slices.Clone(sum)
 		cp.LoadReps = n
 	}
-	if st.cp != nil {
-		rows := st.cp.Rows()
+	if col.cp != nil {
+		rows := col.cp.Rows()
 		cp.Checkpoints = make([]checkpointRowState, len(rows))
 		for i := range rows {
 			cp.Checkpoints[i] = checkpointRowState{
@@ -160,8 +160,8 @@ func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteState) 
 			}
 		}
 	}
-	if st.hl != nil {
-		rows := st.hl.Rows()
+	if col.hl != nil {
+		rows := col.hl.Rows()
 		cp.Heights = make([]heightRowState, len(rows))
 		for i := range rows {
 			cp.Heights[i] = heightRowState{Level: rows[i].Level, Bins: rows[i].Bins.State()}
@@ -194,15 +194,22 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteState) error {
 	if cp.CompletedReps < 0 {
 		return fmt.Errorf("sim: resume checkpoint has %d completed repetitions", cp.CompletedReps)
 	}
-	res := st.res
-	res.MaxLoad.Restore(cp.MaxLoad)
-	res.AvgLoad.Restore(cp.AvgLoad)
-	res.Deviation.Restore(cp.Deviation)
-	if st.loads != nil {
-		st.loads = obs.RestoreSortedLoads(cp.LoadSums, cp.LoadReps)
+	if cp.CompletedReps > st.steps {
+		return fmt.Errorf("sim: resume checkpoint covers %d repetitions, run has only %d", cp.CompletedReps, st.steps)
 	}
-	if st.cp != nil {
-		rows := st.cp.Rows()
+	col := &st.col
+	col.maxLoad.Restore(cp.MaxLoad)
+	col.avgLoad.Restore(cp.AvgLoad)
+	col.deviation.Restore(cp.Deviation)
+	// The array is fixed, so balls and capacity are the same constant
+	// in every repetition: the checkpoint need not carry them.
+	col.balls.AddN(float64(st.m), int64(cp.CompletedReps))
+	col.totalCap.AddN(float64(st.totalCap), int64(cp.CompletedReps))
+	if col.loads != nil {
+		col.loads = obs.RestoreSortedLoads(cp.LoadSums, cp.LoadReps)
+	}
+	if col.cp != nil {
+		rows := col.cp.Rows()
 		if len(cp.Checkpoints) != len(rows) {
 			return fmt.Errorf("sim: resume checkpoint has %d checkpoint rows, run has %d", len(cp.Checkpoints), len(rows))
 		}
@@ -215,8 +222,8 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteState) error {
 			rows[i].Deviation.Restore(cp.Checkpoints[i].Deviation)
 		}
 	}
-	if st.hl != nil {
-		rows := st.hl.Rows()
+	if col.hl != nil {
+		rows := col.hl.Rows()
 		if len(cp.Heights) != len(rows) {
 			return fmt.Errorf("sim: resume checkpoint has %d height rows, run has %d", len(cp.Heights), len(rows))
 		}

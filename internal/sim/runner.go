@@ -12,9 +12,12 @@
 // index) to the phase's task list, sized once at start for the widest
 // phase; the barrier wakes at most workers−1 helper goroutines — one
 // channel token each, once per phase — and the calling goroutine
-// claims tasks from the same atomic counter as worker 0. Dispatching
-// work therefore allocates nothing and sends nothing per task, and a
-// one-worker phase starts no goroutine and no channel.
+// claims tasks from the same atomic counter as worker 0. Each helper
+// has a fixed worker slot (1, 2, …) that the phase passes to every
+// task it runs, so a task may use per-worker scratch (the chunk
+// driver's array and placer). Dispatching work therefore allocates
+// nothing and sends nothing per task, and a one-worker phase starts no
+// goroutine and no channel.
 //
 // Every task runs behind a recover that converts a panic into a
 // *PanicError carrying {engine, task name, rep, index}: the worker
@@ -28,11 +31,22 @@
 // timing.
 //
 // Tasks touch only the state their (kind, index) names — a shard, a
-// routing group, a worker's chunks — so any assignment of tasks to
-// workers produces identical bits. Workers only decides how many tasks
-// run at once. Per-shard state that tasks write sits on cache lines of
-// its own (padded types with compile-time size guards), so
-// neighbouring shards' tasks never false-share a line.
+// routing group, a chunk's partial — plus, for a chunk, the running
+// worker's scratch, which it resets per repetition, so any assignment
+// of tasks to workers produces identical bits. Workers only decides
+// how many tasks run at once. Per-shard state that tasks write sits on
+// cache lines of its own (padded types with compile-time size guards),
+// so neighbouring shards' tasks never false-share a line.
+//
+// # Chunk driver
+//
+// The classic and closed-form engines run two phases: one setup task
+// per worker slot builds that slot's array and placer or router, then
+// one task per chunk of chunkSize repetitions plays them in order
+// (runRep) on the claiming worker's state and folds them into the
+// chunk's own collector set. Sets merge in chunk order (reduce), so
+// the result is bit-identical for any Workers, and a failing run
+// reports its lowest failing chunk, whatever the topology.
 //
 // # Step driver
 //
@@ -76,9 +90,12 @@ func resolveWorkers(workers int) int {
 }
 
 // executor is the engine state behind a phase: exec runs the task of
-// the given kind on the shard, routing group or worker idx names.
+// the given kind on the shard, routing group, chunk or worker slot idx
+// names. worker is the slot of the worker running it — 0 for the
+// calling goroutine, a fixed slot per helper goroutine — so a task can
+// use per-worker scratch.
 type executor interface {
-	exec(kind, idx int) error
+	exec(kind, idx, worker int) error
 }
 
 // task is one submitted unit of work: its kind and the index it names.
@@ -121,18 +138,18 @@ func (ph *phase) start(workers, width int) {
 	if helpers := min(workers, width) - 1; helpers > 0 {
 		ph.wake = make(chan struct{}, helpers)
 		ph.live.Add(helpers)
-		for w := 0; w < helpers; w++ {
-			go ph.help()
+		for w := 1; w <= helpers; w++ {
+			go ph.help(w)
 		}
 	}
 }
 
-// help is a helper goroutine: once per token, it claims tasks of the
-// batch in flight until none is left.
-func (ph *phase) help() {
+// help is the helper goroutine of worker slot worker: once per token,
+// it claims tasks of the batch in flight until none is left.
+func (ph *phase) help(worker int) {
 	defer ph.live.Done()
 	for range ph.wake {
-		ph.drain()
+		ph.drain(worker)
 		ph.busy.Done()
 	}
 }
@@ -163,7 +180,7 @@ func (ph *phase) wait() error {
 			ph.wake <- struct{}{}
 		}
 	}
-	ph.drain()
+	ph.drain(0)
 	ph.busy.Wait()
 	ph.tasks = ph.tasks[:0]
 	ph.claim.Store(0)
@@ -172,15 +189,15 @@ func (ph *phase) wait() error {
 	return err
 }
 
-// drain claims and runs tasks of the batch in flight until none is
-// left.
-func (ph *phase) drain() {
+// drain claims and runs tasks of the batch in flight on worker slot
+// worker until none is left.
+func (ph *phase) drain(worker int) {
 	for {
 		slot := ph.claim.Add(1) - 1
 		if int(slot) >= len(ph.tasks) {
 			return
 		}
-		ph.runTask(ph.tasks[slot], slot)
+		ph.runTask(ph.tasks[slot], slot, worker)
 	}
 }
 
@@ -196,19 +213,19 @@ func (ph *phase) run(kind, count int) error {
 // an orchestrator-side step — behind the same containment as pool
 // tasks, with index −1.
 func (ph *phase) inline(kind int) error {
-	ph.runTask(task{kind: int32(kind), idx: -1}, 0)
+	ph.runTask(task{kind: int32(kind), idx: -1}, 0, 0)
 	return ph.wait()
 }
 
-// runTask executes the task in slot behind the phase's panic
-// containment.
-func (ph *phase) runTask(t task, slot int32) {
+// runTask executes the task in slot on worker slot worker behind the
+// phase's panic containment.
+func (ph *phase) runTask(t task, slot int32, worker int) {
 	defer func() {
 		if r := recover(); r != nil {
 			ph.fail(t, slot, newPanicError(ph.engine, ph.names[t.kind].task, ph.rep, int(t.idx), r))
 		}
 	}()
-	if err := ph.x.exec(int(t.kind), int(t.idx)); err != nil {
+	if err := ph.x.exec(int(t.kind), int(t.idx), worker); err != nil {
 		ph.fail(t, slot, err)
 	}
 }
@@ -229,35 +246,35 @@ func (ph *phase) fail(t task, slot int32, err error) {
 	ph.mu.Unlock()
 }
 
-// chunkKinds: the chunk driver's one task kind is a whole worker; its
-// setup and repetitions carry their own, finer provenance.
-var chunkKinds = []taskName{{task: "worker"}}
+// The chunk driver's task kinds: a setup builds one worker slot's
+// fixed state, a chunk plays chunkSize repetitions.
+const (
+	chunkSetup = iota
+	chunkReps
+)
 
-// chunkRun is the chunk driver of the classic and closed-form engines:
-// repetitions in chunks of chunkSize, one pool task per worker. Each
-// worker task builds its fixed state once, then claims chunks in
-// ascending order until none is left, running the repetition kernel
-// (runRep) on each repetition. Partials are per chunk and merge in
-// chunk order (reduce), so the result is bit-identical for any Workers.
+var chunkNames = []taskName{{task: "setup"}, {task: "chunk"}}
+
+// chunkRun is the chunk driver's run state (see the file comment).
 type chunkRun struct {
-	cfg         *Config
+	cfg         Config // the driver's own copy, so the spec never escapes to the heap
 	cc          *canceller
 	checkpoints []int64
-	partials    []chunkPartial
-	nextChunk   atomic.Int64
+	workers     []repWorker  // by worker slot
+	partials    []collectors // by chunk
 	ph          phase
 }
 
-// repWorker is one chunk worker's reusable state: the array and its
+// repWorker is one worker slot's reusable state: the array and its
 // placer (classic) or multinomial router (closed form) — built once
 // and reset between repetitions, or under ArrayFn rebuilt by every
 // repetition — plus scratch buffers.
 type repWorker struct {
-	arr     *bins.Array
-	placer  protocol.Placer
-	router  *sampling.Multinomial
-	scratch workerScratch
-	counts  []int64 // closed form: one multinomial increment vector
+	arr    *bins.Array
+	placer protocol.Placer
+	router *sampling.Multinomial
+	hist   *bins.LoadHistogram // reusable one-pass load histogram
+	counts []int64             // closed form: one multinomial increment vector
 }
 
 // runChunked validates the spec for a chunked engine (classic or
@@ -274,21 +291,33 @@ func runChunked(e Engine, spec *RunSpec) (*Result, error) {
 	if e == EngineClosedForm {
 		eng = engRunClosed
 	}
-	// The driver keeps its own copy of the Config, so the spec itself
-	// never escapes to the heap.
-	cfg := spec.Config
-	checkpoints, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
+	r := &chunkRun{cfg: spec.Config, cc: newCanceller(spec.Context)}
+	cfg := &r.cfg
+	r.checkpoints, _ = obs.NormalizeCuts(cfg.Checkpoints) // validated above
 	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
 	workers := min(resolveWorkers(cfg.Workers), nChunks)
-	r := &chunkRun{cfg: &cfg, cc: newCanceller(cfg.Context), checkpoints: checkpoints, partials: make([]chunkPartial, nChunks)}
-	r.ph = phase{x: r, engine: eng, names: chunkKinds}
-	r.ph.start(workers, workers)
-	err := r.ph.run(0, workers)
+	r.workers, r.partials = make([]repWorker, workers), make([]collectors, nChunks)
+	for i := range r.partials {
+		var err error
+		if r.partials[i], err = newCollectors(cfg, r.checkpoints); err != nil {
+			return nil, err
+		}
+	}
+	r.ph = phase{x: r, engine: eng, names: chunkNames, rep: -1}
+	r.ph.start(workers, nChunks)
+	err := r.ph.run(chunkSetup, workers)
+	if err == nil {
+		err = r.ph.run(chunkReps, nChunks)
+	}
 	r.ph.close()
+	if perr, ok := err.(*PanicError); ok && perr.Task == "chunk" {
+		// The repetition in flight: the chunk's completed ones precede it.
+		perr.Rep = perr.Index*chunkSize + r.partials[perr.Index].reps()
+	}
 	if err != nil {
 		return nil, err
 	}
-	res, completed, err := reduce(&cfg, checkpoints, r.partials)
+	res, completed, err := reduce(cfg, r.partials)
 	if err != nil {
 		return nil, err
 	}
@@ -298,45 +327,32 @@ func runChunked(e Engine, spec *RunSpec) (*Result, error) {
 	return res, nil
 }
 
-// exec is one worker's whole share of the run. A repetition error or
-// contained panic ends its chunk (reduce surfaces the first in chunk
-// order) and cancellation skips the remaining repetitions; either way
-// the worker keeps claiming chunks, so a chunk abandoned by
-// cancellation holds exactly its leading repetitions.
-func (r *chunkRun) exec(_, _ int) error {
-	var w repWorker
-	if err := r.setup(&w); err != nil {
-		return err
+// exec runs a setup task (idx is the worker slot it builds) or a chunk
+// task (idx is the chunk) on worker slot worker. A repetition error or
+// contained panic ends its chunk, and cancellation skips the chunk's
+// remaining repetitions, so an abandoned chunk holds exactly its
+// leading repetitions.
+func (r *chunkRun) exec(kind, idx, worker int) error {
+	if kind == chunkSetup {
+		return r.setup(&r.workers[idx])
 	}
-	for {
-		ci := int(r.nextChunk.Add(1) - 1)
-		if ci >= len(r.partials) {
-			return nil
+	// One repetition bounds the chunk engines' cancellation latency.
+	for rep := idx * chunkSize; rep < min((idx+1)*chunkSize, r.cfg.Reps) && !r.cc.cancelled(); rep++ {
+		// The closed engine shares the chunk topology, so its fault site
+		// reuses OpChunk with its own engine name.
+		if fault.Enabled {
+			fault.Hit(fault.Site{Engine: r.ph.engine, Op: fault.OpChunk, Rep: rep, Shard: -1, Block: -1})
 		}
-		p := &r.partials[ci]
-		for rep := ci * chunkSize; rep < min((ci+1)*chunkSize, r.cfg.Reps); rep++ {
-			// One repetition bounds the chunk engines' cancellation
-			// latency.
-			if r.cc.cancelled() {
-				break
-			}
-			if err := r.guardedRep(uint64(rep), ci, &w, p); err != nil {
-				p.err = err
-				break
-			}
-			p.reps++
+		if err := r.runRep(uint64(rep), &r.workers[worker], &r.partials[idx]); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// setup builds a worker's fixed array and its placer or router,
-// containing panics in distribution or protocol constructors.
-func (r *chunkRun) setup(w *repWorker) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = newPanicError(r.ph.engine, "setup", -1, -1, v)
-		}
-	}()
+// setup builds a worker slot's fixed array and its placer or router;
+// ArrayFn runs build theirs per repetition.
+func (r *chunkRun) setup(w *repWorker) error {
 	if r.cfg.ArrayFn != nil {
 		return nil
 	}
@@ -358,23 +374,6 @@ func (r *chunkRun) build(w *repWorker, weights []float64) (err error) {
 		w.placer, err = r.cfg.factory()(w.arr, weights)
 	}
 	return err
-}
-
-// guardedRep runs one repetition behind the fault hook and a recover
-// that converts panics (in ArrayFn, distribution, protocol or collector
-// code) into provenance errors. The closed engine shares the chunk
-// topology, so its fault site reuses OpChunk with its own engine name.
-func (r *chunkRun) guardedRep(rep uint64, chunk int, w *repWorker, p *chunkPartial) (err error) {
-	eng := r.ph.engine
-	defer func() {
-		if v := recover(); v != nil {
-			err = newPanicError(eng, "chunk", int(rep), chunk, v)
-		}
-	}()
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: eng, Op: fault.OpChunk, Rep: int(rep), Shard: -1, Block: -1})
-	}
-	return r.runRep(rep, w, p)
 }
 
 // resolveShards validates a Shards field against n bins: 0 means
@@ -490,14 +489,13 @@ type stepper struct {
 	// and placeAt are the offsets of its arrival-routing stream and of
 	// shard 0's placement stream (shard s: placeAt + s) within them.
 	first, kk, routeAt, placeAt uint64
-	// levels and cancelAfter are the spec's HeightLevels and
-	// CancelAfter (in steps).
-	levels, cancelAfter int
-	start               int // the first step played: a resumed run's restored prefix
-	steps               int // steps in the run
-	done                int // completed steps: the committed prefix
-	totalCap            int64
-	sumW                float64 // Σ shardW
+
+	cancelAfter int // the spec's CancelAfter, in steps
+	start       int // the first step played: a resumed run's restored prefix
+	steps       int // steps in the run
+	done        int // completed steps: the committed prefix
+	totalCap    int64
+	sumW        float64 // Σ shardW
 
 	views   []*bins.Array // nil for a shard that can never receive a ball
 	placers []protocol.Placer
@@ -516,8 +514,11 @@ type stepper struct {
 	cutBlocks, cutRems []int64
 	prefix             [][]int64
 	nextCut            int
-	cp                 *obs.Checkpoints
 	cutMax             []cutMax // per-shard max load at the current step cut
+
+	// col is the run's collector set: Monte's repetition folds, a
+	// trajectory's cut rows and final state.
+	col collectors
 
 	ph phase
 
@@ -541,7 +542,7 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	d.sharded = sh
 	d.cc = newCanceller(spec.Context)
 	d.seed = spec.Seed
-	d.levels, d.cancelAfter = spec.HeightLevels, spec.CancelAfter
+	d.cancelAfter = spec.CancelAfter
 	d.steps = steps
 	d.totalCap = sh.arr.TotalCapacity()
 	for _, w := range sh.shardW {
@@ -552,8 +553,9 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	d.rands = make([]shardRand, sh.shards)
 	d.counts = make([]int64, sh.shards)
 	d.cuts, _ = obs.NormalizeCuts(spec.Checkpoints) // validated by the caller
-	if len(d.cuts) > 0 {
-		d.cp = obs.NewCheckpoints(d.cuts)
+	var err error
+	if d.col, err = newCollectors(&spec.Config, d.cuts); err != nil {
+		return err
 	}
 	if eng == engRunLargeMC {
 		d.nCuts = obs.CountReached(d.cuts, maxM)
@@ -712,7 +714,7 @@ func (d *stepper) observe(balls int64) (ok bool, err error) {
 			top = v
 		}
 	}
-	d.cp.Observe(d.nextCut, balls, d.totalCap, top)
+	d.col.cp.Observe(d.nextCut, balls, d.totalCap, top)
 	d.nextCut++
 	return true, nil
 }
@@ -741,41 +743,30 @@ func (d *stepper) stepExec(kind, idx int) (err error) {
 }
 
 // result is a single-trajectory run's *Result: the trajectory rows
-// always, and for a completed run the final state as one observation
-// of each whole-array statistic, with balls resident — recount the
-// array, then the exact max load (from one histogram pass that also
-// yields the bins-at-load>=k counts when levels > 0, else from a
-// direct scan) and the average. A cancelled partial has no final
-// state, so its accumulators stay empty.
+// always, and for a completed run the final state — recount the array,
+// then one observation of each whole-array statistic with balls
+// resident, from one histogram pass when height levels are requested.
+// A cancelled partial has no final state: its accumulators stay empty
+// and it has no height rows.
 func (d *stepper) result(balls int64, completed bool) (*Result, error) {
-	res := &Result{N: d.n, Shards: d.shards}
-	if d.cp != nil {
-		res.Checkpoints = d.cp.Rows()
-	}
+	c := &d.col
 	if !completed {
-		return res, nil
+		c.hl = nil
+	} else if err := d.final(balls); err != nil {
+		return nil, fmt.Errorf("sim: %s final state: %w", d.ph.engine, err)
 	}
-	arr := d.arr
-	arr.Recount()
-	var maxLoad float64
-	if d.levels > 0 {
-		h := arr.NewLoadHistogram()
-		if err := arr.HistogramInto(h); err != nil {
-			return nil, fmt.Errorf("sim: %s histogram: %w", d.ph.engine, err)
+	return c.result(&Result{N: d.n, Shards: d.shards}), nil
+}
+
+// final folds the completed trajectory's final state.
+func (d *stepper) final(balls int64) error {
+	d.arr.Recount()
+	var h *bins.LoadHistogram
+	if d.col.hl != nil {
+		h = d.arr.NewLoadHistogram()
+		if err := d.arr.HistogramInto(h); err != nil {
+			return err
 		}
-		hl := obs.NewHeights(d.levels)
-		if err := hl.SnapshotHist(obs.Final, h, balls); err != nil {
-			return nil, fmt.Errorf("sim: %s heights: %w", d.ph.engine, err)
-		}
-		maxLoad, res.HeightCounts = h.MaxLoad(), hl.Rows()
-	} else {
-		maxLoad = arr.MaxLoad()
 	}
-	avg := arr.AverageLoad()
-	res.MaxLoad.Add(maxLoad)
-	res.AvgLoad.Add(avg)
-	res.Deviation.Add(maxLoad - avg)
-	res.Balls.Add(float64(balls))
-	res.TotalCapacity.Add(float64(d.totalCap))
-	return res, nil
+	return d.col.final(d.arr, h, balls)
 }

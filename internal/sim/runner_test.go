@@ -18,7 +18,7 @@ type probeExec struct {
 	ran    [2][8]int
 }
 
-func (x *probeExec) exec(kind, idx int) error {
+func (x *probeExec) exec(kind, idx, _ int) error {
 	if x.panics[[2]int{kind, idx}] {
 		panic("probe")
 	}
@@ -147,7 +147,7 @@ type callerProbe struct {
 	count []int
 }
 
-func (x *callerProbe) exec(_, _ int) error {
+func (x *callerProbe) exec(_, _, _ int) error {
 	x.ids = append(x.ids, goid())
 	x.count = append(x.count, runtime.NumGoroutine())
 	return nil

@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -157,21 +158,136 @@ type Result struct {
 	ShardStats *obs.ShardStats
 }
 
-type chunkPartial struct {
+// collectors is the one collector set a repetition's final state folds
+// into — a chunk's partial, the sharded Monte-Carlo run, a trajectory's
+// end — and the one place sets merge and become a *Result.
+type collectors struct {
 	balls, totalCap, maxLoad, avgLoad, deviation stats.Accumulator
-	loads                                        *obs.SortedLoads
-	classMaxCount                                map[int64]int64
-	classMaxLoad                                 map[int64]*stats.Accumulator
-	classLoadSum                                 map[int64][]float64
-	cp                                           *obs.Checkpoints
-	hl                                           *obs.Heights
-	heights                                      *stats.Histogram
-	err                                          error
-	// reps counts the repetitions completed and folded into this
-	// partial — the chunk runs its repetitions in order, so a chunk
-	// abandoned by cancellation holds exactly its leading reps, which
-	// is what makes the cancelled partial a contiguous prefix.
-	reps int
+
+	loads   *obs.SortedLoads // CollectLoadVector
+	cp      *obs.Checkpoints // Checkpoints
+	hl      *obs.Heights     // HeightLevels
+	heights *stats.Histogram // HeightBins: per-ball heights, fed by the classic engine
+	classes obs.Classes      // TrackClasses, ClassMaxLoads, ClassLoadVectors
+}
+
+// newCollectors builds the set c requests over its normalised cuts.
+func newCollectors(c *Config, cuts []int64) (collectors, error) {
+	s := collectors{classes: obs.NewClasses(c.TrackClasses, c.ClassMaxLoads, c.ClassLoadVectors)}
+	if len(cuts) > 0 {
+		s.cp = obs.NewCheckpoints(cuts)
+	}
+	if c.HeightLevels > 0 {
+		s.hl = obs.NewHeights(c.HeightLevels)
+	}
+	if c.CollectLoadVector {
+		s.loads = obs.NewSortedLoads()
+	}
+	if c.HeightBins > 0 {
+		var err error
+		if s.heights, err = stats.NewHistogram(0, cmp.Or(c.HeightMax, 8), c.HeightBins); err != nil {
+			return s, err
+		}
+	}
+	return s, nil
+}
+
+// final folds the final state of arr, holding balls balls. h, when
+// non-nil, is arr's load histogram: ONE pass from which the max load
+// and every distribution-shaped observable derive (bit-identical to
+// the scans it replaces — pinned by equivalence tests); without it the
+// max load is a direct exact scan.
+func (s *collectors) final(arr *bins.Array, h *bins.LoadHistogram, balls int64) error {
+	var max float64
+	if h != nil {
+		max = h.MaxLoad()
+	} else {
+		max = arr.MaxLoad()
+	}
+	return s.observe(max, arr.AverageLoad(), balls, arr.TotalCapacity(), h)
+}
+
+// observe folds one final state: its max and average load, ball count
+// and total capacity, and from h every distribution-shaped observable
+// the set holds (h may be nil when it holds none).
+func (s *collectors) observe(max, avg float64, balls, totalCap int64, h *bins.LoadHistogram) error {
+	if s.hl != nil {
+		if err := s.hl.SnapshotHist(obs.Final, h, balls); err != nil {
+			return err
+		}
+	}
+	if s.loads != nil {
+		if err := s.loads.SnapshotHist(obs.Final, h, balls); err != nil {
+			return err
+		}
+	}
+	if err := s.classes.Observe(h); err != nil {
+		return err
+	}
+	s.balls.Add(float64(balls))
+	s.totalCap.Add(float64(totalCap))
+	s.maxLoad.Add(max)
+	s.avgLoad.Add(avg)
+	s.deviation.Add(max - avg)
+	return nil
+}
+
+// reps is the number of repetitions folded into the set: each adds
+// one max-load observation, after every other observable.
+func (s *collectors) reps() int { return int(s.maxLoad.N()) }
+
+// merge folds another set of the same shape into s. Sets merge in
+// chunk order, so every float sum runs in chunk order and, within a
+// chunk, in repetition order.
+func (s *collectors) merge(o *collectors) error {
+	s.balls.Merge(&o.balls)
+	s.totalCap.Merge(&o.totalCap)
+	s.maxLoad.Merge(&o.maxLoad)
+	s.avgLoad.Merge(&o.avgLoad)
+	s.deviation.Merge(&o.deviation)
+	var err error
+	if s.loads != nil {
+		err = s.loads.Merge(o.loads)
+	}
+	if s.cp != nil && err == nil {
+		err = s.cp.Merge(o.cp)
+	}
+	if s.hl != nil && err == nil {
+		err = s.hl.Merge(o.hl)
+	}
+	if s.heights != nil && err == nil {
+		err = s.heights.Merge(o.heights)
+	}
+	if err == nil {
+		err = s.classes.Merge(&o.classes)
+	}
+	if err != nil {
+		return fmt.Errorf("sim: inconsistent bin counts across repetitions: %w", err)
+	}
+	return nil
+}
+
+// result moves the set into res: the accumulators and every
+// collector's rows, plus — once a repetition was folded — the per-ball
+// heights and the class observables over the folded repetitions. res
+// shares the set's rows, so the set is spent.
+func (s *collectors) result(res *Result) *Result {
+	res.Balls, res.TotalCapacity = s.balls, s.totalCap
+	res.MaxLoad, res.AvgLoad, res.Deviation = s.maxLoad, s.avgLoad, s.deviation
+	if s.loads != nil {
+		res.MeanSortedLoads = s.loads.Mean()
+	}
+	if s.cp != nil {
+		res.Checkpoints = s.cp.Rows()
+	}
+	if s.hl != nil {
+		res.HeightCounts = s.hl.Rows()
+	}
+	if reps := s.reps(); reps > 0 {
+		res.Heights = s.heights
+		res.ClassMaxFraction, res.ClassMaxLoad, res.ClassMeanSortedLoads = s.classes.Rows(int64(reps))
+	}
+	return res
 }
 
 func (c *Config) distribution() dist.Distribution {
@@ -196,7 +312,7 @@ func (c *Config) BallCount(totalCapacity int64) int64 {
 		return c.Balls
 	}
 	if c.BallsFactor > 0 {
-		m := int64(c.BallsFactor*float64(totalCapacity) + 0.5)
+		m := int64(float64(c.BallsFactor*float64(totalCapacity)) + 0.5)
 		if m < 1 {
 			m = 1
 		}
@@ -210,71 +326,42 @@ func (c *Config) BallCount(totalCapacity int64) int64 {
 // 2^63 or more is implementation-defined (MinInt64 on amd64), which
 // would silently change the game.
 func (c *Config) ballCountErr(totalCapacity int64) error {
-	if c.Balls == 0 && c.BallsFactor*float64(totalCapacity)+0.5 >= math.MaxInt64 {
+	if c.Balls == 0 && float64(c.BallsFactor*float64(totalCapacity))+0.5 >= math.MaxInt64 {
 		return fmt.Errorf("sim: BallsFactor = %v: %v·C balls (C = %d) exceed MaxInt64", c.BallsFactor, c.BallsFactor, totalCapacity)
 	}
 	return nil
 }
 
-// workerScratch holds per-worker reusable buffers so the repetition
-// loop does not allocate: the one-pass load histogram every
-// distribution-shaped observable derives from. It is reused across all
-// repetitions a worker processes; partial aggregates stay per chunk so
-// merging remains deterministic.
-type workerScratch struct {
-	hist *bins.LoadHistogram
-}
-
-// histogram rebuilds the worker's reusable load histogram from arr in
-// one pass. Random per-repetition arrays (ArrayFn) may change the
-// class skeleton between repetitions; a skeleton miss rebuilds it once
-// and retries — fixed-array runs never hit that path.
-func (sc *workerScratch) histogram(arr *bins.Array) (*bins.LoadHistogram, error) {
-	if sc.hist == nil {
-		sc.hist = arr.NewLoadHistogram()
+// histogram returns the load histogram of the worker's array, rebuilt
+// in one pass into the worker's reusable buffer, or nil when the run
+// requests no distribution-shaped observable: max/avg-only runs keep
+// the direct exact scans (and their allocation profile). Random
+// per-repetition arrays (ArrayFn) may change the class skeleton
+// between repetitions; a skeleton miss rebuilds the buffer once and
+// retries — fixed-array runs never hit that path.
+func (w *repWorker) histogram(c *Config) (*bins.LoadHistogram, error) {
+	if !c.CollectLoadVector && c.HeightLevels == 0 && len(c.TrackClasses)+len(c.ClassMaxLoads)+len(c.ClassLoadVectors) == 0 {
+		return nil, nil
 	}
-	if err := arr.HistogramInto(sc.hist); err != nil {
-		sc.hist = arr.NewLoadHistogram()
-		if err := arr.HistogramInto(sc.hist); err != nil {
+	if w.hist == nil {
+		w.hist = w.arr.NewLoadHistogram()
+	}
+	if err := w.arr.HistogramInto(w.hist); err != nil {
+		w.hist = w.arr.NewLoadHistogram()
+		if err := w.arr.HistogramInto(w.hist); err != nil {
 			return nil, err
 		}
 	}
-	return sc.hist, nil
-}
-
-// needsHistogram reports whether the run requests any
-// distribution-shaped observable — the collectors that derive from the
-// one-pass load histogram. Max/avg-only runs keep the direct exact
-// scan (and its allocation profile).
-func (c *Config) needsHistogram() bool {
-	return c.CollectLoadVector || c.HeightLevels > 0 ||
-		len(c.TrackClasses) > 0 || len(c.ClassMaxLoads) > 0 || len(c.ClassLoadVectors) > 0
-}
-
-// snapshotCheckpoint folds checkpoint cut index cut at the given
-// realised ball count. Runs that also request distribution-shaped
-// observables route through the worker's reusable histogram — the
-// same pairs that feed the final fold; checkpoint-only runs keep the
-// direct exact scan, which is the same O(n) without the buffer.
-// Both paths rank the argmax by cross-multiplied rationals, so the
-// rows are bit-identical.
-func snapshotCheckpoint(cfg *Config, p *chunkPartial, scratch *workerScratch, arr *bins.Array, cut int, balls int64) error {
-	if !cfg.needsHistogram() {
-		return p.cp.Snapshot(cut, arr, balls)
-	}
-	h, err := scratch.histogram(arr)
-	if err != nil {
-		return err
-	}
-	return p.cp.SnapshotHist(cut, h, balls)
+	return w.hist, nil
 }
 
 // runRep is the chunk engines' repetition kernel (see chunkRun): it
 // plays one repetition on the worker's state and folds its metrics
-// into the partial. Classic and closed form differ only in how the
-// balls of a checkpoint segment are placed (repWorker.advance).
-func (r *chunkRun) runRep(rep uint64, w *repWorker, p *chunkPartial) error {
-	cfg, checkpoints := r.cfg, r.checkpoints
+// into the chunk's collector set. Classic and closed form differ only
+// in how the balls of a checkpoint segment are placed
+// (repWorker.advance).
+func (r *chunkRun) runRep(rep uint64, w *repWorker, s *collectors) error {
+	cfg, checkpoints := &r.cfg, r.checkpoints
 	rng := xrand.NewStream(cfg.Seed, rep)
 	if cfg.ArrayFn != nil {
 		arr, err := cfg.ArrayFn(rng)
@@ -303,33 +390,30 @@ func (r *chunkRun) runRep(rep uint64, w *repWorker, p *chunkPartial) error {
 	arr := w.arr
 	m := cfg.BallCount(arr.TotalCapacity())
 
-	if len(checkpoints) > 0 && p.cp == nil {
-		p.cp = obs.NewCheckpoints(checkpoints)
-	}
-	if cfg.HeightLevels > 0 && p.hl == nil {
-		p.hl = obs.NewHeights(cfg.HeightLevels)
-	}
-	if cfg.HeightBins > 0 && p.heights == nil {
-		hiMax := cfg.HeightMax
-		if hiMax <= 0 {
-			hiMax = 8
-		}
-		h, err := stats.NewHistogram(0, hiMax, cfg.HeightBins)
-		if err != nil {
+	// A checkpoint reads the same one-pass histogram as the final fold
+	// when the run builds one, else scans the array directly (the same
+	// O(n) without the buffer); both rank the argmax by
+	// cross-multiplied rationals, so the rows are bit-identical.
+	snapshot := func(cut int, balls int64) error {
+		switch h, err := w.histogram(cfg); {
+		case err != nil:
 			return err
+		case h == nil:
+			return s.cp.Snapshot(cut, arr, balls)
+		default:
+			return s.cp.SnapshotHist(cut, h, balls)
 		}
-		p.heights = h
 	}
 	nextCp := 0
-	if p.heights != nil {
+	if s.heights != nil {
 		// Ball heights need the receiving bin of every single ball, so
 		// this path stays per-ball (classic only). The draw sequence is
 		// identical to the batch path below.
 		for k := int64(1); k <= m; k++ {
 			idx := w.placer.Place(arr, rng)
-			p.heights.Add(arr.Load(idx))
+			s.heights.Add(arr.Load(idx))
 			for nextCp < len(checkpoints) && checkpoints[nextCp] == k {
-				if err := snapshotCheckpoint(cfg, p, &w.scratch, arr, nextCp, k); err != nil {
+				if err := snapshot(nextCp, k); err != nil {
 					return err
 				}
 				nextCp++
@@ -343,7 +427,7 @@ func (r *chunkRun) runRep(rep uint64, w *repWorker, p *chunkPartial) error {
 			cut := checkpoints[nextCp]
 			w.advance(rng, cut-placed)
 			placed = cut
-			if err := snapshotCheckpoint(cfg, p, &w.scratch, arr, nextCp, cut); err != nil {
+			if err := snapshot(nextCp, cut); err != nil {
 				return err
 			}
 			nextCp++
@@ -354,226 +438,38 @@ func (r *chunkRun) runRep(rep uint64, w *repWorker, p *chunkPartial) error {
 	// rows end up with Reps() < cfg.Reps (0 when no repetition reaches
 	// them), which is how callers see the shortfall.
 
-	return foldFinal(cfg, arr, m, rep, &w.scratch, p)
-}
-
-// foldFinal folds one repetition's final array state into the chunk
-// partial. It is the shared endpoint of the classic and closed-form
-// engines: both converge on the same observables once the balls are
-// placed, however they got there. When any distribution-shaped
-// observable is requested, ONE histogram build replaces the per-
-// collector scans and sorts: max load, heights, the sorted load
-// vector and every class observable all derive from the same pairs
-// (bit-identical to the scans they replace — pinned by equivalence
-// tests); max/avg-only runs keep the direct exact scan.
-func foldFinal(cfg *Config, arr *bins.Array, m int64, rep uint64, scratch *workerScratch, p *chunkPartial) error {
-	var h *bins.LoadHistogram
-	var max float64
-	if cfg.needsHistogram() {
-		var err error
-		h, err = scratch.histogram(arr)
-		if err != nil {
-			return fmt.Errorf("sim: rep %d histogram: %w", rep, err)
-		}
-		max = h.MaxLoad()
-	} else {
-		max = arr.MaxLoad()
+	h, err := w.histogram(cfg)
+	if err == nil {
+		err = s.final(arr, h, m)
 	}
-	avg := arr.AverageLoad()
-	p.balls.Add(float64(m))
-	p.totalCap.Add(float64(arr.TotalCapacity()))
-	p.maxLoad.Add(max)
-	p.avgLoad.Add(avg)
-	p.deviation.Add(max - avg)
-
-	if p.hl != nil {
-		if err := p.hl.SnapshotHist(obs.Final, h, m); err != nil {
-			return fmt.Errorf("sim: rep %d heights: %w", rep, err)
-		}
-	}
-	if cfg.CollectLoadVector {
-		if p.loads == nil {
-			p.loads = obs.NewSortedLoads()
-		}
-		if err := p.loads.SnapshotHist(obs.Final, h, m); err != nil {
-			return fmt.Errorf("sim: rep %d: %w", rep, err)
-		}
-	}
-	if len(cfg.TrackClasses) > 0 {
-		if p.classMaxCount == nil {
-			p.classMaxCount = make(map[int64]int64, len(cfg.TrackClasses))
-		}
-		for _, class := range cfg.TrackClasses {
-			if h.ClassAttainsMax(class) {
-				p.classMaxCount[class]++
-			}
-		}
-	}
-	if len(cfg.ClassMaxLoads) > 0 {
-		if p.classMaxLoad == nil {
-			p.classMaxLoad = make(map[int64]*stats.Accumulator, len(cfg.ClassMaxLoads))
-		}
-		for _, class := range cfg.ClassMaxLoads {
-			acc := p.classMaxLoad[class]
-			if acc == nil {
-				acc = &stats.Accumulator{}
-				p.classMaxLoad[class] = acc
-			}
-			acc.Add(h.MaxLoadOfClass(class))
-		}
-	}
-	if len(cfg.ClassLoadVectors) > 0 {
-		if p.classLoadSum == nil {
-			p.classLoadSum = make(map[int64][]float64, len(cfg.ClassLoadVectors))
-		}
-		for _, class := range cfg.ClassLoadVectors {
-			sum, ok := p.classLoadSum[class]
-			if !ok {
-				sum = make([]float64, h.ClassBins(class))
-				p.classLoadSum[class] = sum
-			}
-			// Within one class load order is ball-count order, so the
-			// histogram emits the non-increasing vector with no sort.
-			if err := h.AddClassLoadsDesc(class, sum); err != nil {
-				return fmt.Errorf("sim: rep %d class %d: %w", rep, class, err)
-			}
-		}
+	if err != nil {
+		return fmt.Errorf("sim: rep %d: %w", rep, err)
 	}
 	return nil
 }
 
-// reduce merges chunk partials in deterministic (chunk index) order.
-// It merges the longest contiguous prefix of complete chunks plus the
-// leading repetitions of the first incomplete chunk, and reports how
-// many repetitions that prefix covers: an uncancelled run always
-// yields completed == cfg.Reps, a cancelled one the deterministic
-// prefix the partial result covers (chunks a worker claimed after
-// cancellation hold zero repetitions and end the prefix). Any chunk
-// error — including errors in chunks beyond the prefix — fails the
-// whole run: a panic is never masked by a concurrent cancellation.
-func reduce(cfg *Config, checkpoints []int64, partials []chunkPartial) (*Result, int, error) {
+// reduce merges the chunk partials, in chunk order, into the first
+// one and reports how many repetitions the result covers: the longest
+// run of complete chunks plus the leading repetitions of the first
+// incomplete one. An uncancelled run always yields completed ==
+// cfg.Reps, a cancelled one the deterministic prefix its partial
+// covers (a chunk claimed after cancellation holds zero repetitions
+// and ends the prefix; later chunks may have run out of order and
+// would punch holes in it).
+func reduce(cfg *Config, partials []collectors) (*Result, int, error) {
+	s := &partials[0]
 	for ci := range partials {
-		if partials[ci].err != nil {
-			return nil, 0, partials[ci].err
-		}
-	}
-	res := &Result{}
-	var cp *obs.Checkpoints
-	if len(checkpoints) > 0 {
-		cp = obs.NewCheckpoints(checkpoints)
-	}
-	var hl *obs.Heights
-	if cfg.HeightLevels > 0 {
-		hl = obs.NewHeights(cfg.HeightLevels)
-	}
-	completed := 0
-	loads := obs.NewSortedLoads()
-	for ci := range partials {
-		p := &partials[ci]
-		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > cfg.Reps {
-			hi = cfg.Reps
-		}
-		completed += p.reps
-		incomplete := p.reps < hi-lo
-		res.Balls.Merge(&p.balls)
-		res.TotalCapacity.Merge(&p.totalCap)
-		res.MaxLoad.Merge(&p.maxLoad)
-		res.AvgLoad.Merge(&p.avgLoad)
-		res.Deviation.Merge(&p.deviation)
-		if p.loads != nil {
-			if err := loads.Merge(p.loads); err != nil {
-				return nil, 0, fmt.Errorf("sim: inconsistent bin counts across repetitions: %w", err)
-			}
-		}
-		if p.cp != nil {
-			if err := cp.Merge(p.cp); err != nil {
-				return nil, 0, fmt.Errorf("sim: %w", err)
-			}
-		}
-		if p.hl != nil {
-			if err := hl.Merge(p.hl); err != nil {
-				return nil, 0, fmt.Errorf("sim: %w", err)
-			}
-		}
-		if p.classMaxCount != nil {
-			if res.ClassMaxFraction == nil {
-				res.ClassMaxFraction = make(map[int64]float64)
-			}
-			for class, count := range p.classMaxCount {
-				res.ClassMaxFraction[class] += float64(count)
-			}
-		}
-		if p.classMaxLoad != nil {
-			if res.ClassMaxLoad == nil {
-				res.ClassMaxLoad = make(map[int64]*stats.Accumulator, len(p.classMaxLoad))
-			}
-			for class, acc := range p.classMaxLoad {
-				dst := res.ClassMaxLoad[class]
-				if dst == nil {
-					dst = &stats.Accumulator{}
-					res.ClassMaxLoad[class] = dst
-				}
-				dst.Merge(acc)
-			}
-		}
-		if p.classLoadSum != nil {
-			if res.ClassMeanSortedLoads == nil {
-				res.ClassMeanSortedLoads = make(map[int64][]float64)
-			}
-			for class, sum := range p.classLoadSum {
-				dst := res.ClassMeanSortedLoads[class]
-				if dst == nil {
-					dst = make([]float64, len(sum))
-					res.ClassMeanSortedLoads[class] = dst
-				}
-				for i, v := range sum {
-					dst[i] += v
-				}
-			}
-		}
-		if p.heights != nil {
-			if res.Heights == nil {
-				h, err := stats.NewHistogram(p.heights.Lo, p.heights.Hi, len(p.heights.Counts))
-				if err != nil {
-					return nil, 0, err
-				}
-				res.Heights = h
-			}
-			if err := res.Heights.Merge(p.heights); err != nil {
+		if ci > 0 {
+			if err := s.merge(&partials[ci]); err != nil {
 				return nil, 0, err
 			}
 		}
-		if incomplete {
-			// The first incomplete chunk ends the prefix: later chunks
-			// may have run out of order and would punch holes in it.
+		if partials[ci].reps() < min(chunkSize, cfg.Reps-ci*chunkSize) {
 			break
 		}
 	}
-	res.MeanSortedLoads = loads.Mean()
-	if cp != nil {
-		res.Checkpoints = cp.Rows()
-	}
-	if hl != nil {
-		res.HeightCounts = hl.Rows()
-	}
-	// Fractions normalise by the repetitions actually folded, so a
-	// cancelled partial reports the same fractions a Reps = completed
-	// run would.
-	if res.ClassMaxFraction != nil && completed > 0 {
-		for class := range res.ClassMaxFraction {
-			res.ClassMaxFraction[class] /= float64(completed)
-		}
-	}
-	if res.ClassMeanSortedLoads != nil && completed > 0 {
-		for _, sum := range res.ClassMeanSortedLoads {
-			for i := range sum {
-				sum[i] /= float64(completed)
-			}
-		}
-	}
-	if res.Balls.N() > 0 {
+	res, completed := s.result(&Result{}), s.reps()
+	if completed > 0 {
 		n, err := nBins(cfg)
 		if err != nil {
 			return nil, 0, err

@@ -430,7 +430,7 @@ func runStream(spec *RunSpec) (*Result, error) {
 // exec executes one task. Task state is indexed by (kind, idx) and every
 // task touches only its own shard's (or routing group's) state, so any
 // scheduling of tasks onto workers produces identical bits.
-func (st *streamState) exec(kind, s int) error {
+func (st *streamState) exec(kind, s, _ int) error {
 	switch kind {
 	case streamPlace:
 		st.place(s, st.counts[s])

@@ -39,7 +39,7 @@ func (a *Accumulator) Add(x float64) {
 	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	a.m2 += float64(delta * (x - a.mean))
 }
 
 // AddN feeds an observation with integer multiplicity w ≥ 0.

@@ -185,7 +185,7 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // inversion. Used by the consistent-hashing substrate for arc-gap models.
 func (r *Rand) Exp() float64 {
 	// 1 - Float64() is in (0, 1], so the log argument is never 0.
-	return -math.Log(1 - r.Float64())
+	return -math.Log(1 - float64(r.Float64()))
 }
 
 // jumpPoly is the xoshiro256 jump polynomial: applying Jump advances the

@@ -1,10 +1,10 @@
 #!/bin/sh
-# parent_diff.sh — byte-compare bnbsim/bnbcluster output against a
-# previous revision.
+# parent_diff.sh — byte-compare bnbsim/bnbcluster/bnbfig output against
+# a previous revision.
 #
 # A change that claims "no model change" (a refactor, a simplification,
 # a performance change) must leave every engine's output byte-identical.
-# This script builds bnbsim and bnbcluster twice — at REV, from a
+# This script builds bnbsim, bnbcluster and bnbfig twice — at REV, from a
 # `git archive` export into a temp dir (no network), and from the
 # working tree — runs one fixed command list on both at -workers 1 and
 # -workers 3, and diffs stdout. It runs every command, lists each one
@@ -16,8 +16,9 @@
 # sharded game (plain and observed), sharded Monte-Carlo runs
 # (checkpoints, heights, load vectors, distributions, protocols,
 # -cancel-after-reps and a cancel-then-resume round trip), streaming
-# runs (deletions, rebalance, -cancel-after-rounds) and serving runs
-# (churn, retries, shedding, -cancel-after-ticks).
+# runs (deletions, rebalance, -cancel-after-rounds), serving runs
+# (churn, retries, shedding, -cancel-after-ticks) and the chunk
+# engines' class, random-array and height observables through bnbfig.
 #
 # Usage: scripts/parent_diff.sh REV      (e.g. scripts/parent_diff.sh HEAD~1)
 set -eu
@@ -33,9 +34,10 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 mkdir "$TMP/old"
 git archive "$REV" | tar -x -C "$TMP/old"
-(cd "$TMP/old" && go build -o "$TMP/old-bnbsim" ./cmd/bnbsim && go build -o "$TMP/old-bnbcluster" ./cmd/bnbcluster)
-go build -o "$TMP/new-bnbsim" ./cmd/bnbsim
-go build -o "$TMP/new-bnbcluster" ./cmd/bnbcluster
+for tool in bnbsim bnbcluster bnbfig; do
+	(cd "$TMP/old" && go build -o "$TMP/old-$tool" ./cmd/$tool)
+	go build -o "$TMP/new-$tool" ./cmd/$tool
+done
 
 # run BIN OUT ARGS... : capture stdout with wall-time lines stripped
 # (stderr, which carries cancellation notices, goes to OUT.err). The
@@ -68,7 +70,7 @@ record() {
 	fi
 }
 
-# compare TOOL ARGS... : run TOOL (bnbsim or bnbcluster) at REV and
+# compare TOOL ARGS... : run TOOL (bnbsim, bnbcluster or bnbfig) at REV and
 # from the working tree, at workers 1 and 3, and diff stdout.
 compare() {
 	tool="$1"
@@ -107,6 +109,15 @@ CLUSTER="-spec 800x1+200x10 -arrivals 2000 -ticks 120 -seed $SEED -json \
 	-timeout 6 -retries 2 -backoff 2 -shed 2.5 -shards 4"
 compare bnbcluster $CLUSTER
 compare bnbcluster $CLUSTER -cancel-after-ticks 70
+
+# The chunk engines' observables through the figure harness: class
+# tracking (fig06), per-repetition random arrays (fig09), per-class
+# load vectors (fig11), per-class max loads (obs1) and the per-ball
+# height histogram (ext-heights). bnbfig prints only its tables on
+# stdout; progress lines go to stderr.
+for fig in fig06 fig09 fig11 obs1 ext-heights; do
+	compare bnbfig -fig "$fig" -scale 0.2 -reps 12 -seed "$SEED"
+done
 
 # Cancel-then-resume: each build interrupts a Monte-Carlo run after 4
 # repetitions, writing its resume state, then finishes it from that
