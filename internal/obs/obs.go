@@ -154,23 +154,25 @@ func AlignShardCuts(prefix [][]int64, align int64, realized []int64) {
 // ---------------------------------------------------------------------
 // Checkpoints
 
-// CheckpointRow aggregates one checkpoint across repetitions.
+// CheckpointRow aggregates one checkpoint across repetitions. Its JSON
+// keys, like HeightRow's and ShardRow's, are the sharded engine's
+// resume-file format: renaming one breaks files already written.
 type CheckpointRow struct {
 	// Balls is the requested cut: a global ball count in the
 	// repetition engines, a ROUND index in the streaming engine (cut k
 	// observes the system at the end of round Balls).
-	Balls int64
+	Balls int64 `json:"balls"`
 	// RealBalls aggregates the realised ball count at the cut: equal
 	// to Balls in the classic engine, the block-aligned per-shard sum
 	// (<= Balls, and varying per repetition with the routing stream)
 	// in the sharded engines, and the occupancy at the end of the cut
 	// round in the streaming engine.
-	RealBalls stats.Accumulator
+	RealBalls stats.Accumulator `json:"realBalls"`
 	// MaxLoad aggregates the running maximum load at the cut.
-	MaxLoad stats.Accumulator
+	MaxLoad stats.Accumulator `json:"maxLoad"`
 	// Deviation aggregates max − average load at the cut, where the
 	// average is realised balls / total capacity.
-	Deviation stats.Accumulator
+	Deviation stats.Accumulator `json:"deviation"`
 }
 
 // Reps is the number of repetitions that actually observed this cut.
@@ -261,8 +263,8 @@ func (c *Checkpoints) Rows() []CheckpointRow { return c.rows }
 // final load is at least Level — the observable of the balls-into-bins
 // concentration bounds (bins above height k).
 type HeightRow struct {
-	Level int64
-	Bins  stats.Accumulator
+	Level int64             `json:"level"`
+	Bins  stats.Accumulator `json:"bins"`
 }
 
 // Heights counts bins at load >= k for k = 1..levels over the final
@@ -491,11 +493,11 @@ func (s *SortedLoads) Mean() []float64 {
 
 // ShardRow aggregates one shard across repetitions.
 type ShardRow struct {
-	Shard int
+	Shard int `json:"shard"`
 	// Balls aggregates the number of balls routed to the shard.
-	Balls stats.Accumulator
+	Balls stats.Accumulator `json:"balls"`
 	// MaxLoad aggregates the shard-local final maximum load.
-	MaxLoad stats.Accumulator
+	MaxLoad stats.Accumulator `json:"maxLoad"`
 }
 
 // ShardStats collects per-shard routing and load statistics for the
@@ -595,7 +597,7 @@ func (s *ShardStats) Rows() []ShardRow { return s.rows }
 // for every tracked class the repetitions in which one of its bins
 // attains the maximum load, for every max-load class an accumulator of
 // its maximum load, and for every vector class the running sums of its
-// non-increasing load vector. A class listed twice is observed twice.
+// non-increasing load vector. Each list names a class at most once.
 type Classes struct {
 	track, maxLoads, vectors []int64
 

@@ -462,23 +462,9 @@ type clusterState struct {
 	liveQ        int64 // live queued-request total
 	pendingRetry int64
 
-	// Committed prefix: updated only when a tick completes, so a
-	// cancelled run reports exactly the completed-tick state.
-	arrived       int64
-	shed          int64
-	admitted      int64
-	dispatched    int64
-	completed     int64
-	timedOut      int64
-	retried       int64
-	failed        int64
-	redistributed int64
-	crashes       int
-	recoveries    int
-	livePerTick   []int
-	lat           *obs.Latency
-	cQueued       int64
-	cPending      int64
+	// res is the committed prefix, updated only when a tick completes,
+	// so a cancelled run reports exactly the completed-tick state.
+	res ClusterResult
 }
 
 // runCluster executes one cluster run of spec.Cluster's serving model:
@@ -530,13 +516,13 @@ func runCluster(spec *RunSpec) (*Result, error) {
 	st.slots = make([]clusterShard, shards)
 	st.retryWheel = make([][]retryEntry, min(p.Retry.Backoff(p.Retry.MaxRetries), p.Ticks)+1)
 	st.crashed = make([]int, 0, n)
-	st.livePerTick = make([]int, 0, p.Ticks)
+	st.res.LivePerTick = make([]int, 0, p.Ticks)
 
 	latMax := p.LatencyMax
 	if latMax == 0 {
 		latMax = 32
 	}
-	st.lat, err = obs.NewLatency(latMax)
+	st.res.Latency, err = obs.NewLatency(latMax)
 	if err != nil {
 		return nil, fmt.Errorf("sim: RunCluster: %w", err)
 	}
@@ -553,35 +539,19 @@ func runCluster(spec *RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := st.result(st.cQueued, cerr == nil)
+	res, err := st.result(st.res.FinalQueued, cerr == nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Cluster = &ClusterResult{
-		Ticks:         st.done,
-		Arrived:       st.arrived,
-		Shed:          st.shed,
-		Admitted:      st.admitted,
-		Dispatched:    st.dispatched,
-		Completed:     st.completed,
-		TimedOut:      st.timedOut,
-		Retried:       st.retried,
-		Failed:        st.failed,
-		Redistributed: st.redistributed,
-		FinalQueued:   st.cQueued,
-		PendingRetry:  st.cPending,
-		Crashes:       st.crashes,
-		Recoveries:    st.recoveries,
-		LivePerTick:   st.livePerTick,
-		Latency:       st.lat,
-	}
-	if st.done > 0 {
+	counters := st.res
+	if counters.Ticks > 0 {
 		var liveSum int64
-		for _, l := range st.livePerTick {
+		for _, l := range counters.LivePerTick {
 			liveSum += int64(l)
 		}
-		res.Cluster.Availability = float64(liveSum) / float64(int64(st.n)*int64(st.done))
+		counters.Availability = float64(liveSum) / float64(int64(st.n)*int64(counters.Ticks))
 	}
+	res.Cluster = &counters
 	if cerr != nil {
 		return res, cerr
 	}
@@ -997,24 +967,26 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 
 	// Commit: the tick is now part of the result prefix. Latency folds
 	// in shard order — integer adds, exactly associative.
-	st.arrived += st.p.ArrivalsPerTick
-	st.shed += st.shedT
-	st.admitted += st.admit
-	st.retried += retriedT
-	st.redistributed += movedT
-	st.dispatched += st.admit + retriedT + movedT
-	st.completed += doneT
-	st.timedOut += timedOutT
-	st.failed += failedT
-	st.crashes += len(st.crashed)
-	st.recoveries += st.recovered
-	st.livePerTick = append(st.livePerTick, tickLive)
+	c := &st.res
+	c.Ticks = t + 1
+	c.Arrived += st.p.ArrivalsPerTick
+	c.Shed += st.shedT
+	c.Admitted += st.admit
+	c.Retried += retriedT
+	c.Redistributed += movedT
+	c.Dispatched += st.admit + retriedT + movedT
+	c.Completed += doneT
+	c.TimedOut += timedOutT
+	c.Failed += failedT
+	c.Crashes += len(st.crashed)
+	c.Recoveries += st.recovered
+	c.LivePerTick = append(c.LivePerTick, tickLive)
 	for s := 0; s < st.shards; s++ {
-		if err := st.lat.Merge(&st.slots[s].lat); err != nil {
+		if err := c.Latency.Merge(&st.slots[s].lat); err != nil {
 			return false, err
 		}
 	}
-	st.cQueued = st.liveQ
-	st.cPending = st.pendingRetry
+	c.FinalQueued = st.liveQ
+	c.PendingRetry = st.pendingRetry
 	return true, nil
 }

@@ -46,6 +46,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bins"
 	"repro/internal/protocol"
@@ -195,19 +196,18 @@ func (spec *RunSpec) validate(e Engine) (shards int, err error) {
 	case len(c.ClassLoadVectors) > 0 && c.ArrayFn != nil:
 		return 0, fmt.Errorf("sim: ClassLoadVectors requires a fixed Array")
 	}
-	for i, class := range c.ClassLoadVectors {
-		if class < 1 {
-			return 0, fmt.Errorf("sim: ClassLoadVectors[%d] = %d, capacity classes are >= 1", i, class)
-		}
-	}
-	for i, class := range c.TrackClasses {
-		if class < 1 {
-			return 0, fmt.Errorf("sim: TrackClasses[%d] = %d, capacity classes are >= 1", i, class)
-		}
-	}
-	for i, class := range c.ClassMaxLoads {
-		if class < 1 {
-			return 0, fmt.Errorf("sim: ClassMaxLoads[%d] = %d, capacity classes are >= 1", i, class)
+	// A class listed twice would be observed twice per repetition.
+	for _, f := range [...]struct {
+		name    string
+		classes []int64
+	}{{"ClassLoadVectors", c.ClassLoadVectors}, {"TrackClasses", c.TrackClasses}, {"ClassMaxLoads", c.ClassMaxLoads}} {
+		for i, class := range f.classes {
+			if class < 1 {
+				return 0, fmt.Errorf("sim: %s[%d] = %d, capacity classes are >= 1", f.name, i, class)
+			}
+			if slices.Contains(f.classes[:i], class) {
+				return 0, fmt.Errorf("sim: %s[%d] = %d repeats an earlier class", f.name, i, class)
+			}
 		}
 	}
 	if err := c.ObsOptions.validate(); err != nil {

@@ -249,6 +249,41 @@ func TestClassMaxLoads(t *testing.T) {
 	}
 }
 
+// TestDuplicateClassesRejected: a capacity class listed twice in one
+// class list would be observed twice per repetition (a max fraction of
+// 1.75 over 8 repetitions, 16 observations in the max-load
+// accumulator), so validation rejects it, naming the field and index.
+func TestDuplicateClassesRejected(t *testing.T) {
+	arr, err := bins.TwoClass(24, 1, 8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"TrackClasses[1]", Config{TrackClasses: []int64{10, 10}}},
+		{"ClassMaxLoads[2]", Config{ClassMaxLoads: []int64{1, 10, 1}}},
+		{"ClassLoadVectors[1]", Config{ClassLoadVectors: []int64{10, 10}}},
+	} {
+		tc.cfg.Array, tc.cfg.Reps = arr, 8
+		for _, e := range []Engine{EngineClassic, EngineClosedForm} {
+			spec := RunSpec{Config: tc.cfg, Engine: e}
+			if e == EngineClosedForm {
+				spec.Placer = protocol.SingleFactory()
+			}
+			if _, err := Dispatch(spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s %s: err = %v, want a rejection naming %s", e, tc.field, err, tc.field)
+			}
+		}
+	}
+	// The same class in two different lists is two observables.
+	res, err := runClassic(Config{Array: arr, Reps: 8, TrackClasses: []int64{10}, ClassMaxLoads: []int64{10}})
+	if err != nil || res.ClassMaxLoad[10].N() != 8 || res.ClassMaxFraction[10] > 1 {
+		t.Fatalf("err = %v, class 10: %v observations, max fraction %v", err, res.ClassMaxLoad[10].N(), res.ClassMaxFraction[10])
+	}
+}
+
 // TestDispatchCancelledPassthrough: a dead context yields the engine's
 // partial plus a *CancelledError, with the engine recorded.
 func TestDispatchCancelledPassthrough(t *testing.T) {

@@ -94,7 +94,7 @@ func shardPlan(weights []float64, n, shards int) (bounds []int, shardW []float64
 
 // placeShardSegments runs one shard's placement, segmented at the
 // block-aligned cuts (cuts[k][s]), recording the shard-local running
-// max into track[k][s]. Segmenting PlaceBatch never moves a draw —
+// max into maxAt[k][s]. Segmenting PlaceBatch never moves a draw —
 // PlaceBatch(a)+PlaceBatch(b) consumes exactly the draws of
 // PlaceBatch(a+b) — so the final state is bit-identical with and
 // without checkpoints (pinned by tests). With no cuts it is a single
@@ -102,7 +102,7 @@ func shardPlan(weights []float64, n, shards int) (bounds []int, shardW []float64
 // completed cuts — the bookkeeping behind a cancelled partial's cut
 // prefix — and whether the whole count was placed (false only under
 // cancellation).
-func placeShardSegments(cc *canceller, eng string, rep int, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64, s int, cuts [][]int64, track [][]float64) (cutsDone int, ok bool) {
+func placeShardSegments(cc *canceller, eng string, rep int, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64, s int, cuts [][]int64, maxAt [][]cutMax) (cutsDone int, ok bool) {
 	placed := int64(0)
 	for k := range cuts {
 		cut := cuts[k][s]
@@ -111,7 +111,7 @@ func placeShardSegments(cc *canceller, eng string, rep int, placer protocol.Plac
 		}
 		placed = cut
 		if cut > 0 {
-			track[k][s] = view.MaxLoad()
+			maxAt[k][s].v = view.MaxLoad()
 		}
 	}
 	if !placeSegment(cc, eng, rep, s, placer, view, rs, count-placed) {
@@ -149,20 +149,4 @@ func placeSegment(cc *canceller, eng string, rep, s int, placer protocol.Placer,
 		placed += n
 	}
 	return true
-}
-
-// combineShardMaxima reduces the per-shard cut maxima spatially:
-// out[k] = max over shards of track[k][s] — a pure max in shard
-// order, order-independent for finite floats, so any worker schedule
-// that filled track produces the same combination.
-func combineShardMaxima(track [][]float64, out []float64) {
-	for k := range track {
-		max := 0.0
-		for _, v := range track[k] {
-			if v > max {
-				max = v
-			}
-		}
-		out[k] = max
-	}
 }

@@ -75,11 +75,9 @@ type monteState struct {
 	histAll *bins.LoadHistogram
 
 	// Observation scratch over the nCuts reached ball-count cuts,
-	// allocated once and reused across repetitions (all nil/empty when
-	// not requested).
-	cutBalls []int64     // realised balls per cut
-	track    [][]float64 // [cut][shard] shard-local running max at cut
-	cpMax    []float64   // combined whole-array max per cut
+	// allocated once and reused across repetitions (nil when not
+	// requested); the shard maxima at the cuts are the driver's cutMax.
+	cutBalls []int64 // realised balls per cut
 	// cutsDone[s] is how many cuts shard s fully placed and tracked in
 	// the current repetition (nil unless cancellation is armed and a
 	// cut is reachable).
@@ -102,9 +100,7 @@ func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 	st.avg = float64(st.m) / float64(st.totalCap)
 	st.shardMax = make([]float64, sh.shards)
 	if st.nCuts > 0 {
-		st.track = grid[float64](st.nCuts, sh.shards)
 		st.cutBalls = make([]int64, st.nCuts)
-		st.cpMax = make([]float64, st.nCuts)
 		if st.cc != nil {
 			st.cutsDone = make([]int, sh.shards)
 		}
@@ -157,11 +153,10 @@ func (st *monteState) cutPrefix() (int, []obs.CheckpointRow) {
 		return 0, nil
 	}
 	cp := obs.NewCheckpoints(st.cuts[:done])
-	combineShardMaxima(st.track[:done], st.cpMax[:done])
 	for k := 0; k < done; k++ {
 		// An empty block-aligned realisation saw no state at the cut.
 		if st.cutBalls[k] != 0 {
-			cp.Observe(k, st.cutBalls[k], st.totalCap, st.cpMax[k])
+			cp.Observe(k, st.cutBalls[k], st.totalCap, st.cutTop(k))
 		}
 	}
 	return done, cp.Rows()
@@ -196,7 +191,7 @@ func (st *monteState) exec(kind, s, _ int) error {
 		if rp, ok := st.placers[s].(interface{ Reset() }); ok {
 			rp.Reset()
 		}
-		done, _ := placeShardSegments(st.cc, engRunLargeMC, st.step, st.placers[s], st.views[s], &st.rands[s].Rand, st.counts[s], s, st.prefix, st.track)
+		done, _ := placeShardSegments(st.cc, engRunLargeMC, st.step, st.placers[s], st.views[s], &st.rands[s].Rand, st.counts[s], s, st.prefix, st.cutMax)
 		if st.cutsDone != nil {
 			st.cutsDone[s] = done
 		}
@@ -234,7 +229,6 @@ func (st *monteState) exec(kind, s, _ int) error {
 		// shard-local maxima the placement tasks took is the
 		// whole-array max, bit for bit.
 		st.max = slices.Max(st.shardMax)
-		combineShardMaxima(st.track, st.cpMax)
 	case monteFold:
 		if fault.Enabled {
 			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpOrchestrator, Rep: st.step, Shard: -1, Block: -1})
@@ -258,7 +252,7 @@ func (st *monteState) fold() error {
 		// no state at the cut; skip it (like a cut beyond m) so zeros
 		// never contaminate the maxima aggregates.
 		if st.cutBalls[k] != 0 {
-			st.col.cp.Observe(k, st.cutBalls[k], st.totalCap, st.cpMax[k])
+			st.col.cp.Observe(k, st.cutBalls[k], st.totalCap, st.cutTop(k))
 		}
 	}
 	if st.ss != nil {
@@ -285,8 +279,8 @@ func (st *monteState) runStep(rep int) (ok bool, err error) {
 	if st.nCuts > 0 {
 		obs.AlignShardCuts(st.prefix, protocol.BlockSize, st.cutBalls)
 	}
-	for k := range st.track {
-		clear(st.track[k])
+	for k := range st.cutMax {
+		clear(st.cutMax[k])
 	}
 	clear(st.shardMax)
 	for s := range st.views {

@@ -5,14 +5,17 @@
 // goroutine, so the complete fold state after repetitions [0, k) is a
 // small, well-defined value: the three result accumulators, the
 // running load-vector sums and every collector row. MonteCheckpoint
-// serializes exactly that state. Because JSON round-trips float64
-// exactly (Go emits the shortest representation that parses back to
-// the same bits) and Welford state is always finite for finite inputs,
-// a run resumed from repetition k is byte-identical to one that was
-// never interrupted: the fold after restore continues on bit-identical
-// accumulator state, in the same repetition order, with the same
-// per-repetition RNG streams (repetition rep's streams depend only on
-// (Seed, rep), never on where the run started).
+// holds exactly that state as the collectors keep it — accumulators
+// and obs rows, encoded by their own JSON methods and keys — so
+// capture and restore copy rows whole, with no mirror types. Because
+// JSON round-trips float64 exactly (Go emits the shortest
+// representation that parses back to the same bits) and Welford state
+// is always finite for finite inputs, a run resumed from repetition k
+// is byte-identical to one that was never interrupted: the fold after
+// restore continues on bit-identical accumulator state, in the same
+// repetition order, with the same per-repetition RNG streams
+// (repetition rep's streams depend only on (Seed, rep), never on where
+// the run started).
 //
 // A fingerprint of the generating configuration — capacities, seed,
 // shard count, ball count, collector shapes — is stored alongside the
@@ -83,41 +86,22 @@ func capHash(a *bins.Array) uint64 {
 	return h.Sum64()
 }
 
-// checkpointRowState serializes one obs.CheckpointRow.
-type checkpointRowState struct {
-	Balls     int64                  `json:"balls"`
-	RealBalls stats.AccumulatorState `json:"realBalls"`
-	MaxLoad   stats.AccumulatorState `json:"maxLoad"`
-	Deviation stats.AccumulatorState `json:"deviation"`
-}
-
-// heightRowState serializes one obs.HeightRow.
-type heightRowState struct {
-	Level int64                  `json:"level"`
-	Bins  stats.AccumulatorState `json:"bins"`
-}
-
-// shardRowState serializes one obs.ShardRow.
-type shardRowState struct {
-	Shard   int                    `json:"shard"`
-	Balls   stats.AccumulatorState `json:"balls"`
-	MaxLoad stats.AccumulatorState `json:"maxLoad"`
-}
-
 // MonteCheckpoint is the complete, serializable fold state of a
 // sharded run after repetitions [0, CompletedReps) have been
 // folded. Feed it back through RunSpec.Resume to continue the
 // run; the final aggregates are then byte-identical to an
-// uninterrupted run (see the file comment for why).
+// uninterrupted run (see the file comment for why). It holds the
+// collector state itself: accumulators encode as their
+// stats.AccumulatorState, rows under their obs JSON keys.
 type MonteCheckpoint struct {
 	Version       int              `json:"version"`
 	Fingerprint   MonteFingerprint `json:"fingerprint"`
 	CompletedReps int              `json:"completedReps"`
 
 	// The three result-level accumulators.
-	MaxLoad   stats.AccumulatorState `json:"maxLoad"`
-	AvgLoad   stats.AccumulatorState `json:"avgLoad"`
-	Deviation stats.AccumulatorState `json:"deviation"`
+	MaxLoad   stats.Accumulator `json:"maxLoad"`
+	AvgLoad   stats.Accumulator `json:"avgLoad"`
+	Deviation stats.Accumulator `json:"deviation"`
 
 	// SortedLoads state (only when CollectLoadVector): the running
 	// element-wise sums of the non-increasing load vector, plus the
@@ -126,22 +110,23 @@ type MonteCheckpoint struct {
 	LoadReps int64     `json:"loadReps,omitempty"`
 
 	// Collector rows, in their canonical orders.
-	Checkpoints []checkpointRowState `json:"checkpoints,omitempty"`
-	Heights     []heightRowState     `json:"heights,omitempty"`
-	Shards      []shardRowState      `json:"shards,omitempty"`
+	Checkpoints []obs.CheckpointRow `json:"checkpoints,omitempty"`
+	Heights     []obs.HeightRow     `json:"heights,omitempty"`
+	Shards      []obs.ShardRow      `json:"shards,omitempty"`
 }
 
 // captureMonteCheckpoint snapshots the fold state of a run whose pool
-// has shut down.
+// has shut down. The rows are copies: the partial Result shares the
+// collectors' own.
 func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteState) *MonteCheckpoint {
 	col := &st.col
 	cp := &MonteCheckpoint{
 		Version:       monteCheckpointVersion,
 		Fingerprint:   fp,
 		CompletedReps: completed,
-		MaxLoad:       col.maxLoad.State(),
-		AvgLoad:       col.avgLoad.State(),
-		Deviation:     col.deviation.State(),
+		MaxLoad:       col.maxLoad,
+		AvgLoad:       col.avgLoad,
+		Deviation:     col.deviation,
 	}
 	if col.loads != nil {
 		sum, n := col.loads.State()
@@ -149,41 +134,22 @@ func captureMonteCheckpoint(fp MonteFingerprint, completed int, st *monteState) 
 		cp.LoadReps = n
 	}
 	if col.cp != nil {
-		rows := col.cp.Rows()
-		cp.Checkpoints = make([]checkpointRowState, len(rows))
-		for i := range rows {
-			cp.Checkpoints[i] = checkpointRowState{
-				Balls:     rows[i].Balls,
-				RealBalls: rows[i].RealBalls.State(),
-				MaxLoad:   rows[i].MaxLoad.State(),
-				Deviation: rows[i].Deviation.State(),
-			}
-		}
+		cp.Checkpoints = slices.Clone(col.cp.Rows())
 	}
 	if col.hl != nil {
-		rows := col.hl.Rows()
-		cp.Heights = make([]heightRowState, len(rows))
-		for i := range rows {
-			cp.Heights[i] = heightRowState{Level: rows[i].Level, Bins: rows[i].Bins.State()}
-		}
+		cp.Heights = slices.Clone(col.hl.Rows())
 	}
 	if st.ss != nil {
-		rows := st.ss.Rows()
-		cp.Shards = make([]shardRowState, len(rows))
-		for i := range rows {
-			cp.Shards[i] = shardRowState{
-				Shard:   rows[i].Shard,
-				Balls:   rows[i].Balls.State(),
-				MaxLoad: rows[i].MaxLoad.State(),
-			}
-		}
+		cp.Shards = slices.Clone(st.ss.Rows())
 	}
 	return cp
 }
 
 // restore loads the checkpointed fold state into a freshly built run
 // state (whose collectors already have the shapes the fingerprint
-// promised). It runs before the first repetition.
+// promised). It runs before the first repetition. Rows are copied
+// whole, so each must sit at the cut, level or shard the run's row in
+// its place names.
 func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteState) error {
 	if cp.Version != monteCheckpointVersion {
 		return fmt.Errorf("sim: resume checkpoint version %d, this build reads %d", cp.Version, monteCheckpointVersion)
@@ -198,9 +164,7 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteState) error {
 		return fmt.Errorf("sim: resume checkpoint covers %d repetitions, run has only %d", cp.CompletedReps, st.steps)
 	}
 	col := &st.col
-	col.maxLoad.Restore(cp.MaxLoad)
-	col.avgLoad.Restore(cp.AvgLoad)
-	col.deviation.Restore(cp.Deviation)
+	col.maxLoad, col.avgLoad, col.deviation = cp.MaxLoad, cp.AvgLoad, cp.Deviation
 	// The array is fixed, so balls and capacity are the same constant
 	// in every repetition: the checkpoint need not carry them.
 	col.balls.AddN(float64(st.m), int64(cp.CompletedReps))
@@ -208,39 +172,32 @@ func (cp *MonteCheckpoint) restore(fp MonteFingerprint, st *monteState) error {
 	if col.loads != nil {
 		col.loads = obs.RestoreSortedLoads(cp.LoadSums, cp.LoadReps)
 	}
+	var err error
 	if col.cp != nil {
-		rows := col.cp.Rows()
-		if len(cp.Checkpoints) != len(rows) {
-			return fmt.Errorf("sim: resume checkpoint has %d checkpoint rows, run has %d", len(cp.Checkpoints), len(rows))
-		}
-		for i := range rows {
-			if rows[i].Balls != cp.Checkpoints[i].Balls {
-				return fmt.Errorf("sim: resume checkpoint row %d at %d balls, run expects %d", i, cp.Checkpoints[i].Balls, rows[i].Balls)
-			}
-			rows[i].RealBalls.Restore(cp.Checkpoints[i].RealBalls)
-			rows[i].MaxLoad.Restore(cp.Checkpoints[i].MaxLoad)
-			rows[i].Deviation.Restore(cp.Checkpoints[i].Deviation)
+		err = restoreRows("cut", col.cp.Rows(), cp.Checkpoints, func(r *obs.CheckpointRow) int64 { return r.Balls })
+	}
+	if col.hl != nil && err == nil {
+		err = restoreRows("height", col.hl.Rows(), cp.Heights, func(r *obs.HeightRow) int64 { return r.Level })
+	}
+	if st.ss != nil && err == nil {
+		err = restoreRows("shard", st.ss.Rows(), cp.Shards, func(r *obs.ShardRow) int64 { return int64(r.Shard) })
+	}
+	return err
+}
+
+// restoreRows copies the checkpoint's rows of one collector over the
+// run's after checking that they match one for one: the same count,
+// and each row keyed (by key: its cut, level or shard) like the run's.
+func restoreRows[R any](what string, rows, saved []R, key func(*R) int64) error {
+	if len(saved) != len(rows) {
+		return fmt.Errorf("sim: resume checkpoint has %d %s rows, run has %d", len(saved), what, len(rows))
+	}
+	for i := range rows {
+		if got, want := key(&saved[i]), key(&rows[i]); got != want {
+			return fmt.Errorf("sim: resume checkpoint %s row %d at %d, run expects %d", what, i, got, want)
 		}
 	}
-	if col.hl != nil {
-		rows := col.hl.Rows()
-		if len(cp.Heights) != len(rows) {
-			return fmt.Errorf("sim: resume checkpoint has %d height rows, run has %d", len(cp.Heights), len(rows))
-		}
-		for i := range rows {
-			rows[i].Bins.Restore(cp.Heights[i].Bins)
-		}
-	}
-	if st.ss != nil {
-		rows := st.ss.Rows()
-		if len(cp.Shards) != len(rows) {
-			return fmt.Errorf("sim: resume checkpoint has %d shard rows, run has %d", len(cp.Shards), len(rows))
-		}
-		for i := range rows {
-			rows[i].Balls.Restore(cp.Shards[i].Balls)
-			rows[i].MaxLoad.Restore(cp.Shards[i].MaxLoad)
-		}
-	}
+	copy(rows, saved)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -252,5 +253,291 @@ func TestMonteResumeRejectsMismatch(t *testing.T) {
 	bad.Resume = &stale
 	if _, err := runLargeMonte(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("stale version accepted (err = %v)", err)
+	}
+}
+
+// monteCheckpointGolden is the resume file of goldenCheckpointSpec
+// cancelled after 3 of its 6 repetitions, as WriteFile writes it:
+// version 1, every collector on, one cut beyond m (an empty row). A
+// change here breaks every resume file already on disk.
+const monteCheckpointGolden = `{
+ "version": 1,
+ "fingerprint": {
+  "n": 12,
+  "shards": 2,
+  "balls": 2000,
+  "seed": 20261018,
+  "totalCapacity": 66,
+  "capHash": 10234526472695490565,
+  "checkpoints": [
+   500,
+   1500,
+   3000
+  ],
+  "heightLevels": 3,
+  "collectLoadVector": true,
+  "shardStats": true
+ },
+ "completedReps": 3,
+ "maxLoad": {
+  "n": 3,
+  "mean": 34.56666666666667,
+  "m2": 22.926666666666648,
+  "min": 30.7,
+  "max": 37
+ },
+ "avgLoad": {
+  "n": 3,
+  "mean": 30.303030303030305,
+  "m2": 0,
+  "min": 30.303030303030305,
+  "max": 30.303030303030305
+ },
+ "deviation": {
+  "n": 3,
+  "mean": 4.263636363636362,
+  "m2": 22.926666666666673,
+  "min": 0.39696969696969475,
+  "max": 6.6969696969696955
+ },
+ "loadSums": [
+  103.7,
+  100.7,
+  100.7,
+  100.6,
+  99.5,
+  99.5,
+  88.9,
+  87.8,
+  86.69999999999999,
+  86.69999999999999,
+  85.5,
+  85.3
+ ],
+ "loadReps": 3,
+ "checkpoints": [
+  {
+   "balls": 500,
+   "realBalls": {
+    "n": 3,
+    "mean": 256,
+    "m2": 0,
+    "min": 256,
+    "max": 256
+   },
+   "maxLoad": {
+    "n": 3,
+    "mean": 4.366666666666667,
+    "m2": 0.006666666666666768,
+    "min": 4.3,
+    "max": 4.4
+   },
+   "deviation": {
+    "n": 3,
+    "mean": 0.48787878787878797,
+    "m2": 0.00666666666666674,
+    "min": 0.4212121212121209,
+    "max": 0.5212121212121215
+   }
+  },
+  {
+   "balls": 1500,
+   "realBalls": {
+    "n": 3,
+    "mean": 1280,
+    "m2": 0,
+    "min": 1280,
+    "max": 1280
+   },
+   "maxLoad": {
+    "n": 3,
+    "mean": 21.466666666666665,
+    "m2": 0.026666666666667307,
+    "min": 21.4,
+    "max": 21.6
+   },
+   "deviation": {
+    "n": 3,
+    "mean": 2.072727272727272,
+    "m2": 0.026666666666667442,
+    "min": 2.006060606060604,
+    "max": 2.206060606060607
+   }
+  },
+  {
+   "balls": 3000,
+   "realBalls": {
+    "n": 0,
+    "mean": 0,
+    "m2": 0,
+    "min": 0,
+    "max": 0
+   },
+   "maxLoad": {
+    "n": 0,
+    "mean": 0,
+    "m2": 0,
+    "min": 0,
+    "max": 0
+   },
+   "deviation": {
+    "n": 0,
+    "mean": 0,
+    "m2": 0,
+    "min": 0,
+    "max": 0
+   }
+  }
+ ],
+ "heights": [
+  {
+   "level": 1,
+   "bins": {
+    "n": 3,
+    "mean": 12,
+    "m2": 0,
+    "min": 12,
+    "max": 12
+   }
+  },
+  {
+   "level": 2,
+   "bins": {
+    "n": 3,
+    "mean": 12,
+    "m2": 0,
+    "min": 12,
+    "max": 12
+   }
+  },
+  {
+   "level": 3,
+   "bins": {
+    "n": 3,
+    "mean": 12,
+    "m2": 0,
+    "min": 12,
+    "max": 12
+   }
+  }
+ ],
+ "shards": [
+  {
+   "shard": 0,
+   "balls": {
+    "n": 3,
+    "mean": 194.66666666666666,
+    "m2": 1544.6666666666667,
+    "min": 163,
+    "max": 215
+   },
+   "maxLoad": {
+    "n": 3,
+    "mean": 34,
+    "m2": 38,
+    "min": 29,
+    "max": 37
+   }
+  },
+  {
+   "shard": 1,
+   "balls": {
+    "n": 3,
+    "mean": 1805.3333333333333,
+    "m2": 1544.6666666666654,
+    "min": 1785,
+    "max": 1837
+   },
+   "maxLoad": {
+    "n": 3,
+    "mean": 30.2,
+    "m2": 0.3799999999999984,
+    "min": 29.9,
+    "max": 30.7
+   }
+  }
+ ]
+}
+`
+
+// goldenCheckpointSpec is the run behind monteCheckpointGolden.
+func goldenCheckpointSpec(t *testing.T) RunSpec {
+	return RunSpec{
+		Config: Config{
+			Array:             largeArray(t, 12),
+			Balls:             2000,
+			Seed:              20261018,
+			Workers:           2,
+			ObsOptions:        ObsOptions{Checkpoints: []int64{500, 1500, 3000}, HeightLevels: 3},
+			Reps:              6,
+			CollectLoadVector: true,
+		},
+		Shards:     2,
+		ShardStats: true,
+	}
+}
+
+// TestMonteCheckpointFormatGolden pins the resume file format: a
+// cancelled run writes exactly the recorded bytes, the recorded file
+// resumes to aggregates identical to an uninterrupted run, and restore
+// rejects rows keyed to another cut, level or shard.
+func TestMonteCheckpointFormatGolden(t *testing.T) {
+	spec := goldenCheckpointSpec(t)
+	full, err := runLargeMonte(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := spec
+	interrupted.CancelAfter = 3
+	_, err = runLargeMonte(interrupted)
+	var cerr *CancelledError
+	if !errors.As(err, &cerr) || cerr.Checkpoint == nil {
+		t.Fatalf("err = %v, want a checkpoint-carrying *CancelledError", err)
+	}
+	dir := t.TempDir()
+	written := filepath.Join(dir, "written.json")
+	if err := cerr.Checkpoint.WriteFile(written); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(written); err != nil || string(got) != monteCheckpointGolden {
+		t.Fatalf("WriteFile bytes differ from the recorded format (err %v):\n%s", err, got)
+	}
+
+	recorded := filepath.Join(dir, "recorded.json")
+	if err := os.WriteFile(recorded, []byte(monteCheckpointGolden), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *MonteCheckpoint {
+		cp, err := ReadMonteCheckpoint(recorded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	resumed := spec
+	resumed.Resume = load()
+	res, err := runLargeMonte(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, full) {
+		t.Fatalf("resuming the recorded file changed the aggregates:\n got  %+v\n want %+v", res, full)
+	}
+
+	for _, tc := range []struct {
+		name string
+		mod  func(cp *MonteCheckpoint)
+	}{
+		{"cut", func(cp *MonteCheckpoint) { cp.Checkpoints[1].Balls = 1000 }},
+		{"height level", func(cp *MonteCheckpoint) { cp.Heights[2].Level = 4 }},
+		{"shard", func(cp *MonteCheckpoint) { cp.Shards[0], cp.Shards[1] = cp.Shards[1], cp.Shards[0] }},
+		{"row count", func(cp *MonteCheckpoint) { cp.Heights = cp.Heights[:2] }},
+	} {
+		bad := spec
+		bad.Resume = load()
+		tc.mod(bad.Resume)
+		if _, err := runLargeMonte(bad); err == nil || !strings.Contains(err.Error(), "resume checkpoint") {
+			t.Errorf("%s mismatch: err = %v, want a resume checkpoint rejection", tc.name, err)
+		}
 	}
 }

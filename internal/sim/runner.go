@@ -57,11 +57,14 @@
 // step (a resumed run's restored prefix) with its step-boundary
 // CancelAfter stop and cancellation check, per-step re-seeding of the
 // shard placement streams, arrival routing up to the merged per-shard
-// counts and ball-count cut prefixes, the step-indexed observation
-// cut, the *CancelledError of an early stop, and the *Result of a
-// single trajectory. An engine supplies only its step body (runStep)
-// and its task bodies (exec); runStep commits the step last — Monte's
-// fold, the trajectory engines' counters — so an abandoned step leaves
+// counts and ball-count cut prefixes, the shard maxima at the cuts
+// (one padded [cut][shard] matrix: a row per ball-count cut for Monte,
+// one for the step cut), the step-indexed observation cut, the
+// *CancelledError of an early stop, and the *Result of a single
+// trajectory. An engine supplies only its step body (runStep) and its
+// task bodies (exec); runStep commits the step last — Monte's fold,
+// the trajectory engines' counters straight into the StreamResult or
+// ClusterResult they return a copy of — so an abandoned step leaves
 // the committed prefix untouched.
 package sim
 
@@ -445,7 +448,8 @@ type shardRand struct {
 }
 
 // cutMax is one shard's max load at a cut, padded to a cache line: the
-// observe tasks of neighbouring shards write theirs concurrently.
+// placement or observe tasks of neighbouring shards write theirs
+// concurrently.
 type cutMax struct {
 	v float64
 	_ [56]byte
@@ -514,7 +518,9 @@ type stepper struct {
 	cutBlocks, cutRems []int64
 	prefix             [][]int64
 	nextCut            int
-	cutMax             []cutMax // per-shard max load at the current step cut
+	// cutMax[k][s] is shard s's max load at cut k: a row per reachable
+	// ball-count cut, or one row for the step cut in flight.
+	cutMax [][]cutMax
 
 	// col is the run's collector set: Monte's repetition folds, a
 	// trajectory's cut rows and final state.
@@ -557,17 +563,19 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	if d.col, err = newCollectors(&spec.Config, d.cuts); err != nil {
 		return err
 	}
+	rows := 0
 	if eng == engRunLargeMC {
 		d.nCuts = obs.CountReached(d.cuts, maxM)
-		if d.nCuts > 0 {
+		if rows = d.nCuts; rows > 0 {
 			d.cutBlocks, d.cutRems = cutPlan(d.cuts[:d.nCuts])
 			d.prefix = grid[int64](d.nCuts, sh.shards)
 		}
 	} else {
 		d.nCuts = obs.CountReached(d.cuts, int64(steps))
-		if len(d.cuts) > 0 {
-			d.cutMax = make([]cutMax, sh.shards)
-		}
+		rows = min(d.nCuts, 1)
+	}
+	if rows > 0 {
+		d.cutMax = grid[cutMax](rows, sh.shards)
 	}
 	d.groups = newRouteGroups(sh.routeWidth(maxM), sh.shards, len(d.prefix))
 	for s := range d.views {
@@ -708,15 +716,24 @@ func (d *stepper) observe(balls int64) (ok bool, err error) {
 	if ok, err := d.phase(stepObserve, d.shards); !ok {
 		return false, err
 	}
+	d.col.cp.Observe(d.nextCut, balls, d.totalCap, d.cutTop(0))
+	d.nextCut++
+	return true, nil
+}
+
+// cutTop is the whole-array max load at cut row k: the max of the
+// shards' maxima — a pure max, order-independent for finite floats,
+// so any schedule that filled the row gives the same value. Division
+// is correctly rounded, hence monotone, so it is the whole-array
+// max's bits.
+func (d *stepper) cutTop(k int) float64 {
 	top := 0.0
-	for i := range d.cutMax {
-		if v := d.cutMax[i].v; v > top {
+	for i := range d.cutMax[k] {
+		if v := d.cutMax[k][i].v; v > top {
 			top = v
 		}
 	}
-	d.col.cp.Observe(d.nextCut, balls, d.totalCap, top)
-	d.nextCut++
-	return true, nil
+	return top
 }
 
 // stepExec runs the driver's own task kinds; engines' exec methods
@@ -728,9 +745,10 @@ func (d *stepper) stepExec(kind, idx int) (err error) {
 		g.reset()
 		g.route(d.cc, d.ph.engine, d.step, d.rrbase, d.router, d.curM, idx, d.rgr, d.cutBlocks, d.cutRems)
 	case stepObserve:
-		d.cutMax[idx].v = 0
+		m := &d.cutMax[0][idx]
+		m.v = 0
 		if v := d.views[idx]; v != nil {
-			d.cutMax[idx].v = v.MaxLoad()
+			m.v = v.MaxLoad()
 		}
 	case stepSetup:
 		// Per-shard placer builds (alias tables, O(shard size) each),

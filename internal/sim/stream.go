@@ -331,13 +331,9 @@ type streamState struct {
 	fixedM int64   // per-round arrivals when no schedule is set
 	sched  []int64 // explicit schedule (nil when fixedM applies)
 
-	// Committed prefix: updated only when a round completes, so a
-	// cancelled run reports exactly the completed-round state.
-	arrived int64
-	deleted int64
-	moved   int64
-	ctotal  int64
-	csballs []int64
+	// res is the committed prefix, updated only when a round completes,
+	// so a cancelled run reports exactly the completed-round state.
+	res StreamResult
 }
 
 // runStream executes one streaming run of spec.Stream's rounds: the
@@ -372,7 +368,7 @@ func runStream(spec *RunSpec) (*Result, error) {
 	st.kk, st.placeAt = uint64(3*shards+2), 1
 
 	st.sballs = make([]int64, shards)
-	st.csballs = make([]int64, shards)
+	st.res.ShardBalls = make([]int64, shards)
 	st.delQuota = make([]int64, shards)
 	st.moveOut = make([]int64, shards)
 	st.moveIn = make([]int64, shards)
@@ -409,18 +405,12 @@ func runStream(spec *RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := st.result(st.ctotal, cerr == nil)
+	res, err := st.result(st.res.Balls, cerr == nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Stream = &StreamResult{
-		Rounds:     st.done,
-		Arrived:    st.arrived,
-		Deleted:    st.deleted,
-		Moved:      st.moved,
-		Balls:      st.ctotal,
-		ShardBalls: st.csballs,
-	}
+	counters := st.res
+	res.Stream = &counters
 	if cerr != nil {
 		return res, cerr
 	}
@@ -645,10 +635,12 @@ func (st *streamState) runStep(r int) (ok bool, err error) {
 	}
 
 	// Commit: the round is now part of the result prefix.
-	st.arrived += m
-	st.deleted += st.del
-	st.moved += moved
-	st.ctotal = st.total
-	copy(st.csballs, st.sballs)
+	c := &st.res
+	c.Rounds = r + 1
+	c.Arrived += m
+	c.Deleted += st.del
+	c.Moved += moved
+	c.Balls = st.total
+	copy(c.ShardBalls, st.sballs)
 	return true, nil
 }

@@ -9,6 +9,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -122,8 +123,8 @@ func (a *Accumulator) StdErr() float64 {
 // interval for the mean.
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
 
-// AccumulatorState is the exported, serializable snapshot of an
-// Accumulator — the checkpoint/resume subsystem persists fold state
+// AccumulatorState is the exported snapshot of an Accumulator and its
+// JSON form — the checkpoint/resume subsystem persists fold state
 // through it. All fields are finite for any sequence of finite Add
 // inputs, so JSON (which round-trips float64 exactly but rejects
 // NaN/Inf) is a safe carrier.
@@ -140,11 +141,19 @@ func (a *Accumulator) State() AccumulatorState {
 	return AccumulatorState{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max}
 }
 
-// Restore overwrites the accumulator with a snapshot. A restored
-// accumulator continues bit-identically: State→Restore→Add(x…) equals
-// Add(x…) on the original.
-func (a *Accumulator) Restore(st AccumulatorState) {
+// MarshalJSON encodes the accumulator as its AccumulatorState.
+func (a Accumulator) MarshalJSON() ([]byte, error) { return json.Marshal(a.State()) }
+
+// UnmarshalJSON overwrites the accumulator with an encoded
+// AccumulatorState. A decoded accumulator continues bit-identically:
+// encode→decode→Add(x…) equals Add(x…) on the original.
+func (a *Accumulator) UnmarshalJSON(data []byte) error {
+	var st AccumulatorState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
 	a.n, a.mean, a.m2, a.min, a.max = st.N, st.Mean, st.M2, st.Min, st.Max
+	return nil
 }
 
 // Summary is a one-shot description of a sample.
@@ -208,8 +217,8 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	frac := float64(pos) - float64(lo)
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Histogram is a fixed-width histogram over [Lo, Hi); observations outside
@@ -275,7 +284,7 @@ func (h *Histogram) Total() int64 {
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
+	return h.Lo + float64((float64(i)+0.5)*h.width)
 }
 
 // LinearFit holds an ordinary-least-squares line y = Slope·x + Intercept.
@@ -302,15 +311,15 @@ func Linear(xs, ys []float64) (LinearFit, error) {
 	var sxx, sxy, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return LinearFit{}, fmt.Errorf("stats: all x values identical")
 	}
 	slope := sxy / sxx
-	fit := LinearFit{Slope: slope, Intercept: my - slope*mx}
+	fit := LinearFit{Slope: slope, Intercept: my - float64(slope*mx)}
 	if syy == 0 {
 		fit.R2 = 1 // perfectly flat data, perfectly fit by a flat line
 	} else {

@@ -111,7 +111,7 @@ func BinomialPMF(n int, p float64, k int) float64 {
 		}
 		return 0
 	}
-	logPmf := logChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
+	logPmf := logChoose(n, k) + float64(float64(k)*math.Log(p)) + float64(float64(n-k)*math.Log(1-p))
 	return math.Exp(logPmf)
 }
 
@@ -163,6 +163,6 @@ func ChiSquareCritical(df int, alpha float64) (float64, error) {
 		return 0, fmt.Errorf("stats: unsupported alpha %v", alpha)
 	}
 	d := float64(df)
-	t := 1 - 2/(9*d) + z*math.Sqrt(2/(9*d))
+	t := 1 - 2/(9*d) + float64(z*math.Sqrt(2/(9*d)))
 	return d * t * t * t, nil
 }

@@ -11,7 +11,9 @@
 # compiles each package for arm64 (compile only: no arm64 machine, no
 # network) and fails on any FMADDD, FMSUBD, FNMADDD or FNMSUBD in its
 # assembly. Inlined code counts where it lands: stats' Welford update
-# is audited through sim and obs, which inline it.
+# is audited through sim and obs, which inline it, and stats itself is
+# audited for its quantiles, histogram centres, fits and test
+# statistics.
 #
 # Usage: scripts/fma_audit.sh
 set -eu
@@ -38,7 +40,8 @@ audit ./internal/sampling 'binomialBTRS'
 audit ./internal/sim 'BallCount'
 audit ./internal/xrand 'Exp'
 audit ./internal/obs 'SnapshotHist'
+audit ./internal/stats 'Linear'
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "fma_audit: no fused multiply-add in the arm64 builds of sampling, sim, xrand and obs"
+echo "fma_audit: no fused multiply-add in the arm64 builds of sampling, sim, xrand, obs and stats"

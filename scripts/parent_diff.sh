@@ -15,7 +15,8 @@
 # The list covers the classic engine (checkpoints, heights), the single
 # sharded game (plain and observed), sharded Monte-Carlo runs
 # (checkpoints, heights, load vectors, distributions, protocols,
-# -cancel-after-reps and a cancel-then-resume round trip), streaming
+# -cancel-after-reps and a cancel-then-resume round trip whose resume
+# files must match and cross-resume), streaming
 # runs (deletions, rebalance, -cancel-after-rounds), serving runs
 # (churn, retries, shedding, -cancel-after-ticks) and the chunk
 # engines' class, random-array and height observables through bnbfig.
@@ -121,20 +122,37 @@ done
 
 # Cancel-then-resume: each build interrupts a Monte-Carlo run after 4
 # repetitions, writing its resume state, then finishes it from that
-# state; the cancelled and the resumed stdout must both match.
+# state; the cancelled and the resumed stdout must both match. The two
+# resume files must be byte-identical, and each build must finish the
+# file the other wrote to the same stdout, so a drift in the resume
+# format fails here even when each build reads its own files back.
 MONTE="-spec $SPEC -seed $SEED -large -shards 4 -reps 9 -checkpoints $CPS -heights 4 -loads"
 for side in old new; do
 	rm -f "$TMP/$side-resume.json"
 	run "$TMP/$side-bnbsim" "$TMP/$side-cancel.txt" $MONTE -workers 3 -resume "$TMP/$side-resume.json" -cancel-after-reps 4
-	run "$TMP/$side-bnbsim" "$TMP/$side-resumed.txt" $MONTE -workers 1 -resume "$TMP/$side-resume.json"
 done
 same=1
-for phase in cancel resumed; do
+if ! cmp "$TMP/old-resume.json" "$TMP/new-resume.json"; then
+	echo "RESUME FILE CHANGED vs $REV" >&2
+	same=0
+fi
+for side in old new; do
+	other=new
+	[ "$side" = new ] && other=old
+	cp "$TMP/$other-resume.json" "$TMP/$side-cross.json"
+	run "$TMP/$side-bnbsim" "$TMP/$side-resumed.txt" $MONTE -workers 1 -resume "$TMP/$side-resume.json"
+	run "$TMP/$side-bnbsim" "$TMP/$side-crossed.txt" $MONTE -workers 1 -resume "$TMP/$side-cross.json"
+done
+for phase in cancel resumed crossed; do
 	if ! diff -u "$TMP/old-$phase.txt" "$TMP/new-$phase.txt"; then
 		echo "OUTPUT CHANGED vs $REV: cancel-then-resume ($phase)" >&2
 		same=0
 	fi
 done
+if ! diff -u "$TMP/new-resumed.txt" "$TMP/new-crossed.txt"; then
+	echo "OUTPUT CHANGED vs $REV: resuming the $REV resume file" >&2
+	same=0
+fi
 record "cancel-then-resume: bnbsim $MONTE" "$same"
 
 if [ "$changed" -gt 0 ]; then
