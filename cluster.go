@@ -29,9 +29,10 @@ type ClusterConfig struct {
 	// Capacities of the servers (required): Capacities[i] is server
 	// i's per-tick service rate AND its ring weight.
 	Capacities []int64
-	// Ticks is the simulation horizon (>= 1).
+	// Ticks is the simulation horizon, in [1, 2^31−1].
 	Ticks int
-	// Arrivals is the number of requests offered per tick (>= 0).
+	// Arrivals is the number of requests offered per tick (>= 0);
+	// Ticks·Arrivals may total at most 2^62.
 	Arrivals int64
 	// VnodesPerUnit is the ring density: virtual nodes per unit of
 	// capacity (0 = engine default).
@@ -45,7 +46,8 @@ type ClusterConfig struct {
 	// ShedThreshold·(live capacity) are shed at the door.
 	ShedThreshold float64
 	// LatencyMax is the latency histogram's top exact bucket in ticks
-	// (0 = engine default); longer latencies share one overflow bucket.
+	// (0 = engine default, at most 65,536); longer latencies share one
+	// overflow bucket.
 	LatencyMax int
 	// Seed is the base seed (default 1). Substream 0 builds the ring;
 	// every tick consumes a frozen window of Shards+2 substreams

@@ -18,6 +18,7 @@ package bins
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 )
@@ -30,8 +31,8 @@ import (
 // handful of random bins per ball, and the packed layout makes each
 // touched bin exactly one cache line instead of two.
 //
-// The header fills one whole cache line. An engine allocates the shard
-// views of one array back to back, and every Add or Remove on a view
+// The header fills one whole cache line. The shard views of one array
+// may sit back to back in memory, and every Add or Remove on a view
 // writes its ball total m: without the pad, neighbouring shards' headers
 // would share a line that concurrent shard tasks false-share.
 type Array struct {
@@ -270,10 +271,12 @@ func (a *Array) LoadVectorInto(dst []float64) []float64 {
 // underlying bin storage — mutations through the view are visible to
 // the parent — while carrying its own capacity and ball totals computed
 // over the range. Disjoint shard views may be mutated concurrently
-// (none of the parent's methods may run while they are), which is the
-// substrate of the sharded single-run engine: each worker owns one
-// contiguous slice of one huge array. The parent's cached ball total
-// does not see balls added through views; call Recount on the parent
+// (none of the parent's other methods may run while they are), which
+// is the substrate of the sharded single-run engine: each worker owns
+// one contiguous slice of one huge array. Shard itself reads only bins
+// [lo, hi), so it may run while views disjoint from that range mutate.
+// The parent's cached ball total does not see balls added or removed
+// through views (a view's Reset included); call Recount on the parent
 // after the views quiesce.
 func (a *Array) Shard(lo, hi int) (*Array, error) {
 	if lo < 0 || hi > len(a.bins) || lo >= hi {
@@ -340,20 +343,31 @@ func (a *Array) SmallCapacity(r float64) int64 {
 	return cs
 }
 
+// denseClassBits is the capacity bound below which CapacityClasses
+// marks classes in a bitset (64 words, on the stack): one shift and OR
+// per bin, whatever the class count.
+const denseClassBits = 64 * 64
+
 // capacityClassScanLimit is the class count up to which CapacityClasses
-// dedupes by linear containment scan. Class sets are tiny (≤ 8 in the
-// paper), and a handful of predictable compares per bin is far cheaper
-// than hashing every one of n capacities; past the limit a map takes
-// over so adversarial inputs stay O(n).
+// dedupes capacities of denseClassBits or more by linear containment
+// scan. Such class sets are tiny in practice, and a handful of
+// predictable compares per bin is far cheaper than hashing every one of
+// n capacities; past the limit a map takes over so adversarial inputs
+// stay O(n).
 const capacityClassScanLimit = 32
 
 // CapacityClasses returns the sorted distinct capacity values present.
 func (a *Array) CapacityClasses() []int64 {
-	var classes []int64
+	var dense [denseClassBits / 64]uint64
+	var large []int64 // classes of denseClassBits or more
 	var seen map[int64]bool
-	last := int64(-1) // capacities often come in runs; skip repeats for free
+	last := int64(-1) // large capacities often come in runs; skip repeats for free
 	for i := range a.bins {
 		c := a.bins[i].cap
+		if c < denseClassBits {
+			dense[c>>6] |= 1 << uint(c&63)
+			continue
+		}
 		if c == last {
 			continue
 		}
@@ -361,30 +375,33 @@ func (a *Array) CapacityClasses() []int64 {
 		if seen != nil {
 			if !seen[c] {
 				seen[c] = true
-				classes = append(classes, c)
+				large = append(large, c)
 			}
 			continue
 		}
-		known := false
-		for _, k := range classes {
-			if k == c {
-				known = true
-				break
-			}
-		}
-		if known {
+		if slices.Contains(large, c) {
 			continue
 		}
-		classes = append(classes, c)
-		if len(classes) > capacityClassScanLimit {
-			seen = make(map[int64]bool, 2*len(classes))
-			for _, k := range classes {
+		large = append(large, c)
+		if len(large) > capacityClassScanLimit {
+			seen = make(map[int64]bool, 2*len(large))
+			for _, k := range large {
 				seen[k] = true
 			}
 		}
 	}
-	slices.Sort(classes)
-	return classes
+	n := len(large)
+	for _, w := range dense {
+		n += bits.OnesCount64(w)
+	}
+	classes := make([]int64, 0, n)
+	for k, w := range dense {
+		for ; w != 0; w &= w - 1 {
+			classes = append(classes, int64(k<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	slices.Sort(large)
+	return append(classes, large...)
 }
 
 // CountClass returns how many bins have exactly capacity c.

@@ -2,6 +2,7 @@ package bins
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +186,49 @@ func TestCapacityClasses(t *testing.T) {
 	}
 	if got := a.CountClass(3); got != 0 {
 		t.Fatalf("CountClass(3) = %d", got)
+	}
+}
+
+// TestCapacityClassesMatchesReference: the bitset path (capacities
+// below 4096) and the scan/map path (the rest) together give the
+// sorted distinct capacities, on arrays mixing both sides of the 4096
+// boundary, runs of repeats, and more than capacityClassScanLimit
+// large classes.
+func TestCapacityClassesMatchesReference(t *testing.T) {
+	r := xrand.New(7)
+	for k := 0; k < 300; k++ {
+		n := 1 + r.Intn(500)
+		caps := make([]int64, n)
+		for i := range caps {
+			switch r.Intn(5) {
+			case 0:
+				caps[i] = 4095 + int64(r.Intn(3)) // 4095, 4096, 4097
+			case 1:
+				caps[i] = 1 + int64(r.Intn(10))
+			case 2:
+				caps[i] = 1 + int64(r.Intn(1<<20))
+			case 3:
+				caps[i] = 1 << (12 + r.Intn(40))
+			default:
+				if i > 0 {
+					caps[i] = caps[i-1]
+				} else {
+					caps[i] = 1
+				}
+			}
+		}
+		set := map[int64]bool{}
+		for _, c := range caps {
+			set[c] = true
+		}
+		want := make([]int64, 0, len(set))
+		for c := range set {
+			want = append(want, c)
+		}
+		slices.Sort(want)
+		if got := MustNew(caps).CapacityClasses(); !slices.Equal(got, want) {
+			t.Fatalf("array %d: CapacityClasses = %v, want %v", k, got, want)
+		}
 	}
 }
 

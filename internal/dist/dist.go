@@ -20,7 +20,9 @@ import (
 type Distribution interface {
 	// Weights returns one non-negative selection weight per bin. At
 	// least one weight must be positive; implementations fail loudly
-	// when the distribution degenerates on the given array.
+	// when the distribution degenerates on the given array. Weights
+	// are a function of the capacities alone: the sharded engines call
+	// Weights before they empty the array's bins.
 	Weights(a *bins.Array) ([]float64, error)
 	// Name identifies the distribution in reports.
 	Name() string

@@ -4,8 +4,9 @@
 //
 // Three interchangeable samplers are provided:
 //
-//   - AliasTable: Vose's alias method; O(n) build (or Rebuild in place,
-//     allocation-free once rebuilt), O(1) sample. The default
+//   - AliasTable: Vose's alias method; O(n) build with n/8 bytes of
+//     working memory (or Rebuild in place, allocation-free once
+//     rebuilt), O(1) sample. The default
 //     for static bin arrays (all paper experiments). Acceptance tests are
 //     integer threshold comparisons, so one Sample costs exactly one 64-bit
 //     RNG draw: the high product bits of a Lemire reduction select the
@@ -16,6 +17,29 @@
 //     sample AND O(log n) single-weight update, for dynamically growing
 //     systems (the §4.3 scale-out scenarios rebuild arrays between runs,
 //     but the Fenwick sampler supports true online growth as an extension).
+//
+// # Alias build without work lists
+//
+// Vose's build pairs each "small" column (scaled weight below 1) with a
+// "large" one, topping the small column up from the large one's
+// excess; a large column whose weight drops below 1 turns small. The
+// textbook build keeps two stacks of indices for this. Filled from
+// index n−1 down to 0, each stack pops its initial columns in
+// ascending index order. A large column turned small is pushed onto
+// the small stack and popped by the very next pairing; one that stays
+// large is pushed back onto the large stack and popped by the very next
+// pairing too. So at any moment at most one pushed-back column exists,
+// and the stacks' pop order is: that column if there is one, else the
+// next initial column in ascending order.
+//
+// The build therefore needs no stacks: one bit per column (small or
+// large, n/64 words) and two ascending cursors over it give the same
+// pairings in the same order, hence bit-identical columns. The large
+// column in hand and a column just turned small live in registers;
+// every other column's scaled weight waits in its own column slot,
+// whose 8 bytes are free until the column is final (its bits split
+// across thresh and alias). The build's only working memory is the
+// mask, which Rebuild keeps for the next build.
 //
 // All samplers draw from the same *xrand.Rand so experiments remain
 // deterministic under sampler substitution only if the sampler is fixed;
@@ -45,6 +69,8 @@ package sampling
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/xrand"
@@ -97,16 +123,9 @@ func validateWeights(weights []float64) (total float64, err error) {
 // byte saved is a hot-loop cache miss avoided.
 type AliasTable struct {
 	cols []aliasCol
-	// scratch is Rebuild's working memory, kept for the next Rebuild;
+	// mask is Rebuild's small/large mask, kept for the next Rebuild;
 	// nil on a table that was never rebuilt.
-	scratch *aliasScratch
-}
-
-// aliasScratch is the working memory of one Vose build: the scaled
-// weights and the small and large work lists.
-type aliasScratch struct {
-	scaled       []float64
-	small, large []int32
+	mask []uint64
 }
 
 // aliasCol is one packed column: acceptance threshold (probability ×
@@ -138,24 +157,23 @@ func thresholdOf(p float64) uint32 {
 }
 
 // NewAlias builds an alias table from the given non-negative weights.
-// Its working memory is temporary: a table that is never rebuilt keeps
-// only its columns.
+// Besides the table and its columns it allocates only the build's
+// small/large mask (n/8 bytes), which it drops: a table that is never
+// rebuilt keeps only its columns.
 func NewAlias(weights []float64) (*AliasTable, error) {
 	total, err := validateWeights(weights)
 	if err != nil {
 		return nil, err
 	}
 	t := &AliasTable{cols: make([]aliasCol, len(weights))}
-	var sc aliasScratch
-	t.vose(weights, total, &sc)
+	t.vose(weights, total, make([]uint64, maskWords(len(weights))))
 	return t, nil
 }
 
 // Rebuild rebuilds the table in place over new weights (of any length)
-// with the same validation and the same columns as NewAlias. Its
-// working memory stays on the table, so rebuilding over weights no
-// longer than any earlier ones allocates nothing. On an error the
-// table is unchanged.
+// with the same validation and the same columns as NewAlias. Its mask
+// stays on the table, so rebuilding over weights no longer than any
+// earlier ones allocates nothing. On an error the table is unchanged.
 func (t *AliasTable) Rebuild(weights []float64) error {
 	total, err := validateWeights(weights)
 	if err != nil {
@@ -165,55 +183,106 @@ func (t *AliasTable) Rebuild(weights []float64) error {
 		t.cols = make([]aliasCol, len(weights))
 	}
 	t.cols = t.cols[:len(weights)]
-	if t.scratch == nil {
-		t.scratch = new(aliasScratch)
+	w := maskWords(len(weights))
+	if cap(t.mask) < w {
+		t.mask = make([]uint64, w)
 	}
-	t.vose(weights, total, t.scratch)
+	t.vose(weights, total, t.mask[:w])
 	return nil
 }
 
+// maskWords is the length of the small/large mask of n columns.
+func maskWords(n int) int { return (n + 63) / 64 }
+
 // vose fills every column of t (len(weights) of them) by Vose's alias
-// method over weights summing to total, growing sc to fit.
-func (t *AliasTable) vose(weights []float64, total float64, sc *aliasScratch) {
+// method over weights summing to total, with mask (one bit per column)
+// as its only working memory. See the package comment for why the two
+// cursors give the work-list build's columns.
+func (t *AliasTable) vose(weights []float64, total float64, mask []uint64) {
 	n := len(weights)
-	if cap(sc.scaled) < n {
-		sc.scaled = make([]float64, n)
-		sc.small = make([]int32, 0, n)
-		sc.large = make([]int32, 0, n)
+	cols := t.cols[:n]
+	// Scale weights so the average column is exactly 1, parking each
+	// scaled weight in its own column until the column is final, and
+	// mark the small ones.
+	fn := float64(n)
+	for k := range mask {
+		lo := k * 64
+		var word uint64
+		for j, w := range weights[lo:min(lo+64, n)] {
+			s := w * fn / total
+			b := math.Float64bits(s)
+			cols[lo+j] = aliasCol{thresh: uint32(b), alias: int32(b >> 32)}
+			if s < 1 {
+				word |= 1 << uint(j)
+			}
+		}
+		mask[k] = word
 	}
-	// Scale weights so the average column is exactly 1.
-	scaled := sc.scaled[:n]
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
+	// Two cursors run upward: l over the small columns, g over the
+	// large ones. g is also the large column in hand, gs its running
+	// scaled weight; p (when >= 0) is a large column just turned
+	// small, with weight ps, which the next pairing takes before l's.
+	l := nextMarked(mask, 0, n, 0)
+	g := nextMarked(mask, 0, n, ^uint64(0))
+	var gs, ps float64
+	if g < n {
+		gs = parked(cols[g])
 	}
-	small, large := sc.small[:0], sc.large[:0]
-	for i := n - 1; i >= 0; i-- {
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
+	p := -1
+	for g < n {
+		var ls float64
+		j := p
+		if j >= 0 {
+			ls, p = ps, -1
+		} else if l < n {
+			j, ls = l, parked(cols[l])
+			l = nextMarked(mask, l+1, n, 0)
 		} else {
-			large = append(large, int32(i))
+			break
+		}
+		cols[j] = aliasCol{thresh: thresholdOf(ls), alias: int32(g)}
+		if gs = (gs + ls) - 1; gs < 1 {
+			p, ps = g, gs
+			if g = nextMarked(mask, g+1, n, ^uint64(0)); g < n {
+				gs = parked(cols[g])
+			}
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		l := small[len(small)-1]
-		small = small[:len(small)-1]
-		g := large[len(large)-1]
-		large = large[:len(large)-1]
-		t.cols[l] = aliasCol{thresh: thresholdOf(scaled[l]), alias: g}
-		scaled[g] = (scaled[g] + scaled[l]) - 1
-		if scaled[g] < 1 {
-			small = append(small, g)
-		} else {
-			large = append(large, g)
+	// Numerical leftovers: one side ran dry with the other's columns at
+	// (about) 1, which become certain acceptances.
+	for ; g < n; g = nextMarked(mask, g+1, n, ^uint64(0)) {
+		cols[g] = aliasCol{thresh: ^uint32(0), alias: int32(g)}
+	}
+	if p >= 0 {
+		cols[p] = aliasCol{thresh: ^uint32(0), alias: int32(p)}
+	}
+	for ; l < n; l = nextMarked(mask, l+1, n, 0) {
+		cols[l] = aliasCol{thresh: ^uint32(0), alias: int32(l)}
+	}
+}
+
+// parked restores the scaled weight vose parked in a not-yet-final
+// column.
+func parked(c aliasCol) float64 {
+	return math.Float64frombits(uint64(uint32(c.alias))<<32 | uint64(c.thresh))
+}
+
+// nextMarked returns the first index in [from, n) whose mask bit,
+// XORed with flip's, is set — flip 0 finds small columns, all ones
+// large ones — or n when there is none.
+func nextMarked(mask []uint64, from, n int, flip uint64) int {
+	if from >= n {
+		return n
+	}
+	k := from >> 6
+	word := (mask[k] ^ flip) >> uint(from&63) << uint(from&63)
+	for word == 0 {
+		if k++; k == len(mask) {
+			return n
 		}
+		word = mask[k] ^ flip
 	}
-	// Numerical leftovers: both queues should drain with columns at 1.
-	for _, g := range large {
-		t.cols[g] = aliasCol{thresh: ^uint32(0), alias: g}
-	}
-	for _, l := range small {
-		t.cols[l] = aliasCol{thresh: ^uint32(0), alias: l}
-	}
+	return min(k<<6+bits.TrailingZeros64(word), n)
 }
 
 // sampleHi maps the high 32 bits of a 64-bit draw to an index: a 32-bit

@@ -407,13 +407,26 @@ func BenchmarkFenwickSample(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkAliasBuild times one NewAlias over the paper's n = 10^4
+// ten-class weights and over one 15,625-bin binomial shard (a
+// 10^6-bin array in 64 shards), reporting ns per bin; B/op is the
+// table, its columns (8 B/bin) and the small/large mask (n/8 bytes).
 func BenchmarkAliasBuild(b *testing.B) {
-	w := benchWeights(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewAlias(w); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		w    []float64
+	}{
+		{"n=10000", benchWeights(10000)},
+		{"binomial-shard", binomialWeights(15625, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NewAlias(c.w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(c.w)), "ns/bin")
+		})
 	}
 }
 
@@ -700,8 +713,8 @@ func TestAliasRebuildParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.scratch != nil {
-		t.Fatal("NewAlias kept its scratch")
+	if tab.mask != nil {
+		t.Fatal("NewAlias kept its mask")
 	}
 	for _, n := range []int{50, 1, 17, 200, 200, 3, 64} {
 		w := random(n)

@@ -147,9 +147,11 @@ type ClusterResult struct {
 // spec's Array supplies the peer capacities (ball counts are queue
 // lengths); arrivals come from ArrivalsPerTick, not Config.Balls.
 type ClusterParams struct {
-	// Ticks is the simulation horizon (>= 1).
+	// Ticks is the simulation horizon, in [1, 2^31−1]: a request
+	// records its ticks as int32.
 	Ticks int
-	// ArrivalsPerTick is the per-tick request count (>= 0).
+	// ArrivalsPerTick is the per-tick request count (>= 0). The run's
+	// arrivals, Ticks·ArrivalsPerTick, may total at most 2^62.
 	ArrivalsPerTick int64
 	// VnodesPerUnit gives every peer capacity·VnodesPerUnit ring
 	// points (0 = 2), so arc shares are capacity-proportional in
@@ -165,24 +167,32 @@ type ClusterParams struct {
 	// shed. 0 admits everything.
 	ShedThreshold float64
 	// LatencyMax is the latency histogram's top bucket in ticks
-	// (0 = 32); completions slower than that land in the overflow
-	// bucket.
+	// (0 = 32, at most maxLatencyMax = 65,536); completions slower than
+	// that land in the overflow bucket. Every shard keeps a histogram
+	// of its own, so the cap bounds their memory.
 	LatencyMax int
 }
+
+// maxLatencyMax caps ClusterParams.LatencyMax.
+const maxLatencyMax = 1 << 16
 
 // validate checks the serving parameters for n peers.
 func (p *ClusterParams) validate(n int) error {
 	switch {
 	case p.Ticks < 1:
 		return fmt.Errorf("sim: Ticks = %d, need >= 1", p.Ticks)
+	case p.Ticks > math.MaxInt32:
+		return fmt.Errorf("sim: Ticks = %d, need <= 2^31-1", p.Ticks)
 	case p.ArrivalsPerTick < 0:
 		return fmt.Errorf("sim: ArrivalsPerTick = %d, need >= 0", p.ArrivalsPerTick)
+	case p.ArrivalsPerTick > maxRunArrivals/int64(p.Ticks):
+		return fmt.Errorf("sim: ArrivalsPerTick = %d over %d ticks exceeds 2^62 arrivals", p.ArrivalsPerTick, p.Ticks)
 	case p.VnodesPerUnit < 0:
 		return fmt.Errorf("sim: VnodesPerUnit = %d, need >= 0", p.VnodesPerUnit)
 	case p.ShedThreshold < 0 || p.ShedThreshold != p.ShedThreshold:
 		return fmt.Errorf("sim: ShedThreshold = %v, need >= 0", p.ShedThreshold)
-	case p.LatencyMax < 0:
-		return fmt.Errorf("sim: LatencyMax = %d, need >= 0", p.LatencyMax)
+	case p.LatencyMax < 0 || p.LatencyMax > maxLatencyMax:
+		return fmt.Errorf("sim: LatencyMax = %d outside [0,%d]", p.LatencyMax, maxLatencyMax)
 	}
 	if err := p.Churn.Validate(n); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -305,7 +315,7 @@ func (p *RetryPolicy) Backoff(attempt int) int {
 }
 
 // Cluster task kinds, after the step driver's: one per phase of a
-// tick, the placer (re)build setup phase, and the inline churn,
+// tick, the placer re-bind phase after churn, and the inline churn,
 // re-shard and admission steps.
 const (
 	clusterSetup = stepKinds + iota
@@ -526,16 +536,16 @@ func runCluster(spec *RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: RunCluster: %w", err)
 	}
-	for s, v := range st.views {
+	for s := range st.slots {
 		sl := &st.slots[s]
-		sl.q = newCohortQueues(v.N())
-		sl.dirty = true // initial build: every placer
-		sl.before = make([]int64, v.N())
+		peers := st.bounds[s+1] - st.bounds[s]
+		sl.q = newCohortQueues(peers)
+		sl.before = make([]int64, peers)
 		lat, _ := obs.NewLatency(latMax)
 		sl.lat = *lat
 	}
 
-	cerr, err := st.run(st, engRunCluster, clusterKinds, clusterSetup)
+	cerr, err := st.run(st, engRunCluster, clusterKinds)
 	if err != nil {
 		return nil, err
 	}
@@ -604,26 +614,23 @@ func (st *clusterState) exec(kind, s, _ int) error {
 	return nil
 }
 
-// setupShard binds shard s's placer to the current live-peer weight
-// slice: Reweight in place when the shard has a placer, the factory
-// when it has none (the initial build, or live weight returning from
-// zero). Only shards whose weights changed since the last bind are
-// dirty; a shard whose live weight vanished entirely (every peer down)
-// gets a nil placer — the router can never route a ball there.
+// setupShard re-binds shard s's placer after churn to the live-peer
+// weight slice reshardPlan re-summed: Reweight in place when the shard
+// has a placer, the factory when it has none (live weight returning
+// from zero). The step driver's setup phase made the initial binds.
+// Only shards whose weights changed since the last bind are dirty; a
+// shard whose live weight vanished entirely (every peer down) gets a
+// nil placer — the router can never route a ball there.
 func (st *clusterState) setupShard(s int) (err error) {
 	if !st.slots[s].dirty {
 		return nil
 	}
 	st.slots[s].dirty = false
-	w := st.weights[st.bounds[s]:st.bounds[s+1]]
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	if sum <= 0 {
+	if st.shardW[s] <= 0 {
 		st.placers[s] = nil
 		return nil
 	}
+	w := st.weights[st.bounds[s]:st.bounds[s+1]]
 	if pl := st.placers[s]; pl != nil {
 		return pl.Reweight(w)
 	}
@@ -702,7 +709,9 @@ func (st *clusterState) serveShard(s int) {
 // covers whole queues, not just heads — redistributed cohorts keep
 // their original dispatch ticks, so a queue is not disp-sorted.
 func (st *clusterState) expireShard(s int) {
-	cutoff := int32(st.step - st.p.Retry.TimeoutTicks)
+	// In int: a timeout beyond the int32 tick range must not wrap
+	// into a cutoff that expires every cohort.
+	cutoff := st.step - st.p.Retry.TimeoutTicks
 	sl := &st.slots[s]
 	exp := sl.expired[:0]
 	q := &sl.q
@@ -711,7 +720,7 @@ func (st *clusterState) expireShard(s int) {
 		prev := int32(-1)
 		for k := q.head[i]; k >= 0; {
 			c := q.nodes[k].cohort
-			if c.disp > cutoff {
+			if int(c.disp) > cutoff {
 				prev, k = k, q.nodes[k].next
 				continue
 			}

@@ -110,6 +110,56 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestClusterHugeTimeoutNeverExpires: a timeout at or beyond the
+// horizon never fires, however large. TimeoutTicks = Ticks, 2^40 and
+// MaxInt give bit-identical runs with no timed-out request; 2^40 used
+// to wrap to a zero-tick timeout in the int32 cutoff and expire every
+// cohort.
+func TestClusterHugeTimeoutNeverExpires(t *testing.T) {
+	const ticks = 5
+	var want clusterTrace
+	for i, timeout := range []int{ticks, 1 << 40, math.MaxInt} {
+		arr := uniformArray(t, 64, 1)
+		res, err := Dispatch(RunSpec{Config: Config{Array: arr, Seed: 4}, AdoptArray: true, Cluster: &ClusterParams{
+			Ticks: ticks, ArrivalsPerTick: 500,
+			Retry: RetryPolicy{TimeoutTicks: timeout, MaxRetries: 2, BackoffBase: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := traceOf(res, arr)
+		if got.Res.TimedOut != 0 || got.Res.Failed != 0 {
+			t.Fatalf("TimeoutTicks %d: %d timed out, %d failed within a %d-tick horizon", timeout, got.Res.TimedOut, got.Res.Failed, ticks)
+		}
+		if i == 0 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TimeoutTicks %d: run differs from TimeoutTicks %d:\n%+v\n%+v", timeout, ticks, got, want)
+		}
+	}
+}
+
+// TestClusterSizeCaps: the fields that size a cluster run's memory or
+// its int32 tick stamps are capped by validation, naming the field,
+// instead of panicking inside Dispatch.
+func TestClusterSizeCaps(t *testing.T) {
+	for _, tc := range []struct {
+		name, field string
+		p           ClusterParams
+	}{
+		{"latency buckets", "LatencyMax", ClusterParams{Ticks: 4, ArrivalsPerTick: 5, LatencyMax: math.MaxInt}},
+		{"arrivals", "ArrivalsPerTick", ClusterParams{Ticks: 1, ArrivalsPerTick: math.MaxInt64}},
+		{"arrivals over ticks", "ArrivalsPerTick", ClusterParams{Ticks: 4, ArrivalsPerTick: 1<<60 + 1}},
+		{"ticks", "Ticks", ClusterParams{Ticks: 1 << 31, ArrivalsPerTick: 1}},
+	} {
+		p := tc.p
+		_, err := Dispatch(RunSpec{Config: Config{Array: uniformArray(t, 8, 1)}, Cluster: &p})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want a rejection naming %s", tc.name, err, tc.field)
+		}
+	}
+}
+
 // TestClusterQuietConservation: no churn, no timeouts, no shedding —
 // the engine is a plain batched queueing loop and every request is
 // accounted for: admitted = completed + queued, full availability,

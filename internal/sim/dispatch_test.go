@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/bins"
+	"repro/internal/dist"
 	"repro/internal/protocol"
 	"repro/internal/xrand"
 )
@@ -281,6 +282,36 @@ func TestDuplicateClassesRejected(t *testing.T) {
 	res, err := runClassic(Config{Array: arr, Reps: 8, TrackClasses: []int64{10}, ClassMaxLoads: []int64{10}})
 	if err != nil || res.ClassMaxLoad[10].N() != 8 || res.ClassMaxFraction[10] > 1 {
 		t.Fatalf("err = %v, class 10: %v observations, max fraction %v", err, res.ClassMaxLoad[10].N(), res.ClassMaxFraction[10])
+	}
+}
+
+// TestShardedWeightErrorPrecedence: a weight vector the router
+// rejects (a negative or zero shard total) fails with the router's
+// error, even when a placer would fail too; weights that only a
+// shard's placer rejects fail with that shard's setup error. Both
+// messages are pinned verbatim.
+func TestShardedWeightErrorPrecedence(t *testing.T) {
+	for _, tc := range []struct {
+		w    []float64
+		want string // after "sim: <engine> "
+	}{
+		{[]float64{1, 1, 1, -5, 1, 1, 1, 1}, "router: sampling: weight 0 is invalid (-2)"},
+		{[]float64{1, 1, 1, -5, 3, -1, 1, 1}, "router: sampling: weight 0 is invalid (-2)"},
+		{[]float64{0, 0, 0, 0, 0, 0, 0, 0}, "router: sampling: no positive weights"},
+		{[]float64{1, 1, 1, 1, 3, -1, 1, 1}, "setup shard 1: protocol: greedy sampler: sampling: weight 1 is invalid (-1)"},
+		{[]float64{0, 0, 0, 0, 3, -1, 1, 1}, "setup shard 1: protocol: greedy sampler: sampling: weight 1 is invalid (-1)"},
+	} {
+		for _, e := range []Engine{EngineSharded, EngineStream} {
+			spec := RunSpec{Engine: e, Config: Config{Array: uniformArray(t, 8, 1), Reps: 1, Dist: dist.Custom{W: tc.w}}, Shards: 2}
+			eng := engRunLargeMC
+			if e == EngineStream {
+				spec.Stream, eng = &StreamParams{Rounds: 1}, engRunStream
+			}
+			want := "sim: " + eng + " " + tc.want
+			if _, err := Dispatch(spec); err == nil || err.Error() != want {
+				t.Errorf("%v %s: err = %v, want %s", tc.w, e, err, want)
+			}
+		}
 	}
 }
 

@@ -56,7 +56,6 @@ import (
 	"repro/internal/bins"
 	"repro/internal/fault"
 	"repro/internal/protocol"
-	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
 
@@ -67,29 +66,19 @@ import (
 // the within-shard game is statistically meaningful.
 const DefaultShards = 64
 
-// shardPlan computes the contiguous shard boundaries, each shard's
-// total selection weight and the multinomial routing generator over
-// those weights. Every sharded engine builds it here (through
-// newSharded), so the shard geometry and routing distribution never
-// diverge between engines: a quiet stream round reproduces repetition 0
-// of the sharded engine bit for bit only because both use the
-// identical plan.
-func shardPlan(weights []float64, n, shards int) (bounds []int, shardW []float64, router *sampling.Multinomial, err error) {
-	bounds = make([]int, shards+1)
-	for s := 0; s <= shards; s++ {
+// shardBounds returns the contiguous shard boundaries of n bins in
+// shards shards: shard s holds bins [bounds[s], bounds[s+1]). Every
+// sharded engine takes its geometry from here (through newSharded), and
+// its shard weights and router from the step driver's setup, so
+// neither ever diverges between engines: a quiet stream round
+// reproduces repetition 0 of the sharded engine bit for bit only
+// because both use the identical plan.
+func shardBounds(n, shards int) []int {
+	bounds := make([]int, shards+1)
+	for s := range bounds {
 		bounds[s] = s * n / shards
 	}
-	shardW = make([]float64, shards)
-	for s := 0; s < shards; s++ {
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			shardW[s] += weights[i]
-		}
-	}
-	router, err = sampling.NewMultinomial(shardW)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return bounds, shardW, router, nil
+	return bounds
 }
 
 // placeShardSegments runs one shard's placement, segmented at the

@@ -11,9 +11,11 @@
 // the run's bin array, its shard views, per-shard placers and
 // generators, and routing groups (built once, reset between
 // repetitions), and whose phases run on the calling goroutine and at
-// most spec.Workers−1 helpers. The setup phase builds every shard's
-// placer in parallel; then the calling goroutine plays the
-// repetitions in order, one phase barrier at a time:
+// most spec.Workers−1 helpers. The setup phase resets every shard,
+// sums its weight, records its capacity classes (their union is the
+// histograms' class skeleton) and builds its placer, all in parallel;
+// then the calling goroutine plays the repetitions in order, one phase
+// barrier at a time:
 //
 //	route blocks ∥ reset shards → place shards in parallel → summarise → fold
 //
@@ -22,10 +24,12 @@
 // maxima and histogram merges) and the fold are inline tasks on the
 // calling goroutine. The fold is the repetition's commit: once it has
 // run the repetition counts, even if the context fired meanwhile. The
-// first repetition played skips the reset (the array is fresh). Peak
-// memory is one bin array plus the running summary for any Workers,
-// never O(Reps · n), so n = 10^7 with hundreds of repetitions fits in
-// RAM.
+// first repetition played skips the reset (the setup phase reset every
+// shard). The run's state is 32 B per bin for any Workers, never
+// O(Reps · n): the array's bins (16 B), the selection weights (8 B)
+// and the shards' alias columns (8 B), plus the running summary.
+// Nothing transient is added: an alias build works in a 1-bit-per-bin
+// mask. So n = 10^7 with hundreds of repetitions fits in RAM.
 //
 // # Determinism contract
 //
@@ -84,13 +88,17 @@ type monteState struct {
 	cutsDone []int
 
 	ss *obs.ShardStats // the rest fold into the driver's collector set
+
+	// resume, when non-nil, is restored by prepare once the router
+	// stands; fp is the run's fingerprint it must match.
+	resume *MonteCheckpoint
+	fp     MonteFingerprint
 }
 
-// newMonteState builds the run's state over the prologue's fresh
-// (reset) array: the driver with the repetition's stream layout, the
-// observation scratch and the collectors. Zero-weight shards get no
-// view, so never a placer — the router can never send a ball there,
-// and building a placer over an all-zero weight slice would fail.
+// newMonteState builds the run's state over the prologue: the driver
+// with the repetition's stream layout, the observation scratch and the
+// collectors. The setup phase resets the array, and prepare builds the
+// histograms.
 func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 	st := &monteState{m: spec.BallCount(sh.arr.TotalCapacity())}
 	if err := st.init(engRunLargeMC, spec, sh, spec.Reps, st.m, false); err != nil {
@@ -109,32 +117,58 @@ func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 		st.ss = obs.NewShardStats(sh.shards)
 	}
 	if spec.CollectLoadVector || spec.HeightLevels > 0 {
-		// One class skeleton for the whole run: every shard histogram
-		// clones it, which is what makes shard merges exact (identical
-		// class set) and keeps CapacityClasses out of the
-		// per-repetition path. Max/avg-only runs skip histograms
-		// entirely.
-		proto := sh.arr.NewLoadHistogram()
-		st.histAll = proto.CloneEmpty()
-		st.hists = make([]*bins.LoadHistogram, sh.shards)
-		for s := range st.hists {
-			st.hists[s] = proto.CloneEmpty()
-			if st.views[s] != nil {
-				continue // rebuilt by the placement task every repetition
-			}
-			// Zero-weight shards are never routed to, reset or placed:
-			// their bins stay empty for the whole run, so one build at
-			// height zero stands for every repetition.
-			v, err := sh.arr.Shard(sh.bounds[s], sh.bounds[s+1])
-			if err != nil {
-				return nil, fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
-			}
-			if err := v.HistogramInto(st.hists[s]); err != nil {
-				return nil, fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
-			}
-		}
+		st.classes = make([][]int64, sh.shards) // recorded by the setup tasks
 	}
 	return st, nil
+}
+
+// prepare finishes the state once the setup phase has passed: it
+// restores a resumed run's prefix, then builds the per-shard
+// histograms when the run asks for them. Zero-weight shards have no
+// view, so never a placer — the router can never send a ball there.
+func (st *monteState) prepare() error {
+	if st.resume != nil {
+		if err := st.resume.restore(st.fp, st); err != nil {
+			return err
+		}
+		st.start = st.resume.CompletedReps
+	}
+	if st.classes == nil {
+		return nil
+	}
+	// One class skeleton for the whole run, the union of the shards'
+	// classes: every shard histogram clones it, which is what makes
+	// shard merges exact (identical class set) and keeps
+	// CapacityClasses out of the per-repetition path. Max/avg-only runs
+	// skip histograms entirely.
+	var classes []int64
+	for _, c := range st.classes {
+		classes = append(classes, c...)
+	}
+	slices.Sort(classes)
+	proto, err := bins.NewLoadHistogram(slices.Compact(classes))
+	if err != nil {
+		return fmt.Errorf("sim: RunLargeMonte histogram: %w", err)
+	}
+	st.histAll = proto.CloneEmpty()
+	st.hists = make([]*bins.LoadHistogram, st.shards)
+	for s := range st.hists {
+		st.hists[s] = proto.CloneEmpty()
+		if st.views[s] != nil {
+			continue // rebuilt by the placement task every repetition
+		}
+		// Zero-weight shards are never routed to, reset or placed:
+		// their bins stay empty for the whole run, so one build at
+		// height zero stands for every repetition.
+		v, err := st.arr.Shard(st.bounds[s], st.bounds[s+1])
+		if err != nil {
+			return fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
+		}
+		if err := v.HistogramInto(st.hists[s]); err != nil {
+			return fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
+		}
+	}
+	return nil
 }
 
 // cutPrefix returns the checkpoint rows of the cuts every shard of a
@@ -341,24 +375,23 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 	// costs an O(n) capacity hash, so it is computed only when a
 	// checkpoint can actually be read (Resume) or written (a cancel
 	// source exists) — the plain path pays nothing.
-	var fp MonteFingerprint
 	if spec.Resume != nil || st.cc != nil || spec.CancelAfter > 0 {
-		fp = MonteFingerprint{
+		st.fp = MonteFingerprint{
 			N: sh.n, Shards: shards, Balls: st.m, Seed: spec.Seed,
 			TotalCapacity: st.totalCap, CapHash: capHash(sh.arr),
 			Checkpoints: st.cuts, HeightLevels: spec.HeightLevels,
 			CollectLoadVector: spec.CollectLoadVector, ShardStats: spec.ShardStats,
 		}
 	}
-	if spec.Resume != nil {
-		if err := spec.Resume.restore(fp, st); err != nil {
-			return nil, err
-		}
-		st.start = spec.Resume.CompletedReps
-	}
-	cerr, err := st.run(st, engRunLargeMC, monteKinds, stepSetup)
+	st.resume = spec.Resume
+	cerr, err := st.run(st, engRunLargeMC, monteKinds)
 	if err != nil {
 		return nil, err
+	}
+	if spec.AdoptArray {
+		// Placement writes through the shard views: the adopted array
+		// leaves with an exact cached ball total, also when cancelled.
+		st.arr.Recount()
 	}
 	res := st.col.result(&Result{N: sh.n, Shards: shards})
 	res.ShardStats = st.ss
@@ -366,18 +399,13 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 		// The aggregates cover exactly repetitions [0, done) —
 		// bit-identical to a run configured with Reps = done — and the
 		// checkpoint resumes from there.
-		cerr.Checkpoint = captureMonteCheckpoint(fp, st.done, st)
+		cerr.Checkpoint = captureMonteCheckpoint(st.fp, st.done, st)
 		if st.done == 0 {
 			// Repetition 0 was the one cancelled: its cut prefix is
 			// the single game's partial.
 			cerr.CompletedCuts, res.Checkpoints = st.cutPrefix()
 		}
 		return res, cerr
-	}
-	if spec.AdoptArray {
-		// Placement writes through the shard views: the adopted array
-		// leaves with an exact cached ball total.
-		st.arr.Recount()
 	}
 	return res, nil
 }

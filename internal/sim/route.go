@@ -51,13 +51,18 @@ import (
 const RoutingBlock = 256 * protocol.BlockSize
 
 // numRouteBlocks returns the number of routing blocks covering m
-// balls (the last block may be partial).
+// balls (the last block may be partial), without overflow for any m.
 func numRouteBlocks(m int64) int {
 	if m <= 0 {
 		return 0
 	}
-	return int((m + RoutingBlock - 1) / RoutingBlock)
+	return int((m-1)/RoutingBlock + 1)
 }
+
+// maxRunArrivals bounds the arrivals of one streaming or serving run:
+// 2^62, the total a sampling.CountTree (the stream's deletion kernel)
+// can hold. Every resident count of such a run stays below it.
+const maxRunArrivals = 1 << 62
 
 // cutPlan splits ascending checkpoint ball counts into (boundary
 // block index, in-block remainder) pairs: cut k realises the full

@@ -53,7 +53,7 @@
 // Every sharded engine plays a sequence of steps over one sharded
 // array: a Monte-Carlo step is one repetition, a streaming step one
 // round, a cluster step one tick. stepper is the loop they share: the
-// setup phase that builds the placers, the step loop from its start
+// setup phase, the step loop from its start
 // step (a resumed run's restored prefix) with its step-boundary
 // CancelAfter stop and cancellation check, per-step re-seeding of the
 // shard placement streams, arrival routing up to the merged per-shard
@@ -66,6 +66,15 @@
 // the trajectory engines' counters straight into the StreamResult or
 // ClusterResult they return a copy of — so an abandoned step leaves
 // the committed prefix untouched.
+//
+// The setup phase holds every O(n) pass of a sharded run's prologue
+// beyond the distribution's Weights call: one task per shard builds
+// the shard's view, resets it, sums its weights (in bin order, so the
+// router's weights keep their bits), records its capacity classes when
+// the engine asks (Monte's histogram skeleton is their union) and
+// builds its placer. The calling goroutine then does the O(shards)
+// rest — the router, the weight total, dropping the views of shards
+// that can never receive a ball — and the engine's prepare.
 package sim
 
 import (
@@ -392,8 +401,11 @@ func resolveShards(shards, n int) (int, error) {
 }
 
 // sharded is the prologue every sharded engine opens with: its own
-// reset array, the selection weights and protocol factory with their
+// array, the selection weights and protocol factory with their
 // defaults applied, the shard plan, and the resolved worker count.
+// The array is reset, shardW summed and router built by the step
+// driver's setup (stepper.setup), not here: those are O(n) passes the
+// per-shard setup tasks share out.
 type sharded struct {
 	arr     *bins.Array
 	n       int
@@ -408,26 +420,23 @@ type sharded struct {
 
 // newSharded builds the prologue from a validated spec. The array is
 // cloned unless AdoptArray is set; weights, when non-nil, replace the
-// distribution's (the cluster engine routes on ring arcs).
+// distribution's (the cluster engine routes on ring arcs). Weights
+// read only capacities, so the array's balls need no reset first.
 func newSharded(eng string, spec *RunSpec, shards int, weights []float64) (sharded, error) {
 	arr := spec.Array
 	if !spec.AdoptArray {
 		arr = spec.Array.Clone()
 	}
-	arr.Reset()
 	if weights == nil {
 		var err error
 		if weights, err = spec.distribution().Weights(arr); err != nil {
 			return sharded{}, fmt.Errorf("sim: %s weights: %w", eng, err)
 		}
 	}
-	bounds, shardW, router, err := shardPlan(weights, arr.N(), shards)
-	if err != nil {
-		return sharded{}, fmt.Errorf("sim: %s router: %w", eng, err)
-	}
 	return sharded{
 		arr: arr, n: arr.N(), shards: shards, weights: weights, factory: spec.factory(),
-		bounds: bounds, shardW: shardW, router: router, workers: resolveWorkers(spec.Workers),
+		bounds: shardBounds(arr.N(), shards), shardW: make([]float64, shards),
+		workers: resolveWorkers(spec.Workers),
 	}, nil
 }
 
@@ -464,11 +473,13 @@ const (
 )
 
 // stepEngine is a sharded engine as the step driver sees it: its task
-// bodies (exec) and its step body. runStep plays and commits the step
-// in flight; ok == false means it was abandoned at a cancellation
+// bodies (exec), the rest of its state built once the setup phase has
+// passed (prepare), and its step body. runStep plays and commits the
+// step in flight; ok == false means it was abandoned at a cancellation
 // point, with nothing of it committed.
 type stepEngine interface {
 	executor
+	prepare() error
 	runStep(t int) (ok bool, err error)
 }
 
@@ -500,10 +511,16 @@ type stepper struct {
 	done        int // completed steps: the committed prefix
 	totalCap    int64
 	sumW        float64 // Σ shardW
+	all         bool    // every shard keeps its view, weight or none
 
-	views   []*bins.Array // nil for a shard that can never receive a ball
+	// views are built by the setup phase; after it, nil for a shard
+	// that can never receive a ball (unless all is set).
+	views   []*bins.Array
 	placers []protocol.Placer
 	rands   []shardRand // per-shard placement streams, re-seeded every step
+	// classes[s] are shard s's capacity classes, recorded by its setup
+	// task when the engine sets classes (non-nil) before the run.
+	classes [][]int64
 
 	groups []routeGroup
 	counts []int64 // the step's merged per-shard arrival counts
@@ -539,21 +556,17 @@ type stepper struct {
 }
 
 // init builds the driver over a validated spec and its sharded
-// prologue: routing groups for up to maxM arrivals per step, the cuts,
-// and a view per shard of positive weight — every shard when all is
-// set. Views are built before the pool does any work: Array.Shard is a
-// parent method, and the bins.Shard contract forbids running parent
-// methods while views mutate.
+// prologue: routing groups for up to maxM arrivals per step and the
+// cuts. The setup phase builds a view per shard; after it, only shards
+// of positive weight keep theirs — every shard when all is set.
 func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM int64, all bool) error {
 	d.sharded = sh
 	d.cc = newCanceller(spec.Context)
 	d.seed = spec.Seed
 	d.cancelAfter = spec.CancelAfter
 	d.steps = steps
+	d.all = all
 	d.totalCap = sh.arr.TotalCapacity()
-	for _, w := range sh.shardW {
-		d.sumW += w
-	}
 	d.views = make([]*bins.Array, sh.shards)
 	d.placers = make([]protocol.Placer, sh.shards)
 	d.rands = make([]shardRand, sh.shards)
@@ -578,16 +591,6 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 		d.cutMax = grid[cutMax](rows, sh.shards)
 	}
 	d.groups = newRouteGroups(sh.routeWidth(maxM), sh.shards, len(d.prefix))
-	for s := range d.views {
-		if !all && sh.shardW[s] <= 0 {
-			continue
-		}
-		v, err := sh.arr.Shard(sh.bounds[s], sh.bounds[s+1])
-		if err != nil {
-			return fmt.Errorf("sim: %s shard %d: %w", eng, s, err)
-		}
-		d.views[s] = v
-	}
 	return nil
 }
 
@@ -600,7 +603,7 @@ func grid[T any](rows, cols int) [][]T {
 	return g
 }
 
-// run drives x: the setup phase (one setupKind task per shard), then
+// run drives x: the setup phase and x's prepare (setup), then
 // steps start … steps−1, each opened by the CancelAfter stop and a
 // cancellation check, its stream base and provenance, and a re-seed
 // of EVERY shard's placement stream — whether or not the shard
@@ -608,14 +611,14 @@ func grid[T any](rows, cols int) [][]T {
 // shard), never on the steps before. A non-nil *CancelledError means
 // the run stopped early (context or CancelAfter): the engine's
 // committed prefix is then its partial.
-func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int) (*CancelledError, error) {
+func (d *stepper) run(x stepEngine, eng string, kinds []taskName) (*CancelledError, error) {
 	d.ph = phase{x: x, engine: eng, names: kinds}
 	// The widest phase is a routing pass with one task per shard
 	// alongside (Monte's resets).
 	d.ph.start(d.workers, len(d.groups)+d.shards)
 	defer d.ph.close()
+	ok, err := d.setup(x)
 	d.done = d.start
-	ok, err := d.phase(setupKind, d.shards)
 	for t := d.start; ok && t < d.steps; t++ {
 		if d.cancelAfter > 0 && t >= d.cancelAfter {
 			return d.cancelled(nil), nil
@@ -640,6 +643,41 @@ func (d *stepper) run(x stepEngine, eng string, kinds []taskName, setupKind int)
 	}
 	return nil, nil
 }
+
+// setup runs the setup phase — one task per shard builds the shard's
+// view, resets it, sums the shard's weights into shardW, records its
+// capacity classes when asked and builds its placer — and then, on the
+// calling goroutine, the O(shards) rest of the prologue: the router
+// over shardW, sumW, and the views dropped for shards that can never
+// receive a ball; last x.prepare. A router error is reported before
+// any setup task's: it describes the whole weight vector, a placer's
+// error only one shard's slice of it.
+func (d *stepper) setup(x stepEngine) (ok bool, err error) {
+	for s := 0; s < d.shards; s++ {
+		d.ph.submit(stepSetup, s)
+	}
+	serr := d.ph.wait()
+	if d.router, err = sampling.NewMultinomial(d.shardW); err != nil {
+		return false, fmt.Errorf("sim: %s router: %w", d.ph.engine, err)
+	}
+	if serr != nil {
+		return false, serr
+	}
+	for s, w := range d.shardW {
+		d.sumW += w
+		if !d.all && w <= 0 {
+			d.views[s] = nil
+		}
+	}
+	if err := x.prepare(); err != nil {
+		return false, err
+	}
+	return !d.cc.cancelled(), nil
+}
+
+// prepare is the engines' default: nothing to add after the setup
+// phase.
+func (d *stepper) prepare() error { return nil }
 
 // cancelled is the early stop's error: the committed prefix (done
 // steps; for the step-indexed engines also nextCut cuts) and its cause
@@ -751,10 +789,30 @@ func (d *stepper) stepExec(kind, idx int) (err error) {
 			m.v = v.MaxLoad()
 		}
 	case stepSetup:
-		// Per-shard placer builds (alias tables, O(shard size) each),
-		// once per run — a steady-state step allocates nothing.
-		if v := d.views[idx]; v != nil {
-			d.placers[idx], err = d.factory(v, d.weights[d.bounds[idx]:d.bounds[idx+1]])
+		// The shard's share of the prologue, once per run: O(shard
+		// size) each, so no whole-array pass runs on the calling
+		// goroutine. Shard reads only the shard's own bins, which no
+		// other task touches. The sum runs in bin order, the order the
+		// router's weights always had. Only a shard of positive weight
+		// gets a placer: an all-zero weight slice has no alias table.
+		lo, hi := d.bounds[idx], d.bounds[idx+1]
+		var v *bins.Array
+		if v, err = d.arr.Shard(lo, hi); err != nil {
+			return err
+		}
+		v.Reset()
+		d.views[idx] = v
+		w := d.weights[lo:hi]
+		var sum float64
+		for _, x := range w {
+			sum += x
+		}
+		d.shardW[idx] = sum
+		if d.classes != nil {
+			d.classes[idx] = v.CapacityClasses()
+		}
+		if sum > 0 {
+			d.placers[idx], err = d.factory(v, w)
 		}
 	}
 	return err

@@ -87,7 +87,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/bins"
 	"repro/internal/fault"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
@@ -122,11 +121,14 @@ type StreamResult struct {
 // ball-count rules, per round.
 type StreamParams struct {
 	// Rounds is the number of rounds (>= 1). When Schedule is set and
-	// Rounds is 0, Rounds defaults to len(Schedule).
+	// Rounds is 0, Rounds defaults to len(Schedule). The run's
+	// arrivals, Rounds times the per-round count, may total at most
+	// 2^62.
 	Rounds int
 	// Schedule, when non-empty, gives every round's arrival count
-	// explicitly (entries >= 0; length must equal Rounds when Rounds
-	// is set). Mutually exclusive with Balls/BallsFactor.
+	// explicitly (entries >= 0, summing to at most 2^62; length must
+	// equal Rounds when Rounds is set). Mutually exclusive with
+	// Balls/BallsFactor.
 	Schedule []int64
 	// Deletions is the number of balls deleted per round, clamped to
 	// the current occupancy (>= 0).
@@ -157,14 +159,24 @@ func (p *StreamParams) validate(c *Config) error {
 		if p.Rounds != 0 && p.Rounds != len(p.Schedule) {
 			return fmt.Errorf("sim: Rounds = %d but len(Schedule) = %d", p.Rounds, len(p.Schedule))
 		}
+		var total int64
 		for r, a := range p.Schedule {
 			if a < 0 {
 				return fmt.Errorf("sim: Schedule[%d] = %d, need >= 0", r, a)
 			}
+			if a > maxRunArrivals-total {
+				return fmt.Errorf("sim: Schedule[%d] = %d takes the run past 2^62 arrivals", r, a)
+			}
+			total += a
 		}
 	}
 	if p.rounds() < 1 {
 		return fmt.Errorf("sim: Rounds = %d, need >= 1", p.Rounds)
+	}
+	if len(p.Schedule) == 0 {
+		if m := c.BallCount(c.Array.TotalCapacity()); m > maxRunArrivals/int64(p.rounds()) {
+			return fmt.Errorf("sim: Rounds = %d of %d arrivals (Balls/BallsFactor) exceed 2^62 arrivals", p.Rounds, m)
+		}
 	}
 	if p.Deletions < 0 {
 		return fmt.Errorf("sim: Deletions = %d, need >= 0", p.Deletions)
@@ -378,30 +390,27 @@ func runStream(spec *RunSpec) (*Result, error) {
 	st.scratch = make([]shardRand, shards)
 	// Every shard's block totals and takes live in one slab. A shard's
 	// segment is padded to whole cache lines plus a line of gap, so
-	// concurrent tasks never write a shared line.
+	// concurrent tasks never write a shared line. A zero-weight shard
+	// gets its scratch too but never uses it: it never holds a ball.
 	st.takes = make([]shardTake, shards)
-	blocks := func(v *bins.Array) int { return (v.N() + takeBlock - 1) / takeBlock }
-	seg := func(v *bins.Array) int { return (2*blocks(v)+7)&^7 + 8 }
+	size := func(s int) int { return st.bounds[s+1] - st.bounds[s] }
+	blocks := func(s int) int { return (size(s) + takeBlock - 1) / takeBlock }
+	seg := func(s int) int { return (2*blocks(s)+7)&^7 + 8 }
 	var slabLen int
-	for _, v := range st.views {
-		if v != nil {
-			slabLen += seg(v)
-		}
+	for s := range st.takes {
+		slabLen += seg(s)
 	}
 	slab := make([]int64, slabLen)
-	for s, v := range st.views {
-		if v == nil {
-			continue
-		}
-		nb := blocks(v)
+	for s := range st.takes {
+		nb := blocks(s)
 		tk := &st.takes[s]
-		tk.blk, tk.quota, slab = slab[:nb:nb], slab[nb:2*nb:2*nb], slab[seg(v):]
-		if tk.tree, err = sampling.NewCountTree(min(v.N(), takeBlock)); err != nil {
+		tk.blk, tk.quota, slab = slab[:nb:nb], slab[nb:2*nb:2*nb], slab[seg(s):]
+		if tk.tree, err = sampling.NewCountTree(min(size(s), takeBlock)); err != nil {
 			return nil, fmt.Errorf("sim: RunStream shard %d: %w", s, err)
 		}
 	}
 
-	cerr, err := st.run(st, engRunStream, streamKinds, stepSetup)
+	cerr, err := st.run(st, engRunStream, streamKinds)
 	if err != nil {
 		return nil, err
 	}

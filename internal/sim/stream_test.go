@@ -355,9 +355,12 @@ func TestStreamConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, shardW, _, err := shardPlan(weights, out.N, out.Shards)
-	if err != nil {
-		t.Fatal(err)
+	bounds := shardBounds(out.N, out.Shards)
+	shardW := make([]float64, out.Shards)
+	for s := range shardW {
+		for _, v := range weights[bounds[s]:bounds[s+1]] {
+			shardW[s] += v
+		}
 	}
 	var w float64
 	for _, v := range shardW {
@@ -371,6 +374,53 @@ func TestStreamConservation(t *testing.T) {
 	}
 	if res.Moved == 0 {
 		t.Fatal("rebalance pass never moved a ball (config was built to drift)")
+	}
+}
+
+// TestStreamArrivalCap: a run's arrivals may total at most 2^62, so a
+// Schedule entry of MaxInt64 (which used to overflow the routing-block
+// count into a slice-bounds panic), a schedule summing past the cap
+// and a per-round count times Rounds past it all fail validation,
+// naming the field.
+func TestStreamArrivalCap(t *testing.T) {
+	a := largeArray(t, 100)
+	for _, tc := range []struct {
+		name, field string
+		cfg         Config
+		p           StreamParams
+	}{
+		{"MaxInt64 entry", "Schedule[0]", Config{}, StreamParams{Schedule: []int64{math.MaxInt64}}},
+		{"schedule sum", "Schedule[2]", Config{}, StreamParams{Schedule: []int64{1 << 61, 1 << 61, 1}}},
+		{"fixed arrivals", "Rounds", Config{Balls: 1 << 61}, StreamParams{Rounds: 3}},
+	} {
+		tc.cfg.Array, tc.p.Deletions = a, 1
+		p := tc.p
+		_, err := Dispatch(RunSpec{Config: tc.cfg, Stream: &p})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want a rejection naming %s", tc.name, err, tc.field)
+		}
+	}
+	// At the cap itself the run is accepted (validated only: two
+	// rounds of 2^61 arrivals would take years to place).
+	spec := RunSpec{Config: Config{Array: a}, Stream: &StreamParams{Schedule: []int64{1 << 61, 1 << 61}}}
+	if _, err := spec.validate(EngineStream); err != nil {
+		t.Fatalf("2^62 arrivals in total rejected: %v", err)
+	}
+}
+
+// TestNumRouteBlocksNoOverflow: the routing-block count of any m is
+// exact, up to MaxInt64 balls.
+func TestNumRouteBlocksNoOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		m    int64
+		want int
+	}{
+		{0, 0}, {-5, 0}, {1, 1}, {RoutingBlock, 1}, {RoutingBlock + 1, 2},
+		{math.MaxInt64, 1 << 47}, {math.MaxInt64 - RoutingBlock, 1<<47 - 1}, // RoutingBlock = 2^16
+	} {
+		if got := numRouteBlocks(tc.m); got != tc.want {
+			t.Errorf("numRouteBlocks(%d) = %d, want %d", tc.m, got, tc.want)
+		}
 	}
 }
 

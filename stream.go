@@ -14,7 +14,8 @@ type StreamConfig struct {
 	// Capacities of the bin array (required).
 	Capacities []int64
 	// Rounds is the number of rounds (>= 1). When Schedule is set and
-	// Rounds is 0, Rounds defaults to len(Schedule).
+	// Rounds is 0, Rounds defaults to len(Schedule). A run's arrivals
+	// may total at most 2^62.
 	Rounds int
 	// Arrivals is the fixed per-round arrival count; 0 means
 	// ArrivalsFactor·C, or exactly C when ArrivalsFactor is also 0 —
