@@ -306,7 +306,7 @@ func runLarge(ctx context.Context, caps []int64, m int64, factor float64, seed u
 	fmt.Printf("max − avg:       %.4f\n", res.Deviation)
 	printCheckpoints(res.Checkpoints)
 	printHeights(res.Heights)
-	fmt.Printf("wall time:       %s\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "wall time:       %s\n", elapsed.Round(time.Millisecond))
 	return nil
 }
 
@@ -346,11 +346,11 @@ func printStreamCheckpoints(cps []balls.CheckpointResult) {
 }
 
 // runStream executes the streaming mode (-stream) and prints its
-// summary. Everything above the wall-time line is a pure function of
-// the model flags — scripts/determinism.sh byte-compares it across
-// worker counts. A cancelled run prints the completed-round prefix
-// (bit-identical to a run configured with that many rounds) and
-// returns the CancelledError for main's exit-status handling.
+// summary. Its stdout is a pure function of the model flags (the wall
+// time goes to stderr) — scripts/determinism.sh byte-compares it
+// across worker counts. A cancelled run prints the completed-round
+// prefix (bit-identical to a run configured with that many rounds)
+// and returns the CancelledError for main's exit-status handling.
 func runStream(ctx context.Context, caps []int64, m int64, factor float64, schedule []int64, rounds int, deletions int64, tol float64, seed uint64, shards, workers int, checkpoints []int64, heights int, d balls.Distribution, p balls.Protocol, cancelRounds int) error {
 	start := time.Now()
 	res, err := balls.SimulateStream(balls.StreamConfig{
@@ -412,7 +412,7 @@ func runStream(ctx context.Context, caps []int64, m int64, factor float64, sched
 	fmt.Printf("max − avg:       %.4f\n", res.Deviation)
 	printStreamCheckpoints(res.Checkpoints)
 	printHeights(res.Heights)
-	fmt.Printf("wall time:       %s\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "wall time:       %s\n", elapsed.Round(time.Millisecond))
 	return nil
 }
 
@@ -491,7 +491,7 @@ func runLargeMonte(ctx context.Context, caps []int64, m int64, factor float64, s
 	fmt.Printf("max − avg:       %.4f ± %.4f\n", res.MeanDeviation, res.DeviationCI95)
 	printCheckpoints(res.Checkpoints)
 	printHeights(res.Heights)
-	fmt.Printf("wall time:       %s\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "wall time:       %s\n", elapsed.Round(time.Millisecond))
 	if showLoads {
 		fmt.Println("mean sorted loads:")
 		for i, v := range res.MeanSortedLoads {

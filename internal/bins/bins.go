@@ -17,7 +17,6 @@ package bins
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -111,16 +110,6 @@ func (a *Array) PostLoad(i int) (int64, int64) {
 	b := &a.bins[i]
 	return b.balls + 1, b.cap
 }
-
-// Prefetch touches bin i's packed (capacity, balls) line and returns
-// its ball count. The software-pipelined PlaceBatch decision loops
-// call it for the NEXT ball's candidates while deciding the current
-// ball, so the next iteration's line loads overlap the current
-// compare cascade; callers fold the value into a sink they keep live,
-// which is what stops the compiler from discarding the load. The
-// value itself is never used for a decision — decisions always
-// re-read fresh state.
-func (a *Array) Prefetch(i int) int64 { return a.bins[i].balls }
 
 // Add places one ball into bin i.
 func (a *Array) Add(i int) {
@@ -317,30 +306,6 @@ func (a *Array) Clone() *Array {
 	}
 	copy(b.bins, a.bins)
 	return b
-}
-
-// BigThreshold returns the capacity above which a bin counts as "big" per
-// the paper's definition: capacity >= r·ln(n).
-func (a *Array) BigThreshold(r float64) float64 {
-	return r * math.Log(float64(a.N()))
-}
-
-// IsBig reports whether bin i is big for the given constant r.
-func (a *Array) IsBig(i int, r float64) bool {
-	return float64(a.bins[i].cap) >= a.BigThreshold(r)
-}
-
-// SmallCapacity returns C_s, the total capacity of small bins (capacity
-// below r·ln n).
-func (a *Array) SmallCapacity(r float64) int64 {
-	threshold := a.BigThreshold(r)
-	var cs int64
-	for i := range a.bins {
-		if c := a.bins[i].cap; float64(c) < threshold {
-			cs += c
-		}
-	}
-	return cs
 }
 
 // denseClassBits is the capacity bound below which CapacityClasses

@@ -147,28 +147,6 @@ func TestResetAndClone(t *testing.T) {
 	}
 }
 
-func TestBigSmallClassification(t *testing.T) {
-	// n = 100 bins; ln(100) ≈ 4.6. With r = 1, capacity 5 is big, 4 small.
-	caps := make([]int64, 100)
-	for i := range caps {
-		if i < 50 {
-			caps[i] = 4
-		} else {
-			caps[i] = 5
-		}
-	}
-	a := MustNew(caps)
-	if a.IsBig(0, 1) {
-		t.Error("capacity-4 bin classified big at r=1, n=100")
-	}
-	if !a.IsBig(99, 1) {
-		t.Error("capacity-5 bin classified small at r=1, n=100")
-	}
-	if got := a.SmallCapacity(1); got != 200 {
-		t.Fatalf("SmallCapacity = %d, want 200", got)
-	}
-}
-
 func TestCapacityClasses(t *testing.T) {
 	a := MustNew([]int64{8, 1, 4, 1, 8, 2})
 	classes := a.CapacityClasses()

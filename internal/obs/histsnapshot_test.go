@@ -80,30 +80,13 @@ func TestSnapshotHistMatchesSnapshot(t *testing.T) {
 			if !reflect.DeepEqual(slScan.Mean(), slHist.Mean()) {
 				t.Fatalf("SortedLoads diverge:\n scan %v\n hist %v", slScan.Mean(), slHist.Mean())
 			}
-
-			ssScan, ssHist := NewShardStats(2), NewShardStats(2)
-			if err := ssScan.Snapshot(0, a, balls); err != nil {
-				t.Fatal(err)
-			}
-			if err := ssHist.SnapshotHist(0, h, balls); err != nil {
-				t.Fatal(err)
-			}
-			if err := ssScan.Snapshot(1, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := ssHist.SnapshotHist(1, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ssScan.Rows(), ssHist.Rows()) {
-				t.Fatalf("ShardStats diverge:\n scan %+v\n hist %+v", ssScan.Rows(), ssHist.Rows())
-			}
 		}
 	}
 }
 
 // TestSnapshotHistIgnoresWrongPhase mirrors the Snapshot contract:
-// Heights and SortedLoads observe only Final, Checkpoints and
-// ShardStats never observe Final.
+// Heights and SortedLoads observe only Final, Checkpoints never
+// observe Final.
 func TestSnapshotHistIgnoresWrongPhase(t *testing.T) {
 	a := bins.MustNew([]int64{1, 2})
 	a.Add(0)
@@ -131,13 +114,6 @@ func TestSnapshotHistIgnoresWrongPhase(t *testing.T) {
 	}
 	if cp.Rows()[0].Reps() != 0 {
 		t.Error("Checkpoints observed Final")
-	}
-	ss := NewShardStats(1)
-	if err := ss.SnapshotHist(Final, h, 1); err != nil {
-		t.Fatal(err)
-	}
-	if ss.Rows()[0].Balls.N() != 0 {
-		t.Error("ShardStats observed Final")
 	}
 }
 

@@ -1,20 +1,22 @@
-// Package obs is the unified observation subsystem: composable,
-// merge-able collectors that every simulation engine behind
-// sim.Dispatch — the classic and closed-form chunked engines, the
-// sharded engine, and the streaming and cluster engines — drives
-// through one contract.
+// Package obs is the observation subsystem: the merge-able collectors
+// that every simulation engine behind sim.Dispatch — the classic and
+// closed-form chunked engines, the sharded engine, and the streaming
+// and cluster engines — folds its observations into.
 //
-// # Contract
+// # Cuts and merge order
 //
-// A Collector is fed observations of bin-array state at deterministic
-// cut points: Snapshot(cut, ...) with cut >= 0 records the running
-// state at the collector's cut index (a checkpoint, or a shard index
-// for ShardStats), and cut == Final records the end-of-game state.
-// Partial collectors from different aggregation domains (repetition
-// chunks, shards, repetitions) are folded with Merge; engines MUST
-// merge in a deterministic order (chunk order, shard order, repetition
-// order) so that floating-point aggregation is bit-identical for any
-// worker topology.
+// Checkpoints, Heights and SortedLoads are fed observations of
+// bin-array state at deterministic cut points: SnapshotHist(cut, ...)
+// (or the array-scanning Snapshot) with cut >= 0 records the running
+// state at checkpoint index cut, and cut == Final records the
+// end-of-game state; each collector ignores the cuts that do not
+// concern it. ShardStats and Classes take whole observations through
+// Observe. Partial collectors from different aggregation domains
+// (repetition chunks, shards, repetitions) are folded with each type's
+// Merge, which takes a collector of the same type and shape; engines
+// MUST merge in a deterministic order (chunk order, shard order,
+// repetition order) so that floating-point aggregation is
+// bit-identical for any worker topology.
 //
 // # Cost model: one pass, then pairs
 //
@@ -23,14 +25,15 @@
 // scan each. A snapshot builds an exact integer histogram over the
 // distinct (ball count, capacity class) pairs in one O(n) (or
 // O(shard)) sweep; every collector then derives its rows from the
-// pairs via SnapshotHist: Checkpoints take an exact rational argmax
-// over at most (classes) candidate pairs, Heights a weighted suffix
-// sum, SortedLoads a counting sort by cross-multiplied rational order
-// over the few hundred distinct pairs (never an O(n log n) float
-// sort), ShardStats the per-shard pair maxima. Histograms merge by
-// integer addition, so sharded engines build them per shard in
-// parallel and fold in shard order; every derived float is then
-// computed once, from the same integers, for any worker topology.
+// pairs (SnapshotHist, or Observe for Classes): Checkpoints take an
+// exact rational argmax over at most (classes) candidate pairs,
+// Heights a weighted suffix sum, SortedLoads a counting sort by
+// cross-multiplied rational order over the few hundred distinct pairs
+// (never an O(n log n) float sort), Classes one histogram column per
+// class. Histograms merge by integer addition, so sharded engines
+// build them per shard in parallel and fold in shard order; every
+// derived float is then computed once, from the same integers, for any
+// worker topology.
 // The array-scanning Snapshot methods remain as the reference path —
 // equivalence tests pin the two bit-identical. When no collector is
 // requested the engines skip every observation hook, so the
@@ -73,31 +76,6 @@ const Final = -1
 // derive its rows from; see bins.LoadHistogram and the package
 // comment's cost model.
 type LoadHistogram = bins.LoadHistogram
-
-// Collector is the contract shared by all observation collectors. See
-// the package comment for the cut semantics and the merge-order
-// requirement.
-type Collector interface {
-	// Snapshot records one observation of array state. cut >= 0 is an
-	// index into the collector's cut points (checkpoints, shards);
-	// Final marks the end-of-game state. balls is the realised ball
-	// count behind the observation. Collectors ignore cuts that do not
-	// concern them.
-	Snapshot(cut int, a *bins.Array, balls int64) error
-	// Merge folds another collector of the same type and shape into
-	// the receiver. Engines must call it in a deterministic order.
-	Merge(other Collector) error
-}
-
-// HistSnapshotter is the histogram fast path of the Collector
-// contract: SnapshotHist records the same observation Snapshot would,
-// but derives it from a pre-built LoadHistogram instead of scanning
-// the array — the values produced are bit-identical to the scan path
-// (pinned by equivalence tests). Every collector in this package but
-// Classes, which reads only histograms, implements both.
-type HistSnapshotter interface {
-	SnapshotHist(cut int, h *LoadHistogram, balls int64) error
-}
 
 // NormalizeCuts validates the requested checkpoint ball counts and
 // returns a private copy. Cuts must be positive (a checkpoint at 0
@@ -199,9 +177,6 @@ func NewCheckpoints(cuts []int64) *Checkpoints {
 	return c
 }
 
-// Len returns the number of cuts.
-func (c *Checkpoints) Len() int { return len(c.rows) }
-
 // Observe records one repetition's realised observation at cut index
 // i: balls placed at the cut, the array's total capacity, and the
 // running maximum load. The deviation is maxLoad − balls/totalCap.
@@ -212,8 +187,9 @@ func (c *Checkpoints) Observe(i int, balls, totalCap int64, maxLoad float64) {
 	r.Deviation.Add(maxLoad - float64(balls)/float64(totalCap))
 }
 
-// Snapshot implements Collector: a whole-array observation at cut i.
-// Final is ignored — checkpoints observe only their own cuts.
+// Snapshot records a whole-array observation at checkpoint index
+// cut; balls is the realised ball count behind it. Final is ignored —
+// checkpoints observe only their own cuts.
 func (c *Checkpoints) Snapshot(cut int, a *bins.Array, balls int64) error {
 	if cut == Final {
 		return nil
@@ -222,9 +198,10 @@ func (c *Checkpoints) Snapshot(cut int, a *bins.Array, balls int64) error {
 	return nil
 }
 
-// SnapshotHist implements HistSnapshotter: the max load is an exact
-// rational argmax over the histogram's pairs, the capacity the
-// per-class bin-count sum — bit-identical to the array scan.
+// SnapshotHist records the observation Snapshot would, derived from a
+// histogram of the array: the max load is an exact rational argmax
+// over the histogram's pairs, the capacity the per-class bin-count sum
+// — bit-identical to the array scan.
 func (c *Checkpoints) SnapshotHist(cut int, h *LoadHistogram, balls int64) error {
 	if cut == Final {
 		return nil
@@ -233,12 +210,8 @@ func (c *Checkpoints) SnapshotHist(cut int, h *LoadHistogram, balls int64) error
 	return nil
 }
 
-// Merge implements Collector.
-func (c *Checkpoints) Merge(other Collector) error {
-	o, ok := other.(*Checkpoints)
-	if !ok {
-		return fmt.Errorf("obs: merging %T into *Checkpoints", other)
-	}
+// Merge folds o, a collector over the same cuts, into c.
+func (c *Checkpoints) Merge(o *Checkpoints) error {
 	if len(o.rows) != len(c.rows) {
 		return fmt.Errorf("obs: merging %d checkpoints into %d", len(o.rows), len(c.rows))
 	}
@@ -284,9 +257,6 @@ func NewHeights(levels int) *Heights {
 	return h
 }
 
-// Levels returns the number of height levels collected.
-func (h *Heights) Levels() int { return len(h.rows) }
-
 // CountAtOrAbove fills counts[k-1] with the number of bins of a whose
 // load is >= k, for k = 1..len(counts). Load comparisons are exact:
 // load >= k iff balls >= k·capacity in integers.
@@ -311,15 +281,15 @@ func CountAtOrAbove(a *bins.Array, counts []int64) {
 }
 
 // Observe folds one repetition's bins-at-or-above counts (as produced
-// by CountAtOrAbove with len == Levels()).
+// by CountAtOrAbove with one count per level).
 func (h *Heights) Observe(counts []int64) {
 	for i := range h.rows {
 		h.rows[i].Bins.Add(float64(counts[i]))
 	}
 }
 
-// Snapshot implements Collector: Heights observes only the final
-// state.
+// Snapshot records the final state of a; Heights ignores every other
+// cut.
 func (h *Heights) Snapshot(cut int, a *bins.Array, balls int64) error {
 	if cut != Final {
 		return nil
@@ -329,9 +299,9 @@ func (h *Heights) Snapshot(cut int, a *bins.Array, balls int64) error {
 	return nil
 }
 
-// SnapshotHist implements HistSnapshotter: the per-level counts are
-// weighted suffix sums over the histogram's pairs — integer-exact,
-// identical to the per-bin scan.
+// SnapshotHist records the observation Snapshot would, derived from a
+// histogram: the per-level counts are weighted suffix sums over the
+// histogram's pairs — integer-exact, identical to the per-bin scan.
 func (h *Heights) SnapshotHist(cut int, hist *LoadHistogram, balls int64) error {
 	if cut != Final {
 		return nil
@@ -341,12 +311,8 @@ func (h *Heights) SnapshotHist(cut int, hist *LoadHistogram, balls int64) error 
 	return nil
 }
 
-// Merge implements Collector.
-func (h *Heights) Merge(other Collector) error {
-	o, ok := other.(*Heights)
-	if !ok {
-		return fmt.Errorf("obs: merging %T into *Heights", other)
-	}
+// Merge folds o, a collector over the same levels, into h.
+func (h *Heights) Merge(o *Heights) error {
 	if len(o.rows) != len(h.rows) {
 		return fmt.Errorf("obs: merging %d height levels into %d", len(o.rows), len(h.rows))
 	}
@@ -393,8 +359,8 @@ func (s *SortedLoads) Observe(sortedAsc []float64) error {
 	return nil
 }
 
-// Snapshot implements Collector: SortedLoads observes only the final
-// state, sorting into an internal scratch buffer.
+// Snapshot records the final state of a, sorting its loads into an
+// internal scratch buffer; SortedLoads ignores every other cut.
 func (s *SortedLoads) Snapshot(cut int, a *bins.Array, balls int64) error {
 	if cut != Final {
 		return nil
@@ -404,8 +370,9 @@ func (s *SortedLoads) Snapshot(cut int, a *bins.Array, balls int64) error {
 	return s.Observe(s.scratch)
 }
 
-// SnapshotHist implements HistSnapshotter: a counting sort over the
-// histogram's distinct pairs replaces the O(n log n) float sort. The
+// SnapshotHist records the observation Snapshot would, derived from a
+// histogram: a counting sort over the histogram's distinct pairs
+// replaces the O(n log n) float sort. The
 // pairs are ranked by exact cross-multiplied rational order
 // (descending) and expanded by multiplicity into the running sums;
 // float64 conversion is monotone on exactly-representable operands, so
@@ -438,12 +405,8 @@ func (s *SortedLoads) SnapshotHist(cut int, h *LoadHistogram, balls int64) error
 	return nil
 }
 
-// Merge implements Collector.
-func (s *SortedLoads) Merge(other Collector) error {
-	o, ok := other.(*SortedLoads)
-	if !ok {
-		return fmt.Errorf("obs: merging %T into *SortedLoads", other)
-	}
+// Merge folds o, a collector over as many bins, into s.
+func (s *SortedLoads) Merge(o *SortedLoads) error {
 	if o.sum == nil {
 		return nil
 	}
@@ -515,9 +478,6 @@ func NewShardStats(shards int) *ShardStats {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *ShardStats) Shards() int { return len(s.rows) }
-
 // Observe folds one repetition's per-shard routed ball counts and
 // final shard-local maximum loads (both indexed by shard).
 func (s *ShardStats) Observe(balls []int64, maxLoads []float64) error {
@@ -528,60 +488,6 @@ func (s *ShardStats) Observe(balls []int64, maxLoads []float64) error {
 	for i := range s.rows {
 		s.rows[i].Balls.Add(float64(balls[i]))
 		s.rows[i].MaxLoad.Add(maxLoads[i])
-	}
-	return nil
-}
-
-// Snapshot implements Collector: cut is the shard index, a the shard
-// view (nil for a shard that can never receive balls) and balls the
-// count routed to it.
-func (s *ShardStats) Snapshot(cut int, a *bins.Array, balls int64) error {
-	if cut == Final {
-		return nil
-	}
-	if cut < 0 || cut >= len(s.rows) {
-		return fmt.Errorf("obs: shard index %d outside [0,%d)", cut, len(s.rows))
-	}
-	max := 0.0
-	if a != nil && balls > 0 {
-		max = a.MaxLoad()
-	}
-	s.rows[cut].Balls.Add(float64(balls))
-	s.rows[cut].MaxLoad.Add(max)
-	return nil
-}
-
-// SnapshotHist implements HistSnapshotter: cut is the shard index, h
-// the shard's histogram (nil for a shard that can never receive
-// balls) and balls the count routed to it.
-func (s *ShardStats) SnapshotHist(cut int, h *LoadHistogram, balls int64) error {
-	if cut == Final {
-		return nil
-	}
-	if cut < 0 || cut >= len(s.rows) {
-		return fmt.Errorf("obs: shard index %d outside [0,%d)", cut, len(s.rows))
-	}
-	max := 0.0
-	if h != nil && balls > 0 {
-		max = h.MaxLoad()
-	}
-	s.rows[cut].Balls.Add(float64(balls))
-	s.rows[cut].MaxLoad.Add(max)
-	return nil
-}
-
-// Merge implements Collector.
-func (s *ShardStats) Merge(other Collector) error {
-	o, ok := other.(*ShardStats)
-	if !ok {
-		return fmt.Errorf("obs: merging %T into *ShardStats", other)
-	}
-	if len(o.rows) != len(s.rows) {
-		return fmt.Errorf("obs: merging %d shards into %d", len(o.rows), len(s.rows))
-	}
-	for i := range s.rows {
-		s.rows[i].Balls.Merge(&o.rows[i].Balls)
-		s.rows[i].MaxLoad.Merge(&o.rows[i].MaxLoad)
 	}
 	return nil
 }

@@ -12,12 +12,12 @@
 // weight vector over the same bins in place, reusing its tables and
 // buffers, with exactly the placements of a freshly built one.
 //
-// Every placer holds its sampler as a concrete *sampling.AliasTable —
-// not the sampling.Sampler interface — so the per-ball sampling call is
-// direct and inlinable. One sample costs a single 64-bit RNG draw (the
-// integer-threshold alias table). For a fixed seed the placement
-// sequence of Place and PlaceBatch is identical: PlaceBatch(a, r, k)
-// consumes exactly the draws of k Place(a, r) calls.
+// Every placer holds its sampler as a concrete *sampling.AliasTable,
+// so the per-ball sampling call is direct and inlinable. One sample
+// costs a single 64-bit RNG draw (the integer-threshold alias table).
+// For a fixed seed the placement sequence of Place and PlaceBatch is
+// identical: PlaceBatch(a, r, k) consumes exactly the draws of k
+// Place(a, r) calls.
 //
 // All load comparisons are exact integer arithmetic via
 // bins.ComparePostLoads — no floating point is involved in any placement
@@ -112,13 +112,6 @@ type Greedy struct {
 	// which it already was, since Place mutates the caller's RNG.
 	batchCand []int
 	batchTie  []uint64
-	// pf enables the software-pipelined prefetch in the d >= 3 batch
-	// decision loops (see PlaceBatch); set at construction from (d,
-	// array size), never from anything that varies at run time.
-	pf bool
-	// pfSink keeps the decision loops' prefetch loads observable (see
-	// Array.Prefetch); its value is meaningless.
-	pfSink int64
 }
 
 // ballBatch is the number of balls whose candidates and tie draws are
@@ -134,17 +127,6 @@ const ballBatch = 256
 // cut rule is part of the observation model (see internal/obs).
 const BlockSize = ballBatch
 
-// prefetchMinBins gates the software-pipelined prefetch in the
-// d >= 3 batch decision loops: below it the bin array is
-// cache-resident and the extra touches are pure overhead (measured: a
-// wash at 10^4 bins, a loss for the cheap d = 2 cascade at every
-// size, a win only for d >= 3 kernels whose compare tournament is
-// long enough to hide a main-memory line fill). 2^17 bins is 2 MB of
-// packed bin state — beyond L2 on the machines this runs on, and
-// above the per-shard view sizes of the sharded engines, whose
-// shard-local working sets are cache-resident by design.
-const prefetchMinBins = 1 << 17
-
 // NewGreedy builds Algorithm 1 with d choices over the given weights.
 func NewGreedy(a *bins.Array, weights []float64, d int) (*Greedy, error) {
 	if err := validate(a, weights, d); err != nil {
@@ -158,7 +140,6 @@ func NewGreedy(a *bins.Array, weights []float64, d int) (*Greedy, error) {
 	if d >= 2 && d <= 4 {
 		g.batchCand = make([]int, d*ballBatch)
 		g.batchTie = make([]uint64, ballBatch)
-		g.pf = d >= 3 && a.N() >= prefetchMinBins
 	}
 	return g, nil
 }
@@ -166,8 +147,8 @@ func NewGreedy(a *bins.Array, weights []float64, d int) (*Greedy, error) {
 // Name implements Placer.
 func (g *Greedy) Name() string { return fmt.Sprintf("greedy(d=%d)", g.d) }
 
-// Reweight implements Placer. The batch buffers and the prefetch gate
-// depend only on d and the bin count, so they stay as they are.
+// Reweight implements Placer. The batch buffers depend only on d, so
+// they stay as they are.
 func (g *Greedy) Reweight(weights []float64) error {
 	return reweightTable(g.table, weights, "greedy sampler")
 }
@@ -623,21 +604,12 @@ func (g *Greedy) Place(a *bins.Array, r *xrand.Rand) int {
 // two passes: SampleBatch pre-draws every candidate and tie draw of the
 // block in one dependency-free loop (table loads of many balls in
 // flight at once), then a decision loop reads bin state and places.
-// On arrays too large to be cache-resident (g.pf; see
-// prefetchMinBins) the d >= 3 decision loops are software-pipelined:
-// they touch the NEXT ball's candidate bin lines (Array.Prefetch)
-// before resolving the current ball, so the next iteration's
-// random-access line fills are in flight behind the current compare
-// tournament instead of serialising after the Add. Prefetched values
-// are never used for decisions (each pick re-reads fresh state), so
-// neither pass moves a draw or a bit: candidate choice never depends
-// on bin state, and the schedule consumes the exact per-ball draw
-// sequence and produces the exact final state of k sequential Place
-// calls (pinned by the golden and batch-equivalence tests).
+// The split moves no draw or bit: candidate choice never depends on
+// bin state, so the schedule consumes the exact per-ball draw sequence
+// and produces the exact final state of k sequential Place calls
+// (pinned by the golden and batch-equivalence tests).
 func (g *Greedy) PlaceBatch(a *bins.Array, r *xrand.Rand, k int64) {
 	cand, tie := g.batchCand, g.batchTie
-	var pf int64
-	pfOn := g.pf
 	switch g.d {
 	case 2:
 		for k > 0 {
@@ -658,13 +630,9 @@ func (g *Greedy) PlaceBatch(a *bins.Array, r *xrand.Rand, k int64) {
 				n = int(k)
 			}
 			g.table.SampleBatch(r, 3, cand[:3*n], tie[:n])
-			for i := 0; i < n-1; i++ {
-				if pfOn {
-					pf += a.Prefetch(cand[3*i+3]) + a.Prefetch(cand[3*i+4]) + a.Prefetch(cand[3*i+5])
-				}
+			for i := 0; i < n; i++ {
 				a.Add(greedyPick3(a, cand[3*i], cand[3*i+1], cand[3*i+2], tie[i]))
 			}
-			a.Add(greedyPick3(a, cand[3*n-3], cand[3*n-2], cand[3*n-1], tie[n-1]))
 			k -= int64(n)
 		}
 	case 4:
@@ -674,14 +642,9 @@ func (g *Greedy) PlaceBatch(a *bins.Array, r *xrand.Rand, k int64) {
 				n = int(k)
 			}
 			g.table.SampleBatch(r, 4, cand[:4*n], tie[:n])
-			for i := 0; i < n-1; i++ {
-				if pfOn {
-					pf += a.Prefetch(cand[4*i+4]) + a.Prefetch(cand[4*i+5]) +
-						a.Prefetch(cand[4*i+6]) + a.Prefetch(cand[4*i+7])
-				}
+			for i := 0; i < n; i++ {
 				a.Add(greedyPick4(a, cand[4*i], cand[4*i+1], cand[4*i+2], cand[4*i+3], tie[i]))
 			}
-			a.Add(greedyPick4(a, cand[4*n-4], cand[4*n-3], cand[4*n-2], cand[4*n-1], tie[n-1]))
 			k -= int64(n)
 		}
 	default:
@@ -689,7 +652,6 @@ func (g *Greedy) PlaceBatch(a *bins.Array, r *xrand.Rand, k int64) {
 			a.Add(g.chooseGeneral(a, r))
 		}
 	}
-	g.pfSink = pf
 }
 
 // Standard is the classical Azar et al. Greedy[d]: candidates are

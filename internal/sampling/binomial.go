@@ -9,12 +9,12 @@
 //
 // Both samplers are exact (no normal approximation anywhere) and
 // deterministic: for a fixed RNG state the draw sequence is a pure
-// function of (n, p) resp. (n, weights). Like the rest of the
-// repository they trade the last ulp of cross-architecture float
-// identity for speed only where xrand already does (math.Log etc. —
-// see xrand.Exp); the engines give every routing block its own
-// dedicated substream, so block results never depend on another
-// block's draw count.
+// function of (n, p) resp. (n, weights). They trade the last ulp of
+// cross-architecture float identity for speed only in their math
+// package calls (math.Exp, math.Log, math.Lgamma), whose amd64 code
+// may take a CPU-dependent FMA path; the engines give every routing
+// block its own dedicated substream, so block results never depend on
+// another block's draw count.
 package sampling
 
 import (

@@ -2,21 +2,14 @@
 // underneath "a ball chooses bin i with probability c_i/C" and every other
 // bin-probability distribution in the paper.
 //
-// Three interchangeable samplers are provided:
-//
-//   - AliasTable: Vose's alias method; O(n) build with n/8 bytes of
-//     working memory (or Rebuild in place, allocation-free once
-//     rebuilt), O(1) sample. The default
-//     for static bin arrays (all paper experiments). Acceptance tests are
-//     integer threshold comparisons, so one Sample costs exactly one 64-bit
-//     RNG draw: the high product bits of a Lemire reduction select the
-//     column and the low bits decide column-vs-alias.
-//   - CDF: binary search over cumulative weights; O(n) build, O(log n)
-//     sample. Simpler, used as a cross-check in tests.
-//   - Fenwick: a Fenwick (binary indexed) tree over weights; O(log n)
-//     sample AND O(log n) single-weight update, for dynamically growing
-//     systems (the §4.3 scale-out scenarios rebuild arrays between runs,
-//     but the Fenwick sampler supports true online growth as an extension).
+// One sampler serves every static weight vector: AliasTable, Vose's
+// alias method, with an O(n) build using n/8 bytes of working memory
+// (or Rebuild in place, allocation-free once rebuilt) and O(1) samples.
+// Acceptance tests are integer threshold comparisons, so one Sample
+// costs exactly one 64-bit RNG draw: the high product bits of a Lemire
+// reduction select the column and the low bits decide column-vs-alias.
+// Every placer holds its table as a concrete *AliasTable, so the
+// per-ball call is direct and inlinable.
 //
 // # Alias build without work lists
 //
@@ -40,10 +33,6 @@
 // whose 8 bytes are free until the column is final (its bits split
 // across thresh and alias). The build's only working memory is the
 // mask, which Rebuild keeps for the next build.
-//
-// All samplers draw from the same *xrand.Rand so experiments remain
-// deterministic under sampler substitution only if the sampler is fixed;
-// the protocol layer pins AliasTable for paper runs.
 //
 // The sharded engines generate whole count vectors instead of one index
 // per ball:
@@ -71,18 +60,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/xrand"
 )
-
-// Sampler draws indices in [0, N()) from a fixed discrete distribution.
-type Sampler interface {
-	// Sample returns an index in [0, N()).
-	Sample(r *xrand.Rand) int
-	// N returns the number of categories.
-	N() int
-}
 
 // ErrNoWeights is returned when a sampler is built from an empty or
 // all-zero weight vector.
@@ -552,192 +532,3 @@ func (t *AliasTable) SampleBatch(r *xrand.Rand, d int, cand []int, tie []uint64)
 
 // N returns the number of categories.
 func (t *AliasTable) N() int { return len(t.cols) }
-
-// CDF samples by binary search over the cumulative distribution.
-type CDF struct {
-	cum []float64
-}
-
-// NewCDF builds a cumulative-sum sampler from non-negative weights.
-func NewCDF(weights []float64) (*CDF, error) {
-	total, err := validateWeights(weights)
-	if err != nil {
-		return nil, err
-	}
-	cum := make([]float64, len(weights))
-	run := 0.0
-	for i, w := range weights {
-		run += w / total
-		cum[i] = run
-	}
-	// Absorb accumulated rounding into the *last positive-weight* bin,
-	// not blindly into cum[len-1]: assigning the residual mass to a
-	// trailing zero-weight bin would make that bin reachable whenever the
-	// float accumulation undershoots 1.
-	last := len(weights) - 1
-	for last > 0 && weights[last] == 0 {
-		last--
-	}
-	for i := last; i < len(cum); i++ {
-		cum[i] = 1
-	}
-	return &CDF{cum: cum}, nil
-}
-
-// Sample returns an index distributed according to the build weights.
-// Zero-weight categories are never returned: the binary search cannot
-// land on one mid-array (equal cumulative values resolve to the run's
-// first index), and the two edges — Float64 returning exactly 0 with a
-// zero-weight prefix, and rounding absorption at the tail — are handled
-// by locate.
-func (c *CDF) Sample(r *xrand.Rand) int {
-	return c.locate(r.Float64())
-}
-
-// locate maps u in [0, 1) to the sampled index: the first index whose
-// cumulative weight reaches u, skipped forward past zero-mass landings
-// (cum equal to its predecessor — possible only for u = 0 on a
-// zero-weight prefix, where the search legitimately returns index 0
-// despite it carrying no probability mass).
-func (c *CDF) locate(u float64) int {
-	idx := sort.SearchFloat64s(c.cum, u)
-	if idx >= len(c.cum) {
-		// unreachable for u < 1 (cum ends at exactly 1); guard anyway
-		idx = len(c.cum) - 1
-	}
-	prev := 0.0
-	if idx > 0 {
-		prev = c.cum[idx-1]
-	}
-	for idx < len(c.cum)-1 && c.cum[idx] == prev {
-		idx++
-	}
-	return idx
-}
-
-// N returns the number of categories.
-func (c *CDF) N() int { return len(c.cum) }
-
-// Fenwick is a dynamically updatable weighted sampler backed by a Fenwick
-// tree of weights. Sample and UpdateWeight both cost O(log n).
-type Fenwick struct {
-	tree  []float64 // 1-based Fenwick tree of weights
-	w     []float64 // current weights, 0-based
-	total float64
-}
-
-// NewFenwick builds a Fenwick sampler from non-negative weights.
-func NewFenwick(weights []float64) (*Fenwick, error) {
-	total, err := validateWeights(weights)
-	if err != nil {
-		return nil, err
-	}
-	n := len(weights)
-	f := &Fenwick{
-		tree:  make([]float64, n+1),
-		w:     make([]float64, n),
-		total: total,
-	}
-	copy(f.w, weights)
-	// O(n) Fenwick construction.
-	for i := 1; i <= n; i++ {
-		f.tree[i] += weights[i-1]
-		if j := i + (i & -i); j <= n {
-			f.tree[j] += f.tree[i]
-		}
-	}
-	return f, nil
-}
-
-// N returns the number of categories.
-func (f *Fenwick) N() int { return len(f.w) }
-
-// Total returns the current sum of weights.
-func (f *Fenwick) Total() float64 { return f.total }
-
-// Weight returns the current weight of index i.
-func (f *Fenwick) Weight(i int) float64 { return f.w[i] }
-
-// UpdateWeight sets the weight of index i to w (w >= 0).
-func (f *Fenwick) UpdateWeight(i int, w float64) error {
-	if i < 0 || i >= len(f.w) {
-		return fmt.Errorf("sampling: index %d out of range [0,%d)", i, len(f.w))
-	}
-	if w < 0 || w != w {
-		return fmt.Errorf("sampling: invalid weight %v", w)
-	}
-	delta := w - f.w[i]
-	f.w[i] = w
-	f.total += delta
-	for j := i + 1; j < len(f.tree); j += j & -j {
-		f.tree[j] += delta
-	}
-	return nil
-}
-
-// Sample returns an index with probability proportional to its current
-// weight, by descending the Fenwick tree.
-func (f *Fenwick) Sample(r *xrand.Rand) int {
-	if f.total <= 0 {
-		panic("sampling: Fenwick sampler has no positive weights left")
-	}
-	target := r.Float64() * f.total
-	idx := 0
-	// mask = highest power of two <= len(w)
-	mask := 1
-	for mask<<1 <= len(f.w) {
-		mask <<= 1
-	}
-	for ; mask > 0; mask >>= 1 {
-		next := idx + mask
-		if next < len(f.tree) && f.tree[next] < target {
-			target -= f.tree[next]
-			idx = next
-		}
-	}
-	// idx is the count of prefix entries strictly below target; clamp for
-	// the target==total edge (Float64 < 1 makes this near-impossible, but
-	// floating accumulation in total can overshoot).
-	if idx >= len(f.w) {
-		idx = len(f.w) - 1
-	}
-	// Skip zero-weight landing spots caused by floating point residue.
-	// A full wrap means every weight is 0 while accumulated rounding left
-	// total > 0 — fail loudly instead of spinning.
-	start := idx
-	for f.w[idx] == 0 {
-		idx = (idx + 1) % len(f.w)
-		if idx == start {
-			panic(fmt.Sprintf(
-				"sampling: Fenwick.Sample: all weights are zero but total = %v (floating-point residue)",
-				f.total))
-		}
-	}
-	return idx
-}
-
-// Uniform samples uniformly from [0, n).
-type Uniform struct {
-	n int
-}
-
-// NewUniform returns a uniform sampler over n categories.
-func NewUniform(n int) (*Uniform, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sampling: uniform over %d categories", n)
-	}
-	return &Uniform{n: n}, nil
-}
-
-// Sample returns a uniform index in [0, N()).
-func (u *Uniform) Sample(r *xrand.Rand) int { return r.Intn(u.n) }
-
-// N returns the number of categories.
-func (u *Uniform) N() int { return u.n }
-
-var (
-	_ Sampler = (*AliasTable)(nil)
-	_ Sampler = (*CDF)(nil)
-	_ Sampler = (*Fenwick)(nil)
-	_ Sampler = (*Uniform)(nil)
-)

@@ -33,24 +33,18 @@ func chiSquare(counts []int, weights []float64, samples int) float64 {
 	return chi2
 }
 
-// buildAll returns one of each sampler type over the same weights.
-func buildAll(t *testing.T, weights []float64) map[string]Sampler {
+// mustAlias builds an alias table over weights or fails the test.
+func mustAlias(t *testing.T, weights []float64) *AliasTable {
 	t.Helper()
-	alias, err := NewAlias(weights)
+	a, err := NewAlias(weights)
 	if err != nil {
 		t.Fatalf("NewAlias: %v", err)
 	}
-	cdf, err := NewCDF(weights)
-	if err != nil {
-		t.Fatalf("NewCDF: %v", err)
-	}
-	fen, err := NewFenwick(weights)
-	if err != nil {
-		t.Fatalf("NewFenwick: %v", err)
-	}
-	return map[string]Sampler{"alias": alias, "cdf": cdf, "fenwick": fen}
+	return a
 }
 
+// TestSamplersMatchDistribution checks the alias table against the
+// exact law by chi-square, zero weights included.
 func TestSamplersMatchDistribution(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -62,6 +56,7 @@ func TestSamplersMatchDistribution(t *testing.T) {
 		{"withZeros", []float64{0, 5, 0, 5, 0}},
 		{"single", []float64{3}},
 		{"paper-two-class", []float64{1, 1, 1, 1, 1, 10, 10, 10, 10, 10}},
+		{"jagged", []float64{0.5, 9, 3.25, 0, 7, 1, 1, 2.5}},
 	}
 	const samples = 200000
 	// 99.9% chi-square quantiles by degrees of freedom (k-1 categories
@@ -71,23 +66,22 @@ func TestSamplersMatchDistribution(t *testing.T) {
 		5: 20.52, 6: 22.46, 7: 24.32, 8: 26.12, 9: 27.88,
 	}
 	for _, tc := range cases {
-		for name, s := range buildAll(t, tc.weights) {
-			r := xrand.New(0xabcde)
-			counts := make([]int, len(tc.weights))
-			for i := 0; i < samples; i++ {
-				counts[s.Sample(r)]++
+		a := mustAlias(t, tc.weights)
+		r := xrand.New(0xabcde)
+		counts := make([]int, len(tc.weights))
+		for i := 0; i < samples; i++ {
+			counts[a.Sample(r)]++
+		}
+		nonzero := 0
+		for _, w := range tc.weights {
+			if w > 0 {
+				nonzero++
 			}
-			nonzero := 0
-			for _, w := range tc.weights {
-				if w > 0 {
-					nonzero++
-				}
-			}
-			chi2 := chiSquare(counts, tc.weights, samples)
-			if lim := quantile[nonzero-1]; chi2 > lim {
-				t.Errorf("%s/%s: chi-square %.2f > %.2f (counts %v)",
-					tc.name, name, chi2, lim, counts)
-			}
+		}
+		chi2 := chiSquare(counts, tc.weights, samples)
+		if lim := quantile[nonzero-1]; chi2 > lim {
+			t.Errorf("%s: chi-square %.2f > %.2f (counts %v)",
+				tc.name, chi2, lim, counts)
 		}
 	}
 }
@@ -104,128 +98,31 @@ func TestSamplersRejectBadWeights(t *testing.T) {
 		if _, err := NewAlias(w); err == nil {
 			t.Errorf("NewAlias(%v) accepted invalid weights", w)
 		}
-		if _, err := NewCDF(w); err == nil {
-			t.Errorf("NewCDF(%v) accepted invalid weights", w)
-		}
-		if _, err := NewFenwick(w); err == nil {
-			t.Errorf("NewFenwick(%v) accepted invalid weights", w)
-		}
 	}
 }
 
 func TestSamplersNeverReturnZeroWeightIndex(t *testing.T) {
 	weights := []float64{0, 1, 0, 2, 0, 3, 0}
+	a := mustAlias(t, weights)
 	r := xrand.New(99)
-	for name, s := range buildAll(t, weights) {
-		for i := 0; i < 20000; i++ {
-			idx := s.Sample(r)
-			if weights[idx] == 0 {
-				t.Fatalf("%s returned zero-weight index %d", name, idx)
-			}
+	for i := 0; i < 20000; i++ {
+		if idx := a.Sample(r); weights[idx] == 0 {
+			t.Fatalf("alias returned zero-weight index %d", idx)
 		}
 	}
 }
 
 func TestSamplersInRange(t *testing.T) {
 	weights := []float64{2, 3, 5, 7, 11}
+	a := mustAlias(t, weights)
+	if a.N() != len(weights) {
+		t.Fatalf("N() = %d, want %d", a.N(), len(weights))
+	}
 	r := xrand.New(7)
-	for name, s := range buildAll(t, weights) {
-		if s.N() != len(weights) {
-			t.Fatalf("%s: N() = %d, want %d", name, s.N(), len(weights))
+	for i := 0; i < 10000; i++ {
+		if idx := a.Sample(r); idx < 0 || idx >= len(weights) {
+			t.Fatalf("index %d out of range", idx)
 		}
-		for i := 0; i < 10000; i++ {
-			idx := s.Sample(r)
-			if idx < 0 || idx >= len(weights) {
-				t.Fatalf("%s: index %d out of range", name, idx)
-			}
-		}
-	}
-}
-
-func TestUniformSampler(t *testing.T) {
-	u, err := NewUniform(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.N() != 10 {
-		t.Fatalf("N() = %d", u.N())
-	}
-	r := xrand.New(12345)
-	counts := make([]int, 10)
-	const samples = 100000
-	for i := 0; i < samples; i++ {
-		counts[u.Sample(r)]++
-	}
-	for i, c := range counts {
-		got := float64(c) / samples
-		if math.Abs(got-0.1) > 0.01 {
-			t.Fatalf("category %d frequency %.4f", i, got)
-		}
-	}
-}
-
-func TestUniformRejectsNonPositive(t *testing.T) {
-	for _, n := range []int{0, -5} {
-		if _, err := NewUniform(n); err == nil {
-			t.Errorf("NewUniform(%d) accepted", n)
-		}
-	}
-}
-
-func TestFenwickUpdateWeight(t *testing.T) {
-	f, err := NewFenwick([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero out bins 0..2; all samples must land on 3.
-	for i := 0; i < 3; i++ {
-		if err := f.UpdateWeight(i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := xrand.New(55)
-	for i := 0; i < 5000; i++ {
-		if idx := f.Sample(r); idx != 3 {
-			t.Fatalf("sample %d after zeroing, want 3", idx)
-		}
-	}
-	// Restore weight 10 on bin 0: ~10/11 of samples should be bin 0.
-	if err := f.UpdateWeight(0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Weight(0); got != 10 {
-		t.Fatalf("Weight(0) = %v", got)
-	}
-	if got := f.Total(); math.Abs(got-11) > 1e-9 {
-		t.Fatalf("Total() = %v, want 11", got)
-	}
-	hits := 0
-	const samples = 50000
-	for i := 0; i < samples; i++ {
-		if f.Sample(r) == 0 {
-			hits++
-		}
-	}
-	got := float64(hits) / samples
-	want := 10.0 / 11.0
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("bin 0 frequency %.4f, want %.4f", got, want)
-	}
-}
-
-func TestFenwickUpdateErrors(t *testing.T) {
-	f, _ := NewFenwick([]float64{1, 2})
-	if err := f.UpdateWeight(-1, 1); err == nil {
-		t.Error("UpdateWeight(-1) accepted")
-	}
-	if err := f.UpdateWeight(2, 1); err == nil {
-		t.Error("UpdateWeight(2) accepted (out of range)")
-	}
-	if err := f.UpdateWeight(0, -3); err == nil {
-		t.Error("UpdateWeight with negative weight accepted")
-	}
-	if err := f.UpdateWeight(0, math.NaN()); err == nil {
-		t.Error("UpdateWeight with NaN accepted")
 	}
 }
 
@@ -289,80 +186,35 @@ func TestQuickAliasValid(t *testing.T) {
 	}
 }
 
-// Property: Fenwick prefix sums remain consistent with raw weights after
-// arbitrary update sequences.
-func TestQuickFenwickConsistent(t *testing.T) {
-	f := func(seed uint64, raw []uint16, updates []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		if len(raw) > 32 {
-			raw = raw[:32]
-		}
-		weights := make([]float64, len(raw))
-		anyPos := false
-		for i, v := range raw {
-			weights[i] = float64(v%100) + 1 // strictly positive
-			anyPos = true
-		}
-		if !anyPos {
-			return true
-		}
-		fen, err := NewFenwick(weights)
-		if err != nil {
-			return false
-		}
-		for k, u := range updates {
-			if k >= 16 {
-				break
-			}
-			idx := int(u) % len(weights)
-			w := float64(u%50) + 1
-			weights[idx] = w
-			if err := fen.UpdateWeight(idx, w); err != nil {
-				return false
-			}
-		}
-		want := 0.0
-		for _, w := range weights {
-			want += w
-		}
-		if math.Abs(fen.Total()-want) > 1e-6*want {
-			return false
-		}
-		r := xrand.New(seed)
-		for i := 0; i < 16; i++ {
-			idx := fen.Sample(r)
-			if idx < 0 || idx >= len(weights) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Cross-check: alias and CDF agree (statistically) on a jagged
-// distribution. Compares empirical frequencies rather than streams.
+// Cross-check: the alias table agrees with the exact CDF of a jagged
+// distribution (a zero weight included), category by category and in
+// its running sum. Compares empirical frequencies rather than streams.
 func TestAliasCDFAgree(t *testing.T) {
 	weights := []float64{0.5, 9, 3.25, 0, 7, 1, 1, 2.5}
-	alias, _ := NewAlias(weights)
-	cdf, _ := NewCDF(weights)
-	const samples = 300000
-	ca := make([]float64, len(weights))
-	cc := make([]float64, len(weights))
-	ra, rc := xrand.New(2), xrand.New(3)
-	for i := 0; i < samples; i++ {
-		ca[alias.Sample(ra)]++
-		cc[cdf.Sample(rc)]++
+	alias := mustAlias(t, weights)
+	total := 0.0
+	for _, w := range weights {
+		total += w
 	}
-	for i := range weights {
-		fa, fc := ca[i]/samples, cc[i]/samples
-		if math.Abs(fa-fc) > 0.01 {
-			t.Fatalf("category %d: alias %.4f vs cdf %.4f", i, fa, fc)
+	const samples = 300000
+	counts := make([]float64, len(weights))
+	r := xrand.New(2)
+	for i := 0; i < samples; i++ {
+		counts[alias.Sample(r)]++
+	}
+	var cumW, cumC float64
+	for i, w := range weights {
+		cumW += w
+		cumC += counts[i]
+		if fa, fw := counts[i]/samples, w/total; math.Abs(fa-fw) > 0.01 {
+			t.Fatalf("category %d: alias %.4f vs exact %.4f", i, fa, fw)
 		}
+		if fa, fw := cumC/samples, cumW/total; math.Abs(fa-fw) > 0.01 {
+			t.Fatalf("cdf at %d: alias %.4f vs exact %.4f", i, fa, fw)
+		}
+	}
+	if counts[3] != 0 {
+		t.Fatalf("zero-weight category 3 drawn %v times", counts[3])
 	}
 }
 
@@ -381,28 +233,6 @@ func BenchmarkAliasSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink += a.Sample(r)
-	}
-	_ = sink
-}
-
-func BenchmarkCDFSample(b *testing.B) {
-	c, _ := NewCDF(benchWeights(10000))
-	r := xrand.New(1)
-	var sink int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += c.Sample(r)
-	}
-	_ = sink
-}
-
-func BenchmarkFenwickSample(b *testing.B) {
-	f, _ := NewFenwick(benchWeights(10000))
-	r := xrand.New(1)
-	var sink int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += f.Sample(r)
 	}
 	_ = sink
 }
@@ -469,50 +299,6 @@ func TestThresholdOfNearOne(t *testing.T) {
 	}
 	if hits > 2 {
 		t.Fatalf("near-zero-weight index drawn %d times in 1e5 samples", hits)
-	}
-}
-
-// TestCDFZeroWeightEdges covers the two edges of CDF.Sample: a
-// zero-weight prefix must never be returned even when the uniform draw
-// is exactly 0, and a zero-weight tail must stay unreachable even
-// though rounding absorption pins the final cumulative value to 1.
-func TestCDFZeroWeightEdges(t *testing.T) {
-	// Leading zeros: u = 0 lands on index 0 in the raw search.
-	lead, err := NewCDF([]float64{0, 0, 3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lead.locate(0); got != 2 {
-		t.Fatalf("locate(0) with zero-weight prefix = %d, want 2", got)
-	}
-	// Trailing zeros: rounding can leave cum[lastPositive] below 1, and
-	// the old blind cum[len-1] = 1 absorption made the final zero-weight
-	// bin absorb the residual band just under 1.
-	weights := []float64{1, 1e-9, 1e-9, 0}
-	tail, err := NewCDF(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tail.locate(math.Nextafter(1, 0)); weights[got] == 0 {
-		t.Fatalf("locate(1-ulp) returned zero-weight index %d", got)
-	}
-	// Middle zeros stay unreachable under both edges combined.
-	mid, err := NewCDF([]float64{0, 2, 0, 0, 5, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range []float64{0, 0.1, 0.2856, 0.99999, math.Nextafter(1, 0)} {
-		idx := mid.locate(u)
-		if idx < 0 || idx > 5 || []float64{0, 2, 0, 0, 5, 0}[idx] == 0 {
-			t.Fatalf("locate(%v) = %d (zero-weight or out of range)", u, idx)
-		}
-	}
-	// All-edges Monte-Carlo: no zero-weight index over many draws.
-	r := xrand.New(77)
-	for i := 0; i < 50000; i++ {
-		if idx := tail.Sample(r); weights[idx] == 0 {
-			t.Fatalf("Sample returned zero-weight index %d", idx)
-		}
 	}
 }
 

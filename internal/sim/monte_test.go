@@ -395,7 +395,7 @@ func TestRunLargeMonteShardStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardStats == nil || res.ShardStats.Shards() != 8 {
+	if res.ShardStats == nil || len(res.ShardStats.Rows()) != 8 {
 		t.Fatal("shard stats missing")
 	}
 	var ballSum, maxOfMax float64

@@ -56,26 +56,32 @@ type ObsOptions struct {
 	Checkpoints []int64
 	// HeightLevels, when positive, requests the count of bins at final
 	// load >= k for k = 1..HeightLevels (obs.Heights) — the
-	// concentration-bound observable.
+	// concentration-bound observable. At most maxObsRows = 65,536: each
+	// level is one row of the result.
 	HeightLevels int
 	// HeightBins, when positive, requests a histogram of ball heights —
 	// the paper's §2 notion: the load of the receiving bin immediately
 	// after the allocation. The histogram spans [0, HeightMax) with
-	// HeightBins bins (HeightMax defaults to 8). Classic engine only:
-	// it needs the receiving bin of every single ball.
+	// HeightBins bins (HeightMax defaults to 8), at most maxObsRows =
+	// 65,536. Classic engine only: it needs the receiving bin of every
+	// single ball.
 	HeightBins int
 	// HeightMax is the height histogram's upper bound (default 8).
 	HeightMax float64
 }
 
+// maxObsRows caps ObsOptions.HeightLevels and HeightBins, which size
+// per-run result tables (the same cap as ClusterParams.LatencyMax).
+const maxObsRows = 1 << 16
+
 // validate checks the option fields every engine shares; which
 // options an engine supports is RunSpec.unsupported's call.
 func (o *ObsOptions) validate() error {
-	if o.HeightLevels < 0 {
-		return fmt.Errorf("sim: HeightLevels = %d, need >= 0", o.HeightLevels)
+	if o.HeightLevels < 0 || o.HeightLevels > maxObsRows {
+		return fmt.Errorf("sim: HeightLevels = %d outside [0,%d]", o.HeightLevels, maxObsRows)
 	}
-	if o.HeightBins < 0 {
-		return fmt.Errorf("sim: HeightBins = %d, need >= 0", o.HeightBins)
+	if o.HeightBins < 0 || o.HeightBins > maxObsRows {
+		return fmt.Errorf("sim: HeightBins = %d outside [0,%d]", o.HeightBins, maxObsRows)
 	}
 	if o.HeightMax < 0 {
 		return fmt.Errorf("sim: HeightMax = %v, need >= 0 (0 defaults to 8)", o.HeightMax)

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -568,6 +569,36 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 	if _, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{Checkpoints: []int64{-3}}}); err == nil {
 		t.Fatal("negative checkpoint accepted")
+	}
+}
+
+// TestObsOptionsSizeCaps: HeightLevels and HeightBins size result
+// tables, so validation rejects them above 65,536, naming the field,
+// instead of letting a run attempt the allocation. It calls validate
+// directly, so a missing cap shows as a nil error and allocates
+// nothing.
+func TestObsOptionsSizeCaps(t *testing.T) {
+	const limit = 1 << 16
+	for _, tc := range []struct {
+		field string
+		o     ObsOptions
+	}{
+		{"HeightLevels", ObsOptions{HeightLevels: limit + 1}},
+		{"HeightLevels", ObsOptions{HeightLevels: 1 << 40}},
+		{"HeightLevels", ObsOptions{HeightLevels: math.MaxInt}},
+		{"HeightBins", ObsOptions{HeightBins: limit + 1}},
+		{"HeightBins", ObsOptions{HeightBins: 1 << 40}},
+		{"HeightBins", ObsOptions{HeightBins: math.MaxInt}},
+	} {
+		err := tc.o.validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: err = %v, want a rejection naming %s", tc.o, err, tc.field)
+		}
+	}
+	for _, o := range []ObsOptions{{HeightLevels: limit}, {HeightBins: limit}} {
+		if err := o.validate(); err != nil {
+			t.Errorf("%+v at the cap rejected: %v", o, err)
+		}
 	}
 }
 

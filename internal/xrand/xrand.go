@@ -14,10 +14,7 @@
 // NewStream), so parallel runs never share a generator.
 package xrand
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // SplitMix64 advances the splitmix64 state in *state and returns the next
 // output. It is used both for seeding xoshiro and for deriving independent
@@ -118,11 +115,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64 (63 random bits).
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -160,58 +152,4 @@ func (r *Rand) Binomial(n int, p float64) int {
 		}
 	}
 	return k
-}
-
-// Perm returns a uniformly random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the n elements addressed by swap uniformly at random.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Exp returns an exponentially distributed float64 with rate 1, via
-// inversion. Used by the consistent-hashing substrate for arc-gap models.
-func (r *Rand) Exp() float64 {
-	// 1 - Float64() is in (0, 1], so the log argument is never 0.
-	return -math.Log(1 - float64(r.Float64()))
-}
-
-// jumpPoly is the xoshiro256 jump polynomial: applying Jump advances the
-// generator by exactly 2^128 steps.
-var jumpPoly = [4]uint64{
-	0x180ec6d33cfd0aba, 0xd5a61266f0c9392c,
-	0xa9582618e03fc9aa, 0x39abdc4529b1661c,
-}
-
-// Jump advances the generator 2^128 steps — far beyond any simulation's
-// consumption — giving a mathematically guaranteed non-overlapping
-// stream. Mix64-derived streams are the default (cheaper, statistically
-// independent); Jump is the belt-and-braces alternative when provable
-// disjointness matters.
-func (r *Rand) Jump() {
-	var s0, s1, s2, s3 uint64
-	for _, jp := range jumpPoly {
-		for b := 0; b < 64; b++ {
-			if jp&(uint64(1)<<b) != 0 {
-				s0 ^= r.s0
-				s1 ^= r.s1
-				s2 ^= r.s2
-				s3 ^= r.s3
-			}
-			r.Uint64()
-		}
-	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }

@@ -155,15 +155,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(11)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative value")
-		}
-	}
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 100; i++ {
@@ -239,138 +230,6 @@ func TestBinomialMoments(t *testing.T) {
 	}
 	if math.Abs(variance-wantVar) > 0.05 {
 		t.Fatalf("Binomial variance %.3f, want %.3f", variance, wantVar)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(41)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-// TestPermUniformFirstElement: the first element of Perm(4) should be
-// uniform over 0..3.
-func TestPermUniformFirstElement(t *testing.T) {
-	r := New(43)
-	var counts [4]int
-	const samples = 40000
-	for i := 0; i < samples; i++ {
-		counts[r.Perm(4)[0]]++
-	}
-	for v, c := range counts {
-		got := float64(c) / samples
-		if math.Abs(got-0.25) > 0.02 {
-			t.Fatalf("Perm(4)[0] == %d with frequency %.3f", v, got)
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(47)
-	xs := []int{1, 2, 2, 3, 5, 8, 13}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed element sum: %d -> %d", sum, got)
-	}
-}
-
-func TestExpPositiveWithUnitMean(t *testing.T) {
-	r := New(53)
-	sum := 0.0
-	const samples = 200000
-	for i := 0; i < samples; i++ {
-		v := r.Exp()
-		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Fatalf("Exp() = %v", v)
-		}
-		sum += v
-	}
-	mean := sum / samples
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("Exp mean %.4f, want 1", mean)
-	}
-}
-
-func TestJumpDeterministic(t *testing.T) {
-	a, b := New(123), New(123)
-	a.Jump()
-	b.Jump()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("Jump is not deterministic")
-		}
-	}
-}
-
-func TestJumpChangesStream(t *testing.T) {
-	a, b := New(123), New(123)
-	a.Jump()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("jumped stream agrees on %d of 1000 outputs", same)
-	}
-}
-
-// TestJumpCommutesWithSteps: Jump advances by a fixed count, so
-// step-then-jump equals jump-then-step.
-func TestJumpCommutesWithSteps(t *testing.T) {
-	a, b := New(7), New(7)
-	// a: 5 steps then jump; b: jump then 5 steps.
-	for i := 0; i < 5; i++ {
-		a.Uint64()
-	}
-	a.Jump()
-	b.Jump()
-	for i := 0; i < 5; i++ {
-		b.Uint64()
-	}
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("Jump does not commute with stepping")
-		}
-	}
-}
-
-func TestJumpedStreamsUniform(t *testing.T) {
-	r := New(99)
-	r.Jump()
-	var counts [8]int
-	const samples = 80000
-	for i := 0; i < samples; i++ {
-		counts[r.Uint64n(8)]++
-	}
-	expected := float64(samples) / 8
-	chi2 := 0.0
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	if chi2 > 24.32 { // 99.9% quantile, 7 df
-		t.Fatalf("jumped stream chi-square %.2f", chi2)
 	}
 }
 

@@ -5,8 +5,8 @@
 # seed the classic Monte-Carlo engine, the sharded single-run engine
 # (at each shard count — Shards is part of the model) and the sharded
 # Monte-Carlo engine must print byte-identical results for any -workers
-# value. Wall-time lines are the only legitimate difference and are
-# filtered out before the diff.
+# value. bnbsim prints its wall time on stderr, so stdout diffs as
+# printed.
 #
 # Usage: scripts/determinism.sh [path-to-bnbsim]
 #   Without an argument the binary is built into a temp dir first.
@@ -22,15 +22,17 @@ if [ -z "$BNBSIM" ]; then
 	go build -o "$BNBSIM" ./cmd/bnbsim
 fi
 
-# run CMD... : capture output with wall-time lines stripped. bnbsim
-# runs as its own statement (not the head of a pipeline) so a non-zero
-# exit aborts the script under set -e instead of being masked by grep —
+# run OUT CMD... : capture stdout, which bnbsim keeps free of wall
+# clock (its wall time and resume notices go to stderr, kept in
+# OUT.err). A non-zero exit prints that stderr and fails the script —
 # a failing binary must fail the job, not pass it with empty diffs.
 run() {
 	out="$1"
 	shift
-	"$BNBSIM" "$@" > "$out.raw"
-	grep -v '^wall time' "$out.raw" > "$out"
+	if ! "$BNBSIM" "$@" > "$out" 2> "$out.err"; then
+		cat "$out.err" >&2
+		exit 1
+	fi
 }
 
 check() {

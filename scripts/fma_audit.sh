@@ -38,7 +38,7 @@ audit() {
 
 audit ./internal/sampling 'binomialBTRS'
 audit ./internal/sim 'BallCount'
-audit ./internal/xrand 'Exp'
+audit ./internal/xrand 'Binomial'
 audit ./internal/obs 'SnapshotHist'
 audit ./internal/stats 'Linear'
 if [ "$fail" -ne 0 ]; then
