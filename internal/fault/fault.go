@@ -64,17 +64,17 @@ const (
 	// crashing or recovering at a tick boundary. Rep is the tick index,
 	// Shard the peer index.
 	OpCrash
-	// OpRetry is one shard's retry-dispatch task in the cluster engine:
-	// re-placing timed-out requests onto an alternate candidate. Rep is
-	// the tick index, Shard the shard index.
+	// OpRetry is one shard's retry-dispatch sub-step in the cluster
+	// engine's shard task: re-placing timed-out requests onto an
+	// alternate candidate. Rep is the tick index, Shard the shard index.
 	OpRetry
 	// OpShed is the cluster engine's per-tick admission-control step
 	// (orchestrator side, Shard = -1). Rep is the tick index.
 	OpShed
 	// OpReshard is one step of the cluster engine's incremental
 	// re-sharding after churn: the ring/router rebuild (Shard = -1) or
-	// one shard's redistribution task (Shard = the shard index). Rep is
-	// the tick index.
+	// one shard's redistribution sub-step (Shard = the shard index). Rep
+	// is the tick index.
 	OpReshard
 )
 

@@ -13,9 +13,16 @@
 //
 // # Tick structure
 //
-// One tick is: churn → re-shard/redistribute → admission → arrival
-// dispatch → retry dispatch → service and timeout scan → observation →
-// commit.
+// One tick is: churn → re-shard and drain → admission → arrival
+// routing → retry apportionment → the shard phase → retry/failure fold
+// → observation → commit. Everything before the shard phase runs on
+// the orchestrator and reads no placement: the re-shard and the
+// apportionments read only the live weights. The shard phase is one
+// task per shard (tickShard) that runs, in its placement stream's
+// frozen order, the placer re-bind, the redistribution, arrival and
+// retry placements, service and the timeout scan: each touches only
+// its shard's state, so the tick passes one shard barrier (two with
+// the routing phase), not one per step.
 //
 //   - Churn (ChurnPlan): scheduled events apply first, then
 //     every peer consumes one Bernoulli draw from the tick's churn
@@ -37,8 +44,8 @@
 //     resident queue is redistributed: each cohort is split over the
 //     live shard weights by largest remainder (the streaming rebalance
 //     rule — deterministic, no RNG) and re-placed by the destination
-//     shards' placers, KEEPING its original dispatch tick —
-//     redistribution does not reset the timeout clock.
+//     shards' placers (in the shard tasks), KEEPING its original
+//     dispatch tick — redistribution does not reset the timeout clock.
 //   - Admission: when ShedThreshold > 0, arrivals beyond
 //     floor(threshold·live capacity) − queued are shed — counted,
 //     never silently dropped. Retries bypass admission: a request the
@@ -56,9 +63,8 @@
 //     and either re-dispatched after a deterministic exponential
 //     backoff onto a fresh d-choice placement (an alternate candidate
 //     — the queue state has moved on) or, after MaxRetries attempts,
-//     counted failed. Service and the timeout scan touch only their
-//     own shard's queues, and the orchestrator writes nothing between
-//     them, so one task per shard runs both: one barrier, not two.
+//     counted failed. Pending retries wait in a min-heap on (due tick,
+//     insertion order), which holds only the pending batches.
 //
 // # Determinism: the substream layout is part of the model
 //
@@ -79,20 +85,26 @@
 //
 // # Cancellation and faults
 //
-// A tick is one step of the step driver (runner.go): every phase is
-// one barrier of tasks per shard or routing group, and the churn,
-// re-shard and admission steps are inline tasks on the orchestrator,
-// all behind the runner's panic containment with {engine, task, tick,
-// shard} provenance (index −1 for the inline steps). Cancellation is
-// polled at task boundaries, at every barrier and at every tick
-// boundary; a cancelled run returns a *CancelledError with
+// A tick is one step of the step driver (runner.go): the routing
+// phase (one task per routing group), the shard phase (one task per
+// shard) and, at a cut, the observe phase, while the churn, re-shard
+// and admission steps are inline tasks on the orchestrator, all behind
+// the runner's panic containment with {engine, task, tick, shard}
+// provenance (index −1 for the inline steps). A shard task records the
+// sub-step it is in, and a failure names that sub-step (subStep): its
+// PanicError.Task and error label are "setup", "redistribute",
+// "place", "retry" or "serve", as when each was a phase of its own.
+// Cancellation is polled at task boundaries, at every barrier and at
+// every tick boundary; a cancel anywhere in the tick abandons the
+// whole tick, so a cancelled run returns a *CancelledError with
 // CompletedTicks = k plus a partial whose counters, availability
 // trace, latency histogram and trajectory are bit-identical to a run
-// configured with Ticks = k. Fault sites: OpCrash (each applied churn event, peer in
-// Site.Shard), OpReshard (ring/router rebuild with Shard = −1, each
-// shard's redistribution task), OpShed (the admission step), OpRetry
-// (each shard's retry-dispatch task), plus the inherited OpRoute and
-// OpPlace sites of the routing and placement kernels.
+// configured with Ticks = k. Fault sites: OpCrash (each applied churn
+// event, peer in Site.Shard), OpReshard (ring/router rebuild with
+// Shard = −1, each shard's redistribution sub-step), OpShed (the
+// admission step), OpRetry (each shard's retry sub-step), plus the
+// inherited OpRoute and OpPlace sites of the routing and placement
+// kernels.
 package sim
 
 import (
@@ -175,6 +187,10 @@ type ClusterParams struct {
 
 // maxLatencyMax caps ClusterParams.LatencyMax.
 const maxLatencyMax = 1 << 16
+
+// maxPresizedTicks caps the ticks the availability trace is presized
+// for (32 KB).
+const maxPresizedTicks = 1 << 12
 
 // validate checks the serving parameters for n peers.
 func (p *ClusterParams) validate(n int) error {
@@ -314,30 +330,32 @@ func (p *RetryPolicy) Backoff(attempt int) int {
 	return base << shift
 }
 
-// Cluster task kinds, after the step driver's: one per phase of a
-// tick, the placer re-bind phase after churn, and the inline churn,
-// re-shard and admission steps.
+// Cluster task kinds, after the step driver's: the one shard task of a
+// tick, the inline churn, re-shard and admission steps, and the shard
+// task's sub-steps. The sub-step kinds are never submitted; they name a
+// failing shard task's sub-step (subStep).
 const (
-	clusterSetup = stepKinds + iota
-	clusterPlace
+	clusterShardTick = stepKinds + iota
 	clusterChurn
 	clusterReshard
-	clusterRedist
 	clusterAdmit
+	clusterSetup
+	clusterRedist
+	clusterPlace
 	clusterRetry
 	clusterServe
 )
 
 var clusterKinds = slices.Concat(stepNames, []taskName{
-	{"setup", "setup shard"}, {"place", "shard"}, {"churn", "churn"}, {"reshard", "reshard"},
-	{"redistribute", "redistribution shard"}, {"shed", "admission"}, {"retry", "retry shard"},
-	{"serve", "service shard"},
+	{"tick", "tick shard"}, {"churn", "churn"}, {"reshard", "reshard"}, {"shed", "admission"},
+	{"setup", "setup shard"}, {"redistribute", "redistribution shard"}, {"place", "shard"},
+	{"retry", "retry shard"}, {"serve", "service shard"},
 })
 
 // cohort is a batch of requests sharing (dispatch tick, origin tick,
 // attempt): one FIFO queue entry per peer per batch, so per-request
 // metadata costs O(batches), not O(requests). It doubles as the
-// work-list item of the redistribution/retry phases and the expired
+// work-list item of the redistribution/retry sub-steps and the expired
 // record of the timeout scan (disp unused there).
 type cohort struct {
 	disp  int32 // dispatch tick (timeout clock; preserved across redistribution)
@@ -348,9 +366,67 @@ type cohort struct {
 
 // retryEntry is one timed-out batch waiting for its backoff to elapse.
 type retryEntry struct {
+	due   int32 // the tick it re-enters
 	orig  int32
-	att   int16 // the attempt this retry will be (1-based)
+	att   int16  // the attempt this retry will be (1-based)
+	seq   uint64 // insertion order, which breaks ties on due
 	count int64
+}
+
+// before orders entries by (due, seq).
+func (e *retryEntry) before(o *retryEntry) bool {
+	return e.due < o.due || e.due == o.due && e.seq < o.seq
+}
+
+// retryHeap holds the pending retries as a binary min-heap on (due
+// tick, insertion sequence): the batches due at a tick pop in the order
+// they were pushed. It holds only the pending entries, and its slice
+// keeps its capacity, so it stops allocating once it has grown to the
+// run's peak backlog.
+type retryHeap struct {
+	h   []retryEntry
+	seq uint64
+}
+
+// push adds e, stamping its insertion sequence.
+func (q *retryHeap) push(e retryEntry) {
+	e.seq = q.seq
+	q.seq++
+	q.h = append(q.h, e)
+	for i := len(q.h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.h[i].before(&q.h[p]) {
+			break
+		}
+		q.h[i], q.h[p] = q.h[p], q.h[i]
+		i = p
+	}
+}
+
+// popDue removes and returns the first entry if it is due at or before
+// tick t.
+func (q *retryHeap) popDue(t int) (retryEntry, bool) {
+	if len(q.h) == 0 || int(q.h[0].due) > t {
+		return retryEntry{}, false
+	}
+	top, n := q.h[0], len(q.h)-1
+	q.h[0] = q.h[n]
+	q.h = q.h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q.h[r].before(&q.h[m]) {
+			m = r
+		}
+		if !q.h[m].before(&q.h[i]) {
+			break
+		}
+		q.h[i], q.h[m] = q.h[m], q.h[i]
+		i = m
+	}
+	return top, true
 }
 
 // qnode is one resident cohort in a shard's queue arena, linked into
@@ -416,21 +492,25 @@ func (q *cohortQueues) unlink(i int, prev, k int32) int32 {
 }
 
 // clusterShard is one shard's serving state: its peers' cohort
-// queues, the placer-rebuild mark, the work list its redistribution
-// and retry tasks place, placeCohort's before-snapshot, the expired
-// list of its timeout scan, and its service phase's latency scratch
-// and served count. The shard's tasks write all of it, so the slot is
-// padded to whole cache lines: neighbouring shards' tasks run
-// concurrently, and unpadded slots would false-share their headers.
+// queues, the placer-rebuild mark, the sub-step its tick task is in
+// (failure provenance), the work list its redistribution and retry
+// sub-steps place — redistribution cohorts first, retries from retryAt
+// on — placeCohort's before-snapshot, the expired list of its timeout
+// scan, and its service sub-step's latency scratch and served count.
+// The shard's task writes all of it, so the slot is padded to whole
+// cache lines: neighbouring shards' tasks run concurrently, and
+// unpadded slots would false-share their headers.
 type clusterShard struct {
 	q       cohortQueues
 	dirty   bool
+	sub     int32
 	work    []cohort
+	retryAt int
 	before  []int64
 	expired []cohort
 	lat     obs.Latency
 	served  int64
-	_       [256 - (80 + 8 + 3*24 + 40 + 8)]byte
+	_       [256 - (80 + 8 + 8 + 3*24 + 40 + 8)]byte
 }
 
 // Compile-time guard: clusterShard must stay a whole number of 64-byte
@@ -456,14 +536,13 @@ type clusterState struct {
 	peerShard []int32
 
 	slots []clusterShard // per-shard serving state
-	// retryWheel[d % len] holds the timed-out batches due at tick d.
-	// Backoffs are at most len−1 ticks, so the pending due ticks never
-	// share a slot; batches due at or after the horizon are never
-	// stored (they only count in pendingRetry).
-	retryWheel [][]retryEntry
-	aport      []int64 // apportionment scratch
-	ap         apportion
-	crand      xrand.Rand
+	// retries holds the timed-out batches waiting on their backoff;
+	// batches due at or after the horizon are never stored (they only
+	// count in pendingRetry).
+	retries retryHeap
+	aport   []int64 // apportionment scratch
+	ap      apportion
+	crand   xrand.Rand
 
 	// Tick-scoped fields, written by the orchestrator strictly between
 	// phase barriers.
@@ -524,9 +603,11 @@ func runCluster(spec *RunSpec) (*Result, error) {
 	st.aport = make([]int64, shards)
 	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
 	st.slots = make([]clusterShard, shards)
-	st.retryWheel = make([][]retryEntry, min(p.Retry.Backoff(p.Retry.MaxRetries), p.Ticks)+1)
 	st.crashed = make([]int, 0, n)
-	st.res.LivePerTick = make([]int, 0, p.Ticks)
+	// Presized for at most maxPresizedTicks ticks: a longer run's trace
+	// grows as its ticks complete, so setup never allocates by the
+	// horizon.
+	st.res.LivePerTick = make([]int, 0, min(p.Ticks, maxPresizedTicks))
 
 	latMax := p.LatencyMax
 	if latMax == 0 {
@@ -574,53 +655,84 @@ func runCluster(spec *RunSpec) (*Result, error) {
 // The inline steps (churn, reshard, admission) run on the orchestrator.
 func (st *clusterState) exec(kind, s, _ int) error {
 	switch kind {
-	case clusterSetup:
-		return st.setupShard(s)
-	case clusterPlace:
-		if st.counts[s] > 0 {
-			tick := int32(st.step)
-			st.placeCohort(s, tick, tick, 0, st.counts[s])
-		}
+	case clusterShardTick:
+		return st.tickShard(s)
 	case clusterChurn:
 		st.churnStep()
 	case clusterReshard:
 		return st.reshardPlan()
 	case clusterAdmit:
 		st.admission()
-	case clusterRedist, clusterRetry:
-		// Both re-place the shard's apportioned work list; only the
-		// fault site differs.
-		if sl := &st.slots[s]; len(sl.work) > 0 {
-			if fault.Enabled {
-				op := fault.OpReshard
-				if kind == clusterRetry {
-					op = fault.OpRetry
-				}
-				fault.Hit(fault.Site{Engine: engRunCluster, Op: op, Rep: st.step, Shard: s, Block: -1})
-			}
-			for _, it := range sl.work {
-				st.placeCohort(s, it.disp, it.orig, it.att, it.count)
-			}
-			sl.work = sl.work[:0]
-		}
-	case clusterServe:
-		st.serveShard(s)
-		if st.p.Retry.TimeoutTicks > 0 {
-			st.expireShard(s)
-		}
 	default:
 		return st.stepExec(kind, s)
 	}
 	return nil
 }
 
-// setupShard re-binds shard s's placer after churn to the live-peer
-// weight slice reshardPlan re-summed: Reweight in place when the shard
-// has a placer, the factory when it has none (live weight returning
-// from zero). The step driver's setup phase made the initial binds.
-// Only shards whose weights changed since the last bind are dirty; a
-// shard whose live weight vanished entirely (every peer down) gets a
-// nil placer — the router can never route a ball there.
+// subStep names a failing shard task by the sub-step it was in, so its
+// PanicError.Task and error label say which step of the tick failed.
+func (st *clusterState) subStep(kind, s int) int {
+	if kind == clusterShardTick {
+		return int(st.slots[s].sub)
+	}
+	return kind
+}
+
+// tickShard is shard s's whole share of a tick, in the frozen order of
+// its placement stream: re-bind the placer if churn changed the
+// shard's weights, place the redistribution cohorts, the arrival
+// cohort and the retry cohorts, then serve and (timeouts armed) scan
+// for timeouts. Each step touches only the shard's own state, and the
+// orchestrator writes nothing the later steps read, so one task runs
+// them all: one barrier per tick instead of one per step.
+func (st *clusterState) tickShard(s int) error {
+	sl := &st.slots[s]
+	sl.sub = clusterSetup
+	if err := st.setupShard(s); err != nil {
+		return err
+	}
+	if sl.retryAt > 0 {
+		sl.sub = clusterRedist
+		st.placeWork(s, fault.OpReshard, sl.work[:sl.retryAt])
+	}
+	// counts is stale when the tick routed nothing.
+	if st.admit > 0 && st.counts[s] > 0 {
+		sl.sub = clusterPlace
+		tick := int32(st.step)
+		st.placeCohort(s, tick, tick, 0, st.counts[s])
+	}
+	if len(sl.work) > sl.retryAt {
+		sl.sub = clusterRetry
+		st.placeWork(s, fault.OpRetry, sl.work[sl.retryAt:])
+	}
+	sl.work, sl.retryAt = sl.work[:0], 0
+	sl.sub = clusterServe
+	st.serveShard(s)
+	if st.p.Retry.TimeoutTicks > 0 {
+		st.expireShard(s)
+	}
+	return nil
+}
+
+// placeWork re-places apportioned cohorts on shard s; op is the fault
+// site of the sub-step (redistribution or retry).
+func (st *clusterState) placeWork(s int, op fault.Op, work []cohort) {
+	if fault.Enabled {
+		fault.Hit(fault.Site{Engine: engRunCluster, Op: op, Rep: st.step, Shard: s, Block: -1})
+	}
+	for _, it := range work {
+		st.placeCohort(s, it.disp, it.orig, it.att, it.count)
+	}
+}
+
+// setupShard, the first sub-step of shard s's tick task, re-binds the
+// shard's placer after churn to the live-peer weight slice reshardPlan
+// re-summed: Reweight in place when the shard has a placer, the
+// factory when it has none (live weight returning from zero). The step
+// driver's setup phase made the initial binds. Only shards whose
+// weights changed since the last bind are dirty; a shard whose live
+// weight vanished entirely (every peer down) gets a nil placer — the
+// router can never route a ball there.
 func (st *clusterState) setupShard(s int) (err error) {
 	if !st.slots[s].dirty {
 		return nil
@@ -702,12 +814,11 @@ func (st *clusterState) serveShard(s int) {
 }
 
 // expireShard is the tick's timeout scan on shard s, run by the
-// shard's service task right after serveShard when timeouts are armed:
+// shard's tick task right after serveShard when timeouts are armed:
 // cohorts dispatched at or before tick − TimeoutTicks leave their
 // queues and are recorded for the orchestrator's retry/failure fold.
-// The scan
-// covers whole queues, not just heads — redistributed cohorts keep
-// their original dispatch ticks, so a queue is not disp-sorted.
+// The scan covers whole queues, not just heads — redistributed cohorts
+// keep their original dispatch ticks, so a queue is not disp-sorted.
 func (st *clusterState) expireShard(s int) {
 	// In int: a timeout beyond the int32 tick range must not wrap
 	// into a cutoff that expires every cohort.
@@ -838,11 +949,11 @@ func (st *clusterState) admission() {
 }
 
 // drainCrashed empties the queues of this tick's crashed peers into
-// the redistribution work lists: each resident cohort is split over
-// the live shard weights by largest remainder (deterministic,
-// integer-exact, no RNG), keeping its original dispatch AND origin
-// ticks, so neither the timeout nor the latency clock resets. Returns
-// the number of requests moved.
+// the shards' work lists, ahead of any retries (retryAt marks their
+// end): each resident cohort is split over the live shard weights by
+// largest remainder (deterministic, integer-exact, no RNG), keeping
+// its original dispatch AND origin ticks, so neither the timeout nor
+// the latency clock resets. Returns the number of requests moved.
 func (st *clusterState) drainCrashed() int64 {
 	var moved int64
 	for _, p := range st.crashed {
@@ -855,7 +966,9 @@ func (st *clusterState) drainCrashed() int64 {
 			st.ap.split(c.count, st.shardW, st.sumW, st.aport)
 			for s2, cnt := range st.aport {
 				if cnt > 0 {
-					st.slots[s2].work = append(st.slots[s2].work, cohort{disp: c.disp, orig: c.orig, att: c.att, count: cnt})
+					sl := &st.slots[s2]
+					sl.work = append(sl.work, cohort{disp: c.disp, orig: c.orig, att: c.att, count: cnt})
+					sl.retryAt = len(sl.work)
 				}
 			}
 			moved += c.count
@@ -864,11 +977,13 @@ func (st *clusterState) drainCrashed() int64 {
 	return moved
 }
 
-// runStep plays tick t: churn → re-shard/redistribute → admission →
-// arrival dispatch → retry dispatch → service and timeout scan →
-// observation → commit.
+// runStep plays tick t: churn → re-shard and drain → admission →
+// arrival routing → retry apportionment → one shard task per shard
+// (re-bind, redistribution, arrivals, retries, service, timeout scan)
+// → retry/failure fold → observation → commit.
 func (st *clusterState) runStep(t int) (ok bool, err error) {
-	// Phase 1 — churn + incremental re-shard + redistribution.
+	// Churn, then (membership changed) the incremental re-shard and the
+	// crashed peers' queues drained into the redistribution work lists.
 	if ok, err := st.inline(clusterChurn); !ok {
 		return false, err
 	}
@@ -878,18 +993,11 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 		if ok, err := st.inline(clusterReshard); !ok {
 			return false, err
 		}
-		if ok, err := st.phase(clusterSetup, st.shards); !ok {
-			return false, err
-		}
-		if movedT = st.drainCrashed(); movedT > 0 {
-			if ok, err := st.phase(clusterRedist, st.shards); !ok {
-				return false, err
-			}
-		}
+		movedT = st.drainCrashed()
 	}
 
-	// Phase 2 — admission: shed what would push the cluster past
-	// ShedThreshold × live capacity. Counted, never silently dropped.
+	// Admission: shed what would push the cluster past ShedThreshold ×
+	// live capacity. Counted, never silently dropped.
 	st.admit, st.shedT = st.p.ArrivalsPerTick, 0
 	if st.p.ShedThreshold > 0 {
 		if ok, err := st.inline(clusterAdmit); !ok {
@@ -897,52 +1005,47 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 		}
 	}
 
-	// Phase 3 — arrival dispatch: block-wise multinomial routing over
-	// the live shard weights, then per-shard placement.
+	// Arrival routing: block-wise multinomial routing over the live
+	// shard weights into counts; the shard tasks place them.
 	if st.admit > 0 {
 		if ok, err := st.route(st.admit, stepRoute, 0); !ok {
-			return false, err
-		}
-		if ok, err := st.phase(clusterPlace, st.shards); !ok {
 			return false, err
 		}
 		st.liveQ += st.admit
 	}
 
-	// Phase 4 — retry dispatch: batches whose backoff elapses this
-	// tick re-enter, apportioned over the live shard weights and
-	// re-placed on the CURRENT queue state — a fresh d-choice
-	// placement, hence an alternate candidate. Retries bypass
-	// admission.
+	// Retry apportionment: batches whose backoff elapses this tick
+	// re-enter, split over the live shard weights behind the
+	// redistribution cohorts; the shard tasks re-place them on the
+	// queue state their arrivals leave — a fresh d-choice placement,
+	// hence an alternate candidate. Retries bypass admission.
 	var retriedT int64
-	if slot := &st.retryWheel[t%len(st.retryWheel)]; len(*slot) > 0 {
-		due := *slot
-		*slot = due[:0]
-		for _, e := range due {
-			st.ap.split(e.count, st.shardW, st.sumW, st.aport)
-			for s, cnt := range st.aport {
-				if cnt > 0 {
-					st.slots[s].work = append(st.slots[s].work, cohort{disp: int32(t), orig: e.orig, att: e.att, count: cnt})
-				}
+	for {
+		e, ok := st.retries.popDue(t)
+		if !ok {
+			break
+		}
+		st.ap.split(e.count, st.shardW, st.sumW, st.aport)
+		for s, cnt := range st.aport {
+			if cnt > 0 {
+				st.slots[s].work = append(st.slots[s].work, cohort{disp: int32(t), orig: e.orig, att: e.att, count: cnt})
 			}
-			retriedT += e.count
 		}
-		st.pendingRetry -= retriedT
-		if ok, err := st.phase(clusterRetry, st.shards); !ok {
-			return false, err
-		}
-		st.liveQ += retriedT
+		retriedT += e.count
 	}
+	st.pendingRetry -= retriedT
+	st.liveQ += retriedT
 
-	// Phase 5 — service, then (timeouts armed) the timeout scan, in one
-	// task per shard: requests queued TimeoutTicks or longer leave
-	// their queues; each either schedules a backed-off retry or —
-	// retries exhausted — counts failed. A retry due at or after the
-	// horizon only counts as pending (d < Ticks − t cannot overflow,
-	// however large the backoff).
-	if ok, err := st.phase(clusterServe, st.shards); !ok {
+	// The shard phase: every shard's placements, service and timeout
+	// scan in one task (tickShard).
+	if ok, err := st.phase(clusterShardTick, st.shards); !ok {
 		return false, err
 	}
+
+	// Fold service and timeouts: each expired batch either schedules a
+	// backed-off retry or — retries exhausted — counts failed. A retry
+	// due at or after the horizon only counts as pending (d < Ticks − t
+	// cannot overflow, however large the backoff).
 	var doneT int64
 	for s := 0; s < st.shards; s++ {
 		doneT += st.slots[s].served
@@ -956,8 +1059,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 				if int(e.att) < st.p.Retry.MaxRetries {
 					att := e.att + 1
 					if d := st.p.Retry.Backoff(int(att)); d < st.p.Ticks-t {
-						slot := &st.retryWheel[(t+d)%len(st.retryWheel)]
-						*slot = append(*slot, retryEntry{orig: e.orig, att: att, count: e.count})
+						st.retries.push(retryEntry{due: int32(t + d), orig: e.orig, att: att, count: e.count})
 					}
 					st.pendingRetry += e.count
 				} else {
@@ -968,8 +1070,8 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 		st.liveQ -= timedOutT
 	}
 
-	// Phase 6 — observation of a cut at tick t+1: queue occupancy and
-	// max queue-relative load.
+	// Observation of a cut at tick t+1: queue occupancy and max
+	// queue-relative load.
 	if ok, err := st.observe(st.liveQ); !ok {
 		return false, err
 	}

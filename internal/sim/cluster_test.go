@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -593,6 +594,53 @@ func TestClusterCancelAfterTicksPrefix(t *testing.T) {
 	wt.Max, wt.Avg = stats.Accumulator{}, stats.Accumulator{}
 	if !reflect.DeepEqual(gt, wt) {
 		t.Fatalf("cancelled prefix diverges from Ticks=%d run:\n got %+v\nwant %+v", k, gt, wt)
+	}
+}
+
+// TestClusterHugeHorizonSetup: a valid spec with the largest horizon
+// and a backoff far beyond it returns its 2-tick prefix, and the run —
+// setup included — allocates under 1 MB: no setup buffer is sized by
+// Ticks or by the backoff.
+func TestClusterHugeHorizonSetup(t *testing.T) {
+	params := ClusterParams{
+		Ticks:           math.MaxInt32,
+		ArrivalsPerTick: 40,
+		Retry:           RetryPolicy{TimeoutTicks: 1, MaxRetries: 30, BackoffBase: 1 << 20},
+	}
+	spec := func(p ClusterParams) *RunSpec {
+		return &RunSpec{Config: Config{Array: clusterArray(t, 1, 2, 3, 1, 2, 3), Seed: 3, Workers: 2}, Shards: 2, Cluster: &p}
+	}
+	const k = 2
+	huge := spec(params)
+	huge.CancelAfter = k
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := runCluster(huge)
+	runtime.ReadMemStats(&after)
+	var cerr *CancelledError
+	if !errors.As(err, &cerr) || cerr.CompletedTicks != k {
+		t.Fatalf("err = %v, want a *CancelledError after %d ticks", err, k)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a %d-tick prefix allocated %d bytes, want < 1 MB", k, alloc)
+	}
+	params.Ticks = k
+	short := spec(params)
+	wantArr := adopt(short)
+	want, err := runCluster(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cluster.TimedOut == 0 || got.Cluster.PendingRetry == 0 {
+		t.Fatalf("spec does not time out: %+v", *got.Cluster)
+	}
+	// Blank the final state the partial cannot carry, as in
+	// TestClusterCancelAfterTicksPrefix.
+	gt, wt := traceOf(got, nil), traceOf(want, wantArr)
+	wt.Queues = nil
+	wt.Max, wt.Avg = stats.Accumulator{}, stats.Accumulator{}
+	if !reflect.DeepEqual(gt, wt) {
+		t.Fatalf("prefix diverges from the Ticks=%d run:\n got %+v\nwant %+v", k, gt, wt)
 	}
 }
 

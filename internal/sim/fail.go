@@ -25,10 +25,12 @@
 // carrying provenance (engine, task name, repetition/round/tick,
 // shard/group/chunk index): the chunk engines' per-worker setups and
 // chunks, the sharded engines' placer builds (the "setup" phase),
-// routing groups and per-shard tasks, and their orchestrator-side
-// steps — the streaming engine's deletion routing, the cluster
-// engine's churn, re-shard and admission, the Monte-Carlo engine's
-// per-repetition summary and fold — which run as inline tasks. The
+// routing groups and per-shard tasks (the cluster engine's one shard
+// task per tick reports the sub-step it was in), and their
+// orchestrator-side steps — the streaming engine's deletion routing,
+// the cluster engine's churn, re-shard and admission, the Monte-Carlo
+// engine's per-repetition summary and fold — which run as inline
+// tasks. The
 // lowest-slot failure of a phase wins, every barrier is still reached,
 // and no worker goroutine is stranded — a panic anywhere surfaces as
 // an ordinary error from the engine call, never as a process crash or
@@ -136,9 +138,10 @@ type PanicError struct {
 	// per-worker array and placer or router), "chunk" (a classic or
 	// closed-form chunk of repetitions), the Monte-Carlo
 	// engine's "reset", "place", "summary" and "orchestrator" (a
-	// repetition's fold), and the streaming and cluster phase names
-	// ("place", "delete", "move-out", "redistribute", "retry",
-	// "churn", ...).
+	// repetition's fold), the streaming engine's phase names ("place",
+	// "delete", "move-out", ...), and the cluster engine's inline steps
+	// ("churn", "reshard", "shed") and the sub-step its shard task was
+	// in ("setup", "redistribute", "place", "retry", "serve").
 	Task string
 	// Rep is the repetition, round or tick the task belonged to (for a
 	// chunk, the repetition in flight; -1 when unknown).

@@ -21,7 +21,9 @@
 //
 // Every task runs behind a recover that converts a panic into a
 // *PanicError carrying {engine, task name, rep, index}: the worker
-// survives and the barrier is always reached. Orchestrator-side steps
+// survives and the barrier is always reached. A task that runs several
+// named sub-steps (the cluster engine's shard task) is named by the
+// sub-step it failed in (subStepper). Orchestrator-side steps
 // (deletion routing, churn, re-shard, admission, the Monte summary
 // and fold) run as inline tasks on the calling goroutine behind the
 // same recover, with index −1. A phase may mix task kinds (Monte
@@ -229,17 +231,35 @@ func (ph *phase) inline(kind int) error {
 	return ph.wait()
 }
 
+// subStepper is an executor whose tasks run several named sub-steps in
+// turn (the cluster engine's one shard task per tick): subStep maps a
+// failing task's kind to the kind of the sub-step it was in, so the
+// failure carries that sub-step's name and label.
+type subStepper interface {
+	subStep(kind, idx int) int
+}
+
 // runTask executes the task in slot on worker slot worker behind the
 // phase's panic containment.
 func (ph *phase) runTask(t task, slot int32, worker int) {
 	defer func() {
 		if r := recover(); r != nil {
+			t := ph.named(t)
 			ph.fail(t, slot, newPanicError(ph.engine, ph.names[t.kind].task, ph.rep, int(t.idx), r))
 		}
 	}()
 	if err := ph.x.exec(int(t.kind), int(t.idx), worker); err != nil {
-		ph.fail(t, slot, err)
+		ph.fail(ph.named(t), slot, err)
 	}
+}
+
+// named resolves a failed task's kind to its sub-step's when the
+// executor runs sub-steps; only failures pay for the check.
+func (ph *phase) named(t task) task {
+	if sx, ok := ph.x.(subStepper); ok {
+		t.kind = int32(sx.subStep(int(t.kind), int(t.idx)))
+	}
+	return t
 }
 
 // fail records a task's error unless a lower slot already failed.

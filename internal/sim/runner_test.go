@@ -92,6 +92,58 @@ func testPhaseReportsLowestFailingTask(t *testing.T, workers int) {
 	}
 }
 
+// subProbe is a test executor whose kind-0 tasks run two sub-steps,
+// kinds 1 and 2: task 3 panics in its second sub-step, task 5 returns
+// an error from its first.
+type subProbe struct{ sub [8]int }
+
+func (x *subProbe) exec(_, idx, _ int) error {
+	x.sub[idx] = 1
+	if idx == 5 {
+		return errors.New("probe")
+	}
+	x.sub[idx] = 2
+	if idx == 3 {
+		panic("probe")
+	}
+	return nil
+}
+
+func (x *subProbe) subStep(kind, idx int) int {
+	if kind == 0 {
+		return x.sub[idx]
+	}
+	return kind
+}
+
+// TestPhaseNamesSubStep: a failing task of a subStepper is reported
+// under the sub-step it was in — its PanicError task name, and the
+// label its error is wrapped with.
+func TestPhaseNamesSubStep(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		x := &subProbe{}
+		ph := &phase{x: x, engine: "probe", names: []taskName{{"task", "task shard"}, {"first", "first shard"}, {"second", "second shard"}}}
+		ph.start(workers, 8)
+		err := ph.run(0, 8)
+		var perr *PanicError
+		if !errors.As(err, &perr) || perr.Task != "second" || perr.Index != 3 {
+			t.Fatalf("workers=%d: err = %v, want the panic of sub-step second in task 3", workers, err)
+		}
+		if !strings.Contains(err.Error(), "sim: probe second shard 3: ") {
+			t.Fatalf("workers=%d: error %q is not wrapped with the sub-step's label", workers, err)
+		}
+		err = ph.run(0, 3)
+		if err != nil {
+			t.Fatalf("workers=%d: tasks 0-2 failed: %v", workers, err)
+		}
+		ph.submit(0, 5)
+		if err = ph.wait(); err == nil || err.Error() != "sim: probe first shard 5: probe" {
+			t.Fatalf("workers=%d: err = %v, want the error of sub-step first in task 5", workers, err)
+		}
+		ph.close()
+	}
+}
+
 // TestPhaseDispatchAllocFree: submitting a phase's tasks and passing
 // its barrier allocates nothing — the task list is sized at start,
 // workers claim its slots from an atomic counter, and waking a helper

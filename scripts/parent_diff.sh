@@ -110,6 +110,10 @@ CLUSTER="-spec 800x1+200x10 -arrivals 2000 -ticks 120 -seed $SEED -json \
 	-timeout 6 -retries 2 -backoff 2 -shed 2.5 -shards 4"
 compare bnbcluster $CLUSTER
 compare bnbcluster $CLUSTER -cancel-after-ticks 70
+# cluster-serve's shape at a quarter of its ticks: 64 shards of a
+# two-class ring, so one tick runs many shard tasks side by side.
+compare bnbcluster -spec 5000x1+5000x10 -arrivals 40000 -ticks 30 -seed "$SEED" -json \
+	-crash-prob 2e-4 -recover-prob 0.05 -timeout 2 -retries 2 -backoff 1 -shed 3 -shards 64
 
 # The chunk engines' observables through the figure harness: class
 # tracking (fig06), per-repetition random arrays (fig09), per-class
