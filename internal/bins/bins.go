@@ -289,6 +289,20 @@ func (a *Array) Recount() {
 	a.m = m
 }
 
+// RecountViews sets the cached ball total to the sum of the views'
+// cached totals: O(len(views)) where Recount is O(n). The views must be
+// quiesced shard views of a that together hold every ball of a; a nil
+// entry stands for a view whose bins hold none.
+func (a *Array) RecountViews(views []*Array) {
+	var m int64
+	for _, v := range views {
+		if v != nil {
+			m += v.m
+		}
+	}
+	a.m = m
+}
+
 // Reset removes all balls.
 func (a *Array) Reset() {
 	for i := range a.bins {

@@ -541,6 +541,12 @@ func TestShardViews(t *testing.T) {
 	if a.TotalBalls() != 0 {
 		t.Fatal("parent total unexpectedly live")
 	}
+	// the views' totals give the same total without a scan; a nil
+	// view stands for one that holds no ball
+	a.RecountViews([]*Array{s1, nil, s2})
+	if a.TotalBalls() != 2 {
+		t.Fatalf("RecountViews gave %d, want 2", a.TotalBalls())
+	}
 	a.Recount()
 	if a.TotalBalls() != 2 {
 		t.Fatalf("Recount gave %d, want 2", a.TotalBalls())

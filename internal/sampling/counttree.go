@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/xrand"
 )
@@ -15,11 +14,14 @@ import (
 // Fenwick sampler can), and Dec removes one unit from an index. Both
 // cost O(log n).
 //
-// SampleDec is the deletion kernel of the streaming engine: it fuses
-// Sample and Dec into one top-down descent. Deleting D balls exactly
-// uniformly without replacement is D SampleDec calls over the bin (or
-// shard) ball counts — each a single Uint64n draw on the caller's
-// stream, so the draw sequence is pinned by (counts, stream) alone.
+// SampleDec fuses Sample and Dec into one top-down descent. Deleting D
+// balls exactly uniformly without replacement is D SampleDec calls over
+// the bin (or shard) ball counts — each a single Uint64n draw on the
+// caller's stream, so the draw sequence is pinned by (counts, stream)
+// alone. The descent runs on a plain node slice (SampleDecNodes), and
+// BuildNodes builds such a slice in place, so a caller can keep many
+// small trees side by side in one slice of its own: the streaming
+// engine's deletion kernel does, one 64-leaf tree per 64-bin block.
 //
 // The tree has one padded layout: it spans P indices, P the smallest
 // power of two >= n, and indices n..P-1 hold zero counts that no draw
@@ -31,24 +33,12 @@ import (
 // unusable; allocate with NewCountTree and (re)fill with Build, which
 // is allocation-free so per-round rebuilds cost no steady-state
 // garbage.
-//
-// The header fills one whole cache line. The streaming engine
-// allocates one tree per shard back to back, and every SampleDec
-// writes the header's total: without the pad, neighbouring shards'
-// headers would share a line that concurrent deletion tasks
-// false-share.
 type CountTree struct {
 	tree []int64 // 1-based Fenwick tree over P indices: len(tree) == P+1
 	n    int
 	mask int // P/2, the first step of a descent (tree[P] is the total)
 	tot  int64
-	_    [64 - (24 + 3*8)]byte
 }
-
-// Compile-time guard: CountTree stays exactly one 64-byte cache line
-// (re-size the pad above when fields change; any other size makes this
-// constant negative or non-zero, which does not compile).
-const _ uintptr = 0 - (unsafe.Sizeof(CountTree{}) ^ 64)
 
 // maxCountTotal bounds Total(): with every prefix sum at most 2^62,
 // the descents' differences u - tree[next] stay inside int64, so their
@@ -81,25 +71,46 @@ func (t *CountTree) Total() int64 { return t.tot }
 // sampling would silently misbehave on it) and when the total exceeds
 // 2^62 (it would wrap, or break the descents' sign arithmetic).
 func (t *CountTree) Build(count func(i int) int64) {
-	clear(t.tree)
-	t.tot = 0
-	p := len(t.tree) - 1
-	for i := 1; i <= p; i++ {
-		if i <= t.n {
-			c := count(i - 1)
-			if c < 0 {
-				panic(fmt.Sprintf("sampling: CountTree.Build: negative count %d at index %d", c, i-1))
-			}
-			if c > maxCountTotal-t.tot {
-				panic(fmt.Sprintf("sampling: CountTree.Build: total exceeds 2^62 at index %d", i-1))
-			}
-			t.tot += c
-			t.tree[i] += c
+	nodes := t.tree[1:]
+	for i := range nodes {
+		var c int64
+		if i < t.n {
+			c = count(i)
 		}
-		if j := i + (i & -i); j <= p {
-			t.tree[j] += t.tree[i]
-		}
+		nodes[i] = c
 	}
+	t.tot = BuildNodes(nodes)
+}
+
+// BuildNodes turns nodes into a count tree in place and returns its
+// total. On entry nodes[i] is the count of index i; on return nodes
+// holds CountTree's node layout without its unused slot 0 — nodes[j-1]
+// is Fenwick node j, nodes[len(nodes)-1] the total — ready for
+// SampleDecNodes. len(nodes) must be a power of two; the counts of a
+// shorter population pad it with zeros, which no draw can select. It
+// panics like CountTree.Build on a negative count or a total above
+// 2^62.
+func BuildNodes(nodes []int64) int64 {
+	p := len(nodes)
+	if p == 0 || p&(p-1) != 0 {
+		panic(fmt.Sprintf("sampling: count tree over %d nodes, need a power of two", p))
+	}
+	var tot int64
+	for i, c := range nodes {
+		if c < 0 {
+			panic(fmt.Sprintf("sampling: CountTree.Build: negative count %d at index %d", c, i))
+		}
+		if c > maxCountTotal-tot {
+			panic(fmt.Sprintf("sampling: CountTree.Build: total exceeds 2^62 at index %d", i))
+		}
+		tot += c
+	}
+	// Each node, complete once its lower children have been added,
+	// adds itself to its parent j + lowbit(j).
+	for j := 1; j < p; j++ {
+		nodes[j+(j&-j)-1] += nodes[j-1]
+	}
+	return tot
 }
 
 // Count returns the current count of index i in O(log n).
@@ -134,29 +145,41 @@ func (t *CountTree) Sample(r *xrand.Rand) int {
 
 // SampleDec is Sample followed by Dec of the sampled index, in one
 // pass: the same single draw from r, the same returned index and the
-// same tree afterwards. In a top-down descent the nodes it does not
-// step right past are exactly the chosen index's update path below
-// tree[P], so each step decrements the node it compares against by
-// the comparison's sign bit. It panics, like Sample, when Total() == 0.
-// The chosen index's prefix sums bracket u, so its count is positive
-// and needs no check.
+// same tree afterwards. It panics, like Sample, when Total() == 0.
 func (t *CountTree) SampleDec(r *xrand.Rand) int {
-	if t.tot <= 0 {
+	i := SampleDecNodes(r, t.tree[1:])
+	t.tot--
+	return i
+}
+
+// SampleDecNodes is the one fused draw-and-decrement descent, on a
+// node slice in BuildNodes' layout (CountTree.SampleDec runs it on its
+// own tree): one Uint64n(total) draw u, then the first index whose
+// prefix sum exceeds u, with one unit removed from it. So the index
+// depends only on u and the counts, never on the padding. In a
+// top-down descent the nodes it does not step right past are exactly
+// the chosen index's update path below the root, so each step
+// decrements the node it compares against by the comparison's sign
+// bit; then the root loses the unit. The chosen index's prefix sums
+// bracket u, so its count is positive and needs no check. It panics
+// when the total is zero.
+func SampleDecNodes(r *xrand.Rand, nodes []int64) int {
+	root := len(nodes) - 1
+	tot := nodes[root]
+	if tot <= 0 {
 		panic("sampling: CountTree.Sample with zero total")
 	}
-	u := int64(r.Uint64n(uint64(t.tot)))
-	tree := t.tree
+	u := int64(r.Uint64n(uint64(tot)))
 	idx := 0
-	for mask := t.mask; mask > 0; mask >>= 1 {
-		next := idx + mask
-		v := tree[next]
-		d := (u - v) >> 63 // -1 when u < v: stay left, next is on the path
+	for mask := len(nodes) >> 1; mask > 0; mask >>= 1 {
+		next := idx + mask - 1 // node idx+mask
+		v := nodes[next]
+		d := (u - v) >> 63 // -1 when u < v: stay left, the node is on the path
 		u -= v &^ d
 		idx += mask &^ int(d)
-		tree[next] += d
+		nodes[next] += d
 	}
-	tree[len(tree)-1]--
-	t.tot--
+	nodes[root]--
 	return idx
 }
 

@@ -301,6 +301,63 @@ func TestCountTreeBuildTotalOverflow(t *testing.T) {
 	}
 }
 
+// TestSampleDecNodesIgnoresPadding is the contract the streaming
+// engine's deletion forest relies on: a 64-node tree built in place by
+// BuildNodes over n <= 64 counts (zeros after them) returns, draw for
+// draw, the same index as a CountTree over the n counts alone — whose
+// own padding is narrower — and leaves the stream in the same state.
+func TestSampleDecNodesIgnoresPadding(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 31, 33, 63, 64} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			r := xrand.New(seed * 1000)
+			counts := make([]int64, n)
+			for i := range counts {
+				if r.Uint64n(3) > 0 {
+					counts[i] = int64(r.Uint64n(5))
+				}
+			}
+			counts[n-1]++ // a positive total, and the last index reachable
+			ct, err := NewCountTree(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct.Build(func(i int) int64 { return counts[i] })
+			nodes := make([]int64, 64)
+			copy(nodes, counts)
+			if tot := BuildNodes(nodes); tot != ct.Total() {
+				t.Fatalf("n=%d: BuildNodes total %d, CountTree %d", n, tot, ct.Total())
+			}
+			rt, rn := xrand.New(seed), xrand.New(seed)
+			for step := 0; ct.Total() > 0; step++ {
+				want := ct.SampleDec(rt)
+				if got := SampleDecNodes(rn, nodes); got != want {
+					t.Fatalf("n=%d seed=%d step %d: SampleDecNodes = %d, CountTree.SampleDec = %d", n, seed, step, got, want)
+				}
+			}
+			if *rt != *rn || nodes[63] != 0 {
+				t.Fatalf("n=%d seed=%d: streams or totals differ after draining (root %d)", n, seed, nodes[63])
+			}
+		}
+	}
+}
+
+// TestBuildNodesPanics: BuildNodes refuses what CountTree.Build refuses,
+// with the same messages, and a length that is not a power of two.
+func TestBuildNodesPanics(t *testing.T) {
+	mustPanicWith(t, "sampling: CountTree.Build: negative count -1 at index 2", func() {
+		BuildNodes([]int64{1, 0, -1, 4})
+	})
+	mustPanicWith(t, "sampling: CountTree.Build: total exceeds 2^62 at index 1", func() {
+		BuildNodes([]int64{1<<61 + 1, 1<<61 + 1})
+	})
+	mustPanicWith(t, "sampling: count tree over 3 nodes, need a power of two", func() {
+		BuildNodes(make([]int64, 3))
+	})
+	mustPanicWith(t, "sampling: CountTree.Sample with zero total", func() {
+		SampleDecNodes(xrand.New(1), make([]int64, 4))
+	})
+}
+
 // benchCountTree drains a tree built from shard-like loads (n bins
 // holding n balls) and rebuilds it when empty, so the rebuild is
 // amortised over n takes as in one deletion round. take is the kernel

@@ -45,7 +45,9 @@
 //     drawn from N, K of them marked. MultiHypergeometric splits d over
 //     counts down Multinomial's balanced interval tree, one
 //     Hypergeometric draw per internal node handed a non-zero count.
-//   - CountTree (counttree.go) samples and removes single items exactly.
+//   - CountTree (counttree.go) samples and removes single items exactly;
+//     BuildNodes and SampleDecNodes run its build and its fused descent
+//     on a caller's node slice.
 //
 // The count generators share one contract: forced outcomes (an empty
 // population or sample, a sure category, drawing everything) consume no

@@ -60,7 +60,7 @@ func numRouteBlocks(m int64) int {
 }
 
 // maxRunArrivals bounds the arrivals of one streaming or serving run:
-// 2^62, the total a sampling.CountTree (the stream's deletion kernel)
+// 2^62, the total a sampling count tree (the stream's deletion kernel)
 // can hold. Every resident count of such a run stays below it.
 const maxRunArrivals = 1 << 62
 

@@ -11,6 +11,8 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/bins"
+	"repro/internal/fault"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
 )
@@ -103,4 +105,42 @@ func BenchmarkRouteDeletions(b *testing.B) {
 		st.base = uint64(i) * st.kk
 		st.routeDeletions()
 	}
+}
+
+// BenchmarkTakeShard times the within-shard deletion kernel at the
+// stream-churn shape: one 15,625-bin shard (10^6 bins over 64 shards)
+// holding 8,000 balls loses 6,250 of them, its share of a round's
+// 400,000 deletions. One op is one takeShard call; the loads are put
+// back off the clock. It reports ns per deleted ball and allocates
+// nothing.
+func BenchmarkTakeShard(b *testing.B) {
+	const n, balls, takes = 15_625, 8_000, 6_250
+	view, err := bins.Uniform(n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := xrand.New(1)
+	for k := 0; k < balls; k++ {
+		view.Add(int(r.Uint64n(n)))
+	}
+	loads := make([]int64, n)
+	for i := range loads {
+		loads[i] = view.Balls(i)
+	}
+	st := &streamState{
+		stepper: stepper{sharded: sharded{shards: 1}, seed: 1, kk: 5, views: []*bins.Array{view}},
+		takes:   []takeScratch{newTakeScratch(n)},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.base = uint64(i) * st.kk
+		st.takeShard(0, 0, takes, fault.OpDelete, 2+1)
+		b.StopTimer()
+		for j, c := range loads {
+			view.AddBalls(j, c-view.Balls(j))
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*takes), "ns/deletion")
 }

@@ -14,8 +14,10 @@
 // channel token each, once per phase — and the calling goroutine
 // claims tasks from the same atomic counter as worker 0. Each helper
 // has a fixed worker slot (1, 2, …) that the phase passes to every
-// task it runs, so a task may use per-worker scratch (the chunk
-// driver's array and placer). Dispatching work therefore allocates
+// task it runs, so a task may use per-worker scratch: the chunk
+// driver's array and placer, the stream engine's deletion forest. Such
+// scratch is sized by the slots the phase starts (phase.workers), never
+// by the requested Workers. Dispatching work therefore allocates
 // nothing and sends nothing per task, and a one-worker phase starts no
 // goroutine and no channel.
 //
@@ -33,9 +35,10 @@
 // timing.
 //
 // Tasks touch only the state their (kind, index) names — a shard, a
-// routing group, a chunk's partial — plus, for a chunk, the running
-// worker's scratch, which it resets per repetition, so any assignment
-// of tasks to workers produces identical bits. Workers only decides
+// routing group, a chunk's partial — plus the running worker's
+// scratch, which a chunk resets per repetition and a stream deletion
+// task refills and re-seeds per shard, so any assignment of tasks to
+// workers produces identical bits. Workers only decides
 // how many tasks run at once. Per-shard state that tasks write sits on
 // cache lines of its own (padded types with compile-time size guards),
 // so neighbouring shards' tasks never false-share a line.
@@ -176,6 +179,10 @@ func (ph *phase) close() {
 		ph.live.Wait()
 	}
 }
+
+// workers is the number of worker slots the phase runs tasks on: the
+// caller's slot 0 plus one per helper started.
+func (ph *phase) workers() int { return cap(ph.wake) + 1 }
 
 // submit appends one task to the batch; wait runs it.
 func (ph *phase) submit(kind, idx int) {
@@ -604,8 +611,10 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 			d.prefix = grid[int64](d.nCuts, sh.shards)
 		}
 	} else {
+		// One row: the step cut in flight, and a completed run's final
+		// state (run).
 		d.nCuts = obs.CountReached(d.cuts, int64(steps))
-		rows = min(d.nCuts, 1)
+		rows = 1
 	}
 	if rows > 0 {
 		d.cutMax = grid[cutMax](rows, sh.shards)
@@ -660,6 +669,11 @@ func (d *stepper) run(x stepEngine, eng string, kinds []taskName) (*CancelledErr
 	}
 	if d.done < d.steps {
 		return d.cancelled(d.cc.err()), nil
+	}
+	if d.ph.engine != engRunLargeMC && d.col.hl == nil {
+		// A completed trajectory's final max load (final): the shard
+		// maxima in one observe phase, while the helpers still run.
+		return nil, d.ph.run(stepObserve, d.shards)
 	}
 	return nil, nil
 }
@@ -839,11 +853,10 @@ func (d *stepper) stepExec(kind, idx int) (err error) {
 }
 
 // result is a single-trajectory run's *Result: the trajectory rows
-// always, and for a completed run the final state — recount the array,
-// then one observation of each whole-array statistic with balls
-// resident, from one histogram pass when height levels are requested.
-// A cancelled partial has no final state: its accumulators stay empty
-// and it has no height rows.
+// always, and for a completed run the final state — one observation of
+// each whole-array statistic with balls resident. A cancelled partial
+// has no final state: its accumulators stay empty and it has no height
+// rows.
 func (d *stepper) result(balls int64, completed bool) (*Result, error) {
 	c := &d.col
 	if !completed {
@@ -854,15 +867,21 @@ func (d *stepper) result(balls int64, completed bool) (*Result, error) {
 	return c.result(&Result{N: d.n, Shards: d.shards}), nil
 }
 
-// final folds the completed trajectory's final state.
+// final folds the completed trajectory's final state. Without height
+// levels it reads no bin: the max load is the top of the shard maxima
+// that run's last observe phase left in cutMax[0] (the same bits as a
+// whole-array scan, by cutTop's argument), and the array's ball total
+// is the sum of the views' totals. With height levels, one histogram
+// pass over the recounted array gives the max and the height rows.
 func (d *stepper) final(balls int64) error {
+	if d.col.hl == nil {
+		d.arr.RecountViews(d.views)
+		return d.col.observe(d.cutTop(0), d.arr.AverageLoad(), balls, d.totalCap, nil)
+	}
 	d.arr.Recount()
-	var h *bins.LoadHistogram
-	if d.col.hl != nil {
-		h = d.arr.NewLoadHistogram()
-		if err := d.arr.HistogramInto(h); err != nil {
-			return err
-		}
+	h := d.arr.NewLoadHistogram()
+	if err := d.arr.HistogramInto(h); err != nil {
+		return err
 	}
 	return d.col.final(d.arr, h, balls)
 }

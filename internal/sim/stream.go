@@ -19,13 +19,15 @@
 // multivariate-hypergeometric draw over the per-shard occupancies
 // (sampling.MultiHypergeometric: conditional Hypergeometric splits
 // down the shards' balanced interval tree, at most Shards−1 draws on
-// the orchestrator). Each shard's delete task splits its quota the
-// same way over its 64-bin blocks, then takes every block's share
-// with one fused CountTree.SampleDec descent (draw and decrement) per
-// deleted ball on a 64-leaf count tree over the block's loads. Every
-// stage draws from the exact without-replacement law — the splits up
-// to float64 rounding of their acceptance tests, the descents
-// all-integer — so the deletion law is exact, not a relaxation.
+// the orchestrator). Each shard's delete task reads the shard's loads
+// once, building a 64-leaf count tree per 64-bin block in a forest of
+// the running worker slot's scratch, splits its quota the same way over
+// the blocks' totals, then takes every block's share with one fused
+// draw-and-decrement descent (sampling.SampleDecNodes) per deleted
+// ball on the block's tree. Every stage draws from the exact
+// without-replacement law — the splits up to float64 rounding of their
+// acceptance tests, the descents all-integer — so the deletion law is
+// exact, not a relaxation.
 //
 // The rebalance pass (enabled by RebalanceTol > 0) moves balls from
 // shards above (1+tol)·target to shards below target, where shard s's
@@ -86,7 +88,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unsafe"
 
+	"repro/internal/bins"
 	"repro/internal/fault"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
@@ -326,9 +330,8 @@ type streamState struct {
 	stepper
 	p StreamParams
 
-	takes   []shardTake // per-shard within-shard deletion scratch (deletion / move-out tasks)
-	scratch []shardRand // per-shard scratch streams (deletion / move-out tasks)
-	srand   xrand.Rand  // deletion shard-routing stream
+	takes []takeScratch // per-worker-slot deletion scratch (deletion / move-out tasks)
+	srand xrand.Rand    // deletion shard-routing stream
 
 	sballs   []int64 // live per-shard occupancy
 	total    int64   // live occupancy
@@ -387,29 +390,6 @@ func runStream(spec *RunSpec) (*Result, error) {
 	st.targets = make([]float64, shards)
 	st.defW = make([]float64, shards)
 	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
-	st.scratch = make([]shardRand, shards)
-	// Every shard's block totals and takes live in one slab. A shard's
-	// segment is padded to whole cache lines plus a line of gap, so
-	// concurrent tasks never write a shared line. A zero-weight shard
-	// gets its scratch too but never uses it: it never holds a ball.
-	st.takes = make([]shardTake, shards)
-	size := func(s int) int { return st.bounds[s+1] - st.bounds[s] }
-	blocks := func(s int) int { return (size(s) + takeBlock - 1) / takeBlock }
-	seg := func(s int) int { return (2*blocks(s)+7)&^7 + 8 }
-	var slabLen int
-	for s := range st.takes {
-		slabLen += seg(s)
-	}
-	slab := make([]int64, slabLen)
-	for s := range st.takes {
-		nb := blocks(s)
-		tk := &st.takes[s]
-		tk.blk, tk.quota, slab = slab[:nb:nb], slab[nb:2*nb:2*nb], slab[seg(s):]
-		if tk.tree, err = sampling.NewCountTree(min(size(s), takeBlock)); err != nil {
-			return nil, fmt.Errorf("sim: RunStream shard %d: %w", s, err)
-		}
-	}
-
 	cerr, err := st.run(st, engRunStream, streamKinds)
 	if err != nil {
 		return nil, err
@@ -426,19 +406,35 @@ func runStream(spec *RunSpec) (*Result, error) {
 	return res, nil
 }
 
+// prepare gives every worker slot the phases run its deletion scratch,
+// sized for the widest shard: slots, not Workers, bound its memory.
+func (st *streamState) prepare() error {
+	widest := 0
+	for s := 0; s < st.shards; s++ {
+		widest = max(widest, st.bounds[s+1]-st.bounds[s])
+	}
+	st.takes = make([]takeScratch, st.ph.workers())
+	for w := range st.takes {
+		st.takes[w] = newTakeScratch(widest)
+	}
+	return nil
+}
+
 // exec executes one task. Task state is indexed by (kind, idx) and every
-// task touches only its own shard's (or routing group's) state, so any
-// scheduling of tasks onto workers produces identical bits.
-func (st *streamState) exec(kind, s, _ int) error {
+// task touches only its own shard's (or routing group's) state, plus a
+// deletion task the running worker slot's scratch, which it fills
+// before use, so any scheduling of tasks onto workers produces
+// identical bits.
+func (st *streamState) exec(kind, s, worker int) error {
 	switch kind {
 	case streamPlace:
 		st.place(s, st.counts[s])
 	case streamDeleteRoute:
 		st.routeDeletions()
 	case streamDelete:
-		st.takeShard(s, st.delQuota[s], fault.OpDelete, 2+uint64(st.shards))
+		st.takeShard(s, worker, st.delQuota[s], fault.OpDelete, 2+uint64(st.shards))
 	case streamMoveOut:
-		st.takeShard(s, st.moveOut[s], fault.OpRebalance, 2+2*uint64(st.shards))
+		st.takeShard(s, worker, st.moveOut[s], fault.OpRebalance, 2+2*uint64(st.shards))
 	case streamMoveIn:
 		st.place(s, st.moveIn[s])
 	default:
@@ -448,70 +444,97 @@ func (st *streamState) exec(kind, s, _ int) error {
 }
 
 // takeBlock is the block width of the within-shard deletion kernel:
-// 64 bins, whose count tree (and loads) fit a few cache lines.
+// 64 bins, whose count tree (64 nodes) fits eight cache lines.
 const takeBlock = 64
 
-// shardTake is one shard's within-shard deletion scratch. Its headers
-// are written once, before round 0; tasks write only the tree (its own
-// allocation) and the shard's segment of the blk/quota slab.
-type shardTake struct {
-	tree  *sampling.CountTree // over one block's bins
-	blk   []int64             // per-block ball totals
-	quota []int64             // per-block takes
+// takeScratch is one worker slot's deletion scratch. Its headers are
+// written once, before round 0; a deletion task re-seeds rng and
+// refills the slices for the shard it takes from. The pad keeps rng,
+// the only field written per draw, off the next slot's cache lines.
+type takeScratch struct {
+	rng    xrand.Rand
+	forest []int64 // a 64-node count tree per block, block b at [64b, 64b+64)
+	blk    []int64 // per-block ball totals
+	quota  []int64 // per-block takes
+	_      [24]byte
 }
 
-// takeShard removes q balls from shard s, exactly uniformly without
-// replacement, on the shard's stream base+off+s, in two stages:
-//
-//   - split q over the shard's 64-bin blocks by one MultiHypergeometric
-//     draw over the blocks' live ball totals (at most blocks−1
-//     Hypergeometric draws);
-//   - in every block with a take, rebuild a 64-leaf count tree from the
-//     live loads and make one SampleDec + Remove per ball.
-//
-// The trees mirror the view exactly, so Remove can never hit an empty
-// bin. It is both the deletion pass (delQuota, the within-shard
-// deletion streams) and the rebalance move-out (moveOut, the move-out
-// streams); moved-out balls are re-placed by the deficit shards'
-// move-in tasks, and ball identity is not tracked, exactly as in the
-// count-based routing model.
-func (st *streamState) takeShard(s int, q int64, op fault.Op, off uint64) {
+// Compile-time guard: takeScratch is two whole cache lines (re-size the
+// pad when fields change; any other size makes the constant negative or
+// non-zero, which does not compile).
+const _ uintptr = 0 - (unsafe.Sizeof(takeScratch{}) ^ 128)
+
+// newTakeScratch sizes the scratch for shards of up to n bins.
+func newTakeScratch(n int) takeScratch {
+	nb := (n + takeBlock - 1) / takeBlock
+	return takeScratch{
+		forest: make([]int64, nb*takeBlock),
+		blk:    make([]int64, nb),
+		quota:  make([]int64, nb),
+	}
+}
+
+// takeShard removes q balls from shard s on worker slot worker's
+// scratch, exactly uniformly without replacement, on the shard's
+// stream base+off+s (take). It is both the deletion pass (delQuota,
+// the within-shard deletion streams) and the rebalance move-out
+// (moveOut, the move-out streams); moved-out balls are re-placed by the
+// deficit shards' move-in tasks, and ball identity is not tracked,
+// exactly as in the count-based routing model.
+func (st *streamState) takeShard(s, worker int, q int64, op fault.Op, off uint64) {
 	if q == 0 {
 		return
 	}
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunStream, Op: op, Rep: st.step, Shard: s, Block: -1})
 	}
-	view := st.views[s]
-	tk := &st.takes[s]
+	tk := &st.takes[worker]
+	tk.rng.Seed(xrand.Mix64(st.seed, st.base+off+uint64(s)))
+	tk.take(st.cc, st.views[s], q)
+}
+
+// take removes q balls from view, exactly uniformly without
+// replacement, on tk.rng, reading the view's loads once:
+//
+//   - one pass over the loads writes each 64-bin block's loads into
+//     the block's slice of the forest, builds its count tree there in
+//     place and takes the block's ball total from the tree's root;
+//   - one MultiHypergeometric draw over the block totals splits q over
+//     the blocks (at most blocks−1 Hypergeometric draws);
+//   - every block with a take makes one SampleDecNodes descent (draw
+//     and decrement) plus one Remove per ball on its own tree.
+//
+// Each descent draws Uint64n(block total) and picks the first bin whose
+// prefix sum exceeds the draw, so the bins and the stream are those of
+// a CountTree over the block's bins alone: a partial block's zero
+// padding is never chosen. The trees mirror the view exactly, so Remove
+// never hits an empty bin.
+func (tk *takeScratch) take(cc *canceller, view *bins.Array, q int64) {
 	n := view.N()
-	for b := range tk.blk {
-		var c int64
-		for i := b * takeBlock; i < min((b+1)*takeBlock, n); i++ {
-			c += view.Balls(i)
+	nb := (n + takeBlock - 1) / takeBlock
+	blk, quota := tk.blk[:nb], tk.quota[:nb]
+	for b := range blk {
+		lo := b * takeBlock
+		nodes := tk.forest[lo : lo+takeBlock]
+		w := min(takeBlock, n-lo)
+		for i := range nodes[:w] {
+			nodes[i] = view.Balls(lo + i)
 		}
-		tk.blk[b] = c
+		clear(nodes[w:])
+		blk[b] = sampling.BuildNodes(nodes)
 	}
-	rng := &st.scratch[s].Rand
-	rng.Seed(xrand.Mix64(st.seed, st.base+off+uint64(s)))
-	sampling.MultiHypergeometric(rng, tk.blk, q, tk.quota)
-	for b, k := range tk.quota {
+	sampling.MultiHypergeometric(&tk.rng, blk, q, quota)
+	for b, k := range quota {
 		if k == 0 {
 			continue
 		}
-		if st.cc.cancelled() {
+		if cc.cancelled() {
 			return
 		}
 		lo := b * takeBlock
-		w := min(takeBlock, n-lo)
-		tk.tree.Build(func(i int) int64 {
-			if i < w {
-				return view.Balls(lo + i)
-			}
-			return 0
-		})
+		nodes := tk.forest[lo : lo+takeBlock]
 		for ; k > 0; k-- {
-			view.Remove(lo + tk.tree.SampleDec(rng))
+			view.Remove(lo + sampling.SampleDecNodes(&tk.rng, nodes))
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -1057,14 +1058,9 @@ func TestTakeShardExactLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := sampling.NewCountTree(takeBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := &streamState{
 		stepper: stepper{sharded: sharded{shards: 1}, seed: 1, kk: 5, views: []*bins.Array{view}},
-		takes:   []shardTake{{tree: tree, blk: make([]int64, 2), quota: make([]int64, 2)}},
-		scratch: make([]shardRand, 1),
+		takes:   []takeScratch{newTakeScratch(view.N())},
 	}
 	index, pmf := multiHypergeometricLaw(occ, take)
 	observed := make([]float64, len(pmf))
@@ -1074,7 +1070,7 @@ func TestTakeShardExactLaw(t *testing.T) {
 			view.AddBalls(b, occ[j])
 		}
 		st.base = uint64(r) * st.kk
-		st.takeShard(0, take, fault.OpDelete, 2+1)
+		st.takeShard(0, 0, take, fault.OpDelete, 2+1)
 		for j, b := range binsAt {
 			taken[j] = occ[j] - view.Balls(b)
 			view.RemoveBalls(b, view.Balls(b))
@@ -1089,6 +1085,160 @@ func TestTakeShardExactLaw(t *testing.T) {
 		observed[i]++
 	}
 	checkTakeLaw(t, observed, pmf, rounds)
+}
+
+// refTake is the within-shard deletion kernel as it was before the
+// forest: block sums, the same MultiHypergeometric block split, then a
+// CountTree over each block with a take, rebuilt from the view and
+// drained by SampleDec.
+func refTake(rng *xrand.Rand, view *bins.Array, q int64) {
+	n := view.N()
+	nb := (n + takeBlock - 1) / takeBlock
+	blk, quota := make([]int64, nb), make([]int64, nb)
+	for b := range blk {
+		for i := b * takeBlock; i < min((b+1)*takeBlock, n); i++ {
+			blk[b] += view.Balls(i)
+		}
+	}
+	sampling.MultiHypergeometric(rng, blk, q, quota)
+	tree, err := sampling.NewCountTree(min(n, takeBlock))
+	if err != nil {
+		panic(err)
+	}
+	for b, k := range quota {
+		if k == 0 {
+			continue
+		}
+		lo := b * takeBlock
+		w := min(takeBlock, n-lo)
+		tree.Build(func(i int) int64 {
+			if i < w {
+				return view.Balls(lo + i)
+			}
+			return 0
+		})
+		for ; k > 0; k-- {
+			view.Remove(lo + tree.SampleDec(rng))
+		}
+	}
+}
+
+// TestStreamTakeKernelMatchesCountTree is the forest kernel's
+// differential check: over seeded random loads, takeScratch.take takes
+// from exactly the bins refTake takes from — the same per-bin loads
+// afterwards — and leaves the stream in the same state. Shards below
+// one block, with a partial last block, with zero-total blocks, and
+// takes of one ball, half and every ball; the kernel panics where a
+// CountTree build does.
+func TestStreamTakeKernelMatchesCountTree(t *testing.T) {
+	// One scratch for every shard, widest first, as a worker slot's
+	// scratch serves shards of any width: nothing a wider shard left
+	// behind may leak into a narrower one's trees.
+	tk := newTakeScratch(1000)
+	for _, n := range []int{1000, 130, 65, 64, 63, 5, 1} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			src := xrand.New(seed + uint64(n)<<8)
+			loads := make([]int64, n)
+			var total int64
+			for i := range loads {
+				// Every third block (from the second on) holds no ball.
+				if i/takeBlock%3 != 1 {
+					loads[i] = int64(src.Uint64n(5))
+					total += loads[i]
+				}
+			}
+			for _, q := range []int64{1, total / 2, total} {
+				if q < 1 || q > total {
+					continue
+				}
+				ref, got := unitBins(t, n), unitBins(t, n)
+				for i, c := range loads {
+					ref.AddBalls(i, c)
+					got.AddBalls(i, c)
+				}
+				want := xrand.New(seed)
+				refTake(want, ref, q)
+				tk.rng.Seed(seed)
+				tk.take(nil, got, q)
+				if tk.rng != *want {
+					t.Fatalf("n=%d seed=%d q=%d: streams differ after the take", n, seed, q)
+				}
+				for i := 0; i < n; i++ {
+					if got.Balls(i) != ref.Balls(i) {
+						t.Fatalf("n=%d seed=%d q=%d: bin %d holds %d, reference %d", n, seed, q, i, got.Balls(i), ref.Balls(i))
+					}
+				}
+				if got.TotalBalls() != total-q {
+					t.Fatalf("n=%d seed=%d q=%d: %d balls left, want %d", n, seed, q, got.TotalBalls(), total-q)
+				}
+			}
+		}
+	}
+
+	// A block total above 2^62 panics as CountTree.Build does, and a
+	// negative count (no view can hold one) as it does too.
+	huge := unitBins(t, 70)
+	huge.AddBalls(66, 1<<61+1)
+	huge.AddBalls(67, 1<<61+1)
+	const overflow = "sampling: CountTree.Build: total exceeds 2^62 at index 3"
+	mustPanicWith(t, overflow, func() { tk.take(nil, huge, 1) })
+	mustPanicWith(t, overflow, func() { refTake(xrand.New(1), huge, 1) })
+	nodes := tk.forest[:takeBlock]
+	clear(nodes)
+	nodes[5] = -1
+	mustPanicWith(t, "sampling: CountTree.Build: negative count -1 at index 5", func() { sampling.BuildNodes(nodes) })
+}
+
+// unitBins returns n empty bins of capacity 1.
+func unitBins(t *testing.T, n int) *bins.Array {
+	t.Helper()
+	a, err := bins.Uniform(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// mustPanicWith fails unless f panics with the value want.
+func mustPanicWith(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestStreamScratchBoundedByWorkerSlots: the deletion scratch belongs to
+// the worker slots the phases start — at most one per task of the
+// widest phase — not to the requested Workers, so a run asking for 2^20
+// workers allocates about what a 2-worker run does.
+func TestStreamScratchBoundedByWorkerSlots(t *testing.T) {
+	a := largeArray(t, 512)
+	bytesAt := func(workers int) uint64 {
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := runStream(&RunSpec{
+				Config: Config{Array: a, Seed: 5, Workers: workers, Balls: 1024},
+				Shards: 8,
+				Stream: &StreamParams{Rounds: 2, Deletions: 512, RebalanceTol: 0.2},
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	two, many := bytesAt(2), bytesAt(1<<20)
+	t.Logf("allocated %d B at 2 workers, %d B at 2^20", two, many)
+	if many > 2*two {
+		t.Fatalf("Workers = 2^20 allocates %d B, Workers = 2 %d B: scratch grows with the requested workers", many, two)
+	}
 }
 
 // TestRouteDeletionsDrawAllIsForced: deleting every ball is a forced
