@@ -10,10 +10,11 @@
 // (or the array-scanning Snapshot) with cut >= 0 records the running
 // state at checkpoint index cut, and cut == Final records the
 // end-of-game state; each collector ignores the cuts that do not
-// concern it. ShardStats and Classes take whole observations through
-// Observe. Partial collectors from different aggregation domains
-// (repetition chunks, shards, repetitions) are folded with each type's
-// Merge, which takes a collector of the same type and shape; engines
+// concern it. Classes takes whole observations through Observe, and
+// ShardStats one shard's at a time. Partial collectors from different
+// aggregation domains (repetition chunks, shards, repetitions) are
+// folded with each type's Merge, which takes a collector of the same
+// type and shape; engines
 // MUST merge in a deterministic order (chunk order, shard order,
 // repetition order) so that floating-point aggregation is
 // bit-identical for any worker topology.
@@ -478,17 +479,14 @@ func NewShardStats(shards int) *ShardStats {
 	return s
 }
 
-// Observe folds one repetition's per-shard routed ball counts and
-// final shard-local maximum loads (both indexed by shard).
-func (s *ShardStats) Observe(balls []int64, maxLoads []float64) error {
-	if len(balls) != len(s.rows) || len(maxLoads) != len(s.rows) {
-		return fmt.Errorf("obs: shard stats over %d/%d shards, collector has %d",
-			len(balls), len(maxLoads), len(s.rows))
+// Observe folds shard shard's routed ball count and final shard-local
+// maximum load of one repetition.
+func (s *ShardStats) Observe(shard int, balls int64, maxLoad float64) error {
+	if shard < 0 || shard >= len(s.rows) {
+		return fmt.Errorf("obs: shard %d outside the collector's %d shards", shard, len(s.rows))
 	}
-	for i := range s.rows {
-		s.rows[i].Balls.Add(float64(balls[i]))
-		s.rows[i].MaxLoad.Add(maxLoads[i])
-	}
+	s.rows[shard].Balls.Add(float64(balls))
+	s.rows[shard].MaxLoad.Add(maxLoad)
 	return nil
 }
 

@@ -342,11 +342,14 @@ func TestSortedLoadsSnapshot(t *testing.T) {
 
 func TestShardStats(t *testing.T) {
 	s := NewShardStats(2)
-	if err := s.Observe([]int64{3, 5}, []float64{1.5, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Observe([]int64{4, 4}, []float64{2.5, 1}); err != nil {
-		t.Fatal(err)
+	for _, o := range []struct {
+		shard int
+		balls int64
+		max   float64
+	}{{0, 3, 1.5}, {1, 5, 2}, {0, 4, 2.5}, {1, 4, 1}} {
+		if err := s.Observe(o.shard, o.balls, o.max); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rows := s.Rows()
 	if rows[0].Shard != 0 || rows[1].Shard != 1 {
@@ -355,7 +358,9 @@ func TestShardStats(t *testing.T) {
 	if rows[0].Balls.Mean() != 3.5 || rows[1].MaxLoad.Mean() != 1.5 {
 		t.Fatalf("rows: %+v", rows)
 	}
-	if err := s.Observe([]int64{1}, []float64{1}); err == nil {
-		t.Error("shape mismatch accepted")
+	for _, shard := range []int{-1, 2} {
+		if err := s.Observe(shard, 1, 1); err == nil {
+			t.Errorf("shard %d of 2 accepted", shard)
+		}
 	}
 }

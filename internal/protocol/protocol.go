@@ -897,7 +897,7 @@ type OnePlusBeta struct {
 
 // NewOnePlusBeta builds the (1+β) placer for beta in [0, 1].
 func NewOnePlusBeta(a *bins.Array, weights []float64, beta float64) (*OnePlusBeta, error) {
-	if beta < 0 || beta > 1 {
+	if !(beta >= 0 && beta <= 1) { // NaN too: Bernoulli(NaN) never fires
 		return nil, fmt.Errorf("protocol: beta = %v outside [0,1]", beta)
 	}
 	g, err := NewGreedy(a, weights, 2)

@@ -250,6 +250,11 @@ func TestOnePlusBeta(t *testing.T) {
 	if _, err := NewOnePlusBeta(a, w, 1.1); err == nil {
 		t.Error("beta > 1 accepted")
 	}
+	// NaN fails both bound tests; accepted, it played single choice
+	// under its own name, since Bernoulli(NaN) is always false.
+	if _, err := NewOnePlusBeta(a, w, math.NaN()); err == nil {
+		t.Error("beta = NaN accepted")
+	}
 	p, err := NewOnePlusBeta(a, w, 0.5)
 	if err != nil {
 		t.Fatal(err)

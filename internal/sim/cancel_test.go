@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -402,6 +403,12 @@ func TestValidateFieldNamedErrors(t *testing.T) {
 			_, err := runClassic(Config{Array: a, Reps: 1, ObsOptions: ObsOptions{HeightLevels: -1}})
 			return err
 		}},
+		// A NaN HeightMax once passed silently without HeightBins and
+		// failed unnamed in the histogram with them; +Inf built a
+		// histogram of infinite width that put every height in bucket 0.
+		{"classic NaN height max", "HeightMax", dispatch(RunSpec{Config: Config{Array: a, Reps: 2, ObsOptions: ObsOptions{HeightMax: math.NaN()}}})},
+		{"classic NaN height max with bins", "HeightMax", dispatch(RunSpec{Config: Config{Array: a, Reps: 2, ObsOptions: ObsOptions{HeightBins: 4, HeightMax: math.NaN()}}})},
+		{"classic infinite height max", "HeightMax", dispatch(RunSpec{Config: Config{Array: a, Reps: 2, ObsOptions: ObsOptions{HeightBins: 4, HeightMax: math.Inf(1)}}})},
 		{"large zero checkpoint", "Checkpoints[", func() error {
 			_, err := runLarge(RunSpec{Config: Config{Array: a, ObsOptions: ObsOptions{Checkpoints: []int64{0, 5}}}})
 			return err

@@ -65,6 +65,10 @@
 //     — the queue state has moved on) or, after MaxRetries attempts,
 //     counted failed. Pending retries wait in a min-heap on (due tick,
 //     insertion order), which holds only the pending batches.
+//   - Observation: at a cut tick, and in the final phase at the
+//     horizon, the step driver summarises each shard's own peers (max
+//     queue-relative load; at the horizon with HeightLevels also its
+//     queue-depth histogram). A peer's shard is arithmetic (shardOf).
 //
 // # Determinism: the substream layout is part of the model
 //
@@ -533,7 +537,6 @@ type clusterState struct {
 	recovered int         // peers recovered this tick
 	caps      []int64
 	liveCap   int64
-	peerShard []int32
 
 	slots []clusterShard // per-shard serving state
 	// retries holds the timed-out batches waiting on their backoff;
@@ -593,12 +596,6 @@ func runCluster(spec *RunSpec) (*Result, error) {
 	st.first, st.kk, st.routeAt, st.placeAt = 1, uint64(shards+2), 1, 2
 	n := sh.n
 	st.liveCap = st.totalCap
-	st.peerShard = make([]int32, n)
-	for s := 0; s < shards; s++ {
-		for i := st.bounds[s]; i < st.bounds[s+1]; i++ {
-			st.peerShard[i] = int32(s)
-		}
-	}
 
 	st.aport = make([]int64, shards)
 	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
@@ -912,7 +909,7 @@ func (st *clusterState) reshardPlan() error {
 	for _, p := range st.touched {
 		if w := st.ring.PeerArc(p); w != st.weights[p] {
 			st.weights[p] = w
-			st.slots[st.peerShard[p]].dirty = true
+			st.slots[st.shardOf(p)].dirty = true
 		}
 	}
 	st.sumW = 0
@@ -957,7 +954,7 @@ func (st *clusterState) admission() {
 func (st *clusterState) drainCrashed() int64 {
 	var moved int64
 	for _, p := range st.crashed {
-		s := int(st.peerShard[p])
+		s := st.shardOf(p)
 		q := &st.slots[s].q
 		i := p - st.bounds[s]
 		for k := q.head[i]; k >= 0; k = q.unlink(i, -1, k) {

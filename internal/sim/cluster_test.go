@@ -927,3 +927,33 @@ func TestClusterSteadyStateAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterShardOf checks shardOf, the cluster's peer→shard map,
+// against shardBounds for every n <= 300, every shard count and every
+// peer, and near n = 2^31 against the bounds' formula, where
+// (p+1)·shards must not overflow.
+func TestClusterShardOf(t *testing.T) {
+	for n := 1; n <= 300; n++ {
+		for shards := 1; shards <= n; shards++ {
+			sh := sharded{n: n, shards: shards}
+			bounds := shardBounds(n, shards)
+			for s := 0; s < shards; s++ {
+				for p := bounds[s]; p < bounds[s+1]; p++ {
+					if got := sh.shardOf(p); got != s {
+						t.Fatalf("n=%d shards=%d: shardOf(%d) = %d, want %d", n, shards, p, got, s)
+					}
+				}
+			}
+		}
+	}
+	const n = 1<<31 - 1
+	for _, shards := range []int{1, 64, 1 << 20, n - 1, n} {
+		sh := sharded{n: n, shards: shards}
+		for _, p := range []int{0, 1, n / 3, n / 2, n - 2, n - 1} {
+			s := sh.shardOf(p)
+			if lo, hi := s*n/shards, (s+1)*n/shards; s < 0 || s >= shards || p < lo || p >= hi {
+				t.Fatalf("n=2^31-1 shards=%d: shardOf(%d) = %d, whose bins are [%d,%d)", shards, p, s, lo, hi)
+			}
+		}
+	}
+}

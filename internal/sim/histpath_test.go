@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bins"
+	"repro/internal/dist"
 )
 
 // naiveSortedDesc is the pre-histogram reference path: float loads,
@@ -168,6 +169,66 @@ func TestRunLargeFinalHistogramMatchesScan(t *testing.T) {
 	for k, want := range naiveHeights(withHeights.Array, 5) {
 		if got := withHeights.HeightCounts[k].Bins.Mean(); got != want {
 			t.Fatalf("height level %d: %v, naive %v", k+1, got, want)
+		}
+	}
+}
+
+// TestStreamClusterFinalStateMatchesScan pins a completed trajectory's
+// final state — the max load and the height rows, built from the shard
+// histograms — against naive scans of the final array at 1, 2 and 4
+// workers: a stream whose top-only weights leave half its shards
+// without a view, and a cluster whose shard 0 has every peer down at
+// the horizon.
+func TestStreamClusterFinalStateMatchesScan(t *testing.T) {
+	const levels = 4
+	down := make([]ChurnEvent, 10)
+	for p := range down {
+		down[p] = ChurnEvent{Tick: 3, Peer: p, Down: true}
+	}
+	for _, tc := range []struct {
+		name string
+		spec RunSpec
+	}{
+		{"stream", RunSpec{
+			Config: Config{Array: largeArray(t, 800), Balls: 2000, Seed: 11, Dist: dist.TopOnly{MinCapacity: 10}},
+			Shards: 8,
+			Stream: &StreamParams{Rounds: 4, Deletions: 500, RebalanceTol: 0.2},
+		}},
+		{"cluster", RunSpec{
+			Config:  Config{Array: largeArray(t, 40), Seed: 11},
+			Shards:  4,
+			Cluster: &ClusterParams{Ticks: 20, ArrivalsPerTick: 300, Churn: ChurnPlan{Schedule: down}},
+		}},
+	} {
+		for _, w := range []int{1, 2, 4} {
+			spec := tc.spec
+			spec.Array, spec.AdoptArray, spec.Workers = spec.Array.Clone(), true, w
+			spec.HeightLevels = levels
+			spec.Checkpoints = []int64{2}
+			res, err := Dispatch(spec)
+			if err != nil {
+				t.Fatalf("%s W=%d: %v", tc.name, w, err)
+			}
+			final := spec.Array
+			if tc.name == "cluster" {
+				for p := 0; p < 10; p++ {
+					if final.Balls(p) != 0 {
+						t.Fatalf("cluster W=%d: down peer %d holds %d requests", w, p, final.Balls(p))
+					}
+				}
+			}
+			if got, want := res.MaxLoad.Mean(), final.MaxLoad(); got != want || want == 0 {
+				t.Fatalf("%s W=%d: MaxLoad %v, scan %v", tc.name, w, got, want)
+			}
+			heights := naiveHeights(final, levels)
+			if heights[0] == 0 {
+				t.Fatalf("%s W=%d: no loaded bin to count", tc.name, w)
+			}
+			for k, want := range heights {
+				if got := res.HeightCounts[k].Bins.Mean(); got != want {
+					t.Fatalf("%s W=%d: height level %d: %v, scan %v", tc.name, w, k+1, got, want)
+				}
+			}
 		}
 	}
 }

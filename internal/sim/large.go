@@ -52,13 +52,6 @@
 // in route.go.
 package sim
 
-import (
-	"repro/internal/bins"
-	"repro/internal/fault"
-	"repro/internal/protocol"
-	"repro/internal/xrand"
-)
-
 // DefaultShards is the shard count used when RunSpec.Shards is 0.
 // It is a fixed constant (not derived from the machine) so results are
 // reproducible across environments; 64 shards keep 4-16 workers busy
@@ -81,61 +74,10 @@ func shardBounds(n, shards int) []int {
 	return bounds
 }
 
-// placeShardSegments runs one shard's placement, segmented at the
-// block-aligned cuts (cuts[k][s]), recording the shard-local running
-// max into maxAt[k][s]. Segmenting PlaceBatch never moves a draw —
-// PlaceBatch(a)+PlaceBatch(b) consumes exactly the draws of
-// PlaceBatch(a+b) — so the final state is bit-identical with and
-// without checkpoints (pinned by tests). With no cuts it is a single
-// PlaceBatch per cancellation stride. It returns the number of fully
-// completed cuts — the bookkeeping behind a cancelled partial's cut
-// prefix — and whether the whole count was placed (false only under
-// cancellation).
-func placeShardSegments(cc *canceller, eng string, rep int, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64, s int, cuts [][]int64, maxAt [][]cutMax) (cutsDone int, ok bool) {
-	placed := int64(0)
-	for k := range cuts {
-		cut := cuts[k][s]
-		if !placeSegment(cc, eng, rep, s, placer, view, rs, cut-placed) {
-			return k, false
-		}
-		placed = cut
-		if cut > 0 {
-			maxAt[k][s].v = view.MaxLoad()
-		}
-	}
-	if !placeSegment(cc, eng, rep, s, placer, view, rs, count-placed) {
-		return len(cuts), false
-	}
-	return len(cuts), true
-}
-
-// placeSegment places one segment of a shard's balls. Without
-// cancellation (and in normal, non-faultinject builds) it is exactly
-// one PlaceBatch — the pre-existing hot path, untouched. With
-// cancellation armed it strides the segment in RoutingBlock-sized
-// sub-batches, polling the flag between strides: sub-segmenting never
-// moves a draw (the PlaceBatch additivity contract), so the placement
-// granularity of cancellation costs one flag load per 65536 balls and
-// zero allocations. Returns false when cancelled before finishing.
-func placeSegment(cc *canceller, eng string, rep, s int, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64) bool {
-	if cc == nil && !fault.Enabled {
-		placer.PlaceBatch(view, rs, count)
-		return true
-	}
-	block := 0
-	for placed := int64(0); placed < count; block++ {
-		if cc.cancelled() {
-			return false
-		}
-		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: eng, Op: fault.OpPlace, Rep: rep, Shard: s, Block: block})
-		}
-		n := count - placed
-		if n > RoutingBlock {
-			n = RoutingBlock
-		}
-		placer.PlaceBatch(view, rs, n)
-		placed += n
-	}
-	return true
+// shardOf is the shard holding bin p: the exact inverse of shardBounds,
+// since bin p lies in shard s iff s·n/shards <= p < (s+1)·n/shards,
+// that is iff s·n < (p+1)·shards <= (s+1)·n. The product is at most
+// n·shards: below 2^62 for any n below 2^31.
+func (sh *sharded) shardOf(p int) int {
+	return ((p+1)*sh.shards - 1) / sh.n
 }

@@ -17,19 +17,25 @@
 // then the calling goroutine plays the repetitions in order, one phase
 // barrier at a time:
 //
-//	route blocks ∥ reset shards → place shards in parallel → summarise → fold
+//	route blocks ∥ reset shards → place and summarise shards → merge → fold
 //
 // Every O(n) pass — reset, placement, the shard-local max scan or
-// histogram — is a per-shard pool task; the summary (O(shards) shard
-// maxima and histogram merges) and the fold are inline tasks on the
-// calling goroutine. The fold is the repetition's commit: once it has
-// run the repetition counts, even if the context fired meanwhile. The
-// first repetition played skips the reset (the setup phase reset every
-// shard). The run's state is 32 B per bin for any Workers, never
-// O(Reps · n): the array's bins (16 B), the selection weights (8 B)
-// and the shards' alias columns (8 B), plus the running summary.
-// Nothing transient is added: an alias build works in a 1-bit-per-bin
-// mask. So n = 10^7 with hundreds of repetitions fits in RAM.
+// histogram — is a per-shard pool task. The shard summaries are the
+// step driver's, shared with the stream and cluster engines: each
+// placement task places its shard segmented at the ball-count cuts
+// (stepper.place) and takes its max at each cut and at the end, and
+// its histogram when one is asked for (stepper.summarise), into the
+// driver's rows. The merge of the shard histograms in shard order and
+// the fold, which takes the top of the final maxima, are inline tasks
+// on the calling goroutine. The fold is the repetition's commit: once
+// it has run the repetition counts, even if the context fired
+// meanwhile. The first repetition played skips the reset (the setup
+// phase reset every shard). The run's state is 32 B per bin for any
+// Workers, never O(Reps · n): the array's bins (16 B), the selection
+// weights (8 B) and the shards' alias columns (8 B), plus the running
+// summary. Nothing transient is added: an alias build works in a
+// 1-bit-per-bin mask. So n = 10^7 with hundreds of repetitions fits in
+// RAM.
 //
 // # Determinism contract
 //
@@ -47,10 +53,8 @@
 package sim
 
 import (
-	"fmt"
 	"slices"
 
-	"repro/internal/bins"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -62,25 +66,12 @@ import (
 // summary and the fold run between barriers.
 type monteState struct {
 	stepper
-	m        int64     // balls per repetition
-	avg      float64   // m/C, identical in every repetition
-	shardMax []float64 // final shard-local max, taken by the shard's placement task
-	max      float64
-
-	// Per-shard load histograms (non-nil iff the run requests a
-	// distribution-shaped observable: load vector or height counts).
-	// Each routed shard's placement task rebuilds its histogram over
-	// its own view in parallel; the summary merges them in shard order
-	// into histAll — exact integer addition, so the merged histogram
-	// is identical to a whole-array pass for any worker count. All
-	// share the array's class skeleton, which is what makes the shard
-	// views' histograms mergeable.
-	hists   []*bins.LoadHistogram
-	histAll *bins.LoadHistogram
+	m   int64   // balls per repetition
+	avg float64 // m/C, identical in every repetition
 
 	// Observation scratch over the nCuts reached ball-count cuts,
 	// allocated once and reused across repetitions (nil when not
-	// requested); the shard maxima at the cuts are the driver's cutMax.
+	// requested); the shard maxima and histograms are the driver's.
 	cutBalls []int64 // realised balls per cut
 	// cutsDone[s] is how many cuts shard s fully placed and tracked in
 	// the current repetition (nil unless cancellation is armed and a
@@ -97,7 +88,7 @@ type monteState struct {
 
 // newMonteState builds the run's state over the prologue: the driver
 // with the repetition's stream layout, the observation scratch and the
-// collectors. The setup phase resets the array, and prepare builds the
+// collectors. The setup phase resets the array and builds the
 // histograms.
 func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 	st := &monteState{m: spec.BallCount(sh.arr.TotalCapacity())}
@@ -106,7 +97,6 @@ func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 	}
 	st.kk, st.placeAt = uint64(sh.shards+1), 1
 	st.avg = float64(st.m) / float64(st.totalCap)
-	st.shardMax = make([]float64, sh.shards)
 	if st.nCuts > 0 {
 		st.cutBalls = make([]int64, st.nCuts)
 		if st.cc != nil {
@@ -116,57 +106,17 @@ func newMonteState(spec *RunSpec, sh sharded) (*monteState, error) {
 	if spec.ShardStats {
 		st.ss = obs.NewShardStats(sh.shards)
 	}
-	if spec.CollectLoadVector || spec.HeightLevels > 0 {
-		st.classes = make([][]int64, sh.shards) // recorded by the setup tasks
-	}
 	return st, nil
 }
 
-// prepare finishes the state once the setup phase has passed: it
-// restores a resumed run's prefix, then builds the per-shard
-// histograms when the run asks for them. Zero-weight shards have no
-// view, so never a placer — the router can never send a ball there.
+// prepare restores a resumed run's prefix once the setup phase has
+// passed.
 func (st *monteState) prepare() error {
 	if st.resume != nil {
 		if err := st.resume.restore(st.fp, st); err != nil {
 			return err
 		}
 		st.start = st.resume.CompletedReps
-	}
-	if st.classes == nil {
-		return nil
-	}
-	// One class skeleton for the whole run, the union of the shards'
-	// classes: every shard histogram clones it, which is what makes
-	// shard merges exact (identical class set) and keeps
-	// CapacityClasses out of the per-repetition path. Max/avg-only runs
-	// skip histograms entirely.
-	var classes []int64
-	for _, c := range st.classes {
-		classes = append(classes, c...)
-	}
-	slices.Sort(classes)
-	proto, err := bins.NewLoadHistogram(slices.Compact(classes))
-	if err != nil {
-		return fmt.Errorf("sim: RunLargeMonte histogram: %w", err)
-	}
-	st.histAll = proto.CloneEmpty()
-	st.hists = make([]*bins.LoadHistogram, st.shards)
-	for s := range st.hists {
-		st.hists[s] = proto.CloneEmpty()
-		if st.views[s] != nil {
-			continue // rebuilt by the placement task every repetition
-		}
-		// Zero-weight shards are never routed to, reset or placed:
-		// their bins stay empty for the whole run, so one build at
-		// height zero stands for every repetition.
-		v, err := st.arr.Shard(st.bounds[s], st.bounds[s+1])
-		if err != nil {
-			return fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
-		}
-		if err := v.HistogramInto(st.hists[s]); err != nil {
-			return fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
-		}
 	}
 	return nil
 }
@@ -225,44 +175,19 @@ func (st *monteState) exec(kind, s, _ int) error {
 		if rp, ok := st.placers[s].(interface{ Reset() }); ok {
 			rp.Reset()
 		}
-		done, _ := placeShardSegments(st.cc, engRunLargeMC, st.step, st.placers[s], st.views[s], &st.rands[s].Rand, st.counts[s], s, st.prefix, st.cutMax)
+		done := st.place(s, st.counts[s])
 		if st.cutsDone != nil {
 			st.cutsDone[s] = done
 		}
-		if st.hists == nil {
-			st.shardMax[s] = st.views[s].MaxLoad()
-			break
-		}
-		// The shard's one-pass histogram, rebuilt over its own view
-		// while other shards are still placing. A zero-count shard
-		// reaches here too (its segment schedule places nothing and
-		// consumes no draws) so its freshly reset view overwrites last
-		// repetition's rows.
-		if err := st.views[s].HistogramInto(st.hists[s]); err != nil {
-			return fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
-		}
-		st.shardMax[s] = st.hists[s].MaxLoad()
+		// The shard's final max, and its histogram when armed, while
+		// other shards still place. A zero-count shard's segments place
+		// nothing and draw nothing; its summary is its reset view's.
+		return st.summarise(s, true)
 	case monteSummary:
 		if fault.Enabled {
 			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.step, Shard: -1, Block: -1})
 		}
-		if st.hists != nil {
-			// Shard-order merge: exact integer addition, so the result
-			// is identical to one whole-array pass — and the
-			// distribution-shaped observables derive from the merged
-			// histogram without touching the bins again.
-			ha := st.histAll
-			ha.Reset()
-			for s := range st.hists {
-				if err := ha.Merge(st.hists[s]); err != nil {
-					return fmt.Errorf("sim: RunLargeMonte merge shard %d: %w", s, err)
-				}
-			}
-		}
-		// Division is correctly rounded, hence monotone: the max of the
-		// shard-local maxima the placement tasks took is the
-		// whole-array max, bit for bit.
-		st.max = slices.Max(st.shardMax)
+		return st.mergeHists()
 	case monteFold:
 		if fault.Enabled {
 			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpOrchestrator, Rep: st.step, Shard: -1, Block: -1})
@@ -275,10 +200,12 @@ func (st *monteState) exec(kind, s, _ int) error {
 }
 
 // fold adds the repetition's summary to the collectors: its final
-// state (the merged histogram feeds the load vector and the height
-// counts), its cut rows and its shard rows.
+// state (the top of the shards' final maxima; the merged histogram
+// feeds the load vector and the height counts), its cut rows and its
+// shard rows.
 func (st *monteState) fold() error {
-	if err := st.col.observe(st.max, st.avg, st.m, st.totalCap, st.histAll); err != nil {
+	fin := st.finalRow()
+	if err := st.col.observe(st.cutTop(fin), st.avg, st.m, st.totalCap, st.histAll); err != nil {
 		return err
 	}
 	for k := 0; k < st.nCuts; k++ {
@@ -290,7 +217,11 @@ func (st *monteState) fold() error {
 		}
 	}
 	if st.ss != nil {
-		return st.ss.Observe(st.counts, st.shardMax)
+		for s, m := range st.maxRow(fin) {
+			if err := st.ss.Observe(s, st.counts[s], m.v); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -298,8 +229,8 @@ func (st *monteState) fold() error {
 // runStep plays repetition rep. The routing phase overlaps the routing
 // blocks with the per-shard resets: routing touches only the splitting
 // tree and the groups' own buffers, resets touch only view bins. The
-// placement phase places every routed shard in parallel and takes its
-// shard-local max; the summary then combines the shards and the fold
+// placement phase places and summarises every shard with a view in
+// parallel; the summary then merges the shard histograms and the fold
 // commits the repetition, both inline.
 func (st *monteState) runStep(rep int) (ok bool, err error) {
 	clear(st.cutsDone)
@@ -313,16 +244,9 @@ func (st *monteState) runStep(rep int) (ok bool, err error) {
 	if st.nCuts > 0 {
 		obs.AlignShardCuts(st.prefix, protocol.BlockSize, st.cutBalls)
 	}
-	for k := range st.cutMax {
-		clear(st.cutMax[k])
-	}
-	clear(st.shardMax)
+	clear(st.cutMax)
 	for s := range st.views {
-		// A zero-count shard normally needs no placement task (its
-		// reset view's max is the cleared 0); with histograms on it
-		// still gets a draw-free one so its empty view refreshes
-		// st.hists[s] for the summary's merge.
-		if st.views[s] == nil || (st.counts[s] == 0 && st.hists == nil) {
+		if st.views[s] == nil {
 			if st.cutsDone != nil {
 				st.cutsDone[s] = st.nCuts
 			}
@@ -390,8 +314,9 @@ func runLargeMonte(spec RunSpec) (*Result, error) {
 	}
 	if spec.AdoptArray {
 		// Placement writes through the shard views: the adopted array
-		// leaves with an exact cached ball total, also when cancelled.
-		st.arr.Recount()
+		// leaves with an exact cached ball total, the sum of the views'
+		// (a shard without a view holds no ball), also when cancelled.
+		st.arr.RecountViews(st.views)
 	}
 	res := st.col.result(&Result{N: sh.n, Shards: shards})
 	res.ShardStats = st.ss

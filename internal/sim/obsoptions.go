@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 )
@@ -83,8 +84,8 @@ func (o *ObsOptions) validate() error {
 	if o.HeightBins < 0 || o.HeightBins > maxObsRows {
 		return fmt.Errorf("sim: HeightBins = %d outside [0,%d]", o.HeightBins, maxObsRows)
 	}
-	if o.HeightMax < 0 {
-		return fmt.Errorf("sim: HeightMax = %v, need >= 0 (0 defaults to 8)", o.HeightMax)
+	if !(o.HeightMax >= 0) || math.IsInf(o.HeightMax, 1) {
+		return fmt.Errorf("sim: HeightMax = %v, need a finite value >= 0 (0 defaults to 8)", o.HeightMax)
 	}
 	if o.HeightBins == 0 && o.HeightMax > 0 {
 		return fmt.Errorf("sim: HeightMax = %v without HeightBins: the height histogram needs a positive HeightBins", o.HeightMax)

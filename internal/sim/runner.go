@@ -62,29 +62,39 @@
 // step (a resumed run's restored prefix) with its step-boundary
 // CancelAfter stop and cancellation check, per-step re-seeding of the
 // shard placement streams, arrival routing up to the merged per-shard
-// counts and ball-count cut prefixes, the shard maxima at the cuts
-// (one padded [cut][shard] matrix: a row per ball-count cut for Monte,
-// one for the step cut), the step-indexed observation cut, the
-// *CancelledError of an early stop, and the *Result of a single
-// trajectory. An engine supplies only its step body (runStep) and its
-// task bodies (exec); runStep commits the step last — Monte's fold,
-// the trajectory engines' counters straight into the StreamResult or
-// ClusterResult they return a copy of — so an abandoned step leaves
-// the committed prefix untouched.
+// counts and ball-count cut prefixes, placement segmented at those
+// prefixes (empty for stream and cluster), the step-indexed
+// observation cut, the *CancelledError of an early stop, and the
+// *Result of a single trajectory. An engine supplies only its step
+// body (runStep) and its task bodies (exec); runStep commits the step
+// last — Monte's fold, the trajectory engines' counters straight into
+// the StreamResult or ClusterResult they return a copy of — so an
+// abandoned step leaves the committed prefix untouched.
+//
+// The driver owns the per-shard summaries every final state derives
+// from: the shard maxima, a padded matrix with a row per ball-count cut
+// (Monte) and a final row that a trajectory's step cuts share, and —
+// for the load vector or height counts — shard histograms over one
+// class skeleton, merged in shard order. A shard's summary is one pass
+// over its own view (summarise), in Monte's placement task or a
+// trajectory's observe and final phases (histograms in the final one
+// only), so none scans the whole array on the calling goroutine.
 //
 // The setup phase holds every O(n) pass of a sharded run's prologue
 // beyond the distribution's Weights call: one task per shard builds
 // the shard's view, resets it, sums its weights (in bin order, so the
 // router's weights keep their bits), records its capacity classes when
-// the engine asks (Monte's histogram skeleton is their union) and
-// builds its placer. The calling goroutine then does the O(shards)
-// rest — the router, the weight total, dropping the views of shards
-// that can never receive a ball — and the engine's prepare.
+// histograms are asked for (the skeleton is their union) and builds
+// its placer. The calling goroutine then does the O(shards) rest — the
+// router, the histograms, the weight total, dropping the views of
+// shards that can never receive a ball (their height-zero histograms
+// built first, in one final-summary phase) — and the engine's prepare.
 package sim
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -515,11 +525,12 @@ type stepEngine interface {
 const (
 	stepRoute = iota
 	stepObserve
+	stepFinal
 	stepSetup
 	stepKinds
 )
 
-var stepNames = []taskName{{"route", "routing group"}, {"observe", "observe shard"}, {"setup", "setup shard"}}
+var stepNames = []taskName{{"route", "routing group"}, {"observe", "observe shard"}, {"final", "final shard"}, {"setup", "setup shard"}}
 
 // stepper is the step driver and the working set the sharded engines
 // share, allocated once before the first step.
@@ -545,9 +556,13 @@ type stepper struct {
 	views   []*bins.Array
 	placers []protocol.Placer
 	rands   []shardRand // per-shard placement streams, re-seeded every step
-	// classes[s] are shard s's capacity classes, recorded by its setup
-	// task when the engine sets classes (non-nil) before the run.
+
+	// Shard histograms, armed by the load vector or height counts:
+	// classes[s] are shard s's capacity classes (its setup task's),
+	// hists[s] its histogram over their union, histAll their merge.
 	classes [][]int64
+	hists   []*bins.LoadHistogram
+	histAll *bins.LoadHistogram
 
 	groups []routeGroup
 	counts []int64 // the step's merged per-shard arrival counts
@@ -562,9 +577,10 @@ type stepper struct {
 	cutBlocks, cutRems []int64
 	prefix             [][]int64
 	nextCut            int
-	// cutMax[k][s] is shard s's max load at cut k: a row per reachable
-	// ball-count cut, or one row for the step cut in flight.
-	cutMax [][]cutMax
+	// cutMax holds the shard maxima, row k at [k·shards, (k+1)·shards)
+	// (maxRow): a row per reachable ball-count cut, then the final row
+	// (finalRow), which a trajectory's step cuts share.
+	cutMax []cutMax
 
 	// col is the run's collector set: Monte's repetition folds, a
 	// trajectory's cut rows and final state.
@@ -603,33 +619,25 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	if d.col, err = newCollectors(&spec.Config, d.cuts); err != nil {
 		return err
 	}
-	rows := 0
 	if eng == engRunLargeMC {
 		d.nCuts = obs.CountReached(d.cuts, maxM)
-		if rows = d.nCuts; rows > 0 {
+		if d.nCuts > 0 {
 			d.cutBlocks, d.cutRems = cutPlan(d.cuts[:d.nCuts])
-			d.prefix = grid[int64](d.nCuts, sh.shards)
+			flat := make([]int64, d.nCuts*sh.shards)
+			d.prefix = make([][]int64, d.nCuts)
+			for k := range d.prefix {
+				d.prefix[k] = flat[k*sh.shards : (k+1)*sh.shards]
+			}
 		}
 	} else {
-		// One row: the step cut in flight, and a completed run's final
-		// state (run).
 		d.nCuts = obs.CountReached(d.cuts, int64(steps))
-		rows = 1
 	}
-	if rows > 0 {
-		d.cutMax = grid[cutMax](rows, sh.shards)
+	d.cutMax = make([]cutMax, (len(d.prefix)+1)*sh.shards)
+	if spec.CollectLoadVector || spec.HeightLevels > 0 {
+		d.classes = make([][]int64, sh.shards)
 	}
 	d.groups = newRouteGroups(sh.routeWidth(maxM), sh.shards, len(d.prefix))
 	return nil
-}
-
-// grid returns a rows×cols matrix carved from one backing array.
-func grid[T any](rows, cols int) [][]T {
-	g, flat := make([][]T, rows), make([]T, rows*cols)
-	for k := range g {
-		g[k] = flat[k*cols : (k+1)*cols]
-	}
-	return g
 }
 
 // run drives x: the setup phase and x's prepare (setup), then
@@ -670,10 +678,11 @@ func (d *stepper) run(x stepEngine, eng string, kinds []taskName) (*CancelledErr
 	if d.done < d.steps {
 		return d.cancelled(d.cc.err()), nil
 	}
-	if d.ph.engine != engRunLargeMC && d.col.hl == nil {
-		// A completed trajectory's final max load (final): the shard
-		// maxima in one observe phase, while the helpers still run.
-		return nil, d.ph.run(stepObserve, d.shards)
+	if d.ph.engine != engRunLargeMC {
+		// A completed trajectory's final state (final): the shard maxima,
+		// and the shard histograms when armed, in one phase while the
+		// helpers still run.
+		return nil, d.ph.run(stepFinal, d.shards)
 	}
 	return nil, nil
 }
@@ -682,10 +691,11 @@ func (d *stepper) run(x stepEngine, eng string, kinds []taskName) (*CancelledErr
 // view, resets it, sums the shard's weights into shardW, records its
 // capacity classes when asked and builds its placer — and then, on the
 // calling goroutine, the O(shards) rest of the prologue: the router
-// over shardW, sumW, and the views dropped for shards that can never
-// receive a ball; last x.prepare. A router error is reported before
-// any setup task's: it describes the whole weight vector, a placer's
-// error only one shard's slice of it.
+// over shardW, the shard histograms when armed (newHists), sumW, and
+// the views dropped for shards that can never receive a ball; last
+// x.prepare. A router error is reported before any setup task's: it
+// describes the whole weight vector, a placer's error only one shard's
+// slice of it.
 func (d *stepper) setup(x stepEngine) (ok bool, err error) {
 	for s := 0; s < d.shards; s++ {
 		d.ph.submit(stepSetup, s)
@@ -697,6 +707,11 @@ func (d *stepper) setup(x stepEngine) (ok bool, err error) {
 	if serr != nil {
 		return false, serr
 	}
+	if d.classes != nil {
+		if err := d.newHists(); err != nil {
+			return false, err
+		}
+	}
 	for s, w := range d.shardW {
 		d.sumW += w
 		if !d.all && w <= 0 {
@@ -707,6 +722,31 @@ func (d *stepper) setup(x stepEngine) (ok bool, err error) {
 		return false, err
 	}
 	return !d.cc.cancelled(), nil
+}
+
+// newHists builds the shard histograms over the union of the shards'
+// classes, and in one phase those of the shards about to lose their
+// views: never routed to, reset or placed on, such a shard stays empty,
+// so one build at height zero stands for the whole run.
+func (d *stepper) newHists() error {
+	var classes []int64
+	for _, c := range d.classes {
+		classes = append(classes, c...)
+	}
+	slices.Sort(classes)
+	proto, err := bins.NewLoadHistogram(slices.Compact(classes))
+	if err != nil {
+		return fmt.Errorf("sim: %s histogram: %w", d.ph.engine, err)
+	}
+	d.histAll = proto.CloneEmpty()
+	d.hists = make([]*bins.LoadHistogram, d.shards)
+	for s := range d.hists {
+		d.hists[s] = proto.CloneEmpty()
+		if !d.all && d.shardW[s] <= 0 {
+			d.ph.submit(stepFinal, s)
+		}
+	}
+	return d.ph.wait()
 }
 
 // prepare is the engines' default: nothing to add after the setup
@@ -769,11 +809,51 @@ func (d *stepper) route(m int64, kind, n int) (ok bool, err error) {
 	return true, nil
 }
 
-// place places n balls on shard s from its placement stream.
-func (d *stepper) place(s int, n int64) {
-	if n > 0 {
-		placeSegment(d.cc, d.ph.engine, d.step, s, d.placers[s], d.views[s], &d.rands[s].Rand, n)
+// place places n balls on shard s from its placement stream,
+// segmented at Monte's cut prefixes (none for stream and cluster) with
+// the shard's max taken at each. Segmenting never moves a draw —
+// PlaceBatch(a)+PlaceBatch(b) draws exactly as PlaceBatch(a+b) — so
+// checkpoints leave the final state bit-identical. It returns the cuts
+// fully placed: fewer than all only when cancelled.
+func (d *stepper) place(s int, n int64) (cutsDone int) {
+	var placed int64
+	for k, pre := range d.prefix {
+		if !d.segment(s, pre[s]-placed) {
+			return k
+		}
+		if placed = pre[s]; placed > 0 {
+			d.maxRow(k)[s].v = d.views[s].MaxLoad()
+		}
 	}
+	d.segment(s, n-placed)
+	return len(d.prefix)
+}
+
+// segment places n balls on shard s: one PlaceBatch, or with
+// cancellation or fault injection armed RoutingBlock-sized strides
+// that poll the flag in between (the same draws, by the additivity
+// above). It returns false when cancelled before finishing.
+func (d *stepper) segment(s int, n int64) bool {
+	if n <= 0 {
+		return true
+	}
+	placer, view, rs := d.placers[s], d.views[s], &d.rands[s].Rand
+	if d.cc == nil && !fault.Enabled {
+		placer.PlaceBatch(view, rs, n)
+		return true
+	}
+	for block := 0; n > 0; block++ {
+		if d.cc.cancelled() {
+			return false
+		}
+		if fault.Enabled {
+			fault.Hit(fault.Site{Engine: d.ph.engine, Op: fault.OpPlace, Rep: d.step, Shard: s, Block: block})
+		}
+		k := min(n, RoutingBlock)
+		placer.PlaceBatch(view, rs, k)
+		n -= k
+	}
+	return true
 }
 
 // observe takes the step cut that falls at the end of the step in
@@ -788,10 +868,17 @@ func (d *stepper) observe(balls int64) (ok bool, err error) {
 	if ok, err := d.phase(stepObserve, d.shards); !ok {
 		return false, err
 	}
-	d.col.cp.Observe(d.nextCut, balls, d.totalCap, d.cutTop(0))
+	d.col.cp.Observe(d.nextCut, balls, d.totalCap, d.cutTop(d.finalRow()))
 	d.nextCut++
 	return true, nil
 }
+
+// maxRow is row k of the shard maxima.
+func (d *stepper) maxRow(k int) []cutMax { return d.cutMax[k*d.shards : (k+1)*d.shards] }
+
+// finalRow is the row of the shards' final maxima: the one after
+// Monte's ball-count cut rows, and a trajectory's only row.
+func (d *stepper) finalRow() int { return len(d.prefix) }
 
 // cutTop is the whole-array max load at cut row k: the max of the
 // shards' maxima — a pure max, order-independent for finite floats,
@@ -800,12 +887,48 @@ func (d *stepper) observe(balls int64) (ok bool, err error) {
 // max's bits.
 func (d *stepper) cutTop(k int) float64 {
 	top := 0.0
-	for i := range d.cutMax[k] {
-		if v := d.cutMax[k][i].v; v > top {
-			top = v
-		}
+	for _, m := range d.maxRow(k) {
+		top = max(top, m.v)
 	}
 	return top
+}
+
+// summarise takes shard s's summary: its max load into the final row
+// and, when hist is set and histograms are armed, its load histogram,
+// from which the max then derives (the same bits as the scan). A shard
+// without a view holds no ball: its max is 0 and its histogram the
+// height-zero one newHists built.
+func (d *stepper) summarise(s int, hist bool) error {
+	m, v := &d.maxRow(d.finalRow())[s], d.views[s]
+	switch {
+	case v == nil:
+		m.v = 0
+	case hist && d.hists != nil:
+		h := d.hists[s]
+		if err := v.HistogramInto(h); err != nil {
+			return fmt.Errorf("sim: %s shard %d histogram: %w", d.ph.engine, s, err)
+		}
+		m.v = h.MaxLoad()
+	default:
+		m.v = v.MaxLoad()
+	}
+	return nil
+}
+
+// mergeHists merges the shard histograms, if any, into histAll in
+// shard order: exact integer addition, so the result is identical to
+// one whole-array pass.
+func (d *stepper) mergeHists() error {
+	if d.histAll == nil {
+		return nil
+	}
+	d.histAll.Reset()
+	for s, h := range d.hists {
+		if err := d.histAll.Merge(h); err != nil {
+			return fmt.Errorf("sim: %s merge shard %d: %w", d.ph.engine, s, err)
+		}
+	}
+	return nil
 }
 
 // stepExec runs the driver's own task kinds; engines' exec methods
@@ -816,12 +939,10 @@ func (d *stepper) stepExec(kind, idx int) (err error) {
 		g := &d.groups[idx]
 		g.reset()
 		g.route(d.cc, d.ph.engine, d.step, d.rrbase, d.router, d.curM, idx, d.rgr, d.cutBlocks, d.cutRems)
-	case stepObserve:
-		m := &d.cutMax[0][idx]
-		m.v = 0
-		if v := d.views[idx]; v != nil {
-			m.v = v.MaxLoad()
-		}
+	case stepObserve, stepFinal:
+		// Only a final summary builds histograms: a trajectory's step
+		// cuts need the maxima alone.
+		return d.summarise(idx, kind == stepFinal)
 	case stepSetup:
 		// The shard's share of the prologue, once per run: O(shard
 		// size) each, so no whole-array pass runs on the calling
@@ -867,21 +988,16 @@ func (d *stepper) result(balls int64, completed bool) (*Result, error) {
 	return c.result(&Result{N: d.n, Shards: d.shards}), nil
 }
 
-// final folds the completed trajectory's final state. Without height
-// levels it reads no bin: the max load is the top of the shard maxima
-// that run's last observe phase left in cutMax[0] (the same bits as a
-// whole-array scan, by cutTop's argument), and the array's ball total
-// is the sum of the views' totals. With height levels, one histogram
-// pass over the recounted array gives the max and the height rows.
+// final folds the completed trajectory's final state without reading
+// a bin: the max load is the top of the shard maxima that run's final
+// phase left in the final row (the same bits as a whole-array
+// scan, by cutTop's argument), the array's ball total is the sum of
+// the views' totals, and the height rows come from the shard
+// histograms that phase built, merged in shard order.
 func (d *stepper) final(balls int64) error {
-	if d.col.hl == nil {
-		d.arr.RecountViews(d.views)
-		return d.col.observe(d.cutTop(0), d.arr.AverageLoad(), balls, d.totalCap, nil)
-	}
-	d.arr.Recount()
-	h := d.arr.NewLoadHistogram()
-	if err := d.arr.HistogramInto(h); err != nil {
+	d.arr.RecountViews(d.views)
+	if err := d.mergeHists(); err != nil {
 		return err
 	}
-	return d.col.final(d.arr, h, balls)
+	return d.col.observe(d.cutTop(d.finalRow()), d.arr.AverageLoad(), balls, d.totalCap, d.histAll)
 }

@@ -17,7 +17,8 @@
 # (checkpoints, heights, load vectors, distributions, protocols,
 # -cancel-after-reps and a cancel-then-resume round trip whose resume
 # files must match and cross-resume), streaming
-# runs (deletions, rebalance, -cancel-after-rounds), serving runs
+# runs (deletions, rebalance, -cancel-after-rounds, zero-weight
+# shards, also under Monte-Carlo), serving runs
 # (churn, retries, shedding, -cancel-after-ticks) and the chunk
 # engines' class, random-array and height observables through bnbfig.
 #
@@ -104,6 +105,11 @@ compare bnbsim -spec "$SPEC" -seed "$SEED" -large -shards 4 -reps 9 -checkpoints
 compare bnbsim -spec "$SPEC" -seed "$SEED" -stream -rounds 6 -m 3000 -deletions 800 -rebalance-tol 0.2 -shards 4 -checkpoints 2,4,6 -heights 3
 compare bnbsim -spec "$SPEC" -seed "$SEED" -stream -schedule 5000,0,2500 -deletions 1000 -shards 4 -checkpoints 1,3
 compare bnbsim -spec "$SPEC" -seed "$SEED" -stream -rounds 6 -m 3000 -deletions 800 -rebalance-tol 0.2 -shards 4 -checkpoints 2,4,6 -cancel-after-rounds 3
+# Zero-weight shards: top:10 gives the 1-capacity half of the array no
+# weight, so four of the eight shards never get a view and their height
+# rows come from the histograms built once at setup.
+compare bnbsim -spec "$SPEC" -stream -rounds 4 -m 20000 -deletions 5000 -rebalance-tol 0.2 -dist top:10 -shards 8 -checkpoints 2,4 -heights 4
+compare bnbsim -spec "$SPEC" -large -shards 8 -reps 5 -dist top:10 -heights 4 -loads
 
 CLUSTER="-spec 800x1+200x10 -arrivals 2000 -ticks 120 -seed $SEED -json \
 	-churn down@20:801,up@90:801 -crash-prob 0.003 -recover-prob 0.1 \
