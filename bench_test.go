@@ -249,6 +249,42 @@ func BenchmarkClusterTick1W(b *testing.B) { benchClusterTick(b, 1) }
 func BenchmarkClusterTick2W(b *testing.B) { benchClusterTick(b, 2) }
 func BenchmarkClusterTick4W(b *testing.B) { benchClusterTick(b, 4) }
 
+// benchClusterServe runs the serving engine at the repo benchmark's
+// cluster-serve shape (bench/workloads.go): 5000 unit and 5000
+// ten-unit servers on 64 shards, 120 ticks of 40,000 arrivals, with
+// the same churn, retry and shedding settings, seed 1. Unlike
+// benchClusterTick, whose 10^5-server ring build outweighs its 8
+// ticks, its time is the per-tick machinery: churn draws, re-shards,
+// retry apportionment and the shard phase. Reported as arrivals/sec,
+// cluster-serve's balls_per_s.
+func benchClusterServe(b *testing.B, workers int) {
+	b.Helper()
+	caps := CapacitiesTwoClass(5000, 1, 5000, 10)
+	const ticks, arrivals = 120, 40_000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateCluster(ClusterConfig{
+			Capacities:    caps,
+			Ticks:         ticks,
+			Arrivals:      arrivals,
+			Churn:         ChurnPlan{CrashProb: 2e-4, RecoverProb: 0.05},
+			Retry:         RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+			ShedThreshold: 3,
+			Seed:          1,
+			Shards:        64,
+			Workers:       workers,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*ticks*arrivals/b.Elapsed().Seconds(), "balls/sec")
+}
+
+func BenchmarkClusterServe1W(b *testing.B) { benchClusterServe(b, 1) }
+func BenchmarkClusterServe2W(b *testing.B) { benchClusterServe(b, 2) }
+
 // benchRunLargeMonte measures the sharded Monte-Carlo engine: several
 // repetitions of a large sharded game per iteration, played in order
 // with per-shard tasks on the engine's pool.

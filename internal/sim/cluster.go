@@ -46,6 +46,10 @@
 //     rule — deterministic, no RNG) and re-placed by the destination
 //     shards' placers (in the shard tasks), KEEPING its original
 //     dispatch tick — redistribution does not reset the timeout clock.
+//     The split depends only on the batch size and the live weights, so
+//     each distinct size up to splitMax is split once per re-shard
+//     (splitMemo) and every later batch of that size, redistributed or
+//     retried, replays the memoized (shard, count) list.
 //   - Admission: when ShedThreshold > 0, arrivals beyond
 //     floor(threshold·live capacity) − queued are shed — counted,
 //     never silently dropped. Retries bypass admission: a request the
@@ -64,7 +68,8 @@
 //     backoff onto a fresh d-choice placement (an alternate candidate
 //     — the queue state has moved on) or, after MaxRetries attempts,
 //     counted failed. Pending retries wait in a min-heap on (due tick,
-//     insertion order), which holds only the pending batches.
+//     insertion order), which holds only the pending batches; a due
+//     batch is apportioned like a redistributed one (scatter).
 //   - Observation: at a cut tick, and in the final phase at the
 //     horizon, the step driver summarises each shard's own peers (max
 //     queue-relative load; at the horizon with HeightLevels also its
@@ -75,7 +80,7 @@
 // Global stream 0 builds the ring. One tick consumes K = Shards + 2
 // consecutive streams; tick t's base is 1 + t·K:
 //
-//	base+0      churn draws (one Float64 per peer, peer order)
+//	base+0      churn draws (one Uint64 per peer, peer order)
 //	base+1      arrival routing (routing blocks as substreams)
 //	base+2+s    shard s placement (redistribution, then arrivals,
 //	            then retries — in that frozen phase order)
@@ -522,6 +527,26 @@ type clusterShard struct {
 // remainder makes this constant negative, which does not compile).
 const _ uintptr = 0 - unsafe.Sizeof(clusterShard{})%64
 
+// splitMax is the largest batch whose split splitMemo keeps: retried
+// and redistributed batches are one peer's share of a placement, a
+// few requests each.
+const splitMax = 32
+
+// splitPair is one receiving shard of a memoized split and its count.
+type splitPair struct{ shard, count int32 }
+
+// splitMemo memoizes the largest-remainder split of each batch size
+// m <= splitMax over the live shard weights, as m's receiving (shard,
+// count) pairs in shard order. A split is a pure function of (m,
+// shardW, sumW), and those change only in reshardPlan, which clears
+// the memo. A split of m has at most m receiving shards, so m's pairs
+// have a fixed home at pairs[m(m−1)/2:], and the memo is fixed-size:
+// it never allocates.
+type splitMemo struct {
+	n     [splitMax + 1]int32 // n[m]: m's receiving shards; 0 until memoized
+	pairs [splitMax * (splitMax + 1) / 2]splitPair
+}
+
 // clusterState is the engine's whole working set, allocated once.
 type clusterState struct {
 	// stepper's shard plan is over the live per-peer arc weights
@@ -545,6 +570,7 @@ type clusterState struct {
 	retries retryHeap
 	aport   []int64 // apportionment scratch
 	ap      apportion
+	splits  splitMemo
 	crand   xrand.Rand
 
 	// Tick-scoped fields, written by the orchestrator strictly between
@@ -730,20 +756,21 @@ func (st *clusterState) placeWork(s int, op fault.Op, work []cohort) {
 // weights changed since the last bind are dirty; a shard whose live
 // weight vanished entirely (every peer down) gets a nil placer — the
 // router can never route a ball there.
-func (st *clusterState) setupShard(s int) (err error) {
+func (st *clusterState) setupShard(s int) error {
 	if !st.slots[s].dirty {
 		return nil
 	}
 	st.slots[s].dirty = false
 	if st.shardW[s] <= 0 {
-		st.placers[s] = nil
+		st.placers[s] = boundPlacer{}
 		return nil
 	}
 	w := st.weights[st.bounds[s]:st.bounds[s+1]]
-	if pl := st.placers[s]; pl != nil {
+	if pl := st.placers[s].Placer; pl != nil {
 		return pl.Reweight(w)
 	}
-	st.placers[s], err = st.factory(st.views[s], w)
+	var err error
+	st.placers[s], err = newPlacer(st.factory, st.views[s], w)
 	return err
 }
 
@@ -885,13 +912,23 @@ func (st *clusterState) churnStep() {
 	}
 	if st.p.Churn.Stochastic() {
 		st.crand.Seed(xrand.Mix64(st.seed, st.base))
+		down, up := churnThreshold(st.p.Churn.CrashProb), churnThreshold(st.p.Churn.RecoverProb)
 		for p := 0; p < st.n; p++ {
-			u := st.crand.Float64()
-			if live := st.ring.Live(p); live && u < st.p.Churn.CrashProb || !live && u < st.p.Churn.RecoverProb {
+			k := st.crand.Uint64() >> 11
+			if live := st.ring.Live(p); live && k < down || !live && k < up {
 				st.toggle(p, live)
 			}
 		}
 	}
+}
+
+// churnThreshold is the integer form of a churn draw's test: for the
+// draw's top 53 bits k, k < churnThreshold(p) exactly when Float64's
+// k/2^53 < p. p·2^53 is exact (a power-of-two scaling of p in [0,1],
+// which ChurnPlan.Validate enforces), and for an integer k, k < x
+// holds iff k < ⌈x⌉.
+func churnThreshold(p float64) uint64 {
+	return uint64(math.Ceil(p * 0x1p53))
 }
 
 // reshardPlan recomputes routing after churn: fresh arc weights for
@@ -905,6 +942,7 @@ func (st *clusterState) reshardPlan() error {
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: st.step, Shard: -1, Block: -1})
 	}
+	st.splits.n = [splitMax + 1]int32{} // the weights move: forget every split
 	st.touched = st.ring.TouchedPeers(st.toggled, st.touched[:0])
 	for _, p := range st.touched {
 		if w := st.ring.PeerArc(p); w != st.weights[p] {
@@ -960,18 +998,58 @@ func (st *clusterState) drainCrashed() int64 {
 		for k := q.head[i]; k >= 0; k = q.unlink(i, -1, k) {
 			c := q.nodes[k].cohort
 			st.views[s].RemoveBalls(i, c.count)
-			st.ap.split(c.count, st.shardW, st.sumW, st.aport)
-			for s2, cnt := range st.aport {
-				if cnt > 0 {
-					sl := &st.slots[s2]
-					sl.work = append(sl.work, cohort{disp: c.disp, orig: c.orig, att: c.att, count: cnt})
-					sl.retryAt = len(sl.work)
-				}
-			}
+			st.scatter(c)
 			moved += c.count
 		}
 	}
+	// The work lists were empty before the drain.
+	for s := range st.slots {
+		st.slots[s].retryAt = len(st.slots[s].work)
+	}
 	return moved
+}
+
+// scatter splits batch c over the live shard weights and appends one
+// piece per receiving shard, in shard order, to that shard's work
+// list; a piece keeps c's ticks and attempt and carries its share as
+// its count.
+func (st *clusterState) scatter(c cohort) {
+	if c.count <= splitMax {
+		for _, sp := range st.split(int(c.count)) {
+			c.count = int64(sp.count)
+			sl := &st.slots[sp.shard]
+			sl.work = append(sl.work, c)
+		}
+		return
+	}
+	st.ap.split(c.count, st.shardW, st.sumW, st.aport)
+	for s, cnt := range st.aport {
+		if cnt > 0 {
+			c.count = cnt
+			st.slots[s].work = append(st.slots[s].work, c)
+		}
+	}
+}
+
+// split is the memoized split of a batch of m <= splitMax balls: its
+// receiving (shard, count) pairs in shard order, computed by
+// apportion.split on the first batch of size m since the last re-shard.
+func (st *clusterState) split(m int) []splitPair {
+	memo := &st.splits
+	at := m * (m - 1) / 2
+	if n := int(memo.n[m]); n > 0 {
+		return memo.pairs[at : at+n]
+	}
+	st.ap.split(int64(m), st.shardW, st.sumW, st.aport)
+	n := 0
+	for s, cnt := range st.aport {
+		if cnt > 0 {
+			memo.pairs[at+n] = splitPair{shard: int32(s), count: int32(cnt)}
+			n++
+		}
+	}
+	memo.n[m] = int32(n)
+	return memo.pairs[at : at+n]
 }
 
 // runStep plays tick t: churn → re-shard and drain → admission →
@@ -1022,12 +1100,7 @@ func (st *clusterState) runStep(t int) (ok bool, err error) {
 		if !ok {
 			break
 		}
-		st.ap.split(e.count, st.shardW, st.sumW, st.aport)
-		for s, cnt := range st.aport {
-			if cnt > 0 {
-				st.slots[s].work = append(st.slots[s].work, cohort{disp: int32(t), orig: e.orig, att: e.att, count: cnt})
-			}
-		}
+		st.scatter(cohort{disp: int32(t), orig: e.orig, att: e.att, count: e.count})
 		retriedT += e.count
 	}
 	st.pendingRetry -= retriedT

@@ -957,3 +957,99 @@ func TestClusterShardOf(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnThreshold: the churn step's integer test k < churnThreshold(p)
+// on a draw's top 53 bits k decides exactly as Float64's k/2^53 < p, at
+// the threshold, on either side of it and at the ends of k's range.
+func TestChurnThreshold(t *testing.T) {
+	const top = 1<<53 - 1
+	for _, p := range []float64{0, 0x1p-53, 2e-4, 0.05, math.Nextafter(0.05, 0), 0.5, 1 - 0x1p-53, 1} {
+		thr := churnThreshold(p)
+		for _, k := range []uint64{0, thr - 1, thr, thr + 1, top} {
+			if k > top {
+				continue // thr−1 at thr = 0, thr+1 past the top
+			}
+			if got, want := k < thr, float64(k)/(1<<53) < p; got != want {
+				t.Errorf("p=%v k=%d: k < %d is %v, k/2^53 < p is %v", p, k, thr, got, want)
+			}
+		}
+	}
+}
+
+// TestClusterSplitMemo: the memoized splits of the retry and
+// redistribution apportionment (scatter) equal apportion.split for
+// every batch size, served fresh or from the memo, over weight vectors
+// with zero-weight shards; and a run whose scheduled crash and
+// recovery fall between ticks that retry batches of the same size
+// reproduces its pinned counters, so each re-shard forgets the splits
+// made on the weights before it.
+func TestClusterSplitMemo(t *testing.T) {
+	for _, w := range [][]float64{
+		{1},
+		{0, 3, 0, 1.5, 2.25},
+		{0.1, 0, 0, 0.7, 0.2, 0, 0.3, 1e-3},
+		{5, 5, 5, 5, 0, 5, 5, 5, 5, 5, 5, 5},
+	} {
+		st := &clusterState{slots: make([]clusterShard, len(w))}
+		st.shardW = w
+		for _, x := range w {
+			st.sumW += x
+		}
+		st.aport = make([]int64, len(w))
+		st.ap = apportion{rem: make([]float64, len(w)), idx: make([]int, 0, len(w))}
+		ref := apportion{rem: make([]float64, len(w)), idx: make([]int, 0, len(w))}
+		want := make([]int64, len(w))
+		for pass := 0; pass < 2; pass++ {
+			for m := int64(1); m <= 130; m++ {
+				ref.split(m, w, st.sumW, want)
+				c := cohort{disp: 7, orig: 3, att: 1, count: m}
+				st.scatter(c)
+				for s := range st.slots {
+					sl := &st.slots[s]
+					var got int64
+					switch {
+					case len(sl.work) > 1:
+						t.Fatalf("w=%v m=%d: shard %d got %d pieces", w, m, s, len(sl.work))
+					case len(sl.work) == 1:
+						if p := sl.work[0]; p.disp != c.disp || p.orig != c.orig || p.att != c.att || p.count <= 0 {
+							t.Fatalf("w=%v m=%d: shard %d got piece %+v of %+v", w, m, s, p, c)
+						}
+						got = sl.work[0].count
+					}
+					if got != want[s] {
+						t.Fatalf("w=%v m=%d pass %d: shard %d got %d, apportion.split gives %d", w, m, pass, s, got, want[s])
+					}
+					sl.work = sl.work[:0]
+				}
+			}
+		}
+	}
+
+	// Peer 4 (capacity 8) crashes at tick 7 and recovers at tick 10;
+	// the ticks on both sides of each re-shard retry batches of one
+	// request, so a memo kept across a re-shard would place them by the
+	// dead (or the pre-recovery) weights.
+	out, err := runCluster(&RunSpec{
+		Config: Config{Array: clusterArray(t, 4, 1, 6, 2, 8, 3, 5, 7, 2, 4), Seed: 3},
+		Shards: 4,
+		Cluster: &ClusterParams{
+			Ticks:           14,
+			ArrivalsPerTick: 44,
+			Churn:           ChurnPlan{Schedule: []ChurnEvent{{Tick: 7, Peer: 4, Down: true}, {Tick: 10, Peer: 4}}},
+			Retry:           RetryPolicy{TimeoutTicks: 1, MaxRetries: 3, BackoffBase: 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := out.Cluster
+	got := [...]int64{res.Arrived, res.Shed, res.Admitted, res.Dispatched, res.Completed,
+		res.TimedOut, res.Retried, res.Failed, res.Redistributed, res.FinalQueued,
+		res.PendingRetry, int64(res.Crashes), int64(res.Recoveries), res.Latency.Count(), res.Latency.Sum()}
+	want := [...]int64{616, 0, 616, 681, 547,
+		76, 57, 0, 8, 50,
+		19, 1, 1, 547, 921}
+	if got != want {
+		t.Fatalf("counters drifted:\n got %v\nwant %v", got, want)
+	}
+}

@@ -170,11 +170,7 @@ func (st *monteState) exec(kind, s, _ int) error {
 		}
 		st.views[s].Reset()
 	case montePlace:
-		// Stateful placers (e.g. the batched protocol's round snapshot)
-		// must forget the previous repetition.
-		if rp, ok := st.placers[s].(interface{ Reset() }); ok {
-			rp.Reset()
-		}
+		st.placers[s].newRep()
 		done := st.place(s, st.counts[s])
 		if st.cutsDone != nil {
 			st.cutsDone[s] = done

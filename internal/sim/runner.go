@@ -12,14 +12,26 @@
 // index) to the phase's task list, sized once at start for the widest
 // phase; the barrier wakes at most workers−1 helper goroutines — one
 // channel token each, once per phase — and the calling goroutine
-// claims tasks from the same atomic counter as worker 0. Each helper
-// has a fixed worker slot (1, 2, …) that the phase passes to every
-// task it runs, so a task may use per-worker scratch: the chunk
-// driver's array and placer, the stream engine's deletion forest. Such
-// scratch is sized by the slots the phase starts (phase.workers), never
-// by the requested Workers. Dispatching work therefore allocates
-// nothing and sends nothing per task, and a one-worker phase starts no
-// goroutine and no channel.
+// works too, as worker 0. Each helper has a fixed worker slot (1, 2, …)
+// that the phase passes to every task it runs, so a task may use
+// per-worker scratch: the chunk driver's array and placer, the stream
+// engine's deletion forest. Such scratch is sized by the slots the
+// phase starts (phase.workers), never by the requested Workers.
+// Dispatching work therefore allocates nothing and sends nothing per
+// task, and a one-worker phase starts no goroutine and no channel.
+//
+// Workers claim slots from the two ends of the list, through one
+// atomic word that packs a front and a back cursor: worker 0 claims
+// upward from slot 0, the helpers downward from the last slot, and the
+// phase's work is handed out when the cursors meet. The step driver
+// submits shard s's task at the same slot on every step (slot s, or
+// after the routing groups when the phase overlaps routing), so at two
+// workers a shard's task runs on the same core from step to step and
+// finds the shard's state (queue arena, view, alias table) in that
+// core's cache, instead of wherever one shared counter last handed it
+// out. The helpers block on the wake channel between phases and never
+// spin: a spin-then-park helper made cluster ticks faster but the
+// Monte and stream engines slower at two workers.
 //
 // Every task runs behind a recover that converts a panic into a
 // *PanicError carrying {engine, task name, rep, index}: the worker
@@ -145,8 +157,10 @@ type phase struct {
 	// provenance); written only between barriers.
 	rep int
 
-	tasks []task         // the batch in submission order, run by wait
-	claim atomic.Int32   // the next unclaimed slot of tasks
+	tasks []task // the batch in submission order, run by wait
+	// claim packs the unclaimed slots [front, back) of tasks: front in
+	// the low 32 bits, back in the high 32 (see claimSlot).
+	claim atomic.Uint64
 	wake  chan struct{}  // one token per woken helper; buffered for all helpers
 	busy  sync.WaitGroup // the helpers woken for the batch in flight
 	live  sync.WaitGroup // the helper goroutines
@@ -203,8 +217,10 @@ func (ph *phase) submit(kind, idx int) {
 // the first, claims tasks itself until none is left, waits for the
 // helpers it woke, and returns the error of the lowest failing slot,
 // leaving the phase ready for its next batch. The wake sends order
-// every write the caller made before wait before any helper's task.
+// every write the caller made before wait — the cursors' reset too —
+// before any helper's task.
 func (ph *phase) wait() error {
+	ph.claim.Store(uint64(len(ph.tasks)) << 32)
 	if n := min(cap(ph.wake), len(ph.tasks)-1); n > 0 {
 		ph.busy.Add(n)
 		for i := 0; i < n; i++ {
@@ -214,22 +230,41 @@ func (ph *phase) wait() error {
 	ph.drain(0)
 	ph.busy.Wait()
 	ph.tasks = ph.tasks[:0]
-	ph.claim.Store(0)
 	err := ph.err
 	ph.err = nil
 	return err
 }
 
 // drain claims and runs tasks of the batch in flight on worker slot
-// worker until none is left.
+// worker until none is left: worker 0 from the front, a helper from
+// the back.
 func (ph *phase) drain(worker int) {
 	for {
-		slot := ph.claim.Add(1) - 1
-		if int(slot) >= len(ph.tasks) {
+		slot, ok := ph.claimSlot(worker != 0)
+		if !ok {
 			return
 		}
 		ph.runTask(ph.tasks[slot], slot, worker)
 	}
+}
+
+// claimSlot claims the lowest unclaimed slot of the batch in flight,
+// or with back the highest. Each claim is one atomic add on claim —
+// front += 1 or back −= 1 — and wins its slot iff the cursors had not
+// met before it (front < back). A losing add leaves them crossed, so
+// every later claim of the batch loses too, and the winners hold each
+// slot exactly once. A worker makes one losing add per batch, so front
+// stays far below 2^32; back may drop below 0, which borrows only
+// within the high word (it reads as a negative int32).
+func (ph *phase) claimSlot(back bool) (slot int32, ok bool) {
+	if !back {
+		c := ph.claim.Add(1)
+		slot = int32(uint32(c)) - 1
+		return slot, slot < int32(c>>32)
+	}
+	c := ph.claim.Add(^uint64(1<<32 - 1)) // −2^32 mod 2^64
+	slot = int32(c >> 32)
+	return slot, int32(uint32(c)) <= slot
 }
 
 // run submits the tasks (kind, 0) … (kind, count−1) and waits for them.
@@ -320,7 +355,7 @@ type chunkRun struct {
 // repetition — plus scratch buffers.
 type repWorker struct {
 	arr    *bins.Array
-	placer protocol.Placer
+	placer boundPlacer
 	router *sampling.Multinomial
 	hist   *bins.LoadHistogram // reusable one-pass load histogram
 	counts []int64             // closed form: one multinomial increment vector
@@ -420,9 +455,34 @@ func (r *chunkRun) build(w *repWorker, weights []float64) (err error) {
 	if r.ph.engine == engRunClosed {
 		w.router, err = sampling.NewMultinomial(weights)
 	} else {
-		w.placer, err = r.cfg.factory()(w.arr, weights)
+		w.placer, err = newPlacer(r.cfg.factory(), w.arr, weights)
 	}
 	return err
+}
+
+// boundPlacer is a placer with its Reset, if it has one, resolved once
+// when the placer is built. A stateful placer (the batched protocol's
+// round snapshot) must forget the previous repetition; resolving the
+// method up front spares every repetition a type assertion.
+type boundPlacer struct {
+	protocol.Placer
+	reset interface{ Reset() } // nil for a placer without state across balls
+}
+
+// newPlacer builds factory's placer over a and weights and resolves
+// its Reset.
+func newPlacer(factory protocol.Factory, a *bins.Array, weights []float64) (boundPlacer, error) {
+	p, err := factory(a, weights)
+	b := boundPlacer{Placer: p}
+	b.reset, _ = p.(interface{ Reset() })
+	return b, err
+}
+
+// newRep makes a stateful placer forget the previous repetition.
+func (b *boundPlacer) newRep() {
+	if b.reset != nil {
+		b.reset.Reset()
+	}
 }
 
 // resolveShards validates a Shards field against n bins: 0 means
@@ -554,7 +614,7 @@ type stepper struct {
 	// views are built by the setup phase; after it, nil for a shard
 	// that can never receive a ball (unless all is set).
 	views   []*bins.Array
-	placers []protocol.Placer
+	placers []boundPlacer
 	rands   []shardRand // per-shard placement streams, re-seeded every step
 
 	// Shard histograms, armed by the load vector or height counts:
@@ -611,7 +671,7 @@ func (d *stepper) init(eng string, spec *RunSpec, sh sharded, steps int, maxM in
 	d.all = all
 	d.totalCap = sh.arr.TotalCapacity()
 	d.views = make([]*bins.Array, sh.shards)
-	d.placers = make([]protocol.Placer, sh.shards)
+	d.placers = make([]boundPlacer, sh.shards)
 	d.rands = make([]shardRand, sh.shards)
 	d.counts = make([]int64, sh.shards)
 	d.cuts, _ = obs.NormalizeCuts(spec.Checkpoints) // validated by the caller
@@ -967,7 +1027,7 @@ func (d *stepper) stepExec(kind, idx int) (err error) {
 			d.classes[idx] = v.CapacityClasses()
 		}
 		if sum > 0 {
-			d.placers[idx], err = d.factory(v, w)
+			d.placers[idx], err = newPlacer(d.factory, v, w)
 		}
 	}
 	return err

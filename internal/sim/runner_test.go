@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -247,5 +248,94 @@ func TestPhaseOneWorkerRunsOnCaller(t *testing.T) {
 	}
 	if during > before || after > before {
 		t.Errorf("goroutines: %d before start, %d after run, %d after close", before, during, after)
+	}
+}
+
+// claimProbe records, per worker slot, the slots it ran (each task's
+// index is its slot) and how often each slot ran; the listed slots
+// panic. Each worker appends only to its own list, and every slot's
+// counter has one writer per phase.
+type claimProbe struct {
+	panics map[int]bool
+	by     [][]int
+	runs   [64]int
+}
+
+func (x *claimProbe) exec(_, idx, worker int) error {
+	x.by[worker] = append(x.by[worker], idx)
+	x.runs[idx]++
+	if x.panics[idx] {
+		panic("probe")
+	}
+	return nil
+}
+
+// TestPhaseTwoEndedClaim: the caller (worker 0) claims slots upward
+// from 0 and the helpers claim downward from the last slot, so worker
+// 0 runs a prefix of the batch in ascending order and each helper a
+// descending run of what is left — over repeated phases of every
+// width, each wide one after a one-task phase, at any worker count.
+// Every slot runs exactly once, and with failures at both ends the
+// lowest failing slot is reported. The assertions hold for any
+// interleaving of the workers, so they do not depend on timing.
+func TestPhaseTwoEndedClaim(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer leakCheck(t)()
+			x := &claimProbe{}
+			ph := &phase{x: x, engine: "probe", names: []taskName{{task: "claim"}}}
+			ph.start(workers, 64)
+			defer ph.close()
+			x.by = make([][]int, ph.workers())
+			// check runs one phase of width tasks, failing at fail, and
+			// checks the claim order and the error it reports.
+			check := func(round, width int, fail ...int) {
+				x.panics = map[int]bool{}
+				for _, f := range fail {
+					x.panics[f] = true
+				}
+				for w := range x.by {
+					x.by[w] = x.by[w][:0]
+				}
+				x.runs = [64]int{}
+				err := ph.run(0, width)
+				for slot, n := range x.runs[:width] {
+					if n != 1 {
+						t.Fatalf("round %d width %d: slot %d ran %d times", round, width, slot, n)
+					}
+				}
+				for slot, w0 := range x.by[0] {
+					if w0 != slot {
+						t.Fatalf("round %d width %d: worker 0 ran slots %v, want 0, 1, 2, … in order", round, width, x.by[0])
+					}
+				}
+				for w, slots := range x.by[1:] {
+					for i := 1; i < len(slots); i++ {
+						if slots[i] >= slots[i-1] {
+							t.Fatalf("round %d width %d: helper %d ran slots %v, want them descending", round, width, w+1, slots)
+						}
+					}
+				}
+				var perr *PanicError
+				switch {
+				case len(fail) == 0 && err != nil:
+					t.Fatalf("round %d width %d: %v", round, width, err)
+				case len(fail) > 0 && (!errors.As(err, &perr) || perr.Index != slices.Min(fail)):
+					t.Fatalf("round %d width %d: err = %v, want the panic of slot %d", round, width, err, slices.Min(fail))
+				}
+			}
+			for round := 0; round < 20; round++ {
+				for _, width := range []int{0, 1, 2, 3, 64} {
+					if width > 1 {
+						check(round, 1)
+					}
+					check(round, width)
+					if width > 1 {
+						check(round, width, 0, width-1)
+						check(round, width, width-1, width/2)
+					}
+				}
+			}
+		})
 	}
 }

@@ -381,11 +381,7 @@ func (r *chunkRun) runRep(rep uint64, w *repWorker, s *collectors) error {
 		}
 	} else {
 		w.arr.Reset()
-		// Stateful placers (e.g. the batched protocol's round snapshot)
-		// must forget the previous repetition.
-		if rp, ok := w.placer.(interface{ Reset() }); ok {
-			rp.Reset()
-		}
+		w.placer.newRep()
 	}
 	arr := w.arr
 	m := cfg.BallCount(arr.TotalCapacity())

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -624,6 +626,57 @@ func TestCheckpointsAgreeAcrossPaths(t *testing.T) {
 		if pm != hm {
 			t.Fatalf("checkpoint %d: batch path mean %v, per-ball path %v",
 				plain.Checkpoints[i].Balls, pm, hm)
+		}
+	}
+}
+
+// TestBatchedPlacerForgetsRepetition: a stateful placer (the batched
+// protocol, whose round snapshot outlives a repetition that ends
+// mid-round) is reset between repetitions, so each repetition plays
+// as on a freshly built placer. Classic: a fixed array, whose worker
+// placer serves every repetition, against an ArrayFn returning the
+// same array, which builds a placer per repetition. Monte: an
+// uninterrupted run against runs resumed after each repetition, whose
+// shard placers are built afresh.
+func TestBatchedPlacerForgetsRepetition(t *testing.T) {
+	// Rounds of 150 balls: every repetition ends mid-round.
+	batched := protocol.BatchedFactory(2, 150)
+	a := largeArray(t, 64)
+	cfg := Config{Array: a, Balls: 200, Reps: 5, Seed: 17, Workers: 1, Placer: batched, CollectLoadVector: true}
+	fixed, err := runClassic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Array, cfg.ArrayFn = nil, func(*xrand.Rand) (*bins.Array, error) { return a.Clone(), nil }
+	fresh, err := runClassic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fixed, fresh) {
+		t.Fatalf("classic: a reused batched placer differs from fresh ones:\n got  %+v\n want %+v", fixed, fresh)
+	}
+
+	spec := RunSpec{Config: Config{Array: largeArray(t, 600), Balls: 1000, Reps: 4, Seed: 17, Workers: 2, Placer: batched, CollectLoadVector: true}, Shards: 4}
+	full, err := runLargeMonte(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < spec.Reps; k++ {
+		cut := spec
+		cut.CancelAfter = k
+		_, err := runLargeMonte(cut)
+		var cerr *CancelledError
+		if !errors.As(err, &cerr) || cerr.Checkpoint == nil {
+			t.Fatalf("monte k=%d: err = %v, want a checkpoint", k, err)
+		}
+		resumed := spec
+		resumed.Resume = cerr.Checkpoint
+		res, err := runLargeMonte(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, full) {
+			t.Fatalf("monte k=%d: resumed on fresh batched placers differs:\n got  %+v\n want %+v", k, res, full)
 		}
 	}
 }
